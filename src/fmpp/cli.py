@@ -189,7 +189,8 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
             tuple(mark_spec.get("interaction", ("none",))),
             tuple(mark_spec.get("noise", ("zero",))),
             float(mark_spec.get("m0", 0.0)),
-            mark_spec.get("negative_policy", "clamp"))
+            mark_spec.get("negative_policy", "clamp"),
+            mark_spec.get("interaction_cutoff"))
         paths = marks.attach_marks(ground_pairs, gi, grid, seed, t_star)
     elif mname == "geostatistical":
         gm = marks.Geostatistical(mark_spec.get("mean", 0.0),
@@ -357,10 +358,8 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
 
         def objective(theta):
             model = infer.ParametricModel("poisson", theta, window)
-            val = infer.janossy_density(model, data).value
-            if val <= 0:
-                return 1e12
-            return -float(np.log(val))
+            log_val = infer.janossy_density(model, data).log_value
+            return -log_val if np.isfinite(log_val) else 1e12
 
         fit = infer.optimize(objective, theta0,
                              [tuple(b) for b in bounds], budget, "mle-janossy")
@@ -374,10 +373,12 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         growth_name = mspec["growth"][0]
         interaction = tuple(mspec.get("interaction", ("none",)))
         m0 = float(mspec.get("m0", 0.0))
+        cutoff = mspec.get("interaction_cutoff")
 
         def family_fn(theta):
             return marks.GrowthInteraction((growth_name, *theta), interaction,
-                                           ("zero",), m0)
+                                           ("zero",), m0,
+                                           interaction_cutoff=cutoff)
 
         if not window.is_temporal:
             raise ValidationError(
@@ -393,10 +394,12 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                                for p in c.points])
         theta0 = _require(section, "theta0", "estimate")
         bounds = section.get("bounds")
+        # integrate on the grid the marks were simulated on
+        grid = _mark_grid(cfg, window)
         fit = infer.least_squares_marks(
             family_fn, (xs, births, lifetimes), observed, schedule, theta0,
             [tuple(b) for b in bounds] if bounds else None,
-            dt=float(mspec.get("dt", 0.01)), t_star=window.t_star,
+            dt=float(grid[1] - grid[0]), t_star=window.t_star,
             budget=budget, seed=seed)
     else:
         raise ValidationError(f"unknown estimate.scheme '{scheme}'")

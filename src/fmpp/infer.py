@@ -27,11 +27,9 @@ from ._optim import nelder_mead
 from .core import AuxMark, Configuration, SampleSchedule, Window
 from .errors import NumericalError, ValidationError
 from .marks import (
-    DEGENERATE_DENSITY,
     AuxDensitySpec,
     FidiDensitySpec,
     GrowthInteraction,
-    aux_density_eval,
     fidi_density_eval,
     gi_integrate,
 )
@@ -145,8 +143,15 @@ class FitResult:
 
 @dataclass(frozen=True)
 class JanossyValue:
+    """A Janossy density and its logarithm.
+
+    ``value`` over- or underflows once n reaches a few hundred points;
+    ``log_value`` stays finite and is what likelihood fits should use.
+    """
+
     value: float
     normalized: bool
+    log_value: float
 
 
 def sample_observations(c: Configuration, schedule: SampleSchedule) -> list:
@@ -159,13 +164,15 @@ def sample_observations(c: Configuration, schedule: SampleSchedule) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ground building blocks
+# ground building blocks: (m, D) ground locations, (m, d) spatial locations
+# or (m,) times in, (m,) values out
 # ---------------------------------------------------------------------------
-def _spatial_density(model: ParametricModel, x) -> float:
+def _spatial_density(model: ParametricModel, x) -> np.ndarray:
+    """Normalized spatial density at (m, d) locations; returns (m,)."""
+    x = np.asarray(x, dtype=float)
     w = model.window
-    fam = model.spatial[0]
-    if fam == "uniform":
-        return 1.0 / w.volume
+    if model.spatial[0] == "uniform":
+        return np.full(x.shape[0], 1.0 / w.volume)
     coeffs = np.asarray(model.spatial[1:], dtype=float)
     z = 1.0
     for c_a, lo, hi in zip(coeffs, w.lo, w.hi):
@@ -173,28 +180,44 @@ def _spatial_density(model: ParametricModel, x) -> float:
             z *= hi - lo
         else:
             z *= (math.exp(c_a * hi) - math.exp(c_a * lo)) / c_a
-    return math.exp(float(np.dot(coeffs, np.asarray(x, dtype=float)))) / z
+    return np.exp(x @ coeffs) / z
 
 
-def temporal_rate(model: ParametricModel, t: float) -> float:
-    """Temporal ground conditional intensity of the supported families."""
+def temporal_rate(model: ParametricModel, t) -> np.ndarray:
+    """Temporal ground conditional intensity of the supported families at
+    (m,) times; returns (m,)."""
+    t = np.asarray(t, dtype=float)
     if model.ground == "poisson-t":
-        return float(model.theta[0])
+        return np.full(t.shape, float(model.theta[0]))
     if model.ground == "loglinear-t":
         a, b = model.theta[0], model.theta[1]
-        return math.exp(a + b * t)
+        return np.exp(a + b * t)
     raise ValidationError("model has no temporal ground rate")
 
 
-def ground_intensity(model: ParametricModel, g) -> float:
-    """First-order ground intensity at a ground location g = x or (x, t)."""
+def ground_intensity(model: ParametricModel, g) -> np.ndarray:
+    """First-order ground intensity at (m, D) ground locations, each row x
+    or (x, t); returns (m,)."""
+    g = np.asarray(g, dtype=float)
     if model.ground == "poisson":
-        return float(model.theta[0])
+        return np.full(g.shape[0], float(model.theta[0]))
     if model.ground in ("poisson-t", "loglinear-t"):
-        x = np.asarray(g, dtype=float)[: model.window.dim]
-        t = float(np.asarray(g, dtype=float)[-1])
-        return temporal_rate(model, t) * _spatial_density(model, x)
+        return (temporal_rate(model, g[:, -1])
+                * _spatial_density(model, g[:, : model.window.dim]))
     raise ValidationError("ground intensity has no closed form for this family")
+
+
+def _midpoint_rule(bounds, quad_res: int):
+    """Nodes (quad_res**k, k) of the midpoint rule with ``quad_res`` cells
+    on each of the k axes ``bounds`` = [(lo, hi), ...], and the cell volume."""
+    mids = []
+    for lo, hi in bounds:
+        edges = np.linspace(lo, hi, quad_res + 1)
+        mids.append(0.5 * (edges[:-1] + edges[1:]))
+    mesh = np.meshgrid(*mids, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    cell = float(np.prod([(hi - lo) / quad_res for lo, hi in bounds]))
+    return nodes, cell
 
 
 def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
@@ -203,30 +226,51 @@ def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
     if model.ground == "poisson":
         return float(model.theta[0]) * w.ground_volume
     if model.ground in ("poisson-t", "loglinear-t"):
-        edges = np.linspace(0.0, w.t_star, quad_res + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
+        t_nodes, dt = _midpoint_rule([(0.0, w.t_star)], quad_res)
         # the spatial density integrates to one over the window
-        return float(np.sum([temporal_rate(model, t) for t in mids])
-                     * (w.t_star / quad_res))
+        return float(np.sum(temporal_rate(model, t_nodes[:, 0])) * dt)
     raise ValidationError("intensity mass undefined for this family")
 
 
-def _mark_aux_factors(model: ParametricModel, obs: Observation,
-                      schedule: SampleSchedule | None):
-    """(mark density or None-if-dropped, aux density or None)."""
-    mark = None
+def _ground_array(w: Window, data: Sequence) -> np.ndarray:
+    """(n, D) ground locations of the data: x, then t on a temporal window."""
+    d = w.dim + (1 if w.is_temporal else 0)
+    rows = [tuple(obs.x) + ((obs.t,) if obs.t is not None else ())
+            for obs in data]
+    if any(len(r) != d for r in rows):
+        raise ValidationError(
+            f"observations need {w.dim} coordinates"
+            + (" and an event time" if w.is_temporal else " and no time"))
+    return np.asarray(rows, dtype=float).reshape(-1, d)
+
+
+def _event_factors(model: ParametricModel, data: Sequence,
+                   schedule: SampleSchedule | None) -> np.ndarray:
+    """(n,) product of the sampled-mark and aux density factors per event.
+
+    An absent factor, or the mark factor of a degenerate (point-mass) law,
+    counts as one.  The factors do not depend on theta.
+    """
+    fac = np.ones(len(data))
     if model.fidi is not None:
-        if schedule is None or obs.u is None:
+        if any(schedule is None or obs.u is None for obs in data):
             raise ValidationError("mark factor needs a schedule and sampled values")
-        dens = fidi_density_eval(model.fidi, schedule,
-                                 np.asarray(obs.u, dtype=float)[None, :])
-        mark = None if dens is DEGENERATE_DENSITY else float(dens)
-    aux_d = None
+        if not model.fidi.degenerate:
+            # a fidi spec returns the joint density of its rows: one call each
+            for i, obs in enumerate(data):
+                fac[i] = fidi_density_eval(model.fidi, schedule,
+                                           np.asarray(obs.u, dtype=float)[None, :])
     if model.aux is not None:
-        if obs.aux is None:
+        if any(obs.aux is None for obs in data):
             raise ValidationError("aux factor needs aux marks in the data")
-        aux_d = model.aux.point_density((obs.x, obs.t), obs.aux)
-    return mark, aux_d
+        fac *= [model.aux.point_density((obs.x, obs.t), obs.aux) for obs in data]
+    return fac
+
+
+def _check_event_intensities(lam: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise NumericalError(f"data point with vanishing {what} intensity")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +279,9 @@ def _mark_aux_factors(model: ParametricModel, obs: Observation,
 def intensity_functional(model: ParametricModel, obs: Observation,
                          schedule: SampleSchedule | None = None) -> float:
     """Sampled-mark intensity functional: fidi(u) * aux(l) * ground intensity."""
-    g = obs.x if obs.t is None else tuple(obs.x) + (obs.t,)
-    lam = ground_intensity(model, g)
-    mark, aux_d = _mark_aux_factors(model, obs, schedule)
-    if mark is not None:
-        lam *= mark
-    if aux_d is not None:
-        lam *= aux_d
-    return float(lam)
+    g = _ground_array(model.window, [obs])
+    return float(ground_intensity(model, g)[0]
+                 * _event_factors(model, [obs], schedule)[0])
 
 
 def conditional_intensity(model: ParametricModel, history, obs: Observation,
@@ -260,18 +299,44 @@ def conditional_intensity(model: ParametricModel, history, obs: Observation,
         raise ValidationError("history must be time-sorted")
     if hist.size and hist[-1] >= obs.t:
         raise ValidationError("history must precede the evaluation time")
-    rate = temporal_rate(model, obs.t) * _spatial_density(model, obs.x)
-    mark, aux_d = _mark_aux_factors(model, obs, schedule)
-    if mark is not None:
-        rate *= mark
-    if aux_d is not None:
-        rate *= aux_d
-    return float(rate)
+    rate = (temporal_rate(model, [obs.t])
+            * _spatial_density(model, np.asarray([obs.x], dtype=float)))
+    return float(rate[0] * _event_factors(model, [obs], schedule)[0])
 
 
 # ---------------------------------------------------------------------------
 # likelihoods
 # ---------------------------------------------------------------------------
+def _loglik_temporal_terms(model: ParametricModel, data: Sequence,
+                           schedule: SampleSchedule | None,
+                           quad_res: int) -> Callable:
+    """Build the theta-invariant terms of ``loglik_temporal`` once.
+
+    Returns ``evaluate(m)``, the log-likelihood at ``m.theta`` for a model
+    of the same family, window and spatial density as ``model``.
+    """
+    if model.ground not in ("poisson-t", "loglinear-t"):
+        raise ValidationError("temporal likelihood needs a temporally grounded model")
+    w = model.window
+    g = _ground_array(w, data)
+    t_events = g[:, -1]
+    # spatial density times mark and aux factors: everything but the rate
+    f_events = (_spatial_density(model, g[:, : w.dim])
+                * _event_factors(model, data, schedule))
+    x_nodes, x_cell = _midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
+    spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
+    t_nodes, dt = _midpoint_rule([(0.0, w.t_star)], quad_res)
+    t_nodes = t_nodes[:, 0]
+
+    def evaluate(m: ParametricModel) -> float:
+        lam = _check_event_intensities(temporal_rate(m, t_events) * f_events,
+                                       "conditional")
+        compensator = float(np.sum(temporal_rate(m, t_nodes)) * dt * spatial_mass)
+        return float(np.sum(np.log(lam))) - compensator
+
+    return evaluate
+
+
 def loglik_temporal(model: ParametricModel, data: Sequence,
                     schedule: SampleSchedule | None = None,
                     quad_res: int = 64) -> float:
@@ -282,58 +347,34 @@ def loglik_temporal(model: ParametricModel, data: Sequence,
     integral of the spatial density times the temporal rate (midpoint
     quadrature with ``quad_res`` nodes per axis).
     """
-    if model.ground not in ("poisson-t", "loglinear-t"):
-        raise ValidationError("temporal likelihood needs a temporally grounded model")
-    total = 0.0
-    for obs in data:
-        lam = conditional_intensity(model, (), obs, schedule)
-        if lam <= 0.0 or not np.isfinite(lam):
-            raise NumericalError("data point with vanishing conditional intensity")
-        total += math.log(lam)
-    w = model.window
-    t_edges = np.linspace(0.0, w.t_star, quad_res + 1)
-    t_mids = 0.5 * (t_edges[:-1] + t_edges[1:])
-    axes = [np.linspace(lo, hi, quad_res + 1) for lo, hi in zip(w.lo, w.hi)]
-    mids = [0.5 * (e[:-1] + e[1:]) for e in axes]
-    mesh = np.meshgrid(*mids, indexing="ij")
-    xs = np.stack([m.ravel() for m in mesh], axis=-1)
-    cell = np.prod([(hi - lo) / quad_res for lo, hi in zip(w.lo, w.hi)])
-    f_spatial = np.asarray([_spatial_density(model, x) for x in xs])
-    spatial_mass = float(np.sum(f_spatial) * cell)
-    rate = np.asarray([temporal_rate(model, t) for t in t_mids])
-    compensator = float(np.sum(rate) * (w.t_star / quad_res) * spatial_mass)
-    return total - compensator
+    return _loglik_temporal_terms(model, data, schedule, quad_res)(model)
 
 
 def janossy_density(model: ParametricModel, data: Sequence,
                     schedule: SampleSchedule | None = None,
                     quad_res: int = 64) -> JanossyValue:
-    """Sampled Janossy density fidi * aux * ground Janossy.
+    """Sampled Janossy density fidi * aux * ground Janossy, in log space.
 
-    Poisson families give exp(-mass) * prod(ground intensity); the pairwise
-    model returns the unnormalized beta^n gamma^(pairs) with
+    Poisson families give log_value = -mass + sum log(ground intensity) +
+    sum log(mark and aux factors); the pairwise model returns the
+    unnormalized beta^n gamma^(pairs) times the factors with
     ``normalized=False``.
     """
-    mark_fac = 1.0
-    aux_fac = 1.0
-    for obs in data:
-        mark, aux_d = _mark_aux_factors(model, obs, schedule)
-        if mark is not None:
-            mark_fac *= mark
-        if aux_d is not None:
-            aux_fac *= aux_d
-    if model.ground == "gibbs":
-        pts = _ground_array(model.window, data)
-        beta, gamma = model.theta[0], model.theta[1]
-        pairs = _gibbs_pair_count(model, pts)
-        val = beta ** len(data) * (gamma ** pairs if pairs else 1.0)
-        return JanossyValue(float(val * mark_fac * aux_fac), False)
-    mass = ground_intensity_mass(model, quad_res)
-    val = math.exp(-mass)
-    for obs in data:
-        g = obs.x if obs.t is None else tuple(obs.x) + (obs.t,)
-        val *= ground_intensity(model, g)
-    return JanossyValue(float(val * mark_fac * aux_fac), True)
+    g = _ground_array(model.window, data)
+    with np.errstate(divide="ignore"):
+        log_val = float(np.sum(np.log(_event_factors(model, data, schedule))))
+        if model.ground == "gibbs":
+            beta, gamma = model.theta[0], model.theta[1]
+            pairs = _gibbs_pair_count(model, g)
+            log_val += len(data) * math.log(beta)
+            if pairs:
+                log_val += pairs * float(np.log(gamma))
+        else:
+            log_val += (float(np.sum(np.log(ground_intensity(model, g))))
+                        - ground_intensity_mass(model, quad_res))
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_val))
+    return JanossyValue(value, model.ground != "gibbs", log_val)
 
 
 def janossy_total_mass(model: ParametricModel, n_max: int = 30,
@@ -376,9 +417,9 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
     """Likelihood ratio of a finite model against a reference Poisson process.
 
     exp(reference mass) * model Janossy / product of reference intensity
-    functionals at the points; identically one when model and reference
-    coincide, and with unit mean under the reference law.  Needs a finite
-    auxiliary reference measure.
+    functionals at the points, formed in log space; identically one when
+    model and reference coincide, and with unit mean under the reference
+    law.  Needs a finite auxiliary reference measure.
     """
     if reference.ground not in ("poisson", "poisson-t", "loglinear-t"):
         raise ValidationError("reference must be a Poisson family")
@@ -389,58 +430,48 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
     jan = janossy_density(model, data, schedule, quad_res)
     if not jan.normalized:
         raise ValidationError("model Janossy density is unnormalized")
-    denom = 1.0
-    for obs in data:
-        lam = intensity_functional(reference, obs, schedule)
-        if lam <= 0:
-            raise NumericalError("reference intensity vanishes at a data point")
-        denom *= lam
-    return float(math.exp(mass_ref) * jan.value / denom)
+    lam = (ground_intensity(reference, _ground_array(reference.window, data))
+           * _event_factors(reference, data, schedule))
+    if np.any(lam <= 0):
+        raise NumericalError("reference intensity vanishes at a data point")
+    with np.errstate(over="ignore"):
+        return float(np.exp(mass_ref + jan.log_value - np.sum(np.log(lam))))
 
 
 # ---------------------------------------------------------------------------
 # Papangelou and pseudo-likelihood
 # ---------------------------------------------------------------------------
-def _ground_array(w: Window, data: Sequence) -> np.ndarray:
-    rows = []
-    for obs in data:
-        rows.append(list(obs.x) + ([obs.t] if obs.t is not None else []))
-    d = w.dim + (1 if w.is_temporal else 0)
-    return np.asarray(rows, dtype=float).reshape(-1, d)
+def _gibbs_counts(model: ParametricModel, queries: np.ndarray,
+                  pts: np.ndarray) -> np.ndarray:
+    """(m,) number of the (n, D) points within the interaction ranges of
+    each of the (m, D) query locations."""
+    w = model.window
+    trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
+    return _kernels.neighbour_counts(
+        np.ascontiguousarray(queries, dtype=float),
+        np.ascontiguousarray(pts, dtype=float), w.sides.astype(float), w.torus,
+        float(model.interaction_range), trad, w.dim)
 
 
 def _gibbs_pair_count(model: ParametricModel, pts: np.ndarray) -> int:
     n = pts.shape[0]
     if n < 2:
         return 0
-    trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
-    total = 0
-    counts = _kernels.neighbour_counts(
-        np.ascontiguousarray(pts), np.ascontiguousarray(pts),
-        model.window.sides.astype(float), model.window.torus,
-        float(model.interaction_range), trad, model.window.dim)
-    total = int(np.sum(counts) - n) // 2  # self-pairs removed, unordered
-    return total
+    # self-pairs removed, unordered
+    return int(np.sum(_gibbs_counts(model, pts, pts)) - n) // 2
 
 
-def _gibbs_neighbour_count(model: ParametricModel, g: np.ndarray,
-                           pts: np.ndarray) -> int:
-    if pts.shape[0] == 0:
-        return 0
-    trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
-    return int(_kernels.neighbour_counts(
-        np.ascontiguousarray(np.atleast_2d(g)), np.ascontiguousarray(pts),
-        model.window.sides.astype(float), model.window.torus,
-        float(model.interaction_range), trad, model.window.dim)[0])
+def _gibbs_papangelou(model: ParametricModel, counts: np.ndarray) -> np.ndarray:
+    """beta * gamma^count for (m,) neighbour counts; returns (m,)."""
+    beta, gamma = model.theta[0], model.theta[1]
+    return beta * np.power(gamma, counts)
 
 
-def papangelou_ground(model: ParametricModel, g, ground_pts: np.ndarray) -> float:
-    """Ground-space Papangelou conditional intensity at g given the points."""
-    g = np.asarray(g, dtype=float)
+def papangelou_ground(model: ParametricModel, g, ground_pts: np.ndarray) -> np.ndarray:
+    """Ground-space Papangelou conditional intensity at (m, D) locations g
+    given the (n, D) points; returns (m,)."""
     if model.ground == "gibbs":
-        beta, gamma = model.theta[0], model.theta[1]
-        cnt = _gibbs_neighbour_count(model, g, ground_pts)
-        return float(beta * gamma ** cnt) if cnt else float(beta)
+        return _gibbs_papangelou(model, _gibbs_counts(model, g, ground_pts))
     return ground_intensity(model, g)
 
 
@@ -454,16 +485,45 @@ def papangelou(model: ParametricModel, obs: Observation, config: Sequence,
     times the mark and aux factors.
     """
     pts = _ground_array(model.window, config)
-    g = np.asarray(list(obs.x) + ([obs.t] if obs.t is not None else []))
-    if pts.size and np.any(np.all(pts == g[None, :], axis=1)):
+    g = _ground_array(model.window, [obs])
+    if pts.size and np.any(np.all(pts == g, axis=1)):
         return 0.0
-    lam = papangelou_ground(model, g, pts)
-    mark, aux_d = _mark_aux_factors(model, obs, schedule)
-    if mark is not None:
-        lam *= mark
-    if aux_d is not None:
-        lam *= aux_d
-    return float(lam)
+    return float(papangelou_ground(model, g, pts)[0]
+                 * _event_factors(model, [obs], schedule)[0])
+
+
+def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
+                            schedule: SampleSchedule | None,
+                            quad_res: int) -> Callable:
+    """Build the theta-invariant terms of ``pseudolikelihood`` once.
+
+    For the pairwise model these are the neighbour counts of each data
+    point among the others and of each quadrature node among the data (the
+    ranges are fixed), so evaluation needs no neighbour search.  Returns
+    ``evaluate(m)``, the log pseudo-likelihood at ``m.theta`` for a model of
+    the same family, window and ranges as ``model``.
+    """
+    w = model.window
+    pts = _ground_array(w, data)
+    fac = _event_factors(model, data, schedule)
+    bounds = list(zip(w.lo, w.hi))
+    if w.is_temporal:
+        bounds.append((0.0, w.t_star))
+    nodes, cell = _midpoint_rule(bounds, quad_res)
+    if model.ground == "gibbs":
+        # every data point is its own neighbour once
+        at_data = _gibbs_counts(model, pts, pts) - 1
+        at_nodes = _gibbs_counts(model, nodes, pts)
+        ground = _gibbs_papangelou
+    else:
+        at_data, at_nodes, ground = pts, nodes, ground_intensity
+
+    def evaluate(m: ParametricModel) -> float:
+        lam = _check_event_intensities(ground(m, at_data) * fac, "Papangelou")
+        integral = float(np.sum(ground(m, at_nodes)) * cell)
+        return float(np.sum(np.log(lam))) - integral
+
+    return evaluate
 
 
 def pseudolikelihood(model: ParametricModel, data: Sequence,
@@ -476,40 +536,7 @@ def pseudolikelihood(model: ParametricModel, data: Sequence,
     the ground Papangelou intensity integrated over the window by midpoint
     quadrature (exactly summed over a discrete aux space).
     """
-    pts = _ground_array(model.window, data)
-    total = 0.0
-    for i, obs in enumerate(data):
-        rest = np.delete(pts, i, axis=0)
-        g = pts[i]
-        lam = papangelou_ground(model, g, rest)
-        mark, aux_d = _mark_aux_factors(model, obs, schedule)
-        if mark is not None:
-            lam *= mark
-        if aux_d is not None:
-            lam *= aux_d
-        if lam <= 0.0 or not np.isfinite(lam):
-            raise NumericalError("vanishing Papangelou intensity at a data point")
-        total += math.log(lam)
-    w = model.window
-    bounds = list(zip(w.lo, w.hi))
-    if w.is_temporal:
-        bounds.append((0.0, w.t_star))
-    axes = [np.linspace(lo, hi, quad_res + 1) for lo, hi in bounds]
-    mids = [0.5 * (e[:-1] + e[1:]) for e in axes]
-    mesh = np.meshgrid(*mids, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    cell = float(np.prod([(hi - lo) / quad_res for lo, hi in bounds]))
-    if model.ground == "gibbs":
-        beta, gamma = model.theta[0], model.theta[1]
-        trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
-        counts = _kernels.neighbour_counts(
-            np.ascontiguousarray(nodes), np.ascontiguousarray(pts),
-            w.sides.astype(float), w.torus, float(model.interaction_range),
-            trad, w.dim)
-        integral = float(np.sum(beta * np.power(gamma, counts)) * cell)
-    else:
-        integral = float(np.sum([ground_intensity(model, g) for g in nodes]) * cell)
-    return total - integral
+    return _pseudolikelihood_terms(model, data, schedule, quad_res)(model)
 
 
 # ---------------------------------------------------------------------------
@@ -523,23 +550,29 @@ def optimize(objective: Callable, theta0, bounds=None, budget: int = 500,
                      converged, scheme)
 
 
+def _maximize(model: ParametricModel, evaluate: Callable, theta0, budget: int,
+              scheme: str) -> FitResult:
+    """Maximize ``evaluate(model.with_theta(theta))`` within the model's
+    bounds; a NumericalError scores the 1e12 penalty."""
+    theta0 = model.theta if theta0 is None else theta0
+
+    def objective(theta):
+        try:
+            return -evaluate(model.with_theta(theta))
+        except NumericalError:
+            return 1e12
+
+    res = optimize(objective, theta0, model.bounds or None, budget, scheme)
+    return replace(res, objective=-res.objective)
+
+
 def fit_loglik_temporal(model: ParametricModel, data: Sequence,
                         schedule: SampleSchedule | None = None,
                         theta0=None, budget: int = 500,
                         quad_res: int = 64) -> FitResult:
     """Maximum likelihood for temporally grounded models."""
-    theta0 = model.theta if theta0 is None else theta0
-
-    def objective(theta):
-        try:
-            return -loglik_temporal(model.with_theta(theta), data, schedule,
-                                    quad_res)
-        except NumericalError:
-            return 1e12
-
-    res = optimize(objective, theta0, model.bounds or None, budget,
-                   "mle-temporal")
-    return replace(res, objective=-res.objective)
+    return _maximize(model, _loglik_temporal_terms(model, data, schedule, quad_res),
+                     theta0, budget, "mle-temporal")
 
 
 def fit_pseudolikelihood(model: ParametricModel, data: Sequence,
@@ -547,17 +580,8 @@ def fit_pseudolikelihood(model: ParametricModel, data: Sequence,
                          theta0=None, budget: int = 500,
                          quad_res: int = 64) -> FitResult:
     """Maximum pseudo-likelihood (the only normalization-free Gibbs fit)."""
-    theta0 = model.theta if theta0 is None else theta0
-
-    def objective(theta):
-        try:
-            return -pseudolikelihood(model.with_theta(theta), data, schedule,
-                                     quad_res)
-        except NumericalError:
-            return 1e12
-
-    res = optimize(objective, theta0, model.bounds or None, budget, "pseudo")
-    return replace(res, objective=-res.objective)
+    return _maximize(model, _pseudolikelihood_terms(model, data, schedule, quad_res),
+                     theta0, budget, "pseudo")
 
 
 def least_squares_marks(family: Callable, points, observed, schedule:
@@ -624,3 +648,4 @@ def least_squares_marks(family: Callable, points, observed, schedule:
         res = optimize(make_objective(extra), res.theta, bounds, budget,
                        "least-squares")
     return res
+

@@ -190,6 +190,44 @@ class TestEstimate:
         assert rep["theta_hat"][0] == pytest.approx(1.5, rel=1e-3)
         assert rep["theta_hat"][1] == pytest.approx(0.8, rel=1e-3)
 
+    @pytest.mark.parametrize("interaction", [None, ["gauss", 0.5, 0.3]])
+    def test_least_squares_fits_at_simulated_dt(self, tmp_path, interaction):
+        # README-shaped config on a coarse mark grid and no marks.dt; the
+        # fit must integrate on the grid (and cutoff) the data came from
+        marks_spec = {"model": "growth-interaction",
+                      "growth": ["linear", 2.0, 0.08], "m0": 0.0}
+        if interaction is not None:
+            marks_spec.update(interaction=interaction, interaction_cutoff=0.2)
+        cfg_obj = {
+            "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0},
+            "seed": 1,
+            "replicates": 1,
+            "model": {
+                "ground": {"family": "immigration-death",
+                           "arrival_rate": 10.0, "death_rate": 0.5},
+                "aux": {"kind": "lifetime", "rate": 0.5},
+                "marks": marks_spec,
+                "mark_grid": {"dt": 0.05},
+            },
+            "schedule": [0.25, 0.5, 0.75],
+            "estimate": {"scheme": "least-squares", "theta0": [1.0, 0.05],
+                         "bounds": [[0.01, 10], [0.001, 1]]},
+        }
+        out = tmp_path / "ls"
+        cfg = write_cfg(tmp_path, cfg_obj)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        if interaction is not None:
+            uncut = json.loads(json.dumps(cfg_obj))
+            del uncut["model"]["marks"]["interaction_cutoff"]
+            out_uncut = tmp_path / "uncut"
+            main(["simulate", "--config", write_cfg(tmp_path, uncut, "u.json"),
+                  "--out", str(out_uncut)])
+            assert ((out / "marks_r000.csv").read_bytes()
+                    != (out_uncut / "marks_r000.csv").read_bytes())
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "fit.json").read_text())
+        assert rep["theta_hat"] == pytest.approx([2.0, 0.08], rel=1e-6)
+
     def test_pseudo_gibbs_runs(self, tmp_path):
         cfg_obj = {
             "window": {"lo": [0, 0], "hi": [1, 1]},
@@ -293,4 +331,20 @@ class TestJanossyScheme:
         rep = json.loads((out / "fit.json").read_text())
         c = configuration_from_json((out / "configuration_r000.json").read_text())
         # maximizer of the finite-sample likelihood is n / |W|
+        assert rep["theta_hat"][0] == pytest.approx(len(c), rel=1e-6)
+
+    def test_mle_janossy_at_large_n(self, tmp_path):
+        # the Janossy density itself under/overflows here; its log does not
+        cfg_obj = json.loads(json.dumps(BASE))
+        cfg_obj["replicates"] = 1
+        cfg_obj["model"]["ground"]["rate"] = 800.0
+        cfg_obj["estimate"] = {"scheme": "mle-janossy", "theta0": [10.0],
+                               "budget": 600}
+        cfg = write_cfg(tmp_path, cfg_obj)
+        out = tmp_path / "jan800"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "fit.json").read_text())
+        c = configuration_from_json((out / "configuration_r000.json").read_text())
+        assert len(c) > 700
         assert rep["theta_hat"][0] == pytest.approx(len(c), rel=1e-6)

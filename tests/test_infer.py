@@ -29,6 +29,7 @@ from fmpp.marks import (
     GrowthInteraction,
     brownian_fidi,
     deterministic_fidi,
+    fidi_density_eval,
     gi_integrate,
 )
 
@@ -166,6 +167,19 @@ class TestLoglikTemporal:
 
 
 class TestJanossy:
+    def test_log_value_finite_at_large_n(self):
+        # the raw product over- and underflows from n of a few hundred
+        rho, n = 800.0, 800
+        data = [Observation(tuple(x)) for x in np.random.default_rng(0).random((n, 2))]
+        j = janossy_density(ParametricModel("poisson", (rho,), W), data)
+        assert np.isfinite(j.log_value)
+        assert j.log_value == pytest.approx(-rho * W.volume + n * math.log(rho),
+                                            rel=1e-12)
+        ratio = density_wrt_poisson(ParametricModel("poisson", (700.0,), W), data,
+                                    ParametricModel("poisson", (rho,), W))
+        assert ratio == pytest.approx(math.exp(100.0 + n * math.log(700.0 / rho)),
+                                      rel=1e-9)
+
     def test_void_probability(self):
         m = ParametricModel("poisson", (1.0,), W)
         assert janossy_density(m, []).value == pytest.approx(math.exp(-1.0))
@@ -396,7 +410,7 @@ class TestSpatialDensityFamilies:
         from fmpp.infer import _spatial_density
         m = ParametricModel("poisson-t", (2.0,), WT, spatial=("loglinear-x", 1.7))
         xs = np.linspace(0.0, 1.0, 2001)
-        dens = np.asarray([_spatial_density(m, (x,)) for x in xs])
+        dens = _spatial_density(m, xs[:, None])
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_loglinear_x_tilts_the_likelihood(self):
@@ -406,3 +420,161 @@ class TestSpatialDensityFamilies:
                                  spatial=("loglinear-x", 3.0))
         assert (loglik_temporal(tilted, data_right)
                 > loglik_temporal(flat, data_right))
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: one scalar evaluation per data point and per node
+# ---------------------------------------------------------------------------
+def _ref_event_factor(model, obs, schedule):
+    fac = 1.0
+    if model.fidi is not None and not model.fidi.degenerate:
+        fac *= fidi_density_eval(model.fidi, schedule, np.asarray([obs.u]))
+    if model.aux is not None:
+        fac *= model.aux.point_density((obs.x, obs.t), obs.aux)
+    return fac
+
+
+def _ref_ground(model, g, others):
+    """Ground (Papangelou) intensity at one ground location, by hand."""
+    w = model.window
+    if model.ground == "gibbs":
+        beta, gamma = model.theta
+        count = 0
+        for h in others:
+            d = np.abs(np.asarray(g[: w.dim]) - np.asarray(h[: w.dim]))
+            if w.torus:
+                d = np.minimum(d, w.sides - d)
+            near = math.sqrt(float(np.sum(d * d))) <= model.interaction_range
+            if near and model.temporal_range is not None and len(g) > w.dim:
+                near = abs(g[-1] - h[-1]) <= model.temporal_range
+            count += near
+        return beta * gamma ** count
+    if model.ground == "poisson":
+        return model.theta[0]
+    x, t = np.asarray(g[: w.dim]), g[-1]
+    rate = (model.theta[0] if model.ground == "poisson-t"
+            else math.exp(model.theta[0] + model.theta[1] * t))
+    if model.spatial[0] == "uniform":
+        return rate / w.volume
+    c = np.asarray(model.spatial[1:])
+    z = np.prod([(math.exp(ca * hi) - math.exp(ca * lo)) / ca
+                 for ca, lo, hi in zip(c, w.lo, w.hi)])
+    return rate * math.exp(float(c @ x)) / z
+
+
+def _ref_midpoints(lo, hi, q):
+    edges = np.linspace(lo, hi, q + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), (hi - lo) / q
+
+
+def _ref_pseudolikelihood(model, data, schedule, q):
+    w = model.window
+    pts = [tuple(o.x) + ((o.t,) if o.t is not None else ()) for o in data]
+    total = 0.0
+    for i, obs in enumerate(data):
+        rest = np.delete(np.asarray(pts), i, axis=0)
+        total += math.log(_ref_ground(model, pts[i], rest)
+                          * _ref_event_factor(model, obs, schedule))
+    axes = [_ref_midpoints(lo, hi, q) for lo, hi in zip(w.lo, w.hi)]
+    if w.is_temporal:
+        axes.append(_ref_midpoints(0.0, w.t_star, q))
+    cell = math.prod(a[1] for a in axes)
+    integral = sum(_ref_ground(model, node, pts)
+                   for node in itertools.product(*(a[0] for a in axes)))
+    return total - integral * cell
+
+
+def _ref_loglik_temporal(model, data, schedule, q):
+    w = model.window
+    total = sum(math.log(_ref_ground(model, tuple(o.x) + (o.t,), ())
+                         * _ref_event_factor(model, o, schedule)) for o in data)
+    axes = [_ref_midpoints(lo, hi, q) for lo, hi in zip(w.lo, w.hi)]
+    t_mids, dt = _ref_midpoints(0.0, w.t_star, q)
+    cell = math.prod(a[1] for a in axes)
+    compensator = sum(_ref_ground(model, tuple(x) + (t,), ()) * cell * dt
+                      for x in itertools.product(*(a[0] for a in axes))
+                      for t in t_mids)
+    return total - compensator
+
+
+def _marked_data(rng, n, w):
+    """n observations in w with two-type aux marks and Brownian samples."""
+    out = []
+    for _ in range(n):
+        x = tuple(float(lo + (hi - lo) * rng.random()) for lo, hi in zip(w.lo, w.hi))
+        t = float(rng.random() * w.t_star) if w.is_temporal else None
+        out.append(Observation(x, t, AuxMark(discrete=int(rng.integers(1, 3))),
+                               tuple(rng.standard_normal(2))))
+    return out
+
+
+MARKED = dict(aux=AuxDensitySpec(discrete_probs=np.array([0.3, 0.7])),
+              fidi=brownian_fidi(1.5))
+SCHED2 = SampleSchedule((0.4, 0.9))
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("theta", [(40.0, 0.2), (90.0, 0.55), (150.0, 1.0)])
+    def test_pseudolikelihood_gibbs_torus(self, theta):
+        w = Window((0, 0), (1, 2), torus=True)
+        data = _marked_data(np.random.default_rng(11), 40, w)
+        m = ParametricModel("gibbs", theta, w, interaction_range=0.15, **MARKED)
+        assert pseudolikelihood(m, data, SCHED2, quad_res=12) == pytest.approx(
+            _ref_pseudolikelihood(m, data, SCHED2, 12), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [(5.0, 0.1), (12.0, 0.6)])
+    def test_pseudolikelihood_space_time_gibbs(self, theta):
+        w = Window((0, 0), (1, 1), t_star=3.0)
+        data = _marked_data(np.random.default_rng(12), 30, w)
+        m = ParametricModel("gibbs", theta, w, interaction_range=0.3,
+                            temporal_range=0.7, **MARKED)
+        assert pseudolikelihood(m, data, SCHED2, quad_res=8) == pytest.approx(
+            _ref_pseudolikelihood(m, data, SCHED2, 8), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [(0.3, -0.4), (1.2, 0.5), (2.0, 1.1)])
+    def test_temporal_likelihoods_loglinear_x(self, theta):
+        w = Window((0, 0), (1, 2), t_star=2.0)
+        data = _marked_data(np.random.default_rng(13), 25, w)
+        m = ParametricModel("loglinear-t", theta, w,
+                            spatial=("loglinear-x", 1.3, -0.6), **MARKED)
+        assert loglik_temporal(m, data, SCHED2, quad_res=10) == pytest.approx(
+            _ref_loglik_temporal(m, data, SCHED2, 10), rel=1e-12)
+        assert pseudolikelihood(m, data, SCHED2, quad_res=6) == pytest.approx(
+            _ref_pseudolikelihood(m, data, SCHED2, 6), rel=1e-12)
+
+    def test_fit_objective_is_the_public_function(self):
+        w = Window((0, 0), (1, 1), torus=True)
+        data = _marked_data(np.random.default_rng(14), 30, w)
+        m = ParametricModel("gibbs", (30.0, 0.5), w, bounds=((1.0, 500.0), (0.0, 1.0)),
+                            interaction_range=0.1, **MARKED)
+        fit = fit_pseudolikelihood(m, data, SCHED2, budget=200, quad_res=10)
+        assert fit.objective == pseudolikelihood(m.with_theta(fit.theta), data,
+                                                 SCHED2, quad_res=10)
+        wt = Window((0,), (1,), t_star=2.0)
+        data = _marked_data(np.random.default_rng(15), 20, wt)
+        m = ParametricModel("loglinear-t", (0.0, 0.0), wt,
+                            bounds=((-5.0, 5.0), (-5.0, 5.0)), **MARKED)
+        fit = fit_loglik_temporal(m, data, SCHED2, budget=200, quad_res=10)
+        assert fit.objective == loglik_temporal(m.with_theta(fit.theta), data,
+                                                SCHED2, quad_res=10)
+
+
+def test_pseudolikelihood_fit_counts_neighbours_twice(monkeypatch):
+    # the interaction ranges are fixed, so the counts are built once per fit
+    import fmpp._kernels as kernels
+
+    calls = []
+    inner = kernels.neighbour_counts
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, "neighbour_counts", counting)
+    locs = simulate_poisson(HomogeneousPoisson(80.0), W, 21)
+    data = [Observation(tuple(x)) for x in locs]
+    m = ParametricModel("gibbs", (60.0, 0.5), W, bounds=((1.0, 500.0), (0.0, 1.0)),
+                        interaction_range=0.05)
+    fit = fit_pseudolikelihood(m, data, budget=300, quad_res=16)
+    assert fit.iterations > 20
+    assert len(calls) <= 2
