@@ -10,8 +10,9 @@ Subpackage map:
 - ``infer``     intensity functionals, likelihoods and estimation schemes
 - ``cli``       command-line entry point
 
-Hot numeric kernels are numba-compiled; set ``FMPP_NO_NUMBA=1`` to force the
-pure NumPy fallback (see ``benchmarks/bench_kernels.py`` for a comparison).
+Hot numeric kernels live in ``_kernels``, one NumPy/SciPy implementation
+each; the time-warp dynamic program in ``_skorohod`` is compiled with numba
+when the optional ``jit`` extra is installed.
 """
 from .core import (
     AuxMark,

@@ -1,17 +1,10 @@
-"""Numba shim: hot kernels are compiled with @njit when numba is available.
+"""Numba shim for the time-warp dynamic program in ``_skorohod``.
 
-Setting the environment variable FMPP_NO_NUMBA=1 forces the pure
-NumPy/Python fallback path (also used automatically when numba is not
-installed).  Kernel modules expose both variants so the benchmark suite
-can compare them; `fmpp._jit.USING_NUMBA` records which one is active.
+``njit`` compiles with numba when it is installed (the optional ``jit``
+extra) and is the identity decorator otherwise; ``USING_NUMBA`` records
+which one is active.
 """
-import os
-
-_disabled = os.environ.get("FMPP_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
 try:
-    if _disabled:
-        raise ImportError
     from numba import njit  # noqa: F401
 
     USING_NUMBA = True

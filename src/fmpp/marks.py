@@ -277,6 +277,16 @@ def gi_integrate(points, model: GrowthInteraction, step: float, seed: int,
     Marks start at m0 at the first grid time after birth and vanish
     outside [birth, death), death = min(birth + lifetime, t_star).
     """
+    grid, vals, births, deaths = _gi_values(points, model, step, seed, t_star)
+    # absorption moves the death time forward; supports follow it
+    return [CadlagPath(grid, vals[:, i], (births[i], deaths[i]), "step", t_star)
+            for i in range(vals.shape[1])]
+
+
+def _gi_values(points, model: GrowthInteraction, step: float, seed: int,
+               t_star: float):
+    """``gi_integrate`` as arrays: the grid, the (nsteps+1, n) value matrix,
+    the births and the death times after absorption."""
     xs, births, lifetimes = points
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     births = np.asarray(births, dtype=float)
@@ -284,6 +294,7 @@ def gi_integrate(points, model: GrowthInteraction, step: float, seed: int,
     nsteps = int(round(t_star / step))
     if abs(nsteps * step - t_star) > 1e-9 * max(t_star, 1.0) or nsteps < 1:
         raise ValidationError("step must divide the mark horizon t_star")
+    grid = np.arange(nsteps + 1) * step
     deaths = np.minimum(births + lifetimes, t_star)
     gcode, gp = _registry_entry(GROWTH_REGISTRY, model.growth, "growth")
     icode, ip = _registry_entry(INTERACTION_REGISTRY, model.interaction, "interaction")
@@ -295,7 +306,7 @@ def gi_integrate(points, model: GrowthInteraction, step: float, seed: int,
         normals = np.random.default_rng(seed).standard_normal((nsteps, max(n, 1)))
     clamp_code = {"clamp": 0, "absorb": 1, "error": 2}[model.negative_policy]
     if n == 0:
-        return []
+        return grid, np.zeros((nsteps + 1, 0)), births, deaths
     cutoff = -1.0 if model.interaction_cutoff is None else float(model.interaction_cutoff)
     vals, negative, deaths_out = _kernels.gi_integrate_values(
         xs, births, deaths.copy(), float(model.m0), float(step), nsteps,
@@ -305,13 +316,7 @@ def gi_integrate(points, model: GrowthInteraction, step: float, seed: int,
         normals, clamp_code, cutoff)
     if negative and model.negative_policy == "error":
         raise NumericalError("noise drove a mark negative (clamping disabled)")
-    grid = np.arange(nsteps + 1) * step
-    out = []
-    for i in range(n):
-        # absorption moves the death time forward; supports follow it
-        out.append(CadlagPath(grid, vals[:, i], (births[i], deaths_out[i]),
-                              "step", t_star))
-    return out
+    return grid, vals, births, deaths_out
 
 
 def geostat_marking(locations, model: Geostatistical, grid, seed: int,

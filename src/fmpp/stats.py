@@ -139,7 +139,7 @@ def _pcf_from_weights(c: Configuration, w, v, pair_norm, lags, bandwidth):
         raise ValidationError("lags must be positive")
     # the kernel already divides each pair by the surface measure at its
     # own distance, so only the intensity normalizer remains
-    num, _ = _kernels.pair_stats(
+    num = _kernels.pair_stats(
         np.ascontiguousarray(pts), np.ascontiguousarray(w, dtype=float),
         np.ascontiguousarray(v, dtype=float), lags, float(bandwidth),
         window.sides.astype(float), window.torus)
@@ -263,6 +263,10 @@ class VariogramModel:
 
 
 def _pair_trace_values(curves):
+    """Spatial distance and half integrated squared difference of every
+    curve pair, both in ``np.triu_indices(n, k=1)`` order."""
+    from scipy.spatial.distance import pdist
+
     locs = np.atleast_2d(np.asarray([loc for loc, _ in curves], dtype=float))
     paths = [p for _, p in curves]
     grid = paths[0].grid
@@ -277,11 +281,8 @@ def _pair_trace_values(curves):
     wts[1:] += 0.5 * dg
     S = (V * wts) @ V.T
     diag = np.diag(S)
-    D = 0.5 * (diag[:, None] + diag[None, :] - 2.0 * S)
-    dx = locs[:, None, :] - locs[None, :, :]
-    H = np.sqrt(np.sum(dx * dx, axis=-1))
-    iu = np.triu_indices(len(paths), k=1)
-    return H[iu], D[iu]
+    i, j = np.triu_indices(len(paths), k=1)
+    return pdist(locs), 0.5 * (diag[i] + diag[j] - 2.0 * S[i, j])
 
 
 def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
@@ -301,14 +302,12 @@ def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
         edges = np.linspace(0.0, float(np.max(h)) * (1 + 1e-12), int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-    idx = np.clip(np.searchsorted(edges, h, side="right") - 1, 0, len(edges) - 2)
-    values = np.zeros(len(edges) - 1)
-    counts = np.zeros(len(edges) - 1, dtype=int)
-    for k in range(len(edges) - 1):
-        mask = (idx == k) & (h >= edges[0]) & (h <= edges[-1])
-        counts[k] = int(np.sum(mask))
-        if counts[k]:
-            values[k] = float(np.mean(d[mask]))
+    nbins = len(edges) - 1
+    keep = (h >= edges[0]) & (h <= edges[-1])
+    idx = np.clip(np.searchsorted(edges, h[keep], side="right") - 1, 0, nbins - 1)
+    counts = np.bincount(idx, minlength=nbins)
+    sums = np.bincount(idx, weights=d[keep], minlength=nbins)
+    values = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
     return VariogramEstimate(edges, values, counts)
 
 

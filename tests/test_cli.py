@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmpp
 from fmpp.cli import main
 from fmpp.core import configuration_from_json
 
@@ -25,6 +29,18 @@ BASE = {
         "mark_grid": {"dt": 0.1},
     },
 }
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the kernels that need it, on first use; a
+    # module-level import would add its load time to every CLI start
+    src = str(Path(fmpp.__file__).resolve().parents[1])
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import fmpp.cli, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 class TestSimulate:

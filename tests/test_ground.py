@@ -123,6 +123,20 @@ class TestLgcp:
         np.testing.assert_array_equal(f1.values, f2.values)
         np.testing.assert_array_equal(l1, l2)
 
+    def test_indefinite_covariance_raises(self, monkeypatch):
+        # eigenvalue -0.5 * variance: no jitter up to 1e-6 * variance repairs
+        # it, and a larger one would replace the field with noise
+        import fmpp.ground as ground
+
+        def indefinite(model, centers, d_spatial):
+            m = len(centers)
+            return model.kernel[1] * (np.eye(m) - 1.5 * np.ones((m, m)) / m)
+
+        monkeypatch.setattr(ground, "_covariance", indefinite)
+        model = LogGaussianCox(2.0, ("gaussian", 0.3, 0.2), (6, 6))
+        with pytest.raises(NumericalError):
+            simulate_lgcp(model, UNIT_SQUARE, 0)
+
     def test_field_lookup(self):
         model = LogGaussianCox(np.log(3.0), ("exponential", 0.0, 0.2), (4, 4))
         field, _ = simulate_lgcp(model, UNIT_SQUARE, 0)

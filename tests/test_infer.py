@@ -375,6 +375,58 @@ class TestLeastSquaresMarks:
         assert fit.scheme == "least-squares"
 
 
+    def test_objective_matches_per_path_reference(self, monkeypatch):
+        # the objective reads the integrated value matrix at the schedule
+        # rows; the reference samples one CadlagPath per point
+        import fmpp.infer as infer
+
+        rng = np.random.default_rng(8)
+        n = 8
+        pts = (rng.random((n, 2)) * 0.3, rng.random(n) * 0.5,
+               0.2 + rng.random(n))
+        # point 0 dies at 0.555, inside the grid step that holds the sample
+        # time 0.557, so only the support check zeroes that sample
+        pts[1][0], pts[2][0] = 0.1, 0.455
+        sched = SampleSchedule((0.1, 0.3, 0.557, 0.8, 1.0))
+        observed = rng.random((n, len(sched)))
+        extra = (rng.random((3, 2)) + np.array([1.0, 0.0]), np.zeros(3),
+                 np.full(3, 10.0))
+        families = [
+            lambda th: GrowthInteraction(("linear", th[0], th[1])),
+            lambda th: GrowthInteraction(("linear", th[0], th[1]),
+                                         ("gauss", 0.4, 0.3),
+                                         interaction_cutoff=0.2),
+            # strong overlap drives marks negative and absorbs them
+            lambda th: GrowthInteraction(("logistic", th[0], th[1]),
+                                         ("overlap", 4.0), m0=0.3,
+                                         negative_policy="absorb"),
+        ]
+        for family in families:
+            captured = []
+
+            def capture(objective, theta0, bounds, budget, scheme):
+                captured.append(objective)
+                return FitResult(tuple(theta0), 0.0, 0, True, scheme)
+
+            monkeypatch.setattr(infer, "optimize", capture)
+            least_squares_marks(family, pts, observed, sched, [1.0, 0.5],
+                                dt=0.01, t_star=1.0,
+                                edge_correction="torus-simulation",
+                                torus_simulator=lambda th, seed: extra)
+            monkeypatch.undo()
+            assert len(captured) == 2
+            for objective, more in zip(captured, (None, extra)):
+                allp = pts if more is None else tuple(
+                    np.concatenate([a, b]) for a, b in zip(pts, more))
+                for theta in ([1.0, 0.5], [2.5, 0.8], [0.3, 1.7]):
+                    paths = gi_integrate(allp, family(theta), 0.01, 0, 1.0)
+                    want = sum(float(np.sum((observed[i] - np.asarray(
+                        [paths[i](s) for s in sched.times])) ** 2))
+                        for i in range(n))
+                    assert objective(np.asarray(theta)) == pytest.approx(
+                        want, rel=1e-12)
+
+
 class TestOptimizer:
     def test_quadratic(self):
         fit = optimize(lambda th: (th[0] - 3.0) ** 2, [0.0], budget=500)

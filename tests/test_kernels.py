@@ -1,6 +1,11 @@
-"""The numba kernels and their NumPy fallbacks must agree numerically."""
+"""Each kernel must agree with its brute-force loop variant kept here.
+
+The loops are the plain per-pair / per-pixel definitions of each kernel;
+they are slow and serve only as oracles on small inputs.
+"""
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fmpp import _kernels as K
 
@@ -10,30 +15,246 @@ def rng():
     return np.random.default_rng(42)
 
 
+# ---------------------------------------------------------------------------
+# brute-force oracles
+# ---------------------------------------------------------------------------
+def pair_stats_loop(pts, w, v, lags, bw, sides, torus):
+    n, d = pts.shape
+    num = np.zeros(lags.shape[0])
+    vol = float(np.prod(sides))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist2 = 0.0
+            trans = 1.0
+            for a in range(d):
+                h = abs(pts[i, a] - pts[j, a])
+                if torus:
+                    if sides[a] - h < h:
+                        h = sides[a] - h
+                else:
+                    trans *= sides[a] - h
+                dist2 += h * h
+            dist = np.sqrt(dist2)
+            if torus:
+                trans = vol
+            if dist <= 0.0:
+                continue
+            ww = w[i] * v[j] + w[j] * v[i]
+            surf = (2.0, 2.0 * np.pi * dist, 4.0 * np.pi * dist * dist)[d - 1]
+            for k in range(lags.shape[0]):
+                u = (lags[k] - dist) / bw
+                if -1.0 < u < 1.0:
+                    num[k] += ww * 0.75 * (1.0 - u * u) / bw / trans / surf
+    return num
+
+
+def gibbs_chain_loop(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
+                     rng_idx, rng_acc, rad, trad, d_spatial):
+    D = lo.shape[0]
+    buf = [np.array(x, dtype=float) for x in x0]
+    vol = float(np.prod(hi - lo))
+
+    def count(x, others):
+        cnt = 0
+        for y in others:
+            dist2 = 0.0
+            for a in range(d_spatial):
+                h = abs(x[a] - y[a])
+                if torus and (hi[a] - lo[a]) - h < h:
+                    h = (hi[a] - lo[a]) - h
+                dist2 += h * h
+            ok = dist2 <= rad * rad
+            if ok and trad >= 0.0 and D > d_spatial:
+                ok = abs(x[D - 1] - y[D - 1]) <= trad
+            cnt += ok
+        return cnt
+
+    for s in range(rng_move.shape[0]):
+        n = len(buf)
+        if rng_move[s] < 0.5:
+            cand = lo + rng_loc[s] * (hi - lo)
+            papan = beta * gamma ** count(cand, buf)
+            if rng_acc[s] * (n + 1) < papan * vol:
+                buf.append(cand)
+        elif n > 0:
+            idx = min(int(rng_idx[s] * n), n - 1)
+            papan = beta * gamma ** count(buf[idx], buf[:idx] + buf[idx + 1:])
+            if papan * vol * rng_acc[s] < n:
+                buf[idx] = buf[n - 1]
+                buf.pop()
+    return np.array(buf).reshape(len(buf), D)
+
+
+def gi_drift_loop(m, alive, xs, growth_code, gp, inter_code, ip, cutoff):
+    n = m.shape[0]
+    out = np.zeros(n)
+    for i in range(n):
+        if not alive[i]:
+            continue
+        if growth_code == 0:
+            drift = gp[0] * (gp[1] - m[i])
+        else:
+            drift = gp[0] * m[i] * (1.0 - m[i] / gp[1])
+        if inter_code != 0:
+            for j in range(n):
+                if j == i or not alive[j]:
+                    continue
+                dist2 = float(np.sum((xs[i] - xs[j]) ** 2))
+                if cutoff >= 0.0 and dist2 > cutoff * cutoff:
+                    continue
+                if inter_code == 1:
+                    drift -= ip[0] * m[i] * m[j] * np.exp(-dist2 / (ip[1] * ip[1]))
+                else:
+                    ov = m[i] + m[j] - np.sqrt(dist2)
+                    if ov > 0.0:
+                        drift -= ip[0] * ov
+        out[i] = drift
+    return out
+
+
+def gi_integrate_loop(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
+                      inter_code, ip, sigma_code, sp, normals, clamp_code,
+                      cutoff):
+    n = xs.shape[0]
+    deaths = deaths.copy()
+    vals = np.zeros((nsteps + 1, n))
+    m = np.zeros(n)
+    alive = np.zeros(n, dtype=bool)
+    negative = False
+
+    def drift(mv):
+        return gi_drift_loop(mv, alive, xs, growth_code, gp, inter_code, ip,
+                             cutoff)
+
+    for step in range(nsteps + 1):
+        t = step * dt
+        for i in range(n):
+            was = alive[i]
+            alive[i] = births[i] <= t < deaths[i]
+            if alive[i] and not was:
+                m[i] = m0
+            if not alive[i]:
+                m[i] = 0.0
+        vals[step] = np.where(alive, m, 0.0)
+        if step == nsteps:
+            break
+        if sigma_code == 0:
+            k1 = drift(m)
+            k2 = drift(m + 0.5 * dt * k1)
+            k3 = drift(m + 0.5 * dt * k2)
+            k4 = drift(m + dt * k3)
+            for i in range(n):
+                if alive[i]:
+                    m[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+        else:
+            k1 = drift(m)
+            for i in range(n):
+                if alive[i]:
+                    sig = sp[0] if sigma_code == 1 else sp[0] * m[i]
+                    m[i] += dt * k1[i] + sig * np.sqrt(dt) * normals[step, i]
+        for i in range(n):
+            if alive[i] and m[i] < 0.0:
+                negative = True
+                if clamp_code in (0, 1):
+                    m[i] = 0.0
+                if clamp_code == 1:
+                    deaths[i] = t + dt
+                    alive[i] = False
+    return vals, negative, deaths
+
+
+def coverage_count_loop(centers, radii, lo, hi, res, torus):
+    covered = 0
+    side = hi - lo
+    sx, sy = side / res
+    for ix in range(res):
+        px = lo[0] + (ix + 0.5) * sx
+        for iy in range(res):
+            py = lo[1] + (iy + 0.5) * sy
+            for k in range(centers.shape[0]):
+                dx = abs(px - centers[k, 0])
+                dy = abs(py - centers[k, 1])
+                if torus:
+                    dx = min(dx, side[0] - dx)
+                    dy = min(dy, side[1] - dy)
+                if dx * dx + dy * dy <= radii[k] * radii[k]:
+                    covered += 1
+                    break
+    return covered
+
+
+def neighbour_counts_loop(queries, pts, sides, torus, rad, trad, d_spatial):
+    out = np.zeros(queries.shape[0], dtype=np.int64)
+    for q in range(queries.shape[0]):
+        for j in range(pts.shape[0]):
+            dist2 = 0.0
+            for a in range(d_spatial):
+                h = abs(queries[q, a] - pts[j, a])
+                if torus and sides[a] - h < h:
+                    h = sides[a] - h
+                dist2 += h * h
+            ok = dist2 <= rad * rad
+            if ok and trad >= 0.0 and queries.shape[1] > d_spatial:
+                ok = abs(queries[q, -1] - pts[j, -1]) <= trad
+            out[q] += ok
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pair statistics
+# ---------------------------------------------------------------------------
 def test_pair_stats_variants_agree(rng):
-    pts = rng.random((80, 2))
-    w = rng.random(80)
-    v = rng.random(80)
-    lags = np.linspace(0.05, 0.3, 6)
+    # box and torus in d = 1, 2, 3, on a window away from the origin with
+    # unequal sides
+    lags = np.linspace(0.03, 0.35, 7)
+    for d in (1, 2, 3):
+        lo = np.array([-0.3, 2.0, 0.5])[:d]
+        sides = np.array([1.0, 1.5, 0.8])[:d]
+        n = 40 if d == 1 else 80
+        pts = lo + rng.random((n, d)) * sides
+        w, v = rng.random(n), rng.random(n)
+        for torus in (False, True):
+            want = pair_stats_loop(pts, w, v, lags, 0.05, sides, torus)
+            assert np.all(want > 0)
+            np.testing.assert_allclose(
+                K.pair_stats(pts, w, v, lags, 0.05, sides, torus), want,
+                rtol=1e-12, atol=0)
+
+
+def test_pair_stats_torus_points_on_the_boundary(rng):
+    # a point exactly on hi and one just below lo are valid torus points,
+    # but a periodic tree rejects coordinates outside [0, side)
     sides = np.array([1.0, 1.0])
-    for torus in (False, True):
-        a_num, a_w = K.pair_stats_jit(pts, w, v, lags, 0.05, sides, torus)
-        b_num, b_w = K.pair_stats_numpy(pts, w, v, lags, 0.05, sides, torus)
-        np.testing.assert_allclose(a_num, b_num, rtol=1e-10)
-        assert a_w == pytest.approx(b_w, rel=1e-12)
+    pts = np.vstack([rng.random((30, 2)),
+                     [[1.0, 0.4], [-1e-18, 0.7], [0.3, 1.0], [0.6, -1e-18]]])
+    with pytest.raises(ValueError):
+        cKDTree(np.mod(pts, sides), boxsize=sides)
+    w = np.ones(len(pts))
+    lags = np.linspace(0.05, 0.3, 6)
+    np.testing.assert_allclose(
+        K.pair_stats(pts, w, w, lags, 0.05, sides, True),
+        pair_stats_loop(pts, w, w, lags, 0.05, sides, True),
+        rtol=1e-12, atol=0)
 
 
+# ---------------------------------------------------------------------------
+# the remaining kernels
+# ---------------------------------------------------------------------------
 def test_gibbs_chain_variants_agree(rng):
-    lo = np.array([0.0, 0.0])
-    hi = np.array([1.0, 1.0])
     steps = 400
-    args = (rng.random(steps), rng.random((steps, 2)), rng.random(steps),
-            rng.random(steps))
-    x0 = np.empty((0, 2))
-    a = K.gibbs_chain_jit(x0, lo, hi, False, 40.0, 0.6, *args, 0.07, -1.0, 2)
-    b = K.gibbs_chain_numpy(x0, lo, hi, False, 40.0, 0.6, *args, 0.07, -1.0, 2)
-    np.testing.assert_allclose(np.sort(a, axis=0), np.sort(b, axis=0),
-                               atol=1e-12)
+    for lo, hi, torus, trad in (([0.0, 0.0], [1.0, 1.0], False, -1.0),
+                                ([0.0, 0.0], [1.0, 1.0], True, -1.0),
+                                ([0.0, 0.0, 0.0], [1.0, 1.0, 2.0], True, 0.3)):
+        lo, hi = np.array(lo), np.array(hi)
+        D = lo.size
+        args = (rng.random(steps), rng.random((steps, D)), rng.random(steps),
+                rng.random(steps))
+        x0 = np.empty((0, D))
+        got = K.gibbs_chain(x0, lo, hi, torus, 40.0, 0.6, *args, 0.07, trad, 2)
+        want = gibbs_chain_loop(x0, lo, hi, torus, 40.0, 0.6, *args, 0.07,
+                                trad, 2)
+        assert got.shape[0] > 5
+        np.testing.assert_array_equal(got, want)
 
 
 def test_gi_integrate_variants_agree(rng):
@@ -42,16 +263,22 @@ def test_gi_integrate_variants_agree(rng):
     births = rng.random(n) * 0.3
     deaths = births + 0.5 + rng.random(n)
     normals = rng.standard_normal((100, n))
-    for scode, sp in ((0, np.zeros(1)), (1, np.array([0.2]))):
-        a, na, da = K.gi_integrate_values_jit(
-            xs, births, deaths.copy(), 0.1, 0.01, 100, 0, np.array([1.0, 1.0]),
-            1, np.array([0.5, 0.3]), scode, sp, normals, 0, -1.0)
-        b, nb, db = K.gi_integrate_values_numpy(
-            xs, births, deaths.copy(), 0.1, 0.01, 100, 0, np.array([1.0, 1.0]),
-            1, np.array([0.5, 0.3]), scode, sp, normals, 0, -1.0)
-        np.testing.assert_allclose(a, b, atol=1e-10)
-        assert na == nb
-        np.testing.assert_allclose(da, db)
+    gp = np.array([1.0, 1.0])
+    ip = np.array([0.5, 0.3])
+    negatives = 0
+    for gcode, icode, cutoff in ((0, 1, -1.0), (0, 2, 0.3), (1, 1, 0.3)):
+        # noise code, noise scale, negative policy (0 clamp, 1 absorb, 2 error)
+        for scode, sp, clamp in ((0, 0.0, 0), (1, 0.2, 0), (2, 0.8, 0),
+                                 (1, 0.6, 1), (1, 0.6, 2)):
+            args = (xs, births, deaths.copy(), 0.1, 0.01, 100, gcode, gp,
+                    icode, ip, scode, np.array([sp]), normals, clamp, cutoff)
+            a, na, da = K.gi_integrate_values(*args)
+            b, nb, db = gi_integrate_loop(*args)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+            assert na == nb
+            np.testing.assert_array_equal(da, db)
+            negatives += nb
+    assert negatives > 0
 
 
 def test_coverage_count_variants_agree(rng):
@@ -60,9 +287,8 @@ def test_coverage_count_variants_agree(rng):
     lo = np.array([0.0, 0.0])
     hi = np.array([1.0, 1.0])
     for torus in (False, True):
-        a = K.coverage_count_jit(centers, radii, lo, hi, 64, torus)
-        b = K.coverage_count_numpy(centers, radii, lo, hi, 64, torus)
-        assert a == b
+        assert (K.coverage_count(centers, radii, lo, hi, 64, torus)
+                == coverage_count_loop(centers, radii, lo, hi, 64, torus))
 
 
 def test_neighbour_counts_variants_agree(rng):
@@ -71,8 +297,6 @@ def test_neighbour_counts_variants_agree(rng):
     sides = np.array([1.0, 1.0, 1.0])
     for torus in (False, True):
         for trad in (-1.0, 0.2):
-            a = K.neighbour_counts_jit(queries, pts, sides, torus, 0.2,
-                                       trad, 2)
-            b = K.neighbour_counts_numpy(queries, pts, sides, torus, 0.2,
-                                         trad, 2)
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(
+                K.neighbour_counts(queries, pts, sides, torus, 0.2, trad, 2),
+                neighbour_counts_loop(queries, pts, sides, torus, 0.2, trad, 2))

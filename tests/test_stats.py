@@ -190,6 +190,34 @@ class TestTraceVariogram:
                         CadlagPath(grid, vals, (0, np.inf), "step", 2.0)))
         return out
 
+    def test_matches_per_bin_loop(self):
+        # reference: dense distance and difference matrices, one mask per bin
+        curves = self.curves_iid(5, n=40)
+        edges = np.array([0.1, 0.25, 0.4, 0.55, 0.7])   # excludes some pairs
+        locs = np.asarray([loc for loc, _ in curves])
+        V = np.stack([p.values for _, p in curves])
+        grid = curves[0][1].grid
+        wts = np.zeros(grid.size)
+        wts[:-1] += 0.5 * np.diff(grid)
+        wts[1:] += 0.5 * np.diff(grid)
+        S = (V * wts) @ V.T
+        D = 0.5 * (np.diag(S)[:, None] + np.diag(S)[None, :] - 2.0 * S)
+        H = np.sqrt(np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1))
+        iu = np.triu_indices(len(curves), k=1)
+        h, d = H[iu], D[iu]
+        assert np.any(h < edges[0]) and np.any(h > edges[-1])
+        idx = np.clip(np.searchsorted(edges, h, side="right") - 1, 0, len(edges) - 2)
+        values = np.zeros(len(edges) - 1)
+        counts = np.zeros(len(edges) - 1, dtype=int)
+        for k in range(len(edges) - 1):
+            mask = (idx == k) & (h >= edges[0]) & (h <= edges[-1])
+            counts[k] = int(np.sum(mask))
+            if counts[k]:
+                values[k] = float(np.mean(d[mask]))
+        est = trace_variogram(curves, bins=edges)
+        np.testing.assert_array_equal(est.counts, counts)
+        np.testing.assert_allclose(est.values, values, rtol=1e-12, atol=0)
+
     def test_identical_curves_zero(self):
         grid = np.linspace(0, 1, 5)
         path = CadlagPath(grid, np.ones(5), (0, np.inf), "step", 1.0)
