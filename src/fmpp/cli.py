@@ -96,7 +96,10 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
     mark_spec = model.get("marks", {"model": "none"})
     grid = _mark_grid(cfg, window)
     t_star = window.t_star if window.is_temporal else float(grid[-1])
-    rng = np.random.default_rng(seed)
+    # the ground draws from seed itself; aux marks and functional marks each
+    # draw from their own child stream of it
+    aux_seed, mark_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(aux_seed)
     field = None
     births = lifetimes = None
 
@@ -172,17 +175,17 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
             ground_pairs.append(((tuple(loc), None), auxs[i]))
     if mname == "none":
         paths = marks.attach_marks(ground_pairs, marks.Deterministic(("constant", 1.0)),
-                                   grid, seed, t_star)
+                                   grid, mark_seed, t_star)
     elif mname == "constant":
         paths = marks.attach_marks(
             ground_pairs,
             marks.Deterministic(("constant", float(_require(mark_spec, "value",
                                                             "model.marks")))),
-            grid, seed, t_star)
+            grid, mark_seed, t_star)
     elif mname == "wiener":
         paths = marks.attach_marks(ground_pairs,
                                    marks.Wiener(float(mark_spec.get("scale", 1.0))),
-                                   grid, seed, t_star)
+                                   grid, mark_seed, t_star)
     elif mname == "growth-interaction":
         gi = marks.GrowthInteraction(
             tuple(_require(mark_spec, "growth", "model.marks")),
@@ -191,16 +194,16 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
             float(mark_spec.get("m0", 0.0)),
             mark_spec.get("negative_policy", "clamp"),
             mark_spec.get("interaction_cutoff"))
-        paths = marks.attach_marks(ground_pairs, gi, grid, seed, t_star)
+        paths = marks.attach_marks(ground_pairs, gi, grid, mark_seed, t_star)
     elif mname == "geostatistical":
         gm = marks.Geostatistical(mark_spec.get("mean", 0.0),
                                   tuple(_require(mark_spec, "kernel", "model.marks")))
-        paths = marks.attach_marks(ground_pairs, gm, grid, seed, t_star)
+        paths = marks.attach_marks(ground_pairs, gm, grid, mark_seed, t_star)
     elif mname == "intensity":
         if field is None:
             raise ValidationError("model.marks 'intensity' needs an lgcp ground")
         paths = marks.attach_marks(ground_pairs, marks.IntensityDependent(field),
-                                   grid, seed, t_star)
+                                   grid, mark_seed, t_star)
     else:
         raise ValidationError(f"unknown mark model '{mname}' in model.marks")
     return marks.make_configuration(window, locs, auxs, paths, reference)

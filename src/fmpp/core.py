@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -574,28 +575,46 @@ def configuration_from_json(text: str) -> Configuration:
     return Configuration(points, window, reference)
 
 
-def configuration_to_csv_rows(c: Configuration) -> list:
-    """Flat export: one row per (point, grid-time) pair."""
-    header = ["point", *(f"x{i+1}" for i in range(c.window.dim)), "t",
-              "aux_discrete", "aux_continuous", "grid_time", "value",
-              "support_start", "support_end"]
-    rows = [header]
+def _csv_blocks(c: Configuration):
+    """Marks CSV text: the header line, then one block per point holding a
+    line per (grid time, value) pair.
+
+    A point's constant fields are formatted once, as the text before and
+    after the grid-time and value columns; grid times are formatted once per
+    grid array shared between points.
+    """
+    yield ",".join(["point", *(f"x{i+1}" for i in range(c.window.dim)), "t",
+                    "aux_discrete", "aux_continuous", "grid_time", "value",
+                    "support_start", "support_end"]) + "\n"
+    # id(grid) -> ["<time>," per grid time]; ids stay unique while c holds
+    # every grid
+    grid_text = {}
     for i, p in enumerate(c.points):
-        cont = "" if p.aux.continuous is None else ";".join(repr(v) for v in p.aux.continuous)
-        disc = "" if p.aux.discrete is None else str(p.aux.discrete)
-        tval = "" if p.t is None else repr(p.t)
-        for tj, vj in zip(p.mark.grid, p.mark.values):
-            rows.append([
-                str(i), *(repr(v) for v in p.x), tval, disc, cont,
-                repr(float(tj)), repr(float(vj)),
-                repr(p.mark.support[0]), repr(p.mark.support[1]),
-            ])
-    return rows
+        aux, mark = p.aux, p.mark
+        prefix = ",".join([
+            str(i), *map(repr, p.x), "" if p.t is None else repr(p.t),
+            "" if aux.discrete is None else str(aux.discrete),
+            "" if aux.continuous is None else ";".join(map(repr, aux.continuous)),
+            ""])
+        suffix = f",{mark.support[0]!r},{mark.support[1]!r}\n"
+        times = grid_text.get(id(mark.grid))
+        if times is None:
+            times = [repr(t) + "," for t in mark.grid.tolist()]
+            grid_text[id(mark.grid)] = times
+        values = map(repr, mark.values.tolist())
+        yield prefix + (suffix + prefix).join(map(add, times, values)) + suffix
+
+
+def configuration_to_csv_rows(c: Configuration) -> list:
+    """Flat export: a header row, then one row per (point, grid-time) pair."""
+    return [line.split(",") for block in _csv_blocks(c)
+            for line in block.splitlines()]
 
 
 def write_configuration_csv(c: Configuration, path, metadata: dict | None = None):
+    """Write the flat export, each metadata item as a ``# key=value`` line
+    above the header."""
     with open(path, "w", encoding="utf-8") as fh:
         for k, v in (metadata or {}).items():
             fh.write(f"# {k}={v}\n")
-        for row in configuration_to_csv_rows(c):
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_csv_blocks(c))

@@ -195,14 +195,16 @@ def _cov_1d(family, h):
     return np.exp(-h) if family == "exponential" else np.exp(-h * h)
 
 
-def attach_marks(ground: Sequence, model, grid, seed: int,
+def attach_marks(ground: Sequence, model, grid, seed,
                  t_star: float | None = None) -> list:
     """Generate one cadlag mark per ground point.
 
     ``ground`` is a sequence of ((x, t), aux) pairs with t None in the purely
-    spatial case.  The grid must cover [0, t_star].  Independent-marking
-    models draw each mark independently; growth-interaction marks are coupled
-    and need birth times and lifetime aux marks.
+    spatial case.  ``seed`` is anything ``np.random.default_rng`` accepts
+    (an int or a ``SeedSequence``).  The grid must cover [0, t_star].
+    Independent-marking models draw each mark independently;
+    growth-interaction marks are coupled and need birth times and lifetime
+    aux marks.
     """
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
@@ -266,7 +268,7 @@ def attach_marks(ground: Sequence, model, grid, seed: int,
     raise ValidationError(f"unknown mark model {type(model).__name__}")
 
 
-def gi_integrate(points, model: GrowthInteraction, step: float, seed: int,
+def gi_integrate(points, model: GrowthInteraction, step: float, seed,
                  t_star: float) -> list:
     """Integrate the coupled growth system on the global grid 0..t_star.
 
@@ -283,7 +285,7 @@ def gi_integrate(points, model: GrowthInteraction, step: float, seed: int,
             for i in range(vals.shape[1])]
 
 
-def _gi_values(points, model: GrowthInteraction, step: float, seed: int,
+def _gi_values(points, model: GrowthInteraction, step: float, seed,
                t_star: float):
     """``gi_integrate`` as arrays: the grid, the (nsteps+1, n) value matrix,
     the births and the death times after absorption."""
@@ -319,7 +321,7 @@ def _gi_values(points, model: GrowthInteraction, step: float, seed: int,
     return grid, vals, births, deaths_out
 
 
-def geostat_marking(locations, model: Geostatistical, grid, seed: int,
+def geostat_marking(locations, model: Geostatistical, grid, seed,
                     t_star: float | None = None, classes=None) -> list:
     """One joint Gaussian draw of the field at all (location, grid time) pairs.
 

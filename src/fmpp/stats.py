@@ -262,11 +262,23 @@ class VariogramModel:
         return np.where(h <= 0, 0.0, out)
 
 
-def _pair_trace_values(curves):
-    """Spatial distance and half integrated squared difference of every
-    curve pair, both in ``np.triu_indices(n, k=1)`` order."""
-    from scipy.spatial.distance import pdist
+# entries per block of trace_variogram's pair arrays: it visits the curve
+# pairs a block of rows at a time, so its memory grows linearly in n
+_PAIR_BLOCK_ENTRIES = 1 << 18
 
+
+def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
+    """Empirical trace-variogram of located curves.
+
+    Bin average of half the integrated squared curve difference (trapezoid
+    rule on the shared grid) over pairs at spatial distance in each bin.
+    ``bins`` is an edge array or a bin count; the default is 15 equal bins
+    up to the largest pair distance (window-diameter/15 spacing).
+    """
+    from scipy.spatial.distance import cdist
+
+    if len(curves) < 2:
+        raise ValidationError("need at least two curves")
     locs = np.atleast_2d(np.asarray([loc for loc, _ in curves], dtype=float))
     paths = [p for _, p in curves]
     grid = paths[0].grid
@@ -279,34 +291,33 @@ def _pair_trace_values(curves):
     dg = np.diff(grid)
     wts[:-1] += 0.5 * dg
     wts[1:] += 0.5 * dg
-    S = (V * wts) @ V.T
-    diag = np.diag(S)
-    i, j = np.triu_indices(len(paths), k=1)
-    return pdist(locs), 0.5 * (diag[i] + diag[j] - 2.0 * S[i, j])
-
-
-def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
-    """Empirical trace-variogram of located curves.
-
-    Bin average of half the integrated squared curve difference (trapezoid
-    rule on the shared grid) over pairs at spatial distance in each bin.
-    ``bins`` is an edge array or a bin count; the default is 15 equal bins
-    up to the largest pair distance (window-diameter/15 spacing).
-    """
-    if len(curves) < 2:
-        raise ValidationError("need at least two curves")
-    h, d = _pair_trace_values(curves)
+    n = len(paths)
+    rows = max(1, _PAIR_BLOCK_ENTRIES // n)
+    blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
     if bins is None:
         bins = 15
     if np.isscalar(bins):
-        edges = np.linspace(0.0, float(np.max(h)) * (1 + 1e-12), int(bins) + 1)
+        hmax = max(float(np.max(cdist(locs[i0:i1], locs[i0:])))
+                   for i0, i1 in blocks)
+        edges = np.linspace(0.0, hmax * (1 + 1e-12), int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
     nbins = len(edges) - 1
-    keep = (h >= edges[0]) & (h <= edges[-1])
-    idx = np.clip(np.searchsorted(edges, h[keep], side="right") - 1, 0, nbins - 1)
-    counts = np.bincount(idx, minlength=nbins)
-    sums = np.bincount(idx, weights=d[keep], minlength=nbins)
+    counts = np.zeros(nbins, dtype=np.intp)
+    sums = np.zeros(nbins)
+    VW = V * wts
+    diag = np.empty(n)
+    # last block first, so diag[j] of every later curve j is already known
+    for i0, i1 in reversed(blocks):
+        S = VW[i0:i1] @ V[i0:].T        # S[k, l]: curves i0 + k and i0 + l
+        diag[i0:i1] = np.diagonal(S)
+        upper = np.arange(n - i0) > np.arange(i1 - i0)[:, None]      # pairs i < j
+        h = cdist(locs[i0:i1], locs[i0:])[upper]
+        d = 0.5 * (diag[i0:i1, None] + diag[None, i0:] - 2.0 * S)[upper]
+        keep = (h >= edges[0]) & (h <= edges[-1])
+        idx = np.clip(np.searchsorted(edges, h[keep], side="right") - 1, 0, nbins - 1)
+        counts += np.bincount(idx, minlength=nbins)
+        sums += np.bincount(idx, weights=d[keep], minlength=nbins)
     values = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
     return VariogramEstimate(edges, values, counts)
 

@@ -9,7 +9,8 @@ import pytest
 
 import fmpp
 from fmpp.cli import main
-from fmpp.core import configuration_from_json
+from fmpp.core import Window, configuration_from_json
+from fmpp.ground import HomogeneousPoisson, simulate_poisson
 
 
 def write_cfg(tmp_path: Path, cfg: dict, name="cfg.json") -> str:
@@ -55,6 +56,34 @@ class TestSimulate:
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["config_hash"] == m2["config_hash"]
+
+    def test_ground_aux_and_marks_draw_from_independent_streams(self, tmp_path):
+        # aux types and Wiener increments used to come from the ground's own
+        # stream: at seed 11 type i was 1 + [u_i >= 0.5] for the uniforms u
+        # of that seed, and the first path's increments were its normals
+        cfg_obj = json.loads(json.dumps(BASE))
+        cfg_obj.update(seed=11, replicates=1)
+        cfg_obj["model"]["aux"] = {"kind": "types", "probs": [0.5, 0.5]}
+        cfg_obj["model"]["marks"] = {"model": "wiener", "scale": 1.0}
+        cfg = write_cfg(tmp_path, cfg_obj)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
+        for name in ("configuration_r000.json", "marks_r000.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        c = configuration_from_json((out1 / "configuration_r000.json").read_text())
+        # the ground stays on the seed itself
+        locs = simulate_poisson(HomogeneousPoisson(80.0), Window((0, 0), (1, 1)), 11)
+        np.testing.assert_array_equal(c.spatial_locations(), locs)
+        n = len(c)
+        assert n > 50
+        types = np.array([p.aux.discrete for p in c.points])
+        assert set(types) == {1, 2}
+        u = np.random.default_rng(11).random(n)
+        assert not np.array_equal(types, 1 + (u >= 0.5))
+        mark = c.points[0].mark
+        z = np.random.default_rng(11).standard_normal(mark.grid.size - 1)
+        assert not np.allclose(np.diff(mark.values), np.sqrt(np.diff(mark.grid)) * z)
 
     def test_zero_rate_empty_points(self, tmp_path):
         cfg_obj = json.loads(json.dumps(BASE))

@@ -23,6 +23,7 @@ from fmpp.core import (
     skorohod_distance,
     temporal_projection,
     uniform_distance,
+    write_configuration_csv,
 )
 from fmpp.errors import ValidationError
 
@@ -220,6 +221,94 @@ class TestSerialization:
         c = self._config()
         rows = configuration_to_csv_rows(c)
         assert len(rows) == 1 + sum(p.mark.grid.size for p in c.points)
+
+
+def reference_csv_rows(c):
+    """The marks CSV as the per-row builder made it: one list of strings per
+    (point, grid-time) pair, every field formatted on every row."""
+    header = ["point", *(f"x{i+1}" for i in range(c.window.dim)), "t",
+              "aux_discrete", "aux_continuous", "grid_time", "value",
+              "support_start", "support_end"]
+    rows = [header]
+    for i, p in enumerate(c.points):
+        cont = "" if p.aux.continuous is None else ";".join(repr(v) for v in p.aux.continuous)
+        disc = "" if p.aux.discrete is None else str(p.aux.discrete)
+        tval = "" if p.t is None else repr(p.t)
+        for tj, vj in zip(p.mark.grid, p.mark.values):
+            rows.append([
+                str(i), *(repr(v) for v in p.x), tval, disc, cont,
+                repr(float(tj)), repr(float(vj)),
+                repr(p.mark.support[0]), repr(p.mark.support[1]),
+            ])
+    return rows
+
+
+def reference_csv_bytes(c, metadata):
+    lines = [f"# {k}={v}\n" for k, v in metadata.items()]
+    lines += [",".join(row) + "\n" for row in reference_csv_rows(c)]
+    return "".join(lines).encode("utf-8")
+
+
+class TestMarksCsvOracle:
+    """write_configuration_csv and configuration_to_csv_rows against the
+    per-row reference builder, byte for byte."""
+
+    META = {"seed": 11, "replicate": 0}
+
+    def check(self, c, tmp_path):
+        path = tmp_path / "marks.csv"
+        write_configuration_csv(c, path, self.META)
+        assert path.read_bytes() == reference_csv_bytes(c, self.META)
+        assert configuration_to_csv_rows(c) == reference_csv_rows(c)
+
+    def test_temporal_discrete_and_continuous_aux_finite_support(self, tmp_path):
+        w = Window((0, 0), (1, 1), t_star=2.0)
+        rng = np.random.default_rng(1)
+        grid = np.concatenate([[0.0], np.sort(rng.random(30)) * 2.0])
+        pts = []
+        for i in range(4):
+            a, b = sorted(rng.choice(grid, 2, replace=False))
+            vals = np.where((grid >= a) & (grid < b),
+                            rng.standard_normal(grid.size) * 10.0 ** (3 * i - 6),
+                            -0.0 if i % 2 else 0.0)
+            pts.append(MarkedPoint(
+                (rng.random(), 1.0 / 3.0), rng.random() * 2.0,
+                AuxMark(discrete=i + 1, continuous=(rng.random(), -1e-300)),
+                CadlagPath(grid, vals, (a, b), "step", 2.0)))
+        self.check(Configuration(pts, w, ReferenceSpec()), tmp_path)
+
+    def test_spatial_window_infinite_support(self, tmp_path):
+        w = Window((0, 0, 0), (1, 2, 3))
+        rng = np.random.default_rng(2)
+        grid = np.linspace(0, 1, 11)
+        pts = [MarkedPoint(tuple(rng.random(3) * [1, 2, 3]), None,
+                           AuxMark(discrete=2) if i % 2 else
+                           AuxMark(continuous=(rng.random(),)),
+                           CadlagPath(grid, np.cumsum(rng.standard_normal(11)),
+                                      (0.0, np.inf), "linear", 1.0))
+               for i in range(5)]
+        self.check(Configuration(pts, w, ReferenceSpec()), tmp_path)
+
+    def test_two_grids_in_one_configuration(self, tmp_path):
+        # points 0, 2 and 4 share one grid array, point 3 has an equal copy
+        # of it and point 1 a different grid of the same size
+        w = Window((0,), (1,))
+        shared = np.linspace(0, 1, 7)
+        other = shared ** 2
+        grids = [shared, other, shared, shared.copy(), shared]
+        rng = np.random.default_rng(3)
+        pts = [MarkedPoint((rng.random(),), None, AuxMark(discrete=1),
+                           CadlagPath(g, rng.standard_normal(g.size),
+                                      (0.0, np.inf), "step", 1.0))
+               for g in grids]
+        c = Configuration(pts, w, ReferenceSpec())
+        assert c.points[0].mark.grid is c.points[2].mark.grid
+        self.check(c, tmp_path)
+
+    def test_empty_configuration_header_only(self, tmp_path):
+        c = Configuration([], Window((0, 0), (1, 1), t_star=1.0), ReferenceSpec())
+        self.check(c, tmp_path)
+        assert len(configuration_to_csv_rows(c)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fmpp.stats import (
     pcf_mark_sampled,
     trace_variogram,
 )
+from fmpp import stats
 from fmpp.core import shift
 
 W = Window((0, 0), (1, 1))
@@ -217,6 +219,30 @@ class TestTraceVariogram:
         est = trace_variogram(curves, bins=edges)
         np.testing.assert_array_equal(est.counts, counts)
         np.testing.assert_allclose(est.values, values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bins", [None, 7, np.array([0.1, 0.25, 0.4, 0.7])])
+    def test_row_blocks_match_one_block(self, monkeypatch, bins):
+        curves = self.curves_iid(6, n=40)
+        whole = trace_variogram(curves, bins)
+        # 7 rows per block: five full blocks and a last one of 5 rows
+        monkeypatch.setattr(stats, "_PAIR_BLOCK_ENTRIES", 7 * 40)
+        blocked = trace_variogram(curves, bins)
+        np.testing.assert_array_equal(blocked.bin_edges, whole.bin_edges)
+        np.testing.assert_array_equal(blocked.counts, whole.counts)
+        np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0)
+
+    def test_memory_below_one_dense_pair_matrix(self):
+        # one dense n x n float64 matrix takes 8 n^2 bytes
+        n = 2000
+        curves = self.curves_iid(8, n=n, k=101)
+        trace_variogram(curves[:3])     # keep the lazy scipy import out of the peak
+        tracemalloc.start()
+        try:
+            trace_variogram(curves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
     def test_identical_curves_zero(self):
         grid = np.linspace(0, 1, 5)
