@@ -11,8 +11,8 @@ Subpackage map:
 - ``cli``       command-line entry point
 
 Hot numeric kernels live in ``_kernels``, one NumPy/SciPy implementation
-each; the time-warp dynamic program in ``_skorohod`` is compiled with numba
-when the optional ``jit`` extra is installed.
+each; the time-warp metric's dynamic program lives in ``_skorohod``, on
+NumPy arrays as well.
 """
 from .core import (
     AuxMark,

@@ -18,6 +18,9 @@ Candidate warps from coarser lattices in the internal resolution ladder are
 kept, so doubling the resolution never increases the result: the evaluated
 family only grows, and the per-warp functional does not depend on the
 lattice (its u-integration splits at all breakpoints of the integrand).
+
+Paths are read through ``CadlagPath.__call__`` and warps through
+``np.interp``, on whole arrays of times at once.
 """
 from __future__ import annotations
 
@@ -25,270 +28,157 @@ import math
 
 import numpy as np
 
-from ._jit import njit
-
-_BIG = 1e300
-
-
-# ---------------------------------------------------------------------------
-# jit-able primitives
-# ---------------------------------------------------------------------------
-@njit(cache=True)
-def _path_eval(grid, vals, a, b, mode, t):
-    if t < a or t >= b:
-        return 0.0
-    if mode == 0:  # right-continuous step
-        idx = np.searchsorted(grid, t, side="right") - 1
-        if idx < 0:
-            return 0.0
-        return vals[idx]
-    # linear interpolation, zero before the first grid point
-    if t < grid[0]:
-        return 0.0
-    if t >= grid[-1]:
-        return vals[-1]
-    j = np.searchsorted(grid, t, side="right") - 1
-    w = (t - grid[j]) / (grid[j + 1] - grid[j])
-    return vals[j] * (1.0 - w) + vals[j + 1] * w
+# entries of one (probe x candidate) block in the per-warp functional
+_PROBE_BLOCK_ENTRIES = 2**18
 
 
-@njit(cache=True)
-def _warp_eval(kt, ks, t):
-    """Piecewise-linear warp through knots (kt[i], ks[i])."""
-    if t <= kt[0]:
-        return ks[0]
-    if t >= kt[-1]:
-        return ks[-1]
-    j = np.searchsorted(kt, t, side="right") - 1
-    w = (t - kt[j]) / (kt[j + 1] - kt[j])
-    return ks[j] * (1.0 - w) + ks[j + 1] * w
+def _points(parts, t_star):
+    """Sorted distinct finite values of ``parts``, clipped to [0, t_star]."""
+    raw = np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+    return np.unique(np.clip(raw[np.isfinite(raw)], 0.0, t_star))
 
 
-@njit(cache=True)
-def _phi_at(u, fg, fv, fa, fb, fm, gg, gv, ga, gb, gm, kt, ks, tcand):
-    """sup over t of min(|f(t^u) - g(w(t)^u)|, 1).
+def _phi(f, g, kt, ks, t_cand, w_cand, u):
+    """sup over t of min(|f(t^u) - g(w(t)^u)|, 1) for each probe in ``u``.
 
-    ``tcand`` must contain every discontinuity point of the integrand in t
-    (both grids, warp knots and preimages of the g-side breakpoints); the
-    values between breakpoints are then attained at the breakpoints by
-    right continuity (step mode) or convexity (linear mode).
+    ``(t_cand, w_cand)`` are the probe-independent candidate pairs (t, w(t));
+    each probe adds (u, w(u)) and (w^{-1}(u), u).
     """
-    best = 0.0
-    for i in range(tcand.shape[0] + 2):
-        if i < tcand.shape[0]:
-            t = tcand[i]
-        elif i == tcand.shape[0]:
-            t = u
-        else:
-            t = _warp_eval(ks, kt, u)  # preimage of u under the warp
-        a_t = t if t < u else u
-        fval = _path_eval(fg, fv, fa, fb, fm, a_t)
-        lt = _warp_eval(kt, ks, t)
-        b_t = lt if lt < u else u
-        gval = _path_eval(gg, gv, ga, gb, gm, b_t)
-        v = abs(fval - gval)
-        if v > 1.0:
-            v = 1.0
-        if v > best:
-            best = v
-            if best >= 1.0:
-                return 1.0
-    return best
+    uc = u[:, None]
+    shape = (u.size, t_cand.size)
+    tt = np.hstack([np.broadcast_to(t_cand, shape), uc, np.interp(uc, ks, kt)])
+    ww = np.hstack([np.broadcast_to(w_cand, shape), np.interp(uc, kt, ks), uc])
+    diff = np.abs(f(np.minimum(tt, uc)) - g(np.minimum(ww, uc)))
+    return np.minimum(diff, 1.0).max(axis=1)
 
 
-@njit(cache=True)
-def _warp_cost(fg, fv, fa, fb, fm, gg, gv, ga, gb, gm, kt, ks, ubreaks, tcand):
+def _warp_cost(f, g, kt, ks, t_star):
     """Exact lattice-functional value max(gamma, integral) for one warp.
 
-    The integrand u -> phi(u) is right-continuous with breakpoints contained
-    in ``ubreaks``; on each cell its sup is the cell value (step paths) or is
-    attained at the cell ends (piecewise-affine pieces when either path is
-    linearly interpolated, in which case the right endpoint is included).
+    ``f`` is read at t and ``g`` at w(t), w the piecewise-linear warp through
+    the knots (kt[i], ks[i]).  The sup over t is a max over every
+    discontinuity of the integrand in t: f's breakpoints, the warp knots,
+    and the preimages w^{-1}(x) of g's breakpoints x.  A preimage is paired
+    with x itself, never with w(w^{-1}(x)), which can round below x and miss
+    g's value after its jump.  The integrand u -> phi(u) is right-continuous
+    with breakpoints among all of those times and their images; on each
+    u-cell its sup is the cell value (step paths) or is attained at the cell
+    ends (piecewise-affine pieces when either path is linearly interpolated,
+    in which case the right endpoint is probed too).
     """
-    gamma = 0.0
-    for j in range(kt.shape[0] - 1):
-        slope = (ks[j + 1] - ks[j]) / (kt[j + 1] - kt[j])
-        g_abs = abs(math.log(slope))
-        if g_abs > gamma:
-            gamma = g_abs
-    any_linear = fm == 1 or gm == 1
-    integral = 0.0
-    for j in range(ubreaks.shape[0] - 1):
-        ua = ubreaks[j]
-        ub = ubreaks[j + 1]
-        if ub <= ua:
-            continue
-        sup = _phi_at(ua, fg, fv, fa, fb, fm, gg, gv, ga, gb, gm, kt, ks, tcand)
-        p2 = _phi_at(0.5 * (ua + ub), fg, fv, fa, fb, fm, gg, gv, ga, gb, gm, kt, ks, tcand)
-        if p2 > sup:
-            sup = p2
-        if any_linear:
-            p3 = _phi_at(ub, fg, fv, fa, fb, fm, gg, gv, ga, gb, gm, kt, ks, tcand)
-            if p3 > sup:
-                sup = p3
-        integral += (math.exp(-ua) - math.exp(-ub)) * sup
-    return max(gamma, integral)
+    gamma = max(abs(math.log(s)) for s in (np.diff(ks) / np.diff(kt)).tolist())
+    t_f = _points([f.grid, f.support, (0.0, t_star), kt], t_star)
+    x_g = _points([g.grid, g.support], t_star)
+    t_cand = np.concatenate([t_f, np.interp(x_g, ks, kt)])
+    w_cand = np.concatenate([np.interp(t_f, kt, ks), x_g])
+    ubreaks = _points([t_cand, w_cand], t_star)
+    starts, ends = ubreaks[:-1], ubreaks[1:]
+    probes = [starts, 0.5 * (starts + ends)]
+    if f.mode == "linear" or g.mode == "linear":
+        probes.append(ends)
+    u = np.concatenate(probes)
+    block = max(1, _PROBE_BLOCK_ENTRIES // (t_cand.size + 2))
+    phi = np.concatenate([_phi(f, g, kt, ks, t_cand, w_cand, u[i:i + block])
+                          for i in range(0, u.size, block)])
+    sup = phi.reshape(len(probes), starts.size).max(axis=0)
+    e = np.array([math.exp(-x) for x in ubreaks.tolist()])
+    integral = np.add.accumulate((e[:-1] - e[1:]) * sup)[-1]
+    return float(max(gamma, integral))
 
 
-@njit(cache=True)
-def _surrogate_dp(nodes, diag_mis, d_exp, mis, log_cap):
-    """Min-cost monotone lattice path under a slope threshold.
+def _surrogate_dp(nodes, diag_mis, d_exp, mis, log_caps):
+    """Min-cost monotone lattice paths, one per slope threshold.
 
     State (r, s) means the warp maps nodes[r] -> nodes[s].  Segment cost is
     the e^{-u}-weighted sum over its u-cells of max(diagonal frozen mismatch,
     local aligned mismatch); because an aligned mismatch persists in the sup
     for every later u, the segment's worst aligned mismatch is also charged
     over the remaining tail of the e^{-u} weight.  A small multiple of
-    |log slope| resolves ties toward gentle warps.  Returns knot indices.
+    |log slope| resolves ties toward gentle warps.
+
+    Segment costs do not depend on the threshold, only whether a segment
+    (|log slope| <= cap) is allowed does, so one pass over the lattice fills
+    a table per cap.  Each (r, s) step works on (p, k, q) arrays over the
+    predecessors (p, q) and the source cells k; ties go to the first (p, q)
+    in p-major order.  Returns one path per cap, as a tuple of (r, s) knot
+    index pairs from (0, 0) to (m, m); the diagonal is always allowed.
     """
-    m = nodes.shape[0] - 1
+    m = nodes.size - 1
+    caps = np.asarray(log_caps, dtype=float)[:, None, None]
     exp_end = math.exp(-nodes[m])
-    tail = np.empty(m)
-    for k in range(m):
-        tail[k] = math.exp(-nodes[k + 1]) - exp_end
-    best = np.full((m + 1, m + 1), _BIG)
-    par_p = np.full((m + 1, m + 1), -1, dtype=np.int64)
-    par_q = np.full((m + 1, m + 1), -1, dtype=np.int64)
-    best[0, 0] = 0.0
+    tail = np.array([math.exp(-x) - exp_end for x in nodes[1:].tolist()])
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    best = np.full((caps.shape[0], m + 1, m + 1), np.inf)
+    best[:, 0, 0] = 0.0
+    par = np.zeros((caps.shape[0], m + 1, m + 1), dtype=np.int64)
     for r in range(1, m + 1):
+        k = np.arange(r)
+        dx = (nodes[r] - nodes[:r])[:, None, None]
+        offset = (mids[:r] - nodes[:r, None])[:, :, None]
+        live = (k[None, :] >= k[:, None])[:, :, None]
         for s in range(1, m + 1):
-            bcost = _BIG
-            bp = -1
-            bq = -1
-            for p in range(r):
-                dx = nodes[r] - nodes[p]
-                for q in range(s):
-                    prev = best[p, q]
-                    if prev >= _BIG:
-                        continue
-                    dy = nodes[s] - nodes[q]
-                    lg = abs(math.log(dy / dx))
-                    if lg > log_cap:
-                        continue
-                    w = 1e-9 * lg
-                    for k in range(p, r):
-                        midk = 0.5 * (nodes[k] + nodes[k + 1])
-                        lam = nodes[q] + (midk - nodes[p]) * dy / dx
-                        kk = np.searchsorted(nodes, lam, side="right") - 1
-                        if kk < 0:
-                            kk = 0
-                        if kk > m - 1:
-                            kk = m - 1
-                        a = mis[k, kk]
-                        fr = diag_mis[k]
-                        c = a if a > fr else fr
-                        # aligned mismatch stays in the sup for all later u
-                        w += d_exp[k] * c + a * tail[k]
-                    tot = prev + w
-                    if tot < bcost:
-                        bcost = tot
-                        bp = p
-                        bq = q
-            if bcost < _BIG:
-                best[r, s] = bcost
-                par_p[r, s] = bp
-                par_q[r, s] = bq
-    # walk back from (m, m)
-    path_r = np.empty(2 * (m + 1), dtype=np.int64)
-    path_s = np.empty(2 * (m + 1), dtype=np.int64)
-    n_k = 0
-    r = m
-    s = m
-    if best[m, m] >= _BIG:
-        return path_r[:0], path_s[:0]
-    while r >= 0:
-        path_r[n_k] = r
-        path_s[n_k] = s
-        n_k += 1
-        if r == 0 and s == 0:
-            break
-        rp = par_p[r, s]
-        sp = par_q[r, s]
-        r = rp
-        s = sp
-    return path_r[:n_k][::-1].copy(), path_s[:n_k][::-1].copy()
+            dy = nodes[s] - nodes[:s]
+            lg = np.abs(np.log(dy / dx[:, :, 0]))
+            lam = nodes[:s] + offset * dy / dx
+            kk = np.clip(np.searchsorted(nodes, lam, side="right") - 1, 0, m - 1)
+            a = mis[k[:, None], kk]
+            c = np.maximum(a, diag_mis[:r, None])
+            terms = np.where(live, d_exp[:r, None] * c + a * tail[:r, None], 0.0)
+            seg = np.add.accumulate(
+                np.concatenate([1e-9 * lg[:, None, :], terms], axis=1), axis=1)[:, -1]
+            tot = np.where(lg > caps, np.inf, best[:, :r, :s] + seg).reshape(caps.shape[0], -1)
+            best[:, r, s] = tot.min(axis=1)
+            par[:, r, s] = tot.argmin(axis=1)
+    paths = []
+    for parents in par:
+        r = s = m
+        knots = [(m, m)]
+        while r or s:
+            r, s = divmod(int(parents[r, s]), s)
+            knots.append((r, s))
+        paths.append(tuple(knots[::-1]))
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-def _arrays(path, t_star):
-    a, b = path.support
-    if not np.isfinite(b):
-        b = t_star + 1.0
-    mode = 0 if path.mode == "step" else 1
-    return (np.ascontiguousarray(path.grid, dtype=np.float64),
-            np.ascontiguousarray(path.values, dtype=np.float64),
-            float(a), float(b), mode)
-
-
-def _breakpoints(fdat, gdat, kt, ks, t_star):
-    """Complete breakpoint sets in t and in u for one warp."""
-    fg, _, fa, fb, _ = fdat
-    gg, _, ga, gb, _ = gdat
-    g_side = np.concatenate([gg, np.asarray([ga, gb])])
-    inv = np.interp(g_side, ks, kt)
-    fwd = np.interp(np.concatenate([fg, np.asarray([fa, fb])]), kt, ks)
-    t_raw = np.concatenate([fg, np.asarray([fa, fb, 0.0, t_star]), kt, inv])
-    tcand = np.unique(np.clip(t_raw[np.isfinite(t_raw)], 0.0, t_star))
-    u_raw = np.concatenate([t_raw, g_side, fwd, ks])
-    ubreaks = np.unique(np.clip(u_raw[np.isfinite(u_raw)], 0.0, t_star))
-    return ubreaks, tcand
-
-
-def _cost_of(fdat, gdat, kt, ks, t_star):
-    ubreaks, tcand = _breakpoints(fdat, gdat, kt, ks, t_star)
-    return float(_warp_cost(*fdat, *gdat, kt, ks, ubreaks, tcand))
-
-
-def _node_set(fdat, gdat, t_star, resolution):
+def _node_set(f, g, t_star, resolution):
     """Warp lattice nodes: uniform fill merged with both paths' breakpoints.
 
     Very fine path grids are thinned to the largest value jumps so the DP
     lattice stays near the requested resolution.
     """
-    def relevant(dat):
-        grid, vals, a, b, _ = dat
-        pts = [np.asarray([a, b])]
+    def relevant(path):
+        grid = path.grid
         if grid.size <= resolution:
-            pts.append(grid)
-        else:
-            jumps = np.abs(np.diff(vals))
-            top = np.argsort(jumps)[::-1][: resolution // 2]
-            pts.append(grid[np.sort(top)])
-            pts.append(grid[np.sort(top) + 1])
-        return np.concatenate(pts)
+            return [path.support, grid]
+        jumps = np.abs(np.diff(path.values))
+        top = np.sort(np.argsort(jumps)[::-1][: resolution // 2])
+        return [path.support, grid[top], grid[top + 1]]
 
-    raw = np.concatenate([
-        np.linspace(0.0, t_star, resolution + 1),
-        relevant(fdat), relevant(gdat),
-    ])
-    nodes = np.unique(np.clip(raw[np.isfinite(raw)], 0.0, t_star))
+    nodes = _points([np.linspace(0.0, t_star, resolution + 1),
+                     *relevant(f), *relevant(g)], t_star)
     # drop near-duplicate nodes (degenerate DP segments)
     keep = np.concatenate([[True], np.diff(nodes) > 1e-12 * max(t_star, 1.0)])
-    return np.ascontiguousarray(nodes[keep])
+    return nodes[keep]
 
 
-def _search_direction(fdat, gdat, t_star, resolution, thresholds):
+def _search_direction(f, g, t_star, resolution, thresholds):
     """DP candidates for one orientation; returns exact costs."""
     costs = []
     res = resolution
     while True:
-        nodes = _node_set(fdat, gdat, t_star, res)
-        m = nodes.size - 1
-        if m >= 1:
+        nodes = _node_set(f, g, t_star, res)
+        if nodes.size >= 2:
             mids = 0.5 * (nodes[:-1] + nodes[1:])
-            f_mid = np.array([_path_eval(*fdat, t) for t in mids])
-            g_mid = np.array([_path_eval(*gdat, t) for t in mids])
+            f_mid, g_mid = f(mids), g(mids)
             diag = np.minimum(np.abs(f_mid - g_mid), 1.0)
             d_exp = np.exp(-nodes[:-1]) - np.exp(-nodes[1:])
             mis = np.minimum(np.abs(f_mid[:, None] - g_mid[None, :]), 1.0)
-            for cap in thresholds:
-                kt_idx, ks_idx = _surrogate_dp(nodes, diag, d_exp, mis, cap)
-                if kt_idx.size >= 2:
-                    kt = nodes[kt_idx]
-                    ks = nodes[ks_idx]
-                    costs.append(_cost_of(fdat, gdat, kt, ks, t_star))
+            for knots in set(_surrogate_dp(nodes, diag, d_exp, mis, thresholds)):
+                kt, ks = nodes[np.asarray(knots).T]
+                costs.append(_warp_cost(f, g, kt, ks, t_star))
         if res <= 4:
             break
         res //= 2
@@ -296,16 +186,13 @@ def _search_direction(fdat, gdat, t_star, resolution, thresholds):
 
 
 def skorohod_distance_impl(f, g, t_star, resolution):
-    fdat = _arrays(f, t_star)
-    gdat = _arrays(g, t_star)
     ident = np.asarray([0.0, t_star])
-    cost_id = _cost_of(fdat, gdat, ident, ident, t_star)
+    cost_id = _warp_cost(f, g, ident, ident, t_star)
     if cost_id == 0.0:
         return 0.0
     # log-slope caps: geometric ladder below the identity cost (a candidate
     # with gamma above the identity cost can never improve on it)
     thresholds = [cost_id * 0.5 ** j for j in range(9)]
-    candidates = [cost_id]
-    candidates += _search_direction(fdat, gdat, t_star, resolution, thresholds)
-    candidates += _search_direction(gdat, fdat, t_star, resolution, thresholds)
-    return float(min(candidates))
+    return min([cost_id,
+                *_search_direction(f, g, t_star, resolution, thresholds),
+                *_search_direction(g, f, t_star, resolution, thresholds)])

@@ -174,38 +174,31 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
         else:
             ground_pairs.append(((tuple(loc), None), auxs[i]))
     if mname == "none":
-        paths = marks.attach_marks(ground_pairs, marks.Deterministic(("constant", 1.0)),
-                                   grid, mark_seed, t_star)
+        mark_model = marks.Deterministic(("constant", 1.0))
     elif mname == "constant":
-        paths = marks.attach_marks(
-            ground_pairs,
-            marks.Deterministic(("constant", float(_require(mark_spec, "value",
-                                                            "model.marks")))),
-            grid, mark_seed, t_star)
+        mark_model = marks.Deterministic(
+            ("constant", float(_require(mark_spec, "value", "model.marks"))))
     elif mname == "wiener":
-        paths = marks.attach_marks(ground_pairs,
-                                   marks.Wiener(float(mark_spec.get("scale", 1.0))),
-                                   grid, mark_seed, t_star)
+        mark_model = marks.Wiener(float(mark_spec.get("scale", 1.0)))
     elif mname == "growth-interaction":
-        gi = marks.GrowthInteraction(
+        mark_model = marks.GrowthInteraction(
             tuple(_require(mark_spec, "growth", "model.marks")),
             tuple(mark_spec.get("interaction", ("none",))),
             tuple(mark_spec.get("noise", ("zero",))),
             float(mark_spec.get("m0", 0.0)),
             mark_spec.get("negative_policy", "clamp"),
             mark_spec.get("interaction_cutoff"))
-        paths = marks.attach_marks(ground_pairs, gi, grid, mark_seed, t_star)
     elif mname == "geostatistical":
-        gm = marks.Geostatistical(mark_spec.get("mean", 0.0),
-                                  tuple(_require(mark_spec, "kernel", "model.marks")))
-        paths = marks.attach_marks(ground_pairs, gm, grid, mark_seed, t_star)
+        mark_model = marks.Geostatistical(
+            mark_spec.get("mean", 0.0),
+            tuple(_require(mark_spec, "kernel", "model.marks")))
     elif mname == "intensity":
         if field is None:
             raise ValidationError("model.marks 'intensity' needs an lgcp ground")
-        paths = marks.attach_marks(ground_pairs, marks.IntensityDependent(field),
-                                   grid, mark_seed, t_star)
+        mark_model = marks.IntensityDependent(field)
     else:
         raise ValidationError(f"unknown mark model '{mname}' in model.marks")
+    paths = marks.attach_marks(ground_pairs, mark_model, grid, mark_seed, t_star)
     return marks.make_configuration(window, locs, auxs, paths, reference)
 
 
@@ -393,8 +386,8 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         xs = c.spatial_locations()
         births = np.asarray([p.t for p in c.points])
         lifetimes = np.asarray([p.aux.continuous[0] for p in c.points])
-        observed = np.asarray([[p.mark(s) for s in schedule.times]
-                               for p in c.points])
+        times = np.asarray(schedule.times)
+        observed = np.asarray([p.mark(times) for p in c.points])
         theta0 = _require(section, "theta0", "estimate")
         bounds = section.get("bounds")
         # integrate on the grid the marks were simulated on

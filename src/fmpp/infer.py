@@ -157,11 +157,9 @@ class JanossyValue:
 
 def sample_observations(c: Configuration, schedule: SampleSchedule) -> list:
     """Read the mark of every point at the schedule times."""
-    out = []
-    for p in c.points:
-        u = tuple(float(p.mark(s)) for s in schedule.times)
-        out.append(Observation(p.x, p.t, p.aux, u))
-    return out
+    times = np.asarray(schedule.times)
+    return [Observation(p.x, p.t, p.aux, tuple(p.mark(times).tolist()))
+            for p in c.points]
 
 
 # ---------------------------------------------------------------------------

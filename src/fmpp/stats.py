@@ -193,7 +193,8 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
         raise ValidationError("sample time outside the mark horizon")
     if bandwidth is None:
         bandwidth = 0.15 / math.sqrt(n / c.window.volume)
-    samples = [np.asarray([p.mark(s) for s in schedule.times]) for p in c.points]
+    times = np.asarray(schedule.times)
+    samples = [p.mark(times) for p in c.points]
     if classes is not None:
         labels = [classes(p) for p in c.points]
         uniq = sorted(set(labels))

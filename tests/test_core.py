@@ -25,6 +25,7 @@ from fmpp.core import (
     uniform_distance,
     write_configuration_csv,
 )
+from fmpp import _skorohod
 from fmpp.errors import ValidationError
 
 
@@ -481,6 +482,207 @@ class TestSkorohodProperties:
     def test_nonnegative_and_bounded(self, f, g):
         d = skorohod_distance(f, g, 6)
         assert 0.0 <= d <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# time-warp internals: scalar loop definitions of the per-warp cost and
+# the lattice DP, the oracles for the array code in fmpp._skorohod
+# ---------------------------------------------------------------------------
+def ref_arrays(path, t_star):
+    a, b = path.support
+    if not np.isfinite(b):
+        b = t_star + 1.0
+    return (path.grid, path.values, float(a), float(b),
+            0 if path.mode == "step" else 1)
+
+
+def ref_path_eval(grid, vals, a, b, mode, t):
+    if t < a or t >= b:
+        return 0.0
+    if mode == 0:
+        idx = np.searchsorted(grid, t, side="right") - 1
+        return 0.0 if idx < 0 else vals[idx]
+    if t < grid[0]:
+        return 0.0
+    if t >= grid[-1]:
+        return vals[-1]
+    j = np.searchsorted(grid, t, side="right") - 1
+    w = (t - grid[j]) / (grid[j + 1] - grid[j])
+    return vals[j] * (1.0 - w) + vals[j + 1] * w
+
+
+def ref_warp_eval(kt, ks, t):
+    if t <= kt[0]:
+        return ks[0]
+    if t >= kt[-1]:
+        return ks[-1]
+    j = np.searchsorted(kt, t, side="right") - 1
+    w = (t - kt[j]) / (kt[j + 1] - kt[j])
+    return ks[j] * (1.0 - w) + ks[j + 1] * w
+
+
+def ref_phi_at(u, fdat, gdat, kt, ks, tcand):
+    best = 0.0
+    for t in [*tcand, u, ref_warp_eval(ks, kt, u)]:
+        fval = ref_path_eval(*fdat, min(t, u))
+        gval = ref_path_eval(*gdat, min(ref_warp_eval(kt, ks, t), u))
+        best = max(best, min(abs(fval - gval), 1.0))
+    return best
+
+
+def ref_warp_cost(f, g, kt, ks, t_star):
+    """Per-warp functional: f read at t, g at w(t), cells split at ubreaks."""
+    fdat, gdat = ref_arrays(f, t_star), ref_arrays(g, t_star)
+    fg, _, fa, fb, fm = fdat
+    gg, _, ga, gb, gm = gdat
+    g_side = np.concatenate([gg, [ga, gb]])
+    inv = np.interp(g_side, ks, kt)
+    fwd = np.interp(np.concatenate([fg, [fa, fb]]), kt, ks)
+    t_raw = np.concatenate([fg, [fa, fb, 0.0, t_star], kt, inv])
+    tcand = np.unique(np.clip(t_raw[np.isfinite(t_raw)], 0.0, t_star))
+    u_raw = np.concatenate([t_raw, g_side, fwd, ks])
+    ubreaks = np.unique(np.clip(u_raw[np.isfinite(u_raw)], 0.0, t_star))
+    gamma = 0.0
+    for j in range(kt.shape[0] - 1):
+        gamma = max(gamma, abs(math.log((ks[j + 1] - ks[j]) / (kt[j + 1] - kt[j]))))
+    integral = 0.0
+    for ua, ub in zip(ubreaks[:-1], ubreaks[1:]):
+        probes = [ua, 0.5 * (ua + ub)] + ([ub] if fm == 1 or gm == 1 else [])
+        sup = max(ref_phi_at(u, fdat, gdat, kt, ks, tcand) for u in probes)
+        integral += (math.exp(-ua) - math.exp(-ub)) * sup
+    return max(gamma, integral)
+
+
+def ref_segment_cost(nodes, diag_mis, d_exp, mis, tail, p, q, r, s):
+    m = nodes.shape[0] - 1
+    dx = nodes[r] - nodes[p]
+    dy = nodes[s] - nodes[q]
+    w = 1e-9 * abs(math.log(dy / dx))
+    for k in range(p, r):
+        midk = 0.5 * (nodes[k] + nodes[k + 1])
+        lam = nodes[q] + (midk - nodes[p]) * dy / dx
+        kk = min(max(np.searchsorted(nodes, lam, side="right") - 1, 0), m - 1)
+        a = mis[k, kk]
+        w += d_exp[k] * max(a, diag_mis[k]) + a * tail[k]
+    return w
+
+
+def ref_tail(nodes):
+    return np.array([math.exp(-x) - math.exp(-nodes[-1]) for x in nodes[1:]])
+
+
+def ref_surrogate_dp(nodes, diag_mis, d_exp, mis, log_cap):
+    """Min-cost monotone lattice path under one slope cap; knot indices."""
+    m = nodes.shape[0] - 1
+    tail = ref_tail(nodes)
+    best = np.full((m + 1, m + 1), np.inf)
+    par = {}
+    best[0, 0] = 0.0
+    for r in range(1, m + 1):
+        for s in range(1, m + 1):
+            for p in range(r):
+                for q in range(s):
+                    dx = nodes[r] - nodes[p]
+                    dy = nodes[s] - nodes[q]
+                    if best[p, q] == np.inf or abs(math.log(dy / dx)) > log_cap:
+                        continue
+                    tot = best[p, q] + ref_segment_cost(
+                        nodes, diag_mis, d_exp, mis, tail, p, q, r, s)
+                    if tot < best[r, s]:
+                        best[r, s] = tot
+                        par[r, s] = (p, q)
+    knots = [(m, m)]
+    while knots[-1] != (0, 0):
+        knots.append(par[knots[-1]])
+    return knots[::-1]
+
+
+def surrogate_cost(nodes, diag_mis, d_exp, mis, knots):
+    tail = ref_tail(nodes)
+    return sum(ref_segment_cost(nodes, diag_mis, d_exp, mis, tail, p, q, r, s)
+               for (p, q), (r, s) in zip(knots, knots[1:]))
+
+
+def dyadic_knots(rng, n):
+    """n + 1 knots on [0, 1] whose gaps are powers of two over 64."""
+    parts = [64]
+    while len(parts) < n:
+        i = int(rng.choice([j for j, v in enumerate(parts) if v > 1]))
+        parts[i:i + 1] = [parts[i] // 2, parts[i] // 2]
+    rng.shuffle(parts)
+    return np.concatenate([[0.0], np.cumsum(parts) / 64.0])
+
+
+def sixtyfourths_path(rng, mode):
+    n = int(rng.integers(1, 6))
+    grid = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 64), n - 1,
+                                                     replace=False)) / 64.0])
+    vals = rng.integers(-96, 97, size=n) / 64.0
+    if rng.random() < 0.5:
+        b = int(rng.integers(16, 64)) / 64.0
+        vals[grid >= b] = 0.0
+        return CadlagPath(grid, vals, (0.0, b), mode, 1.0)
+    return CadlagPath(grid, vals, (0.0, np.inf), mode, 1.0)
+
+
+class TestTimeWarpInternals:
+    def test_warp_cost_reads_g_after_its_jump(self):
+        # g's breakpoint 0.2666... maps back through the warp; the scalar
+        # round trip w(w^-1(x)) lands one ulp below x and misses g's value
+        # after the jump, under-reporting the cost (0.56709)
+        at_t = CadlagPath(
+            [0.0, 0.1890580125090324, 0.4833482451651233, 0.8897444664151973,
+             0.9621986291995624],
+            [1.3308713975209234, 0.6093958627560845, -1.0057692945310195,
+             1.7371441530314486, -0.24120220013787463], (0.0, np.inf), "step", 1.0)
+        at_w = CadlagPath(
+            [0.0, 0.02185938735874884, 0.2666267355368585],
+            [1.8426595437210866, 0.41547863096301096, 0.060641467610568434],
+            (0.0, np.inf), "step", 1.0)
+        kt = np.array([0.0, 1.0 / 3.0, 0.4833482451651233, 1.0])
+        ks = np.array([0.0, 0.1890580125090324, 1.0 / 3.0, 1.0])
+        # a dense lower estimate of this warp's functional is 0.590965
+        assert _skorohod._warp_cost(at_t, at_w, kt, ks, 1.0) >= 0.59096
+
+    def test_warp_cost_matches_scalar_loop(self):
+        # on multiples of 1/64 with power-of-two warp gaps every warp
+        # evaluation and its inverse are exact, so the loop's round trip
+        # through w^-1 cannot miss a jump
+        rng = np.random.default_rng(64)
+        for trial in range(60):
+            modes = [("step", "step"), ("linear", "linear"),
+                     ("step", "linear"), ("linear", "step")][trial % 4]
+            f = sixtyfourths_path(rng, modes[0])
+            g = sixtyfourths_path(rng, modes[1])
+            n = int(rng.integers(1, 6))
+            kt, ks = dyadic_knots(rng, n), dyadic_knots(rng, n)
+            got = _skorohod._warp_cost(f, g, kt, ks, 1.0)
+            assert got == pytest.approx(ref_warp_cost(f, g, kt, ks, 1.0),
+                                        rel=0, abs=1e-12)
+
+    def test_dp_matches_scalar_loop_for_every_cap(self):
+        rng = np.random.default_rng(7)
+        for trial in range(12):
+            m = int(rng.integers(2, 7))
+            nodes = np.concatenate([[0.0], np.sort(rng.random(m - 1)), [1.0]])
+            # coarse mismatch levels make tied paths common
+            mis = rng.integers(0, 4, size=(m, m)) / 4.0
+            diag = np.diag(mis).copy()
+            d_exp = np.exp(-nodes[:-1]) - np.exp(-nodes[1:])
+            caps = [rng.uniform(0.05, 2.0) * 0.5 ** j for j in range(9)]
+            paths = _skorohod._surrogate_dp(nodes, diag, d_exp, mis, caps)
+            assert len(paths) == len(caps)
+            for knots, cap in zip(paths, caps):
+                assert knots[0] == (0, 0) and knots[-1] == (m, m)
+                steps = np.diff(np.asarray(knots), axis=0)
+                assert np.all(steps > 0)
+                for (p, q), (r, s) in zip(knots, knots[1:]):
+                    assert abs(math.log((nodes[s] - nodes[q])
+                                        / (nodes[r] - nodes[p]))) <= cap
+                want = surrogate_cost(nodes, diag, d_exp, mis,
+                                      ref_surrogate_dp(nodes, diag, d_exp, mis, cap))
+                assert surrogate_cost(nodes, diag, d_exp, mis, knots) == \
+                    pytest.approx(want, rel=1e-12)
 
 
 class TestSampleSchedule:
