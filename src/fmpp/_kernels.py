@@ -106,34 +106,78 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
 # ---------------------------------------------------------------------------
 # growth-interaction integration
 # ---------------------------------------------------------------------------
+def _gi_pairs(xs, cutoff):
+    """Pairs i < j with their squared distances, by increasing distance;
+    with ``cutoff`` >= 0 only the pairs with d^2 <= cutoff^2."""
+    i, j = np.triu_indices(xs.shape[0], 1)
+    diff = xs[i] - xs[j]
+    d2 = np.sum(diff * diff, axis=1)
+    if cutoff >= 0.0:
+        keep = d2 <= cutoff * cutoff
+        i, j, d2 = i[keep], j[keep], d2[keep]
+    order = np.argsort(d2, kind="stable")
+    return i[order], j[order], d2[order]
+
+
+def _gauss_operator(xs, a, s, cutoff):
+    """Dense K_ij = a exp(-d_ij^2 / s^2), zero on the diagonal and, with
+    ``cutoff`` >= 0, wherever d_ij^2 > cutoff^2.  Built in place, one
+    coordinate at a time, so at most two n x n float arrays are alive."""
+    n = xs.shape[0]
+    kmat = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for col in xs.T:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        kmat += diff
+    if cutoff >= 0.0:
+        kmat[kmat > cutoff * cutoff] = np.inf
+    np.negative(kmat, out=kmat)
+    kmat /= s ** 2
+    np.exp(kmat, out=kmat)
+    kmat *= a
+    np.fill_diagonal(kmat, 0.0)
+    return kmat
+
+
 def gi_integrate_values(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
                         inter_code, ip, sigma_code, sp, normals, clamp_code,
                         cutoff):
+    """Integrate the coupled growth system on the grid 0, dt, .., nsteps*dt.
+
+    The interaction operator is built once per call: the gauss kernel
+    matrix, or for overlap the pair list sorted by distance, of which each
+    drift call reads only the pairs closer than twice the largest alive mark
+    (farther pairs cannot overlap).  A drift call therefore costs
+    O(n + pairs) and allocates no n x n array.
+    """
     n = xs.shape[0]
     deaths = deaths.copy()
     vals = np.zeros((nsteps + 1, n))
     m = np.zeros(n)
     alive = np.zeros(n, dtype=bool)
-    if inter_code != 0:
-        diff = xs[:, None, :] - xs[None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        dist = np.sqrt(dist2)
+    if inter_code == 1:
+        kmat = _gauss_operator(xs, ip[0], ip[1], cutoff)
+    elif inter_code == 2:
+        pi, pj, d2 = _gi_pairs(xs, cutoff)
+        pdist = np.sqrt(d2)
 
     def drift(mv, al):
         if growth_code == 0:
             out = gp[0] * (gp[1] - mv)
         else:
             out = gp[0] * mv * (1.0 - mv / gp[1])
-        if inter_code != 0:
-            mask = al[:, None] & al[None, :]
-            np.fill_diagonal(mask, False)
-            if cutoff >= 0.0:
-                mask = mask & (dist2 <= cutoff * cutoff)
-            if inter_code == 1:
-                inter = ip[0] * mv[:, None] * mv[None, :] * np.exp(-dist2 / ip[1] ** 2)
-            else:
-                inter = ip[0] * np.maximum(mv[:, None] + mv[None, :] - dist, 0.0)
-            out = out - np.sum(np.where(mask, inter, 0.0), axis=1)
+        if inter_code == 1:
+            out = out - mv * (kmat @ np.where(al, mv, 0.0))
+        elif inter_code == 2 and np.any(al):
+            # m_i + m_j <= 2 max m, so pairs at d >= 2 max m add nothing
+            c = np.searchsorted(pdist, 2.0 * np.max(mv[al]), side="left")
+            i, j = pi[:c], pj[:c]
+            ov = np.where(al[i] & al[j],
+                          np.maximum(mv[i] + mv[j] - pdist[:c], 0.0), 0.0)
+            out = out - ip[0] * np.bincount(np.concatenate([i, j]),
+                                            np.concatenate([ov, ov]),
+                                            minlength=n)
         return np.where(al, out, 0.0)
 
     negative = False
@@ -172,19 +216,33 @@ def gi_integrate_values(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
 # pixel coverage of a union of disks
 # ---------------------------------------------------------------------------
 def coverage_count(centers, radii, lo, hi, res, torus):
-    sx = (hi[0] - lo[0]) / res
-    sy = (hi[1] - lo[1]) / res
-    px = lo[0] + (np.arange(res) + 0.5) * sx
-    py = lo[1] + (np.arange(res) + 0.5) * sy
-    X, Y = np.meshgrid(px, py, indexing="ij")
+    """Pixels of a res x res grid whose centre lies in some disk.
+
+    Each disk is tested only on its own pixel bounding box, one pixel wider
+    on each side than its extent so rounding cannot drop a pixel; on a
+    torus the box's indices wrap modulo res.
+    """
+    side = hi[:2] - lo[:2]
+    step = side / res
+    pix = [lo[a] + (np.arange(res) + 0.5) * step[a] for a in range(2)]
     cov = np.zeros((res, res), dtype=bool)
     for k in range(centers.shape[0]):
-        dx = np.abs(X - centers[k, 0])
-        dy = np.abs(Y - centers[k, 1])
-        if torus:
-            dx = np.minimum(dx, (hi[0] - lo[0]) - dx)
-            dy = np.minimum(dy, (hi[1] - lo[1]) - dy)
-        cov |= dx * dx + dy * dy <= radii[k] ** 2
+        r = radii[k]
+        box = []
+        for a in range(2):
+            first = int(np.floor((centers[k, a] - r - lo[a]) / step[a] - 0.5)) - 1
+            last = int(np.ceil((centers[k, a] + r - lo[a]) / step[a] - 0.5)) + 1
+            if torus:
+                idx = (np.arange(res) if last - first + 1 >= res
+                       else np.arange(first, last + 1) % res)
+            else:
+                idx = np.arange(max(first, 0), min(last, res - 1) + 1)
+            dist = np.abs(pix[a][idx] - centers[k, a])
+            if torus:
+                dist = np.minimum(dist, side[a] - dist)
+            box.append((idx, dist))
+        (ix, dx), (iy, dy) = box
+        cov[np.ix_(ix, iy)] |= (dx * dx)[:, None] + (dy * dy)[None, :] <= r ** 2
     return int(np.sum(cov))
 
 

@@ -16,11 +16,14 @@ searched and the functional itself is transpose-invariant).
 
 Candidate warps from coarser lattices in the internal resolution ladder are
 kept, so doubling the resolution never increases the result: the evaluated
-family only grows, and the per-warp functional does not depend on the
-lattice (its u-integration splits at all breakpoints of the integrand).
+family only grows.  Each warp's cost charges every u-cell (cells split at
+all breakpoints of the integrand) its sup.  For step paths the integrand is
+constant on a cell, so the cost is the integral and does not depend on the
+warp's knots; when a path is linearly interpolated it is an upper bound of
+the integral that extra knots on a straight warp piece can lower.
 
-Paths are read through ``CadlagPath.__call__`` and warps through
-``np.interp``, on whole arrays of times at once.
+Paths are read through ``CadlagPath.__call__`` (and at left limits) and
+warps through ``np.interp``, on whole arrays of times at once.
 """
 from __future__ import annotations
 
@@ -38,17 +41,36 @@ def _points(parts, t_star):
     return np.unique(np.clip(raw[np.isfinite(raw)], 0.0, t_star))
 
 
-def _phi(f, g, kt, ks, t_cand, w_cand, u):
+def _left(path, t):
+    """Left limits lim_{s -> t-} path(s) at an array of times."""
+    if path.mode == "step":
+        idx = np.searchsorted(path.grid, t, side="left") - 1
+        out = np.where(idx >= 0, path.values[np.clip(idx, 0, None)], 0.0)
+    else:
+        out = np.where(t <= path.grid[0], 0.0,
+                       np.interp(t, path.grid, path.values))
+    a, b = path.support
+    return np.where((t > a) & (t <= b), out, 0.0)
+
+
+def _phi(f, g, kt, ks, t_cand, w_cand, u, left):
     """sup over t of min(|f(t^u) - g(w(t)^u)|, 1) for each probe in ``u``.
 
     ``(t_cand, w_cand)`` are the probe-independent candidate pairs (t, w(t));
-    each probe adds (u, w(u)) and (w^{-1}(u), u).
+    each probe adds (u, w(u)) and (w^{-1}(u), u).  With ``left`` the
+    difference is also read at each candidate's left limit in t, where
+    t -> f(t^u) is f's left limit for t <= u and f(u) beyond it (likewise
+    for g at w(t)).
     """
     uc = u[:, None]
     shape = (u.size, t_cand.size)
     tt = np.hstack([np.broadcast_to(t_cand, shape), uc, np.interp(uc, ks, kt)])
     ww = np.hstack([np.broadcast_to(w_cand, shape), np.interp(uc, kt, ks), uc])
-    diff = np.abs(f(np.minimum(tt, uc)) - g(np.minimum(ww, uc)))
+    ft, gw = np.minimum(tt, uc), np.minimum(ww, uc)
+    diff = np.abs(f(ft) - g(gw))
+    if left:
+        diff = np.maximum(diff, np.abs(np.where(tt <= uc, _left(f, ft), f(uc))
+                                       - np.where(ww <= uc, _left(g, gw), g(uc))))
     return np.minimum(diff, 1.0).max(axis=1)
 
 
@@ -60,11 +82,14 @@ def _warp_cost(f, g, kt, ks, t_star):
     discontinuity of the integrand in t: f's breakpoints, the warp knots,
     and the preimages w^{-1}(x) of g's breakpoints x.  A preimage is paired
     with x itself, never with w(w^{-1}(x)), which can round below x and miss
-    g's value after its jump.  The integrand u -> phi(u) is right-continuous
-    with breakpoints among all of those times and their images; on each
-    u-cell its sup is the cell value (step paths) or is attained at the cell
-    ends (piecewise-affine pieces when either path is linearly interpolated,
-    in which case the right endpoint is probed too).
+    g's value after its jump.  When either path is linearly interpolated the
+    integrand is affine between those times, so its sup over a piece may be
+    the left limit at the piece's end, and both paths are read there too.
+    The integrand u -> phi(u) is right-continuous with breakpoints among all
+    of those times and their images; on each u-cell its sup is the cell
+    value (step paths) or is attained at the cell ends (piecewise-affine
+    pieces when either path is linear, in which case the right endpoint is
+    probed too).
     """
     gamma = max(abs(math.log(s)) for s in (np.diff(ks) / np.diff(kt)).tolist())
     t_f = _points([f.grid, f.support, (0.0, t_star), kt], t_star)
@@ -74,11 +99,13 @@ def _warp_cost(f, g, kt, ks, t_star):
     ubreaks = _points([t_cand, w_cand], t_star)
     starts, ends = ubreaks[:-1], ubreaks[1:]
     probes = [starts, 0.5 * (starts + ends)]
-    if f.mode == "linear" or g.mode == "linear":
+    linear = f.mode == "linear" or g.mode == "linear"
+    if linear:
         probes.append(ends)
     u = np.concatenate(probes)
     block = max(1, _PROBE_BLOCK_ENTRIES // (t_cand.size + 2))
-    phi = np.concatenate([_phi(f, g, kt, ks, t_cand, w_cand, u[i:i + block])
+    phi = np.concatenate([_phi(f, g, kt, ks, t_cand, w_cand, u[i:i + block],
+                               linear)
                           for i in range(0, u.size, block)])
     sup = phi.reshape(len(probes), starts.size).max(axis=0)
     e = np.array([math.exp(-x) for x in ubreaks.tolist()])

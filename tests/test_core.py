@@ -511,6 +511,18 @@ def ref_path_eval(grid, vals, a, b, mode, t):
     return vals[j] * (1.0 - w) + vals[j + 1] * w
 
 
+def ref_path_left(grid, vals, a, b, mode, t):
+    """Left limit at t: the value just before t."""
+    if t <= a or t > b:
+        return 0.0
+    if mode == 0:
+        idx = np.searchsorted(grid, t, side="left") - 1
+        return 0.0 if idx < 0 else vals[idx]
+    if t <= grid[0]:
+        return 0.0
+    return ref_path_eval(grid, vals, -np.inf, np.inf, 1, t)
+
+
 def ref_warp_eval(kt, ks, t):
     if t <= kt[0]:
         return ks[0]
@@ -522,11 +534,18 @@ def ref_warp_eval(kt, ks, t):
 
 
 def ref_phi_at(u, fdat, gdat, kt, ks, tcand):
+    linear = fdat[4] == 1 or gdat[4] == 1
     best = 0.0
     for t in [*tcand, u, ref_warp_eval(ks, kt, u)]:
+        wt = ref_warp_eval(kt, ks, t)
         fval = ref_path_eval(*fdat, min(t, u))
-        gval = ref_path_eval(*gdat, min(ref_warp_eval(kt, ks, t), u))
+        gval = ref_path_eval(*gdat, min(wt, u))
         best = max(best, min(abs(fval - gval), 1.0))
+        if linear:
+            # left limits in t of f(t^u) and g(w(t)^u)
+            fval = ref_path_left(*fdat, t) if t <= u else ref_path_eval(*fdat, u)
+            gval = ref_path_left(*gdat, wt) if wt <= u else ref_path_eval(*gdat, u)
+            best = max(best, min(abs(fval - gval), 1.0))
     return best
 
 
@@ -659,6 +678,48 @@ class TestTimeWarpInternals:
             got = _skorohod._warp_cost(f, g, kt, ks, 1.0)
             assert got == pytest.approx(ref_warp_cost(f, g, kt, ks, 1.0),
                                         rel=0, abs=1e-12)
+
+    def test_warp_cost_reads_left_limits_of_linear_paths(self):
+        # f jumps to -0.5 at 0.5 and g(t) = -0.8 t: just before 0.5 the two
+        # differ by 0.4, a left limit that no breakpoint value shows
+        f = CadlagPath([0.0, 0.5], [0.0, -0.5], None, "step", 1.0)
+        g = CadlagPath([0.0, 1.0], [0.0, -0.8], None, "linear", 1.0)
+        # identity warp: phi(u) = 0.8 u below 0.5 and 0.4 above
+        integral = (0.8 * (1 - 1.5 * math.exp(-0.5))
+                    + 0.4 * (math.exp(-0.5) - math.exp(-1)))
+        for knots in ([0.0, 1.0], [0.0, 0.25, 0.5, 1.0]):
+            kt = np.asarray(knots)
+            assert _skorohod._warp_cost(f, g, kt, kt, 1.0) >= integral
+        # any warp w has phi(u) = 0.8 u below 0.5 and, with c = w(0.5) <= 0.5,
+        # phi >= 0.8 c above it at a slope cost >= log(1 / 2c); the smaller
+        # of the two bounds is >= 0.1535 for every c (0.15029 before the fix)
+        d = skorohod_distance(f, g, 8)
+        assert d == skorohod_distance(g, f, 8)
+        assert d >= 0.1535
+
+    def test_warp_cost_bounds_the_dense_integral(self):
+        # each u-cell is charged its sup, so a warp's cost is at least the
+        # integral of e^{-u} phi(u); estimate it by a left-end Riemann sum
+        # with phi read on a dense t grid, which can only under-read the sup
+        rng = np.random.default_rng(3)
+        u = np.arange(256) / 256.0
+        e = np.exp(-np.arange(257) / 256.0)
+        for trial in range(60):
+            modes = [("step", "linear"), ("linear", "step"),
+                     ("linear", "linear")][trial % 3]
+            f = sixtyfourths_path(rng, modes[0])
+            g = sixtyfourths_path(rng, modes[1])
+            n = int(rng.integers(1, 6))
+            kt, ks = dyadic_knots(rng, n), dyadic_knots(rng, n)
+            t = np.linspace(0.0, 1.0, 513)
+            t = np.unique(np.concatenate([t, t - 1e-9, f.grid - 1e-9,
+                                          np.interp(g.grid, ks, kt) - 1e-9]))
+            t = t[(t >= 0.0) & (t <= 1.0)]
+            w = np.interp(t, kt, ks)
+            phi = np.minimum(np.abs(f(np.minimum(t, u[:, None]))
+                                    - g(np.minimum(w, u[:, None]))), 1.0).max(axis=1)
+            dense = float(np.sum((e[:-1] - e[1:]) * phi))
+            assert _skorohod._warp_cost(f, g, kt, ks, 1.0) >= dense - 1e-12
 
     def test_dp_matches_scalar_loop_for_every_cap(self):
         rng = np.random.default_rng(7)

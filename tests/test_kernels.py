@@ -3,6 +3,9 @@
 The loops are the plain per-pair / per-pixel definitions of each kernel;
 they are slow and serve only as oracles on small inputs.
 """
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -88,6 +91,8 @@ def gibbs_chain_loop(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
 def gi_drift_loop(m, alive, xs, growth_code, gp, inter_code, ip, cutoff):
     n = m.shape[0]
     out = np.zeros(n)
+    m, alive, xs = m.tolist(), alive.tolist(), xs.tolist()
+    gp, ip = gp.tolist(), ip.tolist()
     for i in range(n):
         if not alive[i]:
             continue
@@ -99,13 +104,13 @@ def gi_drift_loop(m, alive, xs, growth_code, gp, inter_code, ip, cutoff):
             for j in range(n):
                 if j == i or not alive[j]:
                     continue
-                dist2 = float(np.sum((xs[i] - xs[j]) ** 2))
+                dist2 = sum((a - b) ** 2 for a, b in zip(xs[i], xs[j]))
                 if cutoff >= 0.0 and dist2 > cutoff * cutoff:
                     continue
                 if inter_code == 1:
-                    drift -= ip[0] * m[i] * m[j] * np.exp(-dist2 / (ip[1] * ip[1]))
+                    drift -= ip[0] * m[i] * m[j] * math.exp(-dist2 / (ip[1] * ip[1]))
                 else:
-                    ov = m[i] + m[j] - np.sqrt(dist2)
+                    ov = m[i] + m[j] - math.sqrt(dist2)
                     if ov > 0.0:
                         drift -= ip[0] * ov
         out[i] = drift
@@ -257,6 +262,21 @@ def test_gibbs_chain_variants_agree(rng):
         np.testing.assert_array_equal(got, want)
 
 
+def clustered_points(rng, n_clusters, per_cluster, spread):
+    centres = 0.2 + 0.6 * rng.random((n_clusters, 2))
+    return np.repeat(centres, per_cluster, axis=0) + spread * rng.standard_normal(
+        (n_clusters * per_cluster, 2))
+
+
+def check_gi_against_loop(args):
+    a, na, da = K.gi_integrate_values(*args)
+    b, nb, db = gi_integrate_loop(*args)
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    assert na == nb
+    np.testing.assert_array_equal(da, db)
+    return b, nb
+
+
 def test_gi_integrate_variants_agree(rng):
     n = 6
     xs = rng.random((n, 2))
@@ -272,13 +292,53 @@ def test_gi_integrate_variants_agree(rng):
                                  (1, 0.6, 1), (1, 0.6, 2)):
             args = (xs, births, deaths.copy(), 0.1, 0.01, 100, gcode, gp,
                     icode, ip, scode, np.array([sp]), normals, clamp, cutoff)
-            a, na, da = K.gi_integrate_values(*args)
-            b, nb, db = gi_integrate_loop(*args)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-            assert na == nb
-            np.testing.assert_array_equal(da, db)
-            negatives += nb
+            negatives += check_gi_against_loop(args)[1]
     assert negatives > 0
+
+    # clusters whose within-cluster pairs sit inside the cutoff and inside
+    # 2 max m while the pairs across clusters do not
+    xs = clustered_points(rng, 4, 10, 0.04)
+    n, nsteps, cutoff = xs.shape[0], 40, 0.15
+    births = rng.random(n) * 0.3
+    deaths = births + 0.5 + rng.random(n)
+    normals = rng.standard_normal((nsteps, n))
+    dist = np.sqrt(np.sum((xs[:, None] - xs[None]) ** 2, axis=-1))[
+        np.triu_indices(n, 1)]
+    assert np.any(dist <= cutoff) and np.any(dist > cutoff)
+    negatives = 0
+    for gcode in (0, 1):
+        for icode in (1, 2):
+            for cut in (-1.0, cutoff):
+                # noise code, noise scale, negative policy
+                # (0 clamp, 1 absorb, 2 error)
+                for scode, sp, clamp in ((0, 0.0, 0), (1, 0.2, 0), (2, 0.8, 0),
+                                         (1, 0.6, 1), (1, 0.6, 2), (2, 1.5, 1)):
+                    args = (xs, births, deaths.copy(), 0.05, 1.0 / nsteps,
+                            nsteps, gcode, gp, icode, ip, scode, np.array([sp]),
+                            normals, clamp, cut)
+                    b, nb = check_gi_against_loop(args)
+                    negatives += nb
+                    if icode == 2 and scode == 0:
+                        # the overlap cut at 2 max m splits the pair list
+                        assert dist.min() < 2.0 * b.max() < dist.max()
+    assert negatives > 0
+
+
+def test_gi_integrate_memory_holds_one_operator():
+    # the gauss operator is built once; drift calls add no n x n arrays
+    n = 1000
+    xs = np.random.default_rng(3).random((n, 2))
+    args = (xs, np.zeros(n), np.full(n, np.inf), 0.05, 0.1, 5, 0,
+            np.array([1.0, 1.0]), 1, np.array([0.5, 0.02]), 0, np.zeros(1),
+            np.zeros((1, n)), 0, -1.0)
+    tracemalloc.start()
+    try:
+        vals, _, _ = K.gi_integrate_values(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(vals[-1] > 0.05)
+    assert peak < 3 * n * n * 8
 
 
 def test_coverage_count_variants_agree(rng):
@@ -289,6 +349,28 @@ def test_coverage_count_variants_agree(rng):
     for torus in (False, True):
         assert (K.coverage_count(centers, radii, lo, hi, 64, torus)
                 == coverage_count_loop(centers, radii, lo, hi, 64, torus))
+    # an offset window with unequal sides: disks that wrap a corner on the
+    # torus and one taller than the window
+    lo = np.array([-0.5, 2.0])
+    hi = np.array([0.7, 2.8])
+    side = hi - lo
+    centers = lo + side * np.array([[0.01, 0.02], [0.99, 0.97], [0.03, 0.98],
+                                    [0.5, 0.5], [0.25, 0.75], [0.6, 0.1]])
+    radii = np.array([0.1, 0.05, 0.2, 0.5, 0.08, 0.02])
+    for torus in (False, True):
+        got = K.coverage_count(centers, radii, lo, hi, 48, torus)
+        assert got == coverage_count_loop(centers, radii, lo, hi, 48, torus)
+        assert 0 < got < 48 * 48
+    assert (K.coverage_count(centers[:3], radii[:3], lo, hi, 48, True)
+            > K.coverage_count(centers[:3], radii[:3], lo, hi, 48, False))
+    # centres on pixel centres and whole-pixel radii: the outermost pixels
+    # of each disk lie exactly on its circle, one of them across a corner
+    centers = np.array([[10.5, 20.5], [0.5, 31.5], [31.5, 0.5]]) / 32
+    radii = np.array([3.0, 2.0, 1.0]) / 32
+    lo, hi = np.zeros(2), np.ones(2)
+    for torus in (False, True):
+        assert (K.coverage_count(centers, radii, lo, hi, 32, torus)
+                == coverage_count_loop(centers, radii, lo, hi, 32, torus))
 
 
 def test_neighbour_counts_variants_agree(rng):
