@@ -2,13 +2,18 @@
 
 Subpackage map:
 
-- ``core``      state spaces, cadlag paths, configurations, path metrics
+- ``core``      windows, cadlag paths, columnar configurations, path metrics
 - ``ground``    ground-process simulators and thinning
 - ``marks``     functional-mark models and mark densities
 - ``geometry``  union-of-disks sections and coverage
 - ``stats``     summary statistics, trace-variogram, kriging, identity checks
 - ``infer``     intensity functionals, likelihoods and estimation schemes
 - ``cli``       command-line entry point
+
+A ``Configuration`` is stored as columns: a read-only (n, D) ``ground``
+array (event time last on a temporal window), a tuple of ``auxs`` and a
+tuple of cadlag ``marks``; ``Configuration.points`` builds ``MarkedPoint``
+views from them on demand.
 
 Hot numeric kernels live in ``_kernels``, one NumPy/SciPy implementation
 each; the time-warp metric's dynamic program lives in ``_skorohod``, on

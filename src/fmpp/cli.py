@@ -95,7 +95,6 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
     aux_spec = model.get("aux", {"kind": "none"})
     mark_spec = model.get("marks", {"model": "none"})
     grid = _mark_grid(cfg, window)
-    t_star = window.t_star if window.is_temporal else float(grid[-1])
     # the ground draws from seed itself; aux marks and functional marks each
     # draw from their own child stream of it
     aux_seed, mark_seed = np.random.SeedSequence(seed).spawn(2)
@@ -166,13 +165,6 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
         raise ValidationError(f"unknown aux kind '{kind}' in model.aux")
 
     mname = mark_spec.get("model", "none")
-    ground_pairs = []
-    for i in range(n):
-        loc = locs[i]
-        if window.is_temporal:
-            ground_pairs.append(((tuple(loc[: window.dim]), float(loc[-1])), auxs[i]))
-        else:
-            ground_pairs.append(((tuple(loc), None), auxs[i]))
     if mname == "none":
         mark_model = marks.Deterministic(("constant", 1.0))
     elif mname == "constant":
@@ -198,7 +190,7 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
         mark_model = marks.IntensityDependent(field)
     else:
         raise ValidationError(f"unknown mark model '{mname}' in model.marks")
-    paths = marks.attach_marks(ground_pairs, mark_model, grid, mark_seed, t_star)
+    paths = marks.attach_marks(window, locs, auxs, mark_model, grid, mark_seed)
     return marks.make_configuration(window, locs, auxs, paths, reference)
 
 
@@ -238,6 +230,21 @@ def _load_replicates(cfg: dict, section: dict, out: Path) -> list:
     return [configuration_from_json(p.read_text(encoding="utf-8")) for p in paths]
 
 
+def _coverage(configs: list, times, res: int):
+    """The coverage CSV header and rows (t, the covered fraction of each
+    replicate, their mean), and per time the sections of every replicate."""
+    header = (["t"] + [f"fraction_r{r:03d}" for r in range(len(configs))]
+              + ["pooled"])
+    rows, sections = [], []
+    for t in times:
+        secs = [geo.section(c, t) for c in configs]
+        fr = [geo.coverage_fraction(s, c.window, res)
+              for s, c in zip(secs, configs)]
+        rows.append([_fmt(t), *[_fmt(v) for v in fr], _fmt(float(np.mean(fr)))])
+        sections.append(secs)
+    return header, rows, sections
+
+
 def run_summarize(cfg: dict, out: Path, seed: int) -> int:
     section = cfg.get("summarize", {})
     configs = _load_replicates(cfg, section, out)
@@ -275,7 +282,7 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
         bins = section["variogram"].get("bins", 15)
         ests = []
         for c in configs:
-            curves = [(p.x, p.mark) for p in c.points]
+            curves = list(zip(c.spatial_locations(), c.marks))
             ests.append(stats.trace_variogram(curves, bins))
         centers = ests[0].bin_centers
         header = ["h"] + [f"gamma_r{r:03d}" for r in range(len(configs))] + ["pooled"]
@@ -288,12 +295,7 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
         csec = section["coverage"]
         times = _require(csec, "times", "summarize.coverage")
         res = int(csec.get("resolution", 128))
-        header = ["t"] + [f"fraction_r{r:03d}" for r in range(len(configs))] + ["pooled"]
-        rows = []
-        for t in times:
-            fr = [geo.coverage_fraction(geo.section(c, t), c.window, res)
-                  for c in configs]
-            rows.append([_fmt(t), *[_fmt(v) for v in fr], _fmt(float(np.mean(fr)))])
+        header, rows, _ = _coverage(configs, times, res)
         _csv_write(out / "coverage.csv", {**meta, "resolution": res}, header, rows)
     return 0
 
@@ -326,6 +328,7 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
     schedule = (SampleSchedule(tuple(cfg["schedule"]))
                 if cfg.get("schedule") else None)
     budget = int(section.get("budget", 500))
+    data = [infer.Observation(p.x, p.t) for p in c.points]
 
     if scheme == "mle-temporal":
         theta0 = section.get("theta0", [1.0] if family == "poisson-t" else [0.0, 0.0])
@@ -334,7 +337,6 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                              else [[-10.0, 10.0], [-10.0, 10.0]])
         model = infer.ParametricModel(family, theta0, window,
                                       tuple(tuple(b) for b in bounds))
-        data = [infer.Observation(p.x, p.t) for p in c.points]
         fit = infer.fit_loglik_temporal(model, data, None, budget=budget)
     elif scheme == "pseudo":
         theta0 = section.get("theta0", [_require(gspec, "beta", "model.ground"),
@@ -344,13 +346,11 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
             "gibbs", theta0, window, tuple(tuple(b) for b in bounds),
             interaction_range=_require(gspec, "range", "model.ground"),
             temporal_range=gspec.get("temporal_range"))
-        data = [infer.Observation(p.x, p.t) for p in c.points]
         fit = infer.fit_pseudolikelihood(model, data, None, budget=budget,
                                          quad_res=int(section.get("quad_res", 48)))
     elif scheme == "mle-janossy":
         theta0 = section.get("theta0", [1.0])
         bounds = section.get("bounds", [[1e-9, 1e6]])
-        data = [infer.Observation(p.x, p.t) for p in c.points]
 
         def objective(theta):
             model = infer.ParametricModel("poisson", theta, window)
@@ -379,21 +379,20 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         if not window.is_temporal:
             raise ValidationError(
                 "estimate 'least-squares' needs window.t_star (birth times)")
-        if any(p.aux.continuous is None for p in c.points):
+        if any(a.continuous is None for a in c.auxs):
             raise ValidationError(
                 "estimate 'least-squares' needs lifetime aux marks "
                 "(model.aux.kind = 'lifetime')")
-        xs = c.spatial_locations()
-        births = np.asarray([p.t for p in c.points])
-        lifetimes = np.asarray([p.aux.continuous[0] for p in c.points])
+        lifetimes = np.asarray([a.continuous[0] for a in c.auxs])
         times = np.asarray(schedule.times)
-        observed = np.asarray([p.mark(times) for p in c.points])
+        observed = np.asarray([m(times) for m in c.marks])
         theta0 = _require(section, "theta0", "estimate")
         bounds = section.get("bounds")
         # integrate on the grid the marks were simulated on
         grid = _mark_grid(cfg, window)
         fit = infer.least_squares_marks(
-            family_fn, (xs, births, lifetimes), observed, schedule, theta0,
+            family_fn, (c.spatial_locations(), c.ground[:, -1], lifetimes),
+            observed, schedule, theta0,
             [tuple(b) for b in bounds] if bounds else None,
             dt=float(grid[1] - grid[0]), t_star=window.t_star,
             budget=budget, seed=seed)
@@ -420,23 +419,14 @@ def run_geometry(cfg: dict, out: Path, seed: int) -> int:
     configs = _load_replicates(cfg, section, out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_hash": _config_hash(cfg), "resolution": res}
-    sec_rows = []
-    cov_rows = []
-    for t in times:
-        fracs = []
-        for r, c in enumerate(configs):
-            s = geo.section(c, t)
-            for k in range(len(s)):
-                sec_rows.append([r, _fmt(t), _fmt(s.centers[k, 0]),
-                                 _fmt(s.centers[k, 1]), _fmt(s.radii[k])])
-            fracs.append(geo.coverage_fraction(s, c.window, res))
-        cov_rows.append([_fmt(t), *[_fmt(v) for v in fracs],
-                         _fmt(float(np.mean(fracs)))])
+    header, cov_rows, sections = _coverage(configs, times, res)
+    sec_rows = [[r, _fmt(t), _fmt(s.centers[k, 0]), _fmt(s.centers[k, 1]),
+                 _fmt(s.radii[k])]
+                for t, secs in zip(times, sections)
+                for r, s in enumerate(secs) for k in range(len(s))]
     _csv_write(out / "sections.csv", meta,
                ["replicate", "t", "x", "y", "radius"], sec_rows)
-    _csv_write(out / "coverage.csv", meta,
-               ["t"] + [f"fraction_r{r:03d}" for r in range(len(configs))]
-               + ["pooled"], cov_rows)
+    _csv_write(out / "coverage.csv", meta, header, cov_rows)
     return 0
 
 
@@ -465,12 +455,12 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
 
     def simulate(s):
         locs = ground.simulate_poisson(ground.HomogeneousPoisson(rate), window, s)
+        auxs = [AuxMark(discrete=1)] * len(locs)
         return marks.make_configuration(
-            window, locs, [AuxMark(discrete=1)] * len(locs),
-            marks.attach_marks([((tuple(x), None), AuxMark(discrete=1))
-                                for x in locs],
+            window, locs, auxs,
+            marks.attach_marks(window, locs, auxs,
                                marks.Deterministic(("constant", 1.0)),
-                               np.linspace(0, 1, 3), s, 1.0))
+                               np.linspace(0.0, window.t_star or 1.0, 3), s))
 
     if "campbell" in names:
         rep = stats.campbell_check(

@@ -1,10 +1,14 @@
 """Core state spaces and geometric primitives.
 
-Houses the observation window, grid-sampled cadlag paths, marked points,
-finite configurations and their reference-measure descriptors, together
-with the path metrics (time-warp metric and uniform metric), cylinder
-neighbourhoods, ground/temporal projections, torus shifts and JSON/CSV
-serialization.
+Houses the observation window with its ground box and midpoint rule,
+grid-sampled cadlag paths, marked points, finite configurations and their
+reference-measure descriptors, together with the path metrics (time-warp
+metric and uniform metric), cylinder neighbourhoods, ground/temporal
+projections, torus shifts and JSON/CSV serialization.
+
+A configuration is stored as columns: an (n, D) ground array (event time
+last on a temporal window), a tuple of aux marks and a tuple of cadlag
+marks.  ``MarkedPoint`` objects are per-point views built on demand.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from .errors import ValidationError
 
 __all__ = [
     "Window",
+    "ground_array",
+    "midpoint_rule",
     "AuxMark",
     "CadlagPath",
     "MarkedPoint",
@@ -98,16 +104,14 @@ class Window:
     def is_temporal(self) -> bool:
         return self.t_star is not None
 
-    def contains(self, x: Sequence[float], t: float | None = None) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValidationError(f"location must have dimension {self.dim}")
-        ok = bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+    @property
+    def ground_bounds(self) -> list:
+        """(lo, hi) per ground axis: the spatial sides, then (0, t_star)
+        when temporal."""
+        bounds = list(zip(self.lo, self.hi))
         if self.is_temporal:
-            if t is None:
-                return False
-            ok = ok and 0.0 <= t <= self.t_star
-        return ok
+            bounds.append((0.0, self.t_star))
+        return bounds
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Wrap spatial coordinates onto the torus (requires torus flag)."""
@@ -128,6 +132,33 @@ class Window:
         if t1 is None or t2 is None:
             return ds
         return max(ds, self.time_scale * abs(t1 - t2))
+
+
+def ground_array(window: Window, ground) -> np.ndarray:
+    """``ground`` as a new float (n, D) array: the spatial coordinates, then
+    the event time when the window is temporal."""
+    g = np.array(ground, dtype=float)
+    D = len(window.ground_bounds)
+    if g.size == 0:
+        return g.reshape(0, D)
+    if g.ndim != 2 or g.shape[1] != D:
+        raise ValidationError(
+            f"ground locations must form an (n, {D}) array"
+            + (" with the event time last" if window.is_temporal else ""))
+    return g
+
+
+def midpoint_rule(bounds, quad_res: int):
+    """Nodes (quad_res**k, k) of the midpoint rule with ``quad_res`` cells
+    on each of the k axes ``bounds`` = [(lo, hi), ...], and the cell volume."""
+    mids = []
+    for lo, hi in bounds:
+        edges = np.linspace(lo, hi, quad_res + 1)
+        mids.append(0.5 * (edges[:-1] + edges[1:]))
+    mesh = np.meshgrid(*mids, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    cell = float(np.prod([(hi - lo) / quad_res for lo, hi in bounds]))
+    return nodes, cell
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +278,6 @@ class MarkedPoint:
         if self.t is not None:
             object.__setattr__(self, "t", float(self.t))
 
-    @property
-    def location(self):
-        return (self.x, self.t)
-
 
 # ---------------------------------------------------------------------------
 # Reference measures
@@ -334,67 +361,79 @@ class SampleSchedule:
 class Configuration:
     """A finite realization: marked points in a window plus reference spec.
 
-    The ground locations must be pairwise distinct (simplicity of the ground
-    measure); construction fails otherwise.
+    Stored as columns: ``ground`` is a read-only (n, D) array of ground
+    locations (the event time last on a temporal window), ``auxs`` the n
+    aux marks and ``marks`` the n cadlag marks.  The ground locations must
+    lie in the window and be pairwise distinct (simplicity of the ground
+    measure), and on a temporal window every mark support starts at a
+    nonnegative time; construction fails otherwise.
     """
 
-    __slots__ = ("points", "window", "reference")
+    __slots__ = ("window", "ground", "auxs", "marks", "reference")
 
-    def __init__(self, points: Iterable[MarkedPoint], window: Window,
+    def __init__(self, window: Window, ground, auxs: Iterable[AuxMark],
+                 marks: Iterable[CadlagPath],
                  reference: ReferenceSpec | None = None):
-        points = tuple(points)
-        seen = set()
-        for p in points:
-            if not isinstance(p, MarkedPoint):
-                raise ValidationError("configuration points must be MarkedPoint")
-            key = (p.x, p.t)
-            if key in seen:
-                raise ValidationError(f"duplicate ground location {key}")
-            seen.add(key)
-            if window.is_temporal and p.t is None:
-                raise ValidationError("temporal window requires event times")
-            if not window.contains(p.x, p.t):
-                raise ValidationError(f"point {key} lies outside the window")
-            if window.is_temporal and p.mark.support[0] < -1e-12:
-                raise ValidationError("mark support must start at a nonnegative time")
-        self.points = points
+        ground = ground_array(window, ground)
+        auxs, marks = tuple(auxs), tuple(marks)
+        n = ground.shape[0]
+        if len(auxs) != n or len(marks) != n:
+            raise ValidationError("configuration needs one aux mark and one "
+                                  "mark per ground location")
+        lo, hi = np.asarray(window.ground_bounds, dtype=float).T
+        outside = ~np.all((ground >= lo) & (ground <= hi), axis=1)
+        if np.any(outside):
+            key = tuple(ground[np.argmax(outside)].tolist())
+            raise ValidationError(f"point {key} lies outside the window")
+        rows = ground[np.lexsort(ground.T[::-1])]
+        same = np.all(rows[1:] == rows[:-1], axis=1)
+        if np.any(same):
+            key = tuple(rows[np.argmax(same)].tolist())
+            raise ValidationError(f"duplicate ground location {key}")
+        if window.is_temporal and any(m.support[0] < -1e-12 for m in marks):
+            raise ValidationError("mark support must start at a nonnegative time")
+        ground.flags.writeable = False
         self.window = window
+        self.ground = ground
+        self.auxs = auxs
+        self.marks = marks
         self.reference = reference if reference is not None else ReferenceSpec()
 
     def __len__(self):
-        return len(self.points)
+        return self.ground.shape[0]
 
     def __iter__(self):
         return iter(self.points)
 
+    @property
+    def points(self) -> tuple:
+        """The points as ``MarkedPoint`` views, built on each access."""
+        d, temporal = self.window.dim, self.window.is_temporal
+        return tuple(MarkedPoint(g[:d], g[d] if temporal else None, a, m)
+                     for g, a, m in zip(self.ground.tolist(), self.auxs,
+                                        self.marks))
+
     def locations(self) -> np.ndarray:
-        """Ground locations as an (n, d) or (n, d+1) array (time last)."""
-        if not self.points:
-            d = self.window.dim + (1 if self.window.is_temporal else 0)
-            return np.empty((0, d))
-        rows = []
-        for p in self.points:
-            rows.append(list(p.x) + ([p.t] if self.window.is_temporal else []))
-        return np.asarray(rows, dtype=float)
+        """The ``ground`` column: an (n, d) or (n, d+1) array (time last)."""
+        return self.ground
 
     def spatial_locations(self) -> np.ndarray:
-        if not self.points:
-            return np.empty((0, self.window.dim))
-        return np.asarray([p.x for p in self.points], dtype=float)
+        return self.ground[:, : self.window.dim]
 
 
 def ground_projection(c: Configuration) -> list:
     """Drop all marks: the ground locations, order preserved."""
+    d = c.window.dim
     if c.window.is_temporal:
-        return [(p.x, p.t) for p in c.points]
-    return [p.x for p in c.points]
+        return [(tuple(g[:d]), g[d]) for g in c.ground.tolist()]
+    return [tuple(g) for g in c.ground.tolist()]
 
 
 def temporal_projection(c: Configuration) -> list:
     """Event times of a temporally grounded configuration, order preserved."""
     if not c.window.is_temporal:
         raise ValidationError("configuration has no temporal component")
-    return [p.t for p in c.points]
+    return c.ground[:, -1].tolist()
 
 
 def shift(c: Configuration, z) -> Configuration:
@@ -412,16 +451,11 @@ def shift(c: Configuration, z) -> Configuration:
         z, zt = z[:d], float(z[d])
     else:
         raise ValidationError("shift vector has the wrong dimension")
-    new_points = []
-    for p in c.points:
-        x = np.asarray(p.x) + z
-        if c.window.torus:
-            x = c.window.wrap(x)
-        t = p.t if p.t is None else p.t + zt
-        if not c.window.contains(x, t):
-            raise ValidationError("shift pushes a point outside the window")
-        new_points.append(MarkedPoint(tuple(x), t, p.aux, p.mark))
-    return Configuration(new_points, c.window, c.reference)
+    x = c.ground[:, :d] + z
+    if c.window.torus:
+        x = c.window.wrap(x)
+    ground = np.hstack([x, c.ground[:, d:] + zt])
+    return Configuration(c.window, ground, c.auxs, c.marks, c.reference)
 
 
 def cylinder_contains(center, u: float, v: float, query, window: Window | None = None) -> bool:
@@ -521,6 +555,7 @@ def _aux_from_obj(obj: dict) -> AuxMark:
 def configuration_to_json(c: Configuration) -> str:
     """Serialize a configuration; floats round-trip at full precision."""
     sup = lambda s: [s[0], None if np.isinf(s[1]) else s[1]]
+    d, temporal = c.window.dim, c.window.is_temporal
     obj = {
         "window": {
             "lo": list(c.window.lo),
@@ -535,18 +570,18 @@ def configuration_to_json(c: Configuration) -> str:
         },
         "points": [
             {
-                "x": list(p.x),
-                **({"t": p.t} if p.t is not None else {}),
-                "aux": _aux_to_obj(p.aux),
+                "x": g[:d],
+                **({"t": g[d]} if temporal else {}),
+                "aux": _aux_to_obj(a),
                 "mark": {
-                    "grid": p.mark.grid.tolist(),
-                    "values": p.mark.values.tolist(),
-                    "support": sup(p.mark.support),
-                    "mode": p.mark.mode,
-                    "t_star": p.mark.t_star,
+                    "grid": m.grid.tolist(),
+                    "values": m.values.tolist(),
+                    "support": sup(m.support),
+                    "mode": m.mode,
+                    "t_star": m.t_star,
                 },
             }
-            for p in c.points
+            for g, a, m in zip(c.ground.tolist(), c.auxs, c.marks)
         ],
     }
     return json.dumps(obj)
@@ -563,16 +598,24 @@ def configuration_from_json(text: str) -> Configuration:
         AuxMeasure(aux_obj["kind"], tuple(aux_obj["params"])),
         tuple(r.get("mark_reference", ("wiener", 1.0))),
     )
-    points = []
+    d, temporal = window.dim, window.is_temporal
+    ground, auxs, paths = [], [], []
     for po in obj["points"]:
+        x, t = po["x"], po.get("t")
+        if len(x) != d:
+            raise ValidationError(f"location must have dimension {d}")
+        if temporal and t is None:
+            raise ValidationError("temporal window requires event times")
+        if not temporal and t is not None:
+            raise ValidationError("spatial window takes no event times")
+        ground.append(x + [t] if temporal else x)
+        auxs.append(_aux_from_obj(po["aux"]))
         m = po["mark"]
         a, b = m["support"]
-        path = CadlagPath(m["grid"], m["values"],
-                          (a, np.inf if b is None else b),
-                          m.get("mode", "step"), m.get("t_star"))
-        points.append(MarkedPoint(tuple(po["x"]), po.get("t"),
-                                  _aux_from_obj(po["aux"]), path))
-    return Configuration(points, window, reference)
+        paths.append(CadlagPath(m["grid"], m["values"],
+                                (a, np.inf if b is None else b),
+                                m.get("mode", "step"), m.get("t_star")))
+    return Configuration(window, ground, auxs, paths, reference)
 
 
 def _csv_blocks(c: Configuration):
@@ -589,10 +632,10 @@ def _csv_blocks(c: Configuration):
     # id(grid) -> ["<time>," per grid time]; ids stay unique while c holds
     # every grid
     grid_text = {}
-    for i, p in enumerate(c.points):
-        aux, mark = p.aux, p.mark
+    d, temporal = c.window.dim, c.window.is_temporal
+    for i, (g, aux, mark) in enumerate(zip(c.ground.tolist(), c.auxs, c.marks)):
         prefix = ",".join([
-            str(i), *map(repr, p.x), "" if p.t is None else repr(p.t),
+            str(i), *map(repr, g[:d]), repr(g[d]) if temporal else "",
             "" if aux.discrete is None else str(aux.discrete),
             "" if aux.continuous is None else ";".join(map(repr, aux.continuous)),
             ""])

@@ -43,18 +43,9 @@ def section(c: Configuration, t: float) -> BooleanSection:
         raise ValidationError("sections are defined for planar windows only")
     if c.window.is_temporal and not 0.0 <= t <= c.window.t_star:
         raise ValidationError("section time outside the window")
-    centers = []
-    radii = []
-    for p in c.points:
-        r = p.mark(t)
-        if r > 0.0:
-            centers.append(p.x)
-            radii.append(r)
-    return BooleanSection(
-        float(t),
-        np.asarray(centers, dtype=float).reshape(-1, 2),
-        np.asarray(radii, dtype=float),
-    )
+    radii = np.fromiter((m(t) for m in c.marks), float, len(c))
+    disk = radii > 0.0
+    return BooleanSection(float(t), c.spatial_locations()[disk], radii[disk])
 
 
 def coverage_fraction(s: BooleanSection, w: Window, resolution: int = 128) -> float:

@@ -192,9 +192,7 @@ class GridField:
 
 
 def _field_axes(model: LogGaussianCox, w: Window):
-    bounds = list(zip(w.lo, w.hi))
-    if w.is_temporal:
-        bounds.append((0.0, w.t_star))
+    bounds = w.ground_bounds
     shape = model.grid_shape
     if len(shape) != len(bounds):
         raise ValidationError("grid_shape does not match the ground dimension")
@@ -301,9 +299,8 @@ def simulate_gibbs(model: PairwiseGibbs, w: Window, steps: int, seed: int,
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     rng = np.random.default_rng(seed)
-    D = w.dim + (1 if w.is_temporal else 0)
-    lo = np.asarray(list(w.lo) + ([0.0] if w.is_temporal else []), dtype=float)
-    hi = np.asarray(list(w.hi) + ([w.t_star] if w.is_temporal else []), dtype=float)
+    lo, hi = np.asarray(w.ground_bounds, dtype=float).T
+    D = lo.size
     x0 = np.empty((0, D)) if init is None else np.asarray(init, dtype=float)
     trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
     if w.is_temporal and model.temporal_range is None:
@@ -323,13 +320,14 @@ def thin(c: Configuration, retention: Callable, seed: int) -> Configuration:
     """Keep each point independently with probability retention(point)."""
     rng = np.random.default_rng(seed)
     kept = []
-    for p in c.points:
+    for i, p in enumerate(c.points):
         prob = float(retention(p))
         if not 0.0 <= prob <= 1.0:
             raise ValidationError("retention probability outside [0, 1]")
         if rng.random() < prob:
-            kept.append(p)
-    return Configuration(kept, c.window, c.reference)
+            kept.append(i)
+    return Configuration(c.window, c.ground[kept], [c.auxs[i] for i in kept],
+                         [c.marks[i] for i in kept], c.reference)
 
 
 def observable_retention(schedule: SampleSchedule) -> Callable:

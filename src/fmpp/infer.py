@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from ._optim import nelder_mead
-from .core import AuxMark, Configuration, SampleSchedule, Window
+from .core import AuxMark, Configuration, SampleSchedule, Window, midpoint_rule
 from .errors import NumericalError, ValidationError
 from .marks import (
     AuxDensitySpec,
@@ -206,26 +206,13 @@ def ground_intensity(model: ParametricModel, g) -> np.ndarray:
     raise ValidationError("ground intensity has no closed form for this family")
 
 
-def _midpoint_rule(bounds, quad_res: int):
-    """Nodes (quad_res**k, k) of the midpoint rule with ``quad_res`` cells
-    on each of the k axes ``bounds`` = [(lo, hi), ...], and the cell volume."""
-    mids = []
-    for lo, hi in bounds:
-        edges = np.linspace(lo, hi, quad_res + 1)
-        mids.append(0.5 * (edges[:-1] + edges[1:]))
-    mesh = np.meshgrid(*mids, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    cell = float(np.prod([(hi - lo) / quad_res for lo, hi in bounds]))
-    return nodes, cell
-
-
 def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
     """Integral of the ground intensity over the window, by quadrature."""
     w = model.window
     if model.ground == "poisson":
         return float(model.theta[0]) * w.ground_volume
     if model.ground in ("poisson-t", "loglinear-t"):
-        t_nodes, dt = _midpoint_rule([(0.0, w.t_star)], quad_res)
+        t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
         # the spatial density integrates to one over the window
         return float(np.sum(temporal_rate(model, t_nodes[:, 0])) * dt)
     raise ValidationError("intensity mass undefined for this family")
@@ -322,9 +309,9 @@ def _loglik_temporal_terms(model: ParametricModel, data: Sequence,
     # spatial density times mark and aux factors: everything but the rate
     f_events = (_spatial_density(model, g[:, : w.dim])
                 * _event_factors(model, data, schedule))
-    x_nodes, x_cell = _midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
+    x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
     spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
-    t_nodes, dt = _midpoint_rule([(0.0, w.t_star)], quad_res)
+    t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
     t_nodes = t_nodes[:, 0]
 
     def evaluate(m: ParametricModel) -> float:
@@ -505,10 +492,7 @@ def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
     w = model.window
     pts = _ground_array(w, data)
     fac = _event_factors(model, data, schedule)
-    bounds = list(zip(w.lo, w.hi))
-    if w.is_temporal:
-        bounds.append((0.0, w.t_star))
-    nodes, cell = _midpoint_rule(bounds, quad_res)
+    nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
     if model.ground == "gibbs":
         # every data point is its own neighbour once
         at_data = _gibbs_counts(model, pts, pts) - 1

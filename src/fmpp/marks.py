@@ -7,6 +7,11 @@ Gaussian field, intensity-dependent marks read off a Cox driving field,
 and the finite-dimensional (fidi) and auxiliary-mark densities that feed
 the likelihoods.
 
+Marks attach to a configuration's columns: ``attach_marks(window,
+locations, auxs, model, grid, seed)`` takes the (n, D) ground array and the
+n aux marks and returns one cadlag path per point, which
+``make_configuration`` (the ``Configuration`` constructor) joins to them.
+
 Growth, interaction and noise functions are chosen from a named registry
 with numeric parameter vectors (arbitrary code injection is out of scope
 for config files; library callers may also pass callables where noted).
@@ -25,10 +30,10 @@ from .core import (
     AuxMeasure,
     CadlagPath,
     Configuration,
-    MarkedPoint,
     ReferenceSpec,
     SampleSchedule,
     Window,
+    ground_array,
 )
 from .errors import NumericalError, ValidationError
 from .ground import GridField
@@ -195,39 +200,46 @@ def _cov_1d(family, h):
     return np.exp(-h) if family == "exponential" else np.exp(-h * h)
 
 
-def attach_marks(ground: Sequence, model, grid, seed,
-                 t_star: float | None = None) -> list:
+def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
+                 seed) -> list:
     """Generate one cadlag mark per ground point.
 
-    ``ground`` is a sequence of ((x, t), aux) pairs with t None in the purely
-    spatial case.  ``seed`` is anything ``np.random.default_rng`` accepts
-    (an int or a ``SeedSequence``).  The grid must cover [0, t_star].
-    Independent-marking models draw each mark independently;
-    growth-interaction marks are coupled and need birth times and lifetime
-    aux marks.
+    ``locations`` is the (n, D) ground array of a configuration on
+    ``window`` (event time last when temporal) and ``auxs`` its n aux
+    marks.  ``seed`` is anything ``np.random.default_rng`` accepts (an int
+    or a ``SeedSequence``).  The marks live on [0, t_star], with t_star the
+    window's horizon, or ``grid[-1]`` on a spatial window; the grid must
+    lie within it.  Independent-marking models draw each mark
+    independently; growth-interaction marks are coupled and need birth
+    times and lifetime aux marks.
     """
+    locations = ground_array(window, locations)
+    if len(auxs) != len(locations):
+        raise ValidationError("attach_marks needs one aux mark per location")
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
-    if t_star is None:
-        t_star = float(grid[-1])
+    d, temporal = window.dim, window.is_temporal
+    t_star = window.t_star if temporal else float(grid[-1])
+    xs = locations[:, :d]
     full = (float(grid[0]), np.inf)
 
     if isinstance(model, Deterministic):
-        return [
-            CadlagPath(grid, model.evaluate((x, t), aux, grid), full,
-                       "step", t_star)
-            for (x, t), aux in ground
-        ]
+        out = []
+        for g, aux in zip(locations.tolist(), auxs):
+            loc = (tuple(g[:d]), g[d] if temporal else None)
+            out.append(CadlagPath(grid, model.evaluate(loc, aux, grid), full,
+                                  "step", t_star))
+        return out
     if isinstance(model, Wiener):
         out = []
-        for _ in ground:
+        for _ in auxs:
             steps = np.sqrt(np.diff(grid)) * rng.standard_normal(len(grid) - 1)
             vals = model.scale * np.concatenate([[0.0], np.cumsum(steps)])
             out.append(CadlagPath(grid, vals, full, "step", t_star))
         return out
     if isinstance(model, Diffusion):
         out = []
-        for (x, t), aux in ground:
+        for _ in auxs:
             vals = np.empty_like(grid)
             vals[0] = model.m0
             noise = rng.standard_normal(len(grid) - 1)
@@ -239,32 +251,25 @@ def attach_marks(ground: Sequence, model, grid, seed,
             out.append(CadlagPath(grid, vals, full, "step", t_star))
         return out
     if isinstance(model, GrowthInteraction):
-        xs, births, lifetimes = [], [], []
-        for (x, t), aux in ground:
-            if t is None:
-                raise ValidationError("growth-interaction marks need birth times")
-            if aux.continuous is None:
-                raise ValidationError("growth-interaction marks need lifetime aux marks")
-            xs.append(x)
-            births.append(t)
-            lifetimes.append(aux.continuous[0])
+        if not temporal:
+            raise ValidationError("growth-interaction marks need birth times")
+        if any(aux.continuous is None for aux in auxs):
+            raise ValidationError("growth-interaction marks need lifetime aux marks")
+        lifetimes = np.asarray([aux.continuous[0] for aux in auxs], dtype=float)
         dt = float(grid[1] - grid[0]) if len(grid) > 1 else t_star
-        return gi_integrate(
-            (np.asarray(xs, dtype=float), np.asarray(births), np.asarray(lifetimes)),
-            model, dt, seed, t_star)
+        return gi_integrate((xs, locations[:, d], lifetimes), model, dt, seed,
+                            t_star)
     if isinstance(model, Geostatistical):
-        locs = np.asarray([x for (x, t), aux in ground], dtype=float)
         classes = None
         if model.per_class:
-            classes = [aux.discrete for (x, t), aux in ground]
+            classes = [aux.discrete for aux in auxs]
             if any(c is None for c in classes):
                 raise ValidationError("per-class marking needs discrete aux marks")
-        return geostat_marking(locs, model, grid, seed, t_star, classes)
+        return geostat_marking(xs, model, grid, seed, t_star, classes)
     if isinstance(model, IntensityDependent):
         if model.field is None:
             raise ValidationError("intensity-dependent marking needs the Cox field")
-        locs = np.asarray([x for (x, t), aux in ground], dtype=float)
-        return intensity_dependent_marking(model.field, locs, grid)
+        return intensity_dependent_marking(model.field, xs, grid)
     raise ValidationError(f"unknown mark model {type(model).__name__}")
 
 
@@ -515,12 +520,6 @@ def aux_density_eval(spec: AuxDensitySpec, locations, values) -> float:
 # ---------------------------------------------------------------------------
 def make_configuration(window: Window, locations, auxs, paths,
                        reference: ReferenceSpec | None = None) -> Configuration:
-    """Zip ground locations, aux marks and cadlag marks into a configuration."""
-    pts = []
-    for loc, aux, path in zip(locations, auxs, paths):
-        if window.is_temporal:
-            x, t = tuple(loc[: window.dim]), float(loc[window.dim])
-        else:
-            x, t = tuple(np.atleast_1d(loc)), None
-        pts.append(MarkedPoint(x, t, aux, path))
-    return Configuration(pts, window, reference)
+    """Assemble a configuration from its columns: the (n, D) ground
+    locations, the aux marks and the cadlag marks."""
+    return Configuration(window, locations, auxs, paths, reference)

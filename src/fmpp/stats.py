@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._optim import nelder_mead
-from .core import CadlagPath, Configuration, SampleSchedule, Window
+from .core import CadlagPath, Configuration, SampleSchedule, Window, midpoint_rule
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -64,13 +64,6 @@ class IntensitySurface:
         return float(np.sum(self.values) * self.cell_volume)
 
 
-def _ground_bounds(w: Window):
-    bounds = list(zip(w.lo, w.hi))
-    if w.is_temporal:
-        bounds.append((0.0, w.t_star))
-    return bounds
-
-
 def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
                        bandwidth: float | None = None) -> IntensitySurface:
     """Ground intensity on a regular grid.
@@ -80,7 +73,7 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
     with a product Epanechnikov kernel (no edge correction, mass is not
     conserved near the boundary).
     """
-    bounds = _ground_bounds(c.window)
+    bounds = c.window.ground_bounds
     ndim = len(bounds)
     if isinstance(cells, int):
         cells = (cells,) * ndim
@@ -186,7 +179,7 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
     if n < 2:
         raise ValidationError("need at least two points")
     if c.window.t_star is None:
-        horizon = max((p.mark.ambient_end for p in c.points), default=0.0)
+        horizon = max((m.ambient_end for m in c.marks), default=0.0)
     else:
         horizon = c.window.t_star
     if schedule.times[-1] > horizon:
@@ -194,7 +187,7 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
     if bandwidth is None:
         bandwidth = 0.15 / math.sqrt(n / c.window.volume)
     times = np.asarray(schedule.times)
-    samples = [p.mark(times) for p in c.points]
+    samples = [m(times) for m in c.marks]
     if classes is not None:
         labels = [classes(p) for p in c.points]
         uniq = sorted(set(labels))
@@ -418,18 +411,6 @@ class CheckReport:
         return abs(self.lhs - self.rhs) <= tol
 
 
-def _ground_quadrature(w: Window, quad_res: int):
-    bounds = _ground_bounds(w)
-    axes = []
-    for lo, hi in bounds:
-        edges = np.linspace(lo, hi, quad_res + 1)
-        axes.append(0.5 * (edges[:-1] + edges[1:]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    cellvol = np.prod([(hi - lo) / quad_res for lo, hi in bounds])
-    return nodes, float(cellvol)
-
-
 def campbell_check(simulate: Callable, h: Callable, rhs_integrand: Callable,
                    w: Window, replicates: int = 200, seed: int = 0,
                    quad_res: int = 64) -> CheckReport:
@@ -444,7 +425,7 @@ def campbell_check(simulate: Callable, h: Callable, rhs_integrand: Callable,
     for r in range(replicates):
         c = simulate(seed + r)
         sums[r] = sum(h(p) for p in c.points)
-    nodes, cellvol = _ground_quadrature(w, quad_res)
+    nodes, cellvol = midpoint_rule(w.ground_bounds, quad_res)
     rhs = float(sum(rhs_integrand(g) for g in nodes) * cellvol)
     lhs = float(np.mean(sums))
     se = float(np.std(sums, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
@@ -461,12 +442,12 @@ def gnz_check(simulate: Callable, papangelou: Callable, h: Callable,
     is zero in expectation under the true model; the report's lhs/rhs are
     the two Monte Carlo sides with the standard error of their difference.
     """
-    nodes, cellvol = _ground_quadrature(w, quad_res)
+    nodes, cellvol = midpoint_rule(w.ground_bounds, quad_res)
     lhs_r = np.empty(replicates)
     rhs_r = np.empty(replicates)
     for r in range(replicates):
         c = simulate(seed + r)
-        pts = ground_locations_array(c)
+        pts = c.locations()
         total = 0.0
         for i in range(len(pts)):
             rest = np.delete(pts, i, axis=0)
@@ -477,7 +458,3 @@ def gnz_check(simulate: Callable, papangelou: Callable, h: Callable,
     se = float(np.std(diff, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return CheckReport(float(np.mean(lhs_r)), float(np.mean(rhs_r)), se, 0.0,
                        replicates)
-
-
-def ground_locations_array(c: Configuration) -> np.ndarray:
-    return c.locations()

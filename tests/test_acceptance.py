@@ -80,9 +80,9 @@ class _Criterion:
 def poisson_config(seed, rate, window=UNIT):
     locs = simulate_poisson(HomogeneousPoisson(rate), window, seed)
     auxs = [AuxMark(discrete=1)] * len(locs)
-    pairs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
     grid = np.linspace(0, 1, 3)
-    paths = attach_marks(pairs, Deterministic(("constant", 1.0)), grid, seed, 1.0)
+    paths = attach_marks(window, locs, auxs, Deterministic(("constant", 1.0)),
+                         grid, seed)
     return make_configuration(window, locs, auxs, paths)
 
 
@@ -240,10 +240,10 @@ def test_criterion_08_boolean_coverage():
         r, res = 0.25, 256
         c = poisson_config(0, 0.0)
         grid = np.linspace(0, 1, 3)
-        path = attach_marks([(((0.5, 0.5), None), AuxMark(discrete=1))],
-                            Deterministic(("constant", r)), grid, 0, 1.0)
-        c1 = make_configuration(UNIT, np.array([[0.5, 0.5]]),
-                                [AuxMark(discrete=1)], path)
+        center, auxs = np.array([[0.5, 0.5]]), [AuxMark(discrete=1)]
+        path = attach_marks(UNIT, center, auxs, Deterministic(("constant", r)),
+                            grid, 0)
+        c1 = make_configuration(UNIT, center, auxs, path)
         frac = coverage_fraction(section(c1, 0.5), UNIT, res)
         assert abs(frac - math.pi * r * r) < 2.0 / res
         # sparse growth system on a torus vs the expected-coverage formula

@@ -37,6 +37,13 @@ def make_point(x, t=None, value=1.0, t_star=1.0):
     return MarkedPoint(x, t, AuxMark(discrete=1), const_path(value, t_star))
 
 
+def from_points(window, pts, reference=None):
+    """The configuration whose columns hold the given points."""
+    ground = [list(p.x) + ([] if p.t is None else [p.t]) for p in pts]
+    return Configuration(window, ground, [p.aux for p in pts],
+                         [p.mark for p in pts], reference)
+
+
 # ---------------------------------------------------------------------------
 # windows, paths, configurations
 # ---------------------------------------------------------------------------
@@ -104,60 +111,96 @@ class TestConfiguration:
         w = Window((0, 0), (1, 1))
         pts = [make_point((0.5, 0.5)), make_point((0.5, 0.5))]
         with pytest.raises(ValidationError):
-            Configuration(pts, w)
+            from_points(w, pts)
 
     def test_point_outside_window_rejected(self):
         w = Window((0, 0), (1, 1))
         with pytest.raises(ValidationError):
-            Configuration([make_point((1.5, 0.5))], w)
+            from_points(w, [make_point((1.5, 0.5))])
 
     def test_ground_projection_order_preserved(self):
         w = Window((0, 0), (1, 1))
-        c = Configuration([make_point((0.1, 0.2)), make_point((0.7, 0.3))], w)
+        c = from_points(w, [make_point((0.1, 0.2)), make_point((0.7, 0.3))])
         assert ground_projection(c) == [(0.1, 0.2), (0.7, 0.3)]
 
     def test_empty_projection(self):
-        c = Configuration([], Window((0, 0), (1, 1)))
+        c = from_points(Window((0, 0), (1, 1)), [])
         assert ground_projection(c) == []
 
     def test_temporal_projection(self):
         w = Window((0, 0), (1, 1), t_star=2.0)
-        c = Configuration([make_point((0.1, 0.2), 0.5, t_star=2.0),
-                           make_point((0.7, 0.3), 1.5, t_star=2.0)], w)
+        c = from_points(w, [make_point((0.1, 0.2), 0.5, t_star=2.0),
+                            make_point((0.7, 0.3), 1.5, t_star=2.0)])
         assert temporal_projection(c) == [0.5, 1.5]
         with pytest.raises(ValidationError):
-            temporal_projection(Configuration([], Window((0,), (1,))))
+            temporal_projection(from_points(Window((0,), (1,)), []))
+
+
+    def test_columns_and_point_views(self):
+        w = Window((0, 0), (1, 1), t_star=2.0)
+        path = const_path(1.0, t_star=2.0)
+        c = Configuration(w, [[0.1, 0.2, 0.5], [0.7, 0.3, 1.5]],
+                          [AuxMark(discrete=1), AuxMark(discrete=2)],
+                          [path, path])
+        assert c.ground.shape == (2, 3) and not c.ground.flags.writeable
+        assert c.locations() is c.ground
+        np.testing.assert_array_equal(c.spatial_locations(),
+                                      [[0.1, 0.2], [0.7, 0.3]])
+        assert c.points == (MarkedPoint((0.1, 0.2), 0.5, AuxMark(discrete=1), path),
+                            MarkedPoint((0.7, 0.3), 1.5, AuxMark(discrete=2), path))
+        assert list(c) == list(c.points)
+        with pytest.raises(ValidationError):
+            Configuration(w, [[0.1, 0.2, 0.5]], [], [path])
+
+    def test_event_times_rejected_on_spatial_window(self):
+        # an (n, 3) ground on a planar window would carry event times that a
+        # spatial configuration cannot have: two points at one location with
+        # different times would pass as distinct
+        path = const_path(1.0)
+        with pytest.raises(ValidationError):
+            Configuration(Window((0, 0), (1, 1)), [[0.5, 0.5, 0.1], [0.5, 0.5, 0.2]],
+                          [AuxMark(discrete=1)] * 2, [path, path])
+        point = {"x": [0.5, 0.5], "aux": {"discrete": 1},
+                 "mark": {"grid": [0.0], "values": [1.0], "support": [0.0, None]}}
+        spatial = {"lo": [0, 0], "hi": [1, 1]}
+        with pytest.raises(ValidationError):
+            configuration_from_json(json.dumps(
+                {"window": spatial,
+                 "points": [dict(point, t=0.1), dict(point, t=0.2)]}))
+        with pytest.raises(ValidationError):
+            configuration_from_json(json.dumps(
+                {"window": dict(spatial, t_star=1.0), "points": [point]}))
 
 
 class TestShift:
     def test_zero_shift_identity(self):
         w = Window((0, 0), (1, 1))
-        c = Configuration([make_point((0.3, 0.3))], w)
+        c = from_points(w, [make_point((0.3, 0.3))])
         c2 = shift(c, (0.0, 0.0))
         assert c2.points[0].x == (0.3, 0.3)
 
     def test_torus_group_action(self):
         w = Window((0, 0), (1, 1), torus=True)
-        c = Configuration([make_point((0.3, 0.4))], w)
+        c = from_points(w, [make_point((0.3, 0.4))])
         z = np.array([0.5, 0.5])
         back = shift(shift(c, z), -z)
         np.testing.assert_allclose(back.points[0].x, (0.3, 0.4), atol=1e-12)
 
     def test_double_half_side_returns(self):
         w = Window((0, 0), (1, 1), torus=True)
-        c = Configuration([make_point((0.3, 0.4))], w)
+        c = from_points(w, [make_point((0.3, 0.4))])
         c2 = shift(shift(c, (0.5, 0.5)), (0.5, 0.5))
         np.testing.assert_allclose(c2.points[0].x, (0.3, 0.4), atol=1e-12)
 
     def test_off_window_errors(self):
         w = Window((0, 0), (1, 1))
-        c = Configuration([make_point((0.9, 0.9))], w)
+        c = from_points(w, [make_point((0.9, 0.9))])
         with pytest.raises(ValidationError):
             shift(c, (0.5, 0.0))
 
     def test_marks_unchanged(self):
         w = Window((0, 0), (1, 1), torus=True)
-        c = Configuration([make_point((0.3, 0.4), value=7.0)], w)
+        c = from_points(w, [make_point((0.3, 0.4), value=7.0)])
         assert shift(c, (0.2, 0.1)).points[0].mark(0.5) == 7.0
 
 
@@ -201,7 +244,7 @@ class TestSerialization:
                                    AuxMark(discrete=i + 1,
                                            continuous=(rng.random(),)),
                                    path))
-        return Configuration(pts, w, ReferenceSpec())
+        return from_points(w, pts, ReferenceSpec())
 
     def test_json_round_trip_full_precision(self):
         c = self._config()
@@ -276,7 +319,7 @@ class TestMarksCsvOracle:
                 (rng.random(), 1.0 / 3.0), rng.random() * 2.0,
                 AuxMark(discrete=i + 1, continuous=(rng.random(), -1e-300)),
                 CadlagPath(grid, vals, (a, b), "step", 2.0)))
-        self.check(Configuration(pts, w, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
 
     def test_spatial_window_infinite_support(self, tmp_path):
         w = Window((0, 0, 0), (1, 2, 3))
@@ -288,7 +331,7 @@ class TestMarksCsvOracle:
                            CadlagPath(grid, np.cumsum(rng.standard_normal(11)),
                                       (0.0, np.inf), "linear", 1.0))
                for i in range(5)]
-        self.check(Configuration(pts, w, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
 
     def test_two_grids_in_one_configuration(self, tmp_path):
         # points 0, 2 and 4 share one grid array, point 3 has an equal copy
@@ -302,12 +345,12 @@ class TestMarksCsvOracle:
                            CadlagPath(g, rng.standard_normal(g.size),
                                       (0.0, np.inf), "step", 1.0))
                for g in grids]
-        c = Configuration(pts, w, ReferenceSpec())
+        c = from_points(w, pts, ReferenceSpec())
         assert c.points[0].mark.grid is c.points[2].mark.grid
         self.check(c, tmp_path)
 
     def test_empty_configuration_header_only(self, tmp_path):
-        c = Configuration([], Window((0, 0), (1, 1), t_star=1.0), ReferenceSpec())
+        c = from_points(Window((0, 0), (1, 1), t_star=1.0), [], ReferenceSpec())
         self.check(c, tmp_path)
         assert len(configuration_to_csv_rows(c)) == 1
 

@@ -16,9 +16,8 @@ def disk_config(centers, radius, births=None):
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     auxs = [AuxMark(discrete=1)] * len(centers)
     if births is None:
-        pairs = [((tuple(x), None), a) for x, a in zip(centers, auxs)]
-        paths = attach_marks(pairs, Deterministic(("constant", radius)), GRID,
-                             0, 1.0)
+        paths = attach_marks(W, centers, auxs, Deterministic(("constant", radius)),
+                             GRID, 0)
         return make_configuration(W, centers, auxs, paths)
     wt = Window((0, 0), (1, 1), t_star=1.0)
     pts = (centers, np.asarray(births), np.full(len(centers), 10.0))
@@ -51,11 +50,11 @@ class TestSection:
 
     def test_non_planar_rejected(self):
         w1 = Window((0,), (1,))
-        from fmpp.core import CadlagPath, Configuration, MarkedPoint
-        p = MarkedPoint((0.5,), None, AuxMark(discrete=1),
-                        CadlagPath([0.0], [1.0], (0, np.inf), "step", 1.0))
+        from fmpp.core import CadlagPath, Configuration
+        c = Configuration(w1, [[0.5]], [AuxMark(discrete=1)],
+                          [CadlagPath([0.0], [1.0], (0, np.inf), "step", 1.0)])
         with pytest.raises(ValidationError):
-            section(Configuration([p], w1), 0.5)
+            section(c, 0.5)
 
 
 class TestCoverageFraction:

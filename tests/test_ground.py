@@ -25,8 +25,8 @@ UNIT_SQUARE = Window((0, 0), (1, 1))
 def as_config(locs, window=UNIT_SQUARE, value=1.0):
     grid = np.linspace(0, 1, 3)
     auxs = [AuxMark(discrete=1)] * len(locs)
-    pairs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-    paths = attach_marks(pairs, Deterministic(("constant", value)), grid, 0, 1.0)
+    paths = attach_marks(window, locs, auxs, Deterministic(("constant", value)),
+                         grid, 0)
     return make_configuration(window, locs, auxs, paths)
 
 
@@ -219,27 +219,31 @@ class TestGibbs:
             # asymmetric birth/death proposal mix, detailed balance against
             # beta^n gamma^(pairs) wrt the unit-rate Poisson on the unit square
             rng = np.random.default_rng(seed)
-            pts = []
+            # the state is pts[:n], in insertion order
+            pts = np.empty((steps, 2))
+            n = 0
             for _ in range(steps):
-                n = len(pts)
                 if rng.random() < p_birth:
                     x = rng.random(2)
-                    cnt = sum(np.hypot(x[0] - q[0], x[1] - q[1]) <= R
-                              for q in pts)
+                    cnt = np.sum(np.hypot(x[0] - pts[:n, 0], x[1] - pts[:n, 1])
+                                 <= R)
                     accept = (beta * gamma ** cnt * (1 - p_birth)
                               / ((n + 1) * p_birth))
                     if rng.random() < min(1.0, accept):
-                        pts.append(x)
+                        pts[n] = x
+                        n += 1
                 elif n:
                     i = rng.integers(n)
                     x = pts[i]
-                    cnt = sum(np.hypot(x[0] - q[0], x[1] - q[1]) <= R
-                              for j, q in enumerate(pts) if j != i)
+                    # the point itself sits at distance 0
+                    cnt = np.sum(np.hypot(x[0] - pts[:n, 0], x[1] - pts[:n, 1])
+                                 <= R) - 1
                     accept = (n * p_birth
                               / (beta * gamma ** cnt * (1 - p_birth)))
                     if rng.random() < min(1.0, accept):
-                        pts.pop(i)
-            return np.asarray(pts).reshape(-1, 2)
+                        pts[i:n - 1] = pts[i + 1:n]
+                        n -= 1
+            return pts[:n].copy()
 
         ours, theirs = [], []
         ours_pairs, theirs_pairs = [], []

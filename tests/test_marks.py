@@ -25,33 +25,35 @@ from fmpp.marks import (
 )
 
 GRID = np.linspace(0.0, 1.0, 101)
+UNIT = Window((0, 0), (1, 1))
 
 
 def ground_points(n, seed=0):
+    """Locations and aux marks of n uniform points on the unit square."""
     rng = np.random.default_rng(seed)
-    return [((tuple(rng.random(2)), None), AuxMark(discrete=1)) for _ in range(n)]
+    return rng.random((n, 2)), [AuxMark(discrete=1)] * n
 
 
 class TestDeterministicMarks:
     def test_constant_recovers_classical_marks(self):
-        paths = attach_marks(ground_points(4), Deterministic(("constant", 2.5)),
-                             GRID, 0, 1.0)
+        paths = attach_marks(UNIT, *ground_points(4), Deterministic(("constant", 2.5)),
+                             GRID, 0)
         assert all(p(0.3) == 2.5 and p(0.9) == 2.5 for p in paths)
 
     def test_callable_family(self):
         fn = lambda g, l, t: 2.0 * t
-        paths = attach_marks(ground_points(1), Deterministic(fn), GRID, 0, 1.0)
+        paths = attach_marks(UNIT, *ground_points(1), Deterministic(fn), GRID, 0)
         assert paths[0](0.5) == pytest.approx(1.0)
 
     def test_unknown_registry_name(self):
         with pytest.raises(ValidationError):
-            attach_marks(ground_points(1), Deterministic(("nope", 1.0)),
-                         GRID, 0, 1.0)
+            attach_marks(UNIT, *ground_points(1), Deterministic(("nope", 1.0)),
+                         GRID, 0)
 
 
 class TestWienerMarks:
     def test_starts_at_zero(self):
-        paths = attach_marks(ground_points(5), Wiener(1.0), GRID, 3, 1.0)
+        paths = attach_marks(UNIT, *ground_points(5), Wiener(1.0), GRID, 3)
         assert all(p(0.0) == 0.0 for p in paths)
 
     def test_marginal_variance(self):
@@ -59,8 +61,8 @@ class TestWienerMarks:
         t = 0.64
         vals = []
         for seed in range(40):
-            paths = attach_marks(ground_points(50, seed), Wiener(sw), GRID,
-                                 seed, 1.0)
+            paths = attach_marks(UNIT, *ground_points(50, seed), Wiener(sw), GRID,
+                                 seed)
             vals.extend(p(t) for p in paths)
         vals = np.asarray(vals)
         target = sw * sw * t
@@ -70,8 +72,8 @@ class TestWienerMarks:
     def test_marks_at_distinct_points_uncorrelated(self):
         a_vals, b_vals = [], []
         for seed in range(2000):
-            paths = attach_marks(ground_points(2, seed), Wiener(1.0),
-                                 np.linspace(0, 1, 21), seed, 1.0)
+            paths = attach_marks(UNIT, *ground_points(2, seed), Wiener(1.0),
+                                 np.linspace(0, 1, 21), seed)
             a_vals.append(paths[0](1.0))
             b_vals.append(paths[1](1.0))
         corr = np.corrcoef(a_vals, b_vals)[0, 1]
@@ -84,9 +86,8 @@ class TestWienerMarks:
         w = Window((0, 0), (1, 1))
         for seed in range(300):
             locs = simulate_poisson(HomogeneousPoisson(30.0), w, seed)
-            pairs = [((tuple(x), None), AuxMark(discrete=1)) for x in locs]
-            paths = attach_marks(pairs, Wiener(1.0), np.linspace(0, 1, 11),
-                                 seed, 1.0)
+            paths = attach_marks(w, locs, [AuxMark(discrete=1)] * len(locs),
+                                 Wiener(1.0), np.linspace(0, 1, 11), seed)
             for x, p in zip(locs, paths):
                 (left if x[0] < 0.5 else right).append(p(0.7))
         assert sps.ks_2samp(left, right).pvalue > 0.01
@@ -222,12 +223,13 @@ class TestGeostatMarking:
         assert abs(cov - target) < 3 * se
 
     def test_per_class_fields(self):
-        ground = [(((0.2, 0.2), None), AuxMark(discrete=1)),
-                  (((0.2001, 0.2), None), AuxMark(discrete=2))]
+        locs = [[0.2, 0.2], [0.2001, 0.2]]
+        auxs = [AuxMark(discrete=1), AuxMark(discrete=2)]
         model = Geostatistical(0.0, ("gaussian", 1.0, 0.3), per_class=True)
         a_vals, b_vals = [], []
         for seed in range(300):
-            paths = attach_marks(ground, model, np.linspace(0, 1, 4), seed, 1.0)
+            paths = attach_marks(UNIT, locs, auxs, model, np.linspace(0, 1, 4),
+                                 seed)
             a_vals.append(paths[0](0.5))
             b_vals.append(paths[1](0.5))
         # different classes read different fields: essentially uncorrelated
@@ -276,7 +278,7 @@ class TestIntensityDependentMarks:
 
     def test_needs_field(self):
         with pytest.raises(ValidationError):
-            attach_marks(ground_points(1), IntensityDependent(), GRID, 0, 1.0)
+            attach_marks(UNIT, *ground_points(1), IntensityDependent(), GRID, 0)
 
 
 class TestFidiDensities:
@@ -372,7 +374,7 @@ class TestDiffusionMarks:
         grid = np.linspace(0, 1, 101)
         vals = []
         for seed in range(400):
-            paths = attach_marks(ground_points(1, seed), model, grid, seed, 1.0)
+            paths = attach_marks(UNIT, *ground_points(1, seed), model, grid, seed)
             vals.append(paths[0](1.0))
         target = np.exp(-2.0)
         se = np.std(vals) / np.sqrt(len(vals))
@@ -383,5 +385,5 @@ class TestDiffusionMarks:
         model = Diffusion(drift=lambda m, t: 1.0, diffusion=lambda m, t: 0.0,
                           m0=0.5)
         grid = np.linspace(0, 1, 51)
-        paths = attach_marks(ground_points(1), model, grid, 7, 1.0)
+        paths = attach_marks(UNIT, *ground_points(1), model, grid, 7)
         assert paths[0](1.0) == pytest.approx(1.5, abs=1e-9)

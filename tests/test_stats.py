@@ -30,9 +30,8 @@ GRID = np.linspace(0, 1, 6)
 def poisson_config(seed, rate=200.0, window=W, mark_value=1.0):
     locs = simulate_poisson(HomogeneousPoisson(rate), window, seed)
     auxs = [AuxMark(discrete=1)] * len(locs)
-    pairs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-    paths = attach_marks(pairs, Deterministic(("constant", mark_value)), GRID,
-                          seed, 1.0)
+    paths = attach_marks(window, locs, auxs, Deterministic(("constant", mark_value)),
+                         GRID, seed)
     return make_configuration(window, locs, auxs, paths)
 
 
@@ -50,8 +49,8 @@ class TestIntensityEstimate:
     def test_single_point_single_cell(self):
         locs = np.array([[0.1, 0.1]])
         auxs = [AuxMark(discrete=1)]
-        paths = attach_marks([(((0.1, 0.1), None), auxs[0])],
-                             Deterministic(("constant", 1.0)), GRID, 0, 1.0)
+        paths = attach_marks(W, locs, auxs, Deterministic(("constant", 1.0)),
+                             GRID, 0)
         c = make_configuration(W, locs, auxs, paths)
         s = intensity_estimate(c, cells=4)
         vals = s.values
@@ -76,8 +75,8 @@ class TestPcfGround:
     def test_hard_core_vanishes_below_range(self):
         pts = simulate_gibbs(PairwiseGibbs(200.0, 0.0, 0.1), W, 30000, 3)
         auxs = [AuxMark(discrete=1)] * len(pts)
-        pairs = [((tuple(x), None), a) for x, a in zip(pts, auxs)]
-        paths = attach_marks(pairs, Deterministic(("constant", 1.0)), GRID, 0, 1.0)
+        paths = attach_marks(W, pts, auxs, Deterministic(("constant", 1.0)),
+                             GRID, 0)
         c = make_configuration(W, pts, auxs, paths)
         est = pcf_ground(c, np.array([0.03, 0.05]), bandwidth=0.02)
         assert np.all(est.values < 0.05)
@@ -85,8 +84,8 @@ class TestPcfGround:
     def test_two_points_support_near_their_distance(self):
         locs = np.array([[0.4, 0.5], [0.6, 0.5]])  # distance 0.2
         auxs = [AuxMark(discrete=1)] * 2
-        pairs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-        paths = attach_marks(pairs, Deterministic(("constant", 1.0)), GRID, 0, 1.0)
+        paths = attach_marks(W, locs, auxs, Deterministic(("constant", 1.0)),
+                             GRID, 0)
         c = make_configuration(W, locs, auxs, paths)
         est = pcf_ground(c, np.array([0.1, 0.2, 0.3]), bandwidth=0.05)
         assert est.values[1] > 0
@@ -124,9 +123,8 @@ class TestPcfMarkSampled:
         for seed in range(60):
             locs = simulate_poisson(HomogeneousPoisson(150.0), W, seed)
             auxs = [AuxMark(discrete=1)] * len(locs)
-            prs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-            paths = attach_marks(prs, Wiener(1.0), np.linspace(0, 1, 11),
-                                 seed, 1.0)
+            paths = attach_marks(W, locs, auxs, Wiener(1.0), np.linspace(0, 1, 11),
+                                 seed)
             c = make_configuration(W, locs, auxs, paths)
             g = pcf_ground(c, self.LAGS, 0.05).values
             m = pcf_mark_sampled(c, SampleSchedule((0.5,)), self.LAGS, 0.05,
@@ -145,8 +143,8 @@ class TestPcfMarkSampled:
         locs = np.vstack([left, right])
         labels = [1] * 40 + [2] * 40
         auxs = [AuxMark(discrete=l) for l in labels]
-        prs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-        paths = attach_marks(prs, Deterministic(("constant", 1.0)), GRID, 0, 1.0)
+        paths = attach_marks(W, locs, auxs, Deterministic(("constant", 1.0)),
+                             GRID, 0)
         c = make_configuration(W, locs, auxs, paths)
         out = pcf_mark_sampled(c, SampleSchedule((0.5,)),
                                np.array([0.05, 0.15]), 0.04,
@@ -163,9 +161,8 @@ class TestPcfMarkSampled:
             locs = simulate_poisson(HomogeneousPoisson(200.0), W, seed)
             labels = rng_cls.integers(1, 3, size=len(locs))
             auxs = [AuxMark(discrete=int(l)) for l in labels]
-            prs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-            paths = attach_marks(prs, Deterministic(("constant", 1.0)), GRID,
-                                 seed, 1.0)
+            paths = attach_marks(W, locs, auxs, Deterministic(("constant", 1.0)),
+                                 GRID, seed)
             c = make_configuration(W, locs, auxs, paths)
             out = pcf_mark_sampled(c, SampleSchedule((0.5,)), self.LAGS, 0.05,
                                    classes=lambda p: p.aux.discrete)
@@ -388,9 +385,8 @@ class TestCampbell:
         def sim(seed):
             locs = simulate_poisson(HomogeneousPoisson(80.0), W, seed)
             auxs = [AuxMark(discrete=1)] * len(locs)
-            prs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-            paths = attach_marks(prs, Wiener(1.0), np.linspace(0, 1, 11),
-                                 seed, 1.0)
+            paths = attach_marks(W, locs, auxs, Wiener(1.0), np.linspace(0, 1, 11),
+                                 seed)
             return make_configuration(W, locs, auxs, paths)
 
         s_time, lo = 0.5, 0.0
@@ -433,9 +429,8 @@ class TestPcfOtherDimensions:
         for seed in range(150):
             locs = simulate_poisson(HomogeneousPoisson(60.0), w1, seed)
             auxs = [AuxMark(discrete=1)] * len(locs)
-            prs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-            paths = attach_marks(prs, Deterministic(("constant", 1.0)), GRID,
-                                 seed, 1.0)
+            paths = attach_marks(w1, locs, auxs, Deterministic(("constant", 1.0)),
+                                 GRID, seed)
             c = make_configuration(w1, locs, auxs, paths)
             vals.append(pcf_ground(c, lags, 0.1).values)
         pooled = np.mean(vals, axis=0)
@@ -448,9 +443,8 @@ class TestPcfOtherDimensions:
         for seed in range(100):
             locs = simulate_poisson(HomogeneousPoisson(300.0), w3, seed)
             auxs = [AuxMark(discrete=1)] * len(locs)
-            prs = [((tuple(x), None), a) for x, a in zip(locs, auxs)]
-            paths = attach_marks(prs, Deterministic(("constant", 1.0)), GRID,
-                                 seed, 1.0)
+            paths = attach_marks(w3, locs, auxs, Deterministic(("constant", 1.0)),
+                                 GRID, seed)
             c = make_configuration(w3, locs, auxs, paths)
             vals.append(pcf_ground(c, lags, 0.05).values)
         pooled = np.mean(vals, axis=0)
