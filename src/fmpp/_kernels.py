@@ -3,10 +3,15 @@
 ``pair_stats`` collects candidate pairs from a ``scipy.spatial.cKDTree``,
 so its memory grows with the pairs within the largest lag, not with n^2;
 scipy is imported on the first call, which keeps ``import fmpp.cli`` free
-of it.  The other kernels are vectorized NumPy.  Each kernel's arguments
-are positional and plain arrays or scalars.
+of it.  ``gibbs_chain`` is a scalar loop over a uniform cell index, since
+each of its proposals touches only the few points near one location.  The
+other kernels are vectorized NumPy, and no kernel but ``pair_stats``
+imports scipy.  Each kernel's arguments are positional and plain arrays or
+scalars.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,41 +71,136 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
 # ---------------------------------------------------------------------------
 # pairwise-interaction birth-death chain
 # ---------------------------------------------------------------------------
-def _gibbs_neighbours(x, pts, lo, hi, torus, rad, trad, d_spatial):
-    if pts.shape[0] == 0:
-        return 0
-    diff = np.abs(pts[:, :d_spatial] - x[:d_spatial])
-    if torus:
-        sides = (hi - lo)[:d_spatial]
-        diff = np.minimum(diff, sides - diff)
-    ok = np.sum(diff * diff, axis=1) <= rad * rad
-    if trad >= 0.0 and pts.shape[1] > d_spatial:
-        ok &= np.abs(pts[:, -1] - x[-1]) <= trad
-    return int(np.sum(ok))
+_MAX_CELLS = 256       # cells per axis, which bounds the per-axis tables;
+                       # a tiny range gets cells wider than itself
+_CHUNK = 1024          # steps whose draws are converted to floats at a time
 
 
 def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
                 rng_idx, rng_acc, rad, trad, d_spatial):
-    pts = x0.copy()
+    """Birth-death Metropolis-Hastings chain of beta^n gamma^(neighbour
+    pairs) on the box [lo, hi] (Geyer and Moller 1994); one proposal per
+    draw, and the state after the last one is returned.
+
+    The points stay in proposal order and a death moves the last point into
+    the freed row.  A uniform index over the ``d_spatial`` spatial axes,
+    with cells wider than ``rad``, narrows each neighbour count to the 3^d
+    cells around the proposal, wrapped and deduplicated on a torus.  Each
+    candidate gets the brute-force test: |dx| per axis (min(dx, side - dx)
+    on a torus), their squares summed in axis order against rad^2, and
+    |dt| <= trad when ``trad`` >= 0 and the points carry a time column.
+    The index keeps a member list per occupied cell and each point's slot
+    in it, so memory is O(n + occupied cells) and a removal is O(1).
+    """
+    D = lo.shape[0]
+    d = d_spatial
+    lo_l = lo.tolist()
+    span = (hi - lo).tolist()
     vol = float(np.prod(hi - lo))
-    for s in range(rng_move.shape[0]):
-        n = pts.shape[0]
-        if rng_move[s] < 0.5:
-            x = lo + rng_loc[s] * (hi - lo)
-            cnt = _gibbs_neighbours(x, pts, lo, hi, torus, rad, trad, d_spatial)
-            papan = beta * gamma ** cnt if cnt else beta
-            if rng_acc[s] * (n + 1) < papan * vol:
-                pts = np.vstack([pts, x[None, :]])
-        elif n > 0:
-            idx = min(int(rng_idx[s] * n), n - 1)
-            others = np.delete(pts, idx, axis=0)
-            cnt = _gibbs_neighbours(pts[idx], others, lo, hi, torus, rad,
-                                    trad, d_spatial)
-            papan = beta * gamma ** cnt if cnt else beta
-            if papan * vol * rng_acc[s] < n:
-                pts[idx] = pts[n - 1]
-                pts = pts[: n - 1]
-    return pts.copy()
+    rad2 = rad * rad
+    timed = trad >= 0.0 and D > d
+    # the relative margin keeps every pair that the rounded test accepts in
+    # adjacent cells
+    cell = abs(rad) * (1.0 + 1e-6)
+    axes = []
+    stride = 1
+    for a in range(d):
+        q = span[a] / cell if cell > 0.0 else math.inf
+        m = max(1, int(q)) if q < _MAX_CELLS else _MAX_CELLS
+        if torus:
+            near = [{(c - 1) % m, c, (c + 1) % m} for c in range(m)]
+        else:
+            near = [range(max(c - 1, 0), min(c + 2, m)) for c in range(m)]
+        axes.append((a, lo_l[a], span[a] / m, m, stride,
+                     [[k * stride for k in ks] for ks in near]))
+        stride *= m
+    sides = span[:d]
+    pts = x0.tolist()
+    members = {}
+    key_of, slot_of = [], []
+
+    def locate(x):
+        """Key of the cell of x and the keys of its neighbour cells."""
+        key = 0
+        keys = None
+        for a, la, wa, m, st, near in axes:
+            c = math.floor((x[a] - la) / wa)
+            if torus:
+                c %= m
+            elif c < 0:
+                c = 0
+            elif c >= m:
+                c = m - 1
+            key += c * st
+            keys = near[c] if keys is None else [k + o for k in keys
+                                                 for o in near[c]]
+        return key, keys
+
+    def count(x, keys, skip):
+        """Points of the cells ``keys``, other than row ``skip``, that are
+        within range of x."""
+        cnt = 0
+        for k in keys:
+            for j in members.get(k, ()):
+                if j == skip:
+                    continue
+                y = pts[j]
+                s = 0.0
+                for ya, xa, side in zip(y, x, sides):
+                    h = abs(ya - xa)
+                    if torus and side - h < h:
+                        h = side - h
+                    s += h * h
+                if s <= rad2 and (not timed or abs(y[-1] - x[-1]) <= trad):
+                    cnt += 1
+        return cnt
+
+    def insert(i, key):
+        lst = members.setdefault(key, [])
+        key_of.append(key)
+        slot_of.append(len(lst))
+        lst.append(i)
+
+    for i, x in enumerate(pts):
+        insert(i, locate(x)[0])
+    n = len(pts)
+    for start in range(0, rng_move.shape[0], _CHUNK):
+        part = slice(start, start + _CHUNK)
+        for move, u, ui, ua in zip(rng_move[part].tolist(),
+                                   rng_loc[part].tolist(),
+                                   rng_idx[part].tolist(),
+                                   rng_acc[part].tolist()):
+            if move < 0.5:
+                x = [la + v * sa for la, v, sa in zip(lo_l, u, span)]
+                key, keys = locate(x)
+                cnt = count(x, keys, -1)
+                papan = beta * gamma ** cnt if cnt else beta
+                if ua * (n + 1) < papan * vol:
+                    insert(n, key)
+                    pts.append(x)
+                    n += 1
+            elif n > 0:
+                idx = min(int(ui * n), n - 1)
+                key, keys = locate(pts[idx])
+                cnt = count(pts[idx], keys, idx)
+                papan = beta * gamma ** cnt if cnt else beta
+                if papan * vol * ua < n:
+                    lst, s = members[key], slot_of[idx]
+                    j = lst.pop()
+                    if j != idx:
+                        lst[s] = j
+                        slot_of[j] = s
+                    elif not lst:
+                        del members[key]
+                    n -= 1
+                    if idx != n:
+                        pts[idx] = pts[n]
+                        key_of[idx], slot_of[idx] = key_of[n], slot_of[n]
+                        members[key_of[n]][slot_of[n]] = idx
+                    pts.pop()
+                    key_of.pop()
+                    slot_of.pop()
+    return np.array(pts, dtype=float).reshape(n, D)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +349,28 @@ def coverage_count(centers, radii, lo, hi, res, torus):
 # ---------------------------------------------------------------------------
 # neighbour counts of query locations among configuration points
 # ---------------------------------------------------------------------------
+# query-point pairs per block of neighbour_counts: its temporaries are
+# (block rows, n, d), so its memory grows linearly in m and in n
+_COUNT_BLOCK_PAIRS = 1 << 18
+
+
 def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial):
-    if pts.shape[0] == 0:
-        return np.zeros(queries.shape[0], dtype=np.int64)
-    diff = np.abs(queries[:, None, :d_spatial] - pts[None, :, :d_spatial])
-    if torus:
-        diff = np.minimum(diff, sides[None, None, :d_spatial] - diff)
-    ok = np.sum(diff * diff, axis=-1) <= rad * rad
-    if trad >= 0.0 and queries.shape[1] > d_spatial:
-        ok &= np.abs(queries[:, None, -1] - pts[None, :, -1]) <= trad
-    return np.sum(ok, axis=1).astype(np.int64)
+    """(m,) number of the (n, D) points within range of each (m, D) query:
+    spatial distance <= rad (minimal image on a torus) and, when ``trad`` >=
+    0 and the rows carry a time column, time lag <= trad.  The queries go in
+    blocks of rows, so no temporary is (m, n, d)."""
+    m, n = queries.shape[0], pts.shape[0]
+    out = np.zeros(m, dtype=np.int64)
+    if n == 0:
+        return out
+    rows = max(1, _COUNT_BLOCK_PAIRS // n)
+    for i0 in range(0, m, rows):
+        q = queries[i0:i0 + rows]
+        diff = np.abs(q[:, None, :d_spatial] - pts[None, :, :d_spatial])
+        if torus:
+            diff = np.minimum(diff, sides[None, None, :d_spatial] - diff)
+        ok = np.sum(diff * diff, axis=-1) <= rad * rad
+        if trad >= 0.0 and queries.shape[1] > d_spatial:
+            ok &= np.abs(q[:, None, -1] - pts[None, :, -1]) <= trad
+        out[i0:i0 + rows] = np.sum(ok, axis=1)
+    return out

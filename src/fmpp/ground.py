@@ -8,6 +8,7 @@ last column when the window is temporal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,13 +106,14 @@ class PairwiseGibbs:
     temporal_range: float | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValidationError("beta must be positive")
+        # written so that NaN fails every check
+        if not 0.0 < self.beta < math.inf:
+            raise ValidationError("beta must be positive and finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValidationError("gamma must lie in [0, 1] (inhibition only)")
-        if self.range_ <= 0:
+        if not self.range_ > 0:
             raise ValidationError("interaction range must be positive")
-        if self.temporal_range is not None and self.temporal_range < 0:
+        if self.temporal_range is not None and not self.temporal_range >= 0:
             raise ValidationError("temporal range must be nonnegative")
 
 

@@ -181,6 +181,15 @@ class TestGibbs:
         with pytest.raises(ValidationError):
             PairwiseGibbs(10.0, 1.2, 0.1)
 
+    @pytest.mark.parametrize("args", [
+        (np.nan, 0.5, 0.05), (np.inf, 0.5, 0.05), (-np.inf, 0.5, 0.05),
+        (50.0, np.nan, 0.05), (50.0, 0.5, np.nan), (50.0, 0.5, 0.05, np.nan),
+    ])
+    def test_nan_and_infinite_parameters_rejected(self, args):
+        # NaN fails every comparison, so a check like beta <= 0 let it pass
+        with pytest.raises(ValidationError):
+            PairwiseGibbs(*args)
+
     def test_hard_core_no_close_pairs(self):
         pts = simulate_gibbs(PairwiseGibbs(50.0, 0.0, 0.1), UNIT_SQUARE,
                              20000, 7)

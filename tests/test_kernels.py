@@ -3,6 +3,7 @@
 The loops are the plain per-pair / per-pixel definitions of each kernel;
 they are slow and serve only as oracles on small inputs.
 """
+import hashlib
 import math
 import tracemalloc
 
@@ -245,21 +246,100 @@ def test_pair_stats_torus_points_on_the_boundary(rng):
 # ---------------------------------------------------------------------------
 # the remaining kernels
 # ---------------------------------------------------------------------------
+def lattice(lo, hi, step):
+    """Every point of the lattice step * Z^d inside [lo, hi)."""
+    axes = [np.arange(np.ceil(a / step), np.ceil(b / step)) * step
+            for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(lo))
+
+
 def test_gibbs_chain_variants_agree(rng):
     steps = 400
-    for lo, hi, torus, trad in (([0.0, 0.0], [1.0, 1.0], False, -1.0),
-                                ([0.0, 0.0], [1.0, 1.0], True, -1.0),
-                                ([0.0, 0.0, 0.0], [1.0, 1.0, 2.0], True, 0.3)):
+    unit2, unit3 = ([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    offset = ([-0.3, 2.0], [0.7, 2.5])
+    # (lo, hi), torus, beta, gamma, rad, trad, d_spatial, x0 lattice step
+    cases = [
+        (unit2, False, 40.0, 0.6, 0.07, -1.0, 2, None),
+        (unit2, True, 40.0, 0.6, 0.07, -1.0, 2, None),
+        (([0.0, 0.0, 0.0], [1.0, 1.0, 2.0]), True, 40.0, 0.6, 0.07, 0.3, 2,
+         None),
+        # lattice starts at multiples of rad / 2: pairs at exactly rad, some
+        # across cell boundaries, on an offset window with unequal sides
+        (offset, False, 100.0, 0.5, 0.125, -1.0, 2, 0.0625),
+        (offset, True, 100.0, 0.5, 0.125, -1.0, 2, 0.0625),
+        (unit2, False, 150.0, 0.3, 0.25, -1.0, 2, 0.125),
+        (offset, False, 60.0, 0.4, 0.07, -1.0, 2, None),
+        (offset, True, 60.0, 0.4, 0.07, -1.0, 2, None),
+        # rad >= side / 3 and rad >= side on a torus: the wrapped neighbour
+        # cells coincide, and each point still counts once
+        (unit2, True, 60.0, 0.8, 0.4, -1.0, 2, 0.25),
+        (offset, True, 100.0, 0.8, 0.4, -1.0, 2, None),
+        (offset, True, 100.0, 0.9, 1.5, -1.0, 2, 0.25),
+        # three cells per axis on a box; with four, cells would be narrower
+        # than the range and the 3 x 3 block would miss neighbours
+        (unit2, False, 60.0, 0.8, 0.3, -1.0, 2, None),
+        # hard core and no interaction
+        (unit2, False, 80.0, 0.0, 0.1, -1.0, 2, None),
+        (unit2, True, 80.0, 0.0, 0.1, -1.0, 2, 0.125),
+        (offset, False, 40.0, 1.0, 0.1, -1.0, 2, 0.125),
+        # 1-D and 3-D spatial windows
+        (([-1.0], [2.0]), False, 30.0, 0.5, 0.125, -1.0, 1, 0.0625),
+        (([-1.0], [2.0]), True, 30.0, 0.5, 0.125, -1.0, 1, None),
+        (unit3, False, 80.0, 0.5, 0.25, -1.0, 3, 0.125),
+        (([-0.3, 2.0, 0.5], [0.7, 2.5, 1.3]), True, 80.0, 0.5, 0.2, -1.0, 3,
+         None),
+        # space-time cylinders on a 1-D and a 2-D window
+        (([0.0, 0.0], [1.0, 2.0]), False, 40.0, 0.3, 0.125, 0.25, 1, 0.125),
+        (([-0.3, 2.0, 0.0], [0.7, 2.5, 1.0]), True, 60.0, 0.0, 0.125, 0.25,
+         2, None),
+    ]
+    for (lo, hi), torus, beta, gamma, rad, trad, d, step in cases:
         lo, hi = np.array(lo), np.array(hi)
         D = lo.size
         args = (rng.random(steps), rng.random((steps, D)), rng.random(steps),
                 rng.random(steps))
-        x0 = np.empty((0, D))
-        got = K.gibbs_chain(x0, lo, hi, torus, 40.0, 0.6, *args, 0.07, trad, 2)
-        want = gibbs_chain_loop(x0, lo, hi, torus, 40.0, 0.6, *args, 0.07,
-                                trad, 2)
+        x0 = np.empty((0, D)) if step is None else lattice(lo, hi, step)
+        got = K.gibbs_chain(x0, lo, hi, torus, beta, gamma, *args, rad, trad, d)
+        want = gibbs_chain_loop(x0, lo, hi, torus, beta, gamma, *args, rad,
+                                trad, d)
         assert got.shape[0] > 5
         np.testing.assert_array_equal(got, want)
+
+
+def gibbs_pl_chain(steps=20000, seed=2014):
+    """The chain of the gibbs-pl benchmark's ground: beta 200, gamma 0.3,
+    range 0.05 on the unit square, with its draws in simulate_gibbs' order."""
+    rng = np.random.default_rng(seed)
+    return (np.empty((0, 2)), np.zeros(2), np.ones(2), False, 200.0, 0.3,
+            rng.random(steps), rng.random((steps, 2)), rng.random(steps),
+            rng.random(steps), 0.05, -1.0, 2)
+
+
+def test_gibbs_chain_pinned():
+    # the state recorded with a brute-force count over all points: every
+    # proposal must decide as it did there
+    out = K.gibbs_chain(*gibbs_pl_chain())
+    assert out.shape == (122, 2)
+    assert out[:2].tolist() == [[0.32913853417009, 0.34674218439454385],
+                                [0.8220797402697679, 0.5087421972249944]]
+    assert out[-1].tolist() == [0.8227921730407771, 0.9837765742585266]
+    digest = hashlib.sha256(np.ascontiguousarray(out, "<f8").tobytes())
+    assert digest.hexdigest() == (
+        "b8fb0fd04ec5caf0f8e66da65d8ce5149908c38608a163ebf643a694bdeb2b1a")
+
+
+def test_gibbs_chain_memory_is_small():
+    # draws are read a chunk at a time and the index holds occupied cells
+    # only; converting all 20 000 draws at once would take several MB
+    args = gibbs_pl_chain()
+    tracemalloc.start()
+    try:
+        out = K.gibbs_chain(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape[0] > 100
+    assert peak < 1_000_000
 
 
 def clustered_points(rng, n_clusters, per_cluster, spread):
@@ -373,12 +453,38 @@ def test_coverage_count_variants_agree(rng):
                 == coverage_count_loop(centers, radii, lo, hi, 32, torus))
 
 
-def test_neighbour_counts_variants_agree(rng):
+def test_neighbour_counts_variants_agree(rng, monkeypatch):
     queries = rng.random((30, 3))
     pts = rng.random((50, 3))
     sides = np.array([1.0, 1.0, 1.0])
-    for torus in (False, True):
-        for trad in (-1.0, 0.2):
-            np.testing.assert_array_equal(
-                K.neighbour_counts(queries, pts, sides, torus, 0.2, trad, 2),
-                neighbour_counts_loop(queries, pts, sides, torus, 0.2, trad, 2))
+    # one block of queries, then blocks of 1 and 7 rows
+    for block in (K._COUNT_BLOCK_PAIRS, 50, 350):
+        monkeypatch.setattr(K, "_COUNT_BLOCK_PAIRS", block)
+        for torus in (False, True):
+            for trad in (-1.0, 0.2):
+                np.testing.assert_array_equal(
+                    K.neighbour_counts(queries, pts, sides, torus, 0.2, trad,
+                                       2),
+                    neighbour_counts_loop(queries, pts, sides, torus, 0.2,
+                                          trad, 2))
+
+
+def test_neighbour_counts_memory_is_blocked(rng):
+    # the pseudo-likelihood's 48 x 48 quadrature against 10 000 points: an
+    # (m, n, d) temporary alone would take m * n * 16 bytes
+    m, n = 2304, 10_000
+    queries, pts = rng.random((m, 2)), rng.random((n, 2))
+    tracemalloc.start()
+    try:
+        got = K.neighbour_counts(queries, pts, np.ones(2), True, 0.02, -1.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # under one byte per query-point pair
+    assert peak < m * n
+    some = rng.choice(m, 5, replace=False)
+    np.testing.assert_array_equal(
+        got[some],
+        neighbour_counts_loop(queries[some], pts, np.ones(2), True, 0.02,
+                              -1.0, 2))
+    assert got.sum() > m
