@@ -33,8 +33,30 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
 
     ``trans`` is the translation correction prod(sides - |dx|) on a box and
     the window volume on a torus, where distances are minimal-image ones.
-    Only pairs closer than max(lags) + bw reach the Epanechnikov kernel.
+    Only pairs closer than max(lags) + bw reach the Epanechnikov kernel, and
+    each lag evaluates it only on the pairs near it: the pairs are sorted
+    by distance once, and a lag's slice runs from lag - 2 bw to lag + 2 bw.
+    Rounding is monotone, so every pair the |u| < 1 test accepts lies in
+    that slice, and the sums take the same pairs as a dense (lags, pairs)
+    kernel matrix would.
     """
+    dist, weight = _pair_weights(pts, w, v, float(np.max(lags)) + bw, sides,
+                                 torus)
+    order = np.argsort(dist)
+    dist, weight = dist[order], weight[order]
+    starts = np.searchsorted(dist, lags - 2.0 * bw, side="left")
+    ends = np.searchsorted(dist, lags + 2.0 * bw, side="right")
+    out = np.zeros(len(lags))
+    for k, (lag, a, b) in enumerate(zip(lags.tolist(), starts, ends)):
+        u = (lag - dist[a:b]) / bw
+        kern = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
+        out[k] = kern @ weight[a:b]
+    return out
+
+
+def _pair_weights(pts, w, v, reach, sides, torus):
+    """Distance and weight (w_i v_j + w_j v_i) / (trans s_d(d)) of each
+    unordered pair closer than ``reach``; coincident pairs weigh zero."""
     from scipy.spatial import cKDTree
 
     d = pts.shape[1]
@@ -46,7 +68,7 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
         tree = cKDTree(pts, boxsize=sides)
     else:
         tree = cKDTree(pts)
-    pairs = tree.query_pairs(float(np.max(lags)) + bw, output_type="ndarray")
+    pairs = tree.query_pairs(reach, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     diff = np.abs(pts[i] - pts[j])
     if torus:
@@ -63,9 +85,7 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
     else:
         surf = 4.0 * np.pi * dist * dist
     ok = dist > 0.0
-    u = (lags[:, None] - dist[None, :]) / bw
-    kern = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
-    return kern @ np.where(ok, ww / trans / np.where(ok, surf, 1.0), 0.0)
+    return dist, np.where(ok, ww / trans / np.where(ok, surf, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

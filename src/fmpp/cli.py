@@ -31,8 +31,9 @@ from .core import (
     SampleSchedule,
     Window,
     configuration_from_json,
-    configuration_to_json,
-    write_configuration_csv,
+    configuration_to_json,  # noqa: F401  (fmpp.cli attributes that perfbench wraps)
+    write_configuration_csv,  # noqa: F401
+    write_configuration_files,
 )
 from .errors import NonConvergenceError, NumericalError, ValidationError
 
@@ -201,9 +202,9 @@ def run_simulate(cfg: dict, out: Path, seed: int, replicates: int) -> int:
     for r in range(replicates):
         c = _simulate_one(cfg, window, seed + r)
         jpath = out / f"configuration_r{r:03d}.json"
-        jpath.write_text(configuration_to_json(c), encoding="utf-8")
         cpath = out / f"marks_r{r:03d}.csv"
-        write_configuration_csv(c, cpath, {"seed": seed + r, "replicate": r})
+        write_configuration_files(c, jpath, cpath,
+                                  {"seed": seed + r, "replicate": r})
         files += [jpath.name, cpath.name]
         print(f"replicate {r}: {len(c)} points -> {jpath.name}")
     manifest = {

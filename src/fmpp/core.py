@@ -9,6 +9,9 @@ projections, torus shifts and JSON/CSV serialization.
 A configuration is stored as columns: an (n, D) ground array (event time
 last on a temporal window), a tuple of aux marks and a tuple of cadlag
 marks.  ``MarkedPoint`` objects are per-point views built on demand.
+Cadlag marks built together by ``CadlagPath.rows`` share one grid array and
+are validated as one value matrix, and the JSON and CSV writers format each
+float once for both files.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -45,6 +48,7 @@ __all__ = [
     "configuration_from_json",
     "configuration_to_csv_rows",
     "write_configuration_csv",
+    "write_configuration_files",
 ]
 
 
@@ -183,6 +187,40 @@ class AuxMark:
             object.__setattr__(self, "continuous", cont)
 
 
+def _check_rows(grid, values, supports, mode, t_star):
+    """Validate the paths on one grid: the (k,) ``grid``, the (n, k)
+    ``values`` and the n (start, end) ``supports`` (None: each from grid[0]
+    on).  Returns the starts and ends as lists of floats, the mode and
+    t_star."""
+    if grid.size == 0:
+        raise ValidationError("path grid must be non-empty")
+    if not np.all(np.diff(grid) > 0):
+        raise ValidationError("path grid must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("path values must be finite")
+    n = values.shape[0]
+    if supports is None:
+        a, b = np.full(n, grid[0]), np.full(n, np.inf)
+    else:
+        supports = np.asarray(supports, dtype=float)
+        if supports.shape != (n, 2):
+            raise ValidationError("supports must be one (start, end) pair per path")
+        a, b = supports[:, 0], supports[:, 1]
+    if not np.all(b >= a):
+        raise ValidationError("support end must be >= support start")
+    if t_star is not None:
+        t_star = float(t_star)
+        if grid[-1] > t_star + 1e-12:
+            raise ValidationError("path grid exceeds the ambient interval")
+    mode = str(mode)
+    if mode not in ("step", "linear"):
+        raise ValidationError("mode must be 'step' or 'linear'")
+    outside = (grid < a[:, None]) | (grid >= b[:, None])
+    if np.any(outside & (values != 0.0)):
+        raise ValidationError("path must be zero at grid times outside its support")
+    return a.tolist(), b.tolist(), mode, t_star
+
+
 class CadlagPath:
     """Right-continuous path sampled on a finite grid.
 
@@ -190,6 +228,8 @@ class CadlagPath:
     mode; ``linear`` mode interpolates between grid points.  Outside the
     half-open support interval ``[support[0], support[1])`` the path is
     identically zero; the degenerate support ``[a, a)`` is the zero path.
+    ``CadlagPath.rows`` builds the paths of a whole value matrix on one
+    shared grid.
     """
 
     __slots__ = ("grid", "values", "support", "mode", "t_star")
@@ -199,31 +239,42 @@ class CadlagPath:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if grid.ndim != 1 or grid.shape != values.shape:
             raise ValidationError("grid and values must be 1-d arrays of equal length")
-        if grid.size == 0:
-            raise ValidationError("path grid must be non-empty")
-        if np.any(np.diff(grid) <= 0):
-            raise ValidationError("path grid must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("path values must be finite")
-        if support is None:
-            support = (float(grid[0]), np.inf)
-        a, b = float(support[0]), float(support[1])
-        if b < a:
-            raise ValidationError("support end must be >= support start")
-        if t_star is not None:
-            t_star = float(t_star)
-            if grid[-1] > t_star + 1e-12:
-                raise ValidationError("path grid exceeds the ambient interval")
+        if support is not None:
+            support = [(float(support[0]), float(support[1]))]
+        (a,), (b,), mode, t_star = _check_rows(grid, values[None, :], support,
+                                               mode, t_star)
         self.grid = grid
         self.values = values
         self.support = (a, b)
-        self.mode = str(mode)
+        self.mode = mode
         self.t_star = t_star
-        if self.mode not in ("step", "linear"):
-            raise ValidationError("mode must be 'step' or 'linear'")
-        outside = (grid < a) | (grid >= b)
-        if np.any(values[outside] != 0.0):
-            raise ValidationError("path must be zero at grid times outside its support")
+
+    @classmethod
+    def rows(cls, grid, values, supports=None, mode="step", t_star=None) -> list:
+        """One path per row of the (n, k) ``values`` matrix on the shared
+        grid of k times, validated as a whole by the rules of ``__init__``.
+
+        ``supports`` holds n (start, end) pairs; None gives every path the
+        support [grid[0], inf).  The paths share one grid array, and each
+        holds its row of ``values`` as its values.
+        """
+        grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size:
+            raise ValidationError("values must form an (n, k) matrix over a "
+                                  "1-d grid of k times")
+        starts, ends, mode, t_star = _check_rows(grid, values, supports, mode,
+                                                 t_star)
+        out = []
+        for row, support in zip(values, zip(starts, ends)):
+            path = object.__new__(cls)
+            path.grid = grid
+            path.values = row
+            path.support = support
+            path.mode = mode
+            path.t_star = t_star
+            out.append(path)
+        return out
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -536,15 +587,6 @@ def skorohod_distance(f: CadlagPath, g: CadlagPath, warp_grid_resolution: int = 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _aux_to_obj(a: AuxMark) -> dict:
-    out = {}
-    if a.discrete is not None:
-        out["discrete"] = int(a.discrete)
-    if a.continuous is not None:
-        out["continuous"] = list(a.continuous)
-    return out
-
-
 def _aux_from_obj(obj: dict) -> AuxMark:
     return AuxMark(
         discrete=obj.get("discrete"),
@@ -552,11 +594,71 @@ def _aux_from_obj(obj: dict) -> AuxMark:
     )
 
 
-def configuration_to_json(c: Configuration) -> str:
-    """Serialize a configuration; floats round-trip at full precision."""
-    sup = lambda s: [s[0], None if np.isinf(s[1]) else s[1]]
+# json.dumps spells the floats whose repr is nan, inf or -inf this way
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(text: str) -> str:
+    """A float's JSON text, as json.dumps writes it, from its repr."""
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _point_texts(c: Configuration, want_json=True, want_csv=True):
+    """Per point, its JSON object text and its marks-CSV block, each None
+    when not wanted.
+
+    Every float is formatted once with ``repr`` and both texts are built
+    from those strings: a path's values as the repr of their list, which is
+    the JSON array itself and splits into the CSV value column, and the
+    grid times once per grid array shared between points.
+    """
+    # id(grid) -> (JSON array text, ["<time>," per grid time]); ids stay
+    # unique while c holds every grid
+    grid_text = {}
     d, temporal = c.window.dim, c.window.is_temporal
-    obj = {
+    for i, (g, aux, mark) in enumerate(zip(c.ground.tolist(), c.auxs, c.marks)):
+        x = list(map(repr, g[:d]))
+        t = repr(g[d]) if temporal else ""
+        cont = None if aux.continuous is None else list(map(repr, aux.continuous))
+        start, end = map(repr, mark.support)
+        values = repr(mark.values.tolist())
+        grid = grid_text.get(id(mark.grid))
+        if grid is None:
+            times = list(map(repr, mark.grid.tolist()))
+            grid = ("[" + ", ".join(map(_json_float, times)) + "]",
+                    [s + "," for s in times])
+            grid_text[id(mark.grid)] = grid
+        js = block = None
+        if want_json:
+            aux_obj = []
+            if aux.discrete is not None:
+                aux_obj.append(f'"discrete": {int(aux.discrete)!r}')
+            if cont is not None:
+                aux_obj.append('"continuous": ['
+                               + ", ".join(map(_json_float, cont)) + "]")
+            end_js = "null" if np.isinf(mark.support[1]) else _json_float(end)
+            t_star = "null" if mark.t_star is None else _json_float(repr(mark.t_star))
+            js = "".join([
+                '{"x": [', ", ".join(map(_json_float, x)), "]",
+                ', "t": ' + _json_float(t) if temporal else "",
+                ', "aux": {', ", ".join(aux_obj), '}, "mark": {"grid": ',
+                grid[0], ', "values": ', values, ', "support": [',
+                _json_float(start), ", ", end_js, '], "mode": ',
+                json.dumps(mark.mode), ', "t_star": ', t_star, "}}"])
+        if want_csv:
+            prefix = ",".join([
+                str(i), *x, t,
+                "" if aux.discrete is None else str(aux.discrete),
+                "" if cont is None else ";".join(cont), ""])
+            suffix = f",{start},{end}\n"
+            block = (prefix + (suffix + prefix).join(
+                map(add, grid[1], values[1:-1].split(", "))) + suffix)
+        yield js, block
+
+
+def _json_document(c: Configuration, points) -> str:
+    """The configuration's JSON text around the given point object texts."""
+    head = json.dumps({
         "window": {
             "lo": list(c.window.lo),
             "hi": list(c.window.hi),
@@ -568,26 +670,43 @@ def configuration_to_json(c: Configuration) -> str:
             "aux": {"kind": c.reference.aux.kind, "params": list(c.reference.aux.params)},
             "mark_reference": list(c.reference.mark_reference),
         },
-        "points": [
-            {
-                "x": g[:d],
-                **({"t": g[d]} if temporal else {}),
-                "aux": _aux_to_obj(a),
-                "mark": {
-                    "grid": m.grid.tolist(),
-                    "values": m.values.tolist(),
-                    "support": sup(m.support),
-                    "mode": m.mode,
-                    "t_star": m.t_star,
-                },
-            }
-            for g, a, m in zip(c.ground.tolist(), c.auxs, c.marks)
-        ],
-    }
-    return json.dumps(obj)
+    })
+    return head[:-1] + ', "points": [' + ", ".join(points) + "]}"
+
+
+def configuration_to_json(c: Configuration) -> str:
+    """Serialize a configuration; floats round-trip at full precision."""
+    return _json_document(c, (js for js, _ in _point_texts(c, want_csv=False)))
+
+
+def _support(mark: dict) -> tuple:
+    a, b = mark["support"]
+    return float(a), np.inf if b is None else float(b)
+
+
+def _shared_grid_paths(marks: list):
+    """The marks' paths through one ``CadlagPath.rows`` call when every mark
+    has the same grid list, mode and t_star and one value per grid time;
+    None otherwise."""
+    if not marks:
+        return None
+    first = marks[0]
+    grid, mode, t_star = first["grid"], first.get("mode", "step"), first.get("t_star")
+    if not isinstance(grid, list) or any(
+            m["grid"] != grid or m.get("mode", "step") != mode
+            or m.get("t_star") != t_star or not isinstance(m["values"], list)
+            or len(m["values"]) != len(grid) for m in marks):
+        return None
+    values = np.array([m["values"] for m in marks], dtype=float)
+    if values.ndim != 2:
+        return None
+    return CadlagPath.rows(grid, values, [_support(m) for m in marks], mode,
+                           t_star)
 
 
 def configuration_from_json(text: str) -> Configuration:
+    """Read ``configuration_to_json`` text.  Marks on one shared grid are
+    validated as one value matrix; ragged grids are read point by point."""
     obj = json.loads(text)
     w = obj["window"]
     window = Window(tuple(w["lo"]), tuple(w["hi"]), w.get("t_star"),
@@ -599,7 +718,7 @@ def configuration_from_json(text: str) -> Configuration:
         tuple(r.get("mark_reference", ("wiener", 1.0))),
     )
     d, temporal = window.dim, window.is_temporal
-    ground, auxs, paths = [], [], []
+    ground, auxs = [], []
     for po in obj["points"]:
         x, t = po["x"], po.get("t")
         if len(x) != d:
@@ -610,42 +729,27 @@ def configuration_from_json(text: str) -> Configuration:
             raise ValidationError("spatial window takes no event times")
         ground.append(x + [t] if temporal else x)
         auxs.append(_aux_from_obj(po["aux"]))
-        m = po["mark"]
-        a, b = m["support"]
-        paths.append(CadlagPath(m["grid"], m["values"],
-                                (a, np.inf if b is None else b),
-                                m.get("mode", "step"), m.get("t_star")))
+    marks = [po["mark"] for po in obj["points"]]
+    paths = _shared_grid_paths(marks)
+    if paths is None:
+        paths = [CadlagPath(m["grid"], m["values"], _support(m),
+                            m.get("mode", "step"), m.get("t_star"))
+                 for m in marks]
     return Configuration(window, ground, auxs, paths, reference)
+
+
+def _csv_header(c: Configuration) -> str:
+    return ",".join(["point", *(f"x{i+1}" for i in range(c.window.dim)), "t",
+                     "aux_discrete", "aux_continuous", "grid_time", "value",
+                     "support_start", "support_end"]) + "\n"
 
 
 def _csv_blocks(c: Configuration):
     """Marks CSV text: the header line, then one block per point holding a
-    line per (grid time, value) pair.
-
-    A point's constant fields are formatted once, as the text before and
-    after the grid-time and value columns; grid times are formatted once per
-    grid array shared between points.
-    """
-    yield ",".join(["point", *(f"x{i+1}" for i in range(c.window.dim)), "t",
-                    "aux_discrete", "aux_continuous", "grid_time", "value",
-                    "support_start", "support_end"]) + "\n"
-    # id(grid) -> ["<time>," per grid time]; ids stay unique while c holds
-    # every grid
-    grid_text = {}
-    d, temporal = c.window.dim, c.window.is_temporal
-    for i, (g, aux, mark) in enumerate(zip(c.ground.tolist(), c.auxs, c.marks)):
-        prefix = ",".join([
-            str(i), *map(repr, g[:d]), repr(g[d]) if temporal else "",
-            "" if aux.discrete is None else str(aux.discrete),
-            "" if aux.continuous is None else ";".join(map(repr, aux.continuous)),
-            ""])
-        suffix = f",{mark.support[0]!r},{mark.support[1]!r}\n"
-        times = grid_text.get(id(mark.grid))
-        if times is None:
-            times = [repr(t) + "," for t in mark.grid.tolist()]
-            grid_text[id(mark.grid)] = times
-        values = map(repr, mark.values.tolist())
-        yield prefix + (suffix + prefix).join(map(add, times, values)) + suffix
+    line per (grid time, value) pair."""
+    yield _csv_header(c)
+    for _, block in _point_texts(c, want_json=False):
+        yield block
 
 
 def configuration_to_csv_rows(c: Configuration) -> list:
@@ -654,10 +758,30 @@ def configuration_to_csv_rows(c: Configuration) -> list:
             for line in block.splitlines()]
 
 
+def _write_csv_head(fh, c: Configuration, metadata: dict | None):
+    for k, v in (metadata or {}).items():
+        fh.write(f"# {k}={v}\n")
+    fh.write(_csv_header(c))
+
+
 def write_configuration_csv(c: Configuration, path, metadata: dict | None = None):
     """Write the flat export, each metadata item as a ``# key=value`` line
     above the header."""
     with open(path, "w", encoding="utf-8") as fh:
-        for k, v in (metadata or {}).items():
-            fh.write(f"# {k}={v}\n")
-        fh.writelines(_csv_blocks(c))
+        _write_csv_head(fh, c, metadata)
+        fh.writelines(block for _, block in _point_texts(c, want_json=False))
+
+
+def write_configuration_files(c: Configuration, json_path, csv_path,
+                              metadata: dict | None = None):
+    """Write ``configuration_to_json(c)`` to ``json_path`` and
+    ``write_configuration_csv(c, csv_path, metadata)``'s file, the same
+    bytes as those two, formatting every value once for both."""
+    points = []
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        _write_csv_head(fh, c, metadata)
+        for js, block in _point_texts(c):
+            points.append(js)
+            fh.write(block)
+    with open(json_path, "w", encoding="utf-8") as fh:
+        fh.write(_json_document(c, points))

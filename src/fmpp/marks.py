@@ -11,6 +11,8 @@ Marks attach to a configuration's columns: ``attach_marks(window,
 locations, auxs, model, grid, seed)`` takes the (n, D) ground array and the
 n aux marks and returns one cadlag path per point, which
 ``make_configuration`` (the ``Configuration`` constructor) joins to them.
+Every model builds its marks as one (n, k) value matrix on the shared grid
+and validates it once through ``CadlagPath.rows``.
 
 Growth, interaction and noise functions are chosen from a named registry
 with numeric parameter vectors (arbitrary code injection is out of scope
@@ -221,24 +223,20 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     d, temporal = window.dim, window.is_temporal
     t_star = window.t_star if temporal else float(grid[-1])
     xs = locations[:, :d]
-    full = (float(grid[0]), np.inf)
 
     if isinstance(model, Deterministic):
-        out = []
-        for g, aux in zip(locations.tolist(), auxs):
-            loc = (tuple(g[:d]), g[d] if temporal else None)
-            out.append(CadlagPath(grid, model.evaluate(loc, aux, grid), full,
-                                  "step", t_star))
-        return out
+        values = [model.evaluate((tuple(g[:d]), g[d] if temporal else None),
+                                 aux, grid)
+                  for g, aux in zip(locations.tolist(), auxs)]
+        return _paths(grid, values, t_star)
     if isinstance(model, Wiener):
-        out = []
-        for _ in auxs:
-            steps = np.sqrt(np.diff(grid)) * rng.standard_normal(len(grid) - 1)
-            vals = model.scale * np.concatenate([[0.0], np.cumsum(steps)])
-            out.append(CadlagPath(grid, vals, full, "step", t_star))
-        return out
+        steps = np.sqrt(np.diff(grid)) * rng.standard_normal((len(auxs),
+                                                              len(grid) - 1))
+        values = np.zeros((len(auxs), len(grid)))
+        np.cumsum(steps, axis=1, out=values[:, 1:])
+        return CadlagPath.rows(grid, model.scale * values, None, "step", t_star)
     if isinstance(model, Diffusion):
-        out = []
+        values = []
         for _ in auxs:
             vals = np.empty_like(grid)
             vals[0] = model.m0
@@ -248,8 +246,8 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
                 m = vals[j]
                 vals[j + 1] = (m + model.drift(m, grid[j]) * dt
                                + model.diffusion(m, grid[j]) * math.sqrt(dt) * noise[j])
-            out.append(CadlagPath(grid, vals, full, "step", t_star))
-        return out
+            values.append(vals)
+        return _paths(grid, values, t_star)
     if isinstance(model, GrowthInteraction):
         if not temporal:
             raise ValidationError("growth-interaction marks need birth times")
@@ -273,6 +271,14 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     raise ValidationError(f"unknown mark model {type(model).__name__}")
 
 
+def _paths(grid, values: list, t_star) -> list:
+    """``CadlagPath.rows`` over per-point value rows on ``grid``, each path
+    supported from grid[0] on."""
+    matrix = (np.array(values, dtype=float) if values
+              else np.empty((0, np.size(grid))))
+    return CadlagPath.rows(grid, matrix, None, "step", t_star)
+
+
 def gi_integrate(points, model: GrowthInteraction, step: float, seed,
                  t_star: float) -> list:
     """Integrate the coupled growth system on the global grid 0..t_star.
@@ -286,8 +292,8 @@ def gi_integrate(points, model: GrowthInteraction, step: float, seed,
     """
     grid, vals, births, deaths = _gi_values(points, model, step, seed, t_star)
     # absorption moves the death time forward; supports follow it
-    return [CadlagPath(grid, vals[:, i], (births[i], deaths[i]), "step", t_star)
-            for i in range(vals.shape[1])]
+    return CadlagPath.rows(grid, vals.T, np.column_stack([births, deaths]),
+                           "step", t_star)
 
 
 def _gi_values(points, model: GrowthInteraction, step: float, seed,
@@ -365,8 +371,7 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
                 z = math.sqrt(var) * (Ls @ rng.standard_normal((n, k)) @ Lt.T)
                 rows = [i for i, c in enumerate(classes) if c == cls]
                 draws[rows] += z[rows]
-    full = (float(grid[0]), np.inf)
-    return [CadlagPath(grid, draws[i], full, "step", t_star) for i in range(n)]
+    return CadlagPath.rows(grid, draws, None, "step", t_star)
 
 
 def intensity_dependent_marking(field: GridField, locations, grid) -> list:
@@ -374,16 +379,14 @@ def intensity_dependent_marking(field: GridField, locations, grid) -> list:
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     grid = np.asarray(grid, dtype=float)
     w = field.window
-    out = []
+    values = []
     for x in locations:
         x_sp = x[: w.dim]
         if w.is_temporal:
-            vals = np.asarray([field(np.concatenate([x_sp, [t]])) for t in grid])
+            values.append([field(np.concatenate([x_sp, [t]])) for t in grid])
         else:
-            vals = np.full(grid.size, field(x_sp))
-        out.append(CadlagPath(grid, vals, (float(grid[0]), np.inf), "step",
-                              None))
-    return out
+            values.append(np.full(grid.size, field(x_sp)))
+    return _paths(grid, values, None)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,23 @@ class VariogramModel:
 _PAIR_BLOCK_ENTRIES = 1 << 18
 
 
+def _equal_bin_index(edges, h):
+    """``np.searchsorted(edges, h, side="right") - 1`` for equal-width
+    ``edges`` and edges[0] <= h <= edges[-1], by arithmetic.
+
+    The step must be finite and normal.  The quotient (h - edges[0]) / step
+    then differs from the bin index by less than one unless the bin count
+    nears 2**40, so one step down or up against the actual edges makes it
+    exact.
+    """
+    nbins = len(edges) - 1
+    step = (edges[-1] - edges[0]) / nbins
+    idx = np.clip(np.floor((h - edges[0]) / step), 0, nbins).astype(np.intp)
+    idx -= edges[idx] > h
+    idx += (idx < nbins) & (edges[np.minimum(idx + 1, nbins)] <= h)
+    return idx
+
+
 def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
     """Empirical trace-variogram of located curves.
 
@@ -277,7 +294,7 @@ def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
     paths = [p for _, p in curves]
     grid = paths[0].grid
     for p in paths[1:]:
-        if not np.array_equal(p.grid, grid):
+        if p.grid is not grid and not np.array_equal(p.grid, grid):
             raise ValidationError("curves must share a common grid")
     V = np.stack([p.values for p in paths])
     # trapezoid weights on the shared grid
@@ -297,6 +314,11 @@ def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
     else:
         edges = np.asarray(bins, dtype=float)
     nbins = len(edges) - 1
+    # the default edges run from 0 past the largest pair distance, so every
+    # pair lies within them; coincident or non-finite locations leave no
+    # step the arithmetic binning can use
+    equal_width = (np.isscalar(bins) and nbins > 0 and np.isfinite(edges[-1])
+                   and edges[-1] >= np.finfo(float).tiny * nbins)
     counts = np.zeros(nbins, dtype=np.intp)
     sums = np.zeros(nbins)
     VW = V * wts
@@ -308,10 +330,15 @@ def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
         upper = np.arange(n - i0) > np.arange(i1 - i0)[:, None]      # pairs i < j
         h = cdist(locs[i0:i1], locs[i0:])[upper]
         d = 0.5 * (diag[i0:i1, None] + diag[None, i0:] - 2.0 * S)[upper]
-        keep = (h >= edges[0]) & (h <= edges[-1])
-        idx = np.clip(np.searchsorted(edges, h[keep], side="right") - 1, 0, nbins - 1)
+        if equal_width:
+            idx = _equal_bin_index(edges, h)
+        else:
+            keep = (h >= edges[0]) & (h <= edges[-1])
+            h, d = h[keep], d[keep]
+            idx = np.searchsorted(edges, h, side="right") - 1
+        idx = np.clip(idx, 0, nbins - 1)
         counts += np.bincount(idx, minlength=nbins)
-        sums += np.bincount(idx, weights=d[keep], minlength=nbins)
+        sums += np.bincount(idx, weights=d, minlength=nbins)
     values = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
     return VariogramEstimate(edges, values, counts)
 

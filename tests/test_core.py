@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fmpp.core import (
     AuxMark,
+    AuxMeasure,
     CadlagPath,
     Configuration,
     MarkedPoint,
@@ -24,6 +26,7 @@ from fmpp.core import (
     temporal_projection,
     uniform_distance,
     write_configuration_csv,
+    write_configuration_files,
 )
 from fmpp import _skorohod
 from fmpp.errors import ValidationError
@@ -353,6 +356,195 @@ class TestMarksCsvOracle:
         c = from_points(Window((0, 0), (1, 1), t_star=1.0), [], ReferenceSpec())
         self.check(c, tmp_path)
         assert len(configuration_to_csv_rows(c)) == 1
+
+
+def reference_json_text(c):
+    """The configuration JSON as one dict of plain lists passed to
+    json.dumps, every float formatted by it."""
+    sup = lambda s: [s[0], None if np.isinf(s[1]) else s[1]]
+    aux = lambda a: {**({} if a.discrete is None else {"discrete": int(a.discrete)}),
+                     **({} if a.continuous is None
+                        else {"continuous": list(a.continuous)})}
+    d, temporal = c.window.dim, c.window.is_temporal
+    obj = {
+        "window": {
+            "lo": list(c.window.lo),
+            "hi": list(c.window.hi),
+            "t_star": c.window.t_star,
+            "torus": c.window.torus,
+            "time_scale": c.window.time_scale,
+        },
+        "reference": {
+            "aux": {"kind": c.reference.aux.kind,
+                    "params": list(c.reference.aux.params)},
+            "mark_reference": list(c.reference.mark_reference),
+        },
+        "points": [
+            {
+                "x": g[:d],
+                **({"t": g[d]} if temporal else {}),
+                "aux": aux(a),
+                "mark": {
+                    "grid": m.grid.tolist(),
+                    "values": m.values.tolist(),
+                    "support": sup(m.support),
+                    "mode": m.mode,
+                    "t_star": m.t_star,
+                },
+            }
+            for g, a, m in zip(c.ground.tolist(), c.auxs, c.marks)
+        ],
+    }
+    return json.dumps(obj)
+
+
+class TestJsonOracle:
+    """configuration_to_json against one json.dumps of the whole document,
+    and write_configuration_files against the two single writers, byte for
+    byte."""
+
+    META = {"seed": 11, "replicate": 0}
+
+    def check(self, c, tmp_path):
+        text = configuration_to_json(c)
+        assert text == reference_json_text(c)
+        write_configuration_files(c, tmp_path / "c.json", tmp_path / "m.csv",
+                                  self.META)
+        assert (tmp_path / "c.json").read_bytes() == text.encode("utf-8")
+        assert (tmp_path / "m.csv").read_bytes() == reference_csv_bytes(c, self.META)
+        assert configuration_to_json(configuration_from_json(text)) == text
+
+    def test_temporal_continuous_aux_finite_supports(self, tmp_path):
+        w = Window((0, 0), (1, 1), t_star=2.0, time_scale=0.5)
+        rng = np.random.default_rng(4)
+        grid = np.concatenate([[0.0], np.sort(rng.random(20)) * 2.0])
+        pts = []
+        for i in range(5):
+            a, b = sorted(rng.choice(grid, 2, replace=False))
+            vals = np.where((grid >= a) & (grid < b),
+                            rng.standard_normal(grid.size) * 10.0 ** (4 * i - 8),
+                            -0.0 if i % 2 else 0.0)
+            pts.append(MarkedPoint(
+                (rng.random(), 1.0 / 3.0), rng.random() * 2.0,
+                AuxMark(discrete=i + 1, continuous=(rng.random(), -1e-300))
+                if i % 2 else AuxMark(continuous=(1e22,)),
+                CadlagPath(grid, vals, (a, b), "step", 2.0)))
+        ref = ReferenceSpec(AuxMeasure("product", (5, "expon", 1.0)))
+        self.check(from_points(w, pts, ref), tmp_path)
+
+    def test_spatial_discrete_aux(self, tmp_path):
+        w = Window((-1.0, 0.0, 2.0), (0.0, 3.0, 2.5), torus=True)
+        rng = np.random.default_rng(5)
+        lo, sides = np.asarray(w.lo), w.sides
+        paths = CadlagPath.rows(np.linspace(0.0, 1.0, 11),
+                                np.cumsum(rng.standard_normal((4, 11)), axis=1),
+                                None, "step", 1.0)
+        pts = [MarkedPoint(tuple(lo + rng.random(3) * sides), None,
+                           AuxMark(discrete=i + 1), p)
+               for i, p in enumerate(paths)]
+        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+
+    def test_ragged_grids(self, tmp_path):
+        w = Window((0,), (1,))
+        rng = np.random.default_rng(6)
+        grids = [np.linspace(0, 1, 7), np.linspace(0, 1, 3) ** 2,
+                 np.array([0.25])]
+        pts = [MarkedPoint((rng.random(),), None, AuxMark(discrete=1),
+                           CadlagPath(g, rng.standard_normal(g.size),
+                                      (0.0, np.inf), "step", 1.0))
+               for g in grids]
+        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+
+    def test_linear_mode_no_horizon_and_unbounded_supports(self, tmp_path):
+        # json.dumps spells a -inf support start as -Infinity
+        w = Window((0, 0), (1, 1))
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.5, 3.0, 6)
+        pts = [MarkedPoint(tuple(rng.random(2)), None, AuxMark(discrete=2),
+                           CadlagPath(grid, np.where(grid < b, rng.standard_normal(6)
+                                                     * 1e17, 0.0),
+                                      (a, b), "linear", None))
+               for a, b in ((0.5, 10.0), (-np.inf, np.inf), (-np.inf, 2.0))]
+        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+
+    def test_empty_configuration(self, tmp_path):
+        self.check(from_points(Window((0, 0), (1, 1), t_star=1.0), [],
+                               ReferenceSpec()), tmp_path)
+
+
+def test_tiny_wiener_simulate_is_pinned(tmp_path):
+    # SHA-256 of both simulate outputs, recorded when each writer still
+    # formatted every value on its own
+    from fmpp.cli import run_simulate
+
+    cfg = {"window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 2014,
+           "replicates": 1,
+           "model": {"ground": {"family": "poisson", "rate": 30.0},
+                     "aux": {"kind": "types", "probs": [0.5, 0.5]},
+                     "marks": {"model": "wiener", "scale": 1.0},
+                     "mark_grid": {"dt": 0.1}}}
+    run_simulate(cfg, tmp_path, 2014, 1)
+    digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+              for f in ("configuration_r000.json", "marks_r000.csv")}
+    assert digest == {
+        "configuration_r000.json":
+            "a5b5a4e1aa9dfa6b13bc2abb336893e8446dd713dea2d4cb78f22aa8e9b8ecbd",
+        "marks_r000.csv":
+            "f01e3d07b74ee756e9431c3438caa0cedf402d7060e8acd04456ca13ad11e6de",
+    }
+
+
+class TestSharedGridReader:
+    """A file whose marks share one grid is read as one value matrix; it
+    must fail with the same message as the point-by-point reader, which
+    reads files with ragged grids."""
+
+    GRID = [0.0, 0.25, 0.5, 0.75]
+
+    def document(self, grids, values, supports):
+        return json.dumps({
+            "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0},
+            "points": [{"x": [0.1 * (i + 1), 0.5], "t": 0.1, "aux": {"discrete": 1},
+                        "mark": {"grid": g, "values": v, "support": s,
+                                 "mode": "step", "t_star": 1.0}}
+                       for i, (g, v, s) in enumerate(zip(grids, values, supports))]})
+
+    def message(self, text):
+        with pytest.raises(ValidationError) as info:
+            configuration_from_json(text)
+        return str(info.value)
+
+    def test_valid_file_shares_one_grid(self):
+        c = configuration_from_json(self.document(
+            [self.GRID] * 3, [[0.0, 1.0, 2.0, 3.0]] * 3, [[0.0, None]] * 3))
+        assert c.marks[0].grid is c.marks[1].grid is c.marks[2].grid
+        ragged = configuration_from_json(self.document(
+            [self.GRID, self.GRID[:3], self.GRID],
+            [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]],
+            [[0.0, None]] * 3))
+        assert ragged.marks[0].grid is not ragged.marks[2].grid
+
+    @pytest.mark.parametrize("defect", ["decreasing grid", "nan value",
+                                        "nonzero outside support"])
+    def test_same_messages_as_point_by_point(self, defect):
+        values = [[0.0, 1.0, 2.0, 3.0]] * 3
+        supports = [[0.0, None]] * 3
+        grid = self.GRID
+        if defect == "decreasing grid":
+            grid = [0.0, 0.5, 0.25, 0.75]
+        elif defect == "nan value":
+            values = [values[0], [0.0, float("nan"), 2.0, 3.0], values[2]]
+        else:
+            supports = [supports[0], [0.5, None], supports[2]]
+        shared = self.message(self.document([grid] * 3, values, supports))
+        # a different (valid) grid on the last point sends the file through
+        # the point-by-point reader
+        ragged = self.message(self.document(
+            [grid, grid, [0.0, 0.2, 0.4]], values[:2] + [[0.0, 1.0, 2.0]],
+            supports))
+        assert shared == ragged
+        with pytest.raises(ValidationError, match=shared):
+            CadlagPath(grid, values[1], (supports[1][0], np.inf))
 
 
 # ---------------------------------------------------------------------------

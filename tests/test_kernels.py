@@ -52,6 +52,34 @@ def pair_stats_loop(pts, w, v, lags, bw, sides, torus):
     return num
 
 
+def pair_stats_dense(pts, w, v, lags, bw, sides, torus):
+    """The kernel over every candidate pair at once: one dense (lags, pairs)
+    Epanechnikov matrix times the pair weights."""
+    d = pts.shape[1]
+    if torus:
+        pts = np.mod(pts, sides)
+        pts = np.where(pts >= sides, 0.0, pts)
+        tree = cKDTree(pts, boxsize=sides)
+    else:
+        tree = cKDTree(pts)
+    pairs = tree.query_pairs(float(np.max(lags)) + bw, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    diff = np.abs(pts[i] - pts[j])
+    if torus:
+        diff = np.minimum(diff, sides - diff)
+        trans = np.prod(sides)
+    else:
+        trans = np.prod(sides - diff, axis=1)
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    ww = w[i] * v[j] + w[j] * v[i]
+    surf = (np.full_like(dist, 2.0), 2.0 * np.pi * dist,
+            4.0 * np.pi * dist * dist)[d - 1]
+    ok = dist > 0.0
+    u = (lags[:, None] - dist[None, :]) / bw
+    kern = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
+    return kern @ np.where(ok, ww / trans / np.where(ok, surf, 1.0), 0.0)
+
+
 def gibbs_chain_loop(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
                      rng_idx, rng_acc, rad, trad, d_spatial):
     D = lo.shape[0]
@@ -225,6 +253,47 @@ def test_pair_stats_variants_agree(rng):
             np.testing.assert_allclose(
                 K.pair_stats(pts, w, v, lags, 0.05, sides, torus), want,
                 rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("torus", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_stats_matches_dense_kernel_matrix(rng, d, torus):
+    # overlapping lag windows, a bandwidth wider than the smallest lag, a
+    # coincident pair and a pair near lag + bw, where the kernel vanishes
+    lo = np.array([-0.3, 2.0, 0.5])[:d]
+    sides = np.array([1.0, 1.5, 0.8])[:d]
+    n = 150 if d == 1 else 400
+    pts = lo + rng.random((n, d)) * sides
+    pts[1] = pts[0]
+    pts[2] = pts[0] + np.eye(d)[0] * 0.125
+    w, v = rng.random(n), rng.random(n)
+    for lags, bw in ((np.linspace(0.02, 0.3, 15), 0.05),
+                     (np.array([0.1, 0.15, 0.3]), 0.025)):
+        want = pair_stats_dense(pts, w, v, lags, bw, sides, torus)
+        assert np.all(want > 0)
+        np.testing.assert_allclose(K.pair_stats(pts, w, v, lags, bw, sides, torus),
+                                   want, rtol=1e-12, atol=0)
+
+
+def test_pair_stats_memory_is_per_lag_slice():
+    # the wiener-2k size: 2043 points on the unit square, 7 lags, about
+    # 222k candidate pairs; the dense (lags, pairs) form peaked at 49.9 MB
+    rng = np.random.default_rng(5)
+    n = 2043
+    pts, w = rng.random((n, 2)), np.ones(n)
+    lags = np.array([0.025, 0.05, 0.075, 0.1, 0.125, 0.15, 0.2])
+    bw, sides = 0.15 / math.sqrt(n), np.ones(2)
+    K.pair_stats(pts[:10], w[:10], w[:10], lags, bw, sides, False)  # lazy import
+    tracemalloc.start()
+    try:
+        got = K.pair_stats(pts, w, w, lags, bw, sides, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    np.testing.assert_allclose(
+        got, pair_stats_dense(pts, w, w, lags, bw, sides, False),
+        rtol=1e-12, atol=0)
 
 
 def test_pair_stats_torus_points_on_the_boundary(rng):

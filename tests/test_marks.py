@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from fmpp.core import AuxMark, AuxMeasure, SampleSchedule, Window
+from fmpp.core import AuxMark, AuxMeasure, CadlagPath, SampleSchedule, Window
 from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import HomogeneousPoisson, LogGaussianCox, simulate_lgcp, simulate_poisson
 from fmpp.marks import (
@@ -387,3 +387,96 @@ class TestDiffusionMarks:
         grid = np.linspace(0, 1, 51)
         paths = attach_marks(UNIT, *ground_points(1), model, grid, 7)
         assert paths[0](1.0) == pytest.approx(1.5, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one value matrix per attachment
+# ---------------------------------------------------------------------------
+def wiener_loop(grid, n, scale, seed):
+    """Wiener marks drawn one point at a time, each from its own
+    standard_normal(k - 1) call on the shared stream."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        steps = np.sqrt(np.diff(grid)) * rng.standard_normal(len(grid) - 1)
+        out.append(scale * np.concatenate([[0.0], np.cumsum(steps)]))
+    return out
+
+
+class TestValueMatrix:
+    @pytest.mark.parametrize("seed", [0, 7, 2014])
+    @pytest.mark.parametrize("scale", [1.3, 0.0])
+    def test_wiener_matrix_draw_matches_point_loop_bit_for_bit(self, seed, scale):
+        rng = np.random.default_rng(seed + 100)
+        grid = np.concatenate([[0.0], np.sort(rng.random(30))])   # non-uniform
+        locs, auxs = ground_points(25, seed)
+        paths = attach_marks(UNIT, locs, auxs, Wiener(scale), grid, seed)
+        want = wiener_loop(grid, 25, scale, seed)
+        # tobytes tells -0.0 from 0.0, which scale 0 gives on negative sums
+        assert [p.values.tobytes() for p in paths] == [v.tobytes() for v in want]
+        assert all(p.support == (0.0, np.inf) and p.t_star == grid[-1]
+                   for p in paths)
+
+    def test_attached_paths_share_one_grid(self):
+        locs, auxs = ground_points(6)
+        temporal = Window((0, 0), (1, 1), t_star=1.0)
+        births = np.linspace(0.0, 0.5, 6)
+        lifetimes = [AuxMark(continuous=(0.4,))] * 6
+        for paths in (
+                attach_marks(UNIT, locs, auxs, Wiener(1.0), GRID, 1),
+                attach_marks(UNIT, locs, auxs, Deterministic(("linear", 1.0, 2.0)),
+                             GRID, 1),
+                attach_marks(UNIT, locs, auxs,
+                             Geostatistical(0.0, ("exponential", 1.0, 0.3)),
+                             GRID, 1),
+                attach_marks(temporal, np.column_stack([locs, births]), lifetimes,
+                             GrowthInteraction(("linear", 1.0, 1.0)), GRID, 1)):
+            assert len(paths) == 6
+            assert all(p.grid is paths[0].grid for p in paths)
+            assert paths[0].values is not paths[1].values
+
+    def test_rows_equal_paths_built_one_by_one(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        values = np.array([[0.0, 1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 5.0, 6.0, 7.0]])
+        supports = [(0.25, 0.75), (0.0, np.inf)]
+        rows = CadlagPath.rows(grid, values, supports, "linear", 2.0)
+        assert rows == [CadlagPath(grid, v, s, "linear", 2.0)
+                        for v, s in zip(values, supports)]
+        assert CadlagPath.rows(grid, np.empty((0, 5))) == []
+
+    REJECTED = {
+        "empty grid": ([], [], None, "step", None),
+        "length mismatch": ([0.0, 0.5, 1.0], [0.0, 1.0], None, "step", None),
+        "decreasing grid": ([0.0, 0.5, 0.25], [1.0, 1.0, 1.0], None, "step", None),
+        "repeated grid time": ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], None, "step", None),
+        "nan grid time": ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], None, "step", None),
+        "nan value": ([0.0, 0.5, 1.0], [1.0, np.nan, 1.0], None, "step", None),
+        "infinite value": ([0.0, 0.5, 1.0], [1.0, np.inf, 1.0], None, "step", None),
+        "support end before start": ([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], (0.6, 0.4),
+                                     "step", None),
+        "nan support": ([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], (np.nan, 1.0),
+                        "step", None),
+        "grid beyond t_star": ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], None, "step", 0.9),
+        "unknown mode": ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], None, "cubic", None),
+        "nonzero before support": ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], (0.5, 2.0),
+                                   "step", None),
+        "nonzero at support end": ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], (0.5, 1.0),
+                                   "step", None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rows_rejects_what_init_rejects(self, case):
+        grid, values, support, mode, t_star = self.REJECTED[case]
+        with pytest.raises(ValidationError) as one:
+            CadlagPath(grid, values, support, mode, t_star)
+        supports = None if support is None else [support]
+        with pytest.raises(ValidationError) as matrix:
+            CadlagPath.rows(grid, [values], supports, mode, t_star)
+        if len(grid) and len(grid) == len(values):
+            assert str(matrix.value) == str(one.value)
+            # the same defect in the middle row of three
+            zeros = [0.0] * len(grid)
+            supports = None if support is None else [support] * 3
+            with pytest.raises(ValidationError, match=str(one.value)):
+                CadlagPath.rows(grid, [zeros, values, zeros], supports, mode,
+                                t_star)

@@ -228,6 +228,48 @@ class TestTraceVariogram:
         np.testing.assert_array_equal(blocked.counts, whole.counts)
         np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0)
 
+    def test_default_bins_at_edges_and_at_hmax(self):
+        # points on a line at 0, at every inner default edge, one float either
+        # side of it, and at hmax; the edges follow from hmax alone
+        # at hmax 1.3 the plain quotient misses both ways
+        hmax, nbins = 1.3, 15
+        edges = np.linspace(0.0, hmax * (1 + 1e-12), nbins + 1)
+        xs = np.unique(np.concatenate([
+            [0.0, hmax], edges[1:-1], np.nextafter(edges[1:-1], 0.0),
+            np.nextafter(edges[1:-1], 1.0)]))
+        rng = np.random.default_rng(9)
+        grid = np.linspace(0, 1, 4)
+        curves = [((x, 0.0), CadlagPath(grid, rng.standard_normal(4),
+                                        (0, np.inf), "step", 1.0))
+                  for x in xs]
+        est = trace_variogram(curves, nbins)
+        np.testing.assert_array_equal(est.bin_edges, edges)
+        h = np.abs(xs[:, None] - xs[None, :])[np.triu_indices(len(xs), k=1)]
+        assert np.isin(edges[1:-1], h).all() and hmax in h
+        idx = np.clip(np.searchsorted(edges, h, side="right") - 1, 0, nbins - 1)
+        np.testing.assert_array_equal(est.counts,
+                                      np.bincount(idx, minlength=nbins))
+
+    def test_equal_width_bin_index_matches_searchsorted(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            top = rng.random() * 10.0 ** rng.integers(-6, 7)
+            edges = np.linspace(0.0, top, int(rng.integers(1, 500)) + 1)
+            h = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                np.nextafter(edges, -np.inf), rng.random(200) * top])
+            h = h[(h >= 0.0) & (h <= top)]
+            np.testing.assert_array_equal(
+                stats._equal_bin_index(edges, h),
+                np.searchsorted(edges, h, side="right") - 1)
+
+    def test_coincident_locations_fill_the_last_default_bin(self):
+        # every default edge is 0, as is every distance
+        grid = np.linspace(0, 1, 3)
+        curves = [((0.5, 0.5), CadlagPath(grid, v)) for v in
+                  ([1.0, 2.0, 3.0], [0.0, 2.0, 3.0], [1.0, 1.0, 1.0])]
+        est = trace_variogram(curves)
+        np.testing.assert_array_equal(est.counts, [0] * 14 + [3])
+
     def test_memory_below_one_dense_pair_matrix(self):
         # one dense n x n float64 matrix takes 8 n^2 bytes
         n = 2000
