@@ -367,7 +367,7 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                 "estimate.scheme 'least-squares' needs growth-interaction marks")
         if schedule is None:
             raise ValidationError("estimate 'least-squares' needs a schedule")
-        growth_name = mspec["growth"][0]
+        growth_name = _require(mspec, "growth", "model.marks")[0]
         interaction = tuple(mspec.get("interaction", ("none",)))
         m0 = float(mspec.get("m0", 0.0))
         cutoff = mspec.get("interaction_cutoff")
@@ -439,10 +439,10 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
     names = section.get("checks", ["campbell", "gnz", "janossy"])
     replicates = int(section.get("replicates", 200))
     window = _window_from(cfg)
-    gspec = _require(cfg, "model", "")["ground"]
-    if gspec["family"] != "poisson":
+    gspec = _require(_require(cfg, "model", ""), "ground", "model")
+    if _require(gspec, "family", "model.ground") != "poisson":
         raise ValidationError("check needs the homogeneous poisson ground family")
-    rate = float(gspec["rate"])
+    rate = float(_require(gspec, "rate", "model.ground"))
     box = section.get("box")
     if box is None:
         lo = np.asarray(window.lo)

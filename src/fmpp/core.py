@@ -152,16 +152,23 @@ def ground_array(window: Window, ground) -> np.ndarray:
     return g
 
 
-def midpoint_rule(bounds, quad_res: int):
-    """Nodes (quad_res**k, k) of the midpoint rule with ``quad_res`` cells
-    on each of the k axes ``bounds`` = [(lo, hi), ...], and the cell volume."""
-    mids = []
-    for lo, hi in bounds:
-        edges = np.linspace(lo, hi, quad_res + 1)
-        mids.append(0.5 * (edges[:-1] + edges[1:]))
-    mesh = np.meshgrid(*mids, indexing="ij")
+def _cell_centres(lo: float, hi: float, cells: int) -> np.ndarray:
+    """Midpoints of ``cells`` equal cells partitioning [lo, hi]."""
+    edges = np.linspace(lo, hi, cells + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def midpoint_rule(bounds, cells):
+    """Nodes (prod(cells), k) of the midpoint rule on the k axes ``bounds``
+    = [(lo, hi), ...], in C order, and the cell volume.  ``cells`` is one
+    count for every axis or one count per axis."""
+    counts = [cells] * len(bounds) if np.ndim(cells) == 0 else list(cells)
+    if len(counts) != len(bounds):
+        raise ValidationError("grid cell counts do not match the ground dimension")
+    mesh = np.meshgrid(*[_cell_centres(lo, hi, k)
+                         for (lo, hi), k in zip(bounds, counts)], indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    cell = float(np.prod([(hi - lo) / quad_res for lo, hi in bounds]))
+    cell = float(np.prod([(hi - lo) / k for (lo, hi), k in zip(bounds, counts)]))
     return nodes, cell
 
 
@@ -543,21 +550,12 @@ def _common_ambient(f: CadlagPath, g: CadlagPath) -> float:
     return max(f.ambient_end, g.ambient_end)
 
 
-def _merged_grid(f: CadlagPath, g: CadlagPath, t_star: float) -> np.ndarray:
-    pts = np.concatenate([
-        f.grid, g.grid,
-        np.asarray(f.support), np.asarray(g.support),
-        np.asarray([0.0, t_star]),
-    ])
-    pts = pts[np.isfinite(pts)]
-    pts = np.unique(np.clip(pts, 0.0, t_star))
-    return pts
-
-
 def uniform_distance(f: CadlagPath, g: CadlagPath) -> float:
     """Supremum distance over the merged grid of two paths."""
+    from ._skorohod import _points
+
     t_star = _common_ambient(f, g)
-    pts = _merged_grid(f, g, t_star)
+    pts = _points((f.grid, g.grid, f.support, g.support, (0.0, t_star)), t_star)
     # midpoints catch the open step intervals, the points themselves the jumps
     mids = 0.5 * (pts[:-1] + pts[1:])
     sample = np.concatenate([pts, mids])

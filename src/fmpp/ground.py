@@ -15,7 +15,14 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .core import Configuration, MarkedPoint, SampleSchedule, Window
+from .core import (
+    Configuration,
+    MarkedPoint,
+    SampleSchedule,
+    Window,
+    _cell_centres,
+    midpoint_rule,
+)
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -159,24 +166,27 @@ class GridField:
     """Piecewise-constant random field on a regular grid over the ground space.
 
     ``axes`` holds the cell-center coordinates per axis (time last when the
-    window is temporal); ``values`` has shape ``grid_shape``.
+    window is temporal); ``values`` has shape ``grid_shape``.  The cells
+    partition the window's ground box: ``widths`` holds each axis's cell
+    width, the whole side when an axis has one cell.
     """
 
-    __slots__ = ("axes", "values", "window")
+    __slots__ = ("axes", "values", "window", "widths")
 
     def __init__(self, axes, values, window):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.values = np.asarray(values, dtype=float)
         self.window = window
+        self.widths = np.asarray([ax[1] - ax[0] if ax.size > 1 else hi - lo for ax, (lo, hi)
+                                  in zip(self.axes, window.ground_bounds)], dtype=float)
 
     def cell_index(self, g) -> tuple:
         g = np.atleast_1d(np.asarray(g, dtype=float))
         if g.size != len(self.axes):
             raise ValidationError("location outside the field grid dimension")
         idx = []
-        for coord, ax in zip(g, self.axes):
+        for coord, ax, step in zip(g, self.axes, self.widths):
             j = int(np.argmin(np.abs(ax - coord)))
-            step = ax[1] - ax[0] if ax.size > 1 else np.inf
             if abs(ax[j] - coord) > 0.5 * step * (1 + 1e-9):
                 raise ValidationError("location outside the field grid")
             idx.append(j)
@@ -187,22 +197,27 @@ class GridField:
 
     @property
     def cell_volume(self) -> float:
-        out = 1.0
-        for ax in self.axes:
-            out *= ax[1] - ax[0] if ax.size > 1 else 1.0
-        return out
+        return float(math.prod(self.widths))
 
 
-def _field_axes(model: LogGaussianCox, w: Window):
-    bounds = w.ground_bounds
-    shape = model.grid_shape
-    if len(shape) != len(bounds):
-        raise ValidationError("grid_shape does not match the ground dimension")
-    axes = []
-    for (lo, hi), cells in zip(bounds, shape):
-        edges = np.linspace(lo, hi, cells + 1)
-        axes.append(0.5 * (edges[:-1] + edges[1:]))
-    return axes
+def _correlation(family: str, h):
+    """Correlation of the exponential or gaussian family at scaled lags h."""
+    return np.exp(-h) if family == "exponential" else np.exp(-h * h)
+
+
+def _cholesky(cov: np.ndarray, scale: float) -> np.ndarray:
+    """Lower Cholesky factor of ``cov`` + j * I for the first jitter j of
+    1e-10, 1e-8 and 1e-6 times ``scale`` that factorises."""
+    # scale is the variance (1 for a correlation); a jitter above 1e-6 * scale
+    # would no longer be rounding repair: it would swap the field's structure for noise
+    jitter = 1e-10 * scale
+    for _ in range(3):
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
+        except np.linalg.LinAlgError:
+            jitter *= 100.0
+    raise NumericalError("covariance matrix is not positive semi-definite "
+                         "(Cholesky failed with jitter up to 1e-6 * variance)")
 
 
 def _covariance(model: LogGaussianCox, centers: np.ndarray, d_spatial: int):
@@ -214,9 +229,7 @@ def _covariance(model: LogGaussianCox, centers: np.ndarray, d_spatial: int):
     if centers.shape[1] > d_spatial:
         ht = np.abs(centers[:, None, -1] - centers[None, :, -1]) / rho_t
         h = np.sqrt(h * h + ht * ht)
-    if fam == "exponential":
-        return var * np.exp(-h)
-    return var * np.exp(-h * h)
+    return var * _correlation(fam, h)
 
 
 def simulate_lgcp(model: LogGaussianCox, w: Window, seed: int):
@@ -226,45 +239,23 @@ def simulate_lgcp(model: LogGaussianCox, w: Window, seed: int):
     returned so intensity-dependent marking can reuse the same draw.
     """
     rng = np.random.default_rng(seed)
-    axes = _field_axes(model, w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
+    bounds, shape = w.ground_bounds, model.grid_shape
+    centers, _ = midpoint_rule(bounds, shape)
     mean = (np.asarray([model.mean(c) for c in centers])
             if callable(model.mean) else np.full(len(centers), float(model.mean)))
     var = model.kernel[1]
     if var == 0.0:
         log_field = mean
     else:
-        cov = _covariance(model, centers, w.dim)
-        # a jitter above 1e-6 * variance would no longer be rounding repair:
-        # it would swap the field's fine structure for noise
-        jitter = 1e-10 * var
-        for _ in range(3):
-            try:
-                chol = np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 100.0
-        else:
-            raise NumericalError("covariance matrix is not positive semi-definite "
-                                 "(Cholesky failed with jitter up to 1e-6 * variance)")
+        chol = _cholesky(_covariance(model, centers, w.dim), var)
         log_field = mean + chol @ rng.standard_normal(len(centers))
-    shape = tuple(len(a) for a in axes)
-    field = GridField(axes, np.exp(log_field).reshape(shape), w)
-    # given the field, a Poisson draw per cell with piecewise-constant rate
-    cellvol = field.cell_volume
-    counts = rng.poisson(field.values * cellvol)
-    pts = []
-    steps = [a[1] - a[0] if a.size > 1 else 1.0 for a in field.axes]
-    for idx in np.ndindex(shape):
-        c = counts[idx]
-        if c == 0:
-            continue
-        center = np.asarray([field.axes[a][idx[a]] for a in range(len(shape))])
-        offs = (rng.random((c, len(shape))) - 0.5) * np.asarray(steps)
-        pts.append(center + offs)
-    locs = np.vstack(pts) if pts else np.empty((0, len(shape)))
-    return field, locs
+    field = GridField([_cell_centres(lo, hi, k) for (lo, hi), k in zip(bounds, shape)],
+                      np.exp(log_field).reshape(shape), w)
+    # given the field, a Poisson count per cell with piecewise-constant rate,
+    # and each cell's points uniform on the cell
+    counts = rng.poisson(field.values * field.cell_volume)
+    locs = np.repeat(centers, counts.ravel(), axis=0)
+    return field, locs + (rng.random(locs.shape) - 0.5) * field.widths
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +312,10 @@ def simulate_gibbs(model: PairwiseGibbs, w: Window, steps: int, seed: int,
 def thin(c: Configuration, retention: Callable, seed: int) -> Configuration:
     """Keep each point independently with probability retention(point)."""
     rng = np.random.default_rng(seed)
-    kept = []
-    for i, p in enumerate(c.points):
-        prob = float(retention(p))
-        if not 0.0 <= prob <= 1.0:
-            raise ValidationError("retention probability outside [0, 1]")
-        if rng.random() < prob:
-            kept.append(i)
+    probs = np.asarray([float(retention(p)) for p in c.points], dtype=float)
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValidationError("retention probability outside [0, 1]")
+    kept = np.flatnonzero(rng.random(len(probs)) < probs)
     return Configuration(c.window, c.ground[kept], [c.auxs[i] for i in kept],
                          [c.marks[i] for i in kept], c.reference)
 

@@ -570,9 +570,8 @@ def fit_pseudolikelihood(model: ParametricModel, data: Sequence,
 def least_squares_marks(family: Callable, points, observed, schedule:
                         SampleSchedule, theta0, bounds=None, dt: float = 0.01,
                         t_star: float | None = None, budget: int = 400,
-                        edge_correction: str = "none",
                         torus_simulator: Callable | None = None,
-                        correction_rounds: int = 1, seed: int = 0) -> FitResult:
+                        seed: int = 0) -> FitResult:
     """Least squares on sampled growth trajectories.
 
     ``family(theta)`` builds the growth model; ``points`` is (locations,
@@ -581,11 +580,11 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     (the noise term has zero mean) and scored by the summed squared error
     over points and sample times.
 
-    With ``edge_correction='torus-simulation'`` the fitted model is
-    re-simulated on an enlarged torus via ``torus_simulator(theta, seed)``,
+    A ``torus_simulator`` asks for an edge correction: the fitted model is
+    re-simulated on an enlarged torus via ``torus_simulator(theta, seed + 1)``,
     which must return extra (locations, births, lifetimes) outside the
     observation window; those points are imputed as missing neighbours and
-    the objective re-minimized (``correction_rounds`` times, default one).
+    the objective re-minimized once from the first fit.
     """
     xs, births, lifetimes = points
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -626,15 +625,9 @@ def least_squares_marks(family: Callable, points, observed, schedule:
         return objective
 
     res = optimize(make_objective(None), theta0, bounds, budget, "least-squares")
-    if edge_correction == "none":
-        return res
-    if edge_correction != "torus-simulation":
-        raise ValidationError("edge_correction must be 'none' or 'torus-simulation'")
     if torus_simulator is None:
-        raise ValidationError("torus-simulation correction needs a torus_simulator")
-    for r in range(correction_rounds):
-        extra = torus_simulator(np.asarray(res.theta), seed + 1 + r)
-        res = optimize(make_objective(extra), res.theta, bounds, budget,
-                       "least-squares")
-    return res
+        return res
+    extra = torus_simulator(np.asarray(res.theta), seed + 1)
+    return optimize(make_objective(extra), res.theta, bounds, budget,
+                    "least-squares")
 

@@ -38,7 +38,7 @@ from .core import (
     ground_array,
 )
 from .errors import NumericalError, ValidationError
-from .ground import GridField
+from .ground import GridField, _cholesky, _correlation
 
 __all__ = [
     "Deterministic",
@@ -194,14 +194,6 @@ class IntensityDependent:
 # ---------------------------------------------------------------------------
 # mark attachment
 # ---------------------------------------------------------------------------
-def _mean_at(mean, x, t):
-    return float(mean(x, t)) if callable(mean) else float(mean)
-
-
-def _cov_1d(family, h):
-    return np.exp(-h) if family == "exponential" else np.exp(-h * h)
-
-
 def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
                  seed) -> list:
     """Generate one cadlag mark per ground point.
@@ -351,18 +343,17 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
     rho_s = model.kernel[2]
     rho_t = model.kernel[3] if len(model.kernel) > 3 else rho_s
     rng = np.random.default_rng(seed)
-    mean = np.asarray([[_mean_at(model.mean, x, t) for t in grid] for x in locations])
+    mean = (np.asarray([[float(model.mean(x, t)) for t in grid] for x in locations])
+            if callable(model.mean) else np.full((n, k), float(model.mean)))
     if var == 0.0:
         draws = mean
     else:
+        # both factors are unit-diagonal correlations
         dx = locations[:, None, :] - locations[None, :, :]
-        Cs = _cov_1d(fam, np.sqrt(np.sum(dx * dx, axis=-1)) / rho_s)
-        Ct = _cov_1d(fam, np.abs(grid[:, None] - grid[None, :]) / rho_t)
-        try:
-            Ls = np.linalg.cholesky(Cs + 1e-10 * np.eye(n))
-            Lt = np.linalg.cholesky(Ct + 1e-10 * np.eye(k))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("field covariance factorization failed") from exc
+        hs = np.sqrt(np.sum(dx * dx, axis=-1)) / rho_s
+        ht = np.abs(grid[:, None] - grid[None, :]) / rho_t
+        Ls = _cholesky(_correlation(fam, hs), 1.0)
+        Lt = _cholesky(_correlation(fam, ht), 1.0)
         if classes is None:
             draws = mean + math.sqrt(var) * (Ls @ rng.standard_normal((n, k)) @ Lt.T)
         else:
@@ -375,7 +366,9 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
 
 
 def intensity_dependent_marking(field: GridField, locations, grid) -> list:
-    """Marks M_i(t) = field(X_i, t), read off the nearest field cell."""
+    """Marks M_i(t) = field(X_i, t), read off the nearest field cell, on
+    [0, t_star] with t_star the field window's horizon (``grid[-1]`` on a
+    spatial window)."""
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     grid = np.asarray(grid, dtype=float)
     w = field.window
@@ -386,7 +379,7 @@ def intensity_dependent_marking(field: GridField, locations, grid) -> list:
             values.append([field(np.concatenate([x_sp, [t]])) for t in grid])
         else:
             values.append(np.full(grid.size, field(x_sp)))
-    return _paths(grid, values, None)
+    return _paths(grid, values, w.t_star if w.is_temporal else float(grid[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
     """
     bounds = c.window.ground_bounds
     ndim = len(bounds)
-    if isinstance(cells, int):
+    if np.ndim(cells) == 0:
         cells = (cells,) * ndim
     if len(cells) != ndim:
         raise ValidationError("cells must match the ground dimension")
@@ -92,17 +92,14 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
         raise ValidationError("mode must be 'box' or 'kernel'")
     if bandwidth is None or bandwidth <= 0:
         raise ValidationError("kernel mode needs a positive bandwidth")
-    centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    grid, _ = midpoint_rule(bounds, cells)
     values = np.zeros(grid.shape[0])
     for x in locs:
         u = (grid - x[None, :]) / bandwidth
         k = np.prod(np.where(np.abs(u) < 1, 0.75 * (1 - u * u) / bandwidth, 0.0),
                     axis=1)
         values += k
-    return IntensitySurface(tuple(e for e in edges),
-                            values.reshape([len(cc) for cc in centers]), "kernel")
+    return IntensitySurface(tuple(edges), values.reshape(cells), "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +175,7 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
     n = len(c)
     if n < 2:
         raise ValidationError("need at least two points")
-    if c.window.t_star is None:
-        horizon = max((m.ambient_end for m in c.marks), default=0.0)
-    else:
-        horizon = c.window.t_star
+    horizon = max((m.ambient_end for m in c.marks), default=0.0)
     if schedule.times[-1] > horizon:
         raise ValidationError("sample time outside the mark horizon")
     if bandwidth is None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,108 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "x")]) == 1
         assert "model.ground" in capsys.readouterr().err
+
+
+# simulate and summarize outputs of the random-field layer: an LGCP ground
+# with geostatistical marks, and a temporal LGCP with intensity marks
+LGCP_GEOSTAT = {
+    "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 5, "replicates": 2,
+    "model": {"ground": {"family": "lgcp", "mean": 3.5,
+                         "kernel": ["exponential", 0.5, 0.2], "grid": [6, 6]},
+              "aux": {"kind": "types", "probs": [0.5, 0.5]},
+              "marks": {"model": "geostatistical", "mean": 1.0,
+                        "kernel": ["gaussian", 0.4, 0.3, 0.5]},
+              "mark_grid": {"dt": 0.25}},
+    "summarize": {"intensity": {"cells": 3}, "pcf": {"lags": [0.1, 0.2]},
+                  "variogram": {"bins": 4}},
+}
+LGCP_INTENSITY = {
+    "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 2.0}, "seed": 5,
+    "replicates": 1,
+    "model": {"ground": {"family": "lgcp", "mean": 3.0,
+                         "kernel": ["gaussian", 0.3, 0.3, 0.5],
+                         "grid": [3, 3, 2]},
+              "marks": {"model": "intensity"}, "mark_grid": {"dt": 0.5}},
+}
+
+
+def output_digests(out: Path) -> dict:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+
+
+class TestRandomFieldPinned:
+    """SHA-256 of the outputs, recorded when the LGCP cell grid and the
+    geostatistical Cholesky factors were still built by their own copies."""
+
+    def test_lgcp_geostatistical(self, tmp_path):
+        cfg = write_cfg(tmp_path, LGCP_GEOSTAT)
+        out = tmp_path / "geo"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["summarize", "--config", cfg, "--out", str(out)]) == 0
+        assert output_digests(out) == {
+            "configuration_r000.json":
+                "9682e889222c7039d34b1bc364409fc62dd7af7e820dd04d5abba4288155ea86",
+            "configuration_r001.json":
+                "2373febe964bb629eec71f14f9c55a6bd4f8b7da6217779173b55961f66443ff",
+            "intensity.csv":
+                "00bc590af5a4e65921586456bbaf4f314b8d44a68d58f5c2adb422edb68e8e3c",
+            "marks_r000.csv":
+                "4b2dba0708f4e05b16142d171195330900531e8ed13161e594dca28d055fc48c",
+            "marks_r001.csv":
+                "0cfe415fb5a4b7062e6b2b8d93836d8809bfba37c6a3c256c17e2025d2811e70",
+            "pcf.csv":
+                "9fdf232c2d79f7f2febc3a2c3906dc92ca58a3d21c8ec8ba9015a312b422f42f",
+            "variogram.csv":
+                "f1ea5c877259ee2ad7ede2292bad1cb68b9fb8b4276678bc4155fbfbc8d0bd71",
+        }
+
+    def test_temporal_lgcp_intensity_marks(self, tmp_path):
+        # only the marks CSV is pinned: the JSON now records the horizon
+        # 2.0 as each mark's t_star
+        cfg = write_cfg(tmp_path, LGCP_INTENSITY)
+        out = tmp_path / "int"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert output_digests(out)["marks_r000.csv"] == (
+            "b69067df87ee08baa0b346e31ef10301bb98250fee445fc71adc8dc5c76d5ecb")
+        c = configuration_from_json((out / "configuration_r000.json").read_text())
+        assert len(c) and {m.t_star for m in c.marks} == {2.0}
+
+
+class TestMissingConfigFields:
+    """A missing field exits 1 and names it, in every subcommand."""
+
+    @pytest.mark.parametrize("ground, field", [
+        (None, "model.ground"),
+        ({}, "model.ground.family"),
+        ({"family": "poisson"}, "model.ground.rate"),
+    ])
+    def test_check(self, tmp_path, capsys, ground, field):
+        model = {"family": "poisson"} if ground is None else {"ground": ground}
+        cfg = write_cfg(tmp_path, {"window": {"lo": [0, 0], "hi": [1, 1]},
+                                   "model": model, "check": {"replicates": 2}})
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_least_squares_growth(self, tmp_path, capsys):
+        cfg_obj = {
+            "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}, "seed": 6,
+            "model": {"ground": {"family": "immigration-death",
+                                 "arrival_rate": 4.0, "death_rate": 1.0},
+                      "aux": {"kind": "lifetime", "rate": 1.0},
+                      "marks": {"model": "growth-interaction",
+                                "growth": ["linear", 1.5, 0.8]},
+                      "mark_grid": {"dt": 0.1}},
+            "schedule": [0.5],
+            "estimate": {"scheme": "least-squares", "theta0": [0.5, 0.5]},
+        }
+        out = tmp_path / "ls"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg_obj),
+                     "--out", str(out)]) == 0
+        del cfg_obj["model"]["marks"]["growth"]
+        cfg = write_cfg(tmp_path, cfg_obj, "nogrowth.json")
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        assert "'model.marks.growth'" in capsys.readouterr().err
 
 
 class TestSummarize:

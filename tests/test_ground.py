@@ -144,6 +144,48 @@ class TestLgcp:
         with pytest.raises(ValidationError):
             field((5.0, 0.1))
 
+    @pytest.mark.parametrize("window, grid", [
+        (Window((0, 0), (0.5, 1)), (1, 4)),
+        (Window((0, 0), (0.5, 1), t_star=4.0), (4, 4, 1)),
+    ])
+    def test_one_cell_axis_spans_its_side(self, window, grid):
+        # an axis of one cell spans its side, so the points stay in the
+        # window and the mean count is the field times the ground volume
+        model = LogGaussianCox(5.0, ("exponential", 0.0, 0.2), grid)
+        lo, hi = np.asarray(window.ground_bounds).T
+        counts = []
+        for seed in range(200):
+            field, locs = simulate_lgcp(model, window, seed)
+            assert np.all((locs >= lo) & (locs <= hi))
+            assert field.cell_volume == pytest.approx(
+                window.ground_volume / np.prod(grid), rel=1e-12)
+            counts.append(len(locs))
+        expect = np.exp(5.0) * window.ground_volume
+        se = np.std(counts) / np.sqrt(len(counts))
+        assert abs(np.mean(counts) - expect) < 3 * se
+        with pytest.raises(ValidationError):
+            field(hi + 0.1)
+
+    @pytest.mark.parametrize("window, grid", [
+        (UNIT_SQUARE, (5, 4)),
+        (Window((0, 0), (0.5, 1), t_star=4.0), (3, 4, 2)),
+        (Window((0, 0), (0.5, 1), t_star=4.0), (4, 1, 3)),
+    ])
+    def test_points_match_per_cell_loop(self, window, grid):
+        # the oracle replays the field and count draws, then places each
+        # cell's points with its own uniform draw, one cell at a time
+        model = LogGaussianCox(3.0, ("gaussian", 0.4, 0.3), grid)
+        for seed in range(20):
+            field, locs = simulate_lgcp(model, window, seed)
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(field.values.size)
+            counts = rng.poisson(field.values * field.cell_volume)
+            pts = [np.asarray([ax[i] for ax, i in zip(field.axes, idx)])
+                   + (rng.random((counts[idx], len(grid))) - 0.5) * field.widths
+                   for idx in np.ndindex(counts.shape)]
+            want = np.vstack(pts)
+            assert locs.tobytes() == want.tobytes() and locs.shape == want.shape
+
 
 class TestImmigrationDeath:
     def test_needs_temporal_window(self):
@@ -300,6 +342,13 @@ class TestThin:
             direct_counts.append(len(direct))
         se = np.sqrt(np.var(pq_counts) / 500 + np.var(direct_counts) / 500)
         assert abs(np.mean(pq_counts) - np.mean(direct_counts)) < 3 * se
+
+    def test_matches_one_draw_per_point(self):
+        c = self._config(3)
+        rng = np.random.default_rng(7)
+        want = [i for i, p in enumerate(c.points) if rng.random() < p.x[0]]
+        np.testing.assert_array_equal(thin(c, lambda p: p.x[0], 7).ground,
+                                      c.ground[want])
 
     def test_retention_out_of_range_rejected(self):
         c = self._config(0)

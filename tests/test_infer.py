@@ -369,7 +369,6 @@ class TestLeastSquaresMarks:
         fit = least_squares_marks(family, pts, observed, sched, [0.8, 0.6],
                                   [(0.01, 5.0), (0.01, 5.0)], dt=0.02,
                                   t_star=1.0, budget=300,
-                                  edge_correction="torus-simulation",
                                   torus_simulator=torus_sim)
         assert isinstance(fit, FitResult)
         assert fit.scheme == "least-squares"
@@ -411,7 +410,6 @@ class TestLeastSquaresMarks:
             monkeypatch.setattr(infer, "optimize", capture)
             least_squares_marks(family, pts, observed, sched, [1.0, 0.5],
                                 dt=0.01, t_star=1.0,
-                                edge_correction="torus-simulation",
                                 torus_simulator=lambda th, seed: extra)
             monkeypatch.undo()
             assert len(captured) == 2

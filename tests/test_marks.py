@@ -280,6 +280,22 @@ class TestIntensityDependentMarks:
         with pytest.raises(ValidationError):
             attach_marks(UNIT, *ground_points(1), IntensityDependent(), GRID, 0)
 
+    @pytest.mark.parametrize("window", [UNIT, Window((0, 0), (1, 1), t_star=2.0)])
+    def test_marks_carry_the_window_horizon(self, window):
+        # like every other mark model: the window's t_star, or the last grid
+        # time on a spatial window
+        grid = np.linspace(0.0, 1.0, 5)
+        shape = (3, 3, 2) if window.is_temporal else (3, 3)
+        field, locs = simulate_lgcp(
+            LogGaussianCox(4.0, ("gaussian", 0.3, 0.3), shape), window, 1)
+        assert len(locs)
+        auxs = [AuxMark(discrete=1)] * len(locs)
+        want = window.t_star if window.is_temporal else 1.0
+        for model in (IntensityDependent(field), Wiener(1.0),
+                      Geostatistical(0.0, ("gaussian", 0.3, 0.3))):
+            paths = attach_marks(window, locs, auxs, model, grid, 0)
+            assert {p.t_star for p in paths} == {want}
+
 
 class TestFidiDensities:
     def test_brownian_two_times(self):

@@ -41,6 +41,15 @@ class TestIntensityEstimate:
         s = intensity_estimate(c, cells=8)
         assert s.integral() == float(len(c))
 
+    @pytest.mark.parametrize("cells, shape", [(np.int64(8), (8, 8)),
+                                              ((8, 5), (8, 5))])
+    def test_cell_count_for_every_axis_or_per_axis(self, cells, shape):
+        c = poisson_config(0)
+        for mode in ("box", "kernel"):
+            s = intensity_estimate(c, cells, mode, bandwidth=0.2)
+            assert s.values.shape == shape
+        assert intensity_estimate(c, cells).integral() == float(len(c))
+
     def test_empty_configuration(self):
         c = make_configuration(W, [], [], [])
         s = intensity_estimate(c, cells=4)
