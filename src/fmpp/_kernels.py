@@ -7,7 +7,8 @@ of it.  ``gibbs_chain`` is a scalar loop over a uniform cell index, since
 each of its proposals touches only the few points near one location.  The
 other kernels are vectorized NumPy, and no kernel but ``pair_stats``
 imports scipy.  Each kernel's arguments are positional and plain arrays or
-scalars.
+scalars.  ``gi_integrate_values`` builds a ``GrowthPlan`` and integrates it
+once; a fit that integrates the same points many times keeps the plan.
 """
 from __future__ import annotations
 
@@ -260,76 +261,166 @@ def _gauss_operator(xs, a, s, cutoff):
     return kmat
 
 
+def _alive_runs(births, deaths, dt, first, nsteps, alive):
+    """Steps first..nsteps cut into runs over which the alive set,
+    births <= step * dt < deaths, does not change.  Each run is (start,
+    stop, rows, enter): its steps start..stop - 1, its alive rows in
+    increasing order, and the mask of those rows that were not alive at the
+    step before (``alive`` is the set at step first - 1)."""
+    t = np.arange(first, nsteps + 1) * dt
+    now = (births <= t[:, None]) & (t[:, None] < deaths)
+    cuts = [0, *(np.flatnonzero(np.any(now[1:] != now[:-1], axis=1)) + 1).tolist(),
+            len(t)]
+    runs = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        rows = np.flatnonzero(now[a])
+        runs.append((first + a, first + b, rows, ~alive[rows]))
+        alive = now[a]
+    return runs
+
+
+class GrowthPlan:
+    """The part of a growth integration that the growth law, the noise and
+    the negative policy leave unchanged, built once and integrated per
+    parameter vector.
+
+    It holds the alive set of every step, cut into runs of steps over which
+    that set does not change, and one interaction operator: the dense gauss
+    kernel matrix, or for overlap the pair list sorted by distance.  Within
+    a run the marks are integrated on the alive rows only; the gauss block
+    of a run is gathered per integration, so the plan keeps no n x n array
+    beside the operator itself.
+    """
+
+    def __init__(self, xs, births, deaths, dt, nsteps, inter_code, ip, cutoff):
+        self.n = xs.shape[0]
+        self.births, self.deaths = births, deaths
+        self.dt, self.nsteps = dt, nsteps
+        self.inter_code, self.ip = inter_code, ip
+        self.runs = _alive_runs(births, deaths, dt, 0, nsteps,
+                              np.zeros(self.n, dtype=bool))
+        if inter_code == 1:
+            self.kmat = _gauss_operator(xs, ip[0], ip[1], cutoff)
+        elif inter_code == 2:
+            pi, pj, d2 = _gi_pairs(xs, cutoff)
+            self.pairs = pi, pj, np.sqrt(d2)
+
+    def _interaction(self, rows):
+        """The operator restricted to ``rows``: the gauss block, or the
+        overlap pairs among them in local indices, in distance order."""
+        if self.inter_code == 1:
+            if rows.size == self.n:
+                return self.kmat
+            return self.kmat[rows[:, None], rows]
+        if self.inter_code == 2:
+            pi, pj, pdist = self.pairs
+            local = np.full(self.n, -1)
+            local[rows] = np.arange(rows.size)
+            li, lj = local[pi], local[pj]
+            keep = (li >= 0) & (lj >= 0)
+            return li[keep], lj[keep], pdist[keep]
+        return None
+
+    def integrate(self, m0, growth_code, gp, sigma_code, sp, normals,
+                  clamp_code):
+        """Marks on the grid 0, dt, .., nsteps * dt: the (nsteps + 1, n)
+        values, whether any mark went negative, and the death times after
+        absorption.
+
+        A mark starts at m0 at its first alive step and is 0 where it is
+        not alive.  The deterministic system (``sigma_code`` 0) takes RK4
+        steps, otherwise Euler-Maruyama steps with the (nsteps, n)
+        ``normals``.  A negative mark is clamped to 0 (``clamp_code`` 0),
+        absorbed (1: clamped, and its death moves to the next step) or left
+        (2).
+        """
+        n, dt, nsteps = self.n, self.dt, self.nsteps
+        g0, g1 = gp[0], gp[1]
+        ic = self.inter_code
+        c = self.ip[0]
+        deaths = self.deaths.copy()
+        vals = np.zeros((nsteps + 1, n))
+        m = np.zeros(n)
+        negative = False
+
+        def drift(mv):
+            if growth_code == 0:
+                out = g0 * (g1 - mv)
+            else:
+                out = g0 * mv * (1.0 - mv / g1)
+            if ic == 1:
+                out = out - mv * (op @ mv)
+            elif ic == 2:
+                pi, pj, pd = op
+                # m_i + m_j <= 2 max m, so pairs at d >= 2 max m add nothing
+                k = np.searchsorted(pd, 2.0 * np.max(mv), side="left")
+                i, j = pi[:k], pj[:k]
+                ov = np.maximum(mv[i] + mv[j] - pd[:k], 0.0)
+                out = out - c * np.bincount(np.concatenate([i, j]),
+                                            np.concatenate([ov, ov]),
+                                            minlength=mv.size)
+            return out
+
+        runs = self.runs
+        r = 0
+        while r < len(runs):
+            start, stop, rows, enter = runs[r]
+            r += 1
+            if rows.size == 0:
+                continue
+            op = self._interaction(rows)
+            mv = m[rows]
+            mv[enter] = m0
+            for step in range(start, stop):
+                vals[step, rows] = mv
+                if step == nsteps:
+                    break
+                if sigma_code == 0:
+                    k1 = drift(mv)
+                    k2 = drift(mv + 0.5 * dt * k1)
+                    k3 = drift(mv + 0.5 * dt * k2)
+                    k4 = drift(mv + dt * k3)
+                    mv = mv + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                else:
+                    sig = sp[0] if sigma_code == 1 else sp[0] * mv
+                    mv = (mv + dt * drift(mv)
+                          + sig * np.sqrt(dt) * normals[step, rows])
+                neg = mv < 0.0
+                if neg.any():
+                    negative = True
+                    if clamp_code != 2:
+                        mv[neg] = 0.0
+                    if clamp_code == 1:
+                        # the absorbed rows die at the next step, which
+                        # re-cuts the runs from there on
+                        deaths[rows[neg]] = step * dt + dt
+                        alive = np.zeros(n, dtype=bool)
+                        alive[rows[~neg]] = True
+                        runs = _alive_runs(self.births, deaths, dt, step + 1,
+                                         nsteps, alive)
+                        r = 0
+                        break
+            m[rows] = mv
+            # free this run's block before the next run gathers its own
+            del op
+        return vals, negative, deaths
+
+
 def gi_integrate_values(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
                         inter_code, ip, sigma_code, sp, normals, clamp_code,
                         cutoff):
-    """Integrate the coupled growth system on the grid 0, dt, .., nsteps*dt.
+    """Integrate the coupled growth system on the grid 0, dt, .., nsteps*dt:
+    one ``GrowthPlan`` integrated once (see ``GrowthPlan.integrate``).
 
-    The interaction operator is built once per call: the gauss kernel
+    The interaction operator is built once per plan: the gauss kernel
     matrix, or for overlap the pair list sorted by distance, of which each
     drift call reads only the pairs closer than twice the largest alive mark
     (farther pairs cannot overlap).  A drift call therefore costs
-    O(n + pairs) and allocates no n x n array.
+    O(alive rows + pairs) and allocates no n x n array.
     """
-    n = xs.shape[0]
-    deaths = deaths.copy()
-    vals = np.zeros((nsteps + 1, n))
-    m = np.zeros(n)
-    alive = np.zeros(n, dtype=bool)
-    if inter_code == 1:
-        kmat = _gauss_operator(xs, ip[0], ip[1], cutoff)
-    elif inter_code == 2:
-        pi, pj, d2 = _gi_pairs(xs, cutoff)
-        pdist = np.sqrt(d2)
-
-    def drift(mv, al):
-        if growth_code == 0:
-            out = gp[0] * (gp[1] - mv)
-        else:
-            out = gp[0] * mv * (1.0 - mv / gp[1])
-        if inter_code == 1:
-            out = out - mv * (kmat @ np.where(al, mv, 0.0))
-        elif inter_code == 2 and np.any(al):
-            # m_i + m_j <= 2 max m, so pairs at d >= 2 max m add nothing
-            c = np.searchsorted(pdist, 2.0 * np.max(mv[al]), side="left")
-            i, j = pi[:c], pj[:c]
-            ov = np.where(al[i] & al[j],
-                          np.maximum(mv[i] + mv[j] - pdist[:c], 0.0), 0.0)
-            out = out - ip[0] * np.bincount(np.concatenate([i, j]),
-                                            np.concatenate([ov, ov]),
-                                            minlength=n)
-        return np.where(al, out, 0.0)
-
-    negative = False
-    for step in range(nsteps + 1):
-        t = step * dt
-        now = (births <= t) & (t < deaths)
-        m[now & ~alive] = m0
-        m[~now] = 0.0
-        alive = now
-        vals[step] = np.where(alive, m, 0.0)
-        if step == nsteps:
-            break
-        if sigma_code == 0:
-            k1 = drift(m, alive)
-            k2 = drift(m + 0.5 * dt * k1, alive)
-            k3 = drift(m + 0.5 * dt * k2, alive)
-            k4 = drift(m + dt * k3, alive)
-            m = np.where(alive, m + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), m)
-        else:
-            sig = sp[0] if sigma_code == 1 else sp[0] * m
-            m = np.where(alive, m + dt * drift(m, alive)
-                         + sig * np.sqrt(dt) * normals[step], m)
-        neg = alive & (m < 0.0)
-        if np.any(neg):
-            negative = True
-            if clamp_code == 0:
-                m[neg] = 0.0
-            elif clamp_code == 1:
-                m[neg] = 0.0
-                deaths[neg] = t + dt
-                alive[neg] = False
-    return vals, negative, deaths
+    plan = GrowthPlan(xs, births, deaths, dt, nsteps, inter_code, ip, cutoff)
+    return plan.integrate(m0, growth_code, gp, sigma_code, sp, normals,
+                          clamp_code)
 
 
 # ---------------------------------------------------------------------------

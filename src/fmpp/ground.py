@@ -181,19 +181,36 @@ class GridField:
                                   in zip(self.axes, window.ground_bounds)], dtype=float)
 
     def cell_index(self, g) -> tuple:
-        g = np.atleast_1d(np.asarray(g, dtype=float))
-        if g.size != len(self.axes):
+        """Index of the cell holding a location: a tuple of ints for one
+        location (D,), or of (m,) int arrays for an (m, D) array.
+
+        Each axis takes its nearest cell centre, and the lower of two
+        equally near ones at a cell edge.  A location more than half a cell
+        from every centre of an axis raises ValidationError.
+        """
+        g = np.asarray(g, dtype=float)
+        single = g.ndim < 2
+        pts = g.reshape(1, -1) if single else g
+        if pts.shape[1] != len(self.axes):
             raise ValidationError("location outside the field grid dimension")
         idx = []
-        for coord, ax, step in zip(g, self.axes, self.widths):
-            j = int(np.argmin(np.abs(ax - coord)))
-            if abs(ax[j] - coord) > 0.5 * step * (1 + 1e-9):
+        for coord, ax, step in zip(pts.T, self.axes, self.widths):
+            # the last centre at or below coord and the next one: the
+            # differences to the centres are monotone, so one of the two is
+            # the nearest
+            lo = np.maximum(np.searchsorted(ax, coord, side="right") - 1, 0)
+            hi = np.minimum(lo + 1, ax.size - 1)
+            j = np.where(np.abs(ax[hi] - coord) < np.abs(ax[lo] - coord), hi, lo)
+            if not np.all(np.abs(ax[j] - coord) <= 0.5 * step * (1 + 1e-9)):
                 raise ValidationError("location outside the field grid")
             idx.append(j)
-        return tuple(idx)
+        return tuple(int(j[0]) for j in idx) if single else tuple(idx)
 
-    def __call__(self, g) -> float:
-        return float(self.values[self.cell_index(g)])
+    def __call__(self, g):
+        """The field at one location (D,), or its (m,) values at an (m, D)
+        array of locations."""
+        value = self.values[self.cell_index(g)]
+        return float(value) if np.ndim(value) == 0 else value
 
     @property
     def cell_volume(self) -> float:

@@ -30,7 +30,9 @@ from .marks import (
     AuxDensitySpec,
     FidiDensitySpec,
     GrowthInteraction,
-    _gi_values,
+    _check_negative,
+    _gi_plan_args,
+    _gi_run_args,
     fidi_density_eval,
     gi_integrate,  # noqa: F401  (a lookup site perfbench's tracer wraps)
 )
@@ -230,33 +232,56 @@ def _ground_array(w: Window, data: Sequence) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, d)
 
 
-def _event_factors(model: ParametricModel, data: Sequence,
-                   schedule: SampleSchedule | None) -> np.ndarray:
-    """(n,) product of the sampled-mark and aux density factors per event.
+def _event_log_factors(model: ParametricModel, data: Sequence,
+                       schedule: SampleSchedule | None) -> np.ndarray:
+    """(n,) log of the sampled-mark and aux density factors per event.
 
     An absent factor, or the mark factor of a degenerate (point-mass) law,
-    counts as one.  The factors do not depend on theta.
+    counts as log 1 = 0, and a vanishing one as -inf.  A fidi spec returns
+    the joint density of the rows it is given, so each event's mark factor
+    is the sum of the logs of its initial and transition densities, which
+    stays finite where their product underflows.  The factors do not
+    depend on theta.
     """
-    fac = np.ones(len(data))
+    log_fac = np.zeros(len(data))
     if model.fidi is not None:
         if any(schedule is None or obs.u is None for obs in data):
             raise ValidationError("mark factor needs a schedule and sampled values")
         if not model.fidi.degenerate:
-            # a fidi spec returns the joint density of its rows: one call each
+            s, spec = schedule.times, model.fidi
             for i, obs in enumerate(data):
-                fac[i] = fidi_density_eval(model.fidi, schedule,
-                                           np.asarray(obs.u, dtype=float)[None, :])
+                u = np.asarray(obs.u, dtype=float)
+                if u.shape != (len(s),):
+                    raise ValidationError(
+                        "value matrix has wrong number of sample columns")
+                dens = [spec.initial(s[0], u[:1])] + [
+                    spec.transition(s[j], s[j - 1], u[j:j + 1], u[j - 1:j])
+                    for j in range(1, len(s))]
+                with np.errstate(divide="ignore"):
+                    log_fac[i] = np.sum(np.log(dens))
     if model.aux is not None:
         if any(obs.aux is None for obs in data):
             raise ValidationError("aux factor needs aux marks in the data")
-        fac *= [model.aux.point_density((obs.x, obs.t), obs.aux) for obs in data]
-    return fac
+        with np.errstate(divide="ignore"):
+            log_fac += np.log([model.aux.point_density((obs.x, obs.t), obs.aux)
+                               for obs in data])
+    return log_fac
 
 
-def _check_event_intensities(lam: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+def _event_factor(model: ParametricModel, obs: Observation,
+                  schedule: SampleSchedule | None) -> float:
+    """The mark and aux density factor of one event."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(_event_log_factors(model, [obs], schedule)[0]))
+
+
+def _sum_log_intensities(lam: np.ndarray, log_fac: float, what: str) -> float:
+    """Sum over events of log(lam), plus ``log_fac``, the summed log mark
+    and aux factors; a vanishing or non-finite intensity or factor raises
+    NumericalError."""
+    if not (math.isfinite(log_fac) and np.all(np.isfinite(lam) & (lam > 0.0))):
         raise NumericalError(f"data point with vanishing {what} intensity")
-    return lam
+    return float(np.sum(np.log(lam))) + log_fac
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +292,7 @@ def intensity_functional(model: ParametricModel, obs: Observation,
     """Sampled-mark intensity functional: fidi(u) * aux(l) * ground intensity."""
     g = _ground_array(model.window, [obs])
     return float(ground_intensity(model, g)[0]
-                 * _event_factors(model, [obs], schedule)[0])
+                 * _event_factor(model, obs, schedule))
 
 
 def conditional_intensity(model: ParametricModel, history, obs: Observation,
@@ -287,7 +312,7 @@ def conditional_intensity(model: ParametricModel, history, obs: Observation,
         raise ValidationError("history must precede the evaluation time")
     rate = (temporal_rate(model, [obs.t])
             * _spatial_density(model, np.asarray([obs.x], dtype=float)))
-    return float(rate[0] * _event_factors(model, [obs], schedule)[0])
+    return float(rate[0] * _event_factor(model, obs, schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +331,18 @@ def _loglik_temporal_terms(model: ParametricModel, data: Sequence,
     w = model.window
     g = _ground_array(w, data)
     t_events = g[:, -1]
-    # spatial density times mark and aux factors: everything but the rate
-    f_events = (_spatial_density(model, g[:, : w.dim])
-                * _event_factors(model, data, schedule))
+    f_events = _spatial_density(model, g[:, : w.dim])
+    log_fac = float(np.sum(_event_log_factors(model, data, schedule)))
     x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
     spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
     t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
     t_nodes = t_nodes[:, 0]
 
     def evaluate(m: ParametricModel) -> float:
-        lam = _check_event_intensities(temporal_rate(m, t_events) * f_events,
-                                       "conditional")
+        log_lam = _sum_log_intensities(temporal_rate(m, t_events) * f_events,
+                                       log_fac, "conditional")
         compensator = float(np.sum(temporal_rate(m, t_nodes)) * dt * spatial_mass)
-        return float(np.sum(np.log(lam))) - compensator
+        return log_lam - compensator
 
     return evaluate
 
@@ -348,7 +372,7 @@ def janossy_density(model: ParametricModel, data: Sequence,
     """
     g = _ground_array(model.window, data)
     with np.errstate(divide="ignore"):
-        log_val = float(np.sum(np.log(_event_factors(model, data, schedule))))
+        log_val = float(np.sum(_event_log_factors(model, data, schedule)))
         if model.ground == "gibbs":
             beta, gamma = model.theta[0], model.theta[1]
             pairs = _gibbs_pair_count(model, g)
@@ -416,12 +440,13 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
     jan = janossy_density(model, data, schedule, quad_res)
     if not jan.normalized:
         raise ValidationError("model Janossy density is unnormalized")
-    lam = (ground_intensity(reference, _ground_array(reference.window, data))
-           * _event_factors(reference, data, schedule))
-    if np.any(lam <= 0):
+    lam = ground_intensity(reference, _ground_array(reference.window, data))
+    log_fac = _event_log_factors(reference, data, schedule)
+    if np.any(lam <= 0) or np.any(log_fac == -np.inf):
         raise NumericalError("reference intensity vanishes at a data point")
     with np.errstate(over="ignore"):
-        return float(np.exp(mass_ref + jan.log_value - np.sum(np.log(lam))))
+        return float(np.exp(mass_ref + jan.log_value
+                            - np.sum(np.log(lam) + log_fac)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +500,7 @@ def papangelou(model: ParametricModel, obs: Observation, config: Sequence,
     if pts.size and np.any(np.all(pts == g, axis=1)):
         return 0.0
     return float(papangelou_ground(model, g, pts)[0]
-                 * _event_factors(model, [obs], schedule)[0])
+                 * _event_factor(model, obs, schedule))
 
 
 def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
@@ -491,7 +516,7 @@ def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
     """
     w = model.window
     pts = _ground_array(w, data)
-    fac = _event_factors(model, data, schedule)
+    log_fac = float(np.sum(_event_log_factors(model, data, schedule)))
     nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
     if model.ground == "gibbs":
         # every data point is its own neighbour once
@@ -502,9 +527,9 @@ def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
         at_data, at_nodes, ground = pts, nodes, ground_intensity
 
     def evaluate(m: ParametricModel) -> float:
-        lam = _check_event_intensities(ground(m, at_data) * fac, "Papangelou")
+        log_lam = _sum_log_intensities(ground(m, at_data), log_fac, "Papangelou")
         integral = float(np.sum(ground(m, at_nodes)) * cell)
-        return float(np.sum(np.log(lam))) - integral
+        return log_lam - integral
 
     return evaluate
 
@@ -599,6 +624,8 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     times = np.asarray(schedule.times, dtype=float)
     rows = np.searchsorted(np.arange(int(round(t_star / dt)) + 1) * dt, times,
                            side="right") - 1
+    sampled, read = rows >= 0, np.maximum(rows, 0)
+    born = times >= np.asarray(births, dtype=float)[:, None]
 
     def make_objective(extra):
         if extra is None:
@@ -608,18 +635,28 @@ def least_squares_marks(family: Callable, points, observed, schedule:
             all_xs = np.vstack([xs, np.atleast_2d(ex)])
             all_b = np.concatenate([births, eb])
             all_l = np.concatenate([lifetimes, el])
+        # the plan (alive runs and interaction operator) depends on theta
+        # only through the interaction, so it is rebuilt only when that moves
+        built = {}
 
         def objective(theta):
             model = family(theta)
             if not isinstance(model, GrowthInteraction):
                 raise ValidationError("family must build a growth model")
             model = replace(model, noise=("zero",))
-            _, vals, b, d = _gi_values((all_xs, all_b, all_l), model, dt, seed,
-                                       t_star)
+            key = (model.interaction, model.interaction_cutoff)
+            if built.get("key") != key:
+                plan_args = _gi_plan_args((all_xs, all_b, all_l), model, dt,
+                                          t_star)[1]
+                built.update(key=key, plan=_kernels.GrowthPlan(*plan_args))
+            plan = built["plan"]
+            vals, negative, d = plan.integrate(
+                *_gi_run_args(model, plan.n, plan.nsteps, seed))
+            _check_negative(model, negative)
             if not np.all(np.isfinite(vals)):
                 raise ValidationError("path values must be finite")
-            pred = np.where(rows >= 0, vals[np.maximum(rows, 0), :n].T, 0.0)
-            live = (times >= b[:n, None]) & (times < d[:n, None])
+            pred = np.where(sampled, vals[read, :n].T, 0.0)
+            live = born & (times < d[:n, None])
             return float(np.sum((observed - np.where(live, pred, 0.0)) ** 2))
 
         return objective

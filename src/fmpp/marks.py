@@ -138,7 +138,10 @@ class GrowthInteraction:
     ``negative_policy`` says what to do when noise drives a mark negative:
     clamp at zero (default), absorb (kill the point) or error.  The
     interaction sum runs over all alive neighbours; ``interaction_cutoff``
-    optionally skips pairs beyond that distance to speed up large runs.
+    truncates the kernel, so pairs farther apart than it do not interact.
+    It saves no memory: building the operator still takes O(n^2), a dense
+    n x n matrix for gauss and every pair before the cutoff test for
+    overlap.
     """
 
     growth: tuple = ("linear", 1.0, 1.0)
@@ -292,6 +295,24 @@ def _gi_values(points, model: GrowthInteraction, step: float, seed,
                t_star: float):
     """``gi_integrate`` as arrays: the grid, the (nsteps+1, n) value matrix,
     the births and the death times after absorption."""
+    grid, plan = _gi_plan_args(points, model, step, t_star)
+    xs, births, deaths, dt, nsteps, icode, ip, cutoff = plan
+    m0, gcode, gp, scode, sp, normals, clamp_code = _gi_run_args(
+        model, xs.shape[0], nsteps, seed)
+    if xs.shape[0] == 0:
+        return grid, np.zeros((nsteps + 1, 0)), births, deaths
+    vals, negative, deaths_out = _kernels.gi_integrate_values(
+        xs, births, deaths, m0, dt, nsteps, gcode, gp, icode, ip, scode, sp,
+        normals, clamp_code, cutoff)
+    _check_negative(model, negative)
+    return grid, vals, births, deaths_out
+
+
+def _gi_plan_args(points, model: GrowthInteraction, step: float,
+                  t_star: float):
+    """The grid and the ``_kernels.GrowthPlan`` arguments of a growth
+    integration: locations, births, deaths before absorption (birth +
+    lifetime, at most t_star), step, step count and the interaction."""
     xs, births, lifetimes = points
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     births = np.asarray(births, dtype=float)
@@ -301,27 +322,30 @@ def _gi_values(points, model: GrowthInteraction, step: float, seed,
         raise ValidationError("step must divide the mark horizon t_star")
     grid = np.arange(nsteps + 1) * step
     deaths = np.minimum(births + lifetimes, t_star)
-    gcode, gp = _registry_entry(GROWTH_REGISTRY, model.growth, "growth")
     icode, ip = _registry_entry(INTERACTION_REGISTRY, model.interaction, "interaction")
+    cutoff = -1.0 if model.interaction_cutoff is None else float(model.interaction_cutoff)
+    return grid, (xs, births, deaths, float(step), nsteps, icode,
+                  ip if ip.size else np.zeros(1), cutoff)
+
+
+def _gi_run_args(model: GrowthInteraction, n: int, nsteps: int, seed):
+    """The ``GrowthPlan.integrate`` arguments of the model: m0, growth,
+    noise with its (nsteps, n) normals drawn from ``seed``, and the
+    negative policy."""
+    gcode, gp = _registry_entry(GROWTH_REGISTRY, model.growth, "growth")
     scode, sp = _registry_entry(NOISE_REGISTRY, model.noise, "noise")
-    n = xs.shape[0]
     if scode == 0:
         normals = np.zeros((1, max(n, 1)))
     else:
         normals = np.random.default_rng(seed).standard_normal((nsteps, max(n, 1)))
     clamp_code = {"clamp": 0, "absorb": 1, "error": 2}[model.negative_policy]
-    if n == 0:
-        return grid, np.zeros((nsteps + 1, 0)), births, deaths
-    cutoff = -1.0 if model.interaction_cutoff is None else float(model.interaction_cutoff)
-    vals, negative, deaths_out = _kernels.gi_integrate_values(
-        xs, births, deaths.copy(), float(model.m0), float(step), nsteps,
-        gcode, gp if gp.size else np.zeros(1),
-        icode, ip if ip.size else np.zeros(1),
-        scode, sp if sp.size else np.zeros(1),
-        normals, clamp_code, cutoff)
+    return (float(model.m0), gcode, gp if gp.size else np.zeros(1), scode,
+            sp if sp.size else np.zeros(1), normals, clamp_code)
+
+
+def _check_negative(model: GrowthInteraction, negative: bool) -> None:
     if negative and model.negative_policy == "error":
         raise NumericalError("noise drove a mark negative (clamping disabled)")
-    return grid, vals, births, deaths_out
 
 
 def geostat_marking(locations, model: Geostatistical, grid, seed,
@@ -372,14 +396,16 @@ def intensity_dependent_marking(field: GridField, locations, grid) -> list:
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     grid = np.asarray(grid, dtype=float)
     w = field.window
-    values = []
-    for x in locations:
-        x_sp = x[: w.dim]
-        if w.is_temporal:
-            values.append([field(np.concatenate([x_sp, [t]])) for t in grid])
-        else:
-            values.append(np.full(grid.size, field(x_sp)))
-    return _paths(grid, values, w.t_star if w.is_temporal else float(grid[-1]))
+    xs = locations[:, : w.dim]
+    n, k = xs.shape[0], grid.size
+    if w.is_temporal:
+        # every (point, grid time) pair in one lookup
+        at = np.column_stack([np.repeat(xs, k, axis=0), np.tile(grid, n)])
+        values = field(at).reshape(n, k)
+    else:
+        values = np.repeat(field(xs)[:, None], k, axis=1)
+    return CadlagPath.rows(grid, values, None, "step",
+                           w.t_star if w.is_temporal else float(grid[-1]))
 
 
 # ---------------------------------------------------------------------------

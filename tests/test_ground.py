@@ -145,6 +145,41 @@ class TestLgcp:
             field((5.0, 0.1))
 
     @pytest.mark.parametrize("window, grid", [
+        (Window((0, 0), (1, 1), t_star=4.0), (4, 8, 2)),
+        (Window((-0.3, 2.0), (0.7, 2.5), t_star=3.0), (5, 3, 7)),
+        (Window((0.1, 0.0), (0.4, 1.0)), (3, 1)),
+    ])
+    def test_vectorised_lookup_matches_argmin_at_cell_edges(self, window, grid):
+        # every cell edge and centre of each axis, combined over the axes:
+        # one call over the (m, D) array takes the cell a per-axis argmin
+        # takes, which is the first of two equally near centres
+        field, _ = simulate_lgcp(LogGaussianCox(1.0, ("exponential", 0.0, 0.2),
+                                                grid), window, 0)
+        coords = []
+        for ax, width, (lo, hi) in zip(field.axes, field.widths,
+                                       window.ground_bounds):
+            edges = np.concatenate([ax - 0.5 * width, ax + 0.5 * width, [lo, hi]])
+            coords.append(np.concatenate([edges, ax]))
+        pts = np.stack(np.meshgrid(*coords, indexing="ij"), -1).reshape(
+            -1, len(grid))
+        want = np.array([[int(np.argmin(np.abs(ax - c)))
+                          for c, ax in zip(p, field.axes)] for p in pts])
+        got = np.column_stack(field.cell_index(pts))
+        np.testing.assert_array_equal(got, want)
+        assert [field.cell_index(p) for p in pts[:50]] == [tuple(w) for w in
+                                                          want[:50].tolist()]
+        np.testing.assert_array_equal(field(pts), field.values[tuple(want.T)])
+        # some edges are exactly as near to the centres on either side
+        dists = [np.abs(ax[:, None] - c) for c, ax in zip(coords, field.axes)]
+        assert sum(int(np.sum(np.sum(d == d.min(axis=0), axis=0) > 1))
+                   for d in dists) > 0
+        for bad in (window.ground_bounds[0][1] + field.widths[0], np.nan):
+            out = pts[:3].copy()
+            out[1, 0] = bad
+            with pytest.raises(ValidationError):
+                field.cell_index(out)
+
+    @pytest.mark.parametrize("window, grid", [
         (Window((0, 0), (0.5, 1)), (1, 4)),
         (Window((0, 0), (0.5, 1), t_star=4.0), (4, 4, 1)),
     ])

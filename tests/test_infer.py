@@ -180,6 +180,26 @@ class TestJanossy:
         assert ratio == pytest.approx(math.exp(100.0 + n * math.log(700.0 / rho)),
                                       rel=1e-9)
 
+    def test_long_mark_schedule_stays_finite(self):
+        # 400 Brownian samples: each transition density is moderate, but
+        # their product underflows, so the mark factor is summed in logs
+        times = np.arange(1, 401) / 400
+        u = np.cumsum(2.5 * np.random.default_rng(0).standard_normal(400))
+        var = 50.0 ** 2 * np.diff(times, prepend=0.0)
+        du = np.diff(u, prepend=0.0)
+        exact = float(np.sum(-0.5 * np.log(2 * np.pi * var) - 0.5 * du ** 2 / var))
+        assert exact == pytest.approx(-932.4058, abs=1e-4)
+        w = Window((0,), (1,), t_star=1.0)
+        m = ParametricModel("poisson-t", (2.0,), w, fidi=brownian_fidi(50.0))
+        data = [Observation((0.5,), 0.5, None, tuple(u))]
+        sched = SampleSchedule(tuple(times))
+        # log rate minus the compensator of the unit rate-2 window
+        want = exact + math.log(2.0) - 2.0
+        assert janossy_density(m, data, sched).log_value == pytest.approx(
+            want, rel=1e-12)
+        assert loglik_temporal(m, data, sched) == pytest.approx(want, rel=1e-12)
+        assert pseudolikelihood(m, data, sched) == pytest.approx(want, rel=1e-12)
+
     def test_void_probability(self):
         m = ParametricModel("poisson", (1.0,), W)
         assert janossy_density(m, []).value == pytest.approx(math.exp(-1.0))
@@ -399,6 +419,12 @@ class TestLeastSquaresMarks:
             lambda th: GrowthInteraction(("logistic", th[0], th[1]),
                                          ("overlap", 4.0), m0=0.3,
                                          negative_policy="absorb"),
+            # theta moves the gauss range, so each theta needs a new plan
+            lambda th: GrowthInteraction(("linear", th[0], 1.0),
+                                         ("gauss", 0.4, th[1])),
+            # theta moves m0, which the plan does not hold
+            lambda th: GrowthInteraction(("linear", 1.5, th[1]),
+                                         ("gauss", 0.4, 0.3), m0=th[0]),
         ]
         for family in families:
             captured = []

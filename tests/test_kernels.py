@@ -490,6 +490,61 @@ def test_gi_integrate_memory_holds_one_operator():
     assert peak < 3 * n * n * 8
 
 
+def test_growth_plan_reuse_matches_fresh_integrations(rng):
+    # one plan integrated under several growth laws, noises and negative
+    # policies gives what a fresh gi_integrate_values call gives each time:
+    # absorption re-cuts the alive runs of its own integration only
+    xs = clustered_points(rng, 3, 8, 0.05)
+    n, nsteps = xs.shape[0], 40
+    dt = 1.0 / nsteps
+    births = rng.random(n) * 0.6
+    deaths = births + 0.2 + rng.random(n)
+    kept = deaths.copy()
+    normals = rng.standard_normal((nsteps, n))
+    gp = np.array([1.0, 1.0])
+    for icode, ip, cutoff in ((1, np.array([0.5, 0.3]), -1.0),
+                              (2, np.array([0.5, 0.0]), 0.15)):
+        plan = K.GrowthPlan(xs, births, deaths, dt, nsteps, icode, ip, cutoff)
+        absorbed = 0
+        # growth code, noise code, noise scale, negative policy
+        for gcode, scode, sp, clamp in ((0, 0, 0.0, 0), (1, 2, 0.8, 0),
+                                        (0, 1, 0.6, 1), (1, 1, 0.6, 2),
+                                        (0, 0, 0.0, 0)):
+            run = (0.05, gcode, gp, scode, np.array([sp]), normals, clamp)
+            got = plan.integrate(*run)
+            want = K.gi_integrate_values(xs, births, deaths, 0.05, dt, nsteps,
+                                         gcode, gp, icode, ip, scode,
+                                         np.array([sp]), normals, clamp,
+                                         cutoff)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            np.testing.assert_array_equal(got[2], want[2])
+            absorbed += int(np.sum(got[2] < deaths))
+        assert absorbed > 0
+    np.testing.assert_array_equal(deaths, kept)
+
+
+def test_growth_plan_memory_holds_one_operator():
+    # births spread over [0, 0.9] change the alive set at most steps; each
+    # run takes its gauss block per integration, so the plan holds only the
+    # one n x n operator
+    n, nsteps = 1000, 20
+    r = np.random.default_rng(5)
+    xs, births = r.random((n, 2)), r.random(n) * 0.9
+    tracemalloc.start()
+    try:
+        plan = K.GrowthPlan(xs, births, np.full(n, np.inf), 1.0 / nsteps,
+                            nsteps, 1, np.array([0.5, 0.02]), -1.0)
+        vals, _, _ = plan.integrate(0.05, 0, np.array([1.0, 1.0]), 0,
+                                    np.zeros(1), np.zeros((1, n)), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.runs) >= 15
+    assert np.all(vals[-1] > 0.05)
+    assert peak < 3 * n * n * 8
+
+
 def test_coverage_count_variants_agree(rng):
     centers = rng.random((5, 2))
     radii = 0.05 + 0.1 * rng.random(5)
