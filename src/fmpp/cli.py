@@ -385,8 +385,7 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                 "estimate 'least-squares' needs lifetime aux marks "
                 "(model.aux.kind = 'lifetime')")
         lifetimes = np.asarray([a.continuous[0] for a in c.auxs])
-        times = np.asarray(schedule.times)
-        observed = np.asarray([m(times) for m in c.marks])
+        observed = c.marks.at(schedule.times)
         theta0 = _require(section, "theta0", "estimate")
         bounds = section.get("bounds")
         # integrate on the grid the marks were simulated on

@@ -7,11 +7,17 @@ metric and uniform metric), cylinder neighbourhoods, ground/temporal
 projections, torus shifts and JSON/CSV serialization.
 
 A configuration is stored as columns: an (n, D) ground array (event time
-last on a temporal window), a tuple of aux marks and a tuple of cadlag
-marks.  ``MarkedPoint`` objects are per-point views built on demand.
-Cadlag marks built together by ``CadlagPath.rows`` share one grid array and
-are validated as one value matrix, and the JSON and CSV writers format each
-float once for both files.
+last on a temporal window), a tuple of aux marks and one ``MarkTable`` of
+cadlag marks: a (k,) grid, an (n, k) value matrix, (n,) support starts and
+ends, one mode and one t_star.  ``MarkedPoint`` objects and the table's
+``CadlagPath`` rows are per-point views built on demand, and ``at``
+evaluates every mark with one ``searchsorted``.  ``CadlagPath.rows``
+validates a table as one value matrix.  Paths on several grids become one
+table on the merged grid: a step path keeps its values, a linear path is
+interpolated at the new times, entries outside a support are 0, and a
+linear path those rules would change raises.  The JSON and CSV writers
+format each float once for both files, and ``configuration_from_json`` is
+the one reader.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -19,9 +25,9 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +39,7 @@ __all__ = [
     "midpoint_rule",
     "AuxMark",
     "CadlagPath",
+    "MarkTable",
     "MarkedPoint",
     "Configuration",
     "ReferenceSpec",
@@ -197,8 +204,7 @@ class AuxMark:
 def _check_rows(grid, values, supports, mode, t_star):
     """Validate the paths on one grid: the (k,) ``grid``, the (n, k)
     ``values`` and the n (start, end) ``supports`` (None: each from grid[0]
-    on).  Returns the starts and ends as lists of floats, the mode and
-    t_star."""
+    on).  Returns the (n,) starts and ends, the mode and t_star."""
     if grid.size == 0:
         raise ValidationError("path grid must be non-empty")
     if not np.all(np.diff(grid) > 0):
@@ -209,7 +215,7 @@ def _check_rows(grid, values, supports, mode, t_star):
     if supports is None:
         a, b = np.full(n, grid[0]), np.full(n, np.inf)
     else:
-        supports = np.asarray(supports, dtype=float)
+        supports = np.array(supports, dtype=float)
         if supports.shape != (n, 2):
             raise ValidationError("supports must be one (start, end) pair per path")
         a, b = supports[:, 0], supports[:, 1]
@@ -225,7 +231,32 @@ def _check_rows(grid, values, supports, mode, t_star):
     outside = (grid < a[:, None]) | (grid >= b[:, None])
     if np.any(outside & (values != 0.0)):
         raise ValidationError("path must be zero at grid times outside its support")
-    return a.tolist(), b.tolist(), mode, t_star
+    return a, b, mode, t_star
+
+
+def _evaluate(grid, values, starts, ends, mode, t):
+    """The (n, m) values at the m times ``t`` of the n paths whose rows of
+    ``values`` lie on ``grid``, zero before grid[0] and outside [starts,
+    ends) (each an (n, 1) column or a scalar).
+
+    One ``searchsorted`` locates every time; ``linear`` mode then takes
+    the slope formula of ``np.interp`` with its rounding, and holds the
+    last value after the grid."""
+    t = np.asarray(t, dtype=float)
+    j = np.searchsorted(grid, t, side="right") - 1
+    out = values[:, np.maximum(j, 0)]
+    k = grid.size
+    if mode == "linear" and k > 1:
+        lo = np.clip(j, 0, k - 2)
+        # off the grid's inner steps the times collapse onto a node, so the
+        # ramp below never meets an infinite time
+        between = (j >= 0) & (j < k - 1) & (t != grid[lo])
+        x0 = grid[lo]
+        y0 = values[:, lo]
+        slope = (values[:, lo + 1] - y0) / (grid[lo + 1] - x0)
+        ramp = slope * (np.where(between, t, x0) - x0) + y0
+        out = np.where(between, ramp, out)
+    return np.where((j >= 0) & (t >= starts) & (t < ends), out, 0.0)
 
 
 class CadlagPath:
@@ -235,8 +266,8 @@ class CadlagPath:
     mode; ``linear`` mode interpolates between grid points.  Outside the
     half-open support interval ``[support[0], support[1])`` the path is
     identically zero; the degenerate support ``[a, a)`` is the zero path.
-    ``CadlagPath.rows`` builds the paths of a whole value matrix on one
-    shared grid.
+    ``CadlagPath.rows`` builds the ``MarkTable`` of a whole value matrix on
+    one shared grid, whose rows are paths too.
     """
 
     __slots__ = ("grid", "values", "support", "mode", "t_star")
@@ -252,50 +283,33 @@ class CadlagPath:
                                                mode, t_star)
         self.grid = grid
         self.values = values
-        self.support = (a, b)
+        self.support = (float(a), float(b))
         self.mode = mode
         self.t_star = t_star
 
     @classmethod
-    def rows(cls, grid, values, supports=None, mode="step", t_star=None) -> list:
-        """One path per row of the (n, k) ``values`` matrix on the shared
-        grid of k times, validated as a whole by the rules of ``__init__``.
+    def rows(cls, grid, values, supports=None, mode="step", t_star=None):
+        """The ``MarkTable`` of the (n, k) ``values`` matrix on the shared
+        grid of k times, one path per row, validated as a whole by the
+        rules of ``__init__``.
 
         ``supports`` holds n (start, end) pairs; None gives every path the
-        support [grid[0], inf).  The paths share one grid array, and each
-        holds its row of ``values`` as its values.
+        support [grid[0], inf).
         """
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size:
             raise ValidationError("values must form an (n, k) matrix over a "
                                   "1-d grid of k times")
-        starts, ends, mode, t_star = _check_rows(grid, values, supports, mode,
-                                                 t_star)
-        out = []
-        for row, support in zip(values, zip(starts, ends)):
-            path = object.__new__(cls)
-            path.grid = grid
-            path.values = row
-            path.support = support
-            path.mode = mode
-            path.t_star = t_star
-            out.append(path)
-        return out
+        return MarkTable(grid, values, *_check_rows(grid, values, supports,
+                                                    mode, t_star))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        if self.mode == "step":
-            idx = np.searchsorted(self.grid, tt, side="right") - 1
-            out = np.where(idx >= 0, self.values[np.clip(idx, 0, None)], 0.0)
-        else:
-            out = np.interp(tt, self.grid, self.values)
-            out = np.where(tt < self.grid[0], 0.0, out)
         a, b = self.support
-        out = np.where((tt >= a) & (tt < b), out, 0.0)
-        return float(out[0]) if scalar else out
+        out = _evaluate(self.grid, self.values[None, :], a, b, self.mode,
+                        np.atleast_1d(t))[0]
+        return float(out[0]) if t.ndim == 0 else out
 
     @property
     def ambient_end(self) -> float:
@@ -320,6 +334,142 @@ class CadlagPath:
             f"CadlagPath(n={self.grid.size}, support={self.support!r}, "
             f"mode={self.mode!r})"
         )
+
+
+class MarkTable(Sequence):
+    """The cadlag marks of n points on one grid: the (k,) ``grid``, the
+    (n, k) ``values``, the (n,) support ``starts`` and ``ends``, one
+    ``mode`` and one ``t_star``.
+
+    Indexing and iteration give each row as a ``CadlagPath`` view that
+    shares the grid and holds its row of ``values``; ``at`` evaluates every
+    row at once.  ``CadlagPath.rows`` validates a table, and
+    ``Configuration`` builds one from any other sequence of paths.
+    """
+
+    __slots__ = ("grid", "values", "starts", "ends", "mode", "t_star")
+
+    def __init__(self, grid, values, starts, ends, mode, t_star):
+        self.grid = grid
+        self.values = values
+        self.starts = starts
+        self.ends = ends
+        self.mode = mode
+        self.t_star = t_star
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def _row(self, values, a, b) -> CadlagPath:
+        path = object.__new__(CadlagPath)
+        path.grid = self.grid
+        path.values = values
+        path.support = (a, b)
+        path.mode = self.mode
+        path.t_star = self.t_star
+        return path
+
+    def __getitem__(self, i):
+        return self._row(self.values[i], float(self.starts[i]),
+                         float(self.ends[i]))
+
+    def __iter__(self):
+        return map(self._row, self.values, self.starts.tolist(),
+                   self.ends.tolist())
+
+    def take(self, rows) -> MarkTable:
+        """The table of the given rows, on the same grid."""
+        return MarkTable(self.grid, self.values[rows], self.starts[rows],
+                         self.ends[rows], self.mode, self.t_star)
+
+    def at(self, times) -> np.ndarray:
+        """The (n, m) values of every path at the m ``times``."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if len(self) == 0:
+            return np.zeros((0, times.size))
+        return _evaluate(self.grid, self.values, self.starts[:, None],
+                         self.ends[:, None], self.mode, times)
+
+    @property
+    def ambient_end(self) -> float:
+        """The latest ``ambient_end`` of the paths (t_star when set)."""
+        if self.t_star is not None:
+            return self.t_star
+        ends = self.ends[np.isfinite(self.ends)]
+        return float(np.max(ends, initial=self.grid[-1]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"MarkTable(n={len(self)}, k={self.grid.size}, "
+                f"mode={self.mode!r})")
+
+
+def _merged_table(paths) -> MarkTable:
+    """The table of a sequence of paths, each row embedded on the merged
+    grid of every distinct grid.
+
+    A step row keeps its values there.  A linear row is its interpolant at
+    the new grid times, exact at its own; entries outside its support are
+    0, so a row whose support ends or starts inside one of
+    its grid steps, next to a new grid time, would change its values and
+    raises, as does one whose support starts before its first grid time
+    when a new grid time lies before that.
+    """
+    paths = tuple(paths)
+    if not paths:
+        return MarkTable(np.zeros(0), np.zeros((0, 0)), np.zeros(0),
+                         np.zeros(0), "step", None)
+    modes = {p.mode for p in paths}
+    if len(modes) > 1:
+        raise ValidationError("the marks of a configuration must share one mode")
+    t_stars = {p.t_star for p in paths}
+    if len(t_stars) > 1:
+        raise ValidationError("the marks of a configuration must share one t_star")
+    (mode,), (t_star,) = modes, t_stars
+    starts, ends = np.array([p.support for p in paths]).T
+    groups = {}
+    for i, p in enumerate(paths):
+        groups.setdefault(id(p.grid), (p.grid, []))[1].append(i)
+    grids = [g for g, _ in groups.values()]
+    if all(np.array_equal(g, grids[0]) for g in grids[1:]):
+        return MarkTable(grids[0], np.stack([p.values for p in paths]),
+                         starts, ends, mode, t_star)
+    merged = np.unique(np.concatenate(grids))
+    values = np.empty((len(paths), merged.size))
+    for grid, rows in groups.values():
+        own = np.stack([paths[i].values for i in rows])
+        a, b = starts[rows, None], ends[rows, None]
+        values[rows] = _evaluate(grid, own, a, b, mode, merged)
+        if mode == "linear":
+            _check_linear_embedding(grid, own, a, b, merged)
+    return MarkTable(merged, values, starts, ends, mode, t_star)
+
+
+def _check_linear_embedding(grid, values, a, b, merged):
+    """Raise when linear rows on ``grid`` with supports [a, b) ((r, 1)
+    columns) would change their values on the ``merged`` grid."""
+    first = grid[0]
+    if merged[0] < first and np.any((a < first) & (values[:, :1] != 0.0)):
+        raise ValidationError(
+            "a linear path whose support starts before its first grid time "
+            "would ramp instead of jump on the merged grid of ragged marks")
+    # the merged grid zeroes the times outside a support; that loses the
+    # interpolant where it is non-zero next to the support
+    free = _evaluate(grid, values, -np.inf, np.inf, "linear", merged)
+    after = np.append(merged[1:], np.inf)
+    before = np.insert(merged[:-1], 0, -np.inf)
+    lost = (free != 0.0) & (((merged < a) & (after > a))
+                            | ((merged >= b) & (before < b)))
+    if np.any(lost):
+        raise ValidationError(
+            "a linear path whose support cuts one of its grid steps would "
+            "change on the merged grid of ragged marks")
 
 
 @dataclass(frozen=True)
@@ -421,10 +571,12 @@ class Configuration:
 
     Stored as columns: ``ground`` is a read-only (n, D) array of ground
     locations (the event time last on a temporal window), ``auxs`` the n
-    aux marks and ``marks`` the n cadlag marks.  The ground locations must
-    lie in the window and be pairwise distinct (simplicity of the ground
-    measure), and on a temporal window every mark support starts at a
-    nonnegative time; construction fails otherwise.
+    aux marks and ``marks`` the ``MarkTable`` of the n cadlag marks.  The
+    ground locations must lie in the window and be pairwise distinct
+    (simplicity of the ground measure), and on a temporal window every mark
+    support starts at a nonnegative time and the marks' t_star is the
+    window's; construction fails otherwise.  Marks given as any other
+    sequence of paths become one table on the merged grid of their grids.
     """
 
     __slots__ = ("window", "ground", "auxs", "marks", "reference")
@@ -433,7 +585,9 @@ class Configuration:
                  marks: Iterable[CadlagPath],
                  reference: ReferenceSpec | None = None):
         ground = ground_array(window, ground)
-        auxs, marks = tuple(auxs), tuple(marks)
+        auxs = tuple(auxs)
+        if not isinstance(marks, MarkTable):
+            marks = _merged_table(marks)
         n = ground.shape[0]
         if len(auxs) != n or len(marks) != n:
             raise ValidationError("configuration needs one aux mark and one "
@@ -448,8 +602,13 @@ class Configuration:
         if np.any(same):
             key = tuple(rows[np.argmax(same)].tolist())
             raise ValidationError(f"duplicate ground location {key}")
-        if window.is_temporal and any(m.support[0] < -1e-12 for m in marks):
-            raise ValidationError("mark support must start at a nonnegative time")
+        if window.is_temporal and n:
+            if np.any(marks.starts < -1e-12):
+                raise ValidationError("mark support must start at a nonnegative time")
+            if marks.t_star != window.t_star:
+                raise ValidationError(
+                    f"mark t_star {marks.t_star} differs from the window's "
+                    f"t_star {window.t_star}")
         ground.flags.writeable = False
         self.window = window
         self.ground = ground
@@ -585,11 +744,14 @@ def skorohod_distance(f: CadlagPath, g: CadlagPath, warp_grid_resolution: int = 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _aux_from_obj(obj: dict) -> AuxMark:
-    return AuxMark(
-        discrete=obj.get("discrete"),
-        continuous=tuple(obj["continuous"]) if "continuous" in obj else None,
-    )
+def _aux_from_obj(obj: dict, where: str) -> AuxMark:
+    try:
+        return AuxMark(
+            discrete=obj.get("discrete"),
+            continuous=tuple(obj["continuous"]) if "continuous" in obj else None,
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: field 'aux': {exc}") from None
 
 
 # json.dumps spells the floats whose repr is nan, inf or -inf this way
@@ -606,26 +768,26 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
     when not wanted.
 
     Every float is formatted once with ``repr`` and both texts are built
-    from those strings: a path's values as the repr of their list, which is
+    from those strings: a mark's values as the repr of their list, which is
     the JSON array itself and splits into the CSV value column, and the
-    grid times once per grid array shared between points.
+    table's one grid once for every point.
     """
-    # id(grid) -> (JSON array text, ["<time>," per grid time]); ids stay
-    # unique while c holds every grid
-    grid_text = {}
     d, temporal = c.window.dim, c.window.is_temporal
-    for i, (g, aux, mark) in enumerate(zip(c.ground.tolist(), c.auxs, c.marks)):
+    table = c.marks
+    times = list(map(repr, table.grid.tolist()))
+    grid_js = "[" + ", ".join(map(_json_float, times)) + "]"
+    grid_csv = [s + "," for s in times]
+    tail_js = (', "mode": ' + json.dumps(table.mode) + ', "t_star": '
+               + ("null" if table.t_star is None
+                  else _json_float(repr(table.t_star))) + "}}")
+    for i, (g, aux, row, a, b) in enumerate(zip(
+            c.ground.tolist(), c.auxs, table.values, table.starts.tolist(),
+            table.ends.tolist())):
         x = list(map(repr, g[:d]))
         t = repr(g[d]) if temporal else ""
         cont = None if aux.continuous is None else list(map(repr, aux.continuous))
-        start, end = map(repr, mark.support)
-        values = repr(mark.values.tolist())
-        grid = grid_text.get(id(mark.grid))
-        if grid is None:
-            times = list(map(repr, mark.grid.tolist()))
-            grid = ("[" + ", ".join(map(_json_float, times)) + "]",
-                    [s + "," for s in times])
-            grid_text[id(mark.grid)] = grid
+        start, end = repr(a), repr(b)
+        values = repr(row.tolist())
         js = block = None
         if want_json:
             aux_obj = []
@@ -634,15 +796,13 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
             if cont is not None:
                 aux_obj.append('"continuous": ['
                                + ", ".join(map(_json_float, cont)) + "]")
-            end_js = "null" if np.isinf(mark.support[1]) else _json_float(end)
-            t_star = "null" if mark.t_star is None else _json_float(repr(mark.t_star))
+            end_js = "null" if np.isinf(b) else _json_float(end)
             js = "".join([
                 '{"x": [', ", ".join(map(_json_float, x)), "]",
                 ', "t": ' + _json_float(t) if temporal else "",
                 ', "aux": {', ", ".join(aux_obj), '}, "mark": {"grid": ',
-                grid[0], ', "values": ', values, ', "support": [',
-                _json_float(start), ", ", end_js, '], "mode": ',
-                json.dumps(mark.mode), ', "t_star": ', t_star, "}}"])
+                grid_js, ', "values": ', values, ', "support": [',
+                _json_float(start), ", ", end_js, "]", tail_js])
         if want_csv:
             prefix = ",".join([
                 str(i), *x, t,
@@ -650,7 +810,7 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
                 "" if cont is None else ";".join(cont), ""])
             suffix = f",{start},{end}\n"
             block = (prefix + (suffix + prefix).join(
-                map(add, grid[1], values[1:-1].split(", "))) + suffix)
+                map(add, grid_csv, values[1:-1].split(", "))) + suffix)
         yield js, block
 
 
@@ -677,37 +837,59 @@ def configuration_to_json(c: Configuration) -> str:
     return _json_document(c, (js for js, _ in _point_texts(c, want_csv=False)))
 
 
-def _support(mark: dict) -> tuple:
-    a, b = mark["support"]
-    return float(a), np.inf if b is None else float(b)
+def _field(obj, key, where: str):
+    """``obj[key]``, or a ValidationError naming ``where`` and the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{where}: missing field {key!r}")
+    return obj[key]
 
 
-def _shared_grid_paths(marks: list):
-    """The marks' paths through one ``CadlagPath.rows`` call when every mark
-    has the same grid list, mode and t_star and one value per grid time;
-    None otherwise."""
-    if not marks:
-        return None
-    first = marks[0]
-    grid, mode, t_star = first["grid"], first.get("mode", "step"), first.get("t_star")
-    if not isinstance(grid, list) or any(
-            m["grid"] != grid or m.get("mode", "step") != mode
-            or m.get("t_star") != t_star or not isinstance(m["values"], list)
-            or len(m["values"]) != len(grid) for m in marks):
-        return None
-    values = np.array([m["values"] for m in marks], dtype=float)
-    if values.ndim != 2:
-        return None
-    return CadlagPath.rows(grid, values, [_support(m) for m in marks], mode,
-                           t_star)
+def _mark_fields(i: int, mark) -> tuple:
+    """A point's mark object as ((grid list, mode, t_star), values,
+    (start, end))."""
+    where = f"point {i}: mark"
+    grid, values = _field(mark, "grid", where), _field(mark, "values", where)
+    support = _field(mark, "support", where)
+    try:
+        a, b = support
+        support = float(a), np.inf if b is None else float(b)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where} field 'support' must be a "
+                              "[start, end] pair of numbers") from None
+    try:
+        equal = len(values) == len(grid)
+    except TypeError:
+        equal = False
+    if not equal:
+        raise ValidationError(f"{where} grid and values must be 1-d arrays "
+                              "of equal length")
+    return (grid, mark.get("mode", "step"), mark.get("t_star")), values, support
+
+
+def _value_matrix(rows: list, points: list) -> np.ndarray:
+    """The float matrix of the value lists ``rows`` of the given points, or
+    a ValidationError naming the first point whose values are not numbers."""
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    for i, row in zip(points, rows):
+        try:
+            np.array(row, dtype=float)
+        except (TypeError, ValueError):
+            break
+    raise ValidationError(f"point {i}: mark field 'values' must hold numbers")
 
 
 def configuration_from_json(text: str) -> Configuration:
-    """Read ``configuration_to_json`` text.  Marks on one shared grid are
-    validated as one value matrix; ragged grids are read point by point."""
+    """Read ``configuration_to_json`` text.  The marks of each distinct grid
+    list, mode and t_star are validated as one value matrix, and marks on
+    several grids become one table on their merged grid.  A missing or
+    malformed field raises a ValidationError naming it and its point."""
     obj = json.loads(text)
-    w = obj["window"]
-    window = Window(tuple(w["lo"]), tuple(w["hi"]), w.get("t_star"),
+    w = _field(obj, "window", "configuration")
+    window = Window(tuple(_field(w, "lo", "window")),
+                    tuple(_field(w, "hi", "window")), w.get("t_star"),
                     w.get("torus", False), w.get("time_scale", 1.0))
     r = obj.get("reference", {})
     aux_obj = r.get("aux", {"kind": "counting", "params": [1]})
@@ -716,24 +898,51 @@ def configuration_from_json(text: str) -> Configuration:
         tuple(r.get("mark_reference", ("wiener", 1.0))),
     )
     d, temporal = window.dim, window.is_temporal
-    ground, auxs = [], []
-    for po in obj["points"]:
-        x, t = po["x"], po.get("t")
-        if len(x) != d:
+    ground, auxs, rows, supports, groups = [], [], [], [], {}
+    last = None
+    for i, po in enumerate(_field(obj, "points", "configuration")):
+        where = f"point {i}"
+        x, t = _field(po, "x", where), po.get("t")
+        if not isinstance(x, list) or len(x) != d:
             raise ValidationError(f"location must have dimension {d}")
         if temporal and t is None:
             raise ValidationError("temporal window requires event times")
         if not temporal and t is not None:
             raise ValidationError("spatial window takes no event times")
         ground.append(x + [t] if temporal else x)
-        auxs.append(_aux_from_obj(po["aux"]))
-    marks = [po["mark"] for po in obj["points"]]
-    paths = _shared_grid_paths(marks)
-    if paths is None:
-        paths = [CadlagPath(m["grid"], m["values"], _support(m),
-                            m.get("mode", "step"), m.get("t_star"))
-                 for m in marks]
-    return Configuration(window, ground, auxs, paths, reference)
+        auxs.append(_aux_from_obj(_field(po, "aux", where), where))
+        spec, values, support = _mark_fields(i, _field(po, "mark", where))
+        # a file's marks usually share one grid list: compare it with the
+        # previous mark's before hashing every grid time
+        if spec != last:
+            last = spec
+            try:
+                group = groups.setdefault((tuple(spec[0]), *spec[1:]), [])
+            except TypeError:
+                raise ValidationError(
+                    f"{where}: mark fields 'grid', 'mode' and 't_star' must "
+                    "hold numbers and names") from None
+        group.append(i)
+        rows.append(values)
+        supports.append(support)
+    tables = []
+    for (grid, mode, t_star), idx in groups.items():
+        try:
+            grid = np.array(grid, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"point {idx[0]}: mark field 'grid' must "
+                                  "hold numbers") from None
+        values = _value_matrix([rows[i] for i in idx], idx)
+        tables.append((idx, CadlagPath.rows(
+            grid, values, [supports[i] for i in idx], mode, t_star)))
+    if len(tables) == 1:
+        marks = tables[0][1]
+    else:
+        marks = [None] * len(rows)
+        for idx, table in tables:
+            for i, path in zip(idx, table):
+                marks[i] = path
+    return Configuration(window, ground, auxs, marks, reference)
 
 
 def _csv_header(c: Configuration) -> str:

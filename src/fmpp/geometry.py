@@ -43,7 +43,7 @@ def section(c: Configuration, t: float) -> BooleanSection:
         raise ValidationError("sections are defined for planar windows only")
     if c.window.is_temporal and not 0.0 <= t <= c.window.t_star:
         raise ValidationError("section time outside the window")
-    radii = np.fromiter((m(t) for m in c.marks), float, len(c))
+    radii = c.marks.at(t)[:, 0]
     disk = radii > 0.0
     return BooleanSection(float(t), c.spatial_locations()[disk], radii[disk])
 

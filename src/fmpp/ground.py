@@ -334,7 +334,7 @@ def thin(c: Configuration, retention: Callable, seed: int) -> Configuration:
         raise ValidationError("retention probability outside [0, 1]")
     kept = np.flatnonzero(rng.random(len(probs)) < probs)
     return Configuration(c.window, c.ground[kept], [c.auxs[i] for i in kept],
-                         [c.marks[i] for i in kept], c.reference)
+                         c.marks.take(kept), c.reference)
 
 
 def observable_retention(schedule: SampleSchedule) -> Callable:

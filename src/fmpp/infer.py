@@ -159,9 +159,10 @@ class JanossyValue:
 
 def sample_observations(c: Configuration, schedule: SampleSchedule) -> list:
     """Read the mark of every point at the schedule times."""
-    times = np.asarray(schedule.times)
-    return [Observation(p.x, p.t, p.aux, tuple(p.mark(times).tolist()))
-            for p in c.points]
+    d, temporal = c.window.dim, c.window.is_temporal
+    return [Observation(tuple(g[:d]), g[d] if temporal else None, aux, tuple(v))
+            for g, aux, v in zip(c.ground.tolist(), c.auxs,
+                                 c.marks.at(schedule.times).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ the likelihoods.
 
 Marks attach to a configuration's columns: ``attach_marks(window,
 locations, auxs, model, grid, seed)`` takes the (n, D) ground array and the
-n aux marks and returns one cadlag path per point, which
+n aux marks and returns the ``MarkTable`` of their cadlag marks, which
 ``make_configuration`` (the ``Configuration`` constructor) joins to them.
 Every model builds its marks as one (n, k) value matrix on the shared grid
-and validates it once through ``CadlagPath.rows``.
+and validates it once through ``CadlagPath.rows``; the table holds that
+matrix, and its rows are the per-point paths.
 
 Growth, interaction and noise functions are chosen from a named registry
 with numeric parameter vectors (arbitrary code injection is out of scope
@@ -32,6 +33,7 @@ from .core import (
     AuxMeasure,
     CadlagPath,
     Configuration,
+    MarkTable,
     ReferenceSpec,
     SampleSchedule,
     Window,
@@ -198,8 +200,8 @@ class IntensityDependent:
 # mark attachment
 # ---------------------------------------------------------------------------
 def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
-                 seed) -> list:
-    """Generate one cadlag mark per ground point.
+                 seed) -> MarkTable:
+    """Generate one cadlag mark per ground point, as one ``MarkTable``.
 
     ``locations`` is the (n, D) ground array of a configuration on
     ``window`` (event time last when temporal) and ``auxs`` its n aux
@@ -220,10 +222,12 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     xs = locations[:, :d]
 
     if isinstance(model, Deterministic):
-        values = [model.evaluate((tuple(g[:d]), g[d] if temporal else None),
-                                 aux, grid)
-                  for g, aux in zip(locations.tolist(), auxs)]
-        return _paths(grid, values, t_star)
+        values = np.empty((0, grid.size))
+        if len(auxs):
+            values = np.array([model.evaluate((tuple(g[:d]), g[d] if temporal else None),
+                                              aux, grid)
+                               for g, aux in zip(locations.tolist(), auxs)], dtype=float)
+        return CadlagPath.rows(grid, values, None, "step", t_star)
     if isinstance(model, Wiener):
         steps = np.sqrt(np.diff(grid)) * rng.standard_normal((len(auxs),
                                                               len(grid) - 1))
@@ -231,18 +235,17 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
         np.cumsum(steps, axis=1, out=values[:, 1:])
         return CadlagPath.rows(grid, model.scale * values, None, "step", t_star)
     if isinstance(model, Diffusion):
-        values = []
-        for _ in auxs:
-            vals = np.empty_like(grid)
-            vals[0] = model.m0
-            noise = rng.standard_normal(len(grid) - 1)
+        # one draw for every row: the same numbers as a draw per point
+        noise = rng.standard_normal((len(auxs), len(grid) - 1))
+        values = np.empty((len(auxs), len(grid)))
+        values[:, 0] = model.m0
+        for vals, z in zip(values, noise):
             for j in range(len(grid) - 1):
                 dt = grid[j + 1] - grid[j]
                 m = vals[j]
                 vals[j + 1] = (m + model.drift(m, grid[j]) * dt
-                               + model.diffusion(m, grid[j]) * math.sqrt(dt) * noise[j])
-            values.append(vals)
-        return _paths(grid, values, t_star)
+                               + model.diffusion(m, grid[j]) * math.sqrt(dt) * z[j])
+        return CadlagPath.rows(grid, values, None, "step", t_star)
     if isinstance(model, GrowthInteraction):
         if not temporal:
             raise ValidationError("growth-interaction marks need birth times")
@@ -266,16 +269,8 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     raise ValidationError(f"unknown mark model {type(model).__name__}")
 
 
-def _paths(grid, values: list, t_star) -> list:
-    """``CadlagPath.rows`` over per-point value rows on ``grid``, each path
-    supported from grid[0] on."""
-    matrix = (np.array(values, dtype=float) if values
-              else np.empty((0, np.size(grid))))
-    return CadlagPath.rows(grid, matrix, None, "step", t_star)
-
-
 def gi_integrate(points, model: GrowthInteraction, step: float, seed,
-                 t_star: float) -> list:
+                 t_star: float) -> MarkTable:
     """Integrate the coupled growth system on the global grid 0..t_star.
 
     ``points`` is (locations (n,d), births (n,), lifetimes (n,)).  The
@@ -349,7 +344,7 @@ def _check_negative(model: GrowthInteraction, negative: bool) -> None:
 
 
 def geostat_marking(locations, model: Geostatistical, grid, seed,
-                    t_star: float | None = None, classes=None) -> list:
+                    t_star: float | None = None, classes=None) -> MarkTable:
     """One joint Gaussian draw of the field at all (location, grid time) pairs.
 
     Uses the separable Kronecker structure cov = C_space x C_time, so a draw
@@ -362,7 +357,7 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
         t_star = float(grid[-1])
     n, k = locations.shape[0], grid.size
     if n == 0:
-        return []
+        return CadlagPath.rows(grid, np.empty((0, k)), None, "step", t_star)
     fam, var = model.kernel[0], model.kernel[1]
     rho_s = model.kernel[2]
     rho_t = model.kernel[3] if len(model.kernel) > 3 else rho_s
@@ -389,7 +384,7 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
     return CadlagPath.rows(grid, draws, None, "step", t_star)
 
 
-def intensity_dependent_marking(field: GridField, locations, grid) -> list:
+def intensity_dependent_marking(field: GridField, locations, grid) -> MarkTable:
     """Marks M_i(t) = field(X_i, t), read off the nearest field cell, on
     [0, t_star] with t_star the field window's horizon (``grid[-1]`` on a
     spatial window)."""

@@ -175,13 +175,13 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
     n = len(c)
     if n < 2:
         raise ValidationError("need at least two points")
-    horizon = max((m.ambient_end for m in c.marks), default=0.0)
+    horizon = c.marks.ambient_end
     if schedule.times[-1] > horizon:
         raise ValidationError("sample time outside the mark horizon")
     if bandwidth is None:
         bandwidth = 0.15 / math.sqrt(n / c.window.volume)
     times = np.asarray(schedule.times)
-    samples = [m(times) for m in c.marks]
+    samples = c.marks.at(times)
     if classes is not None:
         labels = [classes(p) for p in c.points]
         uniq = sorted(set(labels))
@@ -302,11 +302,16 @@ def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
     if bins is None:
         bins = 15
     if np.isscalar(bins):
+        if int(bins) < 1:
+            raise ValidationError(f"variogram bin count {bins} is below 1")
         hmax = max(float(np.max(cdist(locs[i0:i1], locs[i0:])))
                    for i0, i1 in blocks)
         edges = np.linspace(0.0, hmax * (1 + 1e-12), int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValidationError("variogram bin edges must hold at least "
+                                  "two values")
     nbins = len(edges) - 1
     # the default edges run from 0 past the largest pair distance, so every
     # pair lies within them; coincident or non-finite locations leave no

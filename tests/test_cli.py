@@ -260,6 +260,40 @@ class TestSummarize:
         pooled = np.array([float(l.split(",")[-1]) for l in lines])
         assert np.all(np.abs(pooled - 1.0) < 0.15)
 
+    @pytest.mark.parametrize("field, corrupt", [
+        ("'grid'", lambda mark: mark.pop("grid")),
+        ("'support'", lambda mark: mark.update(support=[0])),
+        ("'values'", lambda mark: mark["values"].__setitem__(1, "a")),
+        ("'aux'", lambda point: point.update(aux={"discrete": "a"})),
+    ], ids=["no grid", "one support end", "string value", "string aux"])
+    def test_malformed_configuration_file_exits_one(self, tmp_path, capsys,
+                                                    field, corrupt):
+        cfg = write_cfg(tmp_path, dict(BASE, replicates=1,
+                                       summarize={"pcf": {"lags": [0.1]}}))
+        out = tmp_path / "bad"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "configuration_r000.json"
+        doc = json.loads(path.read_text())
+        point = doc["points"][0]
+        corrupt(point if field == "'aux'" else point["mark"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["summarize", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: point 0:")
+        assert field in err
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_variogram_bin_count_below_one_exits_one(self, tmp_path, capsys,
+                                                     bins):
+        cfg = write_cfg(tmp_path, dict(BASE, replicates=1, summarize={
+            "variogram": {"bins": bins}}))
+        out = tmp_path / "vario"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["summarize", "--config", cfg, "--out", str(out)]) == 1
+        assert "bin count" in capsys.readouterr().err
+        assert not (out / "variogram.csv").exists()
+
     def test_missing_inputs_error(self, tmp_path, capsys):
         cfg_obj = dict(BASE, summarize={"pcf": {"lags": [0.1]}})
         cfg = write_cfg(tmp_path, cfg_obj)

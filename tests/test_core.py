@@ -494,6 +494,41 @@ def test_tiny_wiener_simulate_is_pinned(tmp_path):
     }
 
 
+TINY_GROWTH = {
+    "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}, "seed": 2014,
+    "replicates": 1,
+    "model": {"ground": {"family": "immigration-death", "arrival_rate": 8.0,
+                         "death_rate": 1.0},
+              "aux": {"kind": "lifetime", "rate": 2.0},
+              "marks": {"model": "growth-interaction",
+                        "growth": ["linear", 2.0, 0.08],
+                        "interaction": ["gauss", 1.0, 0.1], "m0": 0.0,
+                        "dt": 0.1},
+              "mark_grid": {"dt": 0.1}}}
+TINY_GEOSTAT = {
+    "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 2014, "replicates": 1,
+    "model": {"ground": {"family": "poisson", "rate": 12.0},
+              "marks": {"model": "geostatistical",
+                        "kernel": ["exponential", 1.0, 0.3, 0.3]},
+              "mark_grid": {"dt": 0.125}}}
+
+
+@pytest.mark.parametrize("cfg, want", [
+    (TINY_GROWTH, ("d4401210c0177362c0a5a4e1292fd55f27ae0feeac79faddbceb8c3167197b95",
+                   "bbbcc8671f52f463489f87de6e052312ac3964c52f27a1efcc64e1502762352d")),
+    (TINY_GEOSTAT, ("e566ce0cd7246a5f5aab84551fda97a1de161eb52b7c30cd603a5c09bf2c192b",
+                    "f9a7ca7c2b6e5f3d6770ec085620fe51bd1ab05db83e6c8ac3381ceaa31dedb2")),
+], ids=["growth-finite-supports", "geostatistical"])
+def test_tiny_simulate_is_pinned(tmp_path, cfg, want):
+    # SHA-256 of both simulate outputs, recorded when a configuration still
+    # held one CadlagPath object per point
+    from fmpp.cli import run_simulate
+
+    run_simulate(cfg, tmp_path, cfg["seed"], 1)
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in ("configuration_r000.json", "marks_r000.csv")) == want
+
+
 class TestSharedGridReader:
     """A file whose marks share one grid is read as one value matrix; it
     must fail with the same message as the point-by-point reader, which
@@ -522,7 +557,11 @@ class TestSharedGridReader:
             [self.GRID, self.GRID[:3], self.GRID],
             [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]],
             [[0.0, None]] * 3))
-        assert ragged.marks[0].grid is not ragged.marks[2].grid
+        # the ragged marks become one table on the merged grid, the 3-time
+        # step path holding its last value at the new time 0.75
+        assert ragged.marks[0].grid is ragged.marks[1].grid is ragged.marks[2].grid
+        assert ragged.marks.grid.tolist() == self.GRID
+        assert ragged.marks[1].values.tolist() == [0.0, 1.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("defect", ["decreasing grid", "nan value",
                                         "nonzero outside support"])
@@ -545,6 +584,170 @@ class TestSharedGridReader:
         assert shared == ragged
         with pytest.raises(ValidationError, match=shared):
             CadlagPath(grid, values[1], (supports[1][0], np.inf))
+
+
+# ---------------------------------------------------------------------------
+# the mark table
+# ---------------------------------------------------------------------------
+def interp_call(path, t):
+    """A path's values at the times t, read with np.interp in linear mode:
+    the evaluation the table's one evaluator must reproduce bit for bit."""
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    if path.mode == "step":
+        idx = np.searchsorted(path.grid, tt, side="right") - 1
+        out = np.where(idx >= 0, path.values[np.clip(idx, 0, None)], 0.0)
+    else:
+        out = np.interp(tt, path.grid, path.values)
+        out = np.where(tt < path.grid[0], 0.0, out)
+    a, b = path.support
+    return np.where((tt >= a) & (tt < b), out, 0.0)
+
+
+def random_rows(rng, n, k, mode):
+    """n random paths on one random grid of k times, with supports from
+    grid times and from times between them, and -0.0 outside supports."""
+    grid = np.sort(rng.choice(np.arange(1, 200), k, replace=False)) / 50.0
+    edges = np.concatenate([grid, grid[:-1] + 0.37 * np.diff(grid)])
+    supports = np.sort(rng.choice(edges, (n, 2)), axis=1)
+    supports[0] = (-np.inf, np.inf)
+    supports[1] = (grid[0] - 1.0, grid[-1] + 1.0)
+    values = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+    values[:, rng.integers(k)] = 0.0
+    outside = (grid < supports[:, :1]) | (grid >= supports[:, 1:])
+    values[outside] = -0.0
+    return CadlagPath.rows(grid, values, supports, mode, None)
+
+
+def probe_times(table, rng):
+    grid = table.grid
+    ends = np.concatenate([table.starts, table.ends])
+    return np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        ends[np.isfinite(ends)], grid[0] - rng.random(5),
+        grid[-1] + rng.random(5),
+        rng.uniform(grid[0] - 1.0, grid[-1] + 1.0, 200),
+        [-np.inf, np.inf, np.nan]])
+
+
+class TestMarkTable:
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_at_and_call_match_interp_bit_for_bit(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        for k in (1, 2, 9):
+            table = random_rows(rng, 12, k, mode)
+            t = probe_times(table, rng)
+            want = np.stack([interp_call(p, t) for p in table])
+            assert table.at(t).tobytes() == want.tobytes()
+            assert np.stack([p(t) for p in table]).tobytes() == want.tobytes()
+            for p, row in zip(table, want):
+                # a scalar time gives a float
+                assert [p(s) for s in t[:20]] == row[:20].tolist()
+
+    def test_sequence_of_row_views(self):
+        table = random_rows(np.random.default_rng(3), 6, 5, "step")
+        assert len(table) == 6 and len(list(table)) == 6
+        for i, p in enumerate(table):
+            assert p.grid is table.grid
+            assert np.shares_memory(p.values, table.values)
+            assert p.support == (float(table.starts[i]), float(table.ends[i]))
+            assert p == table[i] == table[i - 6]
+        assert table.take([4, 0]) == [table[4], table[0]]
+        with pytest.raises(IndexError):
+            table[6]
+
+    def test_configuration_holds_the_table(self):
+        w = Window((0, 0), (1, 1), t_star=1.0)
+        grid = np.linspace(0.0, 1.0, 5)
+        table = CadlagPath.rows(grid, np.ones((2, 5)), None, "step", 1.0)
+        c = Configuration(w, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+                          [AuxMark(discrete=1)] * 2, table)
+        assert c.marks is table
+        assert c.points[1].mark == table[1]
+        assert shift(c, (0.1, 0.1)).marks is table
+        # paths on one grid become a table on it, the grid not copied
+        again = Configuration(w, c.ground, c.auxs, list(c.marks))
+        assert again.marks.grid is grid and again.marks == table
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ragged_step_embedding_keeps_values(self, seed):
+        rng = np.random.default_rng(seed)
+        paths = [p for k in (1, 4, 7) for p in random_rows(rng, 4, k, "step")]
+        table = from_points(Window((0,), (1,)), [
+            MarkedPoint((i / len(paths),), None, AuxMark(discrete=1), p)
+            for i, p in enumerate(paths)]).marks
+        assert table.grid.tolist() == sorted(set().union(
+            *(p.grid.tolist() for p in paths)))
+        t = np.concatenate([probe_times(table, rng),
+                            np.linspace(-1.0, 5.0, 2001)])
+        for p, view, row in zip(paths, table, table.at(t)):
+            # equal values; a -0.0 held into the support may turn into 0.0
+            np.testing.assert_array_equal(row, p(t))
+            assert row.tobytes() == view(t).tobytes()
+
+    def test_ragged_linear_embedding_keeps_values(self):
+        rng = np.random.default_rng(4)
+        paths = []
+        for k in (2, 5, 8):
+            grid = np.sort(rng.random(k)) + 0.2
+            for support in ((grid[0], np.inf), (grid[0], grid[-1]),
+                            (0.0, grid[-1])):
+                values = rng.standard_normal(k)
+                values[0] = 0.0 if support[0] < grid[0] else values[0]
+                values[grid >= support[1]] = 0.0
+                paths.append(CadlagPath(grid, values, support, "linear"))
+        table = from_points(Window((0,), (1,)), [
+            MarkedPoint((i / len(paths),), None, AuxMark(discrete=1), p)
+            for i, p in enumerate(paths)]).marks
+        t = np.linspace(-0.5, 2.0, 5001)
+        for p, view in zip(paths, table):
+            np.testing.assert_allclose(view(t), p(t), rtol=1e-12, atol=1e-12)
+            # exact at the path's own grid times
+            assert view(p.grid).tobytes() == p(p.grid).tobytes()
+
+    def marks_rejected(self, paths, window=Window((0,), (1,))):
+        pts = [MarkedPoint((i / len(paths),) + (0.1,) * window.is_temporal,
+                           None, AuxMark(discrete=1), p)
+               for i, p in enumerate(paths)]
+        ground = [list(p.x) for p in pts]
+        with pytest.raises(ValidationError) as info:
+            Configuration(window, ground, [p.aux for p in pts],
+                          [p.mark for p in pts])
+        return str(info.value)
+
+    def test_linear_ramp_rejected(self):
+        # support from 0, first value 1 at 0.5: a merged time 0.25 would
+        # ramp the path up from 0 instead of jumping at 0.5
+        ramp = CadlagPath([0.5, 1.0], [1.0, 2.0], (0.0, np.inf), "linear")
+        other = CadlagPath([0.25, 1.0], [1.0, 2.0], (0.25, np.inf), "linear")
+        assert "ramp" in self.marks_rejected([ramp, other])
+        # with a zero first value there is nothing to ramp
+        flat = CadlagPath([0.5, 1.0], [0.0, 2.0], (0.0, np.inf), "linear")
+        from_points(Window((0,), (1,)), [
+            MarkedPoint((0.1,), None, AuxMark(discrete=1), flat),
+            MarkedPoint((0.2,), None, AuxMark(discrete=1), other)])
+
+    def test_linear_support_cut_rejected(self):
+        # the support ends at 0.75, inside the step [0.5, 1.0); a merged time
+        # 0.8 would pull the interpolant towards 0 before 0.75
+        cut = CadlagPath([0.5, 1.0], [2.0, 0.0], (0.5, 0.75), "linear")
+        other = CadlagPath([0.5, 0.8], [1.0, 2.0], (0.5, np.inf), "linear")
+        assert "cuts" in self.marks_rejected([cut, other])
+
+    def test_mixed_modes_rejected(self):
+        step = CadlagPath([0.0, 0.5], [1.0, 2.0], None, "step")
+        linear = CadlagPath([0.0, 0.5], [1.0, 2.0], None, "linear")
+        assert "mode" in self.marks_rejected([step, linear])
+
+    def test_mixed_t_star_rejected(self):
+        assert "t_star" in self.marks_rejected([const_path(1.0, 1.0),
+                                                const_path(1.0, 2.0)])
+
+    def test_t_star_other_than_the_window_rejected(self):
+        w = Window((0,), (1,), t_star=2.0)
+        with pytest.raises(ValidationError, match="t_star"):
+            Configuration(w, [[0.5, 0.1]], [AuxMark(discrete=1)],
+                          [const_path(1.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------

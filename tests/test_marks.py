@@ -396,6 +396,36 @@ class TestDiffusionMarks:
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - target) < 3 * se + 0.01  # EM step bias
 
+    @pytest.mark.parametrize("seed", [3, 2014])
+    def test_matrix_draw_matches_point_loop_bit_for_bit(self, seed):
+        from fmpp.marks import Diffusion
+
+        def drift(m, t):
+            return 0.5 - m * t
+
+        def diffusion(m, t):
+            return 0.2 + 0.1 * abs(m)
+
+        rng = np.random.default_rng(seed + 100)
+        grid = np.concatenate([[0.0], np.sort(rng.random(7))])   # non-uniform
+        locs, auxs = ground_points(5, seed)
+        paths = attach_marks(UNIT, locs, auxs, Diffusion(drift, diffusion, 0.3),
+                             grid, seed)
+        # reference: one standard_normal(k - 1) draw per point
+        stream = np.random.default_rng(seed)
+        want = []
+        for _ in range(5):
+            vals = np.empty_like(grid)
+            vals[0] = 0.3
+            noise = stream.standard_normal(len(grid) - 1)
+            for j in range(len(grid) - 1):
+                dt = grid[j + 1] - grid[j]
+                m = vals[j]
+                vals[j + 1] = (m + drift(m, grid[j]) * dt
+                               + diffusion(m, grid[j]) * np.sqrt(dt) * noise[j])
+            want.append(vals.tobytes())
+        assert [p.values.tobytes() for p in paths] == want
+
     def test_zero_diffusion_is_deterministic(self):
         from fmpp.marks import Diffusion
         model = Diffusion(drift=lambda m, t: 1.0, diffusion=lambda m, t: 0.0,

@@ -198,6 +198,11 @@ class TestTraceVariogram:
                         CadlagPath(grid, vals, (0, np.inf), "step", 2.0)))
         return out
 
+    @pytest.mark.parametrize("bins", [0, -3, [0.5]])
+    def test_fewer_than_one_bin_rejected(self, bins):
+        with pytest.raises(ValidationError, match="bin"):
+            trace_variogram(self.curves_iid(1), bins)
+
     def test_matches_per_bin_loop(self):
         # reference: dense distance and difference matrices, one mask per bin
         curves = self.curves_iid(5, n=40)
