@@ -11,9 +11,9 @@ Subpackage map:
 - ``cli``       command-line entry point
 
 A ``Configuration`` is stored as columns: a read-only (n, D) ``ground``
-array (event time last on a temporal window), a tuple of ``auxs`` and a
-tuple of cadlag ``marks``; ``Configuration.points`` builds ``MarkedPoint``
-views from them on demand.
+array (event time last on a temporal window), a tuple of ``auxs`` and one
+``MarkTable`` of cadlag ``marks``; ``Configuration.points`` builds
+``MarkedPoint`` views from them on demand.
 
 Hot numeric kernels live in ``_kernels``, one NumPy/SciPy implementation
 each; the time-warp metric's dynamic program lives in ``_skorohod``, on

@@ -6,6 +6,8 @@ growth functions, kernels, variogram families) are strings resolved at load
 time.  Outputs are CSV (comma separator, '.' decimal, '#' metadata lines
 above the header) and JSON; replicate r uses seed + r, so reruns with the
 same config and seed are byte-identical apart from the manifest timestamp.
+``simulate`` also writes each replicate's ``.npz`` cache, which the later
+stages read in place of its JSON while the two match.
 
 Exit codes: 0 success/converged, 1 validation error, 2 runtime or numerical
 error, 3 non-convergence.
@@ -16,6 +18,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -30,8 +33,9 @@ from .core import (
     ReferenceSpec,
     SampleSchedule,
     Window,
-    configuration_from_json,
-    configuration_to_json,  # noqa: F401  (fmpp.cli attributes that perfbench wraps)
+    configuration_from_json,  # noqa: F401  (fmpp.cli attributes that perfbench wraps)
+    configuration_to_json,  # noqa: F401
+    read_configuration_files,
     write_configuration_csv,  # noqa: F401
     write_configuration_files,
 )
@@ -205,6 +209,7 @@ def run_simulate(cfg: dict, out: Path, seed: int, replicates: int) -> int:
         cpath = out / f"marks_r{r:03d}.csv"
         write_configuration_files(c, jpath, cpath,
                                   {"seed": seed + r, "replicate": r})
+        # the manifest lists the exports, not the .npz cache of the JSON
         files += [jpath.name, cpath.name]
         print(f"replicate {r}: {len(c)} points -> {jpath.name}")
     manifest = {
@@ -223,12 +228,26 @@ def run_simulate(cfg: dict, out: Path, seed: int, replicates: int) -> int:
 # ---------------------------------------------------------------------------
 # summarize
 # ---------------------------------------------------------------------------
-def _load_replicates(cfg: dict, section: dict, out: Path) -> list:
+_REPLICATE_FILE = re.compile(r"configuration_r(\d+)\.json")
+
+
+def _load_replicates(section: dict, out: Path, only: int | None = None) -> list:
+    """The configurations ``simulate`` wrote to ``section["input"]``
+    (default ``out``), in the order of their replicate numbers, each read
+    from its ``.npz`` cache while that matches its JSON; with ``only``, just
+    the one at that position."""
     indir = Path(section.get("input", out))
-    paths = sorted(indir.glob("configuration_r*.json"))
-    if not paths:
+    numbered = sorted((int(m.group(1)), p.name, p)
+                      for p in indir.glob("configuration_r*.json")
+                      if (m := _REPLICATE_FILE.fullmatch(p.name)))
+    if not numbered:
         raise ValidationError(f"no configurations found under '{indir}'")
-    return [configuration_from_json(p.read_text(encoding="utf-8")) for p in paths]
+    paths = [p for _, _, p in numbered]
+    if only is not None:
+        if not 0 <= only < len(paths):
+            raise ValidationError("estimate.replicate out of range")
+        paths = paths[only:only + 1]
+    return [read_configuration_files(p) for p in paths]
 
 
 def _coverage(configs: list, times, res: int):
@@ -248,7 +267,7 @@ def _coverage(configs: list, times, res: int):
 
 def run_summarize(cfg: dict, out: Path, seed: int) -> int:
     section = cfg.get("summarize", {})
-    configs = _load_replicates(cfg, section, out)
+    configs = _load_replicates(section, out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_hash": _config_hash(cfg), "seed": seed,
             "replicates": len(configs)}
@@ -281,10 +300,8 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
 
     if "variogram" in section:
         bins = section["variogram"].get("bins", 15)
-        ests = []
-        for c in configs:
-            curves = list(zip(c.spatial_locations(), c.marks))
-            ests.append(stats.trace_variogram(curves, bins))
+        ests = [stats.trace_variogram(c.spatial_locations(), c.marks, bins)
+                for c in configs]
         centers = ests[0].bin_centers
         header = ["h"] + [f"gamma_r{r:03d}" for r in range(len(configs))] + ["pooled"]
         vals = np.stack([e.values for e in ests])
@@ -321,11 +338,8 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         raise ValidationError(
             f"estimate.scheme '{scheme}' is incompatible with ground family "
             f"'{family}' (needs one of {compatible[scheme]})")
-    configs = _load_replicates(cfg, section, out)
     rep = int(section.get("replicate", 0))
-    if not 0 <= rep < len(configs):
-        raise ValidationError("estimate.replicate out of range")
-    c = configs[rep]
+    (c,) = _load_replicates(section, out, only=rep)
     schedule = (SampleSchedule(tuple(cfg["schedule"]))
                 if cfg.get("schedule") else None)
     budget = int(section.get("budget", 500))
@@ -416,7 +430,7 @@ def run_geometry(cfg: dict, out: Path, seed: int) -> int:
     section = cfg.get("geometry", {})
     times = _require(section, "times", "geometry")
     res = int(section.get("resolution", 128))
-    configs = _load_replicates(cfg, section, out)
+    configs = _load_replicates(section, out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_hash": _config_hash(cfg), "resolution": res}
     header, cov_rows, sections = _coverage(configs, times, res)

@@ -4,7 +4,8 @@ Houses the observation window with its ground box and midpoint rule,
 grid-sampled cadlag paths, marked points, finite configurations and their
 reference-measure descriptors, together with the path metrics (time-warp
 metric and uniform metric), cylinder neighbourhoods, ground/temporal
-projections, torus shifts and JSON/CSV serialization.
+projections, torus shifts, JSON/CSV serialization and the binary cache
+between CLI stages.
 
 A configuration is stored as columns: an (n, D) ground array (event time
 last on a temporal window), a tuple of aux marks and one ``MarkTable`` of
@@ -17,14 +18,20 @@ table on the merged grid: a step path keeps its values, a linear path is
 interpolated at the new times, entries outside a support are 0, and a
 linear path those rules would change raises.  The JSON and CSV writers
 format each float once for both files, and ``configuration_from_json`` is
-the one reader.
+the one JSON reader.  ``write_configuration_files`` also writes a binary
+``.npz`` cache of the columns beside the JSON, bound to the JSON bytes by
+their SHA-256, and ``read_configuration_files`` builds from the cache while
+it matches the JSON and reads the JSON otherwise.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
 """
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import zipfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import add
@@ -56,6 +63,7 @@ __all__ = [
     "configuration_to_csv_rows",
     "write_configuration_csv",
     "write_configuration_files",
+    "read_configuration_files",
 ]
 
 
@@ -814,9 +822,9 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
         yield js, block
 
 
-def _json_document(c: Configuration, points) -> str:
-    """The configuration's JSON text around the given point object texts."""
-    head = json.dumps({
+def _head(c: Configuration) -> dict:
+    """The window and reference fields of both file formats."""
+    return {
         "window": {
             "lo": list(c.window.lo),
             "hi": list(c.window.hi),
@@ -828,7 +836,12 @@ def _json_document(c: Configuration, points) -> str:
             "aux": {"kind": c.reference.aux.kind, "params": list(c.reference.aux.params)},
             "mark_reference": list(c.reference.mark_reference),
         },
-    })
+    }
+
+
+def _json_document(c: Configuration, points) -> str:
+    """The configuration's JSON text around the given point object texts."""
+    head = json.dumps(_head(c))
     return head[:-1] + ', "points": [' + ", ".join(points) + "]}"
 
 
@@ -881,12 +894,8 @@ def _value_matrix(rows: list, points: list) -> np.ndarray:
     raise ValidationError(f"point {i}: mark field 'values' must hold numbers")
 
 
-def configuration_from_json(text: str) -> Configuration:
-    """Read ``configuration_to_json`` text.  The marks of each distinct grid
-    list, mode and t_star are validated as one value matrix, and marks on
-    several grids become one table on their merged grid.  A missing or
-    malformed field raises a ValidationError naming it and its point."""
-    obj = json.loads(text)
+def _window_and_reference(obj: dict) -> tuple:
+    """The window and reference spec of ``_head``'s fields."""
     w = _field(obj, "window", "configuration")
     window = Window(tuple(_field(w, "lo", "window")),
                     tuple(_field(w, "hi", "window")), w.get("t_star"),
@@ -897,6 +906,16 @@ def configuration_from_json(text: str) -> Configuration:
         AuxMeasure(aux_obj["kind"], tuple(aux_obj["params"])),
         tuple(r.get("mark_reference", ("wiener", 1.0))),
     )
+    return window, reference
+
+
+def configuration_from_json(text: str) -> Configuration:
+    """Read ``configuration_to_json`` text.  The marks of each distinct grid
+    list, mode and t_star are validated as one value matrix, and marks on
+    several grids become one table on their merged grid.  A missing or
+    malformed field raises a ValidationError naming it and its point."""
+    obj = json.loads(text)
+    window, reference = _window_and_reference(obj)
     d, temporal = window.dim, window.is_temporal
     ground, auxs, rows, supports, groups = [], [], [], [], {}
     last = None
@@ -983,12 +1002,136 @@ def write_configuration_files(c: Configuration, json_path, csv_path,
                               metadata: dict | None = None):
     """Write ``configuration_to_json(c)`` to ``json_path`` and
     ``write_configuration_csv(c, csv_path, metadata)``'s file, the same
-    bytes as those two, formatting every value once for both."""
+    bytes as those two, formatting every value once for both, and the
+    binary cache of the configuration that ``read_configuration_files``
+    reads in place of these JSON bytes to ``json_path`` with the suffix
+    ``.npz``."""
     points = []
     with open(csv_path, "w", encoding="utf-8") as fh:
         _write_csv_head(fh, c, metadata)
         for js, block in _point_texts(c):
             points.append(js)
             fh.write(block)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(_json_document(c, points))
+    data = _json_document(c, points).encode("utf-8")
+    with open(json_path, "wb") as fh:
+        fh.write(data)
+    _write_npz(c, _cache_path(json_path), hashlib.sha256(data).hexdigest())
+
+
+# The .npz cache holds three members: "header", the JSON text of _head's
+# fields, the marks' mode and t_star, the SHA-256 of the JSON file written
+# with it and the layouts of the other two; "floats", the ground, grid,
+# values, starts, ends and continuous aux values end to end; and "ints",
+# each point's discrete aux mark (0 for none) and count of continuous aux
+# values (-1 for none).  Every member carries one fixed zip time, so a rerun
+# writes the same bytes.
+_NPZ_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _cache_path(json_path) -> str:
+    """The .npz cache beside a JSON file: its path with the suffix .npz."""
+    return os.path.splitext(json_path)[0] + ".npz"
+
+
+def _pack(columns) -> tuple:
+    """The layout [[name, shape], ...] of the named arrays and their values
+    end to end in one flat array."""
+    layout = [[name, list(a.shape)] for name, a in columns]
+    return layout, np.concatenate([a.ravel() for _, a in columns])
+
+
+def _unpack(layout, flat) -> dict:
+    """The named arrays of a ``_pack`` layout, each a copy of its part of
+    ``flat``: a fresh array, as the JSON reader's are."""
+    out, at = {}, 0
+    for name, shape in layout:
+        size = int(np.prod(shape))
+        out[name] = flat[at:at + size].reshape(shape).copy()
+        at += size
+    if at != flat.size:
+        raise ValueError("the cache's layout does not cover its data")
+    return out
+
+
+def _write_npz(c: Configuration, path, json_sha256: str):
+    """Write the cache of ``c``, bound to the JSON bytes of SHA-256
+    ``json_sha256``, to ``path``."""
+    table, auxs = c.marks, c.auxs
+    discrete = [0 if a.discrete is None else int(a.discrete) for a in auxs]
+    counts = [-1 if a.continuous is None else len(a.continuous) for a in auxs]
+    continuous = [v for a in auxs if a.continuous is not None
+                  for v in a.continuous]
+    floats, flat = _pack([("ground", c.ground), ("grid", table.grid),
+                          ("values", table.values), ("starts", table.starts),
+                          ("ends", table.ends),
+                          ("continuous", np.array(continuous, dtype=float))])
+    ints, flat_ints = _pack([("discrete", np.array(discrete, dtype=np.int64)),
+                             ("continuous_len", np.array(counts, dtype=np.int64))])
+    header = {**_head(c), "mode": table.mode, "t_star": table.t_star,
+              "json_sha256": json_sha256, "floats": floats, "ints": ints}
+    members = {"header": np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       dtype=np.uint8),
+               "floats": flat, "ints": flat_ints}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in members.items():
+            info = zipfile.ZipInfo(name + ".npy", _NPZ_TIME)
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _read_npz(path, json_sha256: str):
+    """The header and named arrays of the cache at ``path``, or None when
+    there is no readable cache there or it was written with other JSON
+    bytes than those of SHA-256 ``json_sha256``."""
+    try:
+        with np.load(path) as z:
+            header = json.loads(z["header"].tobytes())
+            if header["json_sha256"] != json_sha256:
+                return None
+            return header, {**_unpack(header["floats"], z["floats"]),
+                            **_unpack(header["ints"], z["ints"])}
+    except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError,
+            TypeError):
+        return None
+
+
+def _aux_marks(discrete, counts, continuous) -> list:
+    """The aux marks of the cache's columns."""
+    auxs, at = [], 0
+    values = continuous.tolist()
+    for d, m in zip(discrete.tolist(), counts.tolist()):
+        cont = None
+        if m >= 0:
+            cont, at = tuple(values[at:at + m]), at + m
+        auxs.append(AuxMark(d or None, cont))
+    return auxs
+
+
+def read_configuration_files(json_path) -> Configuration:
+    """The configuration of the JSON file ``json_path``.
+
+    When the ``.npz`` beside it holds the cache that
+    ``write_configuration_files`` wrote with these JSON bytes (their
+    SHA-256 matches), the configuration is built from its arrays, through
+    the checks of ``CadlagPath.rows``, ``AuxMark`` and ``Configuration``
+    that the JSON reader uses; otherwise, the cache missing, stale or
+    unreadable, ``configuration_from_json`` reads the JSON.  Either way it
+    equals the JSON's configuration.
+    """
+    with open(json_path, "rb") as fh:
+        data = fh.read()
+    cached = _read_npz(_cache_path(json_path), hashlib.sha256(data).hexdigest())
+    if cached is None:
+        return configuration_from_json(data.decode("utf-8"))
+    header, cols = cached
+    window, reference = _window_and_reference(header)
+    auxs = _aux_marks(cols["discrete"], cols["continuous_len"],
+                      cols["continuous"])
+    # the JSON reader gives an empty pattern the empty table
+    marks = ()
+    if auxs:
+        marks = CadlagPath.rows(
+            cols["grid"], cols["values"],
+            np.column_stack([cols["starts"], cols["ends"]]),
+            header["mode"], header["t_star"])
+    return Configuration(window, cols["ground"], auxs, marks, reference)

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import _kernels
 from ._optim import nelder_mead
-from .core import CadlagPath, Configuration, SampleSchedule, Window, midpoint_rule
+from .core import (CadlagPath, Configuration, MarkTable, SampleSchedule, Window,
+                   midpoint_rule)
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -272,31 +273,37 @@ def _equal_bin_index(edges, h):
     return idx
 
 
-def trace_variogram(curves: Sequence, bins=None) -> VariogramEstimate:
-    """Empirical trace-variogram of located curves.
+def _mark_locations(locations, marks: MarkTable) -> np.ndarray:
+    """``locations`` as a float (n, d) array, one row per row of ``marks``."""
+    locs = np.asarray(locations, dtype=float)
+    if locs.ndim != 2 or locs.shape[0] != len(marks):
+        raise ValidationError("locations must form an (n, d) array with one "
+                              "row per mark")
+    return locs
+
+
+def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate:
+    """Empirical trace-variogram of the marks at the (n, d) spatial
+    ``locations``: one ``MarkTable`` row per location, as a configuration's
+    ``spatial_locations()`` and ``marks``.
 
     Bin average of half the integrated squared curve difference (trapezoid
-    rule on the shared grid) over pairs at spatial distance in each bin.
+    rule on the table's grid) over pairs at spatial distance in each bin.
     ``bins`` is an edge array or a bin count; the default is 15 equal bins
     up to the largest pair distance (window-diameter/15 spacing).
     """
     from scipy.spatial.distance import cdist
 
-    if len(curves) < 2:
+    locs = _mark_locations(locations, marks)
+    if len(marks) < 2:
         raise ValidationError("need at least two curves")
-    locs = np.atleast_2d(np.asarray([loc for loc, _ in curves], dtype=float))
-    paths = [p for _, p in curves]
-    grid = paths[0].grid
-    for p in paths[1:]:
-        if p.grid is not grid and not np.array_equal(p.grid, grid):
-            raise ValidationError("curves must share a common grid")
-    V = np.stack([p.values for p in paths])
+    grid, V = marks.grid, marks.values
     # trapezoid weights on the shared grid
     wts = np.zeros(grid.size)
     dg = np.diff(grid)
     wts[:-1] += 0.5 * dg
     wts[1:] += 0.5 * dg
-    n = len(paths)
+    n = len(marks)
     rows = max(1, _PAIR_BLOCK_ENTRIES // n)
     blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
     if bins is None:
@@ -391,30 +398,27 @@ def kriging_weights(locations, x0, model: VariogramModel) -> np.ndarray:
     return sol[:n]
 
 
-def kriging_predict(curves: Sequence, x0, model: VariogramModel) -> CadlagPath:
-    """Predict the curve at x0 as a weighted sum of the observed curves.
+def kriging_predict(locations, marks: MarkTable, x0,
+                    model: VariogramModel) -> CadlagPath:
+    """Predict the curve at x0 as a weighted sum of the marks observed at
+    the (n, d) ``locations``, one ``MarkTable`` row per location.
 
     Weights are time-constant ordinary-kriging weights from the fitted
     trace-variogram; prediction at an observed location returns that curve
     (kriging exactness).
     """
-    locs = np.atleast_2d(np.asarray([loc for loc, _ in curves], dtype=float))
-    paths = [p for _, p in curves]
+    locs = _mark_locations(locations, marks)
     x0 = np.asarray(x0, dtype=float)
     dist0 = np.sqrt(np.sum((locs - x0[None, :]) ** 2, axis=1))
     hit = np.where(dist0 < 1e-12)[0]
     if hit.size:
-        return paths[int(hit[0])]
+        return marks[int(hit[0])]
     wts = kriging_weights(locs, x0, model)
-    grid = paths[0].grid
-    vals = np.zeros_like(grid)
-    for lam, p in zip(wts, paths):
-        if not np.array_equal(p.grid, grid):
-            raise ValidationError("curves must share a common grid")
-        vals = vals + lam * p.values
-    a = min(p.support[0] for p in paths)
-    b = max(p.support[1] for p in paths)
-    return CadlagPath(grid, vals, (a, b), paths[0].mode, paths[0].t_star)
+    vals = np.zeros_like(marks.grid)
+    for lam, row in zip(wts, marks.values):
+        vals = vals + lam * row
+    support = (float(np.min(marks.starts)), float(np.max(marks.ends)))
+    return CadlagPath(marks.grid, vals, support, marks.mode, marks.t_star)
 
 
 # ---------------------------------------------------------------------------

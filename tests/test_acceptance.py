@@ -348,11 +348,12 @@ def test_criterion_12_trace_variogram_kriging():
         per_bin = []
         for seed in range(60):
             rng = np.random.default_rng(seed)
-            curves = [(tuple(rng.random(2)),
-                       CadlagPath(grid, sigma * rng.standard_normal(k),
-                                  (0, np.inf), "step", t_len))
-                      for _ in range(25)]
-            per_bin.append(trace_variogram(curves, bins=3).values)
+            locs, vals = [], []
+            for _ in range(25):
+                locs.append(rng.random(2))
+                vals.append(sigma * rng.standard_normal(k))
+            marks = CadlagPath.rows(grid, np.array(vals), None, "step", t_len)
+            per_bin.append(trace_variogram(np.array(locs), marks, bins=3).values)
         per_bin = np.asarray(per_bin)
         target = sigma * sigma * t_len
         means = per_bin.mean(axis=0)
@@ -360,18 +361,11 @@ def test_criterion_12_trace_variogram_kriging():
         assert np.all(np.abs(means - target) < 3 * ses)
         # kriging exactness at an observed site and unit weight sum
         rng = np.random.default_rng(123)
-        curves = [(np.asarray([0.1, 0.1]),
-                   CadlagPath(grid, rng.standard_normal(k), (0, np.inf),
-                              "step", t_len)),
-                  (np.asarray([0.9, 0.4]),
-                   CadlagPath(grid, rng.standard_normal(k), (0, np.inf),
-                              "step", t_len)),
-                  (np.asarray([0.5, 0.8]),
-                   CadlagPath(grid, rng.standard_normal(k), (0, np.inf),
-                              "step", t_len))]
+        locs = np.asarray([[0.1, 0.1], [0.9, 0.4], [0.5, 0.8]])
+        marks = CadlagPath.rows(grid, rng.standard_normal((3, k)), None,
+                                "step", t_len)
         model = VariogramModel("exponential", 0.0, 1.0, 0.4)
-        pred = kriging_predict(curves, np.asarray([0.9, 0.4]), model)
-        np.testing.assert_array_equal(pred.values, curves[1][1].values)
-        wts = kriging_weights(np.asarray([c[0] for c in curves]),
-                              np.asarray([0.3, 0.3]), model)
+        pred = kriging_predict(locs, marks, np.asarray([0.9, 0.4]), model)
+        np.testing.assert_array_equal(pred.values, marks.values[1])
+        wts = kriging_weights(locs, np.asarray([0.3, 0.3]), model)
         assert abs(wts.sum() - 1.0) < 1e-10

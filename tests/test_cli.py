@@ -1,16 +1,19 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fmpp
+from fmpp import cli, core
 from fmpp.cli import main
-from fmpp.core import Window, configuration_from_json
+from fmpp.core import Window, configuration_from_json, read_configuration_files
 from fmpp.ground import HomogeneousPoisson, simulate_poisson
 
 
@@ -95,6 +98,8 @@ class TestSimulate:
         c = configuration_from_json(
             (out / "configuration_r000.json").read_text())
         assert len(c) == 0
+        assert (out / "configuration_r000.npz").exists()
+        assert len(read_configuration_files(out / "configuration_r000.json")) == 0
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
@@ -138,8 +143,11 @@ LGCP_INTENSITY = {
 
 
 def output_digests(out: Path) -> dict:
+    # the .npz cache's bytes depend on the zipfile and NumPy versions;
+    # TestNpzCache checks that it reads back as the JSON
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+            for f in sorted(out.iterdir())
+            if f.name != "manifest.json" and f.suffix != ".npz"}
 
 
 class TestRandomFieldPinned:
@@ -530,3 +538,100 @@ class TestJanossyScheme:
         c = configuration_from_json((out / "configuration_r000.json").read_text())
         assert len(c) > 700
         assert rep["theta_hat"][0] == pytest.approx(len(c), rel=1e-6)
+
+
+# every stage that reads configurations: a spatial pattern with discrete
+# aux marks and Wiener marks, and a temporal one with continuous aux marks
+# and finite mark supports
+NPZ_SPATIAL = {
+    "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 7, "replicates": 2,
+    "model": {"ground": {"family": "poisson", "rate": 60.0},
+              "aux": {"kind": "types", "probs": [0.5, 0.5]},
+              "marks": {"model": "wiener", "scale": 1.0},
+              "mark_grid": {"dt": 0.1}},
+    "summarize": {"intensity": {"cells": 3}, "pcf": {"lags": [0.1, 0.2]},
+                  "variogram": {"bins": 4}},
+    "estimate": {"scheme": "mle-janossy", "theta0": [10.0], "budget": 600,
+                 "replicate": 1},
+}
+NPZ_TEMPORAL = {
+    "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}, "seed": 7,
+    "replicates": 2,
+    "model": {"ground": {"family": "immigration-death", "arrival_rate": 12.0,
+                         "death_rate": 0.5},
+              "aux": {"kind": "lifetime", "rate": 0.5},
+              "marks": {"model": "growth-interaction",
+                        "growth": ["linear", 2.0, 0.08], "m0": 0.0},
+              "mark_grid": {"dt": 0.1}},
+    "schedule": [0.25, 0.5, 0.75],
+    "summarize": {"coverage": {"times": [0.3, 0.6], "resolution": 32}},
+    "estimate": {"scheme": "least-squares", "theta0": [1.0, 0.05],
+                 "bounds": [[0.01, 10], [0.001, 1]], "replicate": 1},
+    "geometry": {"times": [0.3, 0.6], "resolution": 32},
+}
+
+
+class TestNpzCache:
+    """Later stages read simulate's configuration_rNNN.npz in place of the
+    JSON and write the same bytes as from the JSON."""
+
+    @pytest.mark.parametrize("cfg_obj, stages", [
+        (NPZ_SPATIAL, (("summarize", ("intensity.csv", "pcf.csv",
+                                      "variogram.csv")),
+                       ("estimate", ("fit.json",)))),
+        (NPZ_TEMPORAL, (("summarize", ("coverage.csv",)),
+                        ("estimate", ("fit.json",)),
+                        ("geometry", ("coverage.csv", "sections.csv")))),
+    ], ids=["spatial", "temporal"])
+    def test_stage_outputs_same_without_cache(self, tmp_path, cfg_obj, stages):
+        cfg = write_cfg(tmp_path, cfg_obj)
+        cached, plain = tmp_path / "cached", tmp_path / "plain"
+        assert main(["simulate", "--config", cfg, "--out", str(cached)]) == 0
+        assert sorted(f.name for f in cached.glob("*.npz")) == [
+            "configuration_r000.npz", "configuration_r001.npz"]
+        shutil.copytree(cached, plain)
+        for f in plain.glob("*.npz"):
+            f.unlink()
+        for stage, outputs in stages:
+            with mock.patch.object(core, "configuration_from_json",
+                                   side_effect=AssertionError("read the JSON")):
+                assert main([stage, "--config", cfg, "--out", str(cached)]) == 0
+            assert main([stage, "--config", cfg, "--out", str(plain)]) == 0
+            for name in outputs:
+                assert (cached / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_replicates_in_number_order(self, tmp_path):
+        # as strings r1000 sorts before r101
+        cfg = write_cfg(tmp_path, dict(BASE, replicates=3, estimate={
+            "scheme": "mle-janossy", "theta0": [10.0], "budget": 600,
+            "replicate": 2}))
+        out = tmp_path / "order"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        for old, new in (("000", "101"), ("001", "999"), ("002", "1000")):
+            for suffix in (".json", ".npz"):
+                (out / f"configuration_r{old}{suffix}").rename(
+                    out / f"configuration_r{new}{suffix}")
+        want = [configuration_from_json(
+                    (out / f"configuration_r{r}.json").read_text())
+                for r in ("101", "999", "1000")]
+        assert len({len(c) for c in want}) == 3
+        got = cli._load_replicates({}, out)
+        assert [c.ground.tobytes() for c in got] == [
+            c.ground.tobytes() for c in want]
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "fit.json").read_text())
+        assert rep["theta_hat"][0] == pytest.approx(len(want[2]), rel=1e-6)
+
+    def test_estimate_reads_only_its_replicate(self, tmp_path, capsys):
+        cfg_obj = dict(BASE, estimate={"scheme": "mle-janossy",
+                                       "theta0": [10.0], "budget": 600})
+        cfg = write_cfg(tmp_path, cfg_obj)
+        out = tmp_path / "one"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        (out / "configuration_r001.json").write_text("not json")
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        cfg = write_cfg(tmp_path, dict(cfg_obj, estimate={
+            **cfg_obj["estimate"], "replicate": 2}), "far.json")
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        assert "estimate.replicate out of range" in capsys.readouterr().err

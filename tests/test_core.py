@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fmpp.core import (
     configuration_to_json,
     configuration_to_csv_rows,
     cylinder_contains,
+    read_configuration_files,
     ground_projection,
     shift,
     skorohod_distance,
@@ -29,6 +32,7 @@ from fmpp.core import (
     write_configuration_files,
 )
 from fmpp import _skorohod
+from fmpp import core
 from fmpp.errors import ValidationError
 
 
@@ -398,10 +402,31 @@ def reference_json_text(c):
     return json.dumps(obj)
 
 
+def configuration_bits(c) -> tuple:
+    """Every field of a configuration, its arrays as dtype, shape and bytes
+    and its aux values with their types, so that -0.0 differs from 0.0."""
+    def array(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    m = c.marks
+    return (c.window, c.reference,
+            [(type(a.discrete), a.discrete, None if a.continuous is None
+              else [(type(v), v.hex()) for v in a.continuous]) for a in c.auxs],
+            array(c.ground), array(m.grid), array(m.values), array(m.starts),
+            array(m.ends), m.mode, m.t_star)
+
+
+def read_from_cache(json_path):
+    """``read_configuration_files``, failing if it reads the JSON."""
+    with mock.patch.object(core, "configuration_from_json",
+                           side_effect=AssertionError("read the JSON")):
+        return read_configuration_files(json_path)
+
+
 class TestJsonOracle:
     """configuration_to_json against one json.dumps of the whole document,
-    and write_configuration_files against the two single writers, byte for
-    byte."""
+    write_configuration_files against the two single writers, byte for
+    byte, and its .npz cache against the JSON reader, bit for bit."""
 
     META = {"seed": 11, "replicate": 0}
 
@@ -412,7 +437,10 @@ class TestJsonOracle:
                                   self.META)
         assert (tmp_path / "c.json").read_bytes() == text.encode("utf-8")
         assert (tmp_path / "m.csv").read_bytes() == reference_csv_bytes(c, self.META)
-        assert configuration_to_json(configuration_from_json(text)) == text
+        from_json = configuration_from_json(text)
+        assert configuration_to_json(from_json) == text
+        cached = read_from_cache(tmp_path / "c.json")
+        assert configuration_bits(cached) == configuration_bits(from_json)
 
     def test_temporal_continuous_aux_finite_supports(self, tmp_path):
         w = Window((0, 0), (1, 1), t_star=2.0, time_scale=0.5)
@@ -470,6 +498,71 @@ class TestJsonOracle:
     def test_empty_configuration(self, tmp_path):
         self.check(from_points(Window((0, 0), (1, 1), t_star=1.0), [],
                                ReferenceSpec()), tmp_path)
+
+
+class TestNpzCache:
+    """The .npz cache is read only while it matches the JSON bytes."""
+
+    def files(self, tmp_path, c=None):
+        if c is None:
+            w = Window((0, 0), (1, 1), t_star=1.0)
+            rng = np.random.default_rng(12)
+            grid = np.linspace(0.0, 1.0, 6)
+            c = Configuration(
+                w, np.column_stack([rng.random((4, 2)), [0.1, 0.2, 0.3, 0.4]]),
+                [AuxMark(discrete=2, continuous=(0.5,)), AuxMark(discrete=1),
+                 AuxMark(continuous=(1.0, -0.0)), AuxMark(discrete=1)],
+                CadlagPath.rows(grid, rng.standard_normal((4, 6)), None,
+                                "linear", 1.0))
+        write_configuration_files(c, tmp_path / "c.json", tmp_path / "m.csv")
+        return tmp_path / "c.json", tmp_path / "c.npz"
+
+    def test_edited_json_is_read_instead(self, tmp_path):
+        json_path, npz_path = self.files(tmp_path)
+        doc = json.loads(json_path.read_text())
+        doc["points"][0]["x"][0] = 0.5
+        doc["points"][1]["mark"]["values"][2] = 7.0
+        json_path.write_text(json.dumps(doc))
+        c = read_configuration_files(json_path)
+        assert configuration_bits(c) == configuration_bits(
+            configuration_from_json(json_path.read_text()))
+        assert c.ground[0, 0] == 0.5 and c.marks.values[1, 2] == 7.0
+
+    @pytest.mark.parametrize("cache", ["missing", "not a zip", "no header"])
+    def test_missing_or_unreadable_cache_reads_the_json(self, tmp_path, cache):
+        json_path, npz_path = self.files(tmp_path)
+        want = configuration_bits(configuration_from_json(json_path.read_text()))
+        if cache == "missing":
+            npz_path.unlink()
+        elif cache == "not a zip":
+            npz_path.write_bytes(b"PK\x03\x04 truncated")
+        else:
+            np.savez(npz_path, floats=np.zeros(3))
+        assert configuration_bits(
+            read_configuration_files(json_path)) == want
+
+    def test_rerun_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.mkdir()
+        second.mkdir()
+        _, npz_a = self.files(first)
+        # a day later
+        later = time.time() + 86400.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        _, npz_b = self.files(second)
+        assert npz_a.read_bytes() == npz_b.read_bytes()
+
+    def test_cache_checks_its_arrays(self, tmp_path):
+        # a cache whose hash matches but whose values break a mark rule
+        # fails as the JSON would
+        c = from_points(Window((0,), (1,)), [make_point((0.5,))])
+        json_path, npz_path = self.files(tmp_path, c)
+        sha = hashlib.sha256(json_path.read_bytes()).hexdigest()
+        header, cols = core._read_npz(npz_path, sha)
+        cols["values"] = np.array([[np.nan]])
+        with mock.patch.object(core, "_read_npz", return_value=(header, cols)):
+            with pytest.raises(ValidationError, match="finite"):
+                read_configuration_files(json_path)
 
 
 def test_tiny_wiener_simulate_is_pinned(tmp_path):

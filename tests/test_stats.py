@@ -189,34 +189,33 @@ class TestPcfMarkSampled:
 
 class TestTraceVariogram:
     def curves_iid(self, seed, n=25, sigma=1.0, k=11):
+        """(locations, mark table) of n iid curves at uniform locations."""
         rng = np.random.default_rng(seed)
         grid = np.linspace(0, 2, k)
-        out = []
+        locs, vals = [], []
         for _ in range(n):
-            vals = sigma * rng.standard_normal(k)
-            out.append((tuple(rng.random(2)),
-                        CadlagPath(grid, vals, (0, np.inf), "step", 2.0)))
-        return out
+            vals.append(sigma * rng.standard_normal(k))
+            locs.append(rng.random(2))
+        return np.array(locs), CadlagPath.rows(grid, np.array(vals), None,
+                                               "step", 2.0)
 
     @pytest.mark.parametrize("bins", [0, -3, [0.5]])
     def test_fewer_than_one_bin_rejected(self, bins):
         with pytest.raises(ValidationError, match="bin"):
-            trace_variogram(self.curves_iid(1), bins)
+            trace_variogram(*self.curves_iid(1), bins)
 
     def test_matches_per_bin_loop(self):
         # reference: dense distance and difference matrices, one mask per bin
-        curves = self.curves_iid(5, n=40)
+        locs, marks = self.curves_iid(5, n=40)
         edges = np.array([0.1, 0.25, 0.4, 0.55, 0.7])   # excludes some pairs
-        locs = np.asarray([loc for loc, _ in curves])
-        V = np.stack([p.values for _, p in curves])
-        grid = curves[0][1].grid
+        V, grid = marks.values, marks.grid
         wts = np.zeros(grid.size)
         wts[:-1] += 0.5 * np.diff(grid)
         wts[1:] += 0.5 * np.diff(grid)
         S = (V * wts) @ V.T
         D = 0.5 * (np.diag(S)[:, None] + np.diag(S)[None, :] - 2.0 * S)
         H = np.sqrt(np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1))
-        iu = np.triu_indices(len(curves), k=1)
+        iu = np.triu_indices(len(marks), k=1)
         h, d = H[iu], D[iu]
         assert np.any(h < edges[0]) and np.any(h > edges[-1])
         idx = np.clip(np.searchsorted(edges, h, side="right") - 1, 0, len(edges) - 2)
@@ -227,17 +226,17 @@ class TestTraceVariogram:
             counts[k] = int(np.sum(mask))
             if counts[k]:
                 values[k] = float(np.mean(d[mask]))
-        est = trace_variogram(curves, bins=edges)
+        est = trace_variogram(locs, marks, bins=edges)
         np.testing.assert_array_equal(est.counts, counts)
         np.testing.assert_allclose(est.values, values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bins", [None, 7, np.array([0.1, 0.25, 0.4, 0.7])])
     def test_row_blocks_match_one_block(self, monkeypatch, bins):
         curves = self.curves_iid(6, n=40)
-        whole = trace_variogram(curves, bins)
+        whole = trace_variogram(*curves, bins)
         # 7 rows per block: five full blocks and a last one of 5 rows
         monkeypatch.setattr(stats, "_PAIR_BLOCK_ENTRIES", 7 * 40)
-        blocked = trace_variogram(curves, bins)
+        blocked = trace_variogram(*curves, bins)
         np.testing.assert_array_equal(blocked.bin_edges, whole.bin_edges)
         np.testing.assert_array_equal(blocked.counts, whole.counts)
         np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0)
@@ -253,10 +252,10 @@ class TestTraceVariogram:
             np.nextafter(edges[1:-1], 1.0)]))
         rng = np.random.default_rng(9)
         grid = np.linspace(0, 1, 4)
-        curves = [((x, 0.0), CadlagPath(grid, rng.standard_normal(4),
-                                        (0, np.inf), "step", 1.0))
-                  for x in xs]
-        est = trace_variogram(curves, nbins)
+        locs = np.column_stack([xs, np.zeros_like(xs)])
+        marks = CadlagPath.rows(grid, rng.standard_normal((len(xs), 4)), None,
+                                "step", 1.0)
+        est = trace_variogram(locs, marks, nbins)
         np.testing.assert_array_equal(est.bin_edges, edges)
         h = np.abs(xs[:, None] - xs[None, :])[np.triu_indices(len(xs), k=1)]
         assert np.isin(edges[1:-1], h).all() and hmax in h
@@ -279,19 +278,20 @@ class TestTraceVariogram:
     def test_coincident_locations_fill_the_last_default_bin(self):
         # every default edge is 0, as is every distance
         grid = np.linspace(0, 1, 3)
-        curves = [((0.5, 0.5), CadlagPath(grid, v)) for v in
-                  ([1.0, 2.0, 3.0], [0.0, 2.0, 3.0], [1.0, 1.0, 1.0])]
-        est = trace_variogram(curves)
+        marks = CadlagPath.rows(grid, [[1.0, 2.0, 3.0], [0.0, 2.0, 3.0],
+                                       [1.0, 1.0, 1.0]])
+        est = trace_variogram(np.full((3, 2), 0.5), marks)
         np.testing.assert_array_equal(est.counts, [0] * 14 + [3])
 
     def test_memory_below_one_dense_pair_matrix(self):
         # one dense n x n float64 matrix takes 8 n^2 bytes
         n = 2000
-        curves = self.curves_iid(8, n=n, k=101)
-        trace_variogram(curves[:3])     # keep the lazy scipy import out of the peak
+        locs, marks = self.curves_iid(8, n=n, k=101)
+        # keep the lazy scipy import out of the peak
+        trace_variogram(locs[:3], marks.take(slice(0, 3)))
         tracemalloc.start()
         try:
-            trace_variogram(curves)
+            trace_variogram(locs, marks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,16 +299,16 @@ class TestTraceVariogram:
 
     def test_identical_curves_zero(self):
         grid = np.linspace(0, 1, 5)
-        path = CadlagPath(grid, np.ones(5), (0, np.inf), "step", 1.0)
-        est = trace_variogram([((0.0, 0.0), path), ((0.5, 0.5), path),
-                               ((0.2, 0.8), path)], bins=3)
+        est = trace_variogram([(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)],
+                              CadlagPath.rows(grid, np.ones((3, 5)), None,
+                                              "step", 1.0), bins=3)
         assert np.all(est.values == 0.0)
 
     def test_constant_offset_pair(self):
         grid = np.linspace(0, 2, 21)
-        p1 = CadlagPath(grid, np.zeros(21), (0, np.inf), "step", 2.0)
-        p2 = CadlagPath(grid, np.full(21, 3.0), (0, np.inf), "step", 2.0)
-        est = trace_variogram([((0.0, 0.0), p1), ((0.4, 0.0), p2)],
+        marks = CadlagPath.rows(grid, [np.zeros(21), np.full(21, 3.0)], None,
+                                "step", 2.0)
+        est = trace_variogram([(0.0, 0.0), (0.4, 0.0)], marks,
                               bins=np.array([0.0, 1.0]))
         assert est.values[0] == pytest.approx(0.5 * 9.0 * 2.0)
         assert est.counts[0] == 1
@@ -317,7 +317,7 @@ class TestTraceVariogram:
         # E[gamma(h)] = sigma^2 * |T| for iid curves at any distance
         vals = []
         for seed in range(60):
-            est = trace_variogram(self.curves_iid(seed), bins=3)
+            est = trace_variogram(*self.curves_iid(seed), bins=3)
             vals.append(est.values)
         vals = np.asarray(vals)
         target = 1.0 * 2.0
@@ -326,30 +326,29 @@ class TestTraceVariogram:
         assert np.all(np.abs(means - target) < 3 * ses)
 
     def test_pair_order_symmetric(self):
-        curves = self.curves_iid(3, n=10)
-        a = trace_variogram(curves, bins=4)
-        b = trace_variogram(list(reversed(curves)), bins=4)
+        locs, marks = self.curves_iid(3, n=10)
+        a = trace_variogram(locs, marks, bins=4)
+        b = trace_variogram(locs[::-1], marks.take(slice(None, None, -1)),
+                            bins=4)
         np.testing.assert_allclose(np.sort(a.values), np.sort(b.values),
                                    atol=1e-12)
 
     def test_common_curve_invariance(self):
-        curves = self.curves_iid(4, n=8)
-        grid = curves[0][1].grid
-        common = np.sin(grid)
-        shifted = [(loc, CadlagPath(grid, p.values + common, (0, np.inf),
-                                    "step", 2.0)) for loc, p in curves]
-        a = trace_variogram(curves, bins=4)
-        b = trace_variogram(shifted, bins=4)
+        locs, marks = self.curves_iid(4, n=8)
+        shifted = CadlagPath.rows(marks.grid, marks.values + np.sin(marks.grid),
+                                  None, "step", 2.0)
+        a = trace_variogram(locs, marks, bins=4)
+        b = trace_variogram(locs, shifted, bins=4)
         np.testing.assert_allclose(a.values, b.values, atol=1e-10)
 
     def test_requires_two_curves(self):
         with pytest.raises(ValidationError):
-            trace_variogram(self.curves_iid(0, n=1))
+            trace_variogram(*self.curves_iid(0, n=1))
 
     def test_empty_bins_flagged(self):
         grid = np.linspace(0, 1, 4)
-        p = CadlagPath(grid, np.ones(4), (0, np.inf), "step", 1.0)
-        est = trace_variogram([((0.0, 0.0), p), ((0.1, 0.0), p)],
+        marks = CadlagPath.rows(grid, np.ones((2, 4)), None, "step", 1.0)
+        est = trace_variogram([(0.0, 0.0), (0.1, 0.0)], marks,
                               bins=np.array([0.0, 0.05, 0.2]))
         assert est.counts[0] == 0 and est.counts[1] == 1
 
@@ -358,29 +357,27 @@ class TestKriging:
     MODEL = VariogramModel("exponential", 0.0, 1.0, 0.3)
 
     def _curves(self):
+        """(locations, mark table) of two curves."""
         grid = np.linspace(0, 1, 9)
         rng = np.random.default_rng(5)
-        return [
-            (np.array([0.0, 0.0]),
-             CadlagPath(grid, rng.standard_normal(9), (0, np.inf), "step", 1.0)),
-            (np.array([1.0, 0.0]),
-             CadlagPath(grid, rng.standard_normal(9), (0, np.inf), "step", 1.0)),
-        ]
+        return (np.array([[0.0, 0.0], [1.0, 0.0]]),
+                CadlagPath.rows(grid, rng.standard_normal((2, 9)), None,
+                                "step", 1.0))
 
     def test_single_curve_weight_one(self):
-        curves = self._curves()[:1]
-        pred = kriging_predict(curves, np.array([0.4, 0.4]), self.MODEL)
-        np.testing.assert_array_equal(pred.values, curves[0][1].values)
-        assert kriging_weights(np.array([curves[0][0]]), np.array([0.4, 0.4]),
+        locs, marks = self._curves()
+        pred = kriging_predict(locs[:1], marks.take([0]), np.array([0.4, 0.4]),
+                               self.MODEL)
+        np.testing.assert_array_equal(pred.values, marks.values[0])
+        assert kriging_weights(locs[:1], np.array([0.4, 0.4]),
                                self.MODEL)[0] == 1.0
 
     def test_exact_interpolation_at_observed_site(self):
-        curves = self._curves()
-        pred = kriging_predict(curves, np.array([1.0, 0.0]), self.MODEL)
-        np.testing.assert_array_equal(pred.values, curves[1][1].values)
+        locs, marks = self._curves()
+        pred = kriging_predict(locs, marks, np.array([1.0, 0.0]), self.MODEL)
+        np.testing.assert_array_equal(pred.values, marks.values[1])
         # the kriging system itself places all weight on the matching site
-        wts = kriging_weights(np.array([c[0] for c in curves]),
-                              np.array([1.0, 0.0]) + 1e-9, self.MODEL)
+        wts = kriging_weights(locs, np.array([1.0, 0.0]) + 1e-9, self.MODEL)
         assert wts[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_layout_half_weights(self):
