@@ -1,8 +1,13 @@
-"""Derivative-free local minimizer shared by the fitting routines.
+"""Local minimizers shared by the fitting routines.
 
-Projected Nelder-Mead simplex: candidate vertices are clipped into the
-bound box, the returned point is never worse than the start, and the whole
-run is deterministic given the start point and budget.
+``nelder_mead`` is a derivative-free projected simplex for black-box
+objectives (likelihoods, Janossy densities, variogram fits).
+``gauss_newton`` is a projected Levenberg-Marquardt method for least
+squares, which sees the residual vector instead of its squared sum and
+takes its Jacobian by forward differences.  Both clip every trial point
+into the bound box, never return a point worse than the start, count
+every evaluation against one budget and are deterministic given the start
+point and budget.
 """
 from __future__ import annotations
 
@@ -11,6 +16,39 @@ import numpy as np
 from .errors import ValidationError
 
 _REL_TOL = 1e-8
+# forward-difference step relative to max(1, |theta_i|): sqrt(eps) of a double
+_FD_STEP = 2.0 ** -26
+# Marquardt damping: start, factor per failed or accepted step, and floor
+_DAMP_START, _DAMP_FACTOR, _DAMP_MIN = 1e-3, 10.0, 1e-12
+
+
+def _box(theta0, bounds):
+    """The start point clipped into ``bounds``, the clip itself, and the
+    (lo, hi) arrays (infinite without bounds)."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    ndim = theta0.size
+    if bounds is None:
+        lo, hi = np.full(ndim, -np.inf), np.full(ndim, np.inf)
+    else:
+        lo = np.asarray([b[0] for b in bounds], dtype=float)
+        hi = np.asarray([b[1] for b in bounds], dtype=float)
+        if lo.size != ndim or np.any(lo > hi):
+            raise ValidationError("invalid bounds")
+    project = lambda x: np.clip(x, lo, hi)
+    return project(theta0), project, lo, hi
+
+
+def _small_step(step, x):
+    """True when ``step`` is at most 1e-8 of the scale 1 + max |x|."""
+    return float(np.max(np.abs(step))) <= _REL_TOL * (
+        1.0 + float(np.max(np.abs(x))))
+
+
+def _settled(f_old, f_new, step, x, f_floor):
+    """The shared relative convergence rule: the objective changed by at
+    most 1e-8 of its scale plus ``f_floor``, and the step is small."""
+    return (abs(f_old - f_new) <= _REL_TOL * (abs(f_old) + abs(f_new)) + f_floor
+            and _small_step(step, x))
 
 
 def nelder_mead(objective, theta0, bounds=None, budget: int = 500):
@@ -20,17 +58,8 @@ def nelder_mead(objective, theta0, bounds=None, budget: int = 500):
     the simplex's relative objective spread fell below 1e-8 within the
     evaluation budget; the best point found so far is returned either way.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta0, project, _, _ = _box(theta0, bounds)
     ndim = theta0.size
-    if bounds is not None:
-        lo = np.asarray([b[0] for b in bounds], dtype=float)
-        hi = np.asarray([b[1] for b in bounds], dtype=float)
-        if lo.size != ndim or np.any(lo > hi):
-            raise ValidationError("invalid bounds")
-        project = lambda x: np.clip(x, lo, hi)
-    else:
-        project = lambda x: x
-    theta0 = project(theta0)
 
     evals = 0
 
@@ -62,12 +91,7 @@ def nelder_mead(objective, theta0, bounds=None, budget: int = 500):
         order = np.argsort(fvals, kind="stable")
         verts = verts[order]
         fvals = fvals[order]
-        spread = abs(fvals[-1] - fvals[0])
-        scale = abs(fvals[0]) + abs(fvals[-1]) + 1e-300
-        xspread = float(np.max(np.abs(verts - verts[0])))
-        xscale = 1.0 + float(np.max(np.abs(verts[0])))
-        if (spread <= _REL_TOL * scale + f_floor
-                and xspread <= _REL_TOL * xscale):
+        if _settled(fvals[0], fvals[-1], verts - verts[0], verts[0], f_floor):
             converged = True
             break
         centroid = np.mean(verts[:-1], axis=0)
@@ -98,3 +122,82 @@ def nelder_mead(objective, theta0, bounds=None, budget: int = 500):
     if fvals[best] <= f0:
         return verts[best].copy(), float(fvals[best]), evals, converged
     return theta0.copy(), f0, evals, converged
+
+
+def gauss_newton(residuals, theta0, bounds=None, budget: int = 500):
+    """Minimize the squared sum of the vector ``residuals(theta)`` from
+    ``theta0`` (Levenberg-Marquardt, projected onto the bound box).
+
+    Each iteration takes a forward-difference Jacobian J at the current
+    point (step sqrt(eps) * max(1, |theta_i|), backward at an upper bound)
+    and solves (A + lam diag A) s = -g with A = J'J and g = J'r on the
+    coordinates not held by an active bound (a bound that the gradient
+    pushes against).  A trial that lowers the objective is taken and lam
+    falls; otherwise lam grows and the step shrinks.
+
+    Returns (theta_best, f_best, evaluations, converged) as ``nelder_mead``
+    does, with every residual evaluation counted, the Jacobian's included.
+    Convergence means an accepted step changed the objective and theta by
+    at most 1e-8 of their scale, or no descent step is left: the projected
+    gradient vanishes, or a failed trial step is already within the theta
+    tolerance.
+    """
+    theta0, project, lo, hi = _box(theta0, bounds)
+    ndim = theta0.size
+
+    evals = 0
+
+    def r(x):
+        nonlocal evals
+        evals += 1
+        return np.asarray(residuals(x), dtype=float).ravel()
+
+    x, rx = theta0, r(theta0)
+    fx = float(rx @ rx)
+    if not np.isfinite(fx):
+        raise ValidationError("residuals must be finite at the start point")
+    f_floor = _REL_TOL ** 2 * (1.0 + abs(fx))
+    lam = _DAMP_START
+    converged = False
+    # a Jacobian and at least one trial must fit in the budget
+    while evals + ndim < budget:
+        jac = np.zeros((rx.size, ndim))
+        for i in range(ndim):
+            h = _FD_STEP * max(1.0, abs(x[i]))
+            xi = x.copy()
+            xi[i] = x[i] + h if x[i] + h <= hi[i] else x[i] - h
+            xi = project(xi)
+            if xi[i] != x[i]:
+                jac[:, i] = (r(xi) - rx) / (xi[i] - x[i])
+        if not np.all(np.isfinite(jac)):
+            break
+        g = jac.T @ rx
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        if not np.any(g[free] != 0.0):
+            converged = True
+            break
+        a = (jac.T @ jac)[np.ix_(free, free)]
+        diag = np.diag(a)
+        diag = np.maximum(diag, _REL_TOL ** 2 * float(np.max(diag)))
+        while evals < budget:
+            step = np.zeros(ndim)
+            step[free] = np.linalg.solve(a + lam * np.diag(diag), -g[free])
+            trial = project(x + step)
+            moved = trial - x
+            if not np.any(moved):
+                converged = True
+                break
+            rt = r(trial)
+            ft = float(rt @ rt)
+            if ft < fx:
+                converged = _settled(fx, ft, moved, trial, f_floor)
+                x, rx, fx = trial, rt, ft
+                lam = max(lam / _DAMP_FACTOR, _DAMP_MIN)
+                break
+            if _small_step(moved, x):
+                converged = True
+                break
+            lam *= _DAMP_FACTOR
+        if converged or evals >= budget:
+            break
+    return x, fx, evals, converged

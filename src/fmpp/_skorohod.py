@@ -22,14 +22,17 @@ constant on a cell, so the cost is the integral and does not depend on the
 warp's knots; when a path is linearly interpolated it is an upper bound of
 the integral that extra knots on a straight warp piece can lower.
 
-Paths are read through ``CadlagPath.__call__`` (and at left limits) and
-warps through ``np.interp``, on whole arrays of times at once.
+Paths and their left limits are read through the one path evaluator,
+``core._evaluate``, and warps through ``np.interp``, on whole arrays of
+times at once.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .core import _evaluate
 
 # entries of one (probe x candidate) block in the per-warp functional
 _PROBE_BLOCK_ENTRIES = 2**18
@@ -43,14 +46,9 @@ def _points(parts, t_star):
 
 def _left(path, t):
     """Left limits lim_{s -> t-} path(s) at an array of times."""
-    if path.mode == "step":
-        idx = np.searchsorted(path.grid, t, side="left") - 1
-        out = np.where(idx >= 0, path.values[np.clip(idx, 0, None)], 0.0)
-    else:
-        out = np.where(t <= path.grid[0], 0.0,
-                       np.interp(t, path.grid, path.values))
     a, b = path.support
-    return np.where((t > a) & (t <= b), out, 0.0)
+    return _evaluate(path.grid, path.values[None, :], a, b, path.mode, t,
+                     left=True)[0]
 
 
 def _phi(f, g, kt, ks, t_cand, w_cand, u, left):

@@ -242,16 +242,20 @@ def _check_rows(grid, values, supports, mode, t_star):
     return a, b, mode, t_star
 
 
-def _evaluate(grid, values, starts, ends, mode, t):
+def _evaluate(grid, values, starts, ends, mode, t, left=False):
     """The (n, m) values at the m times ``t`` of the n paths whose rows of
     ``values`` lie on ``grid``, zero before grid[0] and outside [starts,
     ends) (each an (n, 1) column or a scalar).
 
     One ``searchsorted`` locates every time; ``linear`` mode then takes
     the slope formula of ``np.interp`` with its rounding, and holds the
-    last value after the grid."""
+    last value after the grid.  With ``left`` the values are the left
+    limits lim_{s -> t-}: a step path holds the value before t, the linear
+    interpolant is continuous, and both are zero up to grid[0] and outside
+    (starts, ends]."""
     t = np.asarray(t, dtype=float)
-    j = np.searchsorted(grid, t, side="right") - 1
+    side = "left" if left and mode == "step" else "right"
+    j = np.searchsorted(grid, t, side=side) - 1
     out = values[:, np.maximum(j, 0)]
     k = grid.size
     if mode == "linear" and k > 1:
@@ -264,6 +268,8 @@ def _evaluate(grid, values, starts, ends, mode, t):
         slope = (values[:, lo + 1] - y0) / (grid[lo + 1] - x0)
         ramp = slope * (np.where(between, t, x0) - x0) + y0
         out = np.where(between, ramp, out)
+    if left:
+        return np.where((t > grid[0]) & (t > starts) & (t <= ends), out, 0.0)
     return np.where((j >= 0) & (t >= starts) & (t < ends), out, 0.0)
 
 

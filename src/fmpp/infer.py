@@ -5,8 +5,9 @@ models with sampled-mark and auxiliary factors, Janossy densities and
 densities with respect to a reference Poisson process, Papangelou
 conditional intensities, and four fitting routes: temporal maximum
 likelihood, finite-sample (Janossy) likelihood, maximum pseudo-likelihood,
-and least squares on sampled mark trajectories.  All fits share one
-derivative-free simplex optimizer.
+and least squares on sampled mark trajectories.  The likelihood fits share
+one derivative-free simplex optimizer; least squares minimizes its residual
+vector by projected Levenberg-Marquardt.
 
 Ground families are deliberately closed: homogeneous rates, a log-linear
 temporal rate exp(a + b t) (self-exciting families are out of scope), and
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._optim import nelder_mead
+from ._optim import gauss_newton, nelder_mead
 from .core import AuxMark, Configuration, SampleSchedule, Window, midpoint_rule
 from .errors import NumericalError, ValidationError
 from .marks import (
@@ -604,13 +605,17 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     births, lifetimes) and ``observed`` the (n, k) matrix of mark values at
     the schedule times.  Fitted trajectories are integrated noise-free
     (the noise term has zero mean) and scored by the summed squared error
-    over points and sample times.
+    over points and sample times.  The n * k residuals ``observed -
+    prediction`` (a prediction is zero where its point is not alive) are
+    minimized by projected Levenberg-Marquardt, and ``iterations`` counts
+    their evaluations, the finite-difference Jacobian's included.
 
     A ``torus_simulator`` asks for an edge correction: the fitted model is
     re-simulated on an enlarged torus via ``torus_simulator(theta, seed + 1)``,
     which must return extra (locations, births, lifetimes) outside the
     observation window; those points are imputed as missing neighbours and
-    the objective re-minimized once from the first fit.
+    the objective re-minimized once from the first fit; ``iterations`` then
+    counts the evaluations of both fits.
     """
     xs, births, lifetimes = points
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -628,7 +633,7 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     sampled, read = rows >= 0, np.maximum(rows, 0)
     born = times >= np.asarray(births, dtype=float)[:, None]
 
-    def make_objective(extra):
+    def make_residuals(extra):
         if extra is None:
             all_xs, all_b, all_l = xs, births, lifetimes
         else:
@@ -640,7 +645,7 @@ def least_squares_marks(family: Callable, points, observed, schedule:
         # only through the interaction, so it is rebuilt only when that moves
         built = {}
 
-        def objective(theta):
+        def residuals(theta):
             model = family(theta)
             if not isinstance(model, GrowthInteraction):
                 raise ValidationError("family must build a growth model")
@@ -658,14 +663,20 @@ def least_squares_marks(family: Callable, points, observed, schedule:
                 raise ValidationError("path values must be finite")
             pred = np.where(sampled, vals[read, :n].T, 0.0)
             live = born & (times < d[:n, None])
-            return float(np.sum((observed - np.where(live, pred, 0.0)) ** 2))
+            return (observed - np.where(live, pred, 0.0)).ravel()
 
-        return objective
+        return residuals
 
-    res = optimize(make_objective(None), theta0, bounds, budget, "least-squares")
+    def fit(residuals, start):
+        theta, fval, evals, converged = gauss_newton(residuals, start, bounds,
+                                                     budget)
+        return FitResult(tuple(float(v) for v in theta), float(fval), evals,
+                         converged, "least-squares")
+
+    res = fit(make_residuals(None), theta0)
     if torus_simulator is None:
         return res
     extra = torus_simulator(np.asarray(res.theta), seed + 1)
-    return optimize(make_objective(extra), res.theta, bounds, budget,
-                    "least-squares")
+    refit = fit(make_residuals(extra), res.theta)
+    return replace(refit, iterations=res.iterations + refit.iterations)
 

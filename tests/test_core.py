@@ -1175,7 +1175,49 @@ def sixtyfourths_path(rng, mode):
     return CadlagPath(grid, vals, (0.0, np.inf), mode, 1.0)
 
 
+def left_before_shared_evaluator(path, t):
+    """The time-warp metric's own left-limit rules before it read them from
+    ``core._evaluate``, kept as the oracle of that evaluator."""
+    if path.mode == "step":
+        idx = np.searchsorted(path.grid, t, side="left") - 1
+        out = np.where(idx >= 0, path.values[np.clip(idx, 0, None)], 0.0)
+    else:
+        out = np.where(t <= path.grid[0], 0.0,
+                       np.interp(t, path.grid, path.values))
+    a, b = path.support
+    return np.where((t > a) & (t <= b), out, 0.0)
+
+
 class TestTimeWarpInternals:
+    @pytest.mark.parametrize("mode", ["step", "linear"])
+    def test_left_limits_match_former_rules(self, mode):
+        # random rows read at their grid times, the neighbouring floats of
+        # those, the support edges and times off the grid, bit for bit
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            grid = np.sort(rng.choice(np.arange(1, 200), k, replace=False)
+                           ) / 200.0 * 1.5
+            if rng.random() < 0.3:
+                grid = np.sort(rng.random(k)) * 1.5
+            a = float(rng.choice([0.0, grid[0], rng.random() * grid[-1]]))
+            b = float(rng.choice([np.inf, grid[-1], 1.5,
+                                  a + rng.random() * (1.5 - a)]))
+            vals = rng.normal(size=k)
+            vals[(grid < a) | (grid >= b)] = 0.0
+            path = CadlagPath(grid, vals, (a, b), mode, 1.5)
+            edges = np.array([a, b, 0.0, 1.5, -1.0, 2.0])
+            base = np.concatenate([grid, edges[np.isfinite(edges)]])
+            t = np.concatenate([base, np.nextafter(base, -np.inf),
+                                np.nextafter(base, np.inf),
+                                rng.random(20) * 1.6 - 0.05])
+            want = left_before_shared_evaluator(path, t)
+            got = _skorohod._left(path, t)
+            assert got.tobytes() == want.tobytes()
+            # the metric reads (probes x candidates) blocks
+            got2 = _skorohod._left(path, t[:24].reshape(4, 6))
+            assert got2.tobytes() == want[:24].reshape(4, 6).tobytes()
+
     def test_warp_cost_reads_g_after_its_jump(self):
         # g's breakpoint 0.2666... maps back through the warp; the scalar
         # round trip w(w^-1(x)) lands one ulp below x and misses g's value

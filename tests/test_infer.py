@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmpp
+from fmpp._optim import gauss_newton
 from fmpp.core import AuxMark, SampleSchedule, Window
 from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import HomogeneousPoisson, InhomogeneousPoisson, simulate_poisson
@@ -393,9 +399,64 @@ class TestLeastSquaresMarks:
         assert isinstance(fit, FitResult)
         assert fit.scheme == "least-squares"
 
+    def test_torus_refit_counts_both_fits(self):
+        # every residual evaluation builds the model once, so the family's
+        # calls count the evaluations of the first fit and the refit
+        rng = np.random.default_rng(4)
+        n = 4
+        pts = (rng.random((n, 2)), np.zeros(n), np.full(n, 10.0))
+        model = GrowthInteraction(("linear", 1.0, 0.5), ("gauss", 0.2, 0.3))
+        sched = SampleSchedule((0.5, 1.0))
+        paths = gi_integrate(pts, model, 0.01, 0, 1.0)
+        observed = np.array([[p(s) for s in sched.times] for p in paths])
+        calls = {"family": 0, "torus": 0}
+
+        def family(th):
+            calls["family"] += 1
+            return GrowthInteraction(("linear", th[0], th[1]),
+                                     ("gauss", 0.2, 0.3))
+
+        def torus_sim(theta, seed):
+            calls["torus"] += 1
+            assert calls["family"] > 0  # the first fit has run
+            return (np.array([[1.2, 0.5], [1.1, 0.2]]), np.zeros(2),
+                    np.full(2, 10.0))
+
+        fit = least_squares_marks(family, pts, observed, sched, [0.8, 0.6],
+                                  [(0.01, 5.0), (0.01, 5.0)], dt=0.02,
+                                  t_star=1.0, budget=300,
+                                  torus_simulator=torus_sim)
+        assert calls["torus"] == 1
+        assert fit.iterations == calls["family"]
+
+    def test_fit_leaves_scipy_optimize_unloaded(self):
+        # the residual minimizer is NumPy only: a cold ``fmpp estimate``
+        # would otherwise pay scipy.optimize's import time
+        src = str(Path(fmpp.__file__).resolve().parents[1])
+        path = [src] + ([os.environ["PYTHONPATH"]]
+                        if os.environ.get("PYTHONPATH") else [])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fmpp.core import SampleSchedule\n"
+            "from fmpp.infer import least_squares_marks\n"
+            "from fmpp.marks import GrowthInteraction\n"
+            "pts = (np.array([[0.2, 0.3], [0.6, 0.7]]), np.zeros(2),"
+            " np.full(2, 10.0))\n"
+            "fam = lambda th: GrowthInteraction(('linear', th[0], th[1]),"
+            " ('gauss', 0.2, 0.3))\n"
+            "fit = least_squares_marks(fam, pts, np.full((2, 2), 0.5),"
+            " SampleSchedule((0.5, 1.0)), [1.0, 0.5], [(0.01, 5.0)] * 2,"
+            " dt=0.05, t_star=1.0)\n"
+            "assert fit.iterations > 3\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
+
 
     def test_objective_matches_per_path_reference(self, monkeypatch):
-        # the objective reads the integrated value matrix at the schedule
+        # the residuals read the integrated value matrix at the schedule
         # rows; the reference samples one CadlagPath per point
         import fmpp.infer as infer
 
@@ -429,26 +490,27 @@ class TestLeastSquaresMarks:
         for family in families:
             captured = []
 
-            def capture(objective, theta0, bounds, budget, scheme):
-                captured.append(objective)
-                return FitResult(tuple(theta0), 0.0, 0, True, scheme)
+            def capture(residuals, theta0, bounds, budget):
+                captured.append(residuals)
+                return np.asarray(theta0, dtype=float), 0.0, 0, True
 
-            monkeypatch.setattr(infer, "optimize", capture)
+            monkeypatch.setattr(infer, "gauss_newton", capture)
             least_squares_marks(family, pts, observed, sched, [1.0, 0.5],
                                 dt=0.01, t_star=1.0,
                                 torus_simulator=lambda th, seed: extra)
             monkeypatch.undo()
             assert len(captured) == 2
-            for objective, more in zip(captured, (None, extra)):
+            for residuals, more in zip(captured, (None, extra)):
                 allp = pts if more is None else tuple(
                     np.concatenate([a, b]) for a, b in zip(pts, more))
                 for theta in ([1.0, 0.5], [2.5, 0.8], [0.3, 1.7]):
                     paths = gi_integrate(allp, family(theta), 0.01, 0, 1.0)
-                    want = sum(float(np.sum((observed[i] - np.asarray(
-                        [paths[i](s) for s in sched.times])) ** 2))
-                        for i in range(n))
-                    assert objective(np.asarray(theta)) == pytest.approx(
-                        want, rel=1e-12)
+                    want = [observed[i] - np.asarray(
+                        [paths[i](s) for s in sched.times]) for i in range(n)]
+                    got = residuals(np.asarray(theta))
+                    np.testing.assert_array_equal(got, np.concatenate(want))
+                    assert float(got @ got) == pytest.approx(
+                        sum(float(np.sum(w ** 2)) for w in want), rel=1e-12)
 
 
 class TestOptimizer:
@@ -479,6 +541,92 @@ class TestOptimizer:
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValidationError):
             optimize(lambda th: float("nan"), [0.0], budget=10)
+
+
+class TestGaussNewton:
+    def test_linear_residuals_solved(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(7, 3))
+        truth = np.array([1.5, -0.25, 4.0])
+        b = a @ truth
+        theta, f, evals, converged = gauss_newton(lambda th: a @ th - b,
+                                                  np.zeros(3), budget=200)
+        assert converged
+        np.testing.assert_allclose(theta, truth, rtol=0.0, atol=1e-12)
+        assert f <= 1e-20
+
+    def test_rosenbrock_residuals(self):
+        res = lambda th: np.array([10.0 * (th[1] - th[0] ** 2), 1.0 - th[0]])
+        theta, f, _, converged = gauss_newton(res, [-1.2, 1.0], budget=500)
+        assert converged
+        np.testing.assert_allclose(theta, [1.0, 1.0], rtol=0.0, atol=1e-10)
+
+    def test_bound_active_optimum(self):
+        # the unconstrained optimum (3, 1) lies outside theta_0 <= 2; on the
+        # bound the coupled second coordinate has to move on to 1.2, which
+        # the clipped unconstrained step never reaches
+        res = lambda th: np.array([th[0] + 2.0 * th[1] - 5.0,
+                                   th[0] - th[1] - 2.0])
+        theta, f, _, converged = gauss_newton(
+            res, [0.0, 0.0], bounds=[(-5.0, 2.0), (-5.0, 5.0)], budget=200)
+        assert converged
+        # at a non-zero residual forward differences stop about 1e-8 short
+        np.testing.assert_allclose(theta, [2.0, 1.2], rtol=0.0, atol=1e-7)
+        assert f == pytest.approx(1.8, rel=1e-12)
+
+    def test_trial_points_stay_in_bounds(self):
+        seen = []
+
+        def res(th):
+            seen.append(th.copy())
+            return np.array([th[0] - 3.0, 2.0 * (th[1] + 1.0)])
+
+        lo, hi = np.array([0.0, -0.5]), np.array([2.0, 5.0])
+        theta, _, evals, _ = gauss_newton(res, [2.0, 5.0],
+                                          bounds=list(zip(lo, hi)), budget=100)
+        assert len(seen) == evals
+        assert all(np.all((lo <= x) & (x <= hi)) for x in seen)
+        np.testing.assert_allclose(theta, [2.0, -0.5], rtol=0.0, atol=1e-12)
+
+    def test_never_worse_than_start(self):
+        # adversarial residuals: better at the start than anywhere nearby
+        res = lambda th: np.array([0.0 if th[0] == 1.0 else 5.0])
+        theta, f, _, _ = gauss_newton(res, [1.0], budget=50)
+        assert theta[0] == 1.0 and f == 0.0
+        # a jump just after the start makes the forward-difference slope
+        # point uphill: every step it suggests is worse
+        res = lambda th: np.array([2.0 - th[0] if th[0] > 0.0
+                                   else 1.0 - 10.0 * th[0]])
+        theta, f, _, _ = gauss_newton(res, [0.0], budget=50)
+        assert theta[0] == 0.0 and f == 1.0
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 9, 14])
+    def test_budget_counts_jacobian_evaluations(self, budget):
+        calls = []
+
+        def res(th):
+            calls.append(1)
+            return np.array([10.0 * (th[1] - th[0] ** 2), 1.0 - th[0]])
+
+        _, _, evals, converged = gauss_newton(res, [-1.2, 1.0], budget=budget)
+        assert evals == len(calls) <= budget
+        assert not converged
+
+    def test_rerun_gives_identical_bits(self):
+        tt = np.linspace(0.0, 2.0, 9)
+        obs = 3.0 * np.exp(-0.7 * tt) + 0.01 * np.sin(7.0 * tt)
+        res = lambda th: obs - th[0] * np.exp(-th[1] * tt)
+        runs = [gauss_newton(res, [1.0, 0.1], [(0.0, 10.0), (0.0, 5.0)], 300)
+                for _ in range(3)]
+        for theta, f, evals, converged in runs[1:]:
+            assert theta.tobytes() == runs[0][0].tobytes()
+            assert (f, evals, converged) == runs[0][1:]
+        assert runs[0][3]
+
+    def test_nonfinite_start_rejected(self):
+        with pytest.raises(ValidationError):
+            gauss_newton(lambda th: np.array([1.0, float("nan")]), [0.0],
+                         budget=10)
 
 
 class TestSpatialDensityFamilies:
