@@ -343,7 +343,6 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
     schedule = (SampleSchedule(tuple(cfg["schedule"]))
                 if cfg.get("schedule") else None)
     budget = int(section.get("budget", 500))
-    data = [infer.Observation(p.x, p.t) for p in c.points]
 
     if scheme == "mle-temporal":
         theta0 = section.get("theta0", [1.0] if family == "poisson-t" else [0.0, 0.0])
@@ -352,7 +351,7 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                              else [[-10.0, 10.0], [-10.0, 10.0]])
         model = infer.ParametricModel(family, theta0, window,
                                       tuple(tuple(b) for b in bounds))
-        fit = infer.fit_loglik_temporal(model, data, None, budget=budget)
+        fit = infer.fit_loglik_temporal(model, c, None, budget=budget)
     elif scheme == "pseudo":
         theta0 = section.get("theta0", [_require(gspec, "beta", "model.ground"),
                                         _require(gspec, "gamma", "model.ground")])
@@ -361,7 +360,7 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
             "gibbs", theta0, window, tuple(tuple(b) for b in bounds),
             interaction_range=_require(gspec, "range", "model.ground"),
             temporal_range=gspec.get("temporal_range"))
-        fit = infer.fit_pseudolikelihood(model, data, None, budget=budget,
+        fit = infer.fit_pseudolikelihood(model, c, None, budget=budget,
                                          quad_res=int(section.get("quad_res", 48)))
     elif scheme == "mle-janossy":
         theta0 = section.get("theta0", [1.0])
@@ -369,7 +368,7 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
 
         def objective(theta):
             model = infer.ParametricModel("poisson", theta, window)
-            log_val = infer.janossy_density(model, data).log_value
+            log_val = infer.janossy_density(model, c).log_value
             return -log_val if np.isfinite(log_val) else 1e12
 
         fit = infer.optimize(objective, theta0,

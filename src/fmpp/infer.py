@@ -31,10 +31,13 @@ from .marks import (
     AuxDensitySpec,
     FidiDensitySpec,
     GrowthInteraction,
+    _aux_columns,
+    _aux_log_density,
     _check_negative,
+    _exp_sum,
+    _fidi_row_logs,
     _gi_plan_args,
     _gi_run_args,
-    fidi_density_eval,
     gi_integrate,  # noqa: F401  (a lookup site perfbench's tracer wraps)
 )
 
@@ -43,7 +46,6 @@ __all__ = [
     "Observation",
     "FitResult",
     "JanossyValue",
-    "sample_observations",
     "intensity_functional",
     "conditional_intensity",
     "loglik_temporal",
@@ -158,14 +160,6 @@ class JanossyValue:
     log_value: float
 
 
-def sample_observations(c: Configuration, schedule: SampleSchedule) -> list:
-    """Read the mark of every point at the schedule times."""
-    d, temporal = c.window.dim, c.window.is_temporal
-    return [Observation(tuple(g[:d]), g[d] if temporal else None, aux, tuple(v))
-            for g, aux, v in zip(c.ground.tolist(), c.auxs,
-                                 c.marks.at(schedule.times).tolist())]
-
-
 # ---------------------------------------------------------------------------
 # ground building blocks: (m, D) ground locations, (m, d) spatial locations
 # or (m,) times in, (m,) values out
@@ -222,59 +216,49 @@ def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
     raise ValidationError("intensity mass undefined for this family")
 
 
-def _ground_array(w: Window, data: Sequence) -> np.ndarray:
-    """(n, D) ground locations of the data: x, then t on a temporal window."""
-    d = w.dim + (1 if w.is_temporal else 0)
-    rows = [tuple(obs.x) + ((obs.t,) if obs.t is not None else ())
-            for obs in data]
-    if any(len(r) != d for r in rows):
+def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
+    """The data, a ``Configuration`` or a sequence of ``Observation``, as
+    columns on window ``w``: the (n, D) ground array (time last), the
+    ``marks._aux_columns`` (None if a point has no aux mark) and the (n, k)
+    marks u at the schedule times (None without schedule or sampled values)."""
+    D, k = w.dim + (1 if w.is_temporal else 0), 0 if schedule is None else len(schedule)
+    if isinstance(data, Configuration):
+        g, auxs, shape_ok = data.ground, data.auxs, data.ground.shape[1] == D
+        u = None if schedule is None else data.marks.at(schedule.times)
+    else:
+        g = [tuple(obs.x) + ((obs.t,) if obs.t is not None else ()) for obs in data]
+        auxs, u = [obs.aux for obs in data], [obs.u for obs in data]
+        shape_ok = all(len(r) == D for r in g)
+        if schedule is None or any(v is None for v in u):
+            u = None
+        elif any(len(v) != k for v in u):
+            raise ValidationError("value matrix has wrong number of sample columns")
+    if not shape_ok:
         raise ValidationError(
             f"observations need {w.dim} coordinates"
             + (" and an event time" if w.is_temporal else " and no time"))
-    return np.asarray(rows, dtype=float).reshape(-1, d)
+    aux = None if any(a is None for a in auxs) else _aux_columns(auxs)
+    return (np.asarray(g, dtype=float).reshape(-1, D), aux,
+            None if u is None else np.asarray(u, dtype=float).reshape(-1, k))
 
 
-def _event_log_factors(model: ParametricModel, data: Sequence,
+def _event_log_factors(model: ParametricModel, events: tuple,
                        schedule: SampleSchedule | None) -> np.ndarray:
-    """(n,) log of the sampled-mark and aux density factors per event.
-
-    An absent factor, or the mark factor of a degenerate (point-mass) law,
-    counts as log 1 = 0, and a vanishing one as -inf.  A fidi spec returns
-    the joint density of the rows it is given, so each event's mark factor
-    is the sum of the logs of its initial and transition densities, which
-    stays finite where their product underflows.  The factors do not
-    depend on theta.
-    """
-    log_fac = np.zeros(len(data))
+    """(n,) log sampled-mark and aux factors of the ``_events`` columns, each
+    spec called on whole columns; an absent factor, or that of a degenerate
+    (point-mass) law, is log 1 = 0 and a vanishing one -inf."""
+    g, aux, u = events
+    log_fac = np.zeros(g.shape[0])
     if model.fidi is not None:
-        if any(schedule is None or obs.u is None for obs in data):
+        if u is None:
             raise ValidationError("mark factor needs a schedule and sampled values")
         if not model.fidi.degenerate:
-            s, spec = schedule.times, model.fidi
-            for i, obs in enumerate(data):
-                u = np.asarray(obs.u, dtype=float)
-                if u.shape != (len(s),):
-                    raise ValidationError(
-                        "value matrix has wrong number of sample columns")
-                dens = [spec.initial(s[0], u[:1])] + [
-                    spec.transition(s[j], s[j - 1], u[j:j + 1], u[j - 1:j])
-                    for j in range(1, len(s))]
-                with np.errstate(divide="ignore"):
-                    log_fac[i] = np.sum(np.log(dens))
+            log_fac += _fidi_row_logs(model.fidi, schedule.times, u)
     if model.aux is not None:
-        if any(obs.aux is None for obs in data):
+        if aux is None:
             raise ValidationError("aux factor needs aux marks in the data")
-        with np.errstate(divide="ignore"):
-            log_fac += np.log([model.aux.point_density((obs.x, obs.t), obs.aux)
-                               for obs in data])
+        log_fac += _aux_log_density(model.aux, g, *aux)
     return log_fac
-
-
-def _event_factor(model: ParametricModel, obs: Observation,
-                  schedule: SampleSchedule | None) -> float:
-    """The mark and aux density factor of one event."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(_event_log_factors(model, [obs], schedule)[0]))
 
 
 def _sum_log_intensities(lam: np.ndarray, log_fac: float, what: str) -> float:
@@ -292,9 +276,9 @@ def _sum_log_intensities(lam: np.ndarray, log_fac: float, what: str) -> float:
 def intensity_functional(model: ParametricModel, obs: Observation,
                          schedule: SampleSchedule | None = None) -> float:
     """Sampled-mark intensity functional: fidi(u) * aux(l) * ground intensity."""
-    g = _ground_array(model.window, [obs])
-    return float(ground_intensity(model, g)[0]
-                 * _event_factor(model, obs, schedule))
+    ev = _events(model.window, [obs], schedule)
+    return float(ground_intensity(model, ev[0])[0]
+                 * _exp_sum(_event_log_factors(model, ev, schedule)))
 
 
 def conditional_intensity(model: ParametricModel, history, obs: Observation,
@@ -307,14 +291,14 @@ def conditional_intensity(model: ParametricModel, history, obs: Observation,
     """
     if obs.t is None:
         raise ValidationError("conditional intensity needs an event time")
+    if model.ground not in ("poisson-t", "loglinear-t"):
+        raise ValidationError("model has no temporal ground rate")
     hist = np.asarray(history, dtype=float)
     if hist.size and np.any(np.diff(hist) < 0):
         raise ValidationError("history must be time-sorted")
     if hist.size and hist[-1] >= obs.t:
         raise ValidationError("history must precede the evaluation time")
-    rate = (temporal_rate(model, [obs.t])
-            * _spatial_density(model, np.asarray([obs.x], dtype=float)))
-    return float(rate[0] * _event_factor(model, obs, schedule))
+    return intensity_functional(model, obs, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +315,10 @@ def _loglik_temporal_terms(model: ParametricModel, data: Sequence,
     if model.ground not in ("poisson-t", "loglinear-t"):
         raise ValidationError("temporal likelihood needs a temporally grounded model")
     w = model.window
-    g = _ground_array(w, data)
-    t_events = g[:, -1]
-    f_events = _spatial_density(model, g[:, : w.dim])
-    log_fac = float(np.sum(_event_log_factors(model, data, schedule)))
+    ev = _events(w, data, schedule)
+    t_events = ev[0][:, -1]
+    f_events = _spatial_density(model, ev[0][:, : w.dim])
+    log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
     x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
     spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
     t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
@@ -362,6 +346,24 @@ def loglik_temporal(model: ParametricModel, data: Sequence,
     return _loglik_temporal_terms(model, data, schedule, quad_res)(model)
 
 
+def _janossy_log(model: ParametricModel, events: tuple,
+                 schedule: SampleSchedule | None, quad_res: int) -> float:
+    """The log sampled Janossy density of the ``_events`` columns."""
+    g = events[0]
+    with np.errstate(divide="ignore"):
+        log_val = float(np.sum(_event_log_factors(model, events, schedule)))
+        if model.ground == "gibbs":
+            beta, gamma = model.theta[0], model.theta[1]
+            pairs = _gibbs_pair_count(model, g)
+            log_val += g.shape[0] * math.log(beta)
+            if pairs:
+                log_val += pairs * float(np.log(gamma))
+        else:
+            log_val += (float(np.sum(np.log(ground_intensity(model, g))))
+                        - ground_intensity_mass(model, quad_res))
+    return log_val
+
+
 def janossy_density(model: ParametricModel, data: Sequence,
                     schedule: SampleSchedule | None = None,
                     quad_res: int = 64) -> JanossyValue:
@@ -372,21 +374,9 @@ def janossy_density(model: ParametricModel, data: Sequence,
     unnormalized beta^n gamma^(pairs) times the factors with
     ``normalized=False``.
     """
-    g = _ground_array(model.window, data)
-    with np.errstate(divide="ignore"):
-        log_val = float(np.sum(_event_log_factors(model, data, schedule)))
-        if model.ground == "gibbs":
-            beta, gamma = model.theta[0], model.theta[1]
-            pairs = _gibbs_pair_count(model, g)
-            log_val += len(data) * math.log(beta)
-            if pairs:
-                log_val += pairs * float(np.log(gamma))
-        else:
-            log_val += (float(np.sum(np.log(ground_intensity(model, g))))
-                        - ground_intensity_mass(model, quad_res))
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_val))
-    return JanossyValue(value, model.ground != "gibbs", log_val)
+    log_val = _janossy_log(model, _events(model.window, data, schedule),
+                           schedule, quad_res)
+    return JanossyValue(_exp_sum(log_val), model.ground != "gibbs", log_val)
 
 
 def janossy_total_mass(model: ParametricModel, n_max: int = 30,
@@ -398,6 +388,8 @@ def janossy_total_mass(model: ParametricModel, n_max: int = 30,
     Every factor is computed numerically: the ground mass by quadrature and
     the mark/aux masses by quadrature over their spaces (both equal one for
     normalized densities), so the series checks the whole density stack.
+    Location-dependent type probabilities are integrated against the ground
+    intensity on the midpoint nodes that then give the ground mass too.
     """
     if model.ground == "gibbs":
         raise ValidationError("gibbs Janossy densities are unnormalized")
@@ -407,16 +399,17 @@ def janossy_total_mass(model: ParametricModel, n_max: int = 30,
         if mark_grid is None or schedule is None or len(schedule) != 1:
             raise ValidationError(
                 "mark mass quadrature needs a value grid and a k=1 schedule")
-        du = mark_grid[1] - mark_grid[0]
-        mark_mass = float(sum(
-            fidi_density_eval(model.fidi, schedule, np.asarray([[u]]))
-            for u in mark_grid) * du)
-    aux_mass = 1.0
-    if model.aux is not None and model.aux.discrete_probs is not None:
-        probs = model.aux.discrete_probs
-        probs = probs((None, None)) if callable(probs) else probs
-        aux_mass = float(np.sum(np.asarray(probs, dtype=float)))
-    lam_total = mass * mark_mass * aux_mass
+        u = np.asarray(mark_grid, dtype=float)
+        mark_mass = float(np.sum(np.exp(_fidi_row_logs(
+            model.fidi, schedule.times, u[:, None]))) * (u[1] - u[0]))
+    probs = None if model.aux is None else model.aux.discrete_probs
+    if callable(probs):
+        nodes, cell = midpoint_rule(model.window.ground_bounds, quad_res)
+        lam = ground_intensity(model, nodes)
+        mass = float(np.sum(lam) * cell)
+        lam_total = mark_mass * float(np.sum(lam * np.sum(probs(nodes), axis=1)) * cell)
+    else:
+        lam_total = mass * mark_mass * (1.0 if probs is None else float(np.sum(probs)))
     return float(sum(math.exp(-mass + n * math.log(lam_total) - math.lgamma(n + 1))
                      if lam_total > 0 else (math.exp(-mass) if n == 0 else 0.0)
                      for n in range(n_max + 1)))
@@ -428,27 +421,26 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
                         quad_res: int = 64) -> float:
     """Likelihood ratio of a finite model against a reference Poisson process.
 
-    exp(reference mass) * model Janossy / product of reference intensity
-    functionals at the points, formed in log space; identically one when
-    model and reference coincide, and with unit mean under the reference
-    law.  Needs a finite auxiliary reference measure.
+    The model Janossy density over the reference's, exp(-reference mass)
+    times its intensity functionals at the points, formed in log space;
+    identically one when model and reference coincide, and with unit mean
+    under the reference law.  Needs a finite auxiliary reference measure.
     """
     if reference.ground not in ("poisson", "poisson-t", "loglinear-t"):
         raise ValidationError("reference must be a Poisson family")
     for m in (model, reference):
         if m.aux is not None and not m.aux.measure.finite:
             raise ValidationError("auxiliary reference measure must be finite")
-    mass_ref = ground_intensity_mass(reference, quad_res)
-    jan = janossy_density(model, data, schedule, quad_res)
-    if not jan.normalized:
+    if model.ground == "gibbs":
         raise ValidationError("model Janossy density is unnormalized")
-    lam = ground_intensity(reference, _ground_array(reference.window, data))
-    log_fac = _event_log_factors(reference, data, schedule)
-    if np.any(lam <= 0) or np.any(log_fac == -np.inf):
+    ev = _events(model.window, data, schedule)
+    log_jan = _janossy_log(model, ev, schedule, quad_res)
+    if reference.window != model.window:
+        ev = _events(reference.window, data, schedule)
+    log_ref = _janossy_log(reference, ev, schedule, quad_res)
+    if not math.isfinite(log_ref):
         raise NumericalError("reference intensity vanishes at a data point")
-    with np.errstate(over="ignore"):
-        return float(np.exp(mass_ref + jan.log_value
-                            - np.sum(np.log(lam) + log_fac)))
+    return _exp_sum(log_jan - log_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +472,6 @@ def _gibbs_papangelou(model: ParametricModel, counts: np.ndarray) -> np.ndarray:
     return beta * np.power(gamma, counts)
 
 
-def papangelou_ground(model: ParametricModel, g, ground_pts: np.ndarray) -> np.ndarray:
-    """Ground-space Papangelou conditional intensity at (m, D) locations g
-    given the (n, D) points; returns (m,)."""
-    if model.ground == "gibbs":
-        return _gibbs_papangelou(model, _gibbs_counts(model, g, ground_pts))
-    return ground_intensity(model, g)
-
-
 def papangelou(model: ParametricModel, obs: Observation, config: Sequence,
                schedule: SampleSchedule | None = None) -> float:
     """Papangelou conditional intensity of a candidate point given a
@@ -497,12 +481,13 @@ def papangelou(model: ParametricModel, obs: Observation, config: Sequence,
     the configuration; for the pairwise model it is beta gamma^(neighbours)
     times the mark and aux factors.
     """
-    pts = _ground_array(model.window, config)
-    g = _ground_array(model.window, [obs])
-    if pts.size and np.any(np.all(pts == g, axis=1)):
+    pts = _events(model.window, config, None)[0]
+    ev = _events(model.window, [obs], schedule)
+    if pts.size and np.any(np.all(pts == ev[0], axis=1)):
         return 0.0
-    return float(papangelou_ground(model, g, pts)[0]
-                 * _event_factor(model, obs, schedule))
+    lam = (_gibbs_papangelou(model, _gibbs_counts(model, ev[0], pts))
+           if model.ground == "gibbs" else ground_intensity(model, ev[0]))
+    return float(lam[0] * _exp_sum(_event_log_factors(model, ev, schedule)))
 
 
 def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
@@ -517,8 +502,9 @@ def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
     the same family, window and ranges as ``model``.
     """
     w = model.window
-    pts = _ground_array(w, data)
-    log_fac = float(np.sum(_event_log_factors(model, data, schedule)))
+    ev = _events(w, data, schedule)
+    pts = ev[0]
+    log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
     nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
     if model.ground == "gibbs":
         # every data point is its own neighbour once

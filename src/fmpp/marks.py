@@ -29,7 +29,6 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    AuxMark,
     AuxMeasure,
     CadlagPath,
     Configuration,
@@ -122,7 +121,8 @@ class Wiener:
 
 @dataclass(frozen=True)
 class Diffusion:
-    """dM = a(M, t) dt + b(M, t) dW from m0, Euler-Maruyama on the grid."""
+    """dM = a(M, t) dt + b(M, t) dW from m0, Euler-Maruyama on the grid;
+    ``drift`` and ``diffusion`` map the (n,) column of marks and t to (n,)."""
 
     drift: Callable
     diffusion: Callable
@@ -239,12 +239,11 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
         noise = rng.standard_normal((len(auxs), len(grid) - 1))
         values = np.empty((len(auxs), len(grid)))
         values[:, 0] = model.m0
-        for vals, z in zip(values, noise):
-            for j in range(len(grid) - 1):
-                dt = grid[j + 1] - grid[j]
-                m = vals[j]
-                vals[j + 1] = (m + model.drift(m, grid[j]) * dt
-                               + model.diffusion(m, grid[j]) * math.sqrt(dt) * z[j])
+        for j in range(len(grid) - 1):
+            dt, m = grid[j + 1] - grid[j], values[:, j]
+            values[:, j + 1] = (m + model.drift(m, grid[j]) * dt
+                                + model.diffusion(m, grid[j]) * math.sqrt(dt)
+                                * noise[:, j])
         return CadlagPath.rows(grid, values, None, "step", t_star)
     if isinstance(model, GrowthInteraction):
         if not temporal:
@@ -413,9 +412,6 @@ class _Degenerate:
     def __repr__(self):
         return "DEGENERATE_DENSITY"
 
-    def __bool__(self):
-        return True
-
 
 DEGENERATE_DENSITY = _Degenerate()
 
@@ -424,9 +420,9 @@ DEGENERATE_DENSITY = _Degenerate()
 class FidiDensitySpec:
     """Markov fidi law: initial density at s_1 plus transition densities.
 
-    ``initial(s1, u)`` and ``transition(t, s, u_t, u_s)`` act on vectors of
-    per-point values and return joint densities; ``degenerate`` marks
-    point-mass laws (deterministic marks).
+    ``initial(s1, u)`` and ``transition(t, s, u_t, u_s)`` take (n,) columns
+    of per-point values and return the (n,) log densities, one per point;
+    ``degenerate`` marks point-mass laws (deterministic marks).
     """
 
     initial: Callable | None = None
@@ -439,8 +435,8 @@ class FidiDensitySpec:
             raise ValidationError("non-degenerate fidi spec needs both densities")
 
 
-def _gauss(u, mean, var):
-    return np.exp(-0.5 * (u - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
+def _gauss_logpdf(u, mean, var):
+    return -0.5 * np.log(2.0 * np.pi * var) - 0.5 * (u - mean) ** 2 / var
 
 
 def brownian_fidi(scale: float = 1.0, start: float = 0.0) -> FidiDensitySpec:
@@ -453,13 +449,13 @@ def brownian_fidi(scale: float = 1.0, start: float = 0.0) -> FidiDensitySpec:
     def initial(s1, u):
         if s1 <= 0:
             raise ValidationError("Brownian fidi undefined at s1 = 0")
-        return float(np.prod(_gauss(np.asarray(u, dtype=float), start, var0 * s1)))
+        return _gauss_logpdf(np.asarray(u, dtype=float), start, var0 * s1)
 
     def transition(t, s, u_t, u_s):
         if t <= s:
             raise ValidationError("transition needs t > s")
-        return float(np.prod(_gauss(np.asarray(u_t, dtype=float),
-                                    np.asarray(u_s, dtype=float), var0 * (t - s))))
+        return _gauss_logpdf(np.asarray(u_t, dtype=float),
+                             np.asarray(u_s, dtype=float), var0 * (t - s))
 
     return FidiDensitySpec(initial, transition, label=f"brownian(scale={scale})")
 
@@ -468,68 +464,87 @@ def deterministic_fidi() -> FidiDensitySpec:
     return FidiDensitySpec(degenerate=True, label="deterministic")
 
 
+def _exp_sum(logs) -> float:
+    """exp of the sum of log densities, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.sum(logs)))
+
+
+def _fidi_row_logs(spec: FidiDensitySpec, times, u) -> np.ndarray:
+    """(n,) log joint fidi density of each row of the (n, k) value matrix
+    ``u`` sampled at the k ``times``: one ``initial`` and k - 1
+    ``transition`` calls on whole columns, summed in log space."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if u.shape[1] != len(times):
+        raise ValidationError("value matrix has wrong number of sample columns")
+    logs = np.zeros(u.shape[0])
+    logs += spec.initial(times[0], u[:, 0])
+    for j in range(1, len(times)):
+        logs += spec.transition(times[j], times[j - 1], u[:, j], u[:, j - 1])
+    return logs
+
+
 def fidi_density_eval(spec: FidiDensitySpec, schedule: SampleSchedule, u):
     """Joint fidi density f^{s_1}(u_1) prod p_{s_j, s_{j-1}}(u_j; u_{j-1}).
 
-    ``u`` is an (n, k) matrix of sampled mark values (n points, k times).
-    Returns DEGENERATE_DENSITY for point-mass mark laws.
+    ``u`` is the (n, k) matrix of sampled values (n points, k times); the
+    rows multiply in log space.  Point-mass laws give DEGENERATE_DENSITY.
     """
     if spec.degenerate:
         return DEGENERATE_DENSITY
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    k = len(schedule)
-    if u.shape[1] != k:
-        raise ValidationError("value matrix has wrong number of sample columns")
-    s = schedule.times
-    dens = spec.initial(s[0], u[:, 0])
-    for j in range(1, k):
-        dens *= spec.transition(s[j], s[j - 1], u[:, j], u[:, j - 1])
-    return float(dens)
+    return _exp_sum(_fidi_row_logs(spec, schedule.times, u))
 
 
 @dataclass(frozen=True)
 class AuxDensitySpec:
-    """Joint density of the auxiliary marks w.r.t. the declared measure.
+    """Density of the auxiliary marks w.r.t. the declared measure; the
+    points' aux marks are independent given their ground locations.
 
-    ``discrete_probs``: probabilities over {1..k}, constant or a function of
-    the ground location.  ``continuous_density``: density (location, value)
-    -> float w.r.t. the continuous part of ``measure``.  Points are
-    independent unless a ``joint`` callable on (locations, values) is given.
+    ``discrete_probs``: probabilities over {1..k}, a constant (k,) vector or
+    a callable taking the (n, D) ground array and returning (n, k).
+    ``continuous_density``: a callable (ground (n, D), values (n, c)) -> (n,)
+    densities w.r.t. the continuous part of ``measure``.
     """
 
     discrete_probs: object = None
     continuous_density: Callable | None = None
     measure: AuxMeasure = field(default_factory=lambda: AuxMeasure("counting", (1,)))
-    joint: Callable | None = None
 
-    def point_density(self, location, aux: AuxMark) -> float:
-        dens = 1.0
-        if self.discrete_probs is not None:
-            probs = (self.discrete_probs(location) if callable(self.discrete_probs)
-                     else self.discrete_probs)
-            probs = np.asarray(probs, dtype=float)
-            if aux.discrete is None or not 1 <= aux.discrete <= probs.size:
+
+def _aux_columns(auxs: Sequence) -> tuple:
+    """The aux columns of n aux marks: the (n,) discrete index (0 where a
+    mark has no discrete part) and the (n, c) continuous matrix (NaN where
+    a mark has no continuous value)."""
+    discrete = np.array([a.discrete or 0 for a in auxs], dtype=np.int64)
+    conts = [a.continuous or () for a in auxs]
+    c = max(map(len, conts), default=0)
+    rows = [v + (np.nan,) * (c - len(v)) for v in conts] if c else ()
+    return discrete, np.array(rows, dtype=float).reshape(len(auxs), c)
+
+
+def _aux_log_density(spec: AuxDensitySpec, ground, discrete, continuous) -> np.ndarray:
+    """(n,) log aux density of the ``_aux_columns`` at the (n, D) ground
+    locations: one call per callable, whatever n is."""
+    logs, probs = np.zeros(ground.shape[0]), spec.discrete_probs
+    with np.errstate(divide="ignore"):
+        if probs is not None:
+            probs = np.asarray(probs(ground) if callable(probs) else probs, dtype=float)
+            if np.any((discrete < 1) | (discrete > probs.shape[-1])):
                 raise ValidationError("discrete aux value outside its range")
-            dens *= float(probs[aux.discrete - 1])
-        if self.continuous_density is not None:
-            if aux.continuous is None:
+            logs += np.log(probs[discrete - 1] if probs.ndim == 1
+                           else probs[np.arange(len(logs)), discrete - 1])
+        if spec.continuous_density is not None:
+            if np.any(np.isnan(continuous).all(axis=1)):
                 raise ValidationError("continuous aux value missing")
-            dens *= float(self.continuous_density(location, aux.continuous))
-        return dens
+            logs += np.log(spec.continuous_density(ground, continuous))
+    return logs
 
 
 def aux_density_eval(spec: AuxDensitySpec, locations, values) -> float:
-    """Evaluate the joint aux density at per-point values.
-
-    With no ``joint`` callable the points are independent and the result is
-    the product of marginals.
-    """
-    if spec.joint is not None:
-        return float(spec.joint(locations, values))
-    dens = 1.0
-    for loc, val in zip(locations, values):
-        dens *= spec.point_density(loc, val)
-    return float(dens)
+    """The joint aux density of the n aux marks ``values`` at the (n, D)
+    ground ``locations``: the product of the per-point densities."""
+    return _exp_sum(_aux_log_density(spec, np.asarray(locations, dtype=float),
+                                     *_aux_columns(values)))
 
 
 # ---------------------------------------------------------------------------

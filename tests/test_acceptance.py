@@ -234,7 +234,7 @@ def test_criterion_07_thinning_identity():
         assert kept_supports == [(0.3, 0.5), (0.5, 0.9), (0.85, 0.86)]
 
 
-def test_criterion_08_boolean_coverage():
+def test_criterion_08_boolean_coverage(trapezoid):
     with _Criterion(8, "boolean coverage", 20):
         # single-disk pixel fixture
         r, res = 0.25, 256
@@ -266,7 +266,7 @@ def test_criterion_08_boolean_coverage():
         ages = np.linspace(0, t_eval, 4001)
         radius = b_g * (1 - np.exp(-a_g * ages))
         dens = alpha * np.exp(-mu * ages)
-        m2 = float(np.trapezoid(radius ** 2 * dens, ages)) / nu
+        m2 = float(trapezoid(radius ** 2 * dens, ages)) / nu
         target = expected_coverage(("poisson", nu, 80), m2, torus)
         se = np.std(fractions, ddof=1) / math.sqrt(len(fractions))
         assert abs(np.mean(fractions) - target) < 3 * se

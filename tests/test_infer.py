@@ -10,7 +10,7 @@ import pytest
 
 import fmpp
 from fmpp._optim import gauss_newton
-from fmpp.core import AuxMark, SampleSchedule, Window
+from fmpp.core import AuxMark, Configuration, SampleSchedule, Window
 from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import HomogeneousPoisson, InhomogeneousPoisson, simulate_poisson
 from fmpp.infer import (
@@ -32,10 +32,12 @@ from fmpp.infer import (
 )
 from fmpp.marks import (
     AuxDensitySpec,
+    FidiDensitySpec,
     GrowthInteraction,
+    Wiener,
+    attach_marks,
     brownian_fidi,
     deterministic_fidi,
-    fidi_density_eval,
     gi_integrate,
 )
 
@@ -630,12 +632,12 @@ class TestGaussNewton:
 
 
 class TestSpatialDensityFamilies:
-    def test_loglinear_x_normalizes(self):
+    def test_loglinear_x_normalizes(self, trapezoid):
         from fmpp.infer import _spatial_density
         m = ParametricModel("poisson-t", (2.0,), WT, spatial=("loglinear-x", 1.7))
         xs = np.linspace(0.0, 1.0, 2001)
         dens = _spatial_density(m, xs[:, None])
-        assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
+        assert trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_loglinear_x_tilts_the_likelihood(self):
         data_right = [Observation((0.9,), 0.5), Observation((0.95,), 1.0)]
@@ -650,11 +652,17 @@ class TestSpatialDensityFamilies:
 # brute-force references: one scalar evaluation per data point and per node
 # ---------------------------------------------------------------------------
 def _ref_event_factor(model, obs, schedule):
+    """Mark and aux factor of one event under ``MARKED``, by hand: the
+    Brownian increments' Gaussian densities times the type probability."""
     fac = 1.0
-    if model.fidi is not None and not model.fidi.degenerate:
-        fac *= fidi_density_eval(model.fidi, schedule, np.asarray([obs.u]))
+    if model.fidi is not None:
+        s0, u0 = 0.0, 0.0
+        for s, u in zip(schedule.times, obs.u):
+            var = BROWNIAN_SCALE ** 2 * (s - s0)
+            fac *= math.exp(-0.5 * (u - u0) ** 2 / var) / math.sqrt(2 * math.pi * var)
+            s0, u0 = s, u
     if model.aux is not None:
-        fac *= model.aux.point_density((obs.x, obs.t), obs.aux)
+        fac *= TYPE_PROBS[obs.aux.discrete - 1]
     return fac
 
 
@@ -732,8 +740,9 @@ def _marked_data(rng, n, w):
     return out
 
 
-MARKED = dict(aux=AuxDensitySpec(discrete_probs=np.array([0.3, 0.7])),
-              fidi=brownian_fidi(1.5))
+BROWNIAN_SCALE, TYPE_PROBS = 1.5, (0.3, 0.7)
+MARKED = dict(aux=AuxDensitySpec(discrete_probs=np.array(TYPE_PROBS)),
+              fidi=brownian_fidi(BROWNIAN_SCALE))
 SCHED2 = SampleSchedule((0.4, 0.9))
 
 
@@ -802,3 +811,100 @@ def test_pseudolikelihood_fit_counts_neighbours_twice(monkeypatch):
     fit = fit_pseudolikelihood(m, data, budget=300, quad_res=16)
     assert fit.iterations > 20
     assert len(calls) <= 2
+
+
+class TestColumnarEvents:
+    def test_spec_calls_do_not_grow_with_n(self):
+        # one build of the event factors makes 1 initial, k - 1 transition
+        # and one aux call, whatever n is
+        n, k = 2000, 20
+        calls = {"initial": 0, "transition": 0, "aux": 0}
+        bm = brownian_fidi(1.0)
+
+        def initial(s1, u):
+            calls["initial"] += 1
+            return bm.initial(s1, u)
+
+        def transition(t, s, u_t, u_s):
+            calls["transition"] += 1
+            return bm.transition(t, s, u_t, u_s)
+
+        def probs(g):
+            calls["aux"] += 1
+            return np.broadcast_to([0.4, 0.6], (g.shape[0], 2))
+
+        rng = np.random.default_rng(5)
+        sched = SampleSchedule(tuple(np.arange(1, k + 1) / k))
+        data = [Observation((float(x),), float(2.0 * t),
+                            AuxMark(discrete=int(rng.integers(1, 3))),
+                            tuple(np.cumsum(0.2 * rng.standard_normal(k))))
+                for x, t in rng.random((n, 2))]
+        m = ParametricModel("poisson-t", (1000.0,), WT,
+                            aux=AuxDensitySpec(discrete_probs=probs),
+                            fidi=FidiDensitySpec(initial, transition))
+        for build in (loglik_temporal, pseudolikelihood):
+            calls.update(initial=0, transition=0, aux=0)
+            assert np.isfinite(build(m, data, sched, quad_res=8))
+            assert calls == {"initial": 1, "transition": k - 1, "aux": 1}
+
+    def test_configuration_equals_its_observations(self):
+        # a Configuration is read as columns; its per-point Observations,
+        # built by hand, give the same likelihoods bit for bit
+        w = Window((0, 0), (1, 1), t_star=2.0)
+        rng = np.random.default_rng(9)
+        n = 30
+        ground = np.column_stack([rng.random((n, 2)), 2.0 * rng.random(n)])
+        auxs = [AuxMark(discrete=int(v)) for v in rng.integers(1, 3, n)]
+        grid = np.linspace(0.0, 2.0, 41)
+        c = Configuration(w, ground, auxs, attach_marks(w, ground, auxs, Wiener(1.5),
+                                                        grid, 3))
+        sched = SampleSchedule((0.4, 0.9))
+        data = [Observation(tuple(p.x), p.t, p.aux,
+                            tuple(float(p.mark(s)) for s in sched.times))
+                for p in c.points]
+        m = ParametricModel("loglinear-t", (1.0, 0.3), w, **MARKED)
+        assert loglik_temporal(m, c, sched) == loglik_temporal(m, data, sched)
+        assert pseudolikelihood(m, c, sched) == pseudolikelihood(m, data, sched)
+        assert (janossy_density(m, c, sched).log_value
+                == janossy_density(m, data, sched).log_value)
+
+    def test_observations_need_the_window_dimension(self):
+        m = ParametricModel("poisson", (3.0,), W)
+        with pytest.raises(ValidationError):
+            janossy_density(m, [Observation((0.5,))])
+        with pytest.raises(ValidationError):
+            janossy_density(m, [Observation((0.5, 0.5), 1.0)])
+        w3, g, auxs = Window((0, 0), (1, 1), t_star=2.0), [[0.5, 0.5, 1.0]], [
+            AuxMark(discrete=1)]
+        c = Configuration(w3, g, auxs, attach_marks(w3, g, auxs, Wiener(),
+                                                    np.linspace(0, 2, 5), 0))
+        with pytest.raises(ValidationError):
+            janossy_density(m, c)
+
+
+class TestJanossyAuxMass:
+    def test_location_dependent_probabilities_summing_to_one(self):
+        # types (x, 1 - x) at every location: the aux mass is one, so the
+        # series is the plain truncated Poisson total
+        lam = 3.0
+        plain = ParametricModel("poisson", (lam,), W)
+        typed = ParametricModel("poisson", (lam,), W, aux=AuxDensitySpec(
+            discrete_probs=lambda g: np.column_stack([g[:, 0], 1.0 - g[:, 0]])))
+        n_max = 6
+        want = sum(math.exp(-lam) * lam ** n / math.factorial(n)
+                   for n in range(n_max + 1))
+        assert janossy_total_mass(typed, n_max) == pytest.approx(want, rel=1e-12)
+        assert janossy_total_mass(typed, n_max) == pytest.approx(
+            janossy_total_mass(plain, n_max), rel=1e-12)
+
+    def test_location_dependent_aux_mass(self):
+        # types (x/2, 1/2): the aux mass integrates x/2 + 1/2 to 3/4, which
+        # the midpoint rule gets exactly for a linear integrand
+        lam, n_max = 2.0, 8
+        m = ParametricModel("poisson", (lam,), W, aux=AuxDensitySpec(
+            discrete_probs=lambda g: np.column_stack([g[:, 0] / 2,
+                                                      np.full(len(g), 0.5)])))
+        want = sum(math.exp(-lam) * (0.75 * lam) ** n / math.factorial(n)
+                   for n in range(n_max + 1))
+        assert janossy_total_mass(m, n_max, quad_res=16) == pytest.approx(
+            want, rel=1e-12)

@@ -327,6 +327,21 @@ class TestFidiDensities:
         total *= du * du
         assert total == pytest.approx(1.0, abs=1e-3)
 
+    def test_specs_return_column_log_densities(self):
+        spec = brownian_fidi(2.0)
+        u = np.array([0.0, 1.0, -3.0])
+        np.testing.assert_allclose(spec.initial(0.5, u),
+                                   sps.norm.logpdf(u, 0.0, 2.0 * np.sqrt(0.5)),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(spec.transition(1.5, 0.5, u, u[::-1]),
+                                   sps.norm.logpdf(u, u[::-1], 2.0), rtol=1e-14)
+        # two rows: the joint density is the product of the row densities
+        rows = np.array([[0.3, 0.1], [-1.2, 0.4]])
+        s = SampleSchedule((0.5, 1.5))
+        assert fidi_density_eval(spec, s, rows) == pytest.approx(
+            fidi_density_eval(spec, s, rows[:1]) * fidi_density_eval(spec, s, rows[1:]),
+            rel=1e-14)
+
     def test_transition_order_enforced(self):
         spec = brownian_fidi(1.0)
         with pytest.raises(ValidationError):
@@ -336,37 +351,65 @@ class TestFidiDensities:
 class TestAuxDensities:
     def test_uniform_types(self):
         spec = AuxDensitySpec(discrete_probs=np.array([0.5, 0.5]))
-        val = aux_density_eval(spec, [((0.1, 0.2), None)], [AuxMark(discrete=2)])
+        val = aux_density_eval(spec, [[0.1, 0.2]], [AuxMark(discrete=2)])
         assert val == 0.5
 
     def test_independent_product(self):
         spec = AuxDensitySpec(discrete_probs=np.array([0.25, 0.75]))
-        locs = [((0.1, 0.2), None), ((0.5, 0.5), None)]
+        locs = np.array([[0.1, 0.2], [0.5, 0.5]])
         vals = [AuxMark(discrete=1), AuxMark(discrete=2)]
         assert aux_density_eval(spec, locs, vals) == pytest.approx(0.25 * 0.75)
 
     def test_exponential_lifetime_density(self):
         mu = 2.0
         spec = AuxDensitySpec(
-            continuous_density=lambda loc, l: mu * np.exp(-mu * l[0]),
+            continuous_density=lambda g, l: mu * np.exp(-mu * l[:, 0]),
             measure=AuxMeasure("lebesgue", (0.0, np.inf)))
-        val = aux_density_eval(spec, [((0.0, 0.0), None)],
-                               [AuxMark(continuous=(0.3,))])
+        val = aux_density_eval(spec, [[0.0, 0.0]], [AuxMark(continuous=(0.3,))])
         assert val == pytest.approx(mu * np.exp(-mu * 0.3))
 
-    def test_density_normalizations(self):
+    def test_density_normalizations(self, trapezoid):
         # discrete probs sum to one under the counting measure
         spec = AuxDensitySpec(discrete_probs=np.array([0.3, 0.7]))
         assert np.sum(spec.discrete_probs) == pytest.approx(1.0)
         # exponential lifetime density integrates to one under Lebesgue
         mu = 2.0
         ll = np.linspace(0, 20, 20001)
-        assert np.trapezoid(mu * np.exp(-mu * ll), ll) == pytest.approx(1.0, abs=1e-6)
+        assert trapezoid(mu * np.exp(-mu * ll), ll) == pytest.approx(1.0, abs=1e-6)
 
     def test_value_outside_range_rejected(self):
         spec = AuxDensitySpec(discrete_probs=np.array([0.5, 0.5]))
         with pytest.raises(ValidationError):
-            aux_density_eval(spec, [((0.0, 0.0), None)], [AuxMark(discrete=3)])
+            aux_density_eval(spec, [[0.0, 0.0]], [AuxMark(discrete=3)])
+
+    def test_location_dependent_types_one_call(self):
+        # the callable sees the whole (n, D) ground array once and returns
+        # (n, k); each point reads its own row
+        calls = []
+
+        def probs(g):
+            calls.append(g.shape)
+            return np.column_stack([g[:, 0], 1.0 - g[:, 0]])
+
+        spec = AuxDensitySpec(discrete_probs=probs)
+        locs = np.array([[0.1, 0.5], [0.25, 0.5], [0.8, 0.5]])
+        vals = [AuxMark(discrete=1), AuxMark(discrete=2), AuxMark(discrete=2)]
+        assert aux_density_eval(spec, locs, vals) == pytest.approx(
+            0.1 * 0.75 * 0.2, rel=1e-15)
+        assert calls == [(3, 2)]
+
+    def test_missing_continuous_value_rejected(self):
+        spec = AuxDensitySpec(continuous_density=lambda g, l: np.ones(len(g)),
+                              measure=AuxMeasure("lebesgue", (0.0, 1.0)))
+        with pytest.raises(ValidationError):
+            aux_density_eval(spec, [[0.0, 0.0], [0.5, 0.5]],
+                             [AuxMark(continuous=(0.3,)), AuxMark(discrete=1)])
+
+    def test_joint_keyword_rejected(self):
+        # the likelihoods treat aux marks as independent given the ground,
+        # so there is no joint density to declare
+        with pytest.raises(TypeError):
+            AuxDensitySpec(joint=lambda locs, vals: 0.0)
 
 
 class TestPathsRespectSupports:
@@ -425,6 +468,21 @@ class TestDiffusionMarks:
                                + diffusion(m, grid[j]) * np.sqrt(dt) * noise[j])
             want.append(vals.tobytes())
         assert [p.values.tobytes() for p in paths] == want
+
+    def test_steps_every_row_at_once(self):
+        # drift and diffusion see the (n,) column of marks: k - 1 calls each
+        from fmpp.marks import Diffusion
+        calls = []
+
+        def drift(m, t):
+            calls.append(m.shape)
+            return -m
+
+        grid = np.linspace(0, 1, 11)
+        paths = attach_marks(UNIT, *ground_points(6), Diffusion(
+            drift, lambda m, t: 0.1 * np.ones_like(m), 1.0), grid, 5)
+        assert len(paths) == 6
+        assert calls == [(6,)] * 10
 
     def test_zero_diffusion_is_deterministic(self):
         from fmpp.marks import Diffusion
