@@ -12,8 +12,9 @@ Subpackage map:
 
 A ``Configuration`` is stored as columns: a read-only (n, D) ``ground``
 array (event time last on a temporal window), a tuple of ``auxs`` and one
-``MarkTable`` of cadlag ``marks``; ``Configuration.points`` builds
-``MarkedPoint`` views from them on demand.
+``MarkTable`` of cadlag ``marks``.  Every user callable takes such columns
+and returns one value per row; the per-point ``MarkedPoint`` views are
+built on demand for other callers, and no fmpp module reads them.
 
 Hot numeric kernels live in ``_kernels``, one NumPy/SciPy implementation
 each; the time-warp metric's dynamic program lives in ``_skorohod``, on

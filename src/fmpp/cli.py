@@ -139,14 +139,13 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
         if family == "poisson-t":
             rate = float(_require(gspec, "rate", "model.ground"))
             tmodel = ground.HomogeneousPoisson(rate / window.volume)
-            locs = ground.simulate_poisson(tmodel, window, seed)
         else:
             a = float(_require(gspec, "a", "model.ground"))
             b = float(_require(gspec, "b", "model.ground"))
             lam_max = max(np.exp(a), np.exp(a + b * window.t_star)) / window.volume
-            imodel = ground.InhomogeneousPoisson(
-                lambda g: np.exp(a + b * g[-1]) / window.volume, lam_max)
-            locs = ground.simulate_poisson(imodel, window, seed)
+            tmodel = ground.InhomogeneousPoisson(
+                lambda g: np.exp(a + b * g[:, -1]) / window.volume, lam_max)
+        locs = ground.simulate_poisson(tmodel, window, seed)
     else:
         raise ValidationError(f"unknown ground family '{family}' in model.ground")
 
@@ -363,17 +362,11 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         fit = infer.fit_pseudolikelihood(model, c, None, budget=budget,
                                          quad_res=int(section.get("quad_res", 48)))
     elif scheme == "mle-janossy":
-        theta0 = section.get("theta0", [1.0])
-        bounds = section.get("bounds", [[1e-9, 1e6]])
-
-        def objective(theta):
-            model = infer.ParametricModel("poisson", theta, window)
-            log_val = infer.janossy_density(model, c).log_value
-            return -log_val if np.isfinite(log_val) else 1e12
-
-        fit = infer.optimize(objective, theta0,
-                             [tuple(b) for b in bounds], budget, "mle-janossy")
-    elif scheme == "least-squares":
+        model = infer.ParametricModel(
+            "poisson", section.get("theta0", [1.0]), window,
+            tuple(tuple(b) for b in section.get("bounds", [[1e-9, 1e6]])))
+        fit = infer.fit_janossy(model, c, budget=budget)
+    else:  # least-squares
         mspec = _require(cfg["model"], "marks", "model")
         if mspec.get("model") != "growth-interaction":
             raise ValidationError(
@@ -409,8 +402,6 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
             [tuple(b) for b in bounds] if bounds else None,
             dt=float(grid[1] - grid[0]), t_star=window.t_star,
             budget=budget, seed=seed)
-    else:
-        raise ValidationError(f"unknown estimate.scheme '{scheme}'")
 
     out.mkdir(parents=True, exist_ok=True)
     report = {**fit.to_dict(), "seed": seed, "replicate": rep,
@@ -455,16 +446,15 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
     if _require(gspec, "family", "model.ground") != "poisson":
         raise ValidationError("check needs the homogeneous poisson ground family")
     rate = float(_require(gspec, "rate", "model.ground"))
-    box = section.get("box")
-    if box is None:
-        lo = np.asarray(window.lo)
-        box = [list(lo), list(lo + 0.5 * window.sides)]
-    blo = np.asarray(box[0], dtype=float)
-    bhi = np.asarray(box[1], dtype=float)
+    lo = np.asarray(window.lo)
+    blo, bhi = np.asarray(section.get("box") or [lo, lo + 0.5 * window.sides],
+                          dtype=float)
     results = []
 
-    def in_box(x):
-        return bool(np.all(x >= blo) and np.all(x <= bhi))
+    def in_box(g):
+        # (m,) indicator of the (m, D) ground rows whose space part is in the box
+        x = g[:, :window.dim]
+        return np.all((x >= blo) & (x <= bhi), axis=1).astype(float)
 
     def simulate(s):
         locs = ground.simulate_poisson(ground.HomogeneousPoisson(rate), window, s)
@@ -477,16 +467,15 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
 
     if "campbell" in names:
         rep = stats.campbell_check(
-            simulate, lambda p: 1.0 if in_box(np.asarray(p.x)) else 0.0,
-            lambda g: rate if in_box(np.asarray(g)) else 0.0,
+            simulate, lambda c: in_box(c.ground), lambda g: rate * in_box(g),
             window, replicates, seed, quad_res=int(section.get("quad_res", 64)))
         results.append({"check": "campbell", "lhs": rep.lhs, "rhs": rep.rhs,
                         "se": rep.combined_se, "passed": rep.passed()})
     if "gnz" in names:
         lam_factor = float(section.get("lambda_factor", 1.0))
         rep = stats.gnz_check(
-            simulate, lambda u, pts: rate * lam_factor,
-            lambda u, pts: 1.0 if in_box(np.asarray(u)) else 0.0,
+            simulate, lambda u, pts, own: np.full(len(u), rate * lam_factor),
+            lambda u, pts, own: in_box(u),
             window, replicates, seed, quad_res=int(section.get("quad_res", 32)))
         results.append({"check": "gnz", "lhs": rep.lhs, "rhs": rep.rhs,
                         "se": rep.combined_se, "passed": rep.passed()})

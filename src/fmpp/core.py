@@ -10,9 +10,9 @@ between CLI stages.
 A configuration is stored as columns: an (n, D) ground array (event time
 last on a temporal window), a tuple of aux marks and one ``MarkTable`` of
 cadlag marks: a (k,) grid, an (n, k) value matrix, (n,) support starts and
-ends, one mode and one t_star.  ``MarkedPoint`` objects and the table's
-``CadlagPath`` rows are per-point views built on demand, and ``at``
-evaluates every mark with one ``searchsorted``.  ``CadlagPath.rows``
+ends, one mode and one t_star.  The table's ``CadlagPath`` rows, and
+``MarkedPoint`` views for callers outside fmpp, are built on demand, and
+``at`` evaluates every mark with one ``searchsorted``.  ``CadlagPath.rows``
 validates a table as one value matrix.  Paths on several grids become one
 table on the merged grid: a step path keeps its values, a linear path is
 interpolated at the new times, entries outside a support are 0, and a
@@ -165,6 +165,14 @@ def ground_array(window: Window, ground) -> np.ndarray:
             f"ground locations must form an (n, {D}) array"
             + (" with the event time last" if window.is_temporal else ""))
     return g
+
+
+def _shaped(values, shape: tuple, what: str, dtype=float) -> np.ndarray:
+    """The result of the user callable ``what`` as an array of ``shape``."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != shape:
+        raise ValidationError(f"{what} must return shape {shape}, not {values.shape}")
+    return values
 
 
 def _cell_centres(lo: float, hi: float, cells: int) -> np.ndarray:

@@ -17,10 +17,10 @@ import numpy as np
 from . import _kernels
 from .core import (
     Configuration,
-    MarkedPoint,
     SampleSchedule,
     Window,
     _cell_centres,
+    _shaped,
     midpoint_rule,
 )
 from .errors import NumericalError, ValidationError
@@ -55,7 +55,7 @@ class HomogeneousPoisson:
 
 @dataclass(frozen=True)
 class InhomogeneousPoisson:
-    """Intensity function on ground locations with a rejection bound."""
+    """Intensity of (m, D) ground locations -> (m,), with a rejection bound."""
 
     intensity: Callable
     max_rate: float
@@ -69,6 +69,7 @@ class InhomogeneousPoisson:
 class LogGaussianCox:
     """log-intensity = mean + stationary Gaussian field on a regular grid.
 
+    ``mean`` is a number or maps the (m, D) cell centres to (m,) means.
     ``kernel`` is ("exponential"|"gaussian", variance, spatial range[, temporal
     range]); ``grid_shape`` gives cells per axis (time last when temporal).
     """
@@ -148,14 +149,11 @@ def simulate_poisson(model, w: Window, seed: int) -> np.ndarray:
         n = rng.poisson(model.max_rate * vol)
         cand = _uniform_ground(n, w, rng)
         u = rng.random(n)
-        keep = np.zeros(n, dtype=bool)
-        for i in range(n):
-            lam = float(model.intensity(cand[i]))
-            if lam > model.max_rate * (1 + 1e-12):
-                raise NumericalError(
-                    f"intensity {lam} exceeds the rejection bound {model.max_rate}")
-            keep[i] = u[i] * model.max_rate < lam
-        return cand[keep]
+        lam = _shaped(model.intensity(cand), (n,), "intensity")
+        if np.any(lam > model.max_rate * (1 + 1e-12)):
+            raise NumericalError(f"intensity {np.max(lam)} exceeds the "
+                                 f"rejection bound {model.max_rate}")
+        return cand[u * model.max_rate < lam]
     raise ValidationError("simulate_poisson expects a Poisson model")
 
 
@@ -258,7 +256,7 @@ def simulate_lgcp(model: LogGaussianCox, w: Window, seed: int):
     rng = np.random.default_rng(seed)
     bounds, shape = w.ground_bounds, model.grid_shape
     centers, _ = midpoint_rule(bounds, shape)
-    mean = (np.asarray([model.mean(c) for c in centers])
+    mean = (_shaped(model.mean(centers), (len(centers),), "mean")
             if callable(model.mean) else np.full(len(centers), float(model.mean)))
     var = model.kernel[1]
     if var == 0.0:
@@ -327,9 +325,9 @@ def simulate_gibbs(model: PairwiseGibbs, w: Window, steps: int, seed: int,
 # thinning and the observable process
 # ---------------------------------------------------------------------------
 def thin(c: Configuration, retention: Callable, seed: int) -> Configuration:
-    """Keep each point independently with probability retention(point)."""
+    """Keep each point i independently with probability retention(c)[i]."""
     rng = np.random.default_rng(seed)
-    probs = np.asarray([float(retention(p)) for p in c.points], dtype=float)
+    probs = _shaped(retention(c), (len(c),), "retention")
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValidationError("retention probability outside [0, 1]")
     kept = np.flatnonzero(rng.random(len(probs)) < probs)
@@ -343,9 +341,10 @@ def observable_retention(schedule: SampleSchedule) -> Callable:
     A point survives iff its mark support [a, b) contains at least one
     sample time (left endpoint closed).
     """
+    times = np.asarray(schedule.times)
 
-    def retention(p: MarkedPoint) -> float:
-        a, b = p.mark.support
-        return 1.0 if any(a <= s < b for s in schedule.times) else 0.0
+    def retention(c: Configuration) -> np.ndarray:
+        hit = (c.marks.starts[:, None] <= times) & (times < c.marks.ends[:, None])
+        return np.any(hit, axis=1).astype(float)
 
     return retention

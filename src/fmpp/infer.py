@@ -57,6 +57,7 @@ __all__ = [
     "least_squares_marks",
     "optimize",
     "fit_loglik_temporal",
+    "fit_janossy",
     "fit_pseudolikelihood",
 ]
 
@@ -346,22 +347,25 @@ def loglik_temporal(model: ParametricModel, data: Sequence,
     return _loglik_temporal_terms(model, data, schedule, quad_res)(model)
 
 
-def _janossy_log(model: ParametricModel, events: tuple,
-                 schedule: SampleSchedule | None, quad_res: int) -> float:
-    """The log sampled Janossy density of the ``_events`` columns."""
-    g = events[0]
+def _janossy_terms(model: ParametricModel, data: Sequence,
+                   schedule: SampleSchedule | None, quad_res: int) -> Callable:
+    """Build the theta-invariant terms of ``janossy_density`` once; returns
+    ``evaluate(m)``, the log density at ``m.theta`` for a model like ``model``."""
+    ev = _events(model.window, data, schedule)
+    g = ev[0]
     with np.errstate(divide="ignore"):
-        log_val = float(np.sum(_event_log_factors(model, events, schedule)))
-        if model.ground == "gibbs":
-            beta, gamma = model.theta[0], model.theta[1]
-            pairs = _gibbs_pair_count(model, g)
-            log_val += g.shape[0] * math.log(beta)
-            if pairs:
-                log_val += pairs * float(np.log(gamma))
-        else:
-            log_val += (float(np.sum(np.log(ground_intensity(model, g))))
-                        - ground_intensity_mass(model, quad_res))
-    return log_val
+        log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
+    pairs = _gibbs_pair_count(model, g) if model.ground == "gibbs" else 0
+
+    def evaluate(m: ParametricModel) -> float:
+        with np.errstate(divide="ignore"):
+            if m.ground != "gibbs":
+                return log_fac + (float(np.sum(np.log(ground_intensity(m, g))))
+                                  - ground_intensity_mass(m, quad_res))
+            log_val = log_fac + g.shape[0] * math.log(m.theta[0])
+            return log_val + pairs * float(np.log(m.theta[1])) if pairs else log_val
+
+    return evaluate
 
 
 def janossy_density(model: ParametricModel, data: Sequence,
@@ -374,8 +378,7 @@ def janossy_density(model: ParametricModel, data: Sequence,
     unnormalized beta^n gamma^(pairs) times the factors with
     ``normalized=False``.
     """
-    log_val = _janossy_log(model, _events(model.window, data, schedule),
-                           schedule, quad_res)
+    log_val = _janossy_terms(model, data, schedule, quad_res)(model)
     return JanossyValue(_exp_sum(log_val), model.ground != "gibbs", log_val)
 
 
@@ -433,11 +436,8 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
             raise ValidationError("auxiliary reference measure must be finite")
     if model.ground == "gibbs":
         raise ValidationError("model Janossy density is unnormalized")
-    ev = _events(model.window, data, schedule)
-    log_jan = _janossy_log(model, ev, schedule, quad_res)
-    if reference.window != model.window:
-        ev = _events(reference.window, data, schedule)
-    log_ref = _janossy_log(reference, ev, schedule, quad_res)
+    log_jan = _janossy_terms(model, data, schedule, quad_res)(model)
+    log_ref = _janossy_terms(reference, data, schedule, quad_res)(reference)
     if not math.isfinite(log_ref):
         raise NumericalError("reference intensity vanishes at a data point")
     return _exp_sum(log_jan - log_ref)
@@ -569,6 +569,18 @@ def fit_loglik_temporal(model: ParametricModel, data: Sequence,
     """Maximum likelihood for temporally grounded models."""
     return _maximize(model, _loglik_temporal_terms(model, data, schedule, quad_res),
                      theta0, budget, "mle-temporal")
+
+
+def fit_janossy(model: ParametricModel, data: Sequence, budget: int = 500) -> FitResult:
+    """Maximum Janossy likelihood from ``model.theta``; ``objective`` is the
+    minimized -log J, and a non-finite log J scores the 1e12 penalty."""
+    log_j = _janossy_terms(model, data, None, 64)
+
+    def objective(theta):
+        value = log_j(model.with_theta(theta))
+        return -value if math.isfinite(value) else 1e12
+
+    return optimize(objective, model.theta, model.bounds or None, budget, "mle-janossy")
 
 
 def fit_pseudolikelihood(model: ParametricModel, data: Sequence,

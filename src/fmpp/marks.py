@@ -36,6 +36,7 @@ from .core import (
     ReferenceSpec,
     SampleSchedule,
     Window,
+    _shaped,
     ground_array,
 )
 from .errors import NumericalError, ValidationError
@@ -76,10 +77,10 @@ GROWTH_REGISTRY = {"linear": 0, "logistic": 1}
 INTERACTION_REGISTRY = {"none": 0, "gauss": 1, "overlap": 2}
 # noise sigma(m; s0)
 NOISE_REGISTRY = {"zero": 0, "const": 1, "prop": 2}
-# deterministic mark families f*(g, l, t; params)
+# deterministic mark families f*(ground (n, D), auxs, grid (k,); params) -> (n, k)
 DETERMINISTIC_REGISTRY = {
-    "constant": lambda g, l, t, p: np.full_like(np.asarray(t, dtype=float), p[0]),
-    "linear": lambda g, l, t, p: p[0] + p[1] * np.asarray(t, dtype=float),
+    "constant": lambda g, auxs, t, p: np.full((len(g), t.size), p[0], dtype=float),
+    "linear": lambda g, auxs, t, p: np.tile(p[0] + p[1] * t, (len(g), 1)),
 }
 
 
@@ -95,17 +96,10 @@ def _registry_entry(registry, spec, what):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Deterministic:
-    """M_i(t) = f*(g_i, l_i, t): registry name with params, or a callable."""
+    """M_i(t) = f*(g_i, l_i, t): registry name with params, or a callable of
+    the (n, D) ground, the n aux marks and the (k,) grid returning (n, k)."""
 
     fn: object = ("constant", 1.0)
-
-    def evaluate(self, g, l, t):
-        if callable(self.fn):
-            return np.asarray([self.fn(g, l, tt) for tt in np.atleast_1d(t)])
-        func = DETERMINISTIC_REGISTRY.get(self.fn[0])
-        if func is None:
-            raise ValidationError(f"unknown deterministic mark family {self.fn[0]!r}")
-        return func(g, l, np.atleast_1d(t), list(self.fn[1:]))
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,7 @@ class Geostatistical:
     kernel = (family, variance, spatial range, temporal range) with family
     'exponential' or 'gaussian'; separable in space and time.  When
     ``per_class`` is true, each discrete aux class gets its own independent
-    field copy.
+    field copy.  A callable ``mean`` maps (n, d) locations and the grid to (n, k).
     """
 
     mean: object = 0.0
@@ -222,12 +216,13 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     xs = locations[:, :d]
 
     if isinstance(model, Deterministic):
-        values = np.empty((0, grid.size))
-        if len(auxs):
-            values = np.array([model.evaluate((tuple(g[:d]), g[d] if temporal else None),
-                                              aux, grid)
-                               for g, aux in zip(locations.tolist(), auxs)], dtype=float)
-        return CadlagPath.rows(grid, values, None, "step", t_star)
+        if callable(model.fn):
+            values = model.fn(locations, auxs, grid)
+        else:
+            family, params = _registry_entry(DETERMINISTIC_REGISTRY, model.fn, "mark")
+            values = family(locations, auxs, grid, params)
+        return CadlagPath.rows(grid, _shaped(values, (len(auxs), grid.size), "fn"),
+                               None, "step", t_star)
     if isinstance(model, Wiener):
         steps = np.sqrt(np.diff(grid)) * rng.standard_normal((len(auxs),
                                                               len(grid) - 1))
@@ -361,7 +356,7 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
     rho_s = model.kernel[2]
     rho_t = model.kernel[3] if len(model.kernel) > 3 else rho_s
     rng = np.random.default_rng(seed)
-    mean = (np.asarray([[float(model.mean(x, t)) for t in grid] for x in locations])
+    mean = (_shaped(model.mean(locations, grid), (n, k), "mean")
             if callable(model.mean) else np.full((n, k), float(model.mean)))
     if var == 0.0:
         draws = mean
@@ -372,14 +367,11 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
         ht = np.abs(grid[:, None] - grid[None, :]) / rho_t
         Ls = _cholesky(_correlation(fam, hs), 1.0)
         Lt = _cholesky(_correlation(fam, ht), 1.0)
-        if classes is None:
-            draws = mean + math.sqrt(var) * (Ls @ rng.standard_normal((n, k)) @ Lt.T)
-        else:
-            draws = mean.copy()
-            for cls in sorted(set(classes)):
-                z = math.sqrt(var) * (Ls @ rng.standard_normal((n, k)) @ Lt.T)
-                rows = [i for i, c in enumerate(classes) if c == cls]
-                draws[rows] += z[rows]
+        labels = np.zeros(n) if classes is None else np.asarray(classes)
+        draws = mean.copy()
+        for cls in np.unique(labels):
+            z = math.sqrt(var) * (Ls @ rng.standard_normal((n, k)) @ Lt.T)
+            draws[labels == cls] += z[labels == cls]
     return CadlagPath.rows(grid, draws, None, "step", t_star)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from ._optim import nelder_mead
 from .core import (CadlagPath, Configuration, MarkTable, SampleSchedule, Window,
-                   midpoint_rule)
+                   _shaped, midpoint_rule)
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -164,12 +164,12 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
     """Second-order statistics with points weighted or classified by their
     sampled mark vector (M(s_1), ..., M(s_k)).
 
-    ``test`` maps the sampled vector to a nonnegative weight (default 1);
-    ``classes`` maps a point to a label, in which case one estimate per
-    label pair is returned.  Weight normalizers use the empirical weighted
-    intensities, so under random labelling (weights independent of
-    locations) the estimates agree with the ground pcf in expectation, and
-    constant weights reproduce it exactly.
+    ``test`` maps the (n, k) sampled vectors to (n,) nonnegative weights
+    (default 1); ``classes`` maps the configuration to (n,) labels, in which
+    case one estimate per label pair is returned.  Weight normalizers use
+    the empirical weighted intensities, so under random labelling (weights
+    independent of locations) the estimates agree with the ground pcf in
+    expectation, and constant weights reproduce it exactly.
     """
     if c.window.is_temporal:
         raise ValidationError("mark-sampled pcf is implemented for spatial windows")
@@ -184,13 +184,13 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
     times = np.asarray(schedule.times)
     samples = c.marks.at(times)
     if classes is not None:
-        labels = [classes(p) for p in c.points]
-        uniq = sorted(set(labels))
+        labels = _shaped(classes(c), (n,), "classes", dtype=None)
+        uniq = np.unique(labels).tolist()
         out = {}
         for a_i, la in enumerate(uniq):
+            w = (labels == la).astype(float)
             for lb in uniq[a_i:]:
-                w = np.asarray([1.0 if l == la else 0.0 for l in labels])
-                v = np.asarray([1.0 if l == lb else 0.0 for l in labels])
+                v = (labels == lb).astype(float)
                 n_a, n_b = w.sum(), v.sum()
                 # the kernel scores each cross pair once and each same-class
                 # pair in both orders
@@ -200,8 +200,7 @@ def pcf_mark_sampled(c: Configuration, schedule: SampleSchedule, lags,
                 out[(la, lb)] = _pcf_from_weights(c, w, v, float(norm), lags,
                                                   bandwidth)
         return out
-    w = (np.asarray([float(test(s)) for s in samples]) if test is not None
-         else np.ones(n))
+    w = _shaped(test(samples), (n,), "test") if test is not None else np.ones(n)
     if np.any(w < 0):
         raise ValidationError("mark test weights must be nonnegative")
     if np.all(w == 0):
@@ -414,9 +413,7 @@ def kriging_predict(locations, marks: MarkTable, x0,
     if hit.size:
         return marks[int(hit[0])]
     wts = kriging_weights(locs, x0, model)
-    vals = np.zeros_like(marks.grid)
-    for lam, row in zip(wts, marks.values):
-        vals = vals + lam * row
+    vals = wts @ marks.values
     support = (float(np.min(marks.starts)), float(np.max(marks.ends)))
     return CadlagPath(marks.grid, vals, support, marks.mode, marks.t_star)
 
@@ -446,17 +443,18 @@ def campbell_check(simulate: Callable, h: Callable, rhs_integrand: Callable,
                    quad_res: int = 64) -> CheckReport:
     """First-moment identity: E[sum over points of h] vs its intensity integral.
 
-    ``simulate(seed)`` yields a configuration, ``h`` scores a MarkedPoint,
-    and ``rhs_integrand(g)`` must equal the mark-averaged h times the ground
-    intensity at ground location g (analytic or quadrature-derived by the
+    ``simulate(seed)`` yields a configuration c and ``h(c)`` its (n,) scores;
+    ``rhs_integrand(g)`` must give the (m,) mark-averaged h times the ground
+    intensity at (m, D) ground nodes (analytic or quadrature-derived by the
     caller); the right side is integrated by midpoint quadrature.
     """
     sums = np.empty(replicates)
     for r in range(replicates):
         c = simulate(seed + r)
-        sums[r] = sum(h(p) for p in c.points)
+        sums[r] = np.sum(_shaped(h(c), (len(c),), "h"))
     nodes, cellvol = midpoint_rule(w.ground_bounds, quad_res)
-    rhs = float(sum(rhs_integrand(g) for g in nodes) * cellvol)
+    rhs = float(np.sum(_shaped(rhs_integrand(nodes), (len(nodes),),
+                               "rhs_integrand")) * cellvol)
     lhs = float(np.mean(sums))
     se = float(np.std(sums, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return CheckReport(lhs, rhs, se, 0.0, replicates)
@@ -467,23 +465,23 @@ def gnz_check(simulate: Callable, papangelou: Callable, h: Callable,
               quad_res: int = 32) -> CheckReport:
     """Conditional-intensity residual E[sum_y h(y, c-y)] - E[int h(u,c) lam(u;c) du].
 
-    ``papangelou(u, c)`` and ``h(u, c)`` act on ground locations; the inner
-    integral uses midpoint quadrature over the ground space.  The residual
-    is zero in expectation under the true model; the report's lhs/rhs are
-    the two Monte Carlo sides with the standard error of their difference.
+    ``papangelou(u, pts, own)`` and ``h(u, pts, own)`` map (m, D) queries, the
+    pattern's (n, D) ground array and (m,) rows own to (m,) values; query j
+    sees the pattern without row own[j] (all of it where own[j] is -1).  The
+    inner integral uses midpoint quadrature over the ground space.  The
+    residual is zero in expectation under the true model; the report's
+    lhs/rhs are the two Monte Carlo sides with the standard error of their
+    difference.
     """
     nodes, cellvol = midpoint_rule(w.ground_bounds, quad_res)
-    lhs_r = np.empty(replicates)
-    rhs_r = np.empty(replicates)
+    m, free = len(nodes), np.full(len(nodes), -1)
+    lhs_r, rhs_r = np.empty((2, replicates))
     for r in range(replicates):
-        c = simulate(seed + r)
-        pts = c.locations()
-        total = 0.0
-        for i in range(len(pts)):
-            rest = np.delete(pts, i, axis=0)
-            total += h(pts[i], rest)
-        lhs_r[r] = total
-        rhs_r[r] = sum(h(u, pts) * papangelou(u, pts) for u in nodes) * cellvol
+        pts = simulate(seed + r).locations()
+        n = len(pts)
+        lhs_r[r] = np.sum(_shaped(h(pts, pts, np.arange(n)), (n,), "h"))
+        lam = _shaped(papangelou(nodes, pts, free), (m,), "papangelou")
+        rhs_r[r] = np.sum(_shaped(h(nodes, pts, free), (m,), "h") * lam) * cellvol
     diff = lhs_r - rhs_r
     se = float(np.std(diff, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     return CheckReport(float(np.mean(lhs_r)), float(np.mean(rhs_r)), se, 0.0,

@@ -185,7 +185,7 @@ def test_criterion_05_temporal_mle():
         b_hats = []
         for seed in range(50):
             model = InhomogeneousPoisson(
-                lambda g: math.exp(a_true + b_true * g[-1]), lam_max)
+                lambda g: np.exp(a_true + b_true * g[:, -1]), lam_max)
             locs = simulate_poisson(model, w, seed)
             data = [Observation((x[0],), x[1]) for x in locs]
             m = ParametricModel("loglinear-t", (1.0, 0.1), w,
@@ -214,7 +214,8 @@ def test_criterion_07_thinning_identity():
         counts = []
         for s in range(1000):
             c = poisson_config(s, 100.0)
-            counts.append(len(thin(c, lambda p: 0.5, 50_000 + s)))
+            counts.append(len(thin(c, lambda c: np.full(len(c), 0.5),
+                                   50_000 + s)))
         se = math.sqrt(50.0 / 1000)
         assert abs(np.mean(counts) - 50.0) < 3 * se
         # exact set equality for the observable process on a fixture
@@ -326,18 +327,17 @@ def test_criterion_10_pseudolikelihood_self_consistency():
 def test_criterion_11_identity_checks():
     with _Criterion(11, "campbell and conditional-intensity checks", 30):
         simulate = lambda s: poisson_config(s, 100.0)
-        in_box = lambda x: bool(x[0] <= 0.5 and x[1] <= 0.5)
-        rep = campbell_check(simulate,
-                             lambda p: 1.0 if in_box(p.x) else 0.0,
-                             lambda g: 100.0 if in_box(g) else 0.0,
+        in_box = lambda g: ((g[:, 0] <= 0.5) & (g[:, 1] <= 0.5)).astype(float)
+        rep = campbell_check(simulate, lambda c: in_box(c.ground),
+                             lambda g: 100.0 * in_box(g),
                              UNIT, replicates=300, seed=0)
         assert rep.passed()
-        h = lambda u, pts: 1.0 if u[0] <= 0.5 else 0.0
-        good = gnz_check(simulate, lambda u, pts: 100.0, h, UNIT,
-                         replicates=300, seed=1)
+        h = lambda u, pts, own: (u[:, 0] <= 0.5).astype(float)
+        good = gnz_check(simulate, lambda u, pts, own: np.full(len(u), 100.0),
+                         h, UNIT, replicates=300, seed=1)
         assert good.passed()
-        bad = gnz_check(simulate, lambda u, pts: 200.0, h, UNIT,
-                        replicates=300, seed=1)
+        bad = gnz_check(simulate, lambda u, pts, own: np.full(len(u), 200.0),
+                        h, UNIT, replicates=300, seed=1)
         assert not bad.passed()
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fmpp
-from fmpp import cli, core
+from fmpp import cli, core, infer
 from fmpp.cli import main
 from fmpp.core import Window, configuration_from_json, read_configuration_files
 from fmpp.ground import HomogeneousPoisson, simulate_poisson
@@ -510,7 +510,41 @@ class TestCheckCommand:
         assert results[0]["passed"]
 
 
+    @pytest.mark.parametrize("t_star", [1.0, 2.0])
+    def test_temporal_window_box_bounds_space(self, tmp_path, t_star):
+        # the box bounds the spatial coordinates of the (x, t) ground rows,
+        # so the intensity side is rate * |box| * t_star
+        rate = 50.0
+        cfg = write_cfg(tmp_path, {
+            "window": {"lo": [0, 0], "hi": [1, 1], "t_star": t_star},
+            "model": {"ground": {"family": "poisson", "rate": rate}},
+            "check": {"checks": ["campbell", "gnz"], "replicates": 20}})
+        out = tmp_path / "chk_t"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        results = {r["check"]: r for r in
+                   json.loads((out / "checks.json").read_text())}
+        assert results["campbell"]["rhs"] == pytest.approx(rate * 0.25 * t_star,
+                                                           rel=1e-12)
+        assert results["campbell"]["passed"] and results["gnz"]["passed"]
+
+
 class TestJanossyScheme:
+    def test_events_built_once_per_fit(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(BASE, estimate={
+            "scheme": "mle-janossy", "theta0": [10.0], "budget": 600}))
+        out = tmp_path / "once"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        with mock.patch.object(infer, "_events", wraps=infer._events) as events:
+            assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert events.call_count == 1
+        rep = json.loads((out / "fit.json").read_text())
+        assert rep["iterations"] > 10
+        # the objective is the minimized -log J, not the maximized log J
+        c = read_configuration_files(out / "configuration_r000.json")
+        model = infer.ParametricModel("poisson", rep["theta_hat"], c.window)
+        assert rep["objective"] == pytest.approx(
+            -infer.janossy_density(model, c).log_value, rel=1e-12)
+
     def test_mle_janossy_recovers_rate(self, tmp_path):
         cfg_obj = dict(BASE, estimate={"scheme": "mle-janossy",
                                        "theta0": [10.0], "budget": 600})

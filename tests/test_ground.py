@@ -86,13 +86,13 @@ class TestPoisson:
         assert abs(cov) < 3 * se
 
     def test_inhomogeneous_rejection(self):
-        model = InhomogeneousPoisson(lambda g: 200.0 * g[0], 200.0)
+        model = InhomogeneousPoisson(lambda g: 200.0 * g[:, 0], 200.0)
         locs = simulate_poisson(model, UNIT_SQUARE, 4)
         # more mass on the right half
         assert np.sum(locs[:, 0] > 0.5) > np.sum(locs[:, 0] < 0.5)
 
     def test_rejection_bound_breach_detected(self):
-        model = InhomogeneousPoisson(lambda g: 300.0, 100.0)
+        model = InhomogeneousPoisson(lambda g: np.full(len(g), 300.0), 100.0)
         with pytest.raises(NumericalError):
             simulate_poisson(model, UNIT_SQUARE, 0)
 
@@ -354,14 +354,15 @@ class TestThin:
 
     def test_keep_all(self):
         c = self._config(0)
-        assert len(thin(c, lambda p: 1.0, 1)) == len(c)
+        assert len(thin(c, lambda c: np.ones(len(c)), 1)) == len(c)
 
     def test_drop_all(self):
         c = self._config(0)
-        assert len(thin(c, lambda p: 0.0, 1)) == 0
+        assert len(thin(c, lambda c: np.zeros(len(c)), 1)) == 0
 
     def test_half_retention_halves_intensity(self):
-        counts = [len(thin(self._config(s), lambda p: 0.5, 10_000 + s))
+        counts = [len(thin(self._config(s), lambda c: np.full(len(c), 0.5),
+                           10_000 + s))
                   for s in range(500)]
         se = np.sqrt(50.0 / 500)
         assert abs(np.mean(counts) - 50.0) < 3 * se
@@ -370,9 +371,9 @@ class TestThin:
         pq_counts, direct_counts = [], []
         for s in range(500):
             c = self._config(s)
-            pq = thin(thin(c, lambda p: 0.6, 20_000 + s), lambda p: 0.5,
-                      30_000 + s)
-            direct = thin(c, lambda p: 0.3, 40_000 + s)
+            pq = thin(thin(c, lambda c: np.full(len(c), 0.6), 20_000 + s),
+                      lambda c: np.full(len(c), 0.5), 30_000 + s)
+            direct = thin(c, lambda c: np.full(len(c), 0.3), 40_000 + s)
             pq_counts.append(len(pq))
             direct_counts.append(len(direct))
         se = np.sqrt(np.var(pq_counts) / 500 + np.var(direct_counts) / 500)
@@ -382,35 +383,37 @@ class TestThin:
         c = self._config(3)
         rng = np.random.default_rng(7)
         want = [i for i, p in enumerate(c.points) if rng.random() < p.x[0]]
-        np.testing.assert_array_equal(thin(c, lambda p: p.x[0], 7).ground,
+        np.testing.assert_array_equal(thin(c, lambda c: c.ground[:, 0], 7).ground,
                                       c.ground[want])
 
     def test_retention_out_of_range_rejected(self):
         c = self._config(0)
         with pytest.raises(ValidationError):
-            thin(c, lambda p: 1.5, 0)
+            thin(c, lambda c: np.full(len(c), 1.5), 0)
 
 
 class TestObservableRetention:
     def _point_with_support(self, a, b):
+        """A one-point configuration whose mark has support [a, b)."""
         grid = np.linspace(0, 1, 11)
         vals = np.where((grid >= a) & (grid < b), 1.0, 0.0)
-        from fmpp.core import CadlagPath, MarkedPoint
+        from fmpp.core import CadlagPath
         path = CadlagPath(grid, vals, (a, b), "step", 1.0)
-        return MarkedPoint((0.5, 0.5), None, AuxMark(discrete=1), path)
+        return make_configuration(UNIT_SQUARE, [[0.5, 0.5]],
+                                  [AuxMark(discrete=1)], [path])
 
     def test_support_hit(self):
         r = observable_retention(SampleSchedule((0.5,)))
-        assert r(self._point_with_support(0.2, 0.8)) == 1.0
+        assert r(self._point_with_support(0.2, 0.8)).tolist() == [1.0]
 
     def test_support_missed(self):
         r = observable_retention(SampleSchedule((0.5,)))
-        assert r(self._point_with_support(0.2, 0.4)) == 0.0
+        assert r(self._point_with_support(0.2, 0.4)).tolist() == [0.0]
 
     def test_left_endpoint_closed(self):
         r = observable_retention(SampleSchedule((0.5,)))
-        assert r(self._point_with_support(0.5, 0.6)) == 1.0
-        assert r(self._point_with_support(0.4, 0.5)) == 0.0
+        assert r(self._point_with_support(0.5, 0.6)).tolist() == [1.0]
+        assert r(self._point_with_support(0.4, 0.5)).tolist() == [0.0]
 
 
 class TestSpatioTemporalGibbs:
@@ -444,7 +447,7 @@ class TestTemporalLgcp:
 
     def test_field_lookup_uses_time_axis(self):
         wt = Window((0,), (1,), t_star=1.0)
-        model = LogGaussianCox(lambda g: float(g[-1]),
+        model = LogGaussianCox(lambda g: g[:, -1],
                                ("exponential", 0.0, 0.3, 0.3), (4, 4))
         field, _ = simulate_lgcp(model, wt, 0)
         early = field((0.5, 0.125))

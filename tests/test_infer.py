@@ -146,7 +146,7 @@ class TestLoglikTemporal:
     def test_loglinear_recovery(self):
         a_true, b_true = 1.3, 0.6
         w = Window((0,), (1,), t_star=3.0)
-        lam = lambda g: math.exp(a_true + b_true * g[-1])
+        lam = lambda g: np.exp(a_true + b_true * g[:, -1])
         model = InhomogeneousPoisson(lam, math.exp(a_true + b_true * 3.0))
         locs = simulate_poisson(model, w, 7)
         data = [Observation((x[0],), x[1]) for x in locs]
@@ -172,6 +172,14 @@ class TestLoglikTemporal:
         f2 = fit_loglik_temporal(m2, data2, budget=600)
         # the temporal rate is unchanged; the spatial density absorbs 1/c^2
         assert f1.theta[0] == pytest.approx(f2.theta[0], rel=1e-6)
+
+    def test_non_finite_start_value_fails_loudly(self):
+        # exp(1000 t) overflows the compensator, so log L = -inf at theta0
+        m = ParametricModel("loglinear-t", (0.0, 1000.0), WT)
+        with np.errstate(over="ignore"):
+            assert loglik_temporal(m, []) == -math.inf
+            with pytest.raises(ValidationError, match="finite at the start"):
+                fit_loglik_temporal(m, [], budget=50)
 
 
 class TestJanossy:

@@ -41,7 +41,7 @@ class TestDeterministicMarks:
         assert all(p(0.3) == 2.5 and p(0.9) == 2.5 for p in paths)
 
     def test_callable_family(self):
-        fn = lambda g, l, t: 2.0 * t
+        fn = lambda g, auxs, t: np.tile(2.0 * t, (len(g), 1))
         paths = attach_marks(UNIT, *ground_points(1), Deterministic(fn), GRID, 0)
         assert paths[0](0.5) == pytest.approx(1.0)
 
@@ -192,7 +192,7 @@ class TestGrowthInteraction:
 
 class TestGeostatMarking:
     def test_zero_variance_gives_mean_surface(self):
-        mean = lambda x, t: float(x[0] + t)
+        mean = lambda x, t: x[:, :1] + t
         paths = geostat_marking(np.array([[0.25, 0.5]]),
                                 Geostatistical(mean, ("exponential", 0.0, 0.3)),
                                 GRID, 0, 1.0)

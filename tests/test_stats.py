@@ -124,7 +124,7 @@ class TestPcfMarkSampled:
         c = poisson_config(3, mark_value=2.5)
         ground = pcf_ground(c, self.LAGS, 0.05)
         marked = pcf_mark_sampled(c, SampleSchedule((0.5,)), self.LAGS, 0.05,
-                                  test=lambda u: float(u[0]))["weighted"]
+                                  test=lambda u: u[:, 0])["weighted"]
         np.testing.assert_array_equal(ground.values, marked.values)
 
     def test_random_labelling_matches_ground(self):
@@ -137,7 +137,7 @@ class TestPcfMarkSampled:
             c = make_configuration(W, locs, auxs, paths)
             g = pcf_ground(c, self.LAGS, 0.05).values
             m = pcf_mark_sampled(c, SampleSchedule((0.5,)), self.LAGS, 0.05,
-                                 test=lambda u: float(u[0] ** 2))["weighted"].values
+                                 test=lambda u: u[:, 0] ** 2)["weighted"].values
             diffs.append(m - g)
         mean_diff = np.mean(diffs, axis=0)
         se = np.std(diffs, axis=0) / math.sqrt(len(diffs))
@@ -157,7 +157,7 @@ class TestPcfMarkSampled:
         c = make_configuration(W, locs, auxs, paths)
         out = pcf_mark_sampled(c, SampleSchedule((0.5,)),
                                np.array([0.05, 0.15]), 0.04,
-                               classes=lambda p: p.aux.discrete)
+                               classes=lambda c: [a.discrete for a in c.auxs])
         np.testing.assert_array_equal(out[(1, 2)].values, 0.0)
         assert np.any(out[(1, 1)].values > 0)
 
@@ -174,7 +174,7 @@ class TestPcfMarkSampled:
                                  GRID, seed)
             c = make_configuration(W, locs, auxs, paths)
             out = pcf_mark_sampled(c, SampleSchedule((0.5,)), self.LAGS, 0.05,
-                                   classes=lambda p: p.aux.discrete)
+                                   classes=lambda c: [a.discrete for a in c.auxs])
             for key, est in out.items():
                 accum.setdefault(key, []).append(est.values)
         for key, vals in accum.items():
@@ -419,17 +419,16 @@ class TestCampbell:
 
     def test_indicator_box(self):
         box_lo, box_hi = np.array([0.0, 0.0]), np.array([0.5, 0.5])
-        in_box = lambda x: bool(np.all(x >= box_lo) and np.all(x <= box_hi))
-        rep = campbell_check(self.simulate,
-                             lambda p: 1.0 if in_box(np.asarray(p.x)) else 0.0,
-                             lambda g: 100.0 if in_box(np.asarray(g)) else 0.0,
+        in_box = lambda g: np.all((g >= box_lo) & (g <= box_hi), axis=1)
+        rep = campbell_check(self.simulate, lambda c: in_box(c.ground),
+                             lambda g: np.where(in_box(g), 100.0, 0.0),
                              W, replicates=300, seed=0)
         assert rep.rhs == pytest.approx(25.0, rel=1e-6)
         assert rep.passed()
 
     def test_zero_functional(self):
-        rep = campbell_check(self.simulate, lambda p: 0.0, lambda g: 0.0, W,
-                             replicates=20, seed=0)
+        rep = campbell_check(self.simulate, lambda c: np.zeros(len(c)),
+                             lambda g: np.zeros(len(g)), W, replicates=20, seed=0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_factorized_mark_bin(self):
@@ -444,8 +443,9 @@ class TestCampbell:
 
         s_time, lo = 0.5, 0.0
         p_mark = 0.5  # P(B(0.5) >= 0) by symmetry
-        h = lambda p: (1.0 if p.x[0] <= 0.5 and p.mark(s_time) >= lo else 0.0)
-        rhs = lambda g: (80.0 * p_mark if g[0] <= 0.5 else 0.0)
+        h = lambda c: ((c.ground[:, 0] <= 0.5)
+                       & (c.marks.at(s_time)[:, 0] >= lo)).astype(float)
+        rhs = lambda g: np.where(g[:, 0] <= 0.5, 80.0 * p_mark, 0.0)
         rep = campbell_check(sim, h, rhs, W, replicates=400, seed=10)
         assert rep.passed()
 
@@ -455,22 +455,23 @@ class TestGnz:
         return poisson_config(seed, rate=100.0)
 
     def test_poisson_residual_zero(self):
-        h = lambda u, pts: 1.0 if u[0] <= 0.5 else 0.0
-        rep = gnz_check(self.simulate, lambda u, pts: 100.0, h, W,
-                        replicates=300, seed=2)
+        h = lambda u, pts, own: (u[:, 0] <= 0.5).astype(float)
+        rep = gnz_check(self.simulate, lambda u, pts, own: np.full(len(u), 100.0),
+                        h, W, replicates=300, seed=2)
         assert rep.passed()
 
     def test_wrong_intensity_detected(self):
-        h = lambda u, pts: 1.0 if u[0] <= 0.5 else 0.0
-        rep = gnz_check(self.simulate, lambda u, pts: 50.0, h, W,
-                        replicates=300, seed=2)
+        h = lambda u, pts, own: (u[:, 0] <= 0.5).astype(float)
+        rep = gnz_check(self.simulate, lambda u, pts, own: np.full(len(u), 50.0),
+                        h, W, replicates=300, seed=2)
         # residual approx + half the box mass
         assert not rep.passed()
         assert (rep.lhs - rep.rhs) == pytest.approx(25.0, abs=3 * rep.combined_se)
 
     def test_zero_functional_exact(self):
-        rep = gnz_check(self.simulate, lambda u, pts: 100.0,
-                        lambda u, pts: 0.0, W, replicates=10, seed=0)
+        rep = gnz_check(self.simulate, lambda u, pts, own: np.full(len(u), 100.0),
+                        lambda u, pts, own: np.zeros(len(u)), W, replicates=10,
+                        seed=0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
