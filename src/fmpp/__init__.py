@@ -11,7 +11,8 @@ Subpackage map:
 - ``cli``       command-line entry point
 
 A ``Configuration`` is stored as columns: a read-only (n, D) ``ground``
-array (event time last on a temporal window), a tuple of ``auxs`` and one
+array (event time last on a temporal window), one ``AuxTable`` of ``auxs``
+(an (n,) type column and an (n, c) NaN-padded value matrix) and one
 ``MarkTable`` of cadlag ``marks``.  Every user callable takes such columns
 and returns one value per row; the per-point ``MarkedPoint`` views are
 built on demand for other callers, and no fmpp module reads them.

@@ -27,8 +27,8 @@ import numpy as np
 from . import geometry as geo
 from . import ground, infer, marks, stats
 from .core import (
-    AuxMark,
     AuxMeasure,
+    AuxTable,
     Configuration,
     ReferenceSpec,
     SampleSchedule,
@@ -154,16 +154,16 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
     if kind == "types":
         probs = np.asarray(_require(aux_spec, "probs", "model.aux"), dtype=float)
         draws = rng.choice(len(probs), size=n, p=probs / probs.sum()) + 1
-        auxs = [AuxMark(discrete=int(d)) for d in draws]
+        auxs = AuxTable(draws, np.empty((n, 0)))
         reference = ReferenceSpec(AuxMeasure("counting", (len(probs),)))
     elif kind == "lifetime":
         if lifetimes is None:
             rate = float(_require(aux_spec, "rate", "model.aux"))
             lifetimes = rng.exponential(1.0 / rate, size=n)
-        auxs = [AuxMark(continuous=(float(l),)) for l in lifetimes]
+        auxs = AuxTable(np.zeros(n, dtype=np.int64), lifetimes[:, None])
         reference = ReferenceSpec(AuxMeasure("expon", (1.0,)))
     elif kind == "none":
-        auxs = [AuxMark(discrete=1) for _ in range(n)]
+        auxs = AuxTable(np.ones(n, dtype=np.int64), np.empty((n, 0)))
         reference = ReferenceSpec(AuxMeasure("counting", (1,)))
     else:
         raise ValidationError(f"unknown aux kind '{kind}' in model.aux")
@@ -386,11 +386,11 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         if not window.is_temporal:
             raise ValidationError(
                 "estimate 'least-squares' needs window.t_star (birth times)")
-        if any(a.continuous is None for a in c.auxs):
+        lifetimes = marks._lifetimes(c.auxs)
+        if lifetimes is None:
             raise ValidationError(
                 "estimate 'least-squares' needs lifetime aux marks "
                 "(model.aux.kind = 'lifetime')")
-        lifetimes = np.asarray([a.continuous[0] for a in c.auxs])
         observed = c.marks.at(schedule.times)
         theta0 = _require(section, "theta0", "estimate")
         bounds = section.get("bounds")
@@ -458,7 +458,8 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
 
     def simulate(s):
         locs = ground.simulate_poisson(ground.HomogeneousPoisson(rate), window, s)
-        auxs = [AuxMark(discrete=1)] * len(locs)
+        auxs = AuxTable(np.ones(len(locs), dtype=np.int64),
+                        np.empty((len(locs), 0)))
         return marks.make_configuration(
             window, locs, auxs,
             marks.attach_marks(window, locs, auxs,

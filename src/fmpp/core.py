@@ -8,20 +8,22 @@ projections, torus shifts, JSON/CSV serialization and the binary cache
 between CLI stages.
 
 A configuration is stored as columns: an (n, D) ground array (event time
-last on a temporal window), a tuple of aux marks and one ``MarkTable`` of
+last on a temporal window), one ``AuxTable`` of aux marks, an (n,) type
+column and an (n, c) NaN-padded value matrix, and one ``MarkTable`` of
 cadlag marks: a (k,) grid, an (n, k) value matrix, (n,) support starts and
-ends, one mode and one t_star.  The table's ``CadlagPath`` rows, and
-``MarkedPoint`` views for callers outside fmpp, are built on demand, and
-``at`` evaluates every mark with one ``searchsorted``.  ``CadlagPath.rows``
-validates a table as one value matrix.  Paths on several grids become one
-table on the merged grid: a step path keeps its values, a linear path is
-interpolated at the new times, entries outside a support are 0, and a
-linear path those rules would change raises.  The JSON and CSV writers
-format each float once for both files, and ``configuration_from_json`` is
-the one JSON reader.  ``write_configuration_files`` also writes a binary
-``.npz`` cache of the columns beside the JSON, bound to the JSON bytes by
-their SHA-256, and ``read_configuration_files`` builds from the cache while
-it matches the JSON and reads the JSON otherwise.
+ends, one mode and one t_star.  The tables' ``AuxMark`` and ``CadlagPath``
+rows, and ``MarkedPoint`` views for callers outside fmpp, are built on
+demand, and ``at`` evaluates every mark with one ``searchsorted``.
+``CadlagPath.rows`` validates a table as one value matrix.  Paths on
+several grids become one table on the merged grid: a step path keeps its
+values, a linear path is interpolated at the new times, entries outside a
+support are 0, and a linear path those rules would change raises.  The JSON
+and CSV writers format each float once for both files, and
+``configuration_from_json`` is the one JSON reader.
+``write_configuration_files`` also writes a binary ``.npz`` cache of the
+columns beside the JSON, bound to the JSON bytes by their SHA-256, and
+``read_configuration_files`` builds from the cache while it matches the
+JSON and reads the JSON otherwise.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -30,10 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import zipfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 from operator import add
 
 import numpy as np
@@ -45,6 +49,7 @@ __all__ = [
     "ground_array",
     "midpoint_rule",
     "AuxMark",
+    "AuxTable",
     "CadlagPath",
     "MarkTable",
     "MarkedPoint",
@@ -198,6 +203,21 @@ def midpoint_rule(bounds, cells):
 # ---------------------------------------------------------------------------
 # Marks
 # ---------------------------------------------------------------------------
+def _aux_parts(discrete, continuous) -> tuple:
+    """An aux mark's discrete type as an int (0 for none) and its
+    continuous values as a tuple of floats (empty for none)."""
+    cont = () if continuous is None else tuple(map(float, continuous))
+    if discrete is None and not cont:
+        raise ValidationError("auxiliary mark needs a discrete or continuous part")
+    if discrete is not None and (isinstance(discrete, bool)
+                                 or not isinstance(discrete, Integral)
+                                 or discrete < 1):
+        raise ValidationError("discrete auxiliary mark must be an integer >= 1")
+    if not all(map(math.isfinite, cont)):
+        raise ValidationError("continuous auxiliary mark must be finite")
+    return int(discrete or 0), cont
+
+
 @dataclass(frozen=True)
 class AuxMark:
     """Auxiliary mark: a discrete type in {1..k} and/or a continuous vector."""
@@ -206,15 +226,9 @@ class AuxMark:
     continuous: tuple | None = None
 
     def __post_init__(self):
-        if self.discrete is None and self.continuous is None:
-            raise ValidationError("auxiliary mark needs a discrete or continuous part")
-        if self.discrete is not None and self.discrete < 1:
-            raise ValidationError("discrete auxiliary mark must be >= 1")
-        if self.continuous is not None:
-            cont = tuple(float(v) for v in self.continuous)
-            if not all(np.isfinite(cont)):
-                raise ValidationError("continuous auxiliary mark must be finite")
-            object.__setattr__(self, "continuous", cont)
+        discrete, cont = _aux_parts(self.discrete, self.continuous)
+        object.__setattr__(self, "discrete", discrete or None)
+        object.__setattr__(self, "continuous", cont or None)
 
 
 def _check_rows(grid, values, supports, mode, t_star):
@@ -432,6 +446,81 @@ class MarkTable(Sequence):
                 f"mode={self.mode!r})")
 
 
+class AuxTable(Sequence):
+    """The aux marks of n points as two columns: ``discrete``, an (n,)
+    int64 array of types (0 where a mark has no discrete part), and
+    ``continuous``, an (n, c) float64 matrix of each mark's values from the
+    left, NaN after its last value (a whole NaN row where it has none), c
+    the longest mark's value count.  Indexing and iteration give each row
+    as an ``AuxMark`` view of Python ``int``/``float`` values.
+    """
+
+    __slots__ = ("discrete", "continuous")
+
+    def __init__(self, discrete, continuous):
+        discrete = np.asarray(discrete)
+        continuous = np.asarray(continuous, dtype=float)
+        if continuous.ndim != 2 or continuous.shape[:1] != discrete.shape:
+            raise ValidationError("aux marks need an (n,) discrete column and "
+                                  "an (n, c) continuous column")
+        if (discrete.size and discrete.dtype.kind not in "iu") or np.any(discrete < 0):
+            raise ValidationError("discrete auxiliary mark must be an integer >= 1")
+        missing = np.isnan(continuous)
+        # a value after a NaN is not padding
+        if np.any(np.isinf(continuous)) or np.any(missing[:, 1:] < missing[:, :-1]):
+            raise ValidationError("continuous auxiliary mark must be finite")
+        lengths = (~missing).sum(axis=1)
+        if np.any((discrete == 0) & (lengths == 0)):
+            raise ValidationError("auxiliary mark needs a discrete or continuous part")
+        self.discrete = discrete.astype(np.int64, copy=False)
+        self.continuous = continuous[:, :lengths.max(initial=0)]
+
+    def __len__(self):
+        return self.discrete.shape[0]
+
+    @staticmethod
+    def _row(discrete, values) -> AuxMark:
+        return AuxMark(discrete or None,
+                       tuple(v for v in values if not math.isnan(v)) or None)
+
+    def __getitem__(self, i):
+        return self._row(int(self.discrete[i]), self.continuous[i].tolist())
+
+    def __iter__(self):
+        return map(self._row, self.discrete.tolist(), self.continuous.tolist())
+
+    def take(self, rows) -> AuxTable:
+        """The table of the given rows."""
+        return AuxTable(self.discrete[rows], self.continuous[rows])
+
+    __eq__ = MarkTable.__eq__
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AuxTable(n={len(self)}, c={self.continuous.shape[1]})"
+
+
+def _aux_table(auxs) -> AuxTable:
+    """``auxs`` as an ``AuxTable``: a table as it is, any other sequence of
+    ``AuxMark`` as the table of their parts."""
+    if isinstance(auxs, AuxTable):
+        return auxs
+    auxs = tuple(auxs)
+    if not all(isinstance(a, AuxMark) for a in auxs):
+        raise ValidationError("aux marks must be AuxMark values or an AuxTable")
+    return _pad_aux([a.discrete or 0 for a in auxs],
+                    [a.continuous or () for a in auxs])
+
+
+def _pad_aux(discrete, conts) -> AuxTable:
+    """The table of n discrete types (0 for none) and n tuples of
+    continuous values, each padded with NaN to the longest."""
+    c = max(map(len, conts), default=0)
+    rows = [v + (np.nan,) * (c - len(v)) for v in conts]
+    return AuxTable(np.array(discrete, dtype=np.int64),
+                    np.array(rows, dtype=float).reshape(len(conts), c))
+
+
 def _merged_table(paths) -> MarkTable:
     """The table of a sequence of paths, each row embedded on the merged
     grid of every distinct grid.
@@ -592,13 +681,14 @@ class Configuration:
     """A finite realization: marked points in a window plus reference spec.
 
     Stored as columns: ``ground`` is a read-only (n, D) array of ground
-    locations (the event time last on a temporal window), ``auxs`` the n
-    aux marks and ``marks`` the ``MarkTable`` of the n cadlag marks.  The
-    ground locations must lie in the window and be pairwise distinct
-    (simplicity of the ground measure), and on a temporal window every mark
-    support starts at a nonnegative time and the marks' t_star is the
-    window's; construction fails otherwise.  Marks given as any other
-    sequence of paths become one table on the merged grid of their grids.
+    locations (the event time last on a temporal window), ``auxs`` the
+    ``AuxTable`` of the n aux marks and ``marks`` the ``MarkTable`` of the
+    n cadlag marks.  The ground locations must lie in the window and be
+    pairwise distinct (simplicity of the ground measure), and on a temporal
+    window every mark support starts at a nonnegative time and the marks'
+    t_star is the window's; construction fails otherwise.  Aux marks given
+    as any other sequence of ``AuxMark`` become one table, and marks given
+    as any other sequence of paths one table on the merged grid of theirs.
     """
 
     __slots__ = ("window", "ground", "auxs", "marks", "reference")
@@ -607,7 +697,7 @@ class Configuration:
                  marks: Iterable[CadlagPath],
                  reference: ReferenceSpec | None = None):
         ground = ground_array(window, ground)
-        auxs = tuple(auxs)
+        auxs = _aux_table(auxs)
         if not isinstance(marks, MarkTable):
             marks = _merged_table(marks)
         n = ground.shape[0]
@@ -766,16 +856,6 @@ def skorohod_distance(f: CadlagPath, g: CadlagPath, warp_grid_resolution: int = 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _aux_from_obj(obj: dict, where: str) -> AuxMark:
-    try:
-        return AuxMark(
-            discrete=obj.get("discrete"),
-            continuous=tuple(obj["continuous"]) if "continuous" in obj else None,
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: field 'aux': {exc}") from None
-
-
 # json.dumps spells the floats whose repr is nan, inf or -inf this way
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -802,22 +882,22 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
     tail_js = (', "mode": ' + json.dumps(table.mode) + ', "t_star": '
                + ("null" if table.t_star is None
                   else _json_float(repr(table.t_star))) + "}}")
-    for i, (g, aux, row, a, b) in enumerate(zip(
-            c.ground.tolist(), c.auxs, table.values, table.starts.tolist(),
+    for i, (g, kind, aux, row, a, b) in enumerate(zip(
+            c.ground.tolist(), c.auxs.discrete.tolist(),
+            c.auxs.continuous.tolist(), table.values, table.starts.tolist(),
             table.ends.tolist())):
         x = list(map(repr, g[:d]))
         t = repr(g[d]) if temporal else ""
-        cont = None if aux.continuous is None else list(map(repr, aux.continuous))
+        cont = [repr(v) for v in aux if not math.isnan(v)]
         start, end = repr(a), repr(b)
         values = repr(row.tolist())
         js = block = None
         if want_json:
             aux_obj = []
-            if aux.discrete is not None:
-                aux_obj.append(f'"discrete": {int(aux.discrete)!r}')
-            if cont is not None:
-                aux_obj.append('"continuous": ['
-                               + ", ".join(map(_json_float, cont)) + "]")
+            if kind:
+                aux_obj.append(f'"discrete": {kind!r}')
+            if cont:
+                aux_obj.append('"continuous": [' + ", ".join(cont) + "]")
             end_js = "null" if np.isinf(b) else _json_float(end)
             js = "".join([
                 '{"x": [', ", ".join(map(_json_float, x)), "]",
@@ -828,8 +908,7 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
         if want_csv:
             prefix = ",".join([
                 str(i), *x, t,
-                "" if aux.discrete is None else str(aux.discrete),
-                "" if cont is None else ";".join(cont), ""])
+                str(kind) if kind else "", ";".join(cont), ""])
             suffix = f",{start},{end}\n"
             block = (prefix + (suffix + prefix).join(
                 map(add, grid_csv, values[1:-1].split(", "))) + suffix)
@@ -931,7 +1010,7 @@ def configuration_from_json(text: str) -> Configuration:
     obj = json.loads(text)
     window, reference = _window_and_reference(obj)
     d, temporal = window.dim, window.is_temporal
-    ground, auxs, rows, supports, groups = [], [], [], [], {}
+    ground, discrete, conts, rows, supports, groups = [], [], [], [], [], {}
     last = None
     for i, po in enumerate(_field(obj, "points", "configuration")):
         where = f"point {i}"
@@ -943,7 +1022,13 @@ def configuration_from_json(text: str) -> Configuration:
         if not temporal and t is not None:
             raise ValidationError("spatial window takes no event times")
         ground.append(x + [t] if temporal else x)
-        auxs.append(_aux_from_obj(_field(po, "aux", where), where))
+        aux = _field(po, "aux", where)
+        try:
+            kind, cont = _aux_parts(aux.get("discrete"), aux.get("continuous"))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: field 'aux': {exc}") from None
+        discrete.append(kind)
+        conts.append(cont)
         spec, values, support = _mark_fields(i, _field(po, "mark", where))
         # a file's marks usually share one grid list: compare it with the
         # previous mark's before hashing every grid time
@@ -975,7 +1060,8 @@ def configuration_from_json(text: str) -> Configuration:
         for idx, table in tables:
             for i, path in zip(idx, table):
                 marks[i] = path
-    return Configuration(window, ground, auxs, marks, reference)
+    return Configuration(window, ground, _pad_aux(discrete, conts), marks,
+                         reference)
 
 
 def _csv_header(c: Configuration) -> str:
@@ -1032,14 +1118,14 @@ def write_configuration_files(c: Configuration, json_path, csv_path,
     _write_npz(c, _cache_path(json_path), hashlib.sha256(data).hexdigest())
 
 
-# The .npz cache holds three members: "header", the JSON text of _head's
-# fields, the marks' mode and t_star, the SHA-256 of the JSON file written
-# with it and the layouts of the other two; "floats", the ground, grid,
-# values, starts, ends and continuous aux values end to end; and "ints",
-# each point's discrete aux mark (0 for none) and count of continuous aux
-# values (-1 for none).  Every member carries one fixed zip time, so a rerun
-# writes the same bytes.
+# The .npz cache holds one member per column of the configuration, named in
+# _NPZ_COLUMNS and stored as it is, and "header", the JSON text of _head's
+# fields, the marks' mode and t_star and the SHA-256 of the JSON file written
+# with it.  Every member carries one fixed zip time, so a rerun writes the
+# same bytes.
 _NPZ_TIME = (1980, 1, 1, 0, 0, 0)
+_NPZ_COLUMNS = ("ground", "grid", "values", "starts", "ends", "discrete",
+                "continuous")
 
 
 def _cache_path(json_path) -> str:
@@ -1047,45 +1133,17 @@ def _cache_path(json_path) -> str:
     return os.path.splitext(json_path)[0] + ".npz"
 
 
-def _pack(columns) -> tuple:
-    """The layout [[name, shape], ...] of the named arrays and their values
-    end to end in one flat array."""
-    layout = [[name, list(a.shape)] for name, a in columns]
-    return layout, np.concatenate([a.ravel() for _, a in columns])
-
-
-def _unpack(layout, flat) -> dict:
-    """The named arrays of a ``_pack`` layout, each a copy of its part of
-    ``flat``: a fresh array, as the JSON reader's are."""
-    out, at = {}, 0
-    for name, shape in layout:
-        size = int(np.prod(shape))
-        out[name] = flat[at:at + size].reshape(shape).copy()
-        at += size
-    if at != flat.size:
-        raise ValueError("the cache's layout does not cover its data")
-    return out
-
-
 def _write_npz(c: Configuration, path, json_sha256: str):
     """Write the cache of ``c``, bound to the JSON bytes of SHA-256
     ``json_sha256``, to ``path``."""
     table, auxs = c.marks, c.auxs
-    discrete = [0 if a.discrete is None else int(a.discrete) for a in auxs]
-    counts = [-1 if a.continuous is None else len(a.continuous) for a in auxs]
-    continuous = [v for a in auxs if a.continuous is not None
-                  for v in a.continuous]
-    floats, flat = _pack([("ground", c.ground), ("grid", table.grid),
-                          ("values", table.values), ("starts", table.starts),
-                          ("ends", table.ends),
-                          ("continuous", np.array(continuous, dtype=float))])
-    ints, flat_ints = _pack([("discrete", np.array(discrete, dtype=np.int64)),
-                             ("continuous_len", np.array(counts, dtype=np.int64))])
     header = {**_head(c), "mode": table.mode, "t_star": table.t_star,
-              "json_sha256": json_sha256, "floats": floats, "ints": ints}
+              "json_sha256": json_sha256}
     members = {"header": np.frombuffer(json.dumps(header).encode("utf-8"),
                                        dtype=np.uint8),
-               "floats": flat, "ints": flat_ints}
+               "ground": c.ground, "grid": table.grid, "values": table.values,
+               "starts": table.starts, "ends": table.ends,
+               "discrete": auxs.discrete, "continuous": auxs.continuous}
     with zipfile.ZipFile(path, "w") as zf:
         for name, array in members.items():
             info = zipfile.ZipInfo(name + ".npy", _NPZ_TIME)
@@ -1094,7 +1152,7 @@ def _write_npz(c: Configuration, path, json_sha256: str):
 
 
 def _read_npz(path, json_sha256: str):
-    """The header and named arrays of the cache at ``path``, or None when
+    """The header and named columns of the cache at ``path``, or None when
     there is no readable cache there or it was written with other JSON
     bytes than those of SHA-256 ``json_sha256``."""
     try:
@@ -1102,23 +1160,10 @@ def _read_npz(path, json_sha256: str):
             header = json.loads(z["header"].tobytes())
             if header["json_sha256"] != json_sha256:
                 return None
-            return header, {**_unpack(header["floats"], z["floats"]),
-                            **_unpack(header["ints"], z["ints"])}
+            return header, {name: z[name] for name in _NPZ_COLUMNS}
     except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError,
             TypeError):
         return None
-
-
-def _aux_marks(discrete, counts, continuous) -> list:
-    """The aux marks of the cache's columns."""
-    auxs, at = [], 0
-    values = continuous.tolist()
-    for d, m in zip(discrete.tolist(), counts.tolist()):
-        cont = None
-        if m >= 0:
-            cont, at = tuple(values[at:at + m]), at + m
-        auxs.append(AuxMark(d or None, cont))
-    return auxs
 
 
 def read_configuration_files(json_path) -> Configuration:
@@ -1127,7 +1172,7 @@ def read_configuration_files(json_path) -> Configuration:
     When the ``.npz`` beside it holds the cache that
     ``write_configuration_files`` wrote with these JSON bytes (their
     SHA-256 matches), the configuration is built from its arrays, through
-    the checks of ``CadlagPath.rows``, ``AuxMark`` and ``Configuration``
+    the checks of ``CadlagPath.rows``, ``AuxTable`` and ``Configuration``
     that the JSON reader uses; otherwise, the cache missing, stale or
     unreadable, ``configuration_from_json`` reads the JSON.  Either way it
     equals the JSON's configuration.
@@ -1139,13 +1184,13 @@ def read_configuration_files(json_path) -> Configuration:
         return configuration_from_json(data.decode("utf-8"))
     header, cols = cached
     window, reference = _window_and_reference(header)
-    auxs = _aux_marks(cols["discrete"], cols["continuous_len"],
-                      cols["continuous"])
     # the JSON reader gives an empty pattern the empty table
     marks = ()
-    if auxs:
+    if len(cols["ground"]):
         marks = CadlagPath.rows(
             cols["grid"], cols["values"],
             np.column_stack([cols["starts"], cols["ends"]]),
             header["mode"], header["t_star"])
-    return Configuration(window, cols["ground"], auxs, marks, reference)
+    return Configuration(window, cols["ground"],
+                         AuxTable(cols["discrete"], cols["continuous"]), marks,
+                         reference)

@@ -331,7 +331,7 @@ def thin(c: Configuration, retention: Callable, seed: int) -> Configuration:
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValidationError("retention probability outside [0, 1]")
     kept = np.flatnonzero(rng.random(len(probs)) < probs)
-    return Configuration(c.window, c.ground[kept], [c.auxs[i] for i in kept],
+    return Configuration(c.window, c.ground[kept], c.auxs.take(kept),
                          c.marks.take(kept), c.reference)
 
 

@@ -25,13 +25,13 @@ import numpy as np
 
 from . import _kernels
 from ._optim import gauss_newton, nelder_mead
-from .core import AuxMark, Configuration, SampleSchedule, Window, midpoint_rule
+from .core import (AuxMark, Configuration, SampleSchedule, Window, _aux_table,
+                   midpoint_rule)
 from .errors import NumericalError, ValidationError
 from .marks import (
     AuxDensitySpec,
     FidiDensitySpec,
     GrowthInteraction,
-    _aux_columns,
     _aux_log_density,
     _check_negative,
     _exp_sum,
@@ -220,15 +220,17 @@ def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
 def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
     """The data, a ``Configuration`` or a sequence of ``Observation``, as
     columns on window ``w``: the (n, D) ground array (time last), the
-    ``marks._aux_columns`` (None if a point has no aux mark) and the (n, k)
-    marks u at the schedule times (None without schedule or sampled values)."""
+    ``AuxTable`` of the aux marks (None if a point has no aux mark) and the
+    (n, k) marks u at the schedule times (None without schedule or sampled
+    values)."""
     D, k = w.dim + (1 if w.is_temporal else 0), 0 if schedule is None else len(schedule)
     if isinstance(data, Configuration):
-        g, auxs, shape_ok = data.ground, data.auxs, data.ground.shape[1] == D
+        g, aux, shape_ok = data.ground, data.auxs, data.ground.shape[1] == D
         u = None if schedule is None else data.marks.at(schedule.times)
     else:
         g = [tuple(obs.x) + ((obs.t,) if obs.t is not None else ()) for obs in data]
         auxs, u = [obs.aux for obs in data], [obs.u for obs in data]
+        aux = None if any(a is None for a in auxs) else _aux_table(auxs)
         shape_ok = all(len(r) == D for r in g)
         if schedule is None or any(v is None for v in u):
             u = None
@@ -238,7 +240,6 @@ def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
         raise ValidationError(
             f"observations need {w.dim} coordinates"
             + (" and an event time" if w.is_temporal else " and no time"))
-    aux = None if any(a is None for a in auxs) else _aux_columns(auxs)
     return (np.asarray(g, dtype=float).reshape(-1, D), aux,
             None if u is None else np.asarray(u, dtype=float).reshape(-1, k))
 
@@ -258,7 +259,7 @@ def _event_log_factors(model: ParametricModel, events: tuple,
     if model.aux is not None:
         if aux is None:
             raise ValidationError("aux factor needs aux marks in the data")
-        log_fac += _aux_log_density(model.aux, g, *aux)
+        log_fac += _aux_log_density(model.aux, g, aux.discrete, aux.continuous)
     return log_fac
 
 

@@ -9,7 +9,7 @@ the likelihoods.
 
 Marks attach to a configuration's columns: ``attach_marks(window,
 locations, auxs, model, grid, seed)`` takes the (n, D) ground array and the
-n aux marks and returns the ``MarkTable`` of their cadlag marks, which
+``AuxTable`` of the n aux marks and returns their cadlag ``MarkTable``, which
 ``make_configuration`` (the ``Configuration`` constructor) joins to them.
 Every model builds its marks as one (n, k) value matrix on the shared grid
 and validates it once through ``CadlagPath.rows``; the table holds that
@@ -30,12 +30,14 @@ import numpy as np
 from . import _kernels
 from .core import (
     AuxMeasure,
+    AuxTable,
     CadlagPath,
     Configuration,
     MarkTable,
     ReferenceSpec,
     SampleSchedule,
     Window,
+    _aux_table,
     _shaped,
     ground_array,
 )
@@ -97,7 +99,8 @@ def _registry_entry(registry, spec, what):
 @dataclass(frozen=True)
 class Deterministic:
     """M_i(t) = f*(g_i, l_i, t): registry name with params, or a callable of
-    the (n, D) ground, the n aux marks and the (k,) grid returning (n, k)."""
+    the (n, D) ground, the ``AuxTable`` of the n aux marks and the (k,) grid
+    returning (n, k)."""
 
     fn: object = ("constant", 1.0)
 
@@ -199,14 +202,15 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
 
     ``locations`` is the (n, D) ground array of a configuration on
     ``window`` (event time last when temporal) and ``auxs`` its n aux
-    marks.  ``seed`` is anything ``np.random.default_rng`` accepts (an int
-    or a ``SeedSequence``).  The marks live on [0, t_star], with t_star the
-    window's horizon, or ``grid[-1]`` on a spatial window; the grid must
-    lie within it.  Independent-marking models draw each mark
+    marks (an ``AuxTable`` or ``AuxMark`` sequence).  ``seed`` is anything
+    ``np.random.default_rng`` accepts (int or ``SeedSequence``).  The marks
+    live on [0, t_star], with t_star the window's horizon, or ``grid[-1]``
+    on a spatial window; the grid must lie within it.  Independent-marking models draw each mark
     independently; growth-interaction marks are coupled and need birth
     times and lifetime aux marks.
     """
     locations = ground_array(window, locations)
+    auxs = _aux_table(auxs)
     if len(auxs) != len(locations):
         raise ValidationError("attach_marks needs one aux mark per location")
     grid = np.asarray(grid, dtype=float)
@@ -243,17 +247,17 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     if isinstance(model, GrowthInteraction):
         if not temporal:
             raise ValidationError("growth-interaction marks need birth times")
-        if any(aux.continuous is None for aux in auxs):
+        lifetimes = _lifetimes(auxs)
+        if lifetimes is None:
             raise ValidationError("growth-interaction marks need lifetime aux marks")
-        lifetimes = np.asarray([aux.continuous[0] for aux in auxs], dtype=float)
         dt = float(grid[1] - grid[0]) if len(grid) > 1 else t_star
         return gi_integrate((xs, locations[:, d], lifetimes), model, dt, seed,
                             t_star)
     if isinstance(model, Geostatistical):
         classes = None
         if model.per_class:
-            classes = [aux.discrete for aux in auxs]
-            if any(c is None for c in classes):
+            classes = auxs.discrete
+            if np.any(classes == 0):
                 raise ValidationError("per-class marking needs discrete aux marks")
         return geostat_marking(xs, model, grid, seed, t_star, classes)
     if isinstance(model, IntensityDependent):
@@ -261,6 +265,13 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
             raise ValidationError("intensity-dependent marking needs the Cox field")
         return intensity_dependent_marking(model.field, xs, grid)
     raise ValidationError(f"unknown mark model {type(model).__name__}")
+
+
+def _lifetimes(auxs: AuxTable):
+    """The (n,) first continuous values of the aux marks, the lifetimes,
+    or None when a mark has none."""
+    first = auxs.continuous[:, :1].ravel()
+    return None if first.size != len(auxs) or np.any(np.isnan(first)) else first
 
 
 def gi_integrate(points, model: GrowthInteraction, step: float, seed,
@@ -503,20 +514,9 @@ class AuxDensitySpec:
     measure: AuxMeasure = field(default_factory=lambda: AuxMeasure("counting", (1,)))
 
 
-def _aux_columns(auxs: Sequence) -> tuple:
-    """The aux columns of n aux marks: the (n,) discrete index (0 where a
-    mark has no discrete part) and the (n, c) continuous matrix (NaN where
-    a mark has no continuous value)."""
-    discrete = np.array([a.discrete or 0 for a in auxs], dtype=np.int64)
-    conts = [a.continuous or () for a in auxs]
-    c = max(map(len, conts), default=0)
-    rows = [v + (np.nan,) * (c - len(v)) for v in conts] if c else ()
-    return discrete, np.array(rows, dtype=float).reshape(len(auxs), c)
-
-
 def _aux_log_density(spec: AuxDensitySpec, ground, discrete, continuous) -> np.ndarray:
-    """(n,) log aux density of the ``_aux_columns`` at the (n, D) ground
-    locations: one call per callable, whatever n is."""
+    """(n,) log aux density of an ``AuxTable``'s columns at the (n, D)
+    ground locations: one call per callable, whatever n is."""
     logs, probs = np.zeros(ground.shape[0]), spec.discrete_probs
     with np.errstate(divide="ignore"):
         if probs is not None:
@@ -535,8 +535,9 @@ def _aux_log_density(spec: AuxDensitySpec, ground, discrete, continuous) -> np.n
 def aux_density_eval(spec: AuxDensitySpec, locations, values) -> float:
     """The joint aux density of the n aux marks ``values`` at the (n, D)
     ground ``locations``: the product of the per-point densities."""
+    values = _aux_table(values)
     return _exp_sum(_aux_log_density(spec, np.asarray(locations, dtype=float),
-                                     *_aux_columns(values)))
+                                     values.discrete, values.continuous))
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,20 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
         raise ValidationError("mode must be 'box' or 'kernel'")
     if bandwidth is None or bandwidth <= 0:
         raise ValidationError("kernel mode needs a positive bandwidth")
-    grid, _ = midpoint_rule(bounds, cells)
-    values = np.zeros(grid.shape[0])
-    for x in locs:
-        u = (grid - x[None, :]) / bandwidth
-        k = np.prod(np.where(np.abs(u) < 1, 0.75 * (1 - u * u) / bandwidth, 0.0),
-                    axis=1)
-        values += k
+    # the product kernel factorises over the axes: per block of points, the
+    # (cells_a, block) factors of every axis but the last are multiplied
+    # out over their cells and contracted with the last axis's factors
+    centres = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    values = np.zeros((int(np.prod(cells[:-1])), cells[-1]))
+    step = max(1, _PAIR_BLOCK_ENTRIES // values.shape[0])
+    for i0 in range(0, len(locs), step):
+        x = locs[i0:i0 + step]
+        u = [(mid[:, None] - x[:, a]) / bandwidth for a, mid in enumerate(centres)]
+        f = [np.where(np.abs(v) < 1, 0.75 * (1 - v * v) / bandwidth, 0.0) for v in u]
+        head = np.ones((1, len(x)))
+        for fa in f[:-1]:
+            head = (head[:, None, :] * fa).reshape(-1, len(x))
+        values += head @ f[-1].T
     return IntensitySurface(tuple(edges), values.reshape(cells), "kernel")
 
 
@@ -250,8 +257,9 @@ class VariogramModel:
         return np.where(h <= 0, 0.0, out)
 
 
-# entries per block of trace_variogram's pair arrays: it visits the curve
-# pairs a block of rows at a time, so its memory grows linearly in n
+# entries per block of trace_variogram's pair arrays and of the kernel
+# intensity's cell-by-point products: both visit the points a block at a
+# time, so their memory grows linearly in n
 _PAIR_BLOCK_ENTRIES = 1 << 18
 
 

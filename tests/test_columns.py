@@ -1,15 +1,15 @@
 """The column contract of the user callables: each is called once per
 simulation, configuration, replicate or check, on whole arrays, and no
-fmpp module builds or reads a per-point ``MarkedPoint`` view."""
+fmpp module builds or reads a per-point ``MarkedPoint`` or ``AuxMark``."""
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from fmpp import core
+from fmpp import core, infer
 from fmpp.cli import main
-from fmpp.core import AuxMark, SampleSchedule, Window
+from fmpp.core import AuxMark, AuxTable, SampleSchedule, Window, shift
 from fmpp.errors import ValidationError
 from fmpp.ground import (
     HomogeneousPoisson,
@@ -21,10 +21,13 @@ from fmpp.ground import (
     thin,
 )
 from fmpp.marks import (
+    AuxDensitySpec,
     Deterministic,
     Geostatistical,
+    GrowthInteraction,
     Wiener,
     attach_marks,
+    aux_density_eval,
     geostat_marking,
     make_configuration,
 )
@@ -226,3 +229,54 @@ class TestNoPerPointViews:
         gnz_check(wiener_config, lambda u, pts, own: np.full(len(u), 120.0),
                   lambda u, pts, own: np.ones(len(u)), UNIT, replicates=2,
                   quad_res=8)
+
+
+@pytest.fixture
+def no_aux_objects():
+    """Building an ``AuxMark``, an ``AuxTable`` row view included, fails."""
+    def refuse(self):
+        raise AssertionError("a per-point aux mark was built")
+
+    with mock.patch.object(core.AuxMark, "__post_init__", refuse):
+        yield
+
+
+class TestNoPerPointAuxMarks:
+    """Every stage reads and writes the aux columns: no fmpp module builds
+    an ``AuxMark``, with the .npz cache or from the JSON alone."""
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["npz", "json"])
+    @pytest.mark.parametrize("cfg_obj, stages", [
+        (NPZ_TEMPORAL, ("summarize", "estimate", "geometry")),
+        (dict(NPZ_SPATIAL, geometry={"times": [0.5], "resolution": 32}),
+         ("summarize", "estimate", "geometry")),
+    ], ids=["lifetime-temporal", "types-spatial"])
+    def test_cli_stages(self, tmp_path, no_aux_objects, cfg_obj, stages, cache):
+        cfg = write_cfg(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        if not cache:
+            for f in out.glob("*.npz"):
+                f.unlink()
+        for stage in stages:
+            assert main([stage, "--config", cfg, "--out", str(out)]) == 0, stage
+
+    def test_library(self, no_aux_objects):
+        w = Window((0, 0), (1, 1), t_star=1.0)
+        rng = np.random.default_rng(3)
+        ground = np.column_stack([rng.random((30, 2)), rng.random(30) * 0.8])
+        auxs = AuxTable(rng.integers(1, 3, 30), rng.exponential(0.5, (30, 1)))
+        marks = attach_marks(w, ground, auxs,
+                             GrowthInteraction(("linear", 2.0, 0.08)), GRID, 0)
+        c = make_configuration(w, ground, auxs, marks)
+        typed = make_configuration(
+            UNIT, ground[:, :2], auxs,
+            attach_marks(UNIT, ground[:, :2], auxs,
+                         Geostatistical(0.0, per_class=True), GRID, 1))
+        thin(typed, lambda c: np.full(len(c), 0.5), 2)
+        shift(c, (0.0, 0.0, 0.05))
+        spec = AuxDensitySpec(discrete_probs=[0.4, 0.6],
+                              continuous_density=lambda g, v: 2.0 * np.exp(-2.0 * v[:, 0]))
+        assert aux_density_eval(spec, ground, auxs) > 0
+        model = infer.ParametricModel("poisson-t", (30.0,), w, aux=spec)
+        assert np.isfinite(infer.loglik_temporal(model, c))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fmpp.core import (
     AuxMark,
     AuxMeasure,
+    AuxTable,
     CadlagPath,
     Configuration,
     MarkedPoint,
@@ -34,6 +35,7 @@ from fmpp.core import (
 from fmpp import _skorohod
 from fmpp import core
 from fmpp.errors import ValidationError
+from fmpp.ground import thin
 
 
 def const_path(value, t_star=1.0):
@@ -403,8 +405,9 @@ def reference_json_text(c):
 
 
 def configuration_bits(c) -> tuple:
-    """Every field of a configuration, its arrays as dtype, shape and bytes
-    and its aux values with their types, so that -0.0 differs from 0.0."""
+    """Every field of a configuration, its arrays (the aux columns too) as
+    dtype, shape and bytes and its aux row views with their types, so that
+    -0.0 differs from 0.0."""
     def array(a):
         return a.dtype.str, a.shape, a.tobytes()
 
@@ -412,6 +415,7 @@ def configuration_bits(c) -> tuple:
     return (c.window, c.reference,
             [(type(a.discrete), a.discrete, None if a.continuous is None
               else [(type(v), v.hex()) for v in a.continuous]) for a in c.auxs],
+            array(c.auxs.discrete), array(c.auxs.continuous),
             array(c.ground), array(m.grid), array(m.values), array(m.starts),
             array(m.ends), m.mode, m.t_star)
 
@@ -564,6 +568,40 @@ class TestNpzCache:
             with pytest.raises(ValidationError, match="finite"):
                 read_configuration_files(json_path)
 
+    def test_cache_of_the_packed_layout_reads_the_json(self, tmp_path):
+        # the layout written before the aux columns were stored as they are:
+        # "floats" and "ints" packed end to end, with a "continuous_len"
+        # count per point, under a header that matches the JSON bytes
+        json_path, npz_path = self.files(tmp_path)
+        c = configuration_from_json(json_path.read_text())
+        auxs = list(c.auxs)
+        discrete = [a.discrete or 0 for a in auxs]
+        counts = [-1 if a.continuous is None else len(a.continuous) for a in auxs]
+        cont = [v for a in auxs for v in a.continuous or ()]
+
+        def pack(columns):
+            return ([[name, list(a.shape)] for name, a in columns],
+                    np.concatenate([a.ravel() for _, a in columns]))
+
+        floats, flat = pack([("ground", c.ground), ("grid", c.marks.grid),
+                             ("values", c.marks.values),
+                             ("starts", c.marks.starts), ("ends", c.marks.ends),
+                             ("continuous", np.array(cont))])
+        ints, flat_ints = pack([("discrete", np.array(discrete)),
+                                ("continuous_len", np.array(counts))])
+        header = {**core._head(c), "mode": c.marks.mode,
+                  "t_star": c.marks.t_star, "floats": floats, "ints": ints,
+                  "json_sha256": hashlib.sha256(json_path.read_bytes()).hexdigest()}
+        with open(npz_path, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(),
+                                              dtype=np.uint8),
+                     floats=flat, ints=flat_ints)
+        with mock.patch.object(core, "configuration_from_json",
+                               wraps=core.configuration_from_json) as reader:
+            got = read_configuration_files(json_path)
+        assert reader.call_count == 1
+        assert configuration_bits(got) == configuration_bits(c)
+
 
 def test_tiny_wiener_simulate_is_pinned(tmp_path):
     # SHA-256 of both simulate outputs, recorded when each writer still
@@ -677,6 +715,145 @@ class TestSharedGridReader:
         assert shared == ragged
         with pytest.raises(ValidationError, match=shared):
             CadlagPath(grid, values[1], (supports[1][0], np.inf))
+
+
+# ---------------------------------------------------------------------------
+# the aux table
+# ---------------------------------------------------------------------------
+class TestAuxTable:
+    def test_columns_and_row_views(self):
+        t = AuxTable(np.array([2, 0, 1, 3]),
+                     [[0.5, np.nan], [1.0, -0.0], [np.nan, np.nan], [-1e-300, 7.0]])
+        assert t.discrete.dtype == np.int64 and t.continuous.dtype == np.float64
+        views = list(t)
+        assert views == [AuxMark(2, (0.5,)), AuxMark(continuous=(1.0, -0.0)),
+                         AuxMark(1), AuxMark(3, (-1e-300, 7.0))]
+        assert [t[i] for i in range(len(t))] == views and t[-1] == views[-1]
+        assert type(views[0].discrete) is int
+        assert all(type(v) is float for v in views[1].continuous)
+        assert math.copysign(1.0, views[1].continuous[1]) == -1.0
+        assert views[2].continuous is None and views[1].discrete is None
+
+    def test_width_is_the_longest_mark(self):
+        t = AuxTable([1, 2], [[0.5, np.nan, np.nan], [np.nan] * 3])
+        assert t.continuous.shape == (2, 1)
+        assert t.take([1]).continuous.shape == (1, 0)
+        assert t.take([1, 0]) == [AuxMark(2), AuxMark(1, (0.5,))]
+
+    def test_configuration_converts_aux_marks_once(self):
+        auxs = [AuxMark(1), AuxMark(continuous=(0.5, 2.0)), AuxMark(3, (-0.0,))]
+        c = Configuration(Window((0,), (1,)), [[0.1], [0.2], [0.3]], auxs,
+                          [const_path(1.0)] * 3)
+        assert isinstance(c.auxs, AuxTable) and c.auxs == auxs
+        np.testing.assert_array_equal(c.auxs.discrete, [1, 0, 3])
+        np.testing.assert_array_equal(
+            c.auxs.continuous, [[np.nan, np.nan], [0.5, 2.0], [-0.0, np.nan]])
+        assert Configuration(c.window, c.ground, c.auxs, c.marks).auxs is c.auxs
+        with pytest.raises(ValidationError):
+            Configuration(c.window, c.ground, [AuxMark(1), None, AuxMark(2)],
+                          c.marks)
+
+    @pytest.mark.parametrize("discrete, continuous", [
+        ([1.5], [[]]), ([2.0], [[]]), ([True], [[]]), ([-1], [[]]),
+        ([0], [[]]), ([0], [[np.nan]]), ([1], [[np.nan, 1.0]]),
+        ([1], [[np.inf]]), ([1, 2], [[1.0]]), ([[1]], [[1.0]]), ([1], [1.0]),
+    ])
+    def test_invalid_columns_rejected(self, discrete, continuous):
+        with pytest.raises(ValidationError):
+            AuxTable(np.array(discrete), continuous)
+
+
+class TestDiscreteAuxMustBeAnInteger:
+    """A discrete aux mark that is not an integer >= 1, or is a bool, is
+    rejected: the JSON writes int(discrete) and the CSV str(discrete), so
+    1.5 or True would make the two files disagree."""
+
+    @pytest.mark.parametrize("discrete", [1.5, 2.0, True, np.True_, 0, -3, "2"])
+    def test_aux_mark_rejects(self, discrete):
+        with pytest.raises(ValidationError, match="integer >= 1"):
+            AuxMark(discrete=discrete)
+
+    def test_numpy_integer_becomes_int(self):
+        aux = AuxMark(discrete=np.int64(3), continuous=np.array([0.5]))
+        assert type(aux.discrete) is int and aux == AuxMark(3, (0.5,))
+
+    def test_empty_continuous_is_no_part(self):
+        assert AuxMark(2, ()).continuous is None
+        with pytest.raises(ValidationError, match="discrete or continuous"):
+            AuxMark(continuous=())
+
+    @pytest.mark.parametrize("aux, message", [
+        ({"discrete": 2.7}, "integer >= 1"),
+        ({"discrete": True}, "integer >= 1"),
+        ({"discrete": 0, "continuous": [0.5]}, "integer >= 1"),
+        ({"continuous": [float("nan")]}, "finite"),
+        ({"continuous": ["a"]}, "could not convert"),
+        ({"continuous": []}, "discrete or continuous"),
+        ([1], "'list' object"),
+    ])
+    def test_json_reader_names_the_point(self, aux, message):
+        point = {"x": [0.5], "mark": {"grid": [0.0], "values": [1.0],
+                                      "support": [0.0, None]}}
+        text = json.dumps({"window": {"lo": [0], "hi": [1]},
+                           "points": [dict(point, aux={"discrete": 1}),
+                                      dict(point, x=[0.25], aux=aux)]})
+        with pytest.raises(ValidationError,
+                           match=f"point 1: field 'aux': .*{message}"):
+            configuration_from_json(text)
+
+    def test_json_and_cache_agree(self, tmp_path):
+        # a file the reader accepts gives the same table from the JSON and
+        # from the cache, down to the types of the discrete column
+        c = configuration_from_json(json.dumps(
+            {"window": {"lo": [0], "hi": [1]},
+             "points": [{"x": [0.5], "aux": {"discrete": 2},
+                         "mark": {"grid": [0.0], "values": [1.0],
+                                  "support": [0.0, None]}}]}))
+        write_configuration_files(c, tmp_path / "c.json", tmp_path / "m.csv")
+        cached = read_from_cache(tmp_path / "c.json")
+        assert configuration_bits(cached) == configuration_bits(c)
+        assert '"discrete": 2' in (tmp_path / "c.json").read_text()
+        assert (tmp_path / "m.csv").read_text().splitlines()[1].split(",")[3] == "2"
+
+
+def aux_tagged(window, n, seed):
+    """n points whose aux marks name their ground rows: the type of row i
+    is i + 1 on odd rows (none on even ones), and its values the row's
+    spatial coordinates, with i appended on every third row."""
+    rng = np.random.default_rng(seed)
+    ground = np.asarray(window.lo) + rng.random((n, window.dim)) * window.sides
+    auxs = [AuxMark(i + 1 if i % 2 else None,
+                    tuple(g) + ((float(i),) if i % 3 == 0 else ()))
+            for i, g in enumerate(ground.tolist())]
+    marks = CadlagPath.rows([0.0, 0.5], rng.random((n, 2)), None, "step", 1.0)
+    return Configuration(window, ground, auxs, marks)
+
+
+class TestAuxRowsFollowGround:
+    def test_thin(self):
+        c = aux_tagged(Window((0, 0), (1, 1)), 40, 1)
+        kept = thin(c, lambda c: np.where(c.ground[:, 0] < 0.6, 0.7, 0.0), 2)
+        assert 0 < len(kept) < len(c)
+        rows = [int(np.flatnonzero((c.ground == g).all(axis=1))[0])
+                for g in kept.ground]
+        np.testing.assert_array_equal(kept.auxs.discrete, c.auxs.discrete[rows])
+        width = kept.auxs.continuous.shape[1]
+        np.testing.assert_array_equal(kept.auxs.continuous,
+                                      c.auxs.continuous[rows, :width])
+        assert list(kept.auxs) == [c.auxs[i] for i in rows]
+        np.testing.assert_array_equal(kept.auxs.continuous[:, :2],
+                                      kept.ground)
+        np.testing.assert_array_equal(kept.marks.values, c.marks.values[rows])
+
+    def test_shift(self):
+        w = Window((0, 0), (1, 1), torus=True)
+        c = aux_tagged(w, 25, 3)
+        z = np.array([0.45, 0.8])
+        moved = shift(c, z)
+        assert moved.auxs == c.auxs
+        np.testing.assert_array_equal(moved.auxs.discrete, c.auxs.discrete)
+        np.testing.assert_allclose(w.wrap(moved.auxs.continuous[:, :2] + z),
+                                   moved.ground, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

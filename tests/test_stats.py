@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fmpp.core import AuxMark, CadlagPath, SampleSchedule, Window
+from fmpp.core import AuxMark, CadlagPath, SampleSchedule, Window, midpoint_rule
 from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import HomogeneousPoisson, PairwiseGibbs, simulate_gibbs, simulate_poisson
 from fmpp.marks import Deterministic, Wiener, attach_marks, make_configuration
@@ -518,3 +518,40 @@ class TestKernelIntensityMode:
         c = poisson_config(1, 50.0)
         with pytest.raises(ValidationError):
             intensity_estimate(c, cells=8, mode="kernel")
+
+    @staticmethod
+    def loop_oracle(c, cells, bandwidth):
+        """The kernel surface one point at a time: the (cells, D) kernel
+        pass of each point on the midpoint nodes, summed."""
+        bounds = c.window.ground_bounds
+        cells = (cells,) * len(bounds) if np.ndim(cells) == 0 else tuple(cells)
+        grid, _ = midpoint_rule(bounds, cells)
+        values = np.zeros(grid.shape[0])
+        for x in c.locations():
+            u = (grid - x[None, :]) / bandwidth
+            values += np.prod(np.where(np.abs(u) < 1,
+                                       0.75 * (1 - u * u) / bandwidth, 0.0), axis=1)
+        return values.reshape(cells)
+
+    @pytest.mark.parametrize("window, cells, rate", [
+        (Window((0, 0), (1, 1)), 64, 2000.0),
+        (Window((-1.0, 0.5), (2.0, 1.5)), (7, 5), 40.0),
+        (Window((0,), (2.0,)), 33, 300.0),
+        (Window((0, 0), (1, 1), t_star=2.0), (9, 6, 11), 150.0),
+    ], ids=["spatial-64", "spatial-ragged", "line", "temporal"])
+    def test_kernel_mode_matches_the_point_loop(self, window, cells, rate,
+                                                monkeypatch):
+        c = poisson_config(3, rate, window)
+        # a small block budget splits the points into several blocks
+        for budget in (stats._PAIR_BLOCK_ENTRIES, 64):
+            monkeypatch.setattr(stats, "_PAIR_BLOCK_ENTRIES", budget)
+            got = intensity_estimate(c, cells, mode="kernel", bandwidth=0.3)
+            want = self.loop_oracle(c, cells, 0.3)
+            assert got.values.shape == want.shape
+            np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+        assert np.count_nonzero(want) > want.size // 2
+
+    def test_kernel_mode_empty_pattern(self):
+        c = make_configuration(W, np.zeros((0, 2)), [], [])
+        s = intensity_estimate(c, (4, 3), mode="kernel", bandwidth=0.2)
+        np.testing.assert_array_equal(s.values, np.zeros((4, 3)))
