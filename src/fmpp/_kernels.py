@@ -476,12 +476,29 @@ def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial):
         return out
     rows = max(1, _COUNT_BLOCK_PAIRS // n)
     for i0 in range(0, m, rows):
-        q = queries[i0:i0 + rows]
-        diff = np.abs(q[:, None, :d_spatial] - pts[None, :, :d_spatial])
-        if torus:
-            diff = np.minimum(diff, sides[None, None, :d_spatial] - diff)
-        ok = np.sum(diff * diff, axis=-1) <= rad * rad
-        if trad >= 0.0 and queries.shape[1] > d_spatial:
-            ok &= np.abs(q[:, None, -1] - pts[None, :, -1]) <= trad
+        ok = _in_range(queries[i0:i0 + rows, None], pts[None], sides, torus,
+                       rad, trad, d_spatial)
         out[i0:i0 + rows] = np.sum(ok, axis=1)
     return out
+
+
+def other_neighbour_counts(queries, pts, own, sides, torus, rad, trad, d_spatial):
+    """``neighbour_counts`` of each query j among the points other than row
+    own[j] of ``pts`` (all of them where own[j] is -1)."""
+    out = neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial)
+    has = own >= 0
+    out[has] -= _in_range(queries[has], pts[own[has]], sides, torus, rad, trad,
+                          d_spatial)
+    return out
+
+
+def _in_range(a, b, sides, torus, rad, trad, d_spatial):
+    """Whether the ground rows of ``a`` and ``b``, arrays that broadcast
+    together, are in range by the rule of ``neighbour_counts``."""
+    diff = np.abs(a[..., :d_spatial] - b[..., :d_spatial])
+    if torus:
+        diff = np.minimum(diff, sides[:d_spatial] - diff)
+    ok = np.sum(diff * diff, axis=-1) <= rad * rad
+    if trad >= 0.0 and a.shape[-1] > d_spatial:
+        ok &= np.abs(a[..., -1] - b[..., -1]) <= trad
+    return ok

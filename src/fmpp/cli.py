@@ -20,6 +20,7 @@ import hashlib
 import json
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -446,10 +447,15 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
     if _require(gspec, "family", "model.ground") != "poisson":
         raise ValidationError("check needs the homogeneous poisson ground family")
     rate = float(_require(gspec, "rate", "model.ground"))
+    model = infer.ParametricModel("poisson", (rate,), window)
     lo = np.asarray(window.lo)
     blo, bhi = np.asarray(section.get("box") or [lo, lo + 0.5 * window.sides],
                           dtype=float)
     results = []
+
+    def report(name, rep):
+        results.append({"check": name, "lhs": rep.lhs, "rhs": rep.rhs,
+                        "se": rep.combined_se, "passed": rep.passed()})
 
     def in_box(g):
         # (m,) indicator of the (m, D) ground rows whose space part is in the box
@@ -467,28 +473,20 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
                                np.linspace(0.0, window.t_star or 1.0, 3), s))
 
     if "campbell" in names:
-        rep = stats.campbell_check(
+        report("campbell", stats.campbell_check(
             simulate, lambda c: in_box(c.ground), lambda g: rate * in_box(g),
-            window, replicates, seed, quad_res=int(section.get("quad_res", 64)))
-        results.append({"check": "campbell", "lhs": rep.lhs, "rhs": rep.rhs,
-                        "se": rep.combined_se, "passed": rep.passed()})
+            window, replicates, seed, quad_res=int(section.get("quad_res", 64))))
     if "gnz" in names:
-        lam_factor = float(section.get("lambda_factor", 1.0))
-        rep = stats.gnz_check(
-            simulate, lambda u, pts, own: np.full(len(u), rate * lam_factor),
-            lambda u, pts, own: in_box(u),
-            window, replicates, seed, quad_res=int(section.get("quad_res", 32)))
-        results.append({"check": "gnz", "lhs": rep.lhs, "rhs": rep.rhs,
-                        "se": rep.combined_se, "passed": rep.passed()})
+        lam = model.with_theta([rate * float(section.get("lambda_factor", 1.0))])
+        report("gnz", stats.gnz_check(
+            simulate, partial(infer.papangelou, lam), lambda u, pts, own: in_box(u),
+            window, replicates, seed, quad_res=int(section.get("quad_res", 32))))
     if "janossy" in names:
-        model = infer.ParametricModel("poisson", (rate,), window)
         mean = rate * window.ground_volume
         default_n = max(30, int(np.ceil(mean + 12.0 * np.sqrt(mean) + 12.0)))
-        total = infer.janossy_total_mass(model, n_max=int(section.get("n_max",
-                                                                      default_n)))
-        ok = abs(total - 1.0) < 1e-6
-        results.append({"check": "janossy", "lhs": total, "rhs": 1.0,
-                        "se": 0.0, "passed": ok})
+        total = infer.janossy_total_mass(model, int(section.get("n_max", default_n)))
+        results.append({"check": "janossy", "lhs": total, "rhs": 1.0, "se": 0.0,
+                        "passed": abs(total - 1.0) < 1e-6})
     out.mkdir(parents=True, exist_ok=True)
     (out / "checks.json").write_text(json.dumps(results, indent=1),
                                      encoding="utf-8")

@@ -303,20 +303,22 @@ class CadlagPath:
     half-open support interval ``[support[0], support[1])`` the path is
     identically zero; the degenerate support ``[a, a)`` is the zero path.
     ``CadlagPath.rows`` builds the ``MarkTable`` of a whole value matrix on
-    one shared grid, whose rows are paths too.
+    one shared grid, whose rows are paths too.  A path holds read-only
+    copies of its grid and values.
     """
 
     __slots__ = ("grid", "values", "support", "mode", "t_star")
 
     def __init__(self, grid, values, support=None, mode="step", t_star=None):
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        values = np.atleast_1d(np.asarray(values, dtype=float))
+        grid = np.atleast_1d(np.array(grid, dtype=float))
+        values = np.atleast_1d(np.array(values, dtype=float))
         if grid.ndim != 1 or grid.shape != values.shape:
             raise ValidationError("grid and values must be 1-d arrays of equal length")
         if support is not None:
             support = [(float(support[0]), float(support[1]))]
         (a,), (b,), mode, t_star = _check_rows(grid, values[None, :], support,
                                                mode, t_star)
+        grid.flags.writeable = values.flags.writeable = False
         self.grid = grid
         self.values = values
         self.support = (float(a), float(b))
@@ -327,13 +329,13 @@ class CadlagPath:
     def rows(cls, grid, values, supports=None, mode="step", t_star=None):
         """The ``MarkTable`` of the (n, k) ``values`` matrix on the shared
         grid of k times, one path per row, validated as a whole by the
-        rules of ``__init__``.
+        rules of ``__init__``; the table holds its own copies.
 
         ``supports`` holds n (start, end) pairs; None gives every path the
         support [grid[0], inf).
         """
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
+        grid = np.array(grid, dtype=float)
+        values = np.array(values, dtype=float)
         if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size:
             raise ValidationError("values must form an (n, k) matrix over a "
                                   "1-d grid of k times")
@@ -380,12 +382,15 @@ class MarkTable(Sequence):
     Indexing and iteration give each row as a ``CadlagPath`` view that
     shares the grid and holds its row of ``values``; ``at`` evaluates every
     row at once.  ``CadlagPath.rows`` validates a table, and
-    ``Configuration`` builds one from any other sequence of paths.
+    ``Configuration`` builds one from any other sequence of paths.  The
+    table's arrays are made read-only.
     """
 
     __slots__ = ("grid", "values", "starts", "ends", "mode", "t_star")
 
     def __init__(self, grid, values, starts, ends, mode, t_star):
+        for a in (grid, values, starts, ends):
+            a.flags.writeable = False
         self.grid = grid
         self.values = values
         self.starts = starts
@@ -452,7 +457,8 @@ class AuxTable(Sequence):
     ``continuous``, an (n, c) float64 matrix of each mark's values from the
     left, NaN after its last value (a whole NaN row where it has none), c
     the longest mark's value count.  Indexing and iteration give each row
-    as an ``AuxMark`` view of Python ``int``/``float`` values.
+    as an ``AuxMark`` view of Python ``int``/``float`` values.  The table
+    holds read-only copies of its columns.
     """
 
     __slots__ = ("discrete", "continuous")
@@ -472,8 +478,9 @@ class AuxTable(Sequence):
         lengths = (~missing).sum(axis=1)
         if np.any((discrete == 0) & (lengths == 0)):
             raise ValidationError("auxiliary mark needs a discrete or continuous part")
-        self.discrete = discrete.astype(np.int64, copy=False)
-        self.continuous = continuous[:, :lengths.max(initial=0)]
+        self.discrete = np.array(discrete, dtype=np.int64)
+        self.continuous = continuous[:, :lengths.max(initial=0)].copy()
+        self.discrete.flags.writeable = self.continuous.flags.writeable = False
 
     def __len__(self):
         return self.discrete.shape[0]

@@ -5,9 +5,13 @@ models with sampled-mark and auxiliary factors, Janossy densities and
 densities with respect to a reference Poisson process, Papangelou
 conditional intensities, and four fitting routes: temporal maximum
 likelihood, finite-sample (Janossy) likelihood, maximum pseudo-likelihood,
-and least squares on sampled mark trajectories.  The likelihood fits share
-one derivative-free simplex optimizer; least squares minimizes its residual
-vector by projected Levenberg-Marquardt.
+and least squares on sampled mark trajectories.  Each takes its points as
+columns (a ``Configuration``, a list of ``Observation`` or an (n, D) ground
+array).  The ground Papangelou intensity is one theta-invariant build, the
+neighbour counts without each query's own row, and one evaluation, shared
+by ``papangelou``, the pseudo-likelihood and the pairwise Janossy density.
+The likelihood fits share one derivative-free simplex optimizer; least
+squares minimizes its residual vector by projected Levenberg-Marquardt.
 
 Ground families are deliberately closed: homogeneous rates, a log-linear
 temporal rate exp(a + b t) (self-exciting families are out of scope), and
@@ -26,7 +30,7 @@ import numpy as np
 from . import _kernels
 from ._optim import gauss_newton, nelder_mead
 from .core import (AuxMark, Configuration, SampleSchedule, Window, _aux_table,
-                   midpoint_rule)
+                   ground_array, midpoint_rule)
 from .errors import NumericalError, ValidationError
 from .marks import (
     AuxDensitySpec,
@@ -218,12 +222,14 @@ def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
 
 
 def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
-    """The data, a ``Configuration`` or a sequence of ``Observation``, as
-    columns on window ``w``: the (n, D) ground array (time last), the
-    ``AuxTable`` of the aux marks (None if a point has no aux mark) and the
-    (n, k) marks u at the schedule times (None without schedule or sampled
-    values)."""
+    """The data, a ``Configuration``, a sequence of ``Observation`` or a
+    bare (n, D) ground array, as columns on window ``w``: the (n, D) ground
+    array (time last), the ``AuxTable`` of the aux marks (None if a point
+    has no aux mark) and the (n, k) marks u at the schedule times (None
+    without schedule or sampled values)."""
     D, k = w.dim + (1 if w.is_temporal else 0), 0 if schedule is None else len(schedule)
+    if isinstance(data, np.ndarray):
+        return ground_array(w, data), None, None
     if isinstance(data, Configuration):
         g, aux, shape_ok = data.ground, data.auxs, data.ground.shape[1] == D
         u = None if schedule is None else data.marks.at(schedule.times)
@@ -231,7 +237,7 @@ def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
         g = [tuple(obs.x) + ((obs.t,) if obs.t is not None else ()) for obs in data]
         auxs, u = [obs.aux for obs in data], [obs.u for obs in data]
         aux = None if any(a is None for a in auxs) else _aux_table(auxs)
-        shape_ok = all(len(r) == D for r in g)
+        shape_ok = all(len(o.x) == w.dim and (o.t is None) != w.is_temporal for o in data)
         if schedule is None or any(v is None for v in u):
             u = None
         elif any(len(v) != k for v in u):
@@ -263,6 +269,13 @@ def _event_log_factors(model: ParametricModel, events: tuple,
     return log_fac
 
 
+def _with_factors(model: ParametricModel, events: tuple,
+                  schedule: SampleSchedule | None, lam: np.ndarray) -> np.ndarray:
+    """(n,) ``lam`` times the mark and aux factors of the ``_events`` columns."""
+    with np.errstate(over="ignore"):
+        return lam * np.exp(_event_log_factors(model, events, schedule))
+
+
 def _sum_log_intensities(lam: np.ndarray, log_fac: float, what: str) -> float:
     """Sum over events of log(lam), plus ``log_fac``, the summed log mark
     and aux factors; a vanishing or non-finite intensity or factor raises
@@ -275,32 +288,29 @@ def _sum_log_intensities(lam: np.ndarray, log_fac: float, what: str) -> float:
 # ---------------------------------------------------------------------------
 # intensities
 # ---------------------------------------------------------------------------
-def intensity_functional(model: ParametricModel, obs: Observation,
-                         schedule: SampleSchedule | None = None) -> float:
-    """Sampled-mark intensity functional: fidi(u) * aux(l) * ground intensity."""
-    ev = _events(model.window, [obs], schedule)
-    return float(ground_intensity(model, ev[0])[0]
-                 * _exp_sum(_event_log_factors(model, ev, schedule)))
+def intensity_functional(model: ParametricModel, data,
+                         schedule: SampleSchedule | None = None) -> np.ndarray:
+    """Sampled-mark intensity functional fidi(u) * aux(l) * ground intensity
+    at each of the n points of ``data`` (any ``_events`` form); returns (n,)."""
+    ev = _events(model.window, data, schedule)
+    return _with_factors(model, ev, schedule, ground_intensity(model, ev[0]))
 
 
-def conditional_intensity(model: ParametricModel, history, obs: Observation,
-                          schedule: SampleSchedule | None = None) -> float:
-    """Predictable conditional intensity of a temporally grounded model.
-
-    ``history`` holds the event times strictly before obs.t (sorted); the
-    supported rate families do not feed back on it, but it is validated so
-    the predictability contract is explicit.
-    """
-    if obs.t is None:
-        raise ValidationError("conditional intensity needs an event time")
+def conditional_intensity(model: ParametricModel, history, data,
+                          schedule: SampleSchedule | None = None) -> np.ndarray:
+    """Predictable conditional intensity of a temporally grounded model at
+    the n points of ``data``; returns (n,).  ``history``, the sorted event
+    times before every query time, does not feed back on the supported rate
+    families, but it is validated so the predictability contract is explicit."""
     if model.ground not in ("poisson-t", "loglinear-t"):
         raise ValidationError("model has no temporal ground rate")
+    ev = _events(model.window, data, schedule)
     hist = np.asarray(history, dtype=float)
-    if hist.size and np.any(np.diff(hist) < 0):
+    if np.any(np.diff(hist) < 0):
         raise ValidationError("history must be time-sorted")
-    if hist.size and hist[-1] >= obs.t:
-        raise ValidationError("history must precede the evaluation time")
-    return intensity_functional(model, obs, schedule)
+    if hist.size and np.any(ev[0][:, -1] <= hist[-1]):
+        raise ValidationError("history must precede the evaluation times")
+    return _with_factors(model, ev, schedule, ground_intensity(model, ev[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +366,9 @@ def _janossy_terms(model: ParametricModel, data: Sequence,
     g = ev[0]
     with np.errstate(divide="ignore"):
         log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
-    pairs = _gibbs_pair_count(model, g) if model.ground == "gibbs" else 0
+    # each pair is a neighbour of both its points
+    pairs = (int(np.sum(_papangelou_terms(model, g, g, np.arange(len(g))))) // 2
+             if model.ground == "gibbs" else 0)
 
     def evaluate(m: ParametricModel) -> float:
         with np.errstate(divide="ignore"):
@@ -447,77 +459,67 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
 # ---------------------------------------------------------------------------
 # Papangelou and pseudo-likelihood
 # ---------------------------------------------------------------------------
-def _gibbs_counts(model: ParametricModel, queries: np.ndarray,
-                  pts: np.ndarray) -> np.ndarray:
-    """(m,) number of the (n, D) points within the interaction ranges of
-    each of the (m, D) query locations."""
-    w = model.window
-    trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
-    return _kernels.neighbour_counts(
-        np.ascontiguousarray(queries, dtype=float),
-        np.ascontiguousarray(pts, dtype=float), w.sides.astype(float), w.torus,
-        float(model.interaction_range), trad, w.dim)
+def _papangelou_terms(model: ParametricModel, queries, pts, own) -> np.ndarray:
+    """The theta-invariant ground Papangelou terms of the (m, D) queries,
+    query j given the (n, D) pattern without row own[j]: the (m,) neighbour
+    counts of the pairwise model (its ranges are fixed), else the queries."""
+    if model.ground != "gibbs":
+        return queries
+    w, trad = model.window, model.temporal_range
+    return _kernels.other_neighbour_counts(
+        queries, pts, own, w.sides.astype(float), w.torus,
+        float(model.interaction_range), -1.0 if trad is None else float(trad), w.dim)
 
 
-def _gibbs_pair_count(model: ParametricModel, pts: np.ndarray) -> int:
-    n = pts.shape[0]
-    if n < 2:
-        return 0
-    # self-pairs removed, unordered
-    return int(np.sum(_gibbs_counts(model, pts, pts)) - n) // 2
+def _ground_papangelou(m: ParametricModel, terms: np.ndarray) -> np.ndarray:
+    """(m,) ground Papangelou intensity at ``m.theta`` of ``_papangelou_terms``."""
+    if m.ground == "gibbs":
+        return m.theta[0] * np.power(m.theta[1], terms)
+    return ground_intensity(m, terms)
 
 
-def _gibbs_papangelou(model: ParametricModel, counts: np.ndarray) -> np.ndarray:
-    """beta * gamma^count for (m,) neighbour counts; returns (m,)."""
-    beta, gamma = model.theta[0], model.theta[1]
-    return beta * np.power(gamma, counts)
-
-
-def papangelou(model: ParametricModel, obs: Observation, config: Sequence,
-               schedule: SampleSchedule | None = None) -> float:
-    """Papangelou conditional intensity of a candidate point given a
-    configuration (zero when the candidate ground location already occurs).
-
-    For Poisson families this is the intensity functional, independent of
-    the configuration; for the pairwise model it is beta gamma^(neighbours)
-    times the mark and aux factors.
+def papangelou(model: ParametricModel, queries, pattern, own=None,
+               schedule: SampleSchedule | None = None) -> np.ndarray:
+    """Papangelou conditional intensity lambda(u_j; x minus row own[j]) at
+    the m ``queries`` (any ``_events`` form) given the ground array of the
+    ``pattern`` x; returns (m,).  own[j] = -1, or own None, leaves no row
+    out.  The value is zero where a query coincides with another pattern
+    row.  ``functools.partial(papangelou, model)`` is a ``gnz_check`` lambda.
     """
-    pts = _events(model.window, config, None)[0]
-    ev = _events(model.window, [obs], schedule)
-    if pts.size and np.any(np.all(pts == ev[0], axis=1)):
-        return 0.0
-    lam = (_gibbs_papangelou(model, _gibbs_counts(model, ev[0], pts))
-           if model.ground == "gibbs" else ground_intensity(model, ev[0]))
-    return float(lam[0] * _exp_sum(_event_log_factors(model, ev, schedule)))
+    w = model.window
+    ev = _events(w, queries, schedule)
+    q, pts = ev[0], _events(w, pattern, None)[0]
+    m, n = q.shape[0], pts.shape[0]
+    own = np.full(m, -1) if own is None else np.asarray(own)
+    if (own.shape != (m,) or own.dtype.kind not in "iu"
+            or np.any((own < -1) | (own >= n))):
+        raise ValidationError(f"own must be {m} integers in [-1, {n})")
+    lam = _ground_papangelou(model, _papangelou_terms(model, q, pts, own))
+    same = _kernels.other_neighbour_counts(q, pts, own, w.sides.astype(float),
+                                           w.torus, 0.0, 0.0, w.dim)
+    return np.where(same > 0, 0.0, _with_factors(model, ev, schedule, lam))
 
 
 def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
                             schedule: SampleSchedule | None,
                             quad_res: int) -> Callable:
-    """Build the theta-invariant terms of ``pseudolikelihood`` once.
-
-    For the pairwise model these are the neighbour counts of each data
-    point among the others and of each quadrature node among the data (the
-    ranges are fixed), so evaluation needs no neighbour search.  Returns
-    ``evaluate(m)``, the log pseudo-likelihood at ``m.theta`` for a model of
-    the same family, window and ranges as ``model``.
-    """
+    """Build the theta-invariant terms of ``pseudolikelihood`` once, the
+    ``_papangelou_terms`` of each data point given the others and of each
+    quadrature node given the data; returns ``evaluate(m)``, the log
+    pseudo-likelihood at ``m.theta`` for a model of the same family, window
+    and ranges as ``model``."""
     w = model.window
     ev = _events(w, data, schedule)
     pts = ev[0]
     log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
     nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
-    if model.ground == "gibbs":
-        # every data point is its own neighbour once
-        at_data = _gibbs_counts(model, pts, pts) - 1
-        at_nodes = _gibbs_counts(model, nodes, pts)
-        ground = _gibbs_papangelou
-    else:
-        at_data, at_nodes, ground = pts, nodes, ground_intensity
+    at_data = _papangelou_terms(model, pts, pts, np.arange(len(pts)))
+    at_nodes = _papangelou_terms(model, nodes, pts, np.full(len(nodes), -1))
 
     def evaluate(m: ParametricModel) -> float:
-        log_lam = _sum_log_intensities(ground(m, at_data), log_fac, "Papangelou")
-        integral = float(np.sum(ground(m, at_nodes)) * cell)
+        log_lam = _sum_log_intensities(_ground_papangelou(m, at_data), log_fac,
+                                       "Papangelou")
+        integral = float(np.sum(_ground_papangelou(m, at_nodes)) * cell)
         return log_lam - integral
 
     return evaluate

@@ -763,6 +763,33 @@ class TestAuxTable:
             AuxTable(np.array(discrete), continuous)
 
 
+class TestTablesAreReadOnly:
+    def test_writes_raise_and_views_still_work(self):
+        w = Window((0, 0), (1, 1), t_star=1.0)
+        grid, values = np.linspace(0.0, 1.0, 5), np.ones((3, 5))
+        discrete, continuous = np.array([1, 2, 0]), np.array([[np.nan], [np.nan], [0.5]])
+        marks = CadlagPath.rows(grid, values, None, "step", 1.0)
+        auxs = AuxTable(discrete, continuous)
+        c = Configuration(w, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
+                          auxs, marks)
+        # the tables copied the caller's arrays, which stay writeable
+        grid[0] = values[0, 0] = continuous[0, 0] = 9.0
+        discrete[0] = -5
+        assert c.marks.values[0, 0] == 1.0 and c.marks.grid[0] == 0.0
+        assert c.auxs.discrete[0] == 1 and np.isnan(c.auxs.continuous[0, 0])
+        table = c.marks.take([2, 0])
+        for arr in (c.marks.grid, c.marks.values, c.marks.starts, c.marks.ends,
+                    c.auxs.discrete, c.auxs.continuous, c.marks[1].values,
+                    c.marks[1].grid, table.values, c.auxs.take([1]).continuous):
+            with pytest.raises(ValueError):
+                arr[0] = np.nan if arr.dtype.kind == "f" else -5
+        assert table == [c.marks[2], c.marks[0]] and c.marks[1](0.5) == 1.0
+        assert c.auxs.take([2, 0]) == [AuxMark(continuous=(0.5,)), AuxMark(1)]
+        path = CadlagPath(np.linspace(0.0, 1.0, 5), np.ones(5))
+        with pytest.raises(ValueError):
+            path.values[1] = 2.0
+
+
 class TestDiscreteAuxMustBeAnInteger:
     """A discrete aux mark that is not an integer >= 1, or is a bool, is
     rejected: the JSON writes int(discrete) and the CSV str(discrete), so
@@ -937,7 +964,7 @@ class TestMarkTable:
         assert shift(c, (0.1, 0.1)).marks is table
         # paths on one grid become a table on it, the grid not copied
         again = Configuration(w, c.ground, c.auxs, list(c.marks))
-        assert again.marks.grid is grid and again.marks == table
+        assert again.marks.grid is table.grid and again.marks == table
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_ragged_step_embedding_keeps_values(self, seed):

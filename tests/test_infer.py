@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -12,7 +13,8 @@ import fmpp
 from fmpp._optim import gauss_newton
 from fmpp.core import AuxMark, Configuration, SampleSchedule, Window
 from fmpp.errors import NumericalError, ValidationError
-from fmpp.ground import HomogeneousPoisson, InhomogeneousPoisson, simulate_poisson
+from fmpp.ground import (HomogeneousPoisson, InhomogeneousPoisson, PairwiseGibbs,
+                         simulate_gibbs, simulate_poisson)
 from fmpp.infer import (
     FitResult,
     Observation,
@@ -32,6 +34,7 @@ from fmpp.infer import (
 )
 from fmpp.marks import (
     AuxDensitySpec,
+    Deterministic,
     FidiDensitySpec,
     GrowthInteraction,
     Wiener,
@@ -39,7 +42,9 @@ from fmpp.marks import (
     brownian_fidi,
     deterministic_fidi,
     gi_integrate,
+    make_configuration,
 )
+from fmpp.stats import gnz_check
 
 W = Window((0, 0), (1, 1))
 WT = Window((0,), (1,), t_star=2.0)
@@ -52,44 +57,67 @@ class TestIntensityFunctional:
                             aux=AuxDensitySpec(discrete_probs=np.array([0.5, 0.5])),
                             fidi=brownian_fidi(1.0))
         val = intensity_functional(
-            m, Observation((0.3, 0.4), None, AuxMark(discrete=1), (0.0,)),
+            m, [Observation((0.3, 0.4), None, AuxMark(discrete=1), (0.0,))],
             SampleSchedule((1.0,)))
-        assert val == pytest.approx(10.0 * 0.5 * PHI0)
+        assert val.shape == (1,)
+        assert val[0] == pytest.approx(10.0 * 0.5 * PHI0)
 
     def test_degenerate_marks_drop_factor(self):
         m = ParametricModel("poisson", (10.0,), W,
                             aux=AuxDensitySpec(discrete_probs=np.array([0.5, 0.5])),
                             fidi=deterministic_fidi())
         val = intensity_functional(
-            m, Observation((0.3, 0.4), None, AuxMark(discrete=2), (123.0,)),
+            m, [Observation((0.3, 0.4), None, AuxMark(discrete=2), (123.0,))],
             SampleSchedule((1.0,)))
-        assert val == pytest.approx(10.0 * 0.5)
+        assert val == pytest.approx([10.0 * 0.5])
 
     def test_zero_rate_region(self):
         m = ParametricModel("poisson", (0.0,), W)
-        assert intensity_functional(m, Observation((0.5, 0.5))) == 0.0
+        assert intensity_functional(m, [Observation((0.5, 0.5))]).tolist() == [0.0]
+
+    def test_rows_are_points(self):
+        # one value per row, each that row's one-row value; a bare ground
+        # array carries no marks and needs a model without mark factors
+        m = ParametricModel("poisson", (10.0,), W,
+                            aux=AuxDensitySpec(discrete_probs=np.array([0.2, 0.8])),
+                            fidi=brownian_fidi(1.0))
+        sched = SampleSchedule((1.0,))
+        data = [Observation((0.1 * i, 0.5), None, AuxMark(discrete=1 + i % 2),
+                            (0.3 * i,)) for i in range(5)]
+        vals = intensity_functional(m, data, sched)
+        assert vals.tolist() == [intensity_functional(m, [o], sched)[0]
+                                 for o in data]
+        assert vals[1] == pytest.approx(10.0 * 0.8 * PHI0 * math.exp(-0.045))
+        g = np.array([[0.1, 0.2], [0.7, 0.9]])
+        plain = ParametricModel("poisson", (10.0,), W)
+        assert intensity_functional(plain, g).tolist() == [10.0, 10.0]
+        with pytest.raises(ValidationError):
+            intensity_functional(m, g, sched)
 
 
 class TestConditionalIntensity:
     def test_uniform_ground_part(self):
         m = ParametricModel("poisson-t", (3.0,), WT)
-        val = conditional_intensity(m, (), Observation((0.5,), 1.0))
-        assert val == pytest.approx(3.0 * 1.0)  # |W_S| = 1
+        val = conditional_intensity(m, (), [Observation((0.5,), 1.0)])
+        assert val == pytest.approx([3.0 * 1.0])  # |W_S| = 1
 
     def test_loglinear_b_zero_reduces(self):
         m_const = ParametricModel("poisson-t", (math.exp(1.2),), WT)
         m_ll = ParametricModel("loglinear-t", (1.2, 0.0), WT)
         for t in (0.1, 0.9, 1.7):
-            a = conditional_intensity(m_const, (), Observation((0.4,), t))
-            b = conditional_intensity(m_ll, (), Observation((0.4,), t))
+            a = conditional_intensity(m_const, (), [Observation((0.4,), t)])
+            b = conditional_intensity(m_ll, (), [Observation((0.4,), t)])
             assert a == pytest.approx(b)
 
     def test_history_must_be_sorted_and_past(self):
         m = ParametricModel("poisson-t", (3.0,), WT)
         with pytest.raises(ValidationError):
-            conditional_intensity(m, (0.9, 0.4), Observation((0.5,), 1.0))
+            conditional_intensity(m, (0.9, 0.4), [Observation((0.5,), 1.0)])
         with pytest.raises(ValidationError):
-            conditional_intensity(m, (1.5,), Observation((0.5,), 1.0))
+            conditional_intensity(m, (1.5,), [Observation((0.5,), 1.0)])
+        # the history must precede every query time, not only the last
+        with pytest.raises(ValidationError):
+            conditional_intensity(m, (0.5,), np.array([[0.5, 1.0], [0.5, 0.4]]))
 
     def test_expectation_equals_intensity_functional(self):
         # the rate families are history-free, so the identity is exact
@@ -97,12 +125,19 @@ class TestConditionalIntensity:
         m = ParametricModel("loglinear-t", (0.5, 0.4), WT)
         rng = np.random.default_rng(0)
         t0 = 1.3
-        target = intensity_functional(m, Observation((0.4,), t0))
+        target = intensity_functional(m, [Observation((0.4,), t0)])
         vals = []
         for _ in range(50):
             hist = np.sort(rng.random(5) * t0 * 0.99)
-            vals.append(conditional_intensity(m, hist, Observation((0.4,), t0)))
+            vals.append(conditional_intensity(m, hist, [Observation((0.4,), t0)]))
         assert np.allclose(vals, target)
+
+    def test_rows_are_points(self):
+        m = ParametricModel("loglinear-t", (0.5, 0.4), WT)
+        g = np.array([[0.4, 1.3], [0.1, 1.9], [0.8, 1.1]])
+        vals = conditional_intensity(m, (0.2, 1.0), g)
+        assert vals == pytest.approx(np.exp(0.5 + 0.4 * g[:, 1]), rel=1e-15)
+        assert vals.tolist() == intensity_functional(m, g).tolist()
 
 
 class TestLoglikTemporal:
@@ -282,22 +317,51 @@ class TestDensityWrtPoisson:
 class TestPapangelou:
     def test_poisson_configuration_free(self):
         m = ParametricModel("poisson", (7.0,), W)
-        obs = Observation((0.3, 0.3))
+        obs = [Observation((0.3, 0.3))]
         empty = papangelou(m, obs, [])
         full = papangelou(m, obs, [Observation((0.6, 0.6)),
                                    Observation((0.1, 0.9))])
-        assert empty == full == 7.0
+        assert empty.tolist() == full.tolist() == [7.0]
 
     def test_gibbs_counts_neighbours(self):
         m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)
         cfg = [Observation((0.5, 0.5)), Observation((0.52, 0.5))]
-        assert papangelou(m, Observation((0.1, 0.1)), cfg) == 50.0
-        assert papangelou(m, Observation((0.51, 0.5)), cfg) == 50.0 * 0.25
+        assert papangelou(m, [Observation((0.1, 0.1))], cfg).tolist() == [50.0]
+        assert papangelou(m, [Observation((0.51, 0.5))], cfg).tolist() == [50.0 * 0.25]
 
     def test_candidate_in_configuration_zero(self):
         m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)
         cfg = [Observation((0.5, 0.5))]
-        assert papangelou(m, Observation((0.5, 0.5)), cfg) == 0.0
+        assert papangelou(m, [Observation((0.5, 0.5))], cfg).tolist() == [0.0]
+
+    def test_rows_are_queries(self):
+        # own rows leave their pattern row out; -1 sees the whole pattern
+        m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)
+        pattern = np.array([[0.5, 0.5], [0.52, 0.5], [0.9, 0.9]])
+        queries = np.array([[0.5, 0.5], [0.5, 0.5], [0.51, 0.5], [0.1, 0.1],
+                            [0.9, 0.9]])
+        got = papangelou(m, queries, pattern, np.array([0, -1, 0, -1, 2]))
+        assert got.tolist() == [25.0, 0.0, 25.0, 50.0, 50.0]
+        assert papangelou(m, queries[:1], pattern).tolist() == [0.0]
+
+    def test_own_rows_are_checked(self):
+        m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)
+        pattern, queries = np.array([[0.5, 0.5], [0.9, 0.9]]), np.array([[0.1, 0.1]])
+        for own in (np.array([0, 1]), np.array([2]), np.array([-2]),
+                    np.array([0.0]), np.array([[0]])):
+            with pytest.raises(ValidationError):
+                papangelou(m, queries, pattern, own)
+
+    def test_marks_multiply_in(self):
+        # a bare query array carries no marks, so mark factors need columns
+        m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05,
+                            aux=AuxDensitySpec(discrete_probs=np.array([0.2, 0.8])))
+        queries = [Observation((0.51, 0.5), None, AuxMark(discrete=2)),
+                   Observation((0.1, 0.1), None, AuxMark(discrete=1))]
+        got = papangelou(m, queries, np.array([[0.5, 0.5]]))
+        assert got == pytest.approx([50.0 * 0.5 * 0.8, 50.0 * 0.2], rel=1e-15)
+        with pytest.raises(ValidationError):
+            papangelou(m, np.array([[0.1, 0.1]]), np.array([[0.5, 0.5]]))
 
     def test_hereditarity_on_enumerated_configs(self):
         # if the density is positive on a configuration it is positive on
@@ -737,6 +801,20 @@ def _ref_loglik_temporal(model, data, schedule, q):
     return total - compensator
 
 
+def _ref_papangelou(model, queries, pattern, own, schedule):
+    """Papangelou intensity query by query: zero where the query equals a
+    pattern row other than its own, else the ground intensity given the
+    other rows times the query's mark and aux factor."""
+    rows = [tuple(o.x) + ((o.t,) if o.t is not None else ()) for o in pattern]
+    out = []
+    for obs, j in zip(queries, own):
+        g = tuple(obs.x) + ((obs.t,) if obs.t is not None else ())
+        others = [r for i, r in enumerate(rows) if i != j]
+        out.append(0.0 if g in others else _ref_ground(model, g, np.asarray(others))
+                   * _ref_event_factor(model, obs, schedule))
+    return out
+
+
 def _marked_data(rng, n, w):
     """n observations in w with two-type aux marks and Brownian samples."""
     out = []
@@ -783,6 +861,35 @@ class TestBruteForceOracle:
         assert pseudolikelihood(m, data, SCHED2, quad_res=6) == pytest.approx(
             _ref_pseudolikelihood(m, data, SCHED2, 6), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["torus", "space-time", "poisson-t"])
+    def test_papangelou(self, case):
+        if case == "torus":
+            w = Window((0, 0), (1, 2), torus=True)
+            m = ParametricModel("gibbs", (90.0, 0.55), w, interaction_range=0.15,
+                                **MARKED)
+        elif case == "space-time":
+            w = Window((0, 0), (1, 1), t_star=3.0)
+            m = ParametricModel("gibbs", (12.0, 0.6), w, interaction_range=0.3,
+                                temporal_range=0.7, **MARKED)
+        else:
+            w = Window((0, 0), (1, 2), t_star=2.0)
+            m = ParametricModel("poisson-t", (7.0,), w,
+                                spatial=("loglinear-x", 1.3, -0.6), **MARKED)
+        rng = np.random.default_rng(16)
+        pattern = _marked_data(rng, 30, w)
+        # fresh locations, and pattern rows: left out by their own row, by
+        # another row, or seen whole (the last two coincide, so give zero)
+        queries = _marked_data(rng, 12, w) + [
+            Observation(pattern[i].x, pattern[i].t, AuxMark(discrete=1 + i % 2),
+                        (0.1 * i, -0.2)) for i in range(0, 30, 3)]
+        own = np.concatenate([rng.integers(-1, 30, 12),
+                              [i if i % 2 else (-1 if i % 4 else i + 1)
+                               for i in range(0, 30, 3)]])
+        got = papangelou(m, queries, pattern, own, SCHED2)
+        want = _ref_papangelou(m, queries, pattern, own, SCHED2)
+        assert np.sum(np.asarray(want) == 0.0) == 5
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_fit_objective_is_the_public_function(self):
         w = Window((0, 0), (1, 1), torus=True)
         data = _marked_data(np.random.default_rng(14), 30, w)
@@ -798,6 +905,30 @@ class TestBruteForceOracle:
         fit = fit_loglik_temporal(m, data, SCHED2, budget=200, quad_res=10)
         assert fit.objective == loglik_temporal(m.with_theta(fit.theta), data,
                                                 SCHED2, quad_res=10)
+
+
+def test_gibbs_chain_meets_the_papangelou_intensity():
+    # GNZ: E sum h(x, X - x) = E int h(u, X) lambda(u; X) du, with the birth
+    # death chain and the Papangelou intensity written independently; a
+    # chain of 5 000 steps is not yet in equilibrium here
+    beta, gamma, rng_ = 100.0, 0.5, 0.05
+
+    @functools.lru_cache(maxsize=None)
+    def simulate(seed):
+        locs = simulate_gibbs(PairwiseGibbs(beta, gamma, rng_), W, 20000, seed)
+        auxs = [AuxMark(discrete=1)] * len(locs)
+        return make_configuration(W, locs, auxs, attach_marks(
+            W, locs, auxs, Deterministic(("constant", 1.0)), np.linspace(0, 1, 3),
+            seed))
+
+    def in_box(u, pts, own):
+        return np.all(u <= 0.5, axis=1).astype(float)
+
+    reports = [gnz_check(simulate, functools.partial(papangelou, ParametricModel(
+        "gibbs", (beta, g), W, interaction_range=rng_)), in_box, W,
+        replicates=40, seed=11, quad_res=32) for g in (gamma, 1.0)]
+    assert reports[0].passed(3.0), reports[0]
+    assert not reports[1].passed(3.0), reports[1]
 
 
 def test_pseudolikelihood_fit_counts_neighbours_twice(monkeypatch):
@@ -882,6 +1013,12 @@ class TestColumnarEvents:
             janossy_density(m, [Observation((0.5,))])
         with pytest.raises(ValidationError):
             janossy_density(m, [Observation((0.5, 0.5), 1.0)])
+        # a time is not a coordinate, and a temporal window needs one
+        with pytest.raises(ValidationError):
+            intensity_functional(m, [Observation((0.5,), 0.3)])
+        mt = ParametricModel("poisson-t", (3.0,), WT)
+        with pytest.raises(ValidationError):
+            loglik_temporal(mt, [Observation((0.5, 1.0))])
         w3, g, auxs = Window((0, 0), (1, 1), t_star=2.0), [[0.5, 0.5, 1.0]], [
             AuxMark(discrete=1)]
         c = Configuration(w3, g, auxs, attach_marks(w3, g, auxs, Wiener(),

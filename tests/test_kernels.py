@@ -593,6 +593,25 @@ def test_neighbour_counts_variants_agree(rng, monkeypatch):
                                           trad, 2))
 
 
+def test_other_neighbour_counts_leave_own_row_out(rng):
+    queries = rng.random((40, 3))
+    pts = rng.random((25, 3))
+    # half the queries sit on a pattern row, some of them their own
+    queries[::2] = pts[rng.integers(0, 25, 20)]
+    own = rng.integers(-1, 25, 40)
+    sides = np.ones(3)
+    for torus in (False, True):
+        for rad, trad in ((0.2, -1.0), (0.2, 0.3), (0.0, 0.0)):
+            got = K.other_neighbour_counts(queries, pts, own, sides, torus, rad,
+                                           trad, 2)
+            want = [neighbour_counts_loop(queries[j:j + 1],
+                                          np.delete(pts, own[j], axis=0)
+                                          if own[j] >= 0 else pts,
+                                          sides, torus, rad, trad, 2)[0]
+                    for j in range(40)]
+            np.testing.assert_array_equal(got, want)
+
+
 def test_neighbour_counts_memory_is_blocked(rng):
     # the pseudo-likelihood's 48 x 48 quadrature against 10 000 points: an
     # (m, n, d) temporary alone would take m * n * 16 bytes
