@@ -4,11 +4,14 @@
 so its memory grows with the pairs within the largest lag, not with n^2;
 scipy is imported on the first call, which keeps ``import fmpp.cli`` free
 of it.  ``gibbs_chain`` is a scalar loop over a uniform cell index, since
-each of its proposals touches only the few points near one location.  The
-other kernels are vectorized NumPy, and no kernel but ``pair_stats``
-imports scipy.  Each kernel's arguments are positional and plain arrays or
-scalars.  ``gi_integrate_values`` builds a ``GrowthPlan`` and integrates it
-once; a fit that integrates the same points many times keeps the plan.
+each of its proposals touches only the few points near one location; it
+counts neighbours by the arithmetic of ``_in_range``, the one pairwise
+neighbour rule, which ``neighbour_counts`` and ``core.cylinder_contains``
+call.  The other kernels are vectorized NumPy, and no kernel but
+``pair_stats`` imports scipy.  Each kernel's arguments are positional and
+plain arrays or scalars.  ``gi_integrate_values`` builds a ``GrowthPlan``
+and integrates it once; a fit that integrates the same points many times
+keeps the plan.
 """
 from __future__ import annotations
 
@@ -465,11 +468,11 @@ def coverage_count(centers, radii, lo, hi, res, torus):
 _COUNT_BLOCK_PAIRS = 1 << 18
 
 
-def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial):
-    """(m,) number of the (n, D) points within range of each (m, D) query:
-    spatial distance <= rad (minimal image on a torus) and, when ``trad`` >=
-    0 and the rows carry a time column, time lag <= trad.  The queries go in
-    blocks of rows, so no temporary is (m, n, d)."""
+def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial, own=None):
+    """(m,) number of the (n, D) points within range of each (m, D) query,
+    by the rule of ``_in_range``; with ``own``, query j leaves out row
+    own[j] of ``pts`` (none where own[j] is -1).  The queries go in blocks
+    of rows, so no temporary is (m, n, d)."""
     m, n = queries.shape[0], pts.shape[0]
     out = np.zeros(m, dtype=np.int64)
     if n == 0:
@@ -479,22 +482,18 @@ def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial):
         ok = _in_range(queries[i0:i0 + rows, None], pts[None], sides, torus,
                        rad, trad, d_spatial)
         out[i0:i0 + rows] = np.sum(ok, axis=1)
-    return out
-
-
-def other_neighbour_counts(queries, pts, own, sides, torus, rad, trad, d_spatial):
-    """``neighbour_counts`` of each query j among the points other than row
-    own[j] of ``pts`` (all of them where own[j] is -1)."""
-    out = neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial)
-    has = own >= 0
-    out[has] -= _in_range(queries[has], pts[own[has]], sides, torus, rad, trad,
-                          d_spatial)
+    if own is not None:
+        has = own >= 0
+        out[has] -= _in_range(queries[has], pts[own[has]], sides, torus, rad,
+                              trad, d_spatial)
     return out
 
 
 def _in_range(a, b, sides, torus, rad, trad, d_spatial):
     """Whether the ground rows of ``a`` and ``b``, arrays that broadcast
-    together, are in range by the rule of ``neighbour_counts``."""
+    together, are neighbours: squared spatial distance <= rad^2 (minimal
+    image on a torus) and, when ``trad`` >= 0 and the rows carry a time
+    column, |dt| <= trad."""
     diff = np.abs(a[..., :d_spatial] - b[..., :d_spatial])
     if torus:
         diff = np.minimum(diff, sides[:d_spatial] - diff)

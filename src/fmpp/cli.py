@@ -71,10 +71,17 @@ def _config_hash(cfg: dict) -> str:
 def _mark_grid(cfg: dict, window: Window) -> np.ndarray:
     dt = cfg.get("model", {}).get("mark_grid", {}).get("dt", 0.01)
     horizon = window.t_star if window.is_temporal else 1.0
-    n = int(round(horizon / dt))
+    n = int(round(horizon / dt)) if dt > 0 else 0
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
         raise ValidationError("model.mark_grid.dt must divide the horizon")
     return np.arange(n + 1) * dt
+
+
+def _gibbs_from(gspec: dict) -> ground.PairwiseGibbs:
+    """The pairwise-interaction model of a ``gibbs`` ground section."""
+    return ground.PairwiseGibbs(*(_require(gspec, key, "model.ground")
+                                  for key in ("beta", "gamma", "range")),
+                                gspec.get("temporal_range"))
 
 
 def _csv_write(path: Path, metadata: dict, header: list, rows: list):
@@ -127,13 +134,8 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
             window, seed)
         locs = np.hstack([xs, births[:, None]])
     elif family == "gibbs":
-        locs = ground.simulate_gibbs(
-            ground.PairwiseGibbs(
-                _require(gspec, "beta", "model.ground"),
-                _require(gspec, "gamma", "model.ground"),
-                _require(gspec, "range", "model.ground"),
-                gspec.get("temporal_range")),
-            window, int(gspec.get("steps", 20000)), seed)
+        locs = ground.simulate_gibbs(_gibbs_from(gspec), window,
+                                     int(gspec.get("steps", 20000)), seed)
     elif family in ("poisson-t", "loglinear-t"):
         if not window.is_temporal:
             raise ValidationError("model.ground.family needs window.t_star")
@@ -353,13 +355,12 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                                       tuple(tuple(b) for b in bounds))
         fit = infer.fit_loglik_temporal(model, c, None, budget=budget)
     elif scheme == "pseudo":
-        theta0 = section.get("theta0", [_require(gspec, "beta", "model.ground"),
-                                        _require(gspec, "gamma", "model.ground")])
+        gibbs = _gibbs_from(gspec)
         bounds = section.get("bounds", [[1e-6, 1e6], [1e-6, 1.0]])
         model = infer.ParametricModel(
-            "gibbs", theta0, window, tuple(tuple(b) for b in bounds),
-            interaction_range=_require(gspec, "range", "model.ground"),
-            temporal_range=gspec.get("temporal_range"))
+            "gibbs", section.get("theta0", [gibbs.beta, gibbs.gamma]), window,
+            tuple(tuple(b) for b in bounds), interaction_range=gibbs.range_,
+            temporal_range=gibbs.temporal_range)
         fit = infer.fit_pseudolikelihood(model, c, None, budget=budget,
                                          quad_res=int(section.get("quad_res", 48)))
     elif scheme == "mle-janossy":
@@ -440,14 +441,28 @@ def run_geometry(cfg: dict, out: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 def run_check(cfg: dict, out: Path, seed: int) -> int:
     section = _require(cfg, "check", "")
-    names = section.get("checks", ["campbell", "gnz", "janossy"])
     replicates = int(section.get("replicates", 200))
     window = _window_from(cfg)
     gspec = _require(_require(cfg, "model", ""), "ground", "model")
-    if _require(gspec, "family", "model.ground") != "poisson":
-        raise ValidationError("check needs the homogeneous poisson ground family")
-    rate = float(_require(gspec, "rate", "model.ground"))
-    model = infer.ParametricModel("poisson", (rate,), window)
+    family = _require(gspec, "family", "model.ground")
+    # the checks with an exact right side (an oracle) on each ground family
+    oracles = {"poisson": ("campbell", "gnz", "janossy"), "gibbs": ("gnz",)}
+    if family not in oracles:
+        raise ValidationError("check needs the poisson or gibbs ground family")
+    names = section.get("checks", list(oracles[family]))
+    for name in names:
+        if name not in oracles[family]:
+            raise ValidationError(f"check '{name}' has no oracle for the "
+                                  f"'{family}' ground family")
+    if family == "gibbs":
+        gibbs = _gibbs_from(gspec)
+        model = infer.ParametricModel(
+            "gibbs", (gibbs.beta, gibbs.gamma), window,
+            interaction_range=gibbs.range_, temporal_range=gibbs.temporal_range)
+    else:
+        model = infer.ParametricModel(
+            "poisson", (float(_require(gspec, "rate", "model.ground")),), window)
+    simulate = partial(_simulate_one, cfg, window)
     lo = np.asarray(window.lo)
     blo, bhi = np.asarray(section.get("box") or [lo, lo + 0.5 * window.sides],
                           dtype=float)
@@ -462,27 +477,20 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
         x = g[:, :window.dim]
         return np.all((x >= blo) & (x <= bhi), axis=1).astype(float)
 
-    def simulate(s):
-        locs = ground.simulate_poisson(ground.HomogeneousPoisson(rate), window, s)
-        auxs = AuxTable(np.ones(len(locs), dtype=np.int64),
-                        np.empty((len(locs), 0)))
-        return marks.make_configuration(
-            window, locs, auxs,
-            marks.attach_marks(window, locs, auxs,
-                               marks.Deterministic(("constant", 1.0)),
-                               np.linspace(0.0, window.t_star or 1.0, 3), s))
-
     if "campbell" in names:
         report("campbell", stats.campbell_check(
-            simulate, lambda c: in_box(c.ground), lambda g: rate * in_box(g),
+            simulate, lambda c: in_box(c.ground),
+            lambda g: infer.ground_intensity(model, g) * in_box(g),
             window, replicates, seed, quad_res=int(section.get("quad_res", 64))))
     if "gnz" in names:
-        lam = model.with_theta([rate * float(section.get("lambda_factor", 1.0))])
+        factor = float(section.get("lambda_factor", 1.0))
         report("gnz", stats.gnz_check(
-            simulate, partial(infer.papangelou, lam), lambda u, pts, own: in_box(u),
-            window, replicates, seed, quad_res=int(section.get("quad_res", 32))))
+            simulate,
+            lambda u, pts, own: factor * infer.papangelou(model, u, pts, own),
+            lambda u, pts, own: in_box(u), window, replicates, seed,
+            quad_res=int(section.get("quad_res", 32))))
     if "janossy" in names:
-        mean = rate * window.ground_volume
+        mean = infer.ground_intensity_mass(model)
         default_n = max(30, int(np.ceil(mean + 12.0 * np.sqrt(mean) + 12.0)))
         total = infer.janossy_total_mass(model, int(section.get("n_max", default_n)))
         results.append({"check": "janossy", "lhs": total, "rhs": 1.0, "se": 0.0,

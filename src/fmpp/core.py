@@ -42,6 +42,7 @@ from operator import add
 
 import numpy as np
 
+from . import _kernels
 from .errors import ValidationError
 
 __all__ = [
@@ -99,11 +100,11 @@ class Window:
             raise ValidationError("window lo/hi dimension mismatch")
         if not 1 <= len(lo) <= 3:
             raise ValidationError("spatial dimension must be 1, 2 or 3")
-        if any(h <= l for l, h in zip(lo, hi)):
+        if not all(h > l for l, h in zip(lo, hi)):
             raise ValidationError("spatial box must have positive volume")
         if self.t_star is not None and not self.t_star > 0:
             raise ValidationError("t_star must be positive when present")
-        if self.time_scale <= 0:
+        if not self.time_scale > 0:
             raise ValidationError("time_scale must be positive")
 
     @property
@@ -795,28 +796,24 @@ def shift(c: Configuration, z) -> Configuration:
 
 
 def cylinder_contains(center, u: float, v: float, query, window: Window | None = None) -> bool:
-    """Closed space-time cylinder membership test.
+    """Closed space-time cylinder membership test, the neighbourhood that the
+    Gibbs chain and the pseudo-likelihood use (``_kernels._in_range``).
 
-    True iff the spatial distance between center and query is <= u and the
-    absolute time difference is <= v.  Uses the torus metric when the given
-    window has the torus flag.  Points are (x, t) pairs; if both times are
-    None only the spatial condition applies.
+    True iff the squared spatial distance between center and query is <= u^2
+    and the absolute time difference is <= v.  Uses the torus metric when the
+    given window has the torus flag.  Points are (x, t) pairs; if both times
+    are None only the spatial condition applies.
     """
-    if u < 0 or v < 0:
+    if not (u >= 0 and v >= 0):
         raise ValidationError("cylinder radii must be nonnegative")
-    (xc, tc), (xq, tq) = center, query
-    xc = np.asarray(xc, dtype=float)
-    xq = np.asarray(xq, dtype=float)
-    dx = np.abs(xc - xq)
-    if window is not None and window.torus:
-        dx = np.minimum(dx, window.sides - dx)
-    if float(np.sqrt(np.sum(dx * dx))) > u:
-        return False
-    if tc is None and tq is None:
-        return True
-    if tc is None or tq is None:
+    timed = center[1] is not None
+    if timed != (query[1] is not None):
         raise ValidationError("cannot mix timed and untimed points")
-    return abs(tc - tq) <= v
+    a, b = (np.append(np.asarray(x, dtype=float), [t] if timed else [])
+            for x, t in (center, query))
+    torus = window is not None and window.torus
+    return bool(_kernels._in_range(a, b, window.sides if torus else None, torus,
+                                   float(u), float(v), a.size - timed))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class HomogeneousPoisson:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValidationError("rate must be nonnegative")
 
 
@@ -61,7 +61,7 @@ class InhomogeneousPoisson:
     max_rate: float
 
     def __post_init__(self):
-        if self.max_rate <= 0:
+        if not self.max_rate > 0:
             raise ValidationError("max_rate must be positive")
 
 
@@ -82,7 +82,7 @@ class LogGaussianCox:
         fam = self.kernel[0]
         if fam not in ("exponential", "gaussian"):
             raise ValidationError(f"unknown covariance family {fam!r}")
-        if self.kernel[1] < 0:
+        if not self.kernel[1] >= 0:
             raise ValidationError("field variance must be nonnegative")
         object.__setattr__(self, "kernel", tuple(self.kernel))
         object.__setattr__(self, "grid_shape", tuple(int(g) for g in self.grid_shape))
@@ -94,7 +94,7 @@ class ImmigrationDeath:
     death_rate: float
 
     def __post_init__(self):
-        if self.arrival_rate <= 0 or self.death_rate <= 0:
+        if not (self.arrival_rate > 0 and self.death_rate > 0):
             raise ValidationError("arrival and death rates must be positive")
 
 
@@ -119,10 +119,18 @@ class PairwiseGibbs:
             raise ValidationError("beta must be positive and finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValidationError("gamma must lie in [0, 1] (inhibition only)")
-        if not self.range_ > 0:
+        if self.range_ is None or not self.range_ > 0:
             raise ValidationError("interaction range must be positive")
         if self.temporal_range is not None and not self.temporal_range >= 0:
             raise ValidationError("temporal range must be nonnegative")
+
+
+def _kernel_time_range(temporal_range: float | None, w: Window) -> float:
+    """``temporal_range`` for the neighbour kernels, None as -1.0 (no time
+    condition), which a temporal window forbids."""
+    if temporal_range is None and w.is_temporal:
+        raise ValidationError("temporal window requires a temporal_range")
+    return -1.0 if temporal_range is None else float(temporal_range)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +318,12 @@ def simulate_gibbs(model: PairwiseGibbs, w: Window, steps: int, seed: int,
     lo, hi = np.asarray(w.ground_bounds, dtype=float).T
     D = lo.size
     x0 = np.empty((0, D)) if init is None else np.asarray(init, dtype=float)
-    trad = -1.0 if model.temporal_range is None else float(model.temporal_range)
-    if w.is_temporal and model.temporal_range is None:
-        raise ValidationError("temporal window requires a temporal_range")
-    out = _kernels.gibbs_chain(
+    trad = _kernel_time_range(model.temporal_range, w)
+    return _kernels.gibbs_chain(
         x0, lo, hi, w.torus, float(model.beta), float(model.gamma),
         rng.random(steps), rng.random((steps, D)), rng.random(steps),
         rng.random(steps), float(model.range_), trad, w.dim,
     )
-    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and least squares on sampled mark trajectories.  Each takes its points as
 columns (a ``Configuration``, a list of ``Observation`` or an (n, D) ground
 array).  The ground Papangelou intensity is one theta-invariant build, the
 neighbour counts without each query's own row, and one evaluation, shared
-by ``papangelou``, the pseudo-likelihood and the pairwise Janossy density.
+by ``papangelou``, the pseudo-likelihood and the pairwise Janossy density;
+``ground.PairwiseGibbs`` checks the pairwise model's parameters and
+``_kernels._in_range`` is its neighbourhood.
 The likelihood fits share one derivative-free simplex optimizer; least
 squares minimizes its residual vector by projected Levenberg-Marquardt.
 
@@ -30,8 +32,9 @@ import numpy as np
 from . import _kernels
 from ._optim import gauss_newton, nelder_mead
 from .core import (AuxMark, Configuration, SampleSchedule, Window, _aux_table,
-                   ground_array, midpoint_rule)
+                   _evaluate, ground_array, midpoint_rule)
 from .errors import NumericalError, ValidationError
+from .ground import PairwiseGibbs, _kernel_time_range
 from .marks import (
     AuxDensitySpec,
     FidiDensitySpec,
@@ -112,11 +115,9 @@ class ParametricModel:
         if self.ground in ("poisson-t", "loglinear-t") and not self.window.is_temporal:
             raise ValidationError("temporal ground family needs a temporal window")
         if self.ground == "gibbs":
-            if self.interaction_range is None or self.interaction_range <= 0:
-                raise ValidationError("gibbs model needs a positive interaction_range")
-            beta, gamma = theta[0], theta[1]
-            if beta <= 0 or not 0.0 <= gamma <= 1.0:
-                raise ValidationError("gibbs parameters need beta > 0, gamma in [0, 1]")
+            PairwiseGibbs(theta[0], theta[1], self.interaction_range,
+                          self.temporal_range)
+            _kernel_time_range(self.temporal_range, self.window)
         if self.spatial[0] not in ("uniform", "loglinear-x"):
             raise ValidationError(f"unknown spatial density family {self.spatial[0]!r}")
 
@@ -461,14 +462,15 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
 # ---------------------------------------------------------------------------
 def _papangelou_terms(model: ParametricModel, queries, pts, own) -> np.ndarray:
     """The theta-invariant ground Papangelou terms of the (m, D) queries,
-    query j given the (n, D) pattern without row own[j]: the (m,) neighbour
-    counts of the pairwise model (its ranges are fixed), else the queries."""
+    query j given the (n, D) pattern without row own[j] (own may be None):
+    the (m,) neighbour counts of the pairwise model, else the queries."""
     if model.ground != "gibbs":
         return queries
-    w, trad = model.window, model.temporal_range
-    return _kernels.other_neighbour_counts(
-        queries, pts, own, w.sides.astype(float), w.torus,
-        float(model.interaction_range), -1.0 if trad is None else float(trad), w.dim)
+    w = model.window
+    return _kernels.neighbour_counts(
+        queries, pts, w.sides.astype(float), w.torus,
+        float(model.interaction_range),
+        _kernel_time_range(model.temporal_range, w), w.dim, own)
 
 
 def _ground_papangelou(m: ParametricModel, terms: np.ndarray) -> np.ndarray:
@@ -495,8 +497,8 @@ def papangelou(model: ParametricModel, queries, pattern, own=None,
             or np.any((own < -1) | (own >= n))):
         raise ValidationError(f"own must be {m} integers in [-1, {n})")
     lam = _ground_papangelou(model, _papangelou_terms(model, q, pts, own))
-    same = _kernels.other_neighbour_counts(q, pts, own, w.sides.astype(float),
-                                           w.torus, 0.0, 0.0, w.dim)
+    same = _kernels.neighbour_counts(q, pts, w.sides.astype(float), w.torus,
+                                     0.0, 0.0, w.dim, own)
     return np.where(same > 0, 0.0, _with_factors(model, ev, schedule, lam))
 
 
@@ -514,7 +516,7 @@ def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
     log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
     nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
     at_data = _papangelou_terms(model, pts, pts, np.arange(len(pts)))
-    at_nodes = _papangelou_terms(model, nodes, pts, np.full(len(nodes), -1))
+    at_nodes = _papangelou_terms(model, nodes, pts, None)
 
     def evaluate(m: ParametricModel) -> float:
         log_lam = _sum_log_intensities(_ground_papangelou(m, at_data), log_fac,
@@ -626,13 +628,8 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     n = xs.shape[0]
     if observed.shape != (n, len(schedule)):
         raise ValidationError("observed matrix must be n points by k times")
-    # fitted values sit on the grid k*dt as step paths: each schedule time
-    # reads the row at or before it, and zero outside [birth, death)
+    births = np.asarray(births, dtype=float)
     times = np.asarray(schedule.times, dtype=float)
-    rows = np.searchsorted(np.arange(int(round(t_star / dt)) + 1) * dt, times,
-                           side="right") - 1
-    sampled, read = rows >= 0, np.maximum(rows, 0)
-    born = times >= np.asarray(births, dtype=float)[:, None]
 
     def make_residuals(extra):
         if extra is None:
@@ -653,18 +650,18 @@ def least_squares_marks(family: Callable, points, observed, schedule:
             model = replace(model, noise=("zero",))
             key = (model.interaction, model.interaction_cutoff)
             if built.get("key") != key:
-                plan_args = _gi_plan_args((all_xs, all_b, all_l), model, dt,
-                                          t_star)[1]
-                built.update(key=key, plan=_kernels.GrowthPlan(*plan_args))
+                grid, args = _gi_plan_args((all_xs, all_b, all_l), model, dt, t_star)
+                built.update(key=key, grid=grid, plan=_kernels.GrowthPlan(*args))
             plan = built["plan"]
             vals, negative, d = plan.integrate(
                 *_gi_run_args(model, plan.n, plan.nsteps, seed))
             _check_negative(model, negative)
             if not np.all(np.isfinite(vals)):
                 raise ValidationError("path values must be finite")
-            pred = np.where(sampled, vals[read, :n].T, 0.0)
-            live = born & (times < d[:n, None])
-            return (observed - np.where(live, pred, 0.0)).ravel()
+            # fitted step paths read like the observed marks (MarkTable.at)
+            pred = _evaluate(built["grid"], vals[:, :n].T, births[:, None],
+                             d[:n, None], "step", times)
+            return (observed - pred).ravel()
 
         return residuals
 

@@ -112,7 +112,7 @@ class Wiener:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValidationError("Wiener scale must be nonnegative")
 
 
@@ -151,7 +151,7 @@ class GrowthInteraction:
     interaction_cutoff: float | None = None
 
     def __post_init__(self):
-        if self.m0 < 0:
+        if not self.m0 >= 0:
             raise ValidationError("initial mark value must be nonnegative")
         if self.negative_policy not in ("clamp", "absorb", "error"):
             raise ValidationError("negative_policy must be clamp|absorb|error")
@@ -161,7 +161,7 @@ class GrowthInteraction:
             (NOISE_REGISTRY, self.noise, "noise"),
         ):
             _registry_entry(registry, spec, what)
-        if self.noise[0] != "zero" and self.noise[1] < 0:
+        if self.noise[0] != "zero" and not self.noise[1] >= 0:
             raise ValidationError("noise scale must be nonnegative")
 
 
@@ -182,7 +182,7 @@ class Geostatistical:
     def __post_init__(self):
         if self.kernel[0] not in ("exponential", "gaussian"):
             raise ValidationError(f"unknown covariance family {self.kernel[0]!r}")
-        if self.kernel[1] < 0:
+        if not self.kernel[1] >= 0:
             raise ValidationError("field variance must be nonnegative")
 
 
@@ -206,8 +206,9 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
     ``np.random.default_rng`` accepts (int or ``SeedSequence``).  The marks
     live on [0, t_star], with t_star the window's horizon, or ``grid[-1]``
     on a spatial window; the grid must lie within it.  Independent-marking models draw each mark
-    independently; growth-interaction marks are coupled and need birth
-    times and lifetime aux marks.
+    independently; growth-interaction marks are coupled, need birth times
+    and lifetime aux marks, and are integrated on the uniform grid 0, dt,
+    .., t_star, which ``grid`` must be.
     """
     locations = ground_array(window, locations)
     auxs = _aux_table(auxs)
@@ -250,9 +251,12 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
         lifetimes = _lifetimes(auxs)
         if lifetimes is None:
             raise ValidationError("growth-interaction marks need lifetime aux marks")
-        dt = float(grid[1] - grid[0]) if len(grid) > 1 else t_star
-        return gi_integrate((xs, locations[:, d], lifetimes), model, dt, seed,
-                            t_star)
+        if grid.size < 2 or not np.allclose(grid, np.linspace(0.0, t_star, grid.size),
+                                            rtol=0.0, atol=1e-9 * max(t_star, 1.0)):
+            raise ValidationError(
+                "growth-interaction marks need a grid 0, dt, .., t_star")
+        return gi_integrate((xs, locations[:, d], lifetimes), model,
+                            float(grid[1] - grid[0]), seed, t_star)
     if isinstance(model, Geostatistical):
         classes = None
         if model.per_class:

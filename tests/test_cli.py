@@ -119,6 +119,57 @@ class TestSimulate:
         assert "model.ground" in capsys.readouterr().err
 
 
+TEMPORAL = {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}
+GROWTH = {"ground": {"family": "immigration-death", "arrival_rate": 4.0,
+                     "death_rate": 1.0},
+          "aux": {"kind": "lifetime", "rate": 1.0}}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("window, model, field", [
+    ({"lo": [0, 0], "hi": [1, NAN]}, {"ground": {"family": "poisson", "rate": 5.0}},
+     "spatial box"),
+    ({"lo": [0, 0], "hi": [1, 1], "time_scale": NAN},
+     {"ground": {"family": "poisson", "rate": 5.0}}, "time_scale"),
+    ({"lo": [0, 0], "hi": [1, 1]}, {"ground": {"family": "poisson", "rate": NAN}},
+     "rate"),
+    ({"lo": [0, 0], "hi": [1, 1]}, {"ground": {"family": "poisson", "rate": 5.0},
+                                    "mark_grid": {"dt": NAN}}, "mark_grid.dt"),
+    (TEMPORAL, {"ground": {"family": "loglinear-t", "a": NAN, "b": 0.0}},
+     "max_rate"),
+    (TEMPORAL, {"ground": {"family": "immigration-death", "arrival_rate": NAN,
+                           "death_rate": 1.0}}, "arrival and death rates"),
+    ({"lo": [0, 0], "hi": [1, 1]},
+     {"ground": {"family": "lgcp", "mean": 1.0,
+                 "kernel": ["exponential", NAN, 0.2], "grid": [2, 2]}},
+     "field variance"),
+    ({"lo": [0, 0], "hi": [1, 1]},
+     {"ground": {"family": "gibbs", "beta": NAN, "gamma": 0.5, "range": 0.1}},
+     "beta"),
+    ({"lo": [0, 0], "hi": [1, 1]}, {"ground": {"family": "poisson", "rate": 5.0},
+                                    "marks": {"model": "wiener", "scale": NAN}},
+     "Wiener scale"),
+    ({"lo": [0, 0], "hi": [1, 1]},
+     {"ground": {"family": "poisson", "rate": 5.0},
+      "marks": {"model": "geostatistical",
+                "kernel": ["gaussian", NAN, 0.3, 0.5]}}, "field variance"),
+    (TEMPORAL, {**GROWTH, "marks": {"model": "growth-interaction",
+                                    "growth": ["linear", 1.0, 1.0], "m0": NAN}},
+     "initial mark value"),
+    (TEMPORAL, {**GROWTH, "marks": {"model": "growth-interaction",
+                                    "growth": ["linear", 1.0, 1.0],
+                                    "noise": ["const", NAN]}}, "noise scale"),
+])
+def test_nan_in_config_is_a_validation_error(tmp_path, capsys, window, model,
+                                             field):
+    # every check is written so that NaN fails it
+    cfg = write_cfg(tmp_path, {"window": window, "seed": 1, "model": model})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and field in err
+    assert "Traceback" not in err
+
+
 # simulate and summarize outputs of the random-field layer: an LGCP ground
 # with geostatistical marks, and a temporal LGCP with intensity marks
 LGCP_GEOSTAT = {
@@ -482,6 +533,14 @@ class TestGeometryCommand:
         assert header == "replicate,t,x,y,radius"
 
 
+GIBBS_CHECK = {
+    "window": {"lo": [0, 0], "hi": [1, 1]}, "seed": 11,
+    "model": {"ground": {"family": "gibbs", "beta": 100.0, "gamma": 0.5,
+                         "range": 0.05, "steps": 20000}},
+    "check": {"replicates": 20, "quad_res": 32},
+}
+
+
 class TestCheckCommand:
     def test_campbell_and_janossy_pass(self, tmp_path):
         cfg_obj = dict(BASE, check={"checks": ["campbell", "janossy"],
@@ -509,6 +568,27 @@ class TestCheckCommand:
         results = json.loads((out / "checks.json").read_text())
         assert results[0]["passed"]
 
+
+    @pytest.mark.parametrize("factor, passed", [(1.0, True), (2.0, False)])
+    def test_gibbs_gnz(self, tmp_path, factor, passed):
+        # GNZ on the chain that simulate runs, with the Papangelou intensity
+        # that the pseudo-likelihood fits; gnz is the default on gibbs ground
+        cfg_obj = json.loads(json.dumps(GIBBS_CHECK))
+        cfg_obj["check"]["lambda_factor"] = factor
+        out = tmp_path / "gchk"
+        assert main(["check", "--config", write_cfg(tmp_path, cfg_obj),
+                     "--out", str(out)]) == 0
+        (result,) = json.loads((out / "checks.json").read_text())
+        assert result["check"] == "gnz" and result["passed"] is passed
+
+    @pytest.mark.parametrize("name", ["campbell", "janossy"])
+    def test_gibbs_has_only_gnz(self, tmp_path, capsys, name):
+        cfg_obj = json.loads(json.dumps(GIBBS_CHECK))
+        cfg_obj["check"]["checks"] = ["gnz", name]
+        assert main(["check", "--config", write_cfg(tmp_path, cfg_obj),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert f"'{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("t_star", [1.0, 2.0])
     def test_temporal_window_box_bounds_space(self, tmp_path, t_star):

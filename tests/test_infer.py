@@ -11,7 +11,8 @@ import pytest
 
 import fmpp
 from fmpp._optim import gauss_newton
-from fmpp.core import AuxMark, Configuration, SampleSchedule, Window
+from fmpp._kernels import neighbour_counts
+from fmpp.core import AuxMark, Configuration, SampleSchedule, Window, cylinder_contains
 from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import (HomogeneousPoisson, InhomogeneousPoisson, PairwiseGibbs,
                          simulate_gibbs, simulate_poisson)
@@ -343,6 +344,41 @@ class TestPapangelou:
         got = papangelou(m, queries, pattern, np.array([0, -1, 0, -1, 2]))
         assert got.tolist() == [25.0, 0.0, 25.0, 50.0, 50.0]
         assert papangelou(m, queries[:1], pattern).tolist() == [0.0]
+
+    @pytest.mark.parametrize("theta, R, T, w", [
+        ((50.0, 0.5), 0.05, -0.5, W),
+        ((math.nan, 0.5), 0.05, None, W),
+        ((50.0, 0.5), math.nan, None, W),
+        ((50.0, 0.5), 0.05, None, Window((0, 0), (1, 1), t_star=1.0)),
+    ])
+    def test_gibbs_model_rejects_what_pairwise_gibbs_rejects(self, theta, R, T, w):
+        with pytest.raises(ValidationError):
+            simulate_gibbs(PairwiseGibbs(*theta, R, T), w, 1, 0)
+        with pytest.raises(ValidationError):
+            ParametricModel("gibbs", theta, w, interaction_range=R,
+                            temporal_range=T)
+
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_one_neighbourhood(self, torus):
+        # cylinder_contains, the kernel count and papangelou take the same
+        # pairs as neighbours: pairs placed at distance R by angle, and
+        # (0.1, 0.1)/(0.4, 0.5), whose squared distance rounds above R^2
+        w, R, n = Window((0, 0), (2, 2), torus=torus), 0.5, 400
+        m = ParametricModel("gibbs", (2.0, 0.5), w, interaction_range=R)
+        rng = np.random.default_rng(19)
+        angle = 2.0 * np.pi * rng.random(n)
+        a = 2.0 * rng.random((n, 2)) if torus else 0.5 + rng.random((n, 2))
+        b = a + R * np.column_stack([np.cos(angle), np.sin(angle)])
+        a = np.vstack([[0.1, 0.1], a])
+        b = np.vstack([[0.4, 0.5], np.mod(b, 2.0) if torus else b])
+        near = [cylinder_contains((p, None), R, 0.0, (q, None), w)
+                for p, q in zip(a, b)]
+        counts = [int(neighbour_counts(p[None], q[None], w.sides, torus, R,
+                                       -1.0, 2)[0]) for p, q in zip(a, b)]
+        lam = [float(papangelou(m, p[None], q[None])[0]) for p, q in zip(a, b)]
+        assert not near[0] and 0 < sum(near) < n
+        assert counts == [int(v) for v in near]
+        assert lam == [1.0 if v else 2.0 for v in near]
 
     def test_own_rows_are_checked(self):
         m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)

@@ -593,7 +593,7 @@ def test_neighbour_counts_variants_agree(rng, monkeypatch):
                                           trad, 2))
 
 
-def test_other_neighbour_counts_leave_own_row_out(rng):
+def test_neighbour_counts_leave_own_row_out(rng):
     queries = rng.random((40, 3))
     pts = rng.random((25, 3))
     # half the queries sit on a pattern row, some of them their own
@@ -602,8 +602,8 @@ def test_other_neighbour_counts_leave_own_row_out(rng):
     sides = np.ones(3)
     for torus in (False, True):
         for rad, trad in ((0.2, -1.0), (0.2, 0.3), (0.0, 0.0)):
-            got = K.other_neighbour_counts(queries, pts, own, sides, torus, rad,
-                                           trad, 2)
+            got = K.neighbour_counts(queries, pts, sides, torus, rad, trad, 2,
+                                     own)
             want = [neighbour_counts_loop(queries[j:j + 1],
                                           np.delete(pts, own[j], axis=0)
                                           if own[j] >= 0 else pts,

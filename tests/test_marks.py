@@ -175,6 +175,16 @@ class TestGrowthInteraction:
                           np.array([1.0])),
                          GrowthInteraction(), 0.3, 0, 1.0)
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.5, 1.0], [0.0, 0.25, 0.5]])
+    def test_attach_needs_the_integration_grid(self, grid):
+        # the marks are integrated on 0, dt, .., t_star with dt the grid's
+        # first step, so any other grid would come back replaced
+        temporal = Window((0, 0), (1, 1), t_star=1.0)
+        locs = np.column_stack([ground_points(3)[0], [0.0, 0.2, 0.4]])
+        with pytest.raises(ValidationError):
+            attach_marks(temporal, locs, [AuxMark(continuous=(0.5,))] * 3,
+                         GrowthInteraction(), np.array(grid), 1)
+
     def test_interaction_cutoff_drops_far_pairs(self):
         pts = (np.array([[0.1, 0.1], [0.9, 0.9]]), np.zeros(2),
                np.full(2, 9.0))
