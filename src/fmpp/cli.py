@@ -18,6 +18,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import re
 import sys
 from functools import partial
@@ -55,12 +56,71 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+_REQUIRED = object()
+
+
+def _checked(value, field: str, integer: bool = False, ranged: bool = False):
+    """The one reader of a config number: ``value`` as given (an int with
+    ``integer``).  A string, a boolean, a null or a count that is not an
+    integer is a ValidationError naming ``field``, and so are NaN and the
+    infinities unless ``ranged``: then the model class that receives the
+    value checks its range, NaN and infinities included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"config field '{field}' must be a number")
+    if integer:
+        if not (math.isfinite(value) and value == int(value)):
+            raise ValidationError(f"config field '{field}' must be an integer")
+        return int(value)
+    if not (ranged or math.isfinite(value)):
+        raise ValidationError(f"config field '{field}' must be finite")
+    return value
+
+
+def _number(obj: dict, key: str, path: str, default=_REQUIRED,
+            integer: bool = False, ranged: bool = False):
+    """The number ``obj[key]`` through ``_checked``; ``default`` where the
+    key is absent or null, if a default is given."""
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
+    return _checked(_require(obj, key, path), f"{path}.{key}".lstrip("."),
+                    integer, ranged)
+
+
+def _numbers(obj: dict, key: str, path: str, default=_REQUIRED,
+             integer: bool = False, ranged: bool = False,
+             width: int | None = None) -> tuple:
+    """The list ``obj[key]`` of numbers (with ``width``, of lists of
+    ``width`` numbers) as a tuple (of tuples), each number through
+    ``_checked``; ``default`` where the key is absent or null."""
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
+    values, field = _require(obj, key, path), f"{path}.{key}".lstrip(".")
+    rows = values if width is not None and isinstance(values, list) else [values]
+    if not all(isinstance(r, list) and len(r) == (width or len(r)) for r in rows):
+        raise ValidationError(f"config field '{field}' must be a list of "
+                              + (f"{width}-number lists" if width else "numbers"))
+    read = lambda row: tuple(_checked(v, field, integer, ranged) for v in row)
+    return tuple(map(read, values)) if width is not None else read(values)
+
+
+def _spec(obj: dict, key: str, path: str, default=_REQUIRED) -> tuple:
+    """A registry entry ``[name, number, ...]`` as a tuple; its numbers
+    are ``ranged`` (the model class checks them)."""
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
+    spec, field = _require(obj, key, path), f"{path}.{key}"
+    if not (isinstance(spec, list) and spec and isinstance(spec[0], str)):
+        raise ValidationError(f"config field '{field}' must be [name, number, ...]")
+    return (spec[0], *(_checked(v, field, ranged=True) for v in spec[1:]))
+
+
 def _window_from(cfg: dict) -> Window:
     w = _require(cfg, "window", "")
-    return Window(tuple(_require(w, "lo", "window")),
-                  tuple(_require(w, "hi", "window")),
-                  w.get("t_star"), w.get("torus", False),
-                  w.get("time_scale", 1.0))
+    return Window(_numbers(w, "lo", "window", ranged=True),
+                  _numbers(w, "hi", "window", ranged=True),
+                  _number(w, "t_star", "window", None, ranged=True),
+                  w.get("torus", False),
+                  _number(w, "time_scale", "window", 1.0, ranged=True))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -69,7 +129,8 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _mark_grid(cfg: dict, window: Window) -> np.ndarray:
-    dt = cfg.get("model", {}).get("mark_grid", {}).get("dt", 0.01)
+    dt = _number(cfg.get("model", {}).get("mark_grid", {}), "dt",
+                 "model.mark_grid", 0.01, ranged=True)
     horizon = window.t_star if window.is_temporal else 1.0
     n = int(round(horizon / dt)) if dt > 0 else 0
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
@@ -79,9 +140,10 @@ def _mark_grid(cfg: dict, window: Window) -> np.ndarray:
 
 def _gibbs_from(gspec: dict) -> ground.PairwiseGibbs:
     """The pairwise-interaction model of a ``gibbs`` ground section."""
-    return ground.PairwiseGibbs(*(_require(gspec, key, "model.ground")
+    return ground.PairwiseGibbs(*(_number(gspec, key, "model.ground", ranged=True)
                                   for key in ("beta", "gamma", "range")),
-                                gspec.get("temporal_range"))
+                                _number(gspec, "temporal_range", "model.ground",
+                                        None, ranged=True))
 
 
 def _csv_write(path: Path, metadata: dict, header: list, rows: list):
@@ -117,35 +179,38 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
 
     if family == "poisson":
         locs = ground.simulate_poisson(
-            ground.HomogeneousPoisson(_require(gspec, "rate", "model.ground")),
+            ground.HomogeneousPoisson(_number(gspec, "rate", "model.ground",
+                                              ranged=True)),
             window, seed)
     elif family == "lgcp":
         field, locs = ground.simulate_lgcp(
             ground.LogGaussianCox(
-                _require(gspec, "mean", "model.ground"),
-                tuple(_require(gspec, "kernel", "model.ground")),
-                tuple(_require(gspec, "grid", "model.ground"))),
+                _number(gspec, "mean", "model.ground"),
+                _spec(gspec, "kernel", "model.ground"),
+                _numbers(gspec, "grid", "model.ground", integer=True)),
             window, seed)
     elif family == "immigration-death":
         xs, births, lifetimes = ground.simulate_immigration_death(
             ground.ImmigrationDeath(
-                _require(gspec, "arrival_rate", "model.ground"),
-                _require(gspec, "death_rate", "model.ground")),
+                _number(gspec, "arrival_rate", "model.ground", ranged=True),
+                _number(gspec, "death_rate", "model.ground", ranged=True)),
             window, seed)
         locs = np.hstack([xs, births[:, None]])
     elif family == "gibbs":
-        locs = ground.simulate_gibbs(_gibbs_from(gspec), window,
-                                     int(gspec.get("steps", 20000)), seed)
+        locs = ground.simulate_gibbs(
+            _gibbs_from(gspec), window,
+            _number(gspec, "steps", "model.ground", 20000, integer=True), seed)
     elif family in ("poisson-t", "loglinear-t"):
         if not window.is_temporal:
             raise ValidationError("model.ground.family needs window.t_star")
         if family == "poisson-t":
-            rate = float(_require(gspec, "rate", "model.ground"))
+            rate = float(_number(gspec, "rate", "model.ground", ranged=True))
             tmodel = ground.HomogeneousPoisson(rate / window.volume)
         else:
-            a = float(_require(gspec, "a", "model.ground"))
-            b = float(_require(gspec, "b", "model.ground"))
-            lam_max = max(np.exp(a), np.exp(a + b * window.t_star)) / window.volume
+            a = float(_number(gspec, "a", "model.ground", ranged=True))
+            b = float(_number(gspec, "b", "model.ground"))
+            # NaN in a reaches the bound, which rejects it
+            lam_max = float(np.exp(np.maximum(a, a + b * window.t_star))) / window.volume
             tmodel = ground.InhomogeneousPoisson(
                 lambda g: np.exp(a + b * g[:, -1]) / window.volume, lam_max)
         locs = ground.simulate_poisson(tmodel, window, seed)
@@ -155,13 +220,18 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
     n = len(locs)
     kind = aux_spec.get("kind", "none")
     if kind == "types":
-        probs = np.asarray(_require(aux_spec, "probs", "model.aux"), dtype=float)
+        probs = np.asarray(_numbers(aux_spec, "probs", "model.aux"), dtype=float)
+        if not (np.all(probs >= 0.0) and np.sum(probs) > 0.0):
+            raise ValidationError("config field 'model.aux.probs' must be "
+                                  "nonnegative with a positive sum")
         draws = rng.choice(len(probs), size=n, p=probs / probs.sum()) + 1
         auxs = AuxTable(draws, np.empty((n, 0)))
         reference = ReferenceSpec(AuxMeasure("counting", (len(probs),)))
     elif kind == "lifetime":
         if lifetimes is None:
-            rate = float(_require(aux_spec, "rate", "model.aux"))
+            rate = float(_number(aux_spec, "rate", "model.aux"))
+            if not rate > 0.0:
+                raise ValidationError("config field 'model.aux.rate' must be positive")
             lifetimes = rng.exponential(1.0 / rate, size=n)
         auxs = AuxTable(np.zeros(n, dtype=np.int64), lifetimes[:, None])
         reference = ReferenceSpec(AuxMeasure("expon", (1.0,)))
@@ -176,21 +246,22 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
         mark_model = marks.Deterministic(("constant", 1.0))
     elif mname == "constant":
         mark_model = marks.Deterministic(
-            ("constant", float(_require(mark_spec, "value", "model.marks"))))
+            ("constant", float(_number(mark_spec, "value", "model.marks"))))
     elif mname == "wiener":
-        mark_model = marks.Wiener(float(mark_spec.get("scale", 1.0)))
+        mark_model = marks.Wiener(float(_number(mark_spec, "scale", "model.marks",
+                                                1.0, ranged=True)))
     elif mname == "growth-interaction":
         mark_model = marks.GrowthInteraction(
-            tuple(_require(mark_spec, "growth", "model.marks")),
-            tuple(mark_spec.get("interaction", ("none",))),
-            tuple(mark_spec.get("noise", ("zero",))),
-            float(mark_spec.get("m0", 0.0)),
+            _spec(mark_spec, "growth", "model.marks"),
+            _spec(mark_spec, "interaction", "model.marks", ("none",)),
+            _spec(mark_spec, "noise", "model.marks", ("zero",)),
+            float(_number(mark_spec, "m0", "model.marks", 0.0, ranged=True)),
             mark_spec.get("negative_policy", "clamp"),
-            mark_spec.get("interaction_cutoff"))
+            _number(mark_spec, "interaction_cutoff", "model.marks", None, ranged=True))
     elif mname == "geostatistical":
         mark_model = marks.Geostatistical(
-            mark_spec.get("mean", 0.0),
-            tuple(_require(mark_spec, "kernel", "model.marks")))
+            _number(mark_spec, "mean", "model.marks", 0.0),
+            _spec(mark_spec, "kernel", "model.marks"))
     elif mname == "intensity":
         if field is None:
             raise ValidationError("model.marks 'intensity' needs an lgcp ground")
@@ -275,7 +346,8 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
             "replicates": len(configs)}
 
     if "intensity" in section:
-        cells = section["intensity"].get("cells", 8)
+        cells = _number(section["intensity"], "cells", "summarize.intensity", 8,
+                        integer=True)
         surfaces = [stats.intensity_estimate(c, cells) for c in configs]
         header = ["cell"] + [f"lambda_r{r:03d}" for r in range(len(configs))] + ["pooled"]
         vals = np.stack([s.values.ravel() for s in surfaces])
@@ -285,8 +357,8 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
 
     if "pcf" in section:
         psec = section["pcf"]
-        lags = np.asarray(_require(psec, "lags", "summarize.pcf"), dtype=float)
-        bw = psec.get("bandwidth")
+        lags = np.asarray(_numbers(psec, "lags", "summarize.pcf"), dtype=float)
+        bw = _number(psec, "bandwidth", "summarize.pcf", None)
         ests = []
         for c in configs:
             if len(c) < 2:
@@ -301,7 +373,8 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
                     "edge_correction": ests[0].edge_correction}, header, rows)
 
     if "variogram" in section:
-        bins = section["variogram"].get("bins", 15)
+        bins = _number(section["variogram"], "bins", "summarize.variogram", 15,
+                       integer=True)
         ests = [stats.trace_variogram(c.spatial_locations(), c.marks, bins)
                 for c in configs]
         centers = ests[0].bin_centers
@@ -313,8 +386,8 @@ def run_summarize(cfg: dict, out: Path, seed: int) -> int:
 
     if "coverage" in section:
         csec = section["coverage"]
-        times = _require(csec, "times", "summarize.coverage")
-        res = int(csec.get("resolution", 128))
+        times = _numbers(csec, "times", "summarize.coverage")
+        res = _number(csec, "resolution", "summarize.coverage", 128, integer=True)
         header, rows, _ = _coverage(configs, times, res)
         _csv_write(out / "coverage.csv", {**meta, "resolution": res}, header, rows)
     return 0
@@ -340,33 +413,32 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
         raise ValidationError(
             f"estimate.scheme '{scheme}' is incompatible with ground family "
             f"'{family}' (needs one of {compatible[scheme]})")
-    rep = int(section.get("replicate", 0))
+    rep = _number(section, "replicate", "estimate", 0, integer=True)
     (c,) = _load_replicates(section, out, only=rep)
-    schedule = (SampleSchedule(tuple(cfg["schedule"]))
+    schedule = (SampleSchedule(_numbers(cfg, "schedule", ""))
                 if cfg.get("schedule") else None)
-    budget = int(section.get("budget", 500))
+    budget = _number(section, "budget", "estimate", 500, integer=True)
+    theta0 = partial(_numbers, section, "theta0", "estimate")
+    bounds = partial(_numbers, section, "bounds", "estimate", width=2)
 
     if scheme == "mle-temporal":
-        theta0 = section.get("theta0", [1.0] if family == "poisson-t" else [0.0, 0.0])
-        bounds = section.get("bounds",
-                             [[1e-9, 1e6]] if family == "poisson-t"
-                             else [[-10.0, 10.0], [-10.0, 10.0]])
-        model = infer.ParametricModel(family, theta0, window,
-                                      tuple(tuple(b) for b in bounds))
+        model = infer.ParametricModel(
+            family, theta0((1.0,) if family == "poisson-t" else (0.0, 0.0)), window,
+            bounds(((1e-9, 1e6),) if family == "poisson-t"
+                   else ((-10.0, 10.0), (-10.0, 10.0))))
         fit = infer.fit_loglik_temporal(model, c, None, budget=budget)
     elif scheme == "pseudo":
         gibbs = _gibbs_from(gspec)
-        bounds = section.get("bounds", [[1e-6, 1e6], [1e-6, 1.0]])
         model = infer.ParametricModel(
-            "gibbs", section.get("theta0", [gibbs.beta, gibbs.gamma]), window,
-            tuple(tuple(b) for b in bounds), interaction_range=gibbs.range_,
+            "gibbs", theta0((gibbs.beta, gibbs.gamma)), window,
+            bounds(((1e-6, 1e6), (1e-6, 1.0))), interaction_range=gibbs.range_,
             temporal_range=gibbs.temporal_range)
-        fit = infer.fit_pseudolikelihood(model, c, None, budget=budget,
-                                         quad_res=int(section.get("quad_res", 48)))
+        fit = infer.fit_pseudolikelihood(
+            model, c, None, budget=budget,
+            quad_res=_number(section, "quad_res", "estimate", 48, integer=True))
     elif scheme == "mle-janossy":
-        model = infer.ParametricModel(
-            "poisson", section.get("theta0", [1.0]), window,
-            tuple(tuple(b) for b in section.get("bounds", [[1e-9, 1e6]])))
+        model = infer.ParametricModel("poisson", theta0((1.0,)), window,
+                                      bounds(((1e-9, 1e6),)))
         fit = infer.fit_janossy(model, c, budget=budget)
     else:  # least-squares
         mspec = _require(cfg["model"], "marks", "model")
@@ -375,10 +447,10 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                 "estimate.scheme 'least-squares' needs growth-interaction marks")
         if schedule is None:
             raise ValidationError("estimate 'least-squares' needs a schedule")
-        growth_name = _require(mspec, "growth", "model.marks")[0]
-        interaction = tuple(mspec.get("interaction", ("none",)))
-        m0 = float(mspec.get("m0", 0.0))
-        cutoff = mspec.get("interaction_cutoff")
+        growth_name = _spec(mspec, "growth", "model.marks")[0]
+        interaction = _spec(mspec, "interaction", "model.marks", ("none",))
+        m0 = float(_number(mspec, "m0", "model.marks", 0.0, ranged=True))
+        cutoff = _number(mspec, "interaction_cutoff", "model.marks", None, ranged=True)
 
         def family_fn(theta):
             return marks.GrowthInteraction((growth_name, *theta), interaction,
@@ -394,14 +466,11 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                 "estimate 'least-squares' needs lifetime aux marks "
                 "(model.aux.kind = 'lifetime')")
         observed = c.marks.at(schedule.times)
-        theta0 = _require(section, "theta0", "estimate")
-        bounds = section.get("bounds")
         # integrate on the grid the marks were simulated on
         grid = _mark_grid(cfg, window)
         fit = infer.least_squares_marks(
             family_fn, (c.spatial_locations(), c.ground[:, -1], lifetimes),
-            observed, schedule, theta0,
-            [tuple(b) for b in bounds] if bounds else None,
+            observed, schedule, theta0(), bounds(None),
             dt=float(grid[1] - grid[0]), t_star=window.t_star,
             budget=budget, seed=seed)
 
@@ -420,8 +489,8 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 def run_geometry(cfg: dict, out: Path, seed: int) -> int:
     section = cfg.get("geometry", {})
-    times = _require(section, "times", "geometry")
-    res = int(section.get("resolution", 128))
+    times = _numbers(section, "times", "geometry")
+    res = _number(section, "resolution", "geometry", 128, integer=True)
     configs = _load_replicates(section, out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_hash": _config_hash(cfg), "resolution": res}
@@ -441,7 +510,7 @@ def run_geometry(cfg: dict, out: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 def run_check(cfg: dict, out: Path, seed: int) -> int:
     section = _require(cfg, "check", "")
-    replicates = int(section.get("replicates", 200))
+    replicates = _number(section, "replicates", "check", 200, integer=True)
     window = _window_from(cfg)
     gspec = _require(_require(cfg, "model", ""), "ground", "model")
     family = _require(gspec, "family", "model.ground")
@@ -461,11 +530,14 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
             interaction_range=gibbs.range_, temporal_range=gibbs.temporal_range)
     else:
         model = infer.ParametricModel(
-            "poisson", (float(_require(gspec, "rate", "model.ground")),), window)
+            "poisson", (float(_number(gspec, "rate", "model.ground")),), window)
     simulate = partial(_simulate_one, cfg, window)
     lo = np.asarray(window.lo)
-    blo, bhi = np.asarray(section.get("box") or [lo, lo + 0.5 * window.sides],
-                          dtype=float)
+    box = _numbers(section, "box", "check", (lo, lo + 0.5 * window.sides),
+                   width=window.dim)
+    if len(box) != 2:
+        raise ValidationError("config field 'check.box' must be [lo, hi]")
+    blo, bhi = np.asarray(box, dtype=float)
     results = []
 
     def report(name, rep):
@@ -481,18 +553,20 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
         report("campbell", stats.campbell_check(
             simulate, lambda c: in_box(c.ground),
             lambda g: infer.ground_intensity(model, g) * in_box(g),
-            window, replicates, seed, quad_res=int(section.get("quad_res", 64))))
+            window, replicates, seed,
+            quad_res=_number(section, "quad_res", "check", 64, integer=True)))
     if "gnz" in names:
-        factor = float(section.get("lambda_factor", 1.0))
+        factor = float(_number(section, "lambda_factor", "check", 1.0))
         report("gnz", stats.gnz_check(
             simulate,
             lambda u, pts, own: factor * infer.papangelou(model, u, pts, own),
             lambda u, pts, own: in_box(u), window, replicates, seed,
-            quad_res=int(section.get("quad_res", 32))))
+            quad_res=_number(section, "quad_res", "check", 32, integer=True)))
     if "janossy" in names:
         mean = infer.ground_intensity_mass(model)
         default_n = max(30, int(np.ceil(mean + 12.0 * np.sqrt(mean) + 12.0)))
-        total = infer.janossy_total_mass(model, int(section.get("n_max", default_n)))
+        total = infer.janossy_total_mass(
+            model, _number(section, "n_max", "check", default_n, integer=True))
         results.append({"check": "janossy", "lhs": total, "rhs": 1.0, "se": 0.0,
                         "passed": abs(total - 1.0) < 1e-6})
     out.mkdir(parents=True, exist_ok=True)
@@ -532,9 +606,10 @@ def main(argv=None) -> int:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(cfg, dict):
             raise ValidationError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = (args.seed if args.seed is not None
+                else _number(cfg, "seed", "", 0, integer=True))
         replicates = (args.replicates if args.replicates is not None
-                      else int(cfg.get("replicates", 1)))
+                      else _number(cfg, "replicates", "", 1, integer=True))
         if replicates < 1:
             raise ValidationError("replicates must be >= 1")
         out = Path(args.out)

@@ -102,10 +102,12 @@ class Window:
             raise ValidationError("spatial dimension must be 1, 2 or 3")
         if not all(h > l for l, h in zip(lo, hi)):
             raise ValidationError("spatial box must have positive volume")
-        if self.t_star is not None and not self.t_star > 0:
-            raise ValidationError("t_star must be positive when present")
-        if not self.time_scale > 0:
-            raise ValidationError("time_scale must be positive")
+        if not all(math.isfinite(v) for v in lo + hi):
+            raise ValidationError("window lo and hi must be finite")
+        if self.t_star is not None and not 0 < self.t_star < math.inf:
+            raise ValidationError("t_star must be positive and finite when present")
+        if not 0 < self.time_scale < math.inf:
+            raise ValidationError("time_scale must be positive and finite")
 
     @property
     def dim(self) -> int:

@@ -49,8 +49,8 @@ class HomogeneousPoisson:
     rate: float
 
     def __post_init__(self):
-        if not self.rate >= 0:
-            raise ValidationError("rate must be nonnegative")
+        if not 0 <= self.rate < math.inf:
+            raise ValidationError("rate must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class InhomogeneousPoisson:
     max_rate: float
 
     def __post_init__(self):
-        if not self.max_rate > 0:
-            raise ValidationError("max_rate must be positive")
+        if not 0 < self.max_rate < math.inf:
+            raise ValidationError("max_rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,13 @@ class LogGaussianCox:
     grid_shape: tuple
 
     def __post_init__(self):
-        fam = self.kernel[0]
-        if fam not in ("exponential", "gaussian"):
-            raise ValidationError(f"unknown covariance family {fam!r}")
-        if not self.kernel[1] >= 0:
-            raise ValidationError("field variance must be nonnegative")
+        _check_kernel(self.kernel)
+        if not (callable(self.mean) or math.isfinite(self.mean)):
+            raise ValidationError("field mean must be finite")
         object.__setattr__(self, "kernel", tuple(self.kernel))
         object.__setattr__(self, "grid_shape", tuple(int(g) for g in self.grid_shape))
+        if not all(g >= 1 for g in self.grid_shape):
+            raise ValidationError("field grid needs at least one cell per axis")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class ImmigrationDeath:
     death_rate: float
 
     def __post_init__(self):
-        if not (self.arrival_rate > 0 and self.death_rate > 0):
-            raise ValidationError("arrival and death rates must be positive")
+        if not (0 < self.arrival_rate < math.inf and 0 < self.death_rate < math.inf):
+            raise ValidationError("arrival and death rates must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,20 @@ class GridField:
     @property
     def cell_volume(self) -> float:
         return float(math.prod(self.widths))
+
+
+def _check_kernel(kernel) -> None:
+    """Check a covariance kernel (family, variance, spatial range[,
+    temporal range]): a known family, a finite nonnegative variance and
+    positive finite ranges."""
+    if kernel[0] not in ("exponential", "gaussian"):
+        raise ValidationError(f"unknown covariance family {kernel[0]!r}")
+    if len(kernel) not in (3, 4):
+        raise ValidationError("kernel needs a variance and one or two ranges")
+    if not 0 <= kernel[1] < math.inf:
+        raise ValidationError("field variance must be nonnegative and finite")
+    if not all(0 < r < math.inf for r in kernel[2:]):
+        raise ValidationError("kernel ranges must be positive and finite")
 
 
 def _correlation(family: str, h):

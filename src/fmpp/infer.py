@@ -9,9 +9,10 @@ and least squares on sampled mark trajectories.  Each takes its points as
 columns (a ``Configuration``, a list of ``Observation`` or an (n, D) ground
 array).  The ground Papangelou intensity is one theta-invariant build, the
 neighbour counts without each query's own row, and one evaluation, shared
-by ``papangelou``, the pseudo-likelihood and the pairwise Janossy density;
+by ``papangelou``, the likelihoods and the pairwise Janossy density;
 ``ground.PairwiseGibbs`` checks the pairwise model's parameters and
-``_kernels._in_range`` is its neighbourhood.
+``_kernels._in_range`` is its neighbourhood.  The likelihoods are one
+builder, sum log lambda - integral of lambda with one compensator rule.
 The likelihood fits share one derivative-free simplex optimizer; least
 squares minimizes its residual vector by projected Levenberg-Marquardt.
 
@@ -211,15 +212,11 @@ def ground_intensity(model: ParametricModel, g) -> np.ndarray:
 
 
 def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
-    """Integral of the ground intensity over the window, by quadrature."""
-    w = model.window
-    if model.ground == "poisson":
-        return float(model.theta[0]) * w.ground_volume
-    if model.ground in ("poisson-t", "loglinear-t"):
-        t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
-        # the spatial density integrates to one over the window
-        return float(np.sum(temporal_rate(model, t_nodes[:, 0])) * dt)
-    raise ValidationError("intensity mass undefined for this family")
+    """Integral of the ground intensity over the window: the likelihoods'
+    ``_compensator`` (midpoint rule with ``quad_res`` nodes per axis)."""
+    if model.ground == "gibbs":
+        raise ValidationError("intensity mass undefined for this family")
+    return _compensator(model, None, quad_res)(model)
 
 
 def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
@@ -277,15 +274,6 @@ def _with_factors(model: ParametricModel, events: tuple,
         return lam * np.exp(_event_log_factors(model, events, schedule))
 
 
-def _sum_log_intensities(lam: np.ndarray, log_fac: float, what: str) -> float:
-    """Sum over events of log(lam), plus ``log_fac``, the summed log mark
-    and aux factors; a vanishing or non-finite intensity or factor raises
-    NumericalError."""
-    if not (math.isfinite(log_fac) and np.all(np.isfinite(lam) & (lam > 0.0))):
-        raise NumericalError(f"data point with vanishing {what} intensity")
-    return float(np.sum(np.log(lam))) + log_fac
-
-
 # ---------------------------------------------------------------------------
 # intensities
 # ---------------------------------------------------------------------------
@@ -317,33 +305,56 @@ def conditional_intensity(model: ParametricModel, history, data,
 # ---------------------------------------------------------------------------
 # likelihoods
 # ---------------------------------------------------------------------------
-def _loglik_temporal_terms(model: ParametricModel, data: Sequence,
-                           schedule: SampleSchedule | None,
-                           quad_res: int) -> Callable:
-    """Build the theta-invariant terms of ``loglik_temporal`` once.
-
-    Returns ``evaluate(m)``, the log-likelihood at ``m.theta`` for a model
-    of the same family, window and spatial density as ``model``.
-    """
-    if model.ground not in ("poisson-t", "loglinear-t"):
-        raise ValidationError("temporal likelihood needs a temporally grounded model")
+def _compensator(model: ParametricModel, pts, quad_res: int) -> Callable:
+    """Build the window integral of the ground Papangelou intensity once;
+    returns ``integral(m)`` at ``m.theta`` for a model like ``model``:
+    theta |W| for 'poisson', the midpoint sum over ``quad_res`` times of
+    the temporal rate times the midpoint mass of the spatial density for
+    the temporal families, and for 'gibbs' the midpoint sum (``quad_res``
+    nodes per ground axis) given the (n, D) pattern ``pts``."""
     w = model.window
-    ev = _events(w, data, schedule)
-    t_events = ev[0][:, -1]
-    f_events = _spatial_density(model, ev[0][:, : w.dim])
-    log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
+    if model.ground == "poisson":
+        return lambda m: float(m.theta[0]) * w.ground_volume
+    if model.ground == "gibbs":
+        nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
+        at_nodes = _papangelou_terms(model, nodes, pts, None)
+        return lambda m: float(np.sum(_ground_papangelou(m, at_nodes)) * cell)
     x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
     spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
     t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
     t_nodes = t_nodes[:, 0]
+    return lambda m: float(np.sum(temporal_rate(m, t_nodes)) * dt * spatial_mass)
+
+
+def _loglik_terms(model: ParametricModel, data: Sequence,
+                  schedule: SampleSchedule | None, quad_res: int) -> Callable:
+    """Build the theta-invariant terms of the Poisson log-likelihood and the
+    log pseudo-likelihood once; returns ``evaluate(m)``, sum log lambda(x_i)
+    + the log mark and aux factors - the ``_compensator`` integral, at
+    ``m.theta`` for a model of the same family, window, spatial density and
+    ranges as ``model``.  lambda is the ground Papangelou intensity of each
+    data point given the others (a Poisson family's intensity); a vanishing
+    or non-finite lambda or factor raises NumericalError."""
+    ev = _events(model.window, data, schedule)
+    pts = ev[0]
+    with np.errstate(divide="ignore"):
+        log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
+    at_data = _papangelou_terms(model, pts, pts, np.arange(len(pts)))
+    integral = _compensator(model, pts, quad_res)
 
     def evaluate(m: ParametricModel) -> float:
-        log_lam = _sum_log_intensities(temporal_rate(m, t_events) * f_events,
-                                       log_fac, "conditional")
-        compensator = float(np.sum(temporal_rate(m, t_nodes)) * dt * spatial_mass)
-        return log_lam - compensator
+        lam = _ground_papangelou(m, at_data)
+        if not (math.isfinite(log_fac) and np.all(np.isfinite(lam) & (lam > 0.0))):
+            raise NumericalError("data point with vanishing intensity")
+        return float(np.sum(np.log(lam))) + log_fac - integral(m)
 
     return evaluate
+
+
+def _temporal(model: ParametricModel) -> ParametricModel:
+    if model.ground not in ("poisson-t", "loglinear-t"):
+        raise ValidationError("temporal likelihood needs a temporally grounded model")
+    return model
 
 
 def loglik_temporal(model: ParametricModel, data: Sequence,
@@ -351,31 +362,31 @@ def loglik_temporal(model: ParametricModel, data: Sequence,
                     quad_res: int = 64) -> float:
     """Temporal log-likelihood sum log(rate) - compensator integral.
 
-    The mark and aux densities enter the event sum only; their integrals
-    over the mark spaces are one, so the compensator reduces to the double
-    integral of the spatial density times the temporal rate (midpoint
-    quadrature with ``quad_res`` nodes per axis).
+    The mark and aux densities enter the event sum only.  The compensator
+    is the midpoint sum of the temporal rate over ``quad_res`` times, times
+    the midpoint mass of the spatial density (``quad_res`` nodes per axis),
+    so the value equals the log Janossy density and log pseudo-likelihood.
     """
-    return _loglik_temporal_terms(model, data, schedule, quad_res)(model)
+    return _loglik_terms(_temporal(model), data, schedule, quad_res)(model)
 
 
 def _janossy_terms(model: ParametricModel, data: Sequence,
                    schedule: SampleSchedule | None, quad_res: int) -> Callable:
     """Build the theta-invariant terms of ``janossy_density`` once; returns
-    ``evaluate(m)``, the log density at ``m.theta`` for a model like ``model``."""
+    ``evaluate(m)``, the log density at ``m.theta`` for a model like
+    ``model``: the ``_loglik_terms`` of a Poisson family, and log beta^n
+    gamma^pairs plus the log factors for the pairwise model."""
+    if model.ground != "gibbs":
+        return _loglik_terms(model, data, schedule, quad_res)
     ev = _events(model.window, data, schedule)
     g = ev[0]
     with np.errstate(divide="ignore"):
         log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
     # each pair is a neighbour of both its points
-    pairs = (int(np.sum(_papangelou_terms(model, g, g, np.arange(len(g))))) // 2
-             if model.ground == "gibbs" else 0)
+    pairs = int(np.sum(_papangelou_terms(model, g, g, np.arange(len(g))))) // 2
 
     def evaluate(m: ParametricModel) -> float:
         with np.errstate(divide="ignore"):
-            if m.ground != "gibbs":
-                return log_fac + (float(np.sum(np.log(ground_intensity(m, g))))
-                                  - ground_intensity_mass(m, quad_res))
             log_val = log_fac + g.shape[0] * math.log(m.theta[0])
             return log_val + pairs * float(np.log(m.theta[1])) if pairs else log_val
 
@@ -387,12 +398,16 @@ def janossy_density(model: ParametricModel, data: Sequence,
                     quad_res: int = 64) -> JanossyValue:
     """Sampled Janossy density fidi * aux * ground Janossy, in log space.
 
-    Poisson families give log_value = -mass + sum log(ground intensity) +
-    sum log(mark and aux factors); the pairwise model returns the
-    unnormalized beta^n gamma^(pairs) times the factors with
-    ``normalized=False``.
+    Poisson families give the log-likelihood (``_loglik_terms``), or value
+    0 and log_value -inf where an intensity or factor at a data point
+    vanishes or is not finite; the pairwise model returns the unnormalized
+    beta^n gamma^(pairs) times the factors with ``normalized=False``.
     """
-    log_val = _janossy_terms(model, data, schedule, quad_res)(model)
+    evaluate = _janossy_terms(model, data, schedule, quad_res)
+    try:
+        log_val = evaluate(model)
+    except NumericalError:
+        log_val = -math.inf
     return JanossyValue(_exp_sum(log_val), model.ground != "gibbs", log_val)
 
 
@@ -450,8 +465,8 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
             raise ValidationError("auxiliary reference measure must be finite")
     if model.ground == "gibbs":
         raise ValidationError("model Janossy density is unnormalized")
-    log_jan = _janossy_terms(model, data, schedule, quad_res)(model)
-    log_ref = _janossy_terms(reference, data, schedule, quad_res)(reference)
+    log_jan = janossy_density(model, data, schedule, quad_res).log_value
+    log_ref = janossy_density(reference, data, schedule, quad_res).log_value
     if not math.isfinite(log_ref):
         raise NumericalError("reference intensity vanishes at a data point")
     return _exp_sum(log_jan - log_ref)
@@ -463,10 +478,14 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
 def _papangelou_terms(model: ParametricModel, queries, pts, own) -> np.ndarray:
     """The theta-invariant ground Papangelou terms of the (m, D) queries,
     query j given the (n, D) pattern without row own[j] (own may be None):
-    the (m,) neighbour counts of the pairwise model, else the queries."""
+    the (m,) neighbour counts of the pairwise model, the (m, 2) times and
+    spatial densities of a temporal family, else the queries."""
+    w = model.window
+    if model.ground in ("poisson-t", "loglinear-t"):
+        return np.column_stack([queries[:, -1],
+                                _spatial_density(model, queries[:, : w.dim])])
     if model.ground != "gibbs":
         return queries
-    w = model.window
     return _kernels.neighbour_counts(
         queries, pts, w.sides.astype(float), w.torus,
         float(model.interaction_range),
@@ -477,7 +496,9 @@ def _ground_papangelou(m: ParametricModel, terms: np.ndarray) -> np.ndarray:
     """(m,) ground Papangelou intensity at ``m.theta`` of ``_papangelou_terms``."""
     if m.ground == "gibbs":
         return m.theta[0] * np.power(m.theta[1], terms)
-    return ground_intensity(m, terms)
+    if m.ground == "poisson":
+        return ground_intensity(m, terms)
+    return temporal_rate(m, terms[:, 0]) * terms[:, 1]
 
 
 def papangelou(model: ParametricModel, queries, pattern, own=None,
@@ -502,31 +523,6 @@ def papangelou(model: ParametricModel, queries, pattern, own=None,
     return np.where(same > 0, 0.0, _with_factors(model, ev, schedule, lam))
 
 
-def _pseudolikelihood_terms(model: ParametricModel, data: Sequence,
-                            schedule: SampleSchedule | None,
-                            quad_res: int) -> Callable:
-    """Build the theta-invariant terms of ``pseudolikelihood`` once, the
-    ``_papangelou_terms`` of each data point given the others and of each
-    quadrature node given the data; returns ``evaluate(m)``, the log
-    pseudo-likelihood at ``m.theta`` for a model of the same family, window
-    and ranges as ``model``."""
-    w = model.window
-    ev = _events(w, data, schedule)
-    pts = ev[0]
-    log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
-    nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
-    at_data = _papangelou_terms(model, pts, pts, np.arange(len(pts)))
-    at_nodes = _papangelou_terms(model, nodes, pts, None)
-
-    def evaluate(m: ParametricModel) -> float:
-        log_lam = _sum_log_intensities(_ground_papangelou(m, at_data), log_fac,
-                                       "Papangelou")
-        integral = float(np.sum(_ground_papangelou(m, at_nodes)) * cell)
-        return log_lam - integral
-
-    return evaluate
-
-
 def pseudolikelihood(model: ParametricModel, data: Sequence,
                      schedule: SampleSchedule | None = None,
                      quad_res: int = 64) -> float:
@@ -534,10 +530,11 @@ def pseudolikelihood(model: ParametricModel, data: Sequence,
 
     The event sum adds the sampled-mark and aux log densities; the integral
     term is mark-integrated (the fidi density integrates to one), leaving
-    the ground Papangelou intensity integrated over the window by midpoint
-    quadrature (exactly summed over a discrete aux space).
+    the ground Papangelou intensity integrated by the ``_compensator``
+    rule (``quad_res`` midpoint nodes per ground axis for 'gibbs'); for a
+    Poisson family it is the log-likelihood.
     """
-    return _pseudolikelihood_terms(model, data, schedule, quad_res)(model)
+    return _loglik_terms(model, data, schedule, quad_res)(model)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +551,8 @@ def optimize(objective: Callable, theta0, bounds=None, budget: int = 500,
 def _maximize(model: ParametricModel, evaluate: Callable, theta0, budget: int,
               scheme: str) -> FitResult:
     """Maximize ``evaluate(model.with_theta(theta))`` within the model's
-    bounds; a NumericalError scores the 1e12 penalty."""
+    bounds; a NumericalError scores the 1e12 penalty, and ``objective`` is
+    the maximized value."""
     theta0 = model.theta if theta0 is None else theta0
 
     def objective(theta):
@@ -571,29 +569,27 @@ def fit_loglik_temporal(model: ParametricModel, data: Sequence,
                         schedule: SampleSchedule | None = None,
                         theta0=None, budget: int = 500,
                         quad_res: int = 64) -> FitResult:
-    """Maximum likelihood for temporally grounded models."""
-    return _maximize(model, _loglik_temporal_terms(model, data, schedule, quad_res),
+    """Maximum likelihood for temporally grounded models; ``objective`` is
+    the maximized log-likelihood."""
+    return _maximize(model, _loglik_terms(_temporal(model), data, schedule, quad_res),
                      theta0, budget, "mle-temporal")
 
 
 def fit_janossy(model: ParametricModel, data: Sequence, budget: int = 500) -> FitResult:
     """Maximum Janossy likelihood from ``model.theta``; ``objective`` is the
-    minimized -log J, and a non-finite log J scores the 1e12 penalty."""
-    log_j = _janossy_terms(model, data, None, 64)
-
-    def objective(theta):
-        value = log_j(model.with_theta(theta))
-        return -value if math.isfinite(value) else 1e12
-
-    return optimize(objective, model.theta, model.bounds or None, budget, "mle-janossy")
+    maximized log J, and a vanishing intensity at a data point scores the
+    1e12 penalty, as in the other likelihood fits."""
+    return _maximize(model, _janossy_terms(model, data, None, 64), None, budget,
+                     "mle-janossy")
 
 
 def fit_pseudolikelihood(model: ParametricModel, data: Sequence,
                          schedule: SampleSchedule | None = None,
                          theta0=None, budget: int = 500,
                          quad_res: int = 64) -> FitResult:
-    """Maximum pseudo-likelihood (the only normalization-free Gibbs fit)."""
-    return _maximize(model, _pseudolikelihood_terms(model, data, schedule, quad_res),
+    """Maximum pseudo-likelihood (the only normalization-free Gibbs fit);
+    ``objective`` is the maximized log pseudo-likelihood."""
+    return _maximize(model, _loglik_terms(model, data, schedule, quad_res),
                      theta0, budget, "pseudo")
 
 

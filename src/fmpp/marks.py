@@ -42,7 +42,7 @@ from .core import (
     ground_array,
 )
 from .errors import NumericalError, ValidationError
-from .ground import GridField, _cholesky, _correlation
+from .ground import GridField, _check_kernel, _cholesky, _correlation
 
 __all__ = [
     "Deterministic",
@@ -79,6 +79,8 @@ GROWTH_REGISTRY = {"linear": 0, "logistic": 1}
 INTERACTION_REGISTRY = {"none": 0, "gauss": 1, "overlap": 2}
 # noise sigma(m; s0)
 NOISE_REGISTRY = {"zero": 0, "const": 1, "prop": 2}
+# parameter count of each growth, interaction and noise function, by code
+_PARAM_COUNTS = {"growth": (2, 2), "interaction": (0, 2, 1), "noise": (0, 1, 1)}
 # deterministic mark families f*(ground (n, D), auxs, grid (k,); params) -> (n, k)
 DETERMINISTIC_REGISTRY = {
     "constant": lambda g, auxs, t, p: np.full((len(g), t.size), p[0], dtype=float),
@@ -112,8 +114,8 @@ class Wiener:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale >= 0:
-            raise ValidationError("Wiener scale must be nonnegative")
+        if not 0 <= self.scale < math.inf:
+            raise ValidationError("Wiener scale must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,8 @@ class GrowthInteraction:
     interaction_cutoff: float | None = None
 
     def __post_init__(self):
-        if not self.m0 >= 0:
-            raise ValidationError("initial mark value must be nonnegative")
+        if not 0 <= self.m0 < math.inf:
+            raise ValidationError("initial mark value must be nonnegative and finite")
         if self.negative_policy not in ("clamp", "absorb", "error"):
             raise ValidationError("negative_policy must be clamp|absorb|error")
         for registry, spec, what in (
@@ -160,9 +162,19 @@ class GrowthInteraction:
             (INTERACTION_REGISTRY, self.interaction, "interaction"),
             (NOISE_REGISTRY, self.noise, "noise"),
         ):
-            _registry_entry(registry, spec, what)
-        if self.noise[0] != "zero" and not self.noise[1] >= 0:
-            raise ValidationError("noise scale must be nonnegative")
+            code, params = _registry_entry(registry, spec, what)
+            if params.size != _PARAM_COUNTS[what][code]:
+                raise ValidationError(f"{what} function {spec[0]!r} takes "
+                                      f"{_PARAM_COUNTS[what][code]} parameters")
+            if what != "noise" and not all(map(math.isfinite, params)):
+                raise ValidationError(f"{what} parameters must be finite")
+        if self.noise[0] != "zero" and not 0 <= self.noise[1] < math.inf:
+            raise ValidationError("noise scale must be nonnegative and finite")
+        # the gauss kernel exp(-(d/r)^2) needs r > 0
+        if self.interaction[0] == "gauss" and not self.interaction[2] > 0:
+            raise ValidationError("gauss interaction range must be positive")
+        if self.interaction_cutoff is not None and not self.interaction_cutoff > 0:
+            raise ValidationError("interaction_cutoff must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,10 +192,7 @@ class Geostatistical:
     per_class: bool = False
 
     def __post_init__(self):
-        if self.kernel[0] not in ("exponential", "gaussian"):
-            raise ValidationError(f"unknown covariance family {self.kernel[0]!r}")
-        if not self.kernel[1] >= 0:
-            raise ValidationError("field variance must be nonnegative")
+        _check_kernel(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -321,7 +330,7 @@ def _gi_plan_args(points, model: GrowthInteraction, step: float,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     births = np.asarray(births, dtype=float)
     lifetimes = np.asarray(lifetimes, dtype=float)
-    nsteps = int(round(t_star / step))
+    nsteps = int(round(t_star / step)) if step > 0 else 0
     if abs(nsteps * step - t_star) > 1e-9 * max(t_star, 1.0) or nsteps < 1:
         raise ValidationError("step must divide the mark horizon t_star")
     grid = np.arange(nsteps + 1) * step

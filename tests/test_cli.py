@@ -119,6 +119,7 @@ class TestSimulate:
         assert "model.ground" in capsys.readouterr().err
 
 
+SPATIAL = {"lo": [0, 0], "hi": [1, 1]}
 TEMPORAL = {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}
 GROWTH = {"ground": {"family": "immigration-death", "arrival_rate": 4.0,
                      "death_rate": 1.0},
@@ -168,6 +169,82 @@ def test_nan_in_config_is_a_validation_error(tmp_path, capsys, window, model,
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and field in err
     assert "Traceback" not in err
+
+
+INF = float("inf")
+GIBBS = {"family": "gibbs", "beta": 100.0, "gamma": 0.5, "range": 0.05,
+         "steps": 200}
+POISSON = {"ground": {"family": "poisson", "rate": 20.0}}
+
+
+def _growth(**marks):
+    return {**GROWTH, "marks": {"model": "growth-interaction",
+                                "growth": ["linear", 1.0, 1.0], **marks}}
+
+
+@pytest.mark.parametrize("window, model, field", [
+    # numbers of the wrong type, infinite or not a count
+    (SPATIAL, {"ground": {"family": "poisson", "rate": "50"}}, "model.ground.rate"),
+    (SPATIAL, {"ground": {**GIBBS, "beta": "100"}}, "model.ground.beta"),
+    (SPATIAL, {"ground": {"family": "poisson", "rate": INF}}, "rate"),
+    ({"lo": [0, 0], "hi": [1, INF]}, {"ground": {"family": "poisson", "rate": 5.0}},
+     "hi"),
+    (SPATIAL, {"ground": {"family": "poisson", "rate": True}}, "model.ground.rate"),
+    (SPATIAL, {"ground": {**GIBBS, "steps": 2.5}}, "model.ground.steps"),
+    (TEMPORAL, {"ground": {"family": "loglinear-t", "a": 1.0, "b": INF}},
+     "model.ground.b"),
+    # model parameters that used to fail further in
+    (SPATIAL, {"ground": {"family": "lgcp", "mean": 1.0,
+                          "kernel": ["exponential", 1.0, 0.0], "grid": [4, 4]}},
+     "kernel ranges"),
+    (SPATIAL, {"ground": {"family": "lgcp", "mean": 1.0,
+                          "kernel": ["exponential", 1.0, 0.2], "grid": [0, 8]}},
+     "grid"),
+    (SPATIAL, {**POISSON, "marks": {"model": "geostatistical",
+                                    "kernel": ["exponential", 1.0, 0.0, 0.3]}},
+     "kernel ranges"),
+    (TEMPORAL, _growth(interaction=["gauss", 1.0, 0.0]), "interaction range"),
+    (TEMPORAL, _growth(interaction=["gauss", 1.0]), "interaction function"),
+    (TEMPORAL, {**GROWTH, "marks": {"model": "growth-interaction",
+                                    "growth": ["linear", 1]}}, "growth function"),
+    (SPATIAL, {**POISSON, "aux": {"kind": "types", "probs": [0.5, -0.5, 1.0]}},
+     "model.aux.probs"),
+    (SPATIAL, {**POISSON, "aux": {"kind": "types", "probs": [0, 0]}},
+     "model.aux.probs"),
+    (SPATIAL, {**POISSON, "aux": {"kind": "lifetime", "rate": 0}}, "model.aux.rate"),
+])
+def test_bad_config_number_is_a_validation_error(tmp_path, capsys, window, model,
+                                                 field):
+    cfg = write_cfg(tmp_path, {"window": window, "seed": 1, "model": model})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage, section, field", [
+    ("summarize", {"summarize": {"pcf": {"lags": [0.1, NAN]}}}, "summarize.pcf.lags"),
+    ("geometry", {"geometry": {"times": [0.5], "resolution": "64"}},
+     "geometry.resolution"),
+    ("check", {"check": {"checks": ["gnz"], "replicates": 3,
+                         "lambda_factor": NAN}}, "check.lambda_factor"),
+    ("check", {"check": {"checks": ["campbell"], "replicates": 3,
+                         "box": [[0, 0], [0.5, 0.5], [1, 1]]}}, "check.box"),
+    ("estimate", {"estimate": {"scheme": "mle-janossy", "theta0": ["10"]}},
+     "estimate.theta0"),
+    ("estimate", {"estimate": {"scheme": "mle-janossy", "bounds": [[1e-9]]}},
+     "estimate.bounds"),
+])
+def test_bad_stage_number_is_a_validation_error(tmp_path, capsys, stage, section,
+                                                field):
+    cfg = write_cfg(tmp_path, {"window": SPATIAL, "seed": 1, "model": POISSON,
+                               **section})
+    out = str(tmp_path / "x")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert main([stage, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and field in err
 
 
 # simulate and summarize outputs of the random-field layer: an LGCP ground
@@ -619,11 +696,11 @@ class TestJanossyScheme:
         assert events.call_count == 1
         rep = json.loads((out / "fit.json").read_text())
         assert rep["iterations"] > 10
-        # the objective is the minimized -log J, not the maximized log J
+        # the objective is the maximized log J, as for the other likelihoods
         c = read_configuration_files(out / "configuration_r000.json")
         model = infer.ParametricModel("poisson", rep["theta_hat"], c.window)
         assert rep["objective"] == pytest.approx(
-            -infer.janossy_density(model, c).log_value, rel=1e-12)
+            infer.janossy_density(model, c).log_value, rel=1e-12)
 
     def test_mle_janossy_recovers_rate(self, tmp_path):
         cfg_obj = dict(BASE, estimate={"scheme": "mle-janossy",

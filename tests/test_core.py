@@ -70,6 +70,12 @@ class TestWindow:
         with pytest.raises(ValidationError):
             Window((0,), (1,), t_star=0.0)
 
+    @pytest.mark.parametrize("kw", [dict(hi=(1.0, math.inf)), dict(lo=(-math.inf, 0.0)),
+                                    dict(t_star=math.inf), dict(time_scale=math.inf)])
+    def test_rejects_infinities(self, kw):
+        with pytest.raises(ValidationError, match="finite"):
+            Window(**{"lo": (0.0, 0.0), "hi": (1.0, 1.0), **kw})
+
     def test_torus_distance(self):
         w = Window((0, 0), (1, 1), torus=True)
         assert w.spatial_distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1)

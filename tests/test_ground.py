@@ -253,6 +253,25 @@ class TestImmigrationDeath:
         assert np.all(lifetimes < 1e-3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: HomogeneousPoisson(np.inf),
+    lambda: InhomogeneousPoisson(lambda g: np.ones(len(g)), np.inf),
+    lambda: ImmigrationDeath(np.inf, 1.0),
+    lambda: ImmigrationDeath(1.0, np.inf),
+    lambda: LogGaussianCox(np.inf, ("exponential", 1.0, 0.2), (4, 4)),
+    lambda: LogGaussianCox(1.0, ("exponential", np.inf, 0.2), (4, 4)),
+    lambda: LogGaussianCox(1.0, ("exponential", 1.0, 0.0), (4, 4)),
+    lambda: LogGaussianCox(1.0, ("gaussian", 1.0, 0.2, np.inf), (4, 4)),
+    lambda: LogGaussianCox(1.0, ("gaussian", 1.0), (4, 4)),
+    lambda: LogGaussianCox(1.0, ("exponential", 1.0, 0.2), (0, 8)),
+])
+def test_infinite_or_degenerate_parameters_rejected(build):
+    # each would fail further in: rng.poisson of an infinite mean, a 0/0
+    # correlation or a division by a zero cell count
+    with pytest.raises(ValidationError):
+        build()
+
+
 class TestGibbs:
     def test_gamma_above_one_rejected(self):
         with pytest.raises(ValidationError):

@@ -22,8 +22,10 @@ from fmpp.infer import (
     ParametricModel,
     conditional_intensity,
     density_wrt_poisson,
+    fit_janossy,
     fit_loglik_temporal,
     fit_pseudolikelihood,
+    ground_intensity_mass,
     intensity_functional,
     janossy_density,
     janossy_total_mass,
@@ -467,6 +469,14 @@ class TestLeastSquaresMarks:
                                   [0.2], [(0.0, 5.0)], dt=0.005, t_star=1.0,
                                   budget=400)
         assert fit.theta[0] == pytest.approx(0.7, rel=1e-6)
+
+    def test_zero_step_is_a_validation_error(self):
+        family = lambda th: GrowthInteraction(("linear", 0.0, 1.0), m0=th[0])
+        pts = (np.array([[0.5, 0.5]]), np.array([0.0]), np.array([10.0]))
+        with pytest.raises(ValidationError, match="step must divide"):
+            least_squares_marks(family, pts, np.array([[0.7]]),
+                                SampleSchedule((0.5,)), [0.2], [(0.0, 5.0)],
+                                dt=0.0, t_star=1.0)
 
     def test_noiseless_recovery(self):
         a_true, b_true = 1.5, 0.8
@@ -941,6 +951,57 @@ class TestBruteForceOracle:
         fit = fit_loglik_temporal(m, data, SCHED2, budget=200, quad_res=10)
         assert fit.objective == loglik_temporal(m.with_theta(fit.theta), data,
                                                 SCHED2, quad_res=10)
+
+
+class TestOnePoissonLikelihood:
+    # a Poisson model's likelihood, Janossy density and pseudo-likelihood
+    # are one quantity, sum log lambda - integral of lambda
+    @pytest.mark.parametrize("spatial", [("uniform",), ("loglinear-x", 1.3, -0.6)])
+    @pytest.mark.parametrize("ground, theta", [("poisson-t", (7.0,)),
+                                               ("loglinear-t", (1.2, 0.5))])
+    def test_three_log_values_agree(self, ground, theta, spatial):
+        w = Window((0, 0), (1, 2), t_star=2.0)
+        data = _marked_data(np.random.default_rng(13), 25, w)
+        m = ParametricModel(ground, theta, w, spatial=spatial, **MARKED)
+        log_j = janossy_density(m, data, SCHED2, quad_res=64).log_value
+        assert math.isfinite(log_j)
+        assert log_j == loglik_temporal(m, data, SCHED2, quad_res=64)
+        assert log_j == pseudolikelihood(m, data, SCHED2, quad_res=64)
+
+    def test_janossy_fit_objective_is_the_log_density(self):
+        locs = simulate_poisson(HomogeneousPoisson(50.0), W, 4)
+        data = [Observation(tuple(x)) for x in locs]
+        m = ParametricModel("poisson", (10.0,), W, bounds=((1e-9, 1e6),))
+        fit = fit_janossy(m, data, budget=600)
+        log_j = janossy_density(m.with_theta(fit.theta), data).log_value
+        assert log_j > 0.0
+        assert fit.objective == log_j
+        assert fit.theta[0] == pytest.approx(len(data) / W.volume, rel=1e-6)
+
+    def test_zero_rate_at_a_data_point(self):
+        # the Janossy density vanishes (the likelihood raises, see
+        # TestLoglikTemporal.test_zero_intensity_data_point_errors)
+        zero = ParametricModel("poisson", (0.0,), W)
+        j = janossy_density(zero, [Observation((0.5, 0.5))])
+        assert j.value == 0.0 and j.log_value == -math.inf
+        typed = ParametricModel("poisson", (3.0,), W,
+                                aux=AuxDensitySpec(discrete_probs=np.array([0.0, 1.0])))
+        first_type = [Observation((0.5, 0.5), None, AuxMark(discrete=1))]
+        j = janossy_density(typed, first_type)
+        assert j.value == 0.0 and j.log_value == -math.inf
+        assert density_wrt_poisson(zero, [Observation((0.5, 0.5))],
+                                   ParametricModel("poisson", (2.0,), W)) == 0.0
+        with pytest.raises(NumericalError, match="reference intensity"):
+            density_wrt_poisson(ParametricModel("poisson", (2.0,), W), first_type,
+                                typed)
+
+    def test_poisson_compensator_is_the_intensity_mass(self):
+        w = Window((0, 0), (1, 2), t_star=2.0)
+        m = ParametricModel("loglinear-t", (1.2, 0.5), w,
+                            spatial=("loglinear-x", 1.3, -0.6))
+        assert -loglik_temporal(m, [], quad_res=16) == ground_intensity_mass(m, 16)
+        flat = ParametricModel("poisson", (3.5,), w)
+        assert -pseudolikelihood(flat, [], quad_res=4) == 3.5 * w.ground_volume
 
 
 def test_gibbs_chain_meets_the_papangelou_intensity():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -174,6 +176,31 @@ class TestGrowthInteraction:
             gi_integrate((np.array([[0.5, 0.5]]), np.array([0.0]),
                           np.array([1.0])),
                          GrowthInteraction(), 0.3, 0, 1.0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1])
+    def test_nonpositive_step_is_a_validation_error(self, step):
+        with pytest.raises(ValidationError, match="step must divide"):
+            gi_integrate((np.array([[0.5, 0.5]]), np.array([0.0]),
+                          np.array([1.0])),
+                         GrowthInteraction(), step, 0, 1.0)
+
+    @pytest.mark.parametrize("spec", [
+        dict(growth=("linear", 1.0)), dict(interaction=("gauss", 1.0)),
+        dict(interaction=("gauss", 1.0, 0.0)), dict(interaction=("overlap",)),
+        dict(noise=("const",)), dict(growth=("linear", 1.0, math.inf)),
+        dict(noise=("const", math.inf)), dict(m0=math.inf),
+        dict(interaction_cutoff=0.0)])
+    def test_growth_parameters_are_checked(self, spec):
+        with pytest.raises(ValidationError):
+            GrowthInteraction(**spec)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Wiener(math.inf),
+        lambda: Geostatistical(kernel=("exponential", 1.0, 0.0, 0.3)),
+        lambda: Geostatistical(kernel=("gaussian", 1.0, 0.3, math.inf))])
+    def test_field_and_scale_parameters_are_checked(self, build):
+        with pytest.raises(ValidationError):
+            build()
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.5, 1.0], [0.0, 0.25, 0.5]])
     def test_attach_needs_the_integration_grid(self, grid):
