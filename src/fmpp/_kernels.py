@@ -1,17 +1,25 @@
 """Hot numeric kernels, one NumPy/SciPy implementation each.
 
-``pair_stats`` collects candidate pairs from a ``scipy.spatial.cKDTree``,
-so its memory grows with the pairs within the largest lag, not with n^2;
-scipy is imported on the first call, which keeps ``import fmpp.cli`` free
-of it.  ``gibbs_chain`` is a scalar loop over a uniform cell index, since
-each of its proposals touches only the few points near one location; it
-counts neighbours by the arithmetic of ``_in_range``, the one pairwise
-neighbour rule, which ``neighbour_counts`` and ``core.cylinder_contains``
-call.  The other kernels are vectorized NumPy, and no kernel but
-``pair_stats`` imports scipy.  Each kernel's arguments are positional and
-plain arrays or scalars.  ``gi_integrate_values`` builds a ``GrowthPlan``
-and integrates it once; a fit that integrates the same points many times
-keeps the plan.
+Neighbours are found on one uniform cell grid, ``_cell_grid``: cells at
+least the reach wide, neighbour cells clipped on a box and wrapped on a
+torus.  ``gibbs_chain`` takes the grid's per-axis tables into a scalar loop
+over its proposals, since each proposal touches only the few points near
+one location and the point set changes at every step.  ``close_pairs``
+sorts the points by cell and hands out the candidate pairs of neighbouring
+cells in blocks; ``neighbour_counts`` tests them with ``_in_range``, the one
+pairwise neighbour rule (the chain counts by its arithmetic and
+``core.cylinder_contains`` calls it), and the growth overlap pairs with
+d^2 <= cutoff^2, so both grow with the close pairs rather than with m n or
+n^2.  Two searches stay as they are: ``pair_stats`` takes its pairs from a
+``scipy.spatial.cKDTree``, which measured several times faster than the
+grid at its sizes, where the summaries load scipy anyway; and the gauss
+operator of a ``GrowthPlan`` stays a dense matrix, whose product beat a
+pair-list drift at the few dozen points a growth fit integrates thousands
+of times.  scipy is imported on the first ``pair_stats`` call, so
+``import fmpp.cli``, the chain and the neighbour counts load none of it.
+Each kernel's arguments are positional and plain arrays or scalars.
+``gi_integrate_values`` builds a ``GrowthPlan`` and integrates it once; a
+fit that integrates the same points many times keeps the plan.
 """
 from __future__ import annotations
 
@@ -93,10 +101,122 @@ def _pair_weights(pts, w, v, reach, sides, torus):
 
 
 # ---------------------------------------------------------------------------
-# pairwise-interaction birth-death chain
+# the neighbour cell grid and its close-pair search
 # ---------------------------------------------------------------------------
 _MAX_CELLS = 256       # cells per axis, which bounds the per-axis tables;
-                       # a tiny range gets cells wider than itself
+                       # a tiny reach gets cells wider than itself
+# entries per block of every blocked loop: close_pairs' candidates (2 (d + 1)
+# entries a pair), trace_variogram's pairs, the kernel intensity's
+# cell-by-point products and the time-warp probes; each reads it at call time
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _cell_grid(lo, spans, reach, torus):
+    """The uniform cell grid of the box lo + [0, spans] for neighbours within
+    ``reach``: one (origin, width, cells, stride, near) per axis.
+
+    Cells are at least reach (1 + 1e-6) wide, a margin that keeps every pair
+    the rounded neighbour test accepts in adjacent cells, and an axis has at
+    most ``_MAX_CELLS`` of them.  A point's cell on an axis is
+    floor((x - origin) / width), clipped to the grid on a box and taken
+    modulo the cell count on a torus; its key is the sum of cell * stride.
+    ``near`` is the (cells, 3) table of the cells next to each cell on the
+    axis, itself included, -1 where there is none: clipped at the ends of a
+    box, wrapped on a torus, and on a torus of one or two cells each listed
+    once, so no pair is found twice.
+    """
+    cell = abs(reach) * (1.0 + 1e-6)
+    axes, stride = [], 1
+    for la, span in zip(lo, spans):
+        q = span / cell if cell > 0.0 else math.inf
+        m = max(1, int(q)) if q < _MAX_CELLS else _MAX_CELLS
+        c = np.arange(m)
+        near = np.stack([c - 1, c, c + 1], axis=1)
+        if torus:
+            near %= m
+            # with fewer than three cells c - 1 is c + 1, and with one it is c
+            if m < 3:
+                near[:, 0] = -1
+            if m < 2:
+                near[:, 2] = -1
+        else:
+            near[(near < 0) | (near >= m)] = -1
+        axes.append((la, span / m, m, stride, near))
+        stride *= m
+    return axes
+
+
+def _cells(x, axes, torus):
+    """Per axis of ``_cell_grid``'s ``axes``, the cell of each row of x."""
+    out = []
+    for col, (la, wa, m, _, _) in zip(x.T, axes):
+        c = np.floor((col - la) / wa).astype(np.intp)
+        out.append(c % m if torus else np.clip(c, 0, m - 1))
+    return out
+
+
+def close_pairs(a, b, reach, sides, torus):
+    """Candidate neighbour pairs of the (m, d) rows ``a`` and the (n, d) rows
+    ``b``: yields blocks (i, j) of the pairs whose cells on one
+    ``_cell_grid`` are neighbours, so each pair within ``reach`` (minimal
+    image on a torus of ``sides``) comes once; the caller applies its own
+    exact test.
+
+    The grid starts at the smallest coordinate and spans the torus sides,
+    or on a box the extent of the rows.  The rows of b are sorted by cell
+    key, each query's 3^d neighbour keys are found with ``searchsorted``,
+    and the ranges are expanded a block of queries at a time.  A block
+    lists its pairs query by query and holds at most ``_BLOCK_ENTRIES``
+    entries, unless one query alone has more: 2 (d + 1) a pair, for its two
+    rows and the d coordinates of each that the consumers gather.
+    """
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return
+    fa, fb = np.isfinite(a).all(axis=1), np.isfinite(b).all(axis=1)
+    if not (fa.all() and fb.all()):
+        # a row with a non-finite coordinate is in range of nothing
+        ia, ib = np.flatnonzero(fa), np.flatnonzero(fb)
+        for i, j in close_pairs(a[ia], b[ib], reach, sides, torus):
+            yield ia[i], ib[j]
+        return
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    if torus:
+        spans = sides[:a.shape[1]]
+    else:
+        spans = np.maximum(a.max(axis=0), b.max(axis=0)) - lo
+        # every row lies at the origin of a flat axis, so any width serves
+        spans = np.where(spans > 0.0, spans, 1.0)
+    axes = _cell_grid(lo.tolist(), spans.tolist(), reach, torus)
+    pkey = sum(c * ax[3] for c, ax in zip(_cells(b, axes, torus), axes))
+    order = np.argsort(pkey, kind="stable")
+    pkey = pkey[order]
+    ncells = axes[-1][2] * axes[-1][3]
+    keys = np.zeros((a.shape[0], 1), dtype=np.intp)
+    for c, (_, _, _, stride, near) in zip(_cells(a, axes, torus), axes):
+        nb = near[c]
+        # a key past the last cell matches no row
+        nb = np.where(nb >= 0, nb * stride, ncells)
+        keys = (keys[:, :, None] + nb[:, None, :]).reshape(c.size, -1)
+    first = np.searchsorted(pkey, keys, side="left")
+    cnt = np.searchsorted(pkey, keys, side="right") - first
+    per = cnt.sum(axis=1)
+    total = np.cumsum(per)
+    size = max(1, _BLOCK_ENTRIES // (2 * a.shape[1] + 2))
+    q0 = 0
+    while q0 < a.shape[0]:
+        base = int(total[q0 - 1]) if q0 else 0
+        q1 = max(q0 + 1, int(np.searchsorted(total, base + size,
+                                             side="right")))
+        c = cnt[q0:q1].ravel()
+        pos = np.repeat(first[q0:q1].ravel() - (np.cumsum(c) - c), c)
+        pos += np.arange(pos.size)
+        yield np.repeat(np.arange(q0, q1), per[q0:q1]), order[pos]
+        q0 = q1
+
+
+# ---------------------------------------------------------------------------
+# pairwise-interaction birth-death chain
+# ---------------------------------------------------------------------------
 _CHUNK = 1024          # steps whose draws are converted to floats at a time
 
 
@@ -107,9 +227,9 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
     draw, and the state after the last one is returned.
 
     The points stay in proposal order and a death moves the last point into
-    the freed row.  A uniform index over the ``d_spatial`` spatial axes,
-    with cells wider than ``rad``, narrows each neighbour count to the 3^d
-    cells around the proposal, wrapped and deduplicated on a torus.  Each
+    the freed row.  The ``_cell_grid`` of the window's ``d_spatial``
+    spatial axes for ``rad`` narrows each neighbour count to the 3^d cells
+    around the proposal, wrapped and deduplicated on a torus.  Each
     candidate gets the brute-force test: |dx| per axis (min(dx, side - dx)
     on a torus), their squares summed in axis order against rad^2, and
     |dt| <= trad when ``trad`` >= 0 and the points carry a time column.
@@ -123,21 +243,10 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
     vol = float(np.prod(hi - lo))
     rad2 = rad * rad
     timed = trad >= 0.0 and D > d
-    # the relative margin keeps every pair that the rounded test accepts in
-    # adjacent cells
-    cell = abs(rad) * (1.0 + 1e-6)
-    axes = []
-    stride = 1
-    for a in range(d):
-        q = span[a] / cell if cell > 0.0 else math.inf
-        m = max(1, int(q)) if q < _MAX_CELLS else _MAX_CELLS
-        if torus:
-            near = [{(c - 1) % m, c, (c + 1) % m} for c in range(m)]
-        else:
-            near = [range(max(c - 1, 0), min(c + 2, m)) for c in range(m)]
-        axes.append((a, lo_l[a], span[a] / m, m, stride,
-                     [[k * stride for k in ks] for ks in near]))
-        stride *= m
+    axes = [(a, la, wa, m, st, [[k * st for k in row if k >= 0]
+                                 for row in near.tolist()])
+            for a, (la, wa, m, st, near)
+            in enumerate(_cell_grid(lo_l[:d], span[:d], rad, torus))]
     sides = span[:d]
     pts = x0.tolist()
     members = {}
@@ -231,15 +340,22 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
 # growth-interaction integration
 # ---------------------------------------------------------------------------
 def _gi_pairs(xs, cutoff):
-    """Pairs i < j with their squared distances, by increasing distance;
-    with ``cutoff`` >= 0 only the pairs with d^2 <= cutoff^2."""
-    i, j = np.triu_indices(xs.shape[0], 1)
-    diff = xs[i] - xs[j]
-    d2 = np.sum(diff * diff, axis=1)
-    if cutoff >= 0.0:
-        keep = d2 <= cutoff * cutoff
-        i, j, d2 = i[keep], j[keep], d2[keep]
-    order = np.argsort(d2, kind="stable")
+    """Pairs i < j with their squared distances, by increasing distance and
+    then by (i, j); with ``cutoff`` >= 0 only the pairs with d^2 <=
+    cutoff^2, taken from the ``close_pairs`` candidates."""
+    reach = cutoff if cutoff >= 0.0 else math.inf
+    parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for i, j in close_pairs(xs, xs, reach, None, False):
+        keep = i < j
+        i, j = i[keep], j[keep]
+        diff = xs[i] - xs[j]
+        d2 = np.sum(diff * diff, axis=1)
+        if cutoff >= 0.0:
+            keep = d2 <= cutoff * cutoff
+            i, j, d2 = i[keep], j[keep], d2[keep]
+        parts.append((i, j, d2))
+    i, j, d2 = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((j, i, d2))
     return i[order], j[order], d2[order]
 
 
@@ -463,25 +579,18 @@ def coverage_count(centers, radii, lo, hi, res, torus):
 # ---------------------------------------------------------------------------
 # neighbour counts of query locations among configuration points
 # ---------------------------------------------------------------------------
-# query-point pairs per block of neighbour_counts: its temporaries are
-# (block rows, n, d), so its memory grows linearly in m and in n
-_COUNT_BLOCK_PAIRS = 1 << 18
-
-
 def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial, own=None):
     """(m,) number of the (n, D) points within range of each (m, D) query,
     by the rule of ``_in_range``; with ``own``, query j leaves out row
-    own[j] of ``pts`` (none where own[j] is -1).  The queries go in blocks
-    of rows, so no temporary is (m, n, d)."""
-    m, n = queries.shape[0], pts.shape[0]
+    own[j] of ``pts`` (none where own[j] is -1).  Only the spatial
+    ``close_pairs`` candidates are tested, a block at a time, so work and
+    memory grow with the candidates, not with m n."""
+    m = queries.shape[0]
     out = np.zeros(m, dtype=np.int64)
-    if n == 0:
-        return out
-    rows = max(1, _COUNT_BLOCK_PAIRS // n)
-    for i0 in range(0, m, rows):
-        ok = _in_range(queries[i0:i0 + rows, None], pts[None], sides, torus,
-                       rad, trad, d_spatial)
-        out[i0:i0 + rows] = np.sum(ok, axis=1)
+    for i, j in close_pairs(queries[:, :d_spatial], pts[:, :d_spatial], rad,
+                            sides, torus):
+        ok = _in_range(queries[i], pts[j], sides, torus, rad, trad, d_spatial)
+        out += np.bincount(i[ok], minlength=m)
     if own is not None:
         has = own >= 0
         out[has] -= _in_range(queries[has], pts[own[has]], sides, torus, rad,

@@ -32,10 +32,8 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .core import _evaluate
-
-# entries of one (probe x candidate) block in the per-warp functional
-_PROBE_BLOCK_ENTRIES = 2**18
 
 
 def _points(parts, t_star):
@@ -101,7 +99,7 @@ def _warp_cost(f, g, kt, ks, t_star):
     if linear:
         probes.append(ends)
     u = np.concatenate(probes)
-    block = max(1, _PROBE_BLOCK_ENTRIES // (t_cand.size + 2))
+    block = max(1, _kernels._BLOCK_ENTRIES // (t_cand.size + 2))
     phi = np.concatenate([_phi(f, g, kt, ks, t_cand, w_cand, u[i:i + block],
                                linear)
                           for i in range(0, u.size, block)])

@@ -108,6 +108,11 @@ class Window:
             raise ValidationError("t_star must be positive and finite when present")
         if not 0 < self.time_scale < math.inf:
             raise ValidationError("time_scale must be positive and finite")
+        if isinstance(self.torus, np.bool_):
+            object.__setattr__(self, "torus", bool(self.torus))
+        if not isinstance(self.torus, bool):
+            raise ValidationError(f"window torus must be true or false, not "
+                                  f"{self.torus!r}")
 
     @property
     def dim(self) -> int:

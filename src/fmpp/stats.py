@@ -98,7 +98,7 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
     # out over their cells and contracted with the last axis's factors
     centres = [0.5 * (e[:-1] + e[1:]) for e in edges]
     values = np.zeros((int(np.prod(cells[:-1])), cells[-1]))
-    step = max(1, _PAIR_BLOCK_ENTRIES // values.shape[0])
+    step = max(1, _kernels._BLOCK_ENTRIES // values.shape[0])
     for i0 in range(0, len(locs), step):
         x = locs[i0:i0 + step]
         u = [(mid[:, None] - x[:, a]) / bandwidth for a, mid in enumerate(centres)]
@@ -257,12 +257,6 @@ class VariogramModel:
         return np.where(h <= 0, 0.0, out)
 
 
-# entries per block of trace_variogram's pair arrays and of the kernel
-# intensity's cell-by-point products: both visit the points a block at a
-# time, so their memory grows linearly in n
-_PAIR_BLOCK_ENTRIES = 1 << 18
-
-
 def _equal_bin_index(edges, h):
     """``np.searchsorted(edges, h, side="right") - 1`` for equal-width
     ``edges`` and edges[0] <= h <= edges[-1], by arithmetic.
@@ -311,7 +305,7 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
     wts[:-1] += 0.5 * dg
     wts[1:] += 0.5 * dg
     n = len(marks)
-    rows = max(1, _PAIR_BLOCK_ENTRIES // n)
+    rows = max(1, _kernels._BLOCK_ENTRIES // n)
     blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
     if bins is None:
         bins = 15

@@ -38,14 +38,26 @@ BASE = {
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported by the kernels that need it, on first use; a
-    # module-level import would add its load time to every CLI start
+    # module-level import would add its load time to every CLI start.  The
+    # Gibbs chain, the Papangelou counts and a pseudo-likelihood fit find
+    # their neighbours on the NumPy cell grid, so they load none either
     src = str(Path(fmpp.__file__).resolve().parents[1])
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = ("import fmpp.cli, sys; "
-            "assert not any(m.startswith('scipy') for m in sys.modules)")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=120)
+    gibbs = ("from fmpp.core import Window\n"
+             "from fmpp.ground import PairwiseGibbs, simulate_gibbs\n"
+             "from fmpp.infer import ParametricModel, fit_pseudolikelihood\n"
+             "w = Window((0, 0), (1, 1), torus=True)\n"
+             "x = simulate_gibbs(PairwiseGibbs(100.0, 0.5, 0.05), w, 2000, 1)\n"
+             "m = ParametricModel('gibbs', (60.0, 0.5), w,\n"
+             "                    bounds=((1.0, 500.0), (0.0, 1.0)),\n"
+             "                    interaction_range=0.05)\n"
+             "assert fit_pseudolikelihood(m, x, budget=50, quad_res=16).iterations\n")
+    for code in ("import fmpp.cli\n", gibbs):
+        code += ("import sys\n"
+                 "assert not any(m.startswith('scipy') for m in sys.modules)\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
 
 
 class TestSimulate:
@@ -212,6 +224,8 @@ def _growth(**marks):
     (SPATIAL, {**POISSON, "aux": {"kind": "types", "probs": [0, 0]}},
      "model.aux.probs"),
     (SPATIAL, {**POISSON, "aux": {"kind": "lifetime", "rate": 0}}, "model.aux.rate"),
+    # a boolean field that is not a boolean
+    ({"lo": [0, 0], "hi": [1, 1], "torus": "no"}, POISSON, "torus"),
 ])
 def test_bad_config_number_is_a_validation_error(tmp_path, capsys, window, model,
                                                  field):

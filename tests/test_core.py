@@ -76,6 +76,17 @@ class TestWindow:
         with pytest.raises(ValidationError, match="finite"):
             Window(**{"lo": (0.0, 0.0), "hi": (1.0, 1.0), **kw})
 
+    def test_torus_must_be_a_bool(self):
+        # a JSON string such as "no" is truthy and used to make a torus
+        assert Window((0, 0), (1, 1), torus=np.True_).torus is True
+        for bad in ("no", 1, None):
+            with pytest.raises(ValidationError, match="torus"):
+                Window((0, 0), (1, 1), torus=bad)
+        with pytest.raises(ValidationError, match="torus"):
+            configuration_from_json(json.dumps(
+                {"window": {"lo": [0, 0], "hi": [1, 1], "torus": "no"},
+                 "points": []}))
+
     def test_torus_distance(self):
         w = Window((0, 0), (1, 1), torus=True)
         assert w.spatial_distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1)

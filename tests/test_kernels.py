@@ -6,6 +6,7 @@ they are slow and serve only as oracles on small inputs.
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -581,9 +582,9 @@ def test_neighbour_counts_variants_agree(rng, monkeypatch):
     queries = rng.random((30, 3))
     pts = rng.random((50, 3))
     sides = np.array([1.0, 1.0, 1.0])
-    # one block of queries, then blocks of 1 and 7 rows
-    for block in (K._COUNT_BLOCK_PAIRS, 50, 350):
-        monkeypatch.setattr(K, "_COUNT_BLOCK_PAIRS", block)
+    # one block of queries, then blocks of a few candidate pairs
+    for block in (K._BLOCK_ENTRIES, 50, 350):
+        monkeypatch.setattr(K, "_BLOCK_ENTRIES", block)
         for torus in (False, True):
             for trad in (-1.0, 0.2):
                 np.testing.assert_array_equal(
@@ -631,3 +632,161 @@ def test_neighbour_counts_memory_is_blocked(rng):
         neighbour_counts_loop(queries[some], pts, np.ones(2), True, 0.02,
                               -1.0, 2))
     assert got.sum() > m
+
+
+def grid_pattern(rng, lo, sides):
+    """A pattern that probes the cell grid: uniform points, a lattice 0.125
+    apart along axis 0 (exact in binary, from -0.25), the corners at lo and
+    at the float just below hi and a mixed one, and coincident copies; a
+    time column in [0, 1] with ties."""
+    d = lo.size
+    hi_in = np.nextafter(lo + sides, -np.inf)
+    lattice = np.tile(lo + 0.5 * sides, (8, 1))
+    lattice[:, 0] = -0.25 + 0.125 * np.arange(8)
+    mixed = hi_in.copy()
+    mixed[0] = lo[0]
+    x = np.vstack([lo + rng.random((20, d)) * sides, lattice, lo, hi_in, mixed])
+    x = np.vstack([x, x[[0, 3, 20, 28, 29]]])
+    t = rng.random(x.shape[0])
+    t[-5:] = t[[0, 3, 20, 28, 29]]
+    return np.column_stack([x, t])
+
+
+@pytest.mark.parametrize("torus", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_neighbour_counts_match_the_loop_on_the_grid(rng, d, torus):
+    # a box away from the origin with unequal sides, and its torus: reach 0
+    # (coincident points), 0.125 (the lattice spacing), 0.45 and 0.7 (one,
+    # two or three cells per axis) and 2 (wider than the window)
+    lo = np.array([-0.3, 2.0, 0.5])[:d]
+    sides = np.array([1.0, 1.5, 0.8])[:d]
+    pts = grid_pattern(rng, lo, sides)
+    n = pts.shape[0]
+    rows = rng.choice(n, 12, replace=False)
+    queries = np.vstack([np.column_stack([lo + rng.random((12, d)) * sides,
+                                          rng.random(12)]),
+                         pts[rows], pts[28:31]])
+    own = np.concatenate([np.full(12, -1), rows, [28, -1, 30]])
+    for rad in (0.0, 0.07, 0.125, 0.45, 0.7, 2.0):
+        for trad in (-1.0, 0.2):
+            want = neighbour_counts_loop(queries, pts, sides, torus, rad, trad,
+                                         d)
+            got = K.neighbour_counts(queries, pts, sides, torus, rad, trad, d)
+            np.testing.assert_array_equal(got, want)
+            want = [neighbour_counts_loop(queries[j:j + 1],
+                                          np.delete(pts, own[j], axis=0)
+                                          if own[j] >= 0 else pts,
+                                          sides, torus, rad, trad, d)[0]
+                    for j in range(queries.shape[0])]
+            got = K.neighbour_counts(queries, pts, sides, torus, rad, trad, d,
+                                     own)
+            np.testing.assert_array_equal(got, want)
+    # the lattice is exactly 0.125 apart, on the torus across the seam too
+    lat = pts[20:28]
+    counts = K.neighbour_counts(lat, lat, sides, torus, 0.125, -1.0, d)
+    assert counts[0] == (3 if torus else 2)
+
+
+def test_neighbour_counts_keep_a_pair_a_reach_apart_across_a_cell():
+    # at a reach a hair over 1/8 of the unit side, cells exactly a reach wide
+    # would be 1/8 wide and put the last two points, within reach, two cells
+    # apart; the grid's margin makes its cells wider than the reach
+    rad = 1.0 / (8.0 - 1e-7)
+    x1 = 0.125 - 1e-9
+    pts = np.array([[0.0], [x1], [x1 + rad * (1.0 - 1e-9)]])
+    for torus in (False, True):
+        got = K.neighbour_counts(pts, pts, np.ones(1), torus, rad, -1.0, 1)
+        np.testing.assert_array_equal(
+            got, neighbour_counts_loop(pts, pts, np.ones(1), torus, rad, -1.0, 1))
+        assert got[2] == 2
+
+
+def test_neighbour_counts_leave_non_finite_rows_out(rng):
+    # a row with a NaN or infinite coordinate is in range of nothing; the
+    # grid gives it no cell instead of casting it to one
+    pts = rng.random((20, 2))
+    pts[3], pts[7] = [np.nan, 0.5], [np.inf, 0.2]
+    queries = np.vstack([rng.random((10, 2)), [[0.5, np.nan], [-np.inf, 0.1]]])
+    for torus in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = K.neighbour_counts(queries, pts, np.ones(2), torus, 0.3,
+                                     -1.0, 2)
+        np.testing.assert_array_equal(
+            got, neighbour_counts_loop(queries, pts, np.ones(2), torus, 0.3,
+                                       -1.0, 2))
+        assert got[-2:].tolist() == [0, 0] and got.sum() > 0
+
+
+def test_neighbour_counts_test_only_near_pairs(rng, monkeypatch):
+    # the pseudo-likelihood's 48 x 48 nodes against 20 000 points at R = 0.01:
+    # the grid hands _in_range a small share of the m n pairs
+    m, n = 2304, 20_000
+    queries, pts = rng.random((m, 2)), rng.random((n, 2))
+    inner = K._in_range
+    tested = []
+
+    def counting(a, b, *args):
+        tested.append(np.broadcast(a[..., 0], b[..., 0]).size)
+        return inner(a, b, *args)
+
+    monkeypatch.setattr(K, "_in_range", counting)
+    some = rng.choice(m, 5, replace=False)
+    for torus in (False, True):
+        tested.clear()
+        got = K.neighbour_counts(queries, pts, np.ones(2), torus, 0.01, -1.0, 2)
+        assert sum(tested) < 0.05 * m * n
+        np.testing.assert_array_equal(
+            got[some], neighbour_counts_loop(queries[some], pts, np.ones(2),
+                                             torus, 0.01, -1.0, 2))
+        assert got.sum() > m
+
+
+def gi_pairs_triu(xs, cutoff):
+    """Every pair i < j in triu order, cut at ``cutoff`` >= 0 and stably
+    sorted by squared distance."""
+    i, j = np.triu_indices(xs.shape[0], 1)
+    diff = xs[i] - xs[j]
+    d2 = np.sum(diff * diff, axis=1)
+    if cutoff >= 0.0:
+        keep = d2 <= cutoff * cutoff
+        i, j, d2 = i[keep], j[keep], d2[keep]
+    order = np.argsort(d2, kind="stable")
+    return i[order], j[order], d2[order]
+
+
+def test_gi_pairs_match_the_triu_order(rng, monkeypatch):
+    # uniform points in d = 1, 2, 3 with coincident copies, and a lattice
+    # 0.125 apart whose distances tie; blocks of a few candidates too
+    lattice = np.stack(np.meshgrid(*[0.125 * np.arange(6)] * 2), -1).reshape(-1, 2)
+    cases = [rng.random((50, d)) for d in (1, 2, 3)] + [lattice, lattice[:1],
+                                                         lattice[:0]]
+    cases[1] = np.vstack([cases[1], cases[1][:4]])
+    for block in (K._BLOCK_ENTRIES, 60):
+        monkeypatch.setattr(K, "_BLOCK_ENTRIES", block)
+        for xs in cases:
+            for cutoff in (-1.0, 0.0, 0.125, 0.3):
+                got = K._gi_pairs(xs, cutoff)
+                want = gi_pairs_triu(xs, cutoff)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
+    assert np.sum(K._gi_pairs(lattice, 0.125)[2] == 0.125 ** 2) == 60
+
+
+def test_growth_plan_overlap_memory_is_subquadratic():
+    # overlap pairs within a fixed cutoff: the candidates come a block at a
+    # time, so the peak grows less than the n^2 of all pairs
+    peaks = []
+    for n in (750, 3000):
+        r = np.random.default_rng(5)
+        xs, births = r.random((n, 2)), r.random(n) * 0.9
+        tracemalloc.start()
+        try:
+            plan = K.GrowthPlan(xs, births, np.full(n, np.inf), 0.05, 20, 2,
+                                np.array([0.5, 0.0]), 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.all(plan.pairs[2] <= 0.05) and plan.pairs[2].size > n
+    assert peaks[1] < 8 * peaks[0]

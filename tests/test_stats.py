@@ -20,7 +20,7 @@ from fmpp.stats import (
     pcf_mark_sampled,
     trace_variogram,
 )
-from fmpp import stats
+from fmpp import _kernels, stats
 from fmpp.core import shift
 
 W = Window((0, 0), (1, 1))
@@ -235,7 +235,7 @@ class TestTraceVariogram:
         curves = self.curves_iid(6, n=40)
         whole = trace_variogram(*curves, bins)
         # 7 rows per block: five full blocks and a last one of 5 rows
-        monkeypatch.setattr(stats, "_PAIR_BLOCK_ENTRIES", 7 * 40)
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 7 * 40)
         blocked = trace_variogram(*curves, bins)
         np.testing.assert_array_equal(blocked.bin_edges, whole.bin_edges)
         np.testing.assert_array_equal(blocked.counts, whole.counts)
@@ -543,8 +543,8 @@ class TestKernelIntensityMode:
                                                 monkeypatch):
         c = poisson_config(3, rate, window)
         # a small block budget splits the points into several blocks
-        for budget in (stats._PAIR_BLOCK_ENTRIES, 64):
-            monkeypatch.setattr(stats, "_PAIR_BLOCK_ENTRIES", budget)
+        for budget in (_kernels._BLOCK_ENTRIES, 64):
+            monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", budget)
             got = intensity_estimate(c, cells, mode="kernel", bandwidth=0.3)
             want = self.loop_oracle(c, cells, 0.3)
             assert got.values.shape == want.shape
