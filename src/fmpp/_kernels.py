@@ -2,21 +2,21 @@
 
 Neighbours are found on one uniform cell grid, ``_cell_grid``: cells at
 least the reach wide, neighbour cells clipped on a box and wrapped on a
-torus.  ``gibbs_chain`` takes the grid's per-axis tables into a scalar loop
-over its proposals, since each proposal touches only the few points near
-one location and the point set changes at every step.  ``close_pairs``
-sorts the points by cell and hands out the candidate pairs of neighbouring
-cells in blocks; ``neighbour_counts`` tests them with ``_in_range``, the one
-pairwise neighbour rule (the chain counts by its arithmetic and
-``core.cylinder_contains`` calls it), and the growth overlap pairs with
-d^2 <= cutoff^2, so both grow with the close pairs rather than with m n or
-n^2.  Two searches stay as they are: ``pair_stats`` takes its pairs from a
-``scipy.spatial.cKDTree``, which measured several times faster than the
-grid at its sizes, where the summaries load scipy anyway; and the gauss
-operator of a ``GrowthPlan`` stays a dense matrix, whose product beat a
-pair-list drift at the few dozen points a growth fit integrates thousands
-of times.  scipy is imported on the first ``pair_stats`` call, so
-``import fmpp.cli``, the chain and the neighbour counts load none of it.
+torus.  ``close_pairs`` sorts the points by cell and hands out the
+candidate pairs of neighbouring cells in blocks.  ``neighbour_counts`` and
+``gibbs_chain`` test them with ``_in_range``, the one pairwise neighbour
+rule, which ``core.cylinder_contains`` calls too, and the growth overlap
+pairs with d^2 <= cutoff^2, so each grows with the close pairs rather than
+with m n or n^2.  The chain searches once per chunk of draws, over the
+chunk's start state and birth locations, so its scalar loop over the
+proposals only reads and updates neighbour counts.  Two searches stay as
+they are: ``pair_stats`` takes its pairs from a ``scipy.spatial.cKDTree``,
+which measured several times faster than the grid at its sizes, where the
+summaries load scipy anyway; and the gauss operator of a ``GrowthPlan``
+stays a dense matrix, whose product beat a pair-list drift at the few dozen
+points a growth fit integrates thousands of times.  scipy is imported on
+the first ``pair_stats`` call, so ``import fmpp.cli``, the chain and the
+neighbour counts load none of it.
 Each kernel's arguments are positional and plain arrays or scalars.
 ``gi_integrate_values`` builds a ``GrowthPlan`` and integrates it once; a
 fit that integrates the same points many times keeps the plan.
@@ -217,7 +217,8 @@ def close_pairs(a, b, reach, sides, torus):
 # ---------------------------------------------------------------------------
 # pairwise-interaction birth-death chain
 # ---------------------------------------------------------------------------
-_CHUNK = 1024          # steps whose draws are converted to floats at a time
+_CHUNK = 512           # least steps per chunk of draws, which share one
+                       # neighbour search
 
 
 def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
@@ -227,113 +228,59 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
     draw, and the state after the last one is returned.
 
     The points stay in proposal order and a death moves the last point into
-    the freed row.  The ``_cell_grid`` of the window's ``d_spatial``
-    spatial axes for ``rad`` narrows each neighbour count to the 3^d cells
-    around the proposal, wrapped and deduplicated on a torus.  Each
-    candidate gets the brute-force test: |dx| per axis (min(dx, side - dx)
-    on a torus), their squares summed in axis order against rad^2, and
-    |dt| <= trad when ``trad`` >= 0 and the points carry a time column.
-    The index keeps a member list per occupied cell and each point's slot
-    in it, so memory is O(n + occupied cells) and a removal is O(1).
+    the freed row.  The draws go a chunk of max(_CHUNK, n) steps at a time,
+    n the points at the chunk's start.  The chunk's universe is those points
+    and the chunk's birth locations, and its neighbour lists are the
+    ``close_pairs`` candidates of the universe that ``_in_range`` accepts,
+    found once.  The scalar loop keeps each universe row's number of alive
+    neighbours: a proposal reads its count, and an accepted birth or death
+    adds or takes one at its neighbours.  A chunk's work and memory grow
+    with its universe and close pairs, and since it covers at least n steps
+    its universe holds O(1) rows per step.
     """
-    D = lo.shape[0]
     d = d_spatial
-    lo_l = lo.tolist()
-    span = (hi - lo).tolist()
-    vol = float(np.prod(hi - lo))
-    rad2 = rad * rad
-    timed = trad >= 0.0 and D > d
-    axes = [(a, la, wa, m, st, [[k * st for k in row if k >= 0]
-                                 for row in near.tolist()])
-            for a, (la, wa, m, st, near)
-            in enumerate(_cell_grid(lo_l[:d], span[:d], rad, torus))]
-    sides = span[:d]
-    pts = x0.tolist()
-    members = {}
-    key_of, slot_of = [], []
-
-    def locate(x):
-        """Key of the cell of x and the keys of its neighbour cells."""
-        key = 0
-        keys = None
-        for a, la, wa, m, st, near in axes:
-            c = math.floor((x[a] - la) / wa)
-            if torus:
-                c %= m
-            elif c < 0:
-                c = 0
-            elif c >= m:
-                c = m - 1
-            key += c * st
-            keys = near[c] if keys is None else [k + o for k in keys
-                                                 for o in near[c]]
-        return key, keys
-
-    def count(x, keys, skip):
-        """Points of the cells ``keys``, other than row ``skip``, that are
-        within range of x."""
-        cnt = 0
-        for k in keys:
-            for j in members.get(k, ()):
-                if j == skip:
-                    continue
-                y = pts[j]
-                s = 0.0
-                for ya, xa, side in zip(y, x, sides):
-                    h = abs(ya - xa)
-                    if torus and side - h < h:
-                        h = side - h
-                    s += h * h
-                if s <= rad2 and (not timed or abs(y[-1] - x[-1]) <= trad):
-                    cnt += 1
-        return cnt
-
-    def insert(i, key):
-        lst = members.setdefault(key, [])
-        key_of.append(key)
-        slot_of.append(len(lst))
-        lst.append(i)
-
-    for i, x in enumerate(pts):
-        insert(i, locate(x)[0])
-    n = len(pts)
-    for start in range(0, rng_move.shape[0], _CHUNK):
-        part = slice(start, start + _CHUNK)
-        for move, u, ui, ua in zip(rng_move[part].tolist(),
-                                   rng_loc[part].tolist(),
-                                   rng_idx[part].tolist(),
-                                   rng_acc[part].tolist()):
-            if move < 0.5:
-                x = [la + v * sa for la, v, sa in zip(lo_l, u, span)]
-                key, keys = locate(x)
-                cnt = count(x, keys, -1)
-                papan = beta * gamma ** cnt if cnt else beta
-                if ua * (n + 1) < papan * vol:
-                    insert(n, key)
-                    pts.append(x)
+    span = hi - lo
+    vol = float(np.prod(span))
+    x = np.array(x0, dtype=float)
+    s0 = 0
+    while s0 < rng_move.shape[0]:
+        n = x.shape[0]
+        part = slice(s0, s0 + max(_CHUNK, n))
+        birth = rng_move[part] < 0.5
+        uni = np.concatenate([x, lo + rng_loc[part][birth] * span])
+        ii, jj = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for i, j in close_pairs(uni[:, :d], uni[:, :d], rad, span, torus):
+            ok = (i != j) & _in_range(uni[i], uni[j], span, torus, rad, trad, d)
+            ii.append(i[ok])
+            jj.append(j[ok])
+        # close_pairs hands out the pairs by query row: i is sorted, and row
+        # u's neighbours are nbr[first[u]:first[u + 1]]
+        i, j = np.concatenate(ii), np.concatenate(jj)
+        first = np.searchsorted(i, np.arange(uni.shape[0] + 1)).tolist()
+        nbr = j.tolist()
+        cnt = np.bincount(i[j < n], minlength=uni.shape[0]).tolist()
+        rows, new = list(range(n)), n
+        for b, ui, ua in zip(birth.tolist(), rng_idx[part].tolist(),
+                             rng_acc[part].tolist()):
+            if b:
+                u, new = new, new + 1
+                if ua * (n + 1) < beta * gamma ** cnt[u] * vol:
+                    rows.append(u)
                     n += 1
+                    for v in nbr[first[u]:first[u + 1]]:
+                        cnt[v] += 1
             elif n > 0:
                 idx = min(int(ui * n), n - 1)
-                key, keys = locate(pts[idx])
-                cnt = count(pts[idx], keys, idx)
-                papan = beta * gamma ** cnt if cnt else beta
-                if papan * vol * ua < n:
-                    lst, s = members[key], slot_of[idx]
-                    j = lst.pop()
-                    if j != idx:
-                        lst[s] = j
-                        slot_of[j] = s
-                    elif not lst:
-                        del members[key]
+                u = rows[idx]
+                if beta * gamma ** cnt[u] * vol * ua < n:
+                    rows[idx] = rows[-1]
+                    rows.pop()
                     n -= 1
-                    if idx != n:
-                        pts[idx] = pts[n]
-                        key_of[idx], slot_of[idx] = key_of[n], slot_of[n]
-                        members[key_of[n]][slot_of[n]] = idx
-                    pts.pop()
-                    key_of.pop()
-                    slot_of.pop()
-    return np.array(pts, dtype=float).reshape(n, D)
+                    for v in nbr[first[u]:first[u + 1]]:
+                        cnt[v] -= 1
+        x = uni[rows]
+        s0 = part.stop
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,8 @@ def simulate_gibbs(model: PairwiseGibbs, w: Window, steps: int, seed: int,
     """Birth-death MH chain targeting beta^n gamma^(pairs) wrt unit Poisson.
 
     Burn-in is the caller's responsibility via ``steps``; the final state
-    after ``steps`` proposals is returned.
+    after ``steps`` proposals is returned.  ``init``, the start state, is a
+    finite (k, D) array of ground rows inside ``w.ground_bounds``.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -332,6 +333,10 @@ def simulate_gibbs(model: PairwiseGibbs, w: Window, steps: int, seed: int,
     lo, hi = np.asarray(w.ground_bounds, dtype=float).T
     D = lo.size
     x0 = np.empty((0, D)) if init is None else np.asarray(init, dtype=float)
+    # the bounds are finite, so NaN and infinities fail the bound test
+    if x0.ndim != 2 or x0.shape[1] != D or not ((lo <= x0) & (x0 <= hi)).all():
+        raise ValidationError(
+            f"init must be a finite (k, {D}) array inside the ground bounds")
     trad = _kernel_time_range(model.temporal_range, w)
     return _kernels.gibbs_chain(
         x0, lo, hi, w.torus, float(model.beta), float(model.gamma),

@@ -630,6 +630,14 @@ GIBBS_CHECK = {
                          "range": 0.05, "steps": 20000}},
     "check": {"replicates": 20, "quad_res": 32},
 }
+# space-time cylinders: range 0.08 in space and 0.1 in time
+GIBBS_ST_CHECK = {
+    "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}, "seed": 11,
+    "model": {"ground": {"family": "gibbs", "beta": 100.0, "gamma": 0.5,
+                         "range": 0.08, "temporal_range": 0.1,
+                         "steps": 20000}},
+    "check": {"replicates": 20, "quad_res": 16},
+}
 
 
 class TestCheckCommand:
@@ -667,6 +675,18 @@ class TestCheckCommand:
         cfg_obj = json.loads(json.dumps(GIBBS_CHECK))
         cfg_obj["check"]["lambda_factor"] = factor
         out = tmp_path / "gchk"
+        assert main(["check", "--config", write_cfg(tmp_path, cfg_obj),
+                     "--out", str(out)]) == 0
+        (result,) = json.loads((out / "checks.json").read_text())
+        assert result["check"] == "gnz" and result["passed"] is passed
+
+    @pytest.mark.parametrize("factor, passed", [(1.0, True), (2.0, False)])
+    def test_space_time_gibbs_gnz(self, tmp_path, factor, passed):
+        # the time half of the neighbour rule, in the chain and in the
+        # Papangelou intensity
+        cfg_obj = json.loads(json.dumps(GIBBS_ST_CHECK))
+        cfg_obj["check"]["lambda_factor"] = factor
+        out = tmp_path / "stchk"
         assert main(["check", "--config", write_cfg(tmp_path, cfg_obj),
                      "--out", str(out)]) == 0
         (result,) = json.loads((out / "checks.json").read_text())

@@ -286,6 +286,25 @@ class TestGibbs:
         with pytest.raises(ValidationError):
             PairwiseGibbs(*args)
 
+    @pytest.mark.parametrize("init", [
+        [[0.5, 0.5, 0.5]],          # three columns on a 2-D window
+        [[0.5, 0.5], [5.0, 5.0]],   # a point outside the unit square
+        [[0.5, 0.5], [np.nan, 0.5]],
+        [0.5, 0.5],                 # one row given as a 1-D array
+    ])
+    def test_bad_init_rejected(self, init):
+        with pytest.raises(ValidationError, match="init"):
+            simulate_gibbs(PairwiseGibbs(50.0, 0.5, 0.05), UNIT_SQUARE, 100, 0,
+                           init=np.array(init))
+
+    def test_init_on_the_bounds_is_accepted(self):
+        # the bounds are closed; at so small a beta no birth is accepted, so
+        # every row left is a row of init
+        init = np.array([[0.0, 0.0], [0.25, 0.5], [1.0, 1.0]])
+        out = simulate_gibbs(PairwiseGibbs(1e-9, 0.5, 0.05), UNIT_SQUARE, 2, 0,
+                             init=init)
+        assert set(map(tuple, out.tolist())) <= set(map(tuple, init.tolist()))
+
     def test_hard_core_no_close_pairs(self):
         pts = simulate_gibbs(PairwiseGibbs(50.0, 0.0, 0.1), UNIT_SQUARE,
                              20000, 7)

@@ -376,6 +376,34 @@ def test_gibbs_chain_variants_agree(rng):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("torus", [False, True])
+def test_gibbs_chain_variants_agree_across_chunks(rng, torus):
+    # the chain searches its neighbours once per chunk of max(_CHUNK, n)
+    # steps: runs over several chunk boundaries, from an empty state, from a
+    # start state of more rows than a chunk has steps, and in space-time
+    chunk = K._CHUNK
+    unit2 = (np.zeros(2), np.ones(2))
+    offset = (np.array([-0.3, 2.0]), np.array([0.7, 2.5]))
+    big = lattice(*offset, 0.025)
+    assert big.shape[0] > chunk
+    # (lo, hi), x0, steps, beta, gamma, rad, trad, d_spatial
+    cases = [
+        (unit2, np.empty((0, 2)), 3 * chunk + 7, 100.0, 0.5, 0.07, -1.0, 2),
+        (offset, big, 2 * big.shape[0] + 7, 100.0, 0.5, 0.05, -1.0, 2),
+        ((np.zeros(3), np.ones(3)), np.empty((0, 3)), 3 * chunk + 7, 100.0,
+         0.3, 0.1, 0.2, 2),
+    ]
+    for (lo, hi), x0, steps, beta, gamma, rad, trad, d in cases:
+        D = lo.size
+        args = (rng.random(steps), rng.random((steps, D)), rng.random(steps),
+                rng.random(steps))
+        got = K.gibbs_chain(x0, lo, hi, torus, beta, gamma, *args, rad, trad, d)
+        want = gibbs_chain_loop(x0, lo, hi, torus, beta, gamma, *args, rad,
+                                trad, d)
+        assert got.shape[0] > 5
+        np.testing.assert_array_equal(got, want)
+
+
 def gibbs_pl_chain(steps=20000, seed=2014):
     """The chain of the gibbs-pl benchmark's ground: beta 200, gamma 0.3,
     range 0.05 on the unit square, with its draws in simulate_gibbs' order."""
@@ -399,8 +427,9 @@ def test_gibbs_chain_pinned():
 
 
 def test_gibbs_chain_memory_is_small():
-    # draws are read a chunk at a time and the index holds occupied cells
-    # only; converting all 20 000 draws at once would take several MB
+    # draws are read a chunk at a time and a chunk holds only its own rows
+    # and close pairs; converting all 20 000 draws at once would take
+    # several MB
     args = gibbs_pl_chain()
     tracemalloc.start()
     try:
@@ -410,6 +439,28 @@ def test_gibbs_chain_memory_is_small():
         tracemalloc.stop()
     assert out.shape[0] > 100
     assert peak < 1_000_000
+
+
+def test_gibbs_chain_memory_is_linear():
+    # a chunk holds its universe's rows and close pairs: from a start state
+    # four times as large the peak grows about four times, not sixteen
+    rng = np.random.default_rng(5)
+    lo, hi = np.zeros(2), np.ones(2)
+    steps = 1000
+    draws = (rng.random(steps), rng.random((steps, 2)), rng.random(steps),
+             rng.random(steps))
+    peaks = []
+    for n in (1000, 4000):
+        args = (rng.random((n, 2)), lo, hi, False, float(n), 0.5, *draws,
+                0.01, -1.0, 2)
+        K.gibbs_chain(*args)
+        tracemalloc.start()
+        try:
+            K.gibbs_chain(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * peaks[0]
 
 
 def clustered_points(rng, n_clusters, per_cluster, spread):
