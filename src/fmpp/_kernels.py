@@ -327,22 +327,11 @@ def _gauss_operator(xs, a, s, cutoff):
     return kmat
 
 
-def _alive_runs(births, deaths, dt, first, nsteps, alive):
-    """Steps first..nsteps cut into runs over which the alive set,
-    births <= step * dt < deaths, does not change.  Each run is (start,
-    stop, rows, enter): its steps start..stop - 1, its alive rows in
-    increasing order, and the mask of those rows that were not alive at the
-    step before (``alive`` is the set at step first - 1)."""
-    t = np.arange(first, nsteps + 1) * dt
-    now = (births <= t[:, None]) & (t[:, None] < deaths)
-    cuts = [0, *(np.flatnonzero(np.any(now[1:] != now[:-1], axis=1)) + 1).tolist(),
-            len(t)]
-    runs = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        rows = np.flatnonzero(now[a])
-        runs.append((first + a, first + b, rows, ~alive[rows]))
-        alive = now[a]
-    return runs
+def _alive_rows(alive, step):
+    """The rows alive at ``step``, in increasing order, and the mask of
+    those that were not alive at the step before."""
+    rows = np.flatnonzero(alive[step])
+    return rows, (~alive[step - 1, rows] if step else np.ones(rows.size, bool))
 
 
 class GrowthPlan:
@@ -350,21 +339,27 @@ class GrowthPlan:
     the negative policy leave unchanged, built once and integrated per
     parameter vector.
 
-    It holds the alive set of every step, cut into runs of steps over which
-    that set does not change, and one interaction operator: the dense gauss
-    kernel matrix, or for overlap the pair list sorted by distance.  Within
-    a run the marks are integrated on the alive rows only; the gauss block
-    of a run is gathered per integration, so the plan keeps no n x n array
-    beside the operator itself.
+    It holds the read-only (nsteps + 1, n) alive matrix, births <= step *
+    dt < deaths, the steps at which the alive set changes with the rows
+    alive and entering there, and one interaction operator: the dense gauss
+    kernel matrix, or for overlap the pair list sorted by distance.  An
+    integration walks the grid once on the alive rows only; at each change
+    step it gathers the operator of the new rows from the plan's, so the
+    plan keeps no n x n array beside the operator itself.  Absorption
+    changes a copy of the alive matrix, never the plan.
     """
 
     def __init__(self, xs, births, deaths, dt, nsteps, inter_code, ip, cutoff):
         self.n = xs.shape[0]
-        self.births, self.deaths = births, deaths
+        self.deaths = deaths
         self.dt, self.nsteps = dt, nsteps
         self.inter_code, self.ip = inter_code, ip
-        self.runs = _alive_runs(births, deaths, dt, 0, nsteps,
-                              np.zeros(self.n, dtype=bool))
+        t = np.arange(nsteps + 1) * dt
+        self.alive = (births <= t[:, None]) & (t[:, None] < deaths)
+        self.alive.flags.writeable = False
+        steps = np.flatnonzero(np.any(self.alive[1:] != self.alive[:-1], axis=1))
+        self.changes = {s: _alive_rows(self.alive, s)
+                        for s in [0, *(steps + 1).tolist()]}
         if inter_code == 1:
             self.kmat = _gauss_operator(xs, ip[0], ip[1], cutoff)
         elif inter_code == 2:
@@ -397,16 +392,18 @@ class GrowthPlan:
         not alive.  The deterministic system (``sigma_code`` 0) takes RK4
         steps, otherwise Euler-Maruyama steps with the (nsteps, n)
         ``normals``.  A negative mark is clamped to 0 (``clamp_code`` 0),
-        absorbed (1: clamped, and its death moves to the next step) or left
+        absorbed (1: clamped, and it dies at the next grid time) or left
         (2).
         """
         n, dt, nsteps = self.n, self.dt, self.nsteps
         g0, g1 = gp[0], gp[1]
         ic = self.inter_code
-        c = self.ip[0]
+        alive, changes = self.alive, self.changes
         deaths = self.deaths.copy()
         vals = np.zeros((nsteps + 1, n))
         m = np.zeros(n)
+        rows = np.empty(0, dtype=np.intp)
+        mv = m[rows]
         negative = False
 
         def drift(mv):
@@ -422,53 +419,51 @@ class GrowthPlan:
                 k = np.searchsorted(pd, 2.0 * np.max(mv), side="left")
                 i, j = pi[:k], pj[:k]
                 ov = np.maximum(mv[i] + mv[j] - pd[:k], 0.0)
-                out = out - c * np.bincount(np.concatenate([i, j]),
-                                            np.concatenate([ov, ov]),
-                                            minlength=mv.size)
+                out = out - self.ip[0] * np.bincount(
+                    np.concatenate([i, j]), np.concatenate([ov, ov]),
+                    minlength=mv.size)
             return out
 
-        runs = self.runs
-        r = 0
-        while r < len(runs):
-            start, stop, rows, enter = runs[r]
-            r += 1
+        for step in range(nsteps + 1):
+            if step in changes:
+                # keep the marks of the rows that stay, start the entering
+                # ones at m0, and gather the operator of the new rows (the
+                # old block is released first)
+                m[rows] = mv
+                rows, enter = (self.changes[step] if alive is self.alive
+                               else _alive_rows(alive, step))
+                mv = m[rows]
+                mv[enter] = m0
+                op = None
+                op = self._interaction(rows)
             if rows.size == 0:
                 continue
-            op = self._interaction(rows)
-            mv = m[rows]
-            mv[enter] = m0
-            for step in range(start, stop):
-                vals[step, rows] = mv
-                if step == nsteps:
-                    break
-                if sigma_code == 0:
-                    k1 = drift(mv)
-                    k2 = drift(mv + 0.5 * dt * k1)
-                    k3 = drift(mv + 0.5 * dt * k2)
-                    k4 = drift(mv + dt * k3)
-                    mv = mv + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                else:
-                    sig = sp[0] if sigma_code == 1 else sp[0] * mv
-                    mv = (mv + dt * drift(mv)
-                          + sig * np.sqrt(dt) * normals[step, rows])
-                neg = mv < 0.0
-                if neg.any():
-                    negative = True
-                    if clamp_code != 2:
-                        mv[neg] = 0.0
-                    if clamp_code == 1:
-                        # the absorbed rows die at the next step, which
-                        # re-cuts the runs from there on
-                        deaths[rows[neg]] = step * dt + dt
-                        alive = np.zeros(n, dtype=bool)
-                        alive[rows[~neg]] = True
-                        runs = _alive_runs(self.births, deaths, dt, step + 1,
-                                         nsteps, alive)
-                        r = 0
-                        break
-            m[rows] = mv
-            # free this run's block before the next run gathers its own
-            del op
+            vals[step, rows] = mv
+            if step == nsteps:
+                break
+            if sigma_code == 0:
+                k1 = drift(mv)
+                k2 = drift(mv + 0.5 * dt * k1)
+                k3 = drift(mv + 0.5 * dt * k2)
+                k4 = drift(mv + dt * k3)
+                mv = mv + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            else:
+                sig = sp[0] if sigma_code == 1 else sp[0] * mv
+                mv = (mv + dt * drift(mv)
+                      + sig * np.sqrt(dt) * normals[step, rows])
+            neg = mv < 0.0
+            if neg.any():
+                negative = True
+                if clamp_code != 2:
+                    mv[neg] = 0.0
+                if clamp_code == 1:
+                    # the absorbed rows die at the next grid time
+                    dead = rows[neg]
+                    deaths[dead] = (step + 1) * dt
+                    if alive is self.alive:
+                        alive, changes = alive.copy(), set(changes)
+                    alive[step + 1:, dead] = False
+                    changes.add(step + 1)
         return vals, negative, deaths
 
 

@@ -21,6 +21,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -163,6 +164,38 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+def _mark_model(mark_spec: dict, field):
+    """The mark model of the config section ``model.marks``, which
+    ``simulate`` attaches and ``estimate`` fits; ``field`` is the LGCP
+    ground's intensity field, or None."""
+    mname = mark_spec.get("model", "none")
+    if mname == "none":
+        return marks.Deterministic(("constant", 1.0))
+    if mname == "constant":
+        return marks.Deterministic(
+            ("constant", float(_number(mark_spec, "value", "model.marks"))))
+    if mname == "wiener":
+        return marks.Wiener(float(_number(mark_spec, "scale", "model.marks",
+                                          1.0, ranged=True)))
+    if mname == "growth-interaction":
+        return marks.GrowthInteraction(
+            _spec(mark_spec, "growth", "model.marks"),
+            _spec(mark_spec, "interaction", "model.marks", ("none",)),
+            _spec(mark_spec, "noise", "model.marks", ("zero",)),
+            float(_number(mark_spec, "m0", "model.marks", 0.0, ranged=True)),
+            mark_spec.get("negative_policy", "clamp"),
+            _number(mark_spec, "interaction_cutoff", "model.marks", None, ranged=True))
+    if mname == "geostatistical":
+        return marks.Geostatistical(
+            _number(mark_spec, "mean", "model.marks", 0.0),
+            _spec(mark_spec, "kernel", "model.marks"))
+    if mname == "intensity":
+        if field is None:
+            raise ValidationError("model.marks 'intensity' needs an lgcp ground")
+        return marks.IntensityDependent(field)
+    raise ValidationError(f"unknown mark model '{mname}' in model.marks")
+
+
 def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
     model = _require(cfg, "model", "")
     gspec = _require(model, "ground", "model")
@@ -241,34 +274,8 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
     else:
         raise ValidationError(f"unknown aux kind '{kind}' in model.aux")
 
-    mname = mark_spec.get("model", "none")
-    if mname == "none":
-        mark_model = marks.Deterministic(("constant", 1.0))
-    elif mname == "constant":
-        mark_model = marks.Deterministic(
-            ("constant", float(_number(mark_spec, "value", "model.marks"))))
-    elif mname == "wiener":
-        mark_model = marks.Wiener(float(_number(mark_spec, "scale", "model.marks",
-                                                1.0, ranged=True)))
-    elif mname == "growth-interaction":
-        mark_model = marks.GrowthInteraction(
-            _spec(mark_spec, "growth", "model.marks"),
-            _spec(mark_spec, "interaction", "model.marks", ("none",)),
-            _spec(mark_spec, "noise", "model.marks", ("zero",)),
-            float(_number(mark_spec, "m0", "model.marks", 0.0, ranged=True)),
-            mark_spec.get("negative_policy", "clamp"),
-            _number(mark_spec, "interaction_cutoff", "model.marks", None, ranged=True))
-    elif mname == "geostatistical":
-        mark_model = marks.Geostatistical(
-            _number(mark_spec, "mean", "model.marks", 0.0),
-            _spec(mark_spec, "kernel", "model.marks"))
-    elif mname == "intensity":
-        if field is None:
-            raise ValidationError("model.marks 'intensity' needs an lgcp ground")
-        mark_model = marks.IntensityDependent(field)
-    else:
-        raise ValidationError(f"unknown mark model '{mname}' in model.marks")
-    paths = marks.attach_marks(window, locs, auxs, mark_model, grid, mark_seed)
+    paths = marks.attach_marks(window, locs, auxs, _mark_model(mark_spec, field),
+                               grid, mark_seed)
     return marks.make_configuration(window, locs, auxs, paths, reference)
 
 
@@ -447,15 +454,11 @@ def run_estimate(cfg: dict, out: Path, seed: int) -> int:
                 "estimate.scheme 'least-squares' needs growth-interaction marks")
         if schedule is None:
             raise ValidationError("estimate 'least-squares' needs a schedule")
-        growth_name = _spec(mspec, "growth", "model.marks")[0]
-        interaction = _spec(mspec, "interaction", "model.marks", ("none",))
-        m0 = float(_number(mspec, "m0", "model.marks", 0.0, ranged=True))
-        cutoff = _number(mspec, "interaction_cutoff", "model.marks", None, ranged=True)
+        # the model simulate built, with the growth parameters fitted
+        mark_model = _mark_model(mspec, None)
 
         def family_fn(theta):
-            return marks.GrowthInteraction((growth_name, *theta), interaction,
-                                           ("zero",), m0,
-                                           interaction_cutoff=cutoff)
+            return replace(mark_model, growth=(mark_model.growth[0], *theta))
 
         if not window.is_temporal:
             raise ValidationError(

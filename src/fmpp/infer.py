@@ -635,7 +635,7 @@ def least_squares_marks(family: Callable, points, observed, schedule:
             all_xs = np.vstack([xs, np.atleast_2d(ex)])
             all_b = np.concatenate([births, eb])
             all_l = np.concatenate([lifetimes, el])
-        # the plan (alive runs and interaction operator) depends on theta
+        # the plan (alive matrix and interaction operator) depends on theta
         # only through the interaction, so it is rebuilt only when that moves
         built = {}
 

@@ -140,9 +140,9 @@ class GrowthInteraction:
     clamp at zero (default), absorb (kill the point) or error.  The
     interaction sum runs over all alive neighbours; ``interaction_cutoff``
     truncates the kernel, so pairs farther apart than it do not interact.
-    It saves no memory: building the operator still takes O(n^2), a dense
-    n x n matrix for gauss and every pair before the cutoff test for
-    overlap.
+    For overlap it also bounds memory: the pair list holds only the pairs
+    within the cutoff, found on a cell grid.  The gauss operator stays a
+    dense n x n matrix, O(n^2) with or without the cutoff.
     """
 
     growth: tuple = ("linear", 1.0, 1.0)
@@ -337,28 +337,24 @@ def _gi_plan_args(points, model: GrowthInteraction, step: float,
     deaths = np.minimum(births + lifetimes, t_star)
     icode, ip = _registry_entry(INTERACTION_REGISTRY, model.interaction, "interaction")
     cutoff = -1.0 if model.interaction_cutoff is None else float(model.interaction_cutoff)
-    return grid, (xs, births, deaths, float(step), nsteps, icode,
-                  ip if ip.size else np.zeros(1), cutoff)
+    return grid, (xs, births, deaths, float(step), nsteps, icode, ip, cutoff)
 
 
 def _gi_run_args(model: GrowthInteraction, n: int, nsteps: int, seed):
     """The ``GrowthPlan.integrate`` arguments of the model: m0, growth,
-    noise with its (nsteps, n) normals drawn from ``seed``, and the
-    negative policy."""
+    noise with its (nsteps, n) normals drawn from ``seed`` (None without
+    noise), and the negative policy."""
     gcode, gp = _registry_entry(GROWTH_REGISTRY, model.growth, "growth")
     scode, sp = _registry_entry(NOISE_REGISTRY, model.noise, "noise")
-    if scode == 0:
-        normals = np.zeros((1, max(n, 1)))
-    else:
-        normals = np.random.default_rng(seed).standard_normal((nsteps, max(n, 1)))
+    normals = (None if scode == 0 else
+               np.random.default_rng(seed).standard_normal((nsteps, n)))
     clamp_code = {"clamp": 0, "absorb": 1, "error": 2}[model.negative_policy]
-    return (float(model.m0), gcode, gp if gp.size else np.zeros(1), scode,
-            sp if sp.size else np.zeros(1), normals, clamp_code)
+    return float(model.m0), gcode, gp, scode, sp, normals, clamp_code
 
 
 def _check_negative(model: GrowthInteraction, negative: bool) -> None:
     if negative and model.negative_policy == "error":
-        raise NumericalError("noise drove a mark negative (clamping disabled)")
+        raise NumericalError("a mark went negative (negative_policy error)")
 
 
 def geostat_marking(locations, model: Geostatistical, grid, seed,

@@ -560,6 +560,41 @@ class TestEstimate:
         rep = json.loads((out / "fit.json").read_text())
         assert rep["theta_hat"] == pytest.approx([2.0, 0.08], rel=1e-6)
 
+    def test_least_squares_fits_the_negative_policy(self, tmp_path, capsys):
+        # overlap growth that drives marks negative: estimate fits the
+        # simulated model, negative policy included, so at the pinned true
+        # growth law the "absorb" fit is exact, and an "error" fit of the
+        # same data stops on the negative mark
+        cfg_obj = {
+            "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0},
+            "seed": 4,
+            "model": {
+                "ground": {"family": "immigration-death",
+                           "arrival_rate": 200.0, "death_rate": 0.5},
+                "aux": {"kind": "lifetime", "rate": 0.5},
+                "marks": {"model": "growth-interaction",
+                          "growth": ["linear", 2.0, 0.08],
+                          "interaction": ["overlap", 40.0], "m0": 0.0,
+                          "negative_policy": "absorb"},
+                "mark_grid": {"dt": 0.05},
+            },
+            "schedule": [0.25, 0.5, 0.75],
+            "estimate": {"scheme": "least-squares", "theta0": [2.0, 0.08],
+                         "bounds": [[2.0, 2.0], [0.08, 0.08]]},
+        }
+        out = tmp_path / "absorb"
+        cfg = write_cfg(tmp_path, cfg_obj)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "fit.json").read_text())["objective"] == 0.0
+        cfg_obj["model"]["marks"]["negative_policy"] = "error"
+        cfg_obj["estimate"]["input"] = str(out)
+        cfg = write_cfg(tmp_path, cfg_obj, "error.json")
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "error")]) == 2
+        assert "went negative" in capsys.readouterr().err
+
     def test_pseudo_gibbs_runs(self, tmp_path):
         cfg_obj = {
             "window": {"lo": [0, 0], "hi": [1, 1]},

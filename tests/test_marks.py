@@ -171,6 +171,28 @@ class TestGrowthInteraction:
         assert np.all(p.values[p.grid >= p.support[1]] == 0.0)
         assert np.min(p.values) >= 0.0
 
+    def test_absorbed_marks_die_at_a_grid_time(self):
+        # an absorbed mark dies at the grid time after it went negative: its
+        # support ends there, not a rounding error past it, and the mark is
+        # 0 from that grid time on instead of re-entering at m0
+        rng = np.random.default_rng(0)
+        n = 40
+        xs, births = rng.random((n, 2)), rng.random(n) * 0.3
+        lifetimes = 0.5 + rng.random(n)
+        gi = GrowthInteraction(("linear", 1.0, 1.0), ("gauss", 0.5, 0.3),
+                               ("const", 0.6), m0=0.1,
+                               negative_policy="absorb")
+        paths = gi_integrate((xs, births, lifetimes), gi, 0.01, 3, 1.0)
+        absorbed = 0
+        for p, death in zip(paths, np.minimum(births + lifetimes, 1.0)):
+            end = p.support[1]
+            if end < death:
+                absorbed += 1
+                assert end in p.grid
+                nearest = np.argmin(np.abs(p.grid - end))
+                assert np.all(p.values[nearest:] == 0.0)
+        assert absorbed >= 10
+
     def test_step_must_divide_horizon(self):
         with pytest.raises(ValidationError):
             gi_integrate((np.array([[0.5, 0.5]]), np.array([0.0]),
