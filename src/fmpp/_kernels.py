@@ -107,7 +107,9 @@ _MAX_CELLS = 256       # cells per axis, which bounds the per-axis tables;
                        # a tiny reach gets cells wider than itself
 # entries per block of every blocked loop: close_pairs' candidates (2 (d + 1)
 # entries a pair), trace_variogram's pairs, the kernel intensity's
-# cell-by-point products and the time-warp probes; each reads it at call time
+# cell-by-point products, the time-warp probes and the time-warp lattice
+# DP's slope tests and (segment, source cell) terms; each reads it at call
+# time
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -392,8 +394,8 @@ class GrowthPlan:
         not alive.  The deterministic system (``sigma_code`` 0) takes RK4
         steps, otherwise Euler-Maruyama steps with the (nsteps, n)
         ``normals``.  A negative mark is clamped to 0 (``clamp_code`` 0),
-        absorbed (1: clamped, and it dies at the next grid time) or left
-        (2).
+        absorbed (1: clamped, and it dies at the next grid time or at its
+        own death, whichever is earlier) or left (2).
         """
         n, dt, nsteps = self.n, self.dt, self.nsteps
         g0, g1 = gp[0], gp[1]
@@ -457,9 +459,10 @@ class GrowthPlan:
                 if clamp_code != 2:
                     mv[neg] = 0.0
                 if clamp_code == 1:
-                    # the absorbed rows die at the next grid time
+                    # the absorbed rows die at the next grid time, or at
+                    # their own death if it falls earlier in this step
                     dead = rows[neg]
-                    deaths[dead] = (step + 1) * dt
+                    deaths[dead] = np.minimum(deaths[dead], (step + 1) * dt)
                     if alive is self.alive:
                         alive, changes = alive.copy(), set(changes)
                     alive[step + 1:, dead] = False

@@ -121,37 +121,87 @@ def _surrogate_dp(nodes, diag_mis, d_exp, mis, log_caps):
 
     Segment costs do not depend on the threshold, only whether a segment
     (|log slope| <= cap) is allowed does, so one pass over the lattice fills
-    a table per cap.  Each (r, s) step works on (p, k, q) arrays over the
-    predecessors (p, q) and the source cells k; ties go to the first (p, q)
-    in p-major order.  Returns one path per cap, as a tuple of (r, s) knot
-    index pairs from (0, 0) to (m, m); the diagonal is always allowed.
+    a table per cap.  A segment steeper than every cap is never built.  The
+    pass takes whole rows of states, a few at a time: it finds the rows'
+    segments (p, q) -> (r, s) that some cap allows, costs them in blocks of
+    at most ``_kernels._BLOCK_ENTRIES`` (segment, source cell) entries, and
+    then, row by row, since a row's states read only rows below it, gives
+    every state of the row the minimum over its segments, ties going to the
+    first (p, q) in p-major order.  Returns one path per cap, as a tuple of
+    (r, s) knot index pairs from (0, 0) to (m, m); the diagonal is always
+    allowed.
     """
     m = nodes.size - 1
-    caps = np.asarray(log_caps, dtype=float)[:, None, None]
+    side = m + 1
+    caps = np.asarray(log_caps, dtype=float)[:, None]
     exp_end = math.exp(-nodes[m])
     tail = np.array([math.exp(-x) - exp_end for x in nodes[1:].tolist()])
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    best = np.full((caps.shape[0], m + 1, m + 1), np.inf)
+    # every pair of nodes, later over earlier, in (later, earlier) order: a
+    # segment (p, q) -> (r, s) runs over pair (r, p) and rises over (s, q)
+    later, earlier = np.nonzero(np.tri(side, m, -1, dtype=bool))
+    span = nodes[later] - nodes[earlier]
+    best = np.full((caps.size, side, side), np.inf)
     best[:, 0, 0] = 0.0
-    par = np.zeros((caps.shape[0], m + 1, m + 1), dtype=np.int64)
-    for r in range(1, m + 1):
-        k = np.arange(r)
-        dx = (nodes[r] - nodes[:r])[:, None, None]
-        offset = (mids[:r] - nodes[:r, None])[:, :, None]
-        live = (k[None, :] >= k[:, None])[:, :, None]
-        for s in range(1, m + 1):
-            dy = nodes[s] - nodes[:s]
-            lg = np.abs(np.log(dy / dx[:, :, 0]))
-            lam = nodes[:s] + offset * dy / dx
-            kk = np.clip(np.searchsorted(nodes, lam, side="right") - 1, 0, m - 1)
-            a = mis[k[:, None], kk]
-            c = np.maximum(a, diag_mis[:r, None])
-            terms = np.where(live, d_exp[:r, None] * c + a * tail[:r, None], 0.0)
-            seg = np.add.accumulate(
-                np.concatenate([1e-9 * lg[:, None, :], terms], axis=1), axis=1)[:, -1]
-            tot = np.where(lg > caps, np.inf, best[:, :r, :s] + seg).reshape(caps.shape[0], -1)
-            best[:, r, s] = tot.min(axis=1)
-            par[:, r, s] = tot.argmin(axis=1)
+    par = np.zeros((caps.size, side, side), dtype=np.int64)
+
+    def costs(r, p, q, s, lg):
+        # column 0 holds 1e-9 |log slope|, column k + 1 the term of source
+        # cell k, zero unless p <= k < r; the cost adds them in that order
+        width = int(r.max())
+        k = np.arange(width)
+        # lam = nodes[q] + (mids[k] - nodes[p]) * rise / run, in that order
+        lam = mids[:width] - nodes[p][:, None]
+        lam *= (nodes[s] - nodes[q])[:, None]
+        lam /= (nodes[r] - nodes[p])[:, None]
+        lam += nodes[q][:, None]
+        # the cell of lam, clipped to [0, m - 1]
+        a = mis[k, np.searchsorted(nodes[1:m], lam, side="right")]
+        del lam
+        cols = np.empty((lg.size, width + 1))
+        cols[:, 0] = 1e-9 * lg
+        terms = np.maximum(a, diag_mis[:width], out=cols[:, 1:])
+        terms *= d_exp[:width]
+        terms += a * tail[:width]
+        del a
+        np.copyto(terms, 0.0, where=(k < p[:, None]) | (k >= r[:, None]))
+        return np.add.accumulate(cols, axis=1)[:, -1]
+
+    rows = max(1, _kernels._BLOCK_ENTRIES // (m * span.size))
+    for r0 in range(1, side, rows):
+        r1 = min(r0 + rows, side)
+        x0, x1 = np.searchsorted(later, (r0, r1)).tolist()
+        slope = np.abs(np.log(span / span[x0:x1, None]))     # (run, rise)
+        x, y = np.nonzero(slope <= caps.max())
+        lg = slope[x, y]
+        del slope
+        # to (r, s) order, keeping the p-major (p, q) order within a state
+        order = np.argsort(later[x0 + x] * side + later[y], kind="stable")
+        x, y, lg = x0 + x[order], y[order], lg[order]
+        r, p, s, q = later[x], earlier[x], later[y], earlier[y]
+        seg = np.empty(lg.size)
+        block = max(1, _kernels._BLOCK_ENTRIES // (r1 - 1))
+        for i in range(0, lg.size, block):
+            j = slice(i, i + block)
+            seg[j] = costs(r[j], p[j], q[j], s[j], lg[j])
+        seg = np.where(lg > caps, np.inf, seg)
+        code = p * s + q
+        # the segments into a state are contiguous, in p-major (p, q) order:
+        # count[h] of them from entry head[h] on
+        head = np.flatnonzero(np.diff(r * side + s, prepend=-1))
+        count = np.diff(head, append=lg.size)
+        at = np.searchsorted(r, np.arange(r0, r1 + 1)).tolist()
+        at_head = np.searchsorted(r[head], np.arange(r0, r1 + 1)).tolist()
+        for row, i0, i1, h0, h1 in zip(range(r0, r1), at, at[1:], at_head,
+                                       at_head[1:]):
+            starts, targets = head[h0:h1] - i0, s[head[h0:h1]]
+            tot = best[:, p[i0:i1], q[i0:i1]] + seg[:, i0:i1]
+            low = np.minimum.reduceat(tot, starts, axis=1)
+            best[:, row, targets] = low
+            # the first (p, q) of a tie has the smallest code p * s + q
+            tie = np.where(tot == np.repeat(low, count[h0:h1], axis=1),
+                           code[i0:i1], side * side)
+            par[:, row, targets] = np.minimum.reduceat(tie, starts, axis=1)
     paths = []
     for parents in par:
         r = s = m

@@ -130,8 +130,36 @@ class TestSimulate:
                      str(tmp_path / "x")]) == 1
         assert "model.ground" in capsys.readouterr().err
 
+    def test_absorption_never_lengthens_a_life(self, tmp_path):
+        # overlap growth under negative_policy "absorb": a mark absorbed in
+        # the step that holds its own death still dies at that death, so no
+        # support ends after min(t + lifetime, t_star)
+        cfg_obj = {
+            "window": {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0},
+            "seed": 4,
+            "model": {
+                "ground": {"family": "immigration-death",
+                           "arrival_rate": 200.0, "death_rate": 0.5},
+                "aux": {"kind": "lifetime", "rate": 0.5},
+                "marks": {"model": "growth-interaction",
+                          "growth": ["linear", 2.0, 0.08],
+                          "interaction": ["overlap", 40.0], "m0": 0.01,
+                          "negative_policy": "absorb"},
+                "mark_grid": {"dt": 0.05},
+            },
+        }
+        out = tmp_path / "absorb"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg_obj),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "configuration_r000.json").read_text())
+        ends = [(p["mark"]["support"][1],
+                 min(p["t"] + p["aux"]["continuous"][0], p["mark"]["t_star"]))
+                for p in doc["points"]]
+        assert sum(end < death for end, death in ends) >= 10
+        assert all(end <= death for end, death in ends)
 
-SPATIAL = {"lo": [0, 0], "hi": [1, 1]}
+
+SPATIAL ={"lo": [0, 0], "hi": [1, 1]}
 TEMPORAL = {"lo": [0, 0], "hi": [1, 1], "t_star": 1.0}
 GROWTH = {"ground": {"family": "immigration-death", "arrival_rate": 4.0,
                      "death_rate": 1.0},

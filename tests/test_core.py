@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,7 @@ from fmpp import _skorohod
 from fmpp import core
 from fmpp.errors import ValidationError
 from fmpp.ground import thin
+from fmpp.marks import GrowthInteraction, gi_integrate
 
 
 def const_path(value, t_star=1.0):
@@ -1191,12 +1193,11 @@ class TestSkorohodDistance:
             assert skorohod_distance(f, g, 16) <= bound + 1e-9
 
     def test_refinement_monotone_linear_paths(self):
-        grid = np.linspace(0, 1, 21)
-        f = CadlagPath(grid, np.sin(3 * grid), (0.0, np.inf), "linear", 1.0)
-        g = CadlagPath(grid, 0.8 * np.sin(3 * grid + 0.3), (0.0, np.inf),
-                       "linear", 1.0)
+        f, g = sin_pair()
         vals = [skorohod_distance(f, g, r) for r in (4, 8, 16, 32)]
         assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
+        assert vals == [0.16781295866596618, 0.16781295866596618,
+                        0.16553250904393227, 0.16548565506738305]
 
     def test_resolution_too_small_errors(self):
         f = const_path(0.0)
@@ -1374,6 +1375,77 @@ def surrogate_cost(nodes, diag_mis, d_exp, mis, knots):
                for (p, q), (r, s) in zip(knots, knots[1:]))
 
 
+def loop_surrogate_dp(nodes, diag_mis, d_exp, mis, log_caps):
+    """The lattice DP as one step per state (r, s) over (p, k, q) arrays of
+    all its predecessors (p, q) and source cells k, the form
+    ``_skorohod._surrogate_dp`` had before it went row by row over the
+    segments some cap allows; its knots are the ones to keep, bit for bit."""
+    m = nodes.size - 1
+    caps = np.asarray(log_caps, dtype=float)[:, None, None]
+    exp_end = math.exp(-nodes[m])
+    tail = np.array([math.exp(-x) - exp_end for x in nodes[1:].tolist()])
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    best = np.full((caps.shape[0], m + 1, m + 1), np.inf)
+    best[:, 0, 0] = 0.0
+    par = np.zeros((caps.shape[0], m + 1, m + 1), dtype=np.int64)
+    for r in range(1, m + 1):
+        k = np.arange(r)
+        dx = (nodes[r] - nodes[:r])[:, None, None]
+        offset = (mids[:r] - nodes[:r, None])[:, :, None]
+        live = (k[None, :] >= k[:, None])[:, :, None]
+        for s in range(1, m + 1):
+            dy = nodes[s] - nodes[:s]
+            lg = np.abs(np.log(dy / dx[:, :, 0]))
+            lam = nodes[:s] + offset * dy / dx
+            kk = np.clip(np.searchsorted(nodes, lam, side="right") - 1, 0, m - 1)
+            a = mis[k[:, None], kk]
+            c = np.maximum(a, diag_mis[:r, None])
+            terms = np.where(live, d_exp[:r, None] * c + a * tail[:r, None], 0.0)
+            seg = np.add.accumulate(
+                np.concatenate([1e-9 * lg[:, None, :], terms], axis=1), axis=1)[:, -1]
+            tot = np.where(lg > caps, np.inf, best[:, :r, :s] + seg).reshape(caps.shape[0], -1)
+            best[:, r, s] = tot.min(axis=1)
+            par[:, r, s] = tot.argmin(axis=1)
+    paths = []
+    for parents in par:
+        r = s = m
+        knots = [(m, m)]
+        while r or s:
+            r, s = divmod(int(parents[r, s]), s)
+            knots.append((r, s))
+        paths.append(tuple(knots[::-1]))
+    return paths
+
+
+def recorded_dp_inputs(f, g, resolution):
+    """The lattice DP inputs of ``skorohod_distance(f, g, resolution)``: both
+    orientations, each down its whole resolution ladder."""
+    calls = []
+    dp = _skorohod._surrogate_dp
+
+    def record(*args):
+        calls.append(args)
+        return dp(*args)
+
+    with mock.patch.object(_skorohod, "_surrogate_dp", record):
+        skorohod_distance(f, g, resolution)
+    return calls
+
+
+def sin_pair():
+    grid = np.linspace(0, 1, 21)
+    f = CadlagPath(grid, np.sin(3 * grid), (0.0, np.inf), "linear", 1.0)
+    g = CadlagPath(grid, 0.8 * np.sin(3 * grid + 0.3), (0.0, np.inf),
+                   "linear", 1.0)
+    return f, g
+
+
+@pytest.fixture(scope="module")
+def sin_pair_lattices():
+    # resolution 32 runs the lattices of 32, 16, 8 and 4; m is 48 at 32
+    return recorded_dp_inputs(*sin_pair(), 32)
+
+
 def dyadic_knots(rng, n):
     """n + 1 knots on [0, 1] whose gaps are powers of two over 64."""
     parts = [64]
@@ -1538,6 +1610,69 @@ class TestTimeWarpInternals:
                                       ref_surrogate_dp(nodes, diag, d_exp, mis, cap))
                 assert surrogate_cost(nodes, diag, d_exp, mis, knots) == \
                     pytest.approx(want, rel=1e-12)
+
+    def test_dp_matches_loop_on_tie_rich_lattices(self):
+        # coarse mismatch levels, and dyadic nodes whose equal gaps give
+        # equal slopes, make tied paths common.  The caps run from one above
+        # every segment's |log slope| to ones below every nonzero one; a
+        # second ladder tops out at the steepest segment of the path under
+        # the cap above all, so that segment sits on the top cap exactly
+        rng = np.random.default_rng(23)
+        for trial in range(40):
+            m = int(rng.integers(1, 17))
+            if trial % 2:
+                nodes = np.concatenate([[0.0], np.sort(rng.random(m - 1)), [1.0]])
+            else:
+                nodes = dyadic_knots(rng, m)
+            mis = rng.integers(0, 4, size=(m, m)) / 4.0
+            diag = np.diag(mis).copy()
+            d_exp = np.exp(-nodes[:-1]) - np.exp(-nodes[1:])
+            rises = np.subtract.outer(nodes, nodes)[np.tril_indices(m + 1, -1)]
+            slopes = np.abs(np.log(rises[:, None] / rises[None, :]))
+            caps = [2.0 * slopes.max() + 0.1, 0.0]
+            caps += [rng.uniform(0.05, 2.0) * 0.5 ** j for j in range(9)]
+            if slopes.max() > 0.0:
+                caps.append(0.5 * slopes[slopes > 0.0].min())
+            want = loop_surrogate_dp(nodes, diag, d_exp, mis, caps)
+            assert _skorohod._surrogate_dp(nodes, diag, d_exp, mis, caps) == want
+            knots = np.asarray(want[0])
+            steep = np.abs(np.log(np.diff(nodes[knots[:, 1]])
+                                  / np.diff(nodes[knots[:, 0]]))).max()
+            caps = [steep * 0.5 ** j for j in range(9)]
+            assert _skorohod._surrogate_dp(nodes, diag, d_exp, mis, caps) == \
+                loop_surrogate_dp(nodes, diag, d_exp, mis, caps)
+
+    def test_dp_matches_loop_on_refinement_lattices(self, sin_pair_lattices):
+        assert len(sin_pair_lattices) == 8
+        assert max(args[0].size for args in sin_pair_lattices) == 49
+        for args in sin_pair_lattices:
+            assert _skorohod._surrogate_dp(*args) == loop_surrogate_dp(*args)
+
+    def test_dp_matches_loop_on_growth_marks(self):
+        # growth-interaction marks as the growth-ls benchmark builds them
+        rng = np.random.default_rng(3)
+        n = 30
+        xs, births = rng.random((n, 2)), np.sort(rng.random(n))
+        lifetimes = rng.exponential(2.0, n)
+        gi = GrowthInteraction(("linear", 2.0, 0.08), ("gauss", 1.0, 0.1))
+        marks = gi_integrate((xs, births, lifetimes), gi, 0.05, 0, 1.0)
+        for i, j in ((0, 1), (2, 3)):
+            calls = recorded_dp_inputs(marks[i], marks[j], 4)
+            assert len(calls) == 2
+            for args in calls:
+                assert _skorohod._surrogate_dp(*args) == loop_surrogate_dp(*args)
+
+    def test_dp_memory_at_resolution_32(self, sin_pair_lattices):
+        # one pass on the m = 48 lattice: the segments it keeps are costed
+        # in blocks, never as one table over all segments
+        args = max(sin_pair_lattices, key=lambda a: a[0].size)
+        tracemalloc.start()
+        try:
+            _skorohod._surrogate_dp(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSampleSchedule:

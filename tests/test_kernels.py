@@ -193,7 +193,7 @@ def gi_integrate_loop(xs, births, deaths, m0, dt, nsteps, growth_code, gp,
                 if clamp_code in (0, 1):
                     m[i] = 0.0
                 if clamp_code == 1:
-                    deaths[i] = (step + 1) * dt
+                    deaths[i] = min(deaths[i], (step + 1) * dt)
                     alive[i] = False
     return vals, negative, deaths
 
