@@ -57,9 +57,13 @@ def nelder_mead(objective, theta0, bounds=None, budget: int = 500):
     Returns (theta_best, f_best, evaluations, converged).  Convergence means
     the simplex's relative objective spread fell below 1e-8 within the
     evaluation budget; the best point found so far is returned either way.
+    The budget must cover the ndim + 1 vertices of the start simplex.
     """
     theta0, project, _, _ = _box(theta0, bounds)
     ndim = theta0.size
+    if budget < ndim + 1:
+        raise ValidationError(f"budget {budget} is below the {ndim + 1} "
+                              "evaluations of the start simplex")
 
     evals = 0
 
@@ -136,7 +140,8 @@ def gauss_newton(residuals, theta0, bounds=None, budget: int = 500):
     falls; otherwise lam grows and the step shrinks.
 
     Returns (theta_best, f_best, evaluations, converged) as ``nelder_mead``
-    does, with every residual evaluation counted, the Jacobian's included.
+    does, with every residual evaluation counted, the Jacobian's included;
+    the budget must allow the one at the start point.
     Convergence means an accepted step changed the objective and theta by
     at most 1e-8 of their scale, or no descent step is left: the projected
     gradient vanishes, or a failed trial step is already within the theta
@@ -144,6 +149,8 @@ def gauss_newton(residuals, theta0, bounds=None, budget: int = 500):
     """
     theta0, project, lo, hi = _box(theta0, bounds)
     ndim = theta0.size
+    if budget < 1:
+        raise ValidationError(f"budget {budget} leaves no evaluation")
 
     evals = 0
 

@@ -545,7 +545,7 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
 
     def report(name, rep):
         results.append({"check": name, "lhs": rep.lhs, "rhs": rep.rhs,
-                        "se": rep.combined_se, "passed": rep.passed()})
+                        "se": rep.se, "passed": rep.passed()})
 
     def in_box(g):
         # (m,) indicator of the (m, D) ground rows whose space part is in the box

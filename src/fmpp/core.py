@@ -201,6 +201,8 @@ def midpoint_rule(bounds, cells):
     counts = [cells] * len(bounds) if np.ndim(cells) == 0 else list(cells)
     if len(counts) != len(bounds):
         raise ValidationError("grid cell counts do not match the ground dimension")
+    if any(k < 1 for k in counts):
+        raise ValidationError(f"grid cell counts must be at least 1, not {cells}")
     mesh = np.meshgrid(*[_cell_centres(lo, hi, k)
                          for (lo, hi), k in zip(bounds, counts)], indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -224,11 +224,12 @@ def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
     bare (n, D) ground array, as columns on window ``w``: the (n, D) ground
     array (time last), the ``AuxTable`` of the aux marks (None if a point
     has no aux mark) and the (n, k) marks u at the schedule times (None
-    without schedule or sampled values)."""
+    without schedule or sampled values).  Every ground coordinate must be
+    finite."""
     D, k = w.dim + (1 if w.is_temporal else 0), 0 if schedule is None else len(schedule)
     if isinstance(data, np.ndarray):
-        return ground_array(w, data), None, None
-    if isinstance(data, Configuration):
+        g, aux, u, shape_ok = ground_array(w, data), None, None, True
+    elif isinstance(data, Configuration):
         g, aux, shape_ok = data.ground, data.auxs, data.ground.shape[1] == D
         u = None if schedule is None else data.marks.at(schedule.times)
     else:
@@ -244,8 +245,10 @@ def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
         raise ValidationError(
             f"observations need {w.dim} coordinates"
             + (" and an event time" if w.is_temporal else " and no time"))
-    return (np.asarray(g, dtype=float).reshape(-1, D), aux,
-            None if u is None else np.asarray(u, dtype=float).reshape(-1, k))
+    g = np.asarray(g, dtype=float).reshape(-1, D)
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("ground coordinates must be finite")
+    return g, aux, None if u is None else np.asarray(u, dtype=float).reshape(-1, k)
 
 
 def _event_log_factors(model: ParametricModel, events: tuple,

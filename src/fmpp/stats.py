@@ -8,8 +8,8 @@ validate simulators against analytic expectations.
 
 The population quantities come with no canonical estimators; the kernel
 and translation-correction choices here are standard plumbing (Epanechnikov
-kernel, default bandwidth 0.15/sqrt(intensity), variogram bin width =
-window diameter / 15), all overridable.
+kernel, default bandwidth 0.15/sqrt(intensity), 15 equal variogram bins
+up to the largest pair distance), all overridable.
 """
 from __future__ import annotations
 
@@ -80,6 +80,9 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
         cells = (cells,) * ndim
     if len(cells) != ndim:
         raise ValidationError("cells must match the ground dimension")
+    if min(cells) < 1:
+        raise ValidationError("intensity cell counts must be at least 1, "
+                              f"not {cells}")
     edges = [np.linspace(lo, hi, k + 1) for (lo, hi), k in zip(bounds, cells)]
     locs = c.locations()
     if mode == "box":
@@ -91,8 +94,8 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
         return IntensitySurface(tuple(e for e in edges), values / cellvol, "box")
     if mode != "kernel":
         raise ValidationError("mode must be 'box' or 'kernel'")
-    if bandwidth is None or bandwidth <= 0:
-        raise ValidationError("kernel mode needs a positive bandwidth")
+    if bandwidth is None or not 0.0 < bandwidth < math.inf:
+        raise ValidationError("kernel mode needs a positive, finite bandwidth")
     # the product kernel factorises over the axes: per block of points, the
     # (cells_a, block) factors of every axis but the last are multiplied
     # out over their cells and contracted with the last axis's factors
@@ -135,6 +138,9 @@ def _pcf_from_weights(c: Configuration, w, v, pair_norm, lags, bandwidth):
         raise ValidationError("lags must stay below half the window side")
     if np.any(lags <= 0):
         raise ValidationError("lags must be positive")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValidationError("pcf bandwidth must be positive and finite, "
+                              f"not {bandwidth}")
     # the kernel already divides each pair by the surface measure at its
     # own distance, so only the intensity normalizer remains
     num = _kernels.pair_stats(
@@ -280,6 +286,8 @@ def _mark_locations(locations, marks: MarkTable) -> np.ndarray:
     if locs.ndim != 2 or locs.shape[0] != len(marks):
         raise ValidationError("locations must form an (n, d) array with one "
                               "row per mark")
+    if not np.all(np.isfinite(locs)):
+        raise ValidationError("locations must be finite")
     return locs
 
 
@@ -291,7 +299,7 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
     Bin average of half the integrated squared curve difference (trapezoid
     rule on the table's grid) over pairs at spatial distance in each bin.
     ``bins`` is an edge array or a bin count; the default is 15 equal bins
-    up to the largest pair distance (window-diameter/15 spacing).
+    up to the largest pair distance.
     """
     from scipy.spatial.distance import cdist
 
@@ -322,8 +330,8 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
                                   "two values")
     nbins = len(edges) - 1
     # the default edges run from 0 past the largest pair distance, so every
-    # pair lies within them; coincident or non-finite locations leave no
-    # step the arithmetic binning can use
+    # pair lies within them; coincident locations, or a distance that
+    # overflows, leave no step the arithmetic binning can use
     equal_width = (np.isscalar(bins) and nbins > 0 and np.isfinite(edges[-1])
                    and edges[-1] >= np.finfo(float).tiny * nbins)
     counts = np.zeros(nbins, dtype=np.intp)
@@ -425,19 +433,26 @@ def kriging_predict(locations, marks: MarkTable, x0,
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class CheckReport:
-    lhs: float
+    lhs: float            # replicate means of the two sides of an identity
     rhs: float
-    se_lhs: float
-    se_rhs: float
+    se: float             # standard error of the mean of lhs - rhs
     replicates: int
 
-    @property
-    def combined_se(self) -> float:
-        return math.sqrt(self.se_lhs ** 2 + self.se_rhs ** 2)
-
     def passed(self, n_se: float = 3.0) -> bool:
-        tol = n_se * max(self.combined_se, 1e-300)
-        return abs(self.lhs - self.rhs) <= tol
+        return abs(self.lhs - self.rhs) <= n_se * max(self.se, 1e-300)
+
+
+def _replicate_check(simulate: Callable, sides: Callable, replicates: int,
+                     seed: int) -> CheckReport:
+    """Both sides ``sides(c)`` of an identity on each draw c =
+    ``simulate(seed + r)``, r < ``replicates``, as a ``CheckReport``."""
+    if replicates < 2:
+        raise ValidationError(f"a check needs two or more replicates, not {replicates}")
+    lhs, rhs = np.array([sides(simulate(seed + r)) for r in range(replicates)]).T
+    # a side equal on every draw is its own mean, which np.mean may round
+    mean = lambda x: float(x[0] if np.all(x == x[0]) else np.mean(x))
+    se = float(np.std(lhs - rhs, ddof=1) / math.sqrt(replicates))
+    return CheckReport(mean(lhs), mean(rhs), se, replicates)
 
 
 def campbell_check(simulate: Callable, h: Callable, rhs_integrand: Callable,
@@ -448,18 +463,14 @@ def campbell_check(simulate: Callable, h: Callable, rhs_integrand: Callable,
     ``simulate(seed)`` yields a configuration c and ``h(c)`` its (n,) scores;
     ``rhs_integrand(g)`` must give the (m,) mark-averaged h times the ground
     intensity at (m, D) ground nodes (analytic or quadrature-derived by the
-    caller); the right side is integrated by midpoint quadrature.
+    caller); the right side is integrated once by midpoint quadrature.
     """
-    sums = np.empty(replicates)
-    for r in range(replicates):
-        c = simulate(seed + r)
-        sums[r] = np.sum(_shaped(h(c), (len(c),), "h"))
     nodes, cellvol = midpoint_rule(w.ground_bounds, quad_res)
     rhs = float(np.sum(_shaped(rhs_integrand(nodes), (len(nodes),),
                                "rhs_integrand")) * cellvol)
-    lhs = float(np.mean(sums))
-    se = float(np.std(sums, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-    return CheckReport(lhs, rhs, se, 0.0, replicates)
+    return _replicate_check(
+        simulate, lambda c: (np.sum(_shaped(h(c), (len(c),), "h")), rhs),
+        replicates, seed)
 
 
 def gnz_check(simulate: Callable, papangelou: Callable, h: Callable,
@@ -471,20 +482,15 @@ def gnz_check(simulate: Callable, papangelou: Callable, h: Callable,
     pattern's (n, D) ground array and (m,) rows own to (m,) values; query j
     sees the pattern without row own[j] (all of it where own[j] is -1).  The
     inner integral uses midpoint quadrature over the ground space.  The
-    residual is zero in expectation under the true model; the report's
-    lhs/rhs are the two Monte Carlo sides with the standard error of their
-    difference.
+    residual is zero in expectation under the true model.
     """
     nodes, cellvol = midpoint_rule(w.ground_bounds, quad_res)
     m, free = len(nodes), np.full(len(nodes), -1)
-    lhs_r, rhs_r = np.empty((2, replicates))
-    for r in range(replicates):
-        pts = simulate(seed + r).locations()
-        n = len(pts)
-        lhs_r[r] = np.sum(_shaped(h(pts, pts, np.arange(n)), (n,), "h"))
+
+    def sides(c):
+        pts = c.locations()
+        lhs = np.sum(_shaped(h(pts, pts, np.arange(len(pts))), (len(pts),), "h"))
         lam = _shaped(papangelou(nodes, pts, free), (m,), "papangelou")
-        rhs_r[r] = np.sum(_shaped(h(nodes, pts, free), (m,), "h") * lam) * cellvol
-    diff = lhs_r - rhs_r
-    se = float(np.std(diff, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-    return CheckReport(float(np.mean(lhs_r)), float(np.mean(rhs_r)), se, 0.0,
-                       replicates)
+        return lhs, np.sum(_shaped(h(nodes, pts, free), (m,), "h") * lam) * cellvol
+
+    return _replicate_check(simulate, sides, replicates, seed)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from fmpp import cli, core, infer
 from fmpp.cli import main
 from fmpp.core import Window, configuration_from_json, read_configuration_files
 from fmpp.ground import HomogeneousPoisson, simulate_poisson
+from fmpp.stats import campbell_check, gnz_check
 
 
 def write_cfg(tmp_path: Path, cfg: dict, name="cfg.json") -> str:
@@ -276,6 +278,13 @@ def test_bad_config_number_is_a_validation_error(tmp_path, capsys, window, model
      "estimate.theta0"),
     ("estimate", {"estimate": {"scheme": "mle-janossy", "bounds": [[1e-9]]}},
      "estimate.bounds"),
+    # counts, bandwidths, replicates and budgets too small to compute with
+    ("summarize", {"summarize": {"intensity": {"cells": 0}}}, "cell counts"),
+    ("summarize", {"summarize": {"pcf": {"lags": [0.1], "bandwidth": 0}}},
+     "bandwidth"),
+    ("check", {"check": {"checks": ["campbell"], "quad_res": 0}}, "cell counts"),
+    ("check", {"check": {"replicates": 1}}, "two or more replicates"),
+    ("estimate", {"estimate": {"scheme": "mle-janossy", "budget": 0}}, "budget"),
 ])
 def test_bad_stage_number_is_a_validation_error(tmp_path, capsys, stage, section,
                                                 field):
@@ -780,6 +789,36 @@ class TestCheckCommand:
         assert results["campbell"]["rhs"] == pytest.approx(rate * 0.25 * t_star,
                                                            rel=1e-12)
         assert results["campbell"]["passed"] and results["gnz"]["passed"]
+
+    @pytest.mark.parametrize("ground, theta, perturbed", [
+        ({"family": "poisson-t", "rate": 60.0}, (60.0,), (75.0,)),
+        ({"family": "loglinear-t", "a": 4.0, "b": 0.5}, (4.0, 0.5), (4.0, 0.7)),
+    ])
+    def test_temporal_simulators_satisfy_the_fitted_models_identities(
+            self, ground, theta, perturbed):
+        # simulate draws the temporal Poisson families from an intensity of
+        # its own; estimate fits infer.ground_intensity, so the Campbell and
+        # GNZ identities of that model must hold on simulate's draws (seed
+        # 0, 200 replicates, 3 standard errors), and a perturbed model fail
+        # them
+        cfg = {"window": {"lo": [0, 0], "hi": [1, 1], "t_star": 2.0},
+               "model": {"ground": ground}}
+        window = cli._window_from(cfg)
+        simulate = partial(cli._simulate_one, cfg, window)
+        in_box = lambda g: np.all(g[:, :2] <= 0.5, axis=1).astype(float)
+
+        def checks(theta):
+            model = infer.ParametricModel(ground["family"], theta, window)
+            return [
+                campbell_check(simulate, lambda c: in_box(c.ground),
+                               lambda g: infer.ground_intensity(model, g) * in_box(g),
+                               window, replicates=200),
+                gnz_check(simulate, partial(infer.papangelou, model),
+                          lambda u, pts, own: in_box(u), window, replicates=200,
+                          quad_res=16)]
+
+        assert all(rep.passed() for rep in checks(theta))
+        assert not any(rep.passed() for rep in checks(perturbed))
 
 
 class TestJanossyScheme:

@@ -26,6 +26,7 @@ from fmpp.core import (
     cylinder_contains,
     read_configuration_files,
     ground_projection,
+    midpoint_rule,
     shift,
     skorohod_distance,
     temporal_projection,
@@ -101,6 +102,13 @@ class TestWindow:
         assert w.ground_distance(g1, g2) == pytest.approx(0.8)
         w1 = Window((0, 0), (1, 1), t_star=10.0)
         assert w1.ground_distance(g1, g2) == pytest.approx(8.0)
+
+
+class TestMidpointRule:
+    @pytest.mark.parametrize("cells", [0, -2, (3, 0)])
+    def test_cell_count_below_one_rejected(self, cells):
+        with pytest.raises(ValidationError, match="cell counts"):
+            midpoint_rule([(0.0, 1.0), (0.0, 1.0)], cells)
 
 
 class TestCadlagPath:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fmpp
-from fmpp._optim import gauss_newton
+from fmpp._optim import gauss_newton, nelder_mead
 from fmpp._kernels import neighbour_counts
 from fmpp.core import AuxMark, Configuration, SampleSchedule, Window, cylinder_contains
 from fmpp.errors import NumericalError, ValidationError
@@ -633,6 +633,34 @@ class TestLeastSquaresMarks:
                         sum(float(np.sum(w ** 2)) for w in want), rel=1e-12)
 
 
+class TestNonFiniteGround:
+    # a NaN or infinite coordinate in the queries, the pattern or the data
+    # is rejected, not read as a point that has no neighbours
+    PATTERN = np.random.default_rng(1).random((50, 2))
+    GIBBS = ParametricModel("gibbs", (100.0, 0.5), W, interaction_range=0.1)
+
+    @pytest.mark.parametrize("queries, pattern", [
+        (np.array([[np.nan, 0.2]]), PATTERN),
+        ([Observation((0.3, np.inf))], PATTERN),
+        (PATTERN[:2], np.vstack([PATTERN, [[np.nan, 0.5]]])),
+        (PATTERN[:2], [Observation((0.5, -np.inf))]),
+    ])
+    def test_papangelou(self, queries, pattern):
+        with pytest.raises(ValidationError, match="finite"):
+            papangelou(self.GIBBS, queries, pattern)
+
+    def test_pseudolikelihood(self):
+        data = [Observation(tuple(x)) for x in self.PATTERN]
+        assert math.isfinite(pseudolikelihood(self.GIBBS, data))
+        with pytest.raises(ValidationError, match="finite"):
+            pseudolikelihood(self.GIBBS, data + [Observation((np.nan, 0.2))])
+
+    def test_janossy_density(self):
+        m = ParametricModel("poisson", (50.0,), W)
+        with pytest.raises(ValidationError, match="finite"):
+            janossy_density(m, np.vstack([self.PATTERN, [[np.inf, 0.1]]]))
+
+
 class TestOptimizer:
     def test_quadratic(self):
         fit = optimize(lambda th: (th[0] - 3.0) ** 2, [0.0], budget=500)
@@ -661,6 +689,20 @@ class TestOptimizer:
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValidationError):
             optimize(lambda th: float("nan"), [0.0], budget=10)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_budget_below_start_simplex_rejected(self, budget):
+        # the start simplex of a 2-parameter fit takes 3 evaluations
+        calls = []
+
+        def f(th):
+            calls.append(1)
+            return float(th @ th)
+
+        with pytest.raises(ValidationError, match="budget"):
+            nelder_mead(f, [1.0, 2.0], budget=budget)
+        assert not calls
+        assert nelder_mead(f, [1.0, 2.0], budget=3)[2] == len(calls) == 3
 
 
 class TestGaussNewton:
@@ -747,6 +789,17 @@ class TestGaussNewton:
         with pytest.raises(ValidationError):
             gauss_newton(lambda th: np.array([1.0, float("nan")]), [0.0],
                          budget=10)
+
+    def test_zero_budget_rejected(self):
+        calls = []
+
+        def res(th):
+            calls.append(1)
+            return th
+
+        with pytest.raises(ValidationError, match="budget"):
+            gauss_newton(res, [1.0, 2.0], budget=0)
+        assert not calls
 
 
 class TestSpatialDensityFamilies:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import HomogeneousPoisson, PairwiseGibbs, simulate_gibbs, simulate_poisson
 from fmpp.marks import Deterministic, Wiener, attach_marks, make_configuration
 from fmpp.stats import (
+    CheckReport,
     VariogramModel,
     campbell_check,
     fit_variogram,
@@ -66,6 +68,11 @@ class TestIntensityEstimate:
         assert vals[0, 0] == pytest.approx(16.0)  # 1 / (0.25 * 0.25)
         assert np.sum(vals > 0) == 1
 
+    @pytest.mark.parametrize("cells", [0, -2, (4, 0)])
+    def test_cell_count_below_one_rejected(self, cells):
+        with pytest.raises(ValidationError, match="cell counts"):
+            intensity_estimate(poisson_config(0), cells)
+
     def test_spatial_mean_unbiased(self):
         means = [np.mean(intensity_estimate(poisson_config(s, 100.0), 4).values)
                  for s in range(200)]
@@ -108,6 +115,11 @@ class TestPcfGround:
     def test_lag_bound(self):
         with pytest.raises(ValidationError):
             pcf_ground(poisson_config(0), np.array([0.6]))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.02, math.nan, math.inf])
+    def test_bandwidth_not_positive_and_finite_rejected(self, bandwidth):
+        with pytest.raises(ValidationError, match="bandwidth"):
+            pcf_ground(poisson_config(0), self.LAGS, bandwidth)
 
     def test_torus_shift_invariance_exact(self):
         wt = Window((0, 0), (1, 1), torus=True)
@@ -203,6 +215,16 @@ class TestTraceVariogram:
     def test_fewer_than_one_bin_rejected(self, bins):
         with pytest.raises(ValidationError, match="bin"):
             trace_variogram(*self.curves_iid(1), bins)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_location_rejected(self, bad):
+        locs, marks = self.curves_iid(1)
+        locs[3, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            trace_variogram(locs, marks)
+        with pytest.raises(ValidationError, match="finite"):
+            kriging_predict(locs, marks, np.array([0.5, 0.5]),
+                            VariogramModel("exponential", 0.0, 1.0, 0.3))
 
     def test_matches_per_bin_loop(self):
         # reference: dense distance and difference matrices, one mask per bin
@@ -413,6 +435,35 @@ class TestKriging:
         assert m(10.0) == pytest.approx(1.1)
 
 
+class TestCheckReport:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(CheckReport)] == [
+            "lhs", "rhs", "se", "replicates"]
+
+    def test_se_is_that_of_the_mean_difference(self):
+        # Campbell's right side is the same on every draw, so the standard
+        # error is that of the left side's mean alone
+        sums = [float(np.sum(poisson_config(s, 100.0).ground[:, 0] <= 0.5))
+                for s in range(3, 13)]
+        rep = campbell_check(lambda s: poisson_config(s, 100.0),
+                             lambda c: (c.ground[:, 0] <= 0.5).astype(float),
+                             lambda g: np.full(len(g), 50.0), W, replicates=10,
+                             seed=3, quad_res=8)
+        assert rep.lhs == np.mean(sums) and rep.rhs == 50.0
+        assert rep.se == pytest.approx(np.std(sums, ddof=1) / math.sqrt(10),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("replicates", [-1, 0, 1])
+    def test_fewer_than_two_replicates_rejected(self, replicates):
+        sim = lambda s: poisson_config(s, 100.0)
+        with pytest.raises(ValidationError, match="two or more replicates"):
+            campbell_check(sim, lambda c: np.ones(len(c)),
+                           lambda g: np.full(len(g), 100.0), W, replicates)
+        with pytest.raises(ValidationError, match="two or more replicates"):
+            gnz_check(sim, lambda u, pts, own: np.full(len(u), 100.0),
+                      lambda u, pts, own: np.ones(len(u)), W, replicates)
+
+
 class TestCampbell:
     def simulate(self, seed):
         return poisson_config(seed, rate=100.0)
@@ -466,7 +517,7 @@ class TestGnz:
                         h, W, replicates=300, seed=2)
         # residual approx + half the box mass
         assert not rep.passed()
-        assert (rep.lhs - rep.rhs) == pytest.approx(25.0, abs=3 * rep.combined_se)
+        assert (rep.lhs - rep.rhs) == pytest.approx(25.0, abs=3 * rep.se)
 
     def test_zero_functional_exact(self):
         rep = gnz_check(self.simulate, lambda u, pts, own: np.full(len(u), 100.0),
@@ -518,6 +569,9 @@ class TestKernelIntensityMode:
         c = poisson_config(1, 50.0)
         with pytest.raises(ValidationError):
             intensity_estimate(c, cells=8, mode="kernel")
+        for bandwidth in (0.0, -0.2, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="bandwidth"):
+                intensity_estimate(c, cells=8, mode="kernel", bandwidth=bandwidth)
 
     @staticmethod
     def loop_oracle(c, cells, bandwidth):
