@@ -1,22 +1,17 @@
-"""Hot numeric kernels, one NumPy/SciPy implementation each.
+"""Hot numeric kernels, one NumPy implementation each.
 
 Neighbours are found on one uniform cell grid, ``_cell_grid``: cells at
 least the reach wide, neighbour cells clipped on a box and wrapped on a
 torus.  ``close_pairs`` sorts the points by cell and hands out the
 candidate pairs of neighbouring cells in blocks.  ``neighbour_counts`` and
 ``gibbs_chain`` test them with ``_in_range``, the one pairwise neighbour
-rule, which ``core.cylinder_contains`` calls too, and the growth overlap
-pairs with d^2 <= cutoff^2, so each grows with the close pairs rather than
-with m n or n^2.  The chain searches once per chunk of draws, over the
-chunk's start state and birth locations, so its scalar loop over the
-proposals only reads and updates neighbour counts.  Two searches stay as
-they are: ``pair_stats`` takes its pairs from a ``scipy.spatial.cKDTree``,
-which measured several times faster than the grid at its sizes, where the
-summaries load scipy anyway; and the gauss operator of a ``GrowthPlan``
-stays a dense matrix, whose product beat a pair-list drift at the few dozen
-points a growth fit integrates thousands of times.  scipy is imported on
-the first ``pair_stats`` call, so ``import fmpp.cli``, the chain and the
-neighbour counts load none of it.
+rule, which ``core.cylinder_contains`` calls too; ``pair_stats`` and the
+growth overlap pairs keep those within their reach; so each grows with the
+close pairs rather than with m n or n^2.  The chain searches once per chunk
+of draws, over the chunk's start state and birth locations, so its scalar
+loop over the proposals only reads and updates neighbour counts.  The gauss
+operator of a ``GrowthPlan`` stays a dense matrix, whose product beat a
+pair-list drift at the few dozen points a growth fit integrates many times.
 Each kernel's arguments are positional and plain arrays or scalars.
 ``gi_integrate_values`` builds a ``GrowthPlan`` and integrates it once; a
 fit that integrates the same points many times keeps the plan.
@@ -45,59 +40,38 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
 
     ``trans`` is the translation correction prod(sides - |dx|) on a box and
     the window volume on a torus, where distances are minimal-image ones.
-    Only pairs closer than max(lags) + bw reach the Epanechnikov kernel, and
-    each lag evaluates it only on the pairs near it: the pairs are sorted
-    by distance once, and a lag's slice runs from lag - 2 bw to lag + 2 bw.
-    Rounding is monotone, so every pair the |u| < 1 test accepts lies in
-    that slice, and the sums take the same pairs as a dense (lags, pairs)
-    kernel matrix would.
+    Only pairs closer than reach = max(lags) + bw reach the Epanechnikov
+    kernel.  ``close_pairs`` hands them out a block at a time; a block keeps
+    i < j with 0 < d^2 <= reach^2 (coincident pairs weigh zero), sorts them
+    by distance and evaluates a lag's kernel only on the slice from lag - 2
+    bw to lag + 2 bw.  Rounding is monotone, so every pair the |u| < 1 test
+    accepts lies in that slice, as in a dense (lags, pairs) kernel matrix.
     """
-    dist, weight = _pair_weights(pts, w, v, float(np.max(lags)) + bw, sides,
-                                 torus)
-    order = np.argsort(dist)
-    dist, weight = dist[order], weight[order]
-    starts = np.searchsorted(dist, lags - 2.0 * bw, side="left")
-    ends = np.searchsorted(dist, lags + 2.0 * bw, side="right")
+    reach = float(np.max(lags)) + bw
     out = np.zeros(len(lags))
-    for k, (lag, a, b) in enumerate(zip(lags.tolist(), starts, ends)):
-        u = (lag - dist[a:b]) / bw
-        kern = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
-        out[k] = kern @ weight[a:b]
+    for i, j in close_pairs(pts, pts, reach, sides, torus):
+        keep = i < j
+        i, j = i[keep], j[keep]
+        # column by column: reducing a (pairs, d) array measured slower
+        d2, trans = 0.0, 1.0
+        for col, side in zip(pts.T, sides.tolist()):
+            h = np.abs(col[i] - col[j])
+            h = np.minimum(h, side - h) if torus else h
+            trans = trans * (side - h)
+            d2 = d2 + h * h
+        keep = (d2 <= reach * reach) & (d2 > 0.0)
+        i, j, dist = i[keep], j[keep], np.sqrt(d2[keep])
+        trans = np.prod(sides) if torus else trans[keep]
+        surf = (2.0, 2.0 * np.pi * dist, 4.0 * np.pi * dist * dist)[pts.shape[1] - 1]
+        weight = (w[i] * v[j] + w[j] * v[i]) / trans / surf
+        order = np.argsort(dist)
+        dist, weight = dist[order], weight[order]
+        ends = np.searchsorted(dist, [lags - 2.0 * bw, lags + 2.0 * bw])
+        for k, (lag, a, b) in enumerate(zip(lags.tolist(), *ends)):
+            u = (lag - dist[a:b]) / bw
+            kern = np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
+            out[k] += kern @ weight[a:b]
     return out
-
-
-def _pair_weights(pts, w, v, reach, sides, torus):
-    """Distance and weight (w_i v_j + w_j v_i) / (trans s_d(d)) of each
-    unordered pair closer than ``reach``; coincident pairs weigh zero."""
-    from scipy.spatial import cKDTree
-
-    d = pts.shape[1]
-    if torus:
-        # np.mod can round a tiny negative coordinate up to the side itself,
-        # which cKDTree(boxsize=sides) rejects; that point sits at 0
-        pts = np.mod(pts, sides)
-        pts = np.where(pts >= sides, 0.0, pts)
-        tree = cKDTree(pts, boxsize=sides)
-    else:
-        tree = cKDTree(pts)
-    pairs = tree.query_pairs(reach, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    diff = np.abs(pts[i] - pts[j])
-    if torus:
-        diff = np.minimum(diff, sides - diff)
-        trans = np.prod(sides)
-    else:
-        trans = np.prod(sides - diff, axis=1)
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    ww = w[i] * v[j] + w[j] * v[i]
-    if d == 1:
-        surf = np.full_like(dist, 2.0)
-    elif d == 2:
-        surf = 2.0 * np.pi * dist
-    else:
-        surf = 4.0 * np.pi * dist * dist
-    ok = dist > 0.0
-    return dist, np.where(ok, ww / trans / np.where(ok, surf, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

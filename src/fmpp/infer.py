@@ -521,9 +521,27 @@ def papangelou(model: ParametricModel, queries, pattern, own=None,
             or np.any((own < -1) | (own >= n))):
         raise ValidationError(f"own must be {m} integers in [-1, {n})")
     lam = _ground_papangelou(model, _papangelou_terms(model, q, pts, own))
-    same = _kernels.neighbour_counts(q, pts, w.sides.astype(float), w.torus,
-                                     0.0, 0.0, w.dim, own)
-    return np.where(same > 0, 0.0, _with_factors(model, ev, schedule, lam))
+    return np.where(_coincident(w, q, pts, own), 0.0,
+                    _with_factors(model, ev, schedule, lam))
+
+
+def _coincident(w: Window, queries, pts, own) -> np.ndarray:
+    """(m,) whether query j equals, as values (-0.0 is 0.0), a row of the
+    (n, D) ``pts`` other than row own[j]; on a torus the spatial parts are
+    compared modulo the sides, so a point on ``hi`` matches one on ``lo``."""
+    rows = np.concatenate([pts, queries])
+    if w.torus:
+        x = np.mod(rows[:, :w.dim] - w.lo, w.sides)
+        # np.mod can round a tiny negative offset up to the side itself
+        rows[:, :w.dim] = np.where(x >= w.sides, 0.0, x)
+    # equal rows are adjacent in lexicographic order and share one code
+    order = np.lexsort(rows.T)
+    code = np.empty(len(rows), dtype=np.intp)
+    code[order] = np.cumsum(np.r_[0, np.any(np.diff(rows[order], axis=0), axis=1)])
+    cp, cq = code[:len(pts)], code[len(pts):]
+    same = np.bincount(cp, minlength=len(rows))[cq]
+    same[own >= 0] -= cp[own[own >= 0]] == cq[own >= 0]
+    return same > 0
 
 
 def pseudolikelihood(model: ParametricModel, data: Sequence,
@@ -581,7 +599,11 @@ def fit_loglik_temporal(model: ParametricModel, data: Sequence,
 def fit_janossy(model: ParametricModel, data: Sequence, budget: int = 500) -> FitResult:
     """Maximum Janossy likelihood from ``model.theta``; ``objective`` is the
     maximized log J, and a vanishing intensity at a data point scores the
-    1e12 penalty, as in the other likelihood fits."""
+    1e12 penalty, as in the other likelihood fits.  A 'gibbs' model is a
+    ValidationError: its Janossy density is unnormalised."""
+    if model.ground == "gibbs":
+        raise ValidationError("the Janossy likelihood of the 'gibbs' model is "
+                              "unnormalised; fit it by pseudo-likelihood")
     return _maximize(model, _janossy_terms(model, data, None, 64), None, budget,
                      "mle-janossy")
 

@@ -143,10 +143,8 @@ def _pcf_from_weights(c: Configuration, w, v, pair_norm, lags, bandwidth):
                               f"not {bandwidth}")
     # the kernel already divides each pair by the surface measure at its
     # own distance, so only the intensity normalizer remains
-    num = _kernels.pair_stats(
-        np.ascontiguousarray(pts), np.ascontiguousarray(w, dtype=float),
-        np.ascontiguousarray(v, dtype=float), lags, float(bandwidth),
-        window.sides.astype(float), window.torus)
+    num = _kernels.pair_stats(pts, w, v, lags, float(bandwidth),
+                              window.sides.astype(float), window.torus)
     denom = pair_norm / window.volume ** 2
     vals = num / denom if denom > 0 else np.zeros_like(num)
     tag = "torus" if window.torus else "translation"
@@ -291,6 +289,19 @@ def _mark_locations(locations, marks: MarkTable) -> np.ndarray:
     return locs
 
 
+def _squared_distances(locs, i0, i1):
+    """Squared distances of rows i0..i1 of ``locs`` to rows i0.., summed axis
+    by axis in order, so their roots are the Euclidean distances bit for bit."""
+    first, *rest = locs.T
+    out = np.subtract.outer(first[i0:i1], first[i0:])
+    out *= out
+    for col in rest:
+        diff = np.subtract.outer(col[i0:i1], col[i0:])
+        diff *= diff
+        out += diff
+    return out
+
+
 def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate:
     """Empirical trace-variogram of the marks at the (n, d) spatial
     ``locations``: one ``MarkTable`` row per location, as a configuration's
@@ -301,41 +312,34 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
     ``bins`` is an edge array or a bin count; the default is 15 equal bins
     up to the largest pair distance.
     """
-    from scipy.spatial.distance import cdist
-
     locs = _mark_locations(locations, marks)
     if len(marks) < 2:
         raise ValidationError("need at least two curves")
     grid, V = marks.grid, marks.values
     # trapezoid weights on the shared grid
-    wts = np.zeros(grid.size)
-    dg = np.diff(grid)
-    wts[:-1] += 0.5 * dg
-    wts[1:] += 0.5 * dg
+    wts = 0.5 * (np.diff(grid, prepend=grid[0]) + np.diff(grid, append=grid[-1]))
     n = len(marks)
     rows = max(1, _kernels._BLOCK_ENTRIES // n)
     blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
-    if bins is None:
-        bins = 15
+    bins = 15 if bins is None else bins
     if np.isscalar(bins):
         if int(bins) < 1:
             raise ValidationError(f"variogram bin count {bins} is below 1")
-        hmax = max(float(np.max(cdist(locs[i0:i1], locs[i0:])))
-                   for i0, i1 in blocks)
+        # sqrt is monotone, so this is the largest distance
+        hmax = math.sqrt(max(np.max(_squared_distances(locs, *b)) for b in blocks))
         edges = np.linspace(0.0, hmax * (1 + 1e-12), int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValidationError("variogram bin edges must hold at least "
-                                  "two values")
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValidationError("variogram bin edges must be two or more "
+                                  "strictly increasing numbers")
     nbins = len(edges) - 1
     # the default edges run from 0 past the largest pair distance, so every
     # pair lies within them; coincident locations, or a distance that
     # overflows, leave no step the arithmetic binning can use
     equal_width = (np.isscalar(bins) and nbins > 0 and np.isfinite(edges[-1])
                    and edges[-1] >= np.finfo(float).tiny * nbins)
-    counts = np.zeros(nbins, dtype=np.intp)
-    sums = np.zeros(nbins)
+    counts, sums = np.zeros(nbins, dtype=np.intp), np.zeros(nbins)
     VW = V * wts
     diag = np.empty(n)
     # last block first, so diag[j] of every later curve j is already known
@@ -343,7 +347,7 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
         S = VW[i0:i1] @ V[i0:].T        # S[k, l]: curves i0 + k and i0 + l
         diag[i0:i1] = np.diagonal(S)
         upper = np.arange(n - i0) > np.arange(i1 - i0)[:, None]      # pairs i < j
-        h = cdist(locs[i0:i1], locs[i0:])[upper]
+        h = np.sqrt(_squared_distances(locs, i0, i1)[upper])
         d = 0.5 * (diag[i0:i1, None] + diag[None, i0:] - 2.0 * S)[upper]
         if equal_width:
             idx = _equal_bin_index(edges, h)

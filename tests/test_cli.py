@@ -38,11 +38,10 @@ BASE = {
 }
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the kernels that need it, on first use; a
-    # module-level import would add its load time to every CLI start.  The
-    # Gibbs chain, the Papangelou counts and a pseudo-likelihood fit find
-    # their neighbours on the NumPy cell grid, so they load none either
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # fmpp runs on NumPy alone: importing the CLI, the Gibbs chain, the
+    # Papangelou counts and a pseudo-likelihood fit load no scipy, and with
+    # scipy blocked every CLI stage runs on a box and on a torus
     src = str(Path(fmpp.__file__).resolve().parents[1])
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -60,6 +59,33 @@ def test_cli_import_leaves_scipy_unloaded():
                  "assert not any(m.startswith('scipy') for m in sys.modules)\n")
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        timeout=120)
+    args = []
+    for torus in (False, True):
+        cfg = {**BASE, "window": {**BASE["window"], "torus": torus},
+               "summarize": {"intensity": {"cells": 4},
+                             "pcf": {"lags": [0.05, 0.1, 0.15]},
+                             "variogram": {"bins": 5},
+                             "coverage": {"times": [0.5], "resolution": 32}},
+               "estimate": {"scheme": "mle-janossy"},
+               "geometry": {"times": [0.5], "resolution": 32},
+               "check": {"replicates": 10}}
+        args += [write_cfg(tmp_path, cfg, f"cfg-{torus}.json"),
+                 str(tmp_path / f"out-{torus}")]
+    stages = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from fmpp.cli import main\n"
+              "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    for stage in ('simulate', 'summarize', 'estimate', 'geometry',\n"
+              "                  'check'):\n"
+              "        code = main([stage, '--config', cfg, '--out', out])\n"
+              "        assert code == 0, (stage, code)\n")
+    subprocess.run([sys.executable, "-c", stages, *args], env=env, check=True,
+                   timeout=300)
+    for torus in (False, True):
+        for name in ("intensity", "pcf", "variogram", "coverage", "sections"):
+            assert (tmp_path / f"out-{torus}" / f"{name}.csv").is_file()
+        assert (tmp_path / f"out-{torus}" / "fit.json").is_file()
+        assert (tmp_path / f"out-{torus}" / "checks.json").is_file()
 
 
 class TestSimulate:

@@ -382,6 +382,33 @@ class TestPapangelou:
         assert counts == [int(v) for v in near]
         assert lam == [1.0 if v else 2.0 for v in near]
 
+    @pytest.mark.parametrize("w", [Window((-1, -1), (1, 1)),
+                                   Window((-0.5, 0), (1.3, 0.7), torus=True),
+                                   Window((0, 0), (1, 1), t_star=1.0)])
+    def test_coincidence_is_the_zero_radius_count(self, w):
+        # the exact row match against the neighbour count at radius 0 on
+        # rows built from lo, hi, a midpoint, 0.0 and -0.0 (queries also
+        # from a value no pattern row holds): repeated rows, -0.0 against
+        # 0.0, lo against hi across a torus seam, a space-time row with the
+        # same place at another time, and own rows left out
+        rng = np.random.default_rng(29)
+        lo, hi = np.array(w.lo), np.array(w.hi)
+        choices = np.stack([lo, hi, 0.5 * (lo + hi), np.zeros(2), -np.zeros(2),
+                            lo + 0.3 * (hi - lo)])
+        pick = lambda m, k: choices[rng.integers(0, k, (m, 2)), [0, 1]]
+        pattern, queries = pick(12, 5), pick(60, 6)
+        if w.is_temporal:
+            pattern = np.column_stack([pattern, rng.integers(0, 3, 12) / 2])
+            queries = np.column_stack([queries, rng.integers(0, 3, 60) / 2])
+        own = rng.integers(-1, 12, 60)
+        own[:20] = -1
+        queries[20:40] = pattern[own[20:40]]
+        got = fmpp.infer._coincident(w, queries, pattern, own)
+        want = neighbour_counts(queries, pattern, w.sides, w.torus, 0.0, 0.0,
+                                w.dim, own) > 0
+        assert got.tolist() == want.tolist()
+        assert 0 < got.sum() < 60
+
     def test_own_rows_are_checked(self):
         m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)
         pattern, queries = np.array([[0.5, 0.5], [0.9, 0.9]]), np.array([[0.1, 0.1]])
@@ -1030,6 +1057,15 @@ class TestOnePoissonLikelihood:
         assert log_j > 0.0
         assert fit.objective == log_j
         assert fit.theta[0] == pytest.approx(len(data) / W.volume, rel=1e-6)
+
+    def test_janossy_fit_refuses_the_pairwise_model(self):
+        # its Janossy density has no normalising constant: maximising it
+        # ran to the corner (1000, 1) of the bounds and called it converged
+        data = np.random.default_rng(0).random((50, 2))
+        m = ParametricModel("gibbs", (50.0, 0.5), W, bounds=((1, 1000), (0, 1)),
+                            interaction_range=0.1)
+        with pytest.raises(ValidationError, match="pseudo-likelihood"):
+            fit_janossy(m, data)
 
     def test_zero_rate_at_a_data_point(self):
         # the Janossy density vanishes (the likelihood raises, see

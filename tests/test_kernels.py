@@ -278,23 +278,28 @@ def test_pair_stats_matches_dense_kernel_matrix(rng, d, torus):
 
 def test_pair_stats_memory_is_per_lag_slice():
     # the wiener-2k size: 2043 points on the unit square, 7 lags, about
-    # 222k candidate pairs; the dense (lags, pairs) form peaked at 49.9 MB
-    rng = np.random.default_rng(5)
-    n = 2043
-    pts, w = rng.random((n, 2)), np.ones(n)
+    # 222k candidate pairs; the dense (lags, pairs) form peaked at 49.9 MB.
+    # At 4n the pairs grow 16-fold, and holding them all at once peaked at
+    # 231 MB against 14.5 MB at n; a block of pairs does not grow
     lags = np.array([0.025, 0.05, 0.075, 0.1, 0.125, 0.15, 0.2])
-    bw, sides = 0.15 / math.sqrt(n), np.ones(2)
-    K.pair_stats(pts[:10], w[:10], w[:10], lags, bw, sides, False)  # lazy import
-    tracemalloc.start()
-    try:
-        got = K.pair_stats(pts, w, w, lags, bw, sides, False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25e6
-    np.testing.assert_allclose(
-        got, pair_stats_dense(pts, w, w, lags, bw, sides, False),
-        rtol=1e-12, atol=0)
+    sides = np.ones(2)
+    peaks = []
+    for n in (2043, 4 * 2043):
+        rng = np.random.default_rng(5)
+        pts, w = rng.random((n, 2)), np.ones(n)
+        bw = 0.15 / math.sqrt(n)
+        tracemalloc.start()
+        try:
+            got = K.pair_stats(pts, w, w, lags, bw, sides, False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if n == 2043:
+            np.testing.assert_allclose(
+                got, pair_stats_dense(pts, w, w, lags, bw, sides, False),
+                rtol=1e-12, atol=0)
+    assert peaks[0] < 25e6
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_pair_stats_torus_points_on_the_boundary(rng):

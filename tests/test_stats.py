@@ -216,6 +216,15 @@ class TestTraceVariogram:
         with pytest.raises(ValidationError, match="bin"):
             trace_variogram(*self.curves_iid(1), bins)
 
+    @pytest.mark.parametrize("edges", [[0.0, 0.5, 0.2, 1.0], [0.0, math.nan, 1.0],
+                                       [0.0, 0.5, 0.5, 1.0], [math.nan, 1.0],
+                                       [1.0, 0.0]])
+    def test_edges_not_strictly_increasing_rejected(self, edges):
+        # on these 50 curves [0, 0.5, 0.2, 1] counted [158, 0, 1051] pairs
+        # and [0, nan, 1] counted [1209, 0]
+        with pytest.raises(ValidationError, match="increasing"):
+            trace_variogram(*self.curves_iid(1, n=50), np.array(edges))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_location_rejected(self, bad):
         locs, marks = self.curves_iid(1)
@@ -309,8 +318,6 @@ class TestTraceVariogram:
         # one dense n x n float64 matrix takes 8 n^2 bytes
         n = 2000
         locs, marks = self.curves_iid(8, n=n, k=101)
-        # keep the lazy scipy import out of the peak
-        trace_variogram(locs[:3], marks.take(slice(0, 3)))
         tracemalloc.start()
         try:
             trace_variogram(locs, marks)
