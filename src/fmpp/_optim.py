@@ -1,13 +1,15 @@
 """Local minimizers shared by the fitting routines.
 
 ``nelder_mead`` is a derivative-free projected simplex for black-box
-objectives (likelihoods, Janossy densities, variogram fits).
-``gauss_newton`` is a projected Levenberg-Marquardt method for least
-squares, which sees the residual vector instead of its squared sum and
-takes its Jacobian by forward differences.  Both clip every trial point
-into the bound box, never return a point worse than the start, count
-every evaluation against one budget and are deterministic given the start
-point and budget.
+objectives (``infer.optimize``, variogram fits).  ``gauss_newton`` is a
+projected Levenberg-Marquardt method for least squares, which sees the
+residual vector instead of its squared sum and takes its Jacobian by
+forward differences.  ``poisson_newton`` is a projected Newton method for
+the convex Poisson-GLM objective sum_k w_k exp(z_k . phi) - s . phi that
+every likelihood fit minimizes in its canonical parameters, with the exact
+gradient and Hessian.  All three clip every trial point into the bound
+box, never return a point worse than the start, count every evaluation
+against one budget and are deterministic given the start point and budget.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ _REL_TOL = 1e-8
 _FD_STEP = 2.0 ** -26
 # Marquardt damping: start, factor per failed or accepted step, and floor
 _DAMP_START, _DAMP_FACTOR, _DAMP_MIN = 1e-3, 10.0, 1e-12
+# Newton: gradient tolerance relative to 1 + max |s|, and the Armijo slope
+_GRAD_TOL, _ARMIJO = 1e-9, 1e-4
 
 
 def _box(theta0, bounds):
@@ -208,3 +212,100 @@ def gauss_newton(residuals, theta0, bounds=None, budget: int = 500):
         if converged or evals >= budget:
             break
     return x, fx, evals, converged
+
+
+def _newton_step(hess, g, free, x, lo, hi):
+    """The Newton step -H^-1 g on the ``free`` coordinates, solved again
+    without each coordinate on a bound of [lo, hi] that it would leave the
+    box through; None when the reduced Hessian is singular."""
+    free = free.copy()
+    while True:
+        step = np.zeros_like(x)
+        try:
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+        except np.linalg.LinAlgError:
+            return None
+        out = ((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))
+        if not np.any(out):
+            return step
+        free &= ~out
+
+
+def poisson_newton(stat, weights, rows, phi0, bounds=None, budget: int = 500):
+    """Minimize f(phi) = sum_k weights_k exp(rows_k . phi) - stat . phi from
+    ``phi0`` within ``bounds``, which may be infinite (projected Newton).
+
+    f is convex; its gradient Z'e - s and Hessian Z' diag(e) Z, e_k =
+    weights_k exp(rows_k . phi), come from the one exponential of an
+    evaluation.  Each iteration solves the Newton system (its diagonal
+    raised by 1e-16 of its largest entry) on the coordinates not held by an
+    active bound: one the gradient pushes against, or one the Newton step
+    would leave the box through.  The step is halved until the decrease
+    f(trial) - f(phi) = e . expm1(Z d) - s . d, d = trial - phi, which
+    never cancels against f's own size, reaches 1e-4 of the gradient's
+    prediction g . d < 0 (Armijo), so no step rises.
+
+    Two kinds of coordinate are settled first: one that f does not depend
+    on stays at its start, and one with a lower bound of -inf along which
+    f falls for ever (s_j <= 0, no row entry below 0 and some above) is
+    returned at -inf, where the node terms that it weighs vanish.
+
+    Returns (phi_best, evaluations, converged), every evaluation (the start
+    point's and each trial point's) counted against the budget, which must
+    allow the start point.  Convergence means every free gradient component
+    is at most 1e-9 (1 + max_j |s_j|); a singular reduced Hessian or a step
+    that no halving makes acceptable ends the fit unconverged.
+    """
+    phi, _, lo, hi = _box(phi0, bounds)
+    if budget < 1:
+        raise ValidationError(f"budget {budget} leaves no evaluation")
+    stat, weights, rows = (np.asarray(a, dtype=float) for a in (stat, weights, rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a zero row entry leaves out a coordinate that starts at -inf
+        e = weights * np.exp(np.sum(np.where(rows != 0.0, rows * phi, 0.0), axis=1))
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(phi[stat != 0.0]))):
+        raise ValidationError("objective must be finite at the start point")
+    flat = (stat == 0.0) & np.all(rows == 0.0, axis=0)
+    sink = (lo == -np.inf) & (stat <= 0.0) & np.all(rows >= 0.0, axis=0) & ~flat
+    phi[sink] = -np.inf
+    live, keep = ~np.any(rows[:, sink] > 0.0, axis=1), ~(flat | sink)
+    w, z = weights[live], rows[np.ix_(live, keep)]
+    s, lo, hi = stat[keep], lo[keep], hi[keep]
+    tol = _GRAD_TOL * (1.0 + float(np.max(np.abs(stat), initial=0.0)))
+    evals = 0
+
+    def at(v):
+        nonlocal evals
+        evals += 1
+        e = w * np.exp(z @ v)
+        return e, z.T @ e - s
+
+    x, converged = phi[keep], False
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, g = at(x)
+        while True:
+            free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+            if not np.any(np.abs(g[free]) > tol):
+                converged = True
+                break
+            hess = (z.T * e) @ z
+            ridge = _REL_TOL ** 2 * float(np.max(np.diag(hess))) + np.finfo(float).tiny
+            step = _newton_step(hess + ridge * np.eye(x.size), g, free, x, lo, hi)
+            alpha, accepted = 1.0, False
+            while step is not None and evals < budget:
+                trial = np.clip(x + alpha * step, lo, hi)
+                moved = trial - x
+                if not np.any(moved):
+                    break
+                # a clipped step may not descend; a shorter one clips less
+                slope = g @ moved
+                if slope < 0.0:
+                    e_t, g_t = at(trial)
+                    if e @ np.expm1(z @ moved) - s @ moved <= _ARMIJO * slope:
+                        x, e, g, accepted = trial, e_t, g_t, True
+                        break
+                alpha *= 0.5
+            if not accepted:
+                break
+    phi[keep] = x
+    return phi, evals, converged

@@ -13,8 +13,12 @@ by ``papangelou``, the likelihoods and the pairwise Janossy density;
 ``ground.PairwiseGibbs`` checks the pairwise model's parameters and
 ``_kernels._in_range`` is its neighbourhood.  The likelihoods are one
 builder, sum log lambda - integral of lambda with one compensator rule.
-The likelihood fits share one derivative-free simplex optimizer; least
-squares minimizes its residual vector by projected Levenberg-Marquardt.
+Every family's log lambda is linear in a canonical parameter phi (log theta
+for 'poisson' and 'poisson-t', (a, b) for 'loglinear-t', (log beta, log
+gamma) for 'gibbs'), so the builder also gives the theta-free design of
+that concave objective, and the likelihood fits maximize it by projected
+Newton in phi; least squares minimizes its residual vector by projected
+Levenberg-Marquardt.
 
 Ground families are deliberately closed: homogeneous rates, a log-linear
 temporal rate exp(a + b t) (self-exciting families are out of scope), and
@@ -31,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._optim import gauss_newton, nelder_mead
+from ._optim import gauss_newton, nelder_mead, poisson_newton
 from .core import (AuxMark, Configuration, SampleSchedule, Window, _aux_table,
                    _evaluate, ground_array, midpoint_rule)
 from .errors import NumericalError, ValidationError
@@ -216,7 +220,7 @@ def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
     ``_compensator`` (midpoint rule with ``quad_res`` nodes per axis)."""
     if model.ground == "gibbs":
         raise ValidationError("intensity mass undefined for this family")
-    return _compensator(model, None, quad_res)(model)
+    return _compensator(model, None, quad_res)[0](model)
 
 
 def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
@@ -308,50 +312,83 @@ def conditional_intensity(model: ParametricModel, history, data,
 # ---------------------------------------------------------------------------
 # likelihoods
 # ---------------------------------------------------------------------------
-def _compensator(model: ParametricModel, pts, quad_res: int) -> Callable:
+def _compensator(model: ParametricModel, pts, quad_res: int) -> tuple:
     """Build the window integral of the ground Papangelou intensity once;
     returns ``integral(m)`` at ``m.theta`` for a model like ``model``:
     theta |W| for 'poisson', the midpoint sum over ``quad_res`` times of
     the temporal rate times the midpoint mass of the spatial density for
     the temporal families, and for 'gibbs' the midpoint sum (``quad_res``
-    nodes per ground axis) given the (n, D) pattern ``pts``."""
+    nodes per ground axis) given the (n, D) pattern ``pts``; and the (q,)
+    weights and (q, p) ``_canonical`` rows Z of its nodes, the integral
+    being sum_k weights_k exp(Z_k . phi)."""
     w = model.window
     if model.ground == "poisson":
-        return lambda m: float(m.theta[0]) * w.ground_volume
+        return (lambda m: float(m.theta[0]) * w.ground_volume,
+                np.array([w.ground_volume]), np.ones((1, 1)))
     if model.ground == "gibbs":
         nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
         at_nodes = _papangelou_terms(model, nodes, pts, None)
-        return lambda m: float(np.sum(_ground_papangelou(m, at_nodes)) * cell)
+        return (lambda m: float(np.sum(_ground_papangelou(m, at_nodes)) * cell),
+                np.full(len(nodes), cell), _canonical(model, at_nodes))
     x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
     spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
     t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
-    t_nodes = t_nodes[:, 0]
-    return lambda m: float(np.sum(temporal_rate(m, t_nodes)) * dt * spatial_mass)
+    # each time node carries the window's whole spatial mass
+    return (lambda m: float(np.sum(temporal_rate(m, t_nodes[:, 0])) * dt
+                            * spatial_mass),
+            np.full(quad_res, dt * spatial_mass), _canonical(model, t_nodes))
+
+
+# per family, whether each canonical parameter phi_j is log theta_j (else theta_j)
+_CANONICAL = {"poisson": (True,), "poisson-t": (True,),
+              "loglinear-t": (False, False), "gibbs": (True, True)}
+
+
+def _canonical(model: ParametricModel, terms: np.ndarray) -> np.ndarray:
+    """(m, p) rows X of the ``_papangelou_terms`` of m points, with log
+    lambda = X phi plus a theta-free offset, phi the ``_CANONICAL`` map of
+    theta: 1 for 'poisson' and 'poisson-t', (1, t) for 'loglinear-t' (t
+    the first column of the terms) and (1, neighbour count) for 'gibbs'."""
+    ones = np.ones((len(terms), 1))
+    if model.ground == "gibbs":
+        return np.column_stack([ones, terms])
+    if model.ground == "loglinear-t":
+        return np.column_stack([ones, terms[:, 0]])
+    return ones
 
 
 def _loglik_terms(model: ParametricModel, data: Sequence,
-                  schedule: SampleSchedule | None, quad_res: int) -> Callable:
+                  schedule: SampleSchedule | None, quad_res: int) -> tuple:
     """Build the theta-invariant terms of the Poisson log-likelihood and the
     log pseudo-likelihood once; returns ``evaluate(m)``, sum log lambda(x_i)
     + the log mark and aux factors - the ``_compensator`` integral, at
     ``m.theta`` for a model of the same family, window, spatial density and
-    ranges as ``model``.  lambda is the ground Papangelou intensity of each
-    data point given the others (a Poisson family's intensity); a vanishing
-    or non-finite lambda or factor raises NumericalError."""
+    ranges as ``model``; and the design (stat, weights, rows) with which
+    that value is const + stat . phi - sum_k weights_k exp(rows_k . phi) in
+    the canonical parameters phi: stat sums the ``_canonical`` rows of the
+    data, and weights and rows are those of the ``_compensator``.
+    lambda is the ground Papangelou intensity of each data point given the
+    others (a Poisson family's intensity).  A vanishing or non-finite mark
+    or aux factor, which no theta changes, raises NumericalError here, and
+    a vanishing or non-finite lambda raises it in ``evaluate``."""
     ev = _events(model.window, data, schedule)
     pts = ev[0]
     with np.errstate(divide="ignore"):
         log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
+    if not math.isfinite(log_fac):
+        raise NumericalError("data point with a vanishing or non-finite "
+                             "mark or aux factor")
     at_data = _papangelou_terms(model, pts, pts, np.arange(len(pts)))
-    integral = _compensator(model, pts, quad_res)
+    integral, weights, rows = _compensator(model, pts, quad_res)
+    design = _canonical(model, at_data).sum(axis=0), weights, rows
 
     def evaluate(m: ParametricModel) -> float:
         lam = _ground_papangelou(m, at_data)
-        if not (math.isfinite(log_fac) and np.all(np.isfinite(lam) & (lam > 0.0))):
+        if not np.all(np.isfinite(lam) & (lam > 0.0)):
             raise NumericalError("data point with vanishing intensity")
         return float(np.sum(np.log(lam))) + log_fac - integral(m)
 
-    return evaluate
+    return evaluate, design
 
 
 def _temporal(model: ParametricModel) -> ParametricModel:
@@ -370,7 +407,7 @@ def loglik_temporal(model: ParametricModel, data: Sequence,
     the midpoint mass of the spatial density (``quad_res`` nodes per axis),
     so the value equals the log Janossy density and log pseudo-likelihood.
     """
-    return _loglik_terms(_temporal(model), data, schedule, quad_res)(model)
+    return _loglik_terms(_temporal(model), data, schedule, quad_res)[0](model)
 
 
 def _janossy_terms(model: ParametricModel, data: Sequence,
@@ -380,7 +417,7 @@ def _janossy_terms(model: ParametricModel, data: Sequence,
     ``model``: the ``_loglik_terms`` of a Poisson family, and log beta^n
     gamma^pairs plus the log factors for the pairwise model."""
     if model.ground != "gibbs":
-        return _loglik_terms(model, data, schedule, quad_res)
+        return _loglik_terms(model, data, schedule, quad_res)[0]
     ev = _events(model.window, data, schedule)
     g = ev[0]
     with np.errstate(divide="ignore"):
@@ -406,9 +443,8 @@ def janossy_density(model: ParametricModel, data: Sequence,
     vanishes or is not finite; the pairwise model returns the unnormalized
     beta^n gamma^(pairs) times the factors with ``normalized=False``.
     """
-    evaluate = _janossy_terms(model, data, schedule, quad_res)
     try:
-        log_val = evaluate(model)
+        log_val = _janossy_terms(model, data, schedule, quad_res)(model)
     except NumericalError:
         log_val = -math.inf
     return JanossyValue(_exp_sum(log_val), model.ground != "gibbs", log_val)
@@ -555,7 +591,7 @@ def pseudolikelihood(model: ParametricModel, data: Sequence,
     rule (``quad_res`` midpoint nodes per ground axis for 'gibbs'); for a
     Poisson family it is the log-likelihood.
     """
-    return _loglik_terms(model, data, schedule, quad_res)(model)
+    return _loglik_terms(model, data, schedule, quad_res)[0](model)
 
 
 # ---------------------------------------------------------------------------
@@ -569,53 +605,73 @@ def optimize(objective: Callable, theta0, bounds=None, budget: int = 500,
                      converged, scheme)
 
 
-def _maximize(model: ParametricModel, evaluate: Callable, theta0, budget: int,
-              scheme: str) -> FitResult:
-    """Maximize ``evaluate(model.with_theta(theta))`` within the model's
-    bounds; a NumericalError scores the 1e12 penalty, and ``objective`` is
-    the maximized value."""
-    theta0 = model.theta if theta0 is None else theta0
-
-    def objective(theta):
-        try:
-            return -evaluate(model.with_theta(theta))
-        except NumericalError:
-            return 1e12
-
-    res = optimize(objective, theta0, model.bounds or None, budget, scheme)
-    return replace(res, objective=-res.objective)
+def _fit_newton(model: ParametricModel, terms: tuple, theta0, budget: int,
+                scheme: str) -> FitResult:
+    """Maximize the likelihood whose ``_loglik_terms`` are ``terms`` by
+    ``poisson_newton`` in the canonical parameters phi, from theta0
+    (``model.theta`` if None) clipped into the box: the model's bounds
+    within the family's domain (rates >= 0, beta at least the smallest
+    normal double, gamma at most 1), mapped to phi.  A parameter that did
+    not move is returned as its start and one on a bound as that bound;
+    ``objective`` is ``evaluate`` at theta-hat and ``iterations`` counts
+    the Newton evaluations."""
+    evaluate, (stat, weights, rows) = terms
+    log = np.array(_CANONICAL[model.ground])
+    lo, hi = np.array(model.bounds or [(-np.inf, np.inf)] * log.size, dtype=float).T
+    lo = np.where(log, np.maximum(lo, 0.0), lo)
+    if model.ground == "gibbs":
+        lo[0] = max(lo[0], np.finfo(float).tiny)
+        hi[1] = min(hi[1], 1.0)
+    start = np.atleast_1d(np.asarray(model.theta if theta0 is None else theta0,
+                                     dtype=float))
+    if start.shape != log.shape:
+        raise ValidationError(f"theta0 must hold {log.size} parameters")
+    start = np.clip(start, lo, hi)
+    phi_lo, phi_hi, phi0 = lo.copy(), hi.copy(), start.copy()
+    with np.errstate(divide="ignore"):
+        for v in (phi_lo, phi_hi, phi0):
+            v[log] = np.log(v[log])
+    phi, evals, converged = poisson_newton(stat, weights, rows, phi0,
+                                           list(zip(phi_lo, phi_hi)), budget)
+    theta = np.clip(np.where(log, np.exp(phi), phi), lo, hi)
+    theta = np.where(phi == phi0, start, theta)
+    theta = np.where(phi <= phi_lo, lo, np.where(phi >= phi_hi, hi, theta))
+    theta = tuple(float(v) for v in theta)
+    return FitResult(theta, evaluate(model.with_theta(theta)), evals, converged,
+                     scheme)
 
 
 def fit_loglik_temporal(model: ParametricModel, data: Sequence,
                         schedule: SampleSchedule | None = None,
                         theta0=None, budget: int = 500,
                         quad_res: int = 64) -> FitResult:
-    """Maximum likelihood for temporally grounded models; ``objective`` is
-    the maximized log-likelihood."""
-    return _maximize(model, _loglik_terms(_temporal(model), data, schedule, quad_res),
-                     theta0, budget, "mle-temporal")
+    """Maximum likelihood for temporally grounded models (``_fit_newton``);
+    ``objective`` is the maximized log-likelihood."""
+    return _fit_newton(model, _loglik_terms(_temporal(model), data, schedule, quad_res),
+                       theta0, budget, "mle-temporal")
 
 
 def fit_janossy(model: ParametricModel, data: Sequence, budget: int = 500) -> FitResult:
-    """Maximum Janossy likelihood from ``model.theta``; ``objective`` is the
-    maximized log J, and a vanishing intensity at a data point scores the
-    1e12 penalty, as in the other likelihood fits.  A 'gibbs' model is a
+    """Maximum Janossy likelihood from ``model.theta`` (``_fit_newton``, as
+    the other likelihood fits); ``objective`` is the maximized log J.  A
+    mark or aux factor that vanishes at a data point raises NumericalError,
+    and a rate of 0 is reached only as a bound.  A 'gibbs' model is a
     ValidationError: its Janossy density is unnormalised."""
     if model.ground == "gibbs":
         raise ValidationError("the Janossy likelihood of the 'gibbs' model is "
                               "unnormalised; fit it by pseudo-likelihood")
-    return _maximize(model, _janossy_terms(model, data, None, 64), None, budget,
-                     "mle-janossy")
+    return _fit_newton(model, _loglik_terms(model, data, None, 64), None, budget,
+                       "mle-janossy")
 
 
 def fit_pseudolikelihood(model: ParametricModel, data: Sequence,
                          schedule: SampleSchedule | None = None,
                          theta0=None, budget: int = 500,
                          quad_res: int = 64) -> FitResult:
-    """Maximum pseudo-likelihood (the only normalization-free Gibbs fit);
-    ``objective`` is the maximized log pseudo-likelihood."""
-    return _maximize(model, _loglik_terms(model, data, schedule, quad_res),
-                     theta0, budget, "pseudo")
+    """Maximum pseudo-likelihood (the only normalization-free Gibbs fit, by
+    ``_fit_newton``); ``objective`` is the maximized log pseudo-likelihood."""
+    return _fit_newton(model, _loglik_terms(model, data, schedule, quad_res),
+                       theta0, budget, "pseudo")
 
 
 def least_squares_marks(family: Callable, points, observed, schedule:

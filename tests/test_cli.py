@@ -857,7 +857,8 @@ class TestJanossyScheme:
             assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
         assert events.call_count == 1
         rep = json.loads((out / "fit.json").read_text())
-        assert rep["iterations"] > 10
+        # several objective evaluations, within the budget, share the one build
+        assert 1 < rep["iterations"] <= 600
         # the objective is the maximized log J, as for the other likelihoods
         c = read_configuration_files(out / "configuration_r000.json")
         model = infer.ParametricModel("poisson", rep["theta_hat"], c.window)
