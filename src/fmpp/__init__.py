@@ -17,9 +17,9 @@ array (event time last on a temporal window), one ``AuxTable`` of ``auxs``
 and returns one value per row; the per-point ``MarkedPoint`` views are
 built on demand for other callers, and no fmpp module reads them.
 
-Hot numeric kernels live in ``_kernels``, one NumPy/SciPy implementation
-each; the time-warp metric's dynamic program lives in ``_skorohod``, on
-NumPy arrays as well.
+Hot numeric kernels live in ``_kernels``, one NumPy implementation each;
+the time-warp metric's dynamic program lives in ``_skorohod``, on NumPy
+arrays as well.  SciPy is a test dependency only.
 """
 from .core import (
     AuxMark,

@@ -1,4 +1,4 @@
-"""Backend record: fmpp runs on NumPy/SciPy only and compiles nothing with numba.
+"""Backend record: fmpp runs on NumPy only and compiles nothing with numba.
 
 ``USING_NUMBA`` is kept for tools that record the active backend.
 """

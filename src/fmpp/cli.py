@@ -244,8 +244,9 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
             b = float(_number(gspec, "b", "model.ground"))
             # NaN in a reaches the bound, which rejects it
             lam_max = float(np.exp(np.maximum(a, a + b * window.t_star))) / window.volume
-            tmodel = ground.InhomogeneousPoisson(
-                lambda g: np.exp(a + b * g[:, -1]) / window.volume, lam_max)
+            tmodel = ground.InhomogeneousPoisson(partial(
+                infer.ground_intensity,
+                infer.ParametricModel("loglinear-t", (a, b), window)), lam_max)
         locs = ground.simulate_poisson(tmodel, window, seed)
     else:
         raise ValidationError(f"unknown ground family '{family}' in model.ground")

@@ -677,6 +677,8 @@ class SampleSchedule:
         times = tuple(float(s) for s in self.times)
         if len(times) == 0:
             raise ValidationError("sample schedule must be non-empty")
+        if not all(math.isfinite(s) for s in times):
+            raise ValidationError("sample times must be finite")
         if any(s < 0 for s in times):
             raise ValidationError("sample times must be nonnegative")
         if any(b <= a for a, b in zip(times, times[1:])):

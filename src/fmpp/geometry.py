@@ -80,14 +80,16 @@ def expected_coverage(count_dist, second_moment, w: Window,
     kind = count_dist[0]
     if kind == "poisson":
         nu, n_max = float(count_dist[1]), int(count_dist[2])
+        if not (math.isfinite(nu) and nu >= 0.0):
+            raise ValidationError("Poisson count mean must be finite and nonnegative")
         probs = np.array([math.exp(-nu + n * math.log(nu) - math.lgamma(n + 1))
                           if nu > 0 else (1.0 if n == 0 else 0.0)
                           for n in range(n_max + 1)])
         tail = nu - float(np.sum(np.arange(n_max + 1) * probs))
     elif kind == "pmf":
         probs = np.asarray(count_dist[1], dtype=float)
-        if probs.min() < 0:
-            raise ValidationError("count probabilities must be nonnegative")
+        if not np.all(np.isfinite(probs) & (probs >= 0.0)):
+            raise ValidationError("count probabilities must be finite and nonnegative")
         tail = 1.0 - float(np.sum(probs))
     else:
         raise ValidationError(f"unknown count distribution {kind!r}")

@@ -7,18 +7,16 @@ conditional intensities, and four fitting routes: temporal maximum
 likelihood, finite-sample (Janossy) likelihood, maximum pseudo-likelihood,
 and least squares on sampled mark trajectories.  Each takes its points as
 columns (a ``Configuration``, a list of ``Observation`` or an (n, D) ground
-array).  The ground Papangelou intensity is one theta-invariant build, the
-neighbour counts without each query's own row, and one evaluation, shared
-by ``papangelou``, the likelihoods and the pairwise Janossy density;
-``ground.PairwiseGibbs`` checks the pairwise model's parameters and
-``_kernels._in_range`` is its neighbourhood.  The likelihoods are one
-builder, sum log lambda - integral of lambda with one compensator rule.
-Every family's log lambda is linear in a canonical parameter phi (log theta
-for 'poisson' and 'poisson-t', (a, b) for 'loglinear-t', (log beta, log
-gamma) for 'gibbs'), so the builder also gives the theta-free design of
-that concave objective, and the likelihood fits maximize it by projected
-Newton in phi; least squares minimizes its residual vector by projected
-Levenberg-Marquardt.
+array).  Every ground family's Papangelou intensity is log-linear (Berman
+and Turner's form), log lambda = log s + X phi in the canonical parameters
+phi of ``_CANONICAL``: ``_design`` builds the theta-free s and X once (for
+'gibbs' the neighbour counts without each query's own row) and
+``_intensity`` evaluates them, for ``ground_intensity``, ``papangelou``,
+the compensator, the likelihoods, the pairwise Janossy density and the
+CLI's log-linear simulator.  The likelihoods are one builder, sum log
+lambda - integral of lambda with one midpoint compensator, concave in phi,
+which the likelihood fits maximize by projected Newton; least squares
+minimizes its residual vector by projected Levenberg-Marquardt.
 
 Ground families are deliberately closed: homogeneous rates, a log-linear
 temporal rate exp(a + b t) (self-exciting families are out of scope), and
@@ -73,7 +71,10 @@ __all__ = [
     "fit_pseudolikelihood",
 ]
 
-GROUND_FAMILIES = ("poisson", "poisson-t", "loglinear-t", "gibbs")
+# the ground families and, per family, whether each canonical parameter phi_j
+# is log theta_j (else theta_j)
+_CANONICAL = {"poisson": (True,), "poisson-t": (True,),
+              "loglinear-t": (False, False), "gibbs": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,14 @@ class ParametricModel:
     temporal_range: float | None = None
 
     def __post_init__(self):
-        if self.ground not in GROUND_FAMILIES:
+        if self.ground not in _CANONICAL:
             raise ValidationError(f"unknown ground family {self.ground!r}")
         theta = tuple(float(v) for v in self.theta)
         object.__setattr__(self, "theta", theta)
+        if len(theta) != len(_CANONICAL[self.ground]):
+            raise ValidationError(f"ground family {self.ground!r} takes "
+                                  f"{len(_CANONICAL[self.ground])} parameters, "
+                                  f"not {len(theta)}")
         bounds = tuple((float(a), float(b)) for a, b in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         if bounds:
@@ -125,6 +130,11 @@ class ParametricModel:
             _kernel_time_range(self.temporal_range, self.window)
         if self.spatial[0] not in ("uniform", "loglinear-x"):
             raise ValidationError(f"unknown spatial density family {self.spatial[0]!r}")
+        if self.spatial[0] == "loglinear-x" and not (
+                len(self.spatial) == 1 + self.window.dim
+                and np.all(np.isfinite(np.asarray(self.spatial[1:], dtype=float)))):
+            raise ValidationError(f"'loglinear-x' needs {self.window.dim} finite "
+                                  "coefficients, one per spatial axis")
 
     def with_theta(self, theta) -> "ParametricModel":
         return replace(self, theta=tuple(float(v) for v in theta))
@@ -191,28 +201,48 @@ def _spatial_density(model: ParametricModel, x) -> np.ndarray:
     return np.exp(x @ coeffs) / z
 
 
-def temporal_rate(model: ParametricModel, t) -> np.ndarray:
-    """Temporal ground conditional intensity of the supported families at
-    (m,) times; returns (m,)."""
-    t = np.asarray(t, dtype=float)
-    if model.ground == "poisson-t":
-        return np.full(t.shape, float(model.theta[0]))
+def _design(model: ParametricModel, queries, pts, own) -> tuple:
+    """The theta-free design of the ground Papangelou intensity at the (m, D)
+    queries, query j given the (n, D) pattern ``pts`` without row own[j]
+    (own may be None; only 'gibbs' reads the pattern): the scale s (m,) and
+    rows X (m, p) with log lambda = log s + X phi, phi the ``_CANONICAL``
+    map of theta.  s is the spatial density for the temporal families and 1
+    otherwise; X is 1 for 'poisson' and 'poisson-t', (1, t) for
+    'loglinear-t' and (1, neighbour count) for 'gibbs'."""
+    w, m = model.window, len(queries)
+    x = np.ones((m, len(_CANONICAL[model.ground])))
     if model.ground == "loglinear-t":
-        a, b = model.theta[0], model.theta[1]
-        return np.exp(a + b * t)
-    raise ValidationError("model has no temporal ground rate")
+        x[:, 1] = queries[:, -1]
+    elif model.ground == "gibbs":
+        x[:, 1] = _kernels.neighbour_counts(
+            queries, pts, w.sides.astype(float), w.torus,
+            float(model.interaction_range),
+            _kernel_time_range(model.temporal_range, w), w.dim, own)
+    if model.ground in ("poisson-t", "loglinear-t"):
+        return _spatial_density(model, queries[:, : w.dim]), x
+    return np.ones(m), x
+
+
+def _intensity(m: ParametricModel, design: tuple) -> np.ndarray:
+    """(m,) ground Papangelou intensity at ``m.theta`` of a ``_design``
+    (s, X): s times theta_j^X_j over the log-canonical j times exp(sum of
+    theta_j X_j) over the others, exp(log s + X phi) without the rounding
+    of exp(log theta)."""
+    lam, lin = design[0], None
+    for theta_j, log_j, x_j in zip(m.theta, _CANONICAL[m.ground], design[1].T):
+        if log_j:
+            lam = lam * np.power(theta_j, x_j)
+        else:
+            lin = theta_j * x_j if lin is None else lin + theta_j * x_j
+    return lam if lin is None else lam * np.exp(lin)
 
 
 def ground_intensity(model: ParametricModel, g) -> np.ndarray:
     """First-order ground intensity at (m, D) ground locations, each row x
     or (x, t); returns (m,)."""
-    g = np.asarray(g, dtype=float)
-    if model.ground == "poisson":
-        return np.full(g.shape[0], float(model.theta[0]))
-    if model.ground in ("poisson-t", "loglinear-t"):
-        return (temporal_rate(model, g[:, -1])
-                * _spatial_density(model, g[:, : model.window.dim]))
-    raise ValidationError("ground intensity has no closed form for this family")
+    if model.ground == "gibbs":
+        raise ValidationError("ground intensity has no closed form for this family")
+    return _intensity(model, _design(model, np.asarray(g, dtype=float), None, None))
 
 
 def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
@@ -220,7 +250,7 @@ def ground_intensity_mass(model: ParametricModel, quad_res: int = 64) -> float:
     ``_compensator`` (midpoint rule with ``quad_res`` nodes per axis)."""
     if model.ground == "gibbs":
         raise ValidationError("intensity mass undefined for this family")
-    return _compensator(model, None, quad_res)[0](model)
+    return _integral(model, _compensator(model, None, quad_res))
 
 
 def _events(w: Window, data, schedule: SampleSchedule | None) -> tuple:
@@ -313,48 +343,33 @@ def conditional_intensity(model: ParametricModel, history, data,
 # likelihoods
 # ---------------------------------------------------------------------------
 def _compensator(model: ParametricModel, pts, quad_res: int) -> tuple:
-    """Build the window integral of the ground Papangelou intensity once;
-    returns ``integral(m)`` at ``m.theta`` for a model like ``model``:
-    theta |W| for 'poisson', the midpoint sum over ``quad_res`` times of
-    the temporal rate times the midpoint mass of the spatial density for
-    the temporal families, and for 'gibbs' the midpoint sum (``quad_res``
-    nodes per ground axis) given the (n, D) pattern ``pts``; and the (q,)
-    weights and (q, p) ``_canonical`` rows Z of its nodes, the integral
-    being sum_k weights_k exp(Z_k . phi)."""
+    """The midpoint rule for the window integral of the ground Papangelou
+    intensity given the (n, D) pattern ``pts``: the ``_design`` of its nodes,
+    their cell and the spatial mass each node carries, the integral being
+    the sum of the nodes' intensities times the cell times that mass.
+    'poisson' has one node, the whole window; 'gibbs' ``quad_res`` nodes per
+    ground axis, of mass 1; the temporal families ``quad_res`` times, each
+    carrying the midpoint mass of the spatial density (``quad_res`` nodes
+    per axis) with scale 1."""
     w = model.window
     if model.ground == "poisson":
-        return (lambda m: float(m.theta[0]) * w.ground_volume,
-                np.array([w.ground_volume]), np.ones((1, 1)))
+        return _design(model, np.zeros((1, 0)), None, None), w.ground_volume, 1.0
     if model.ground == "gibbs":
         nodes, cell = midpoint_rule(w.ground_bounds, quad_res)
-        at_nodes = _papangelou_terms(model, nodes, pts, None)
-        return (lambda m: float(np.sum(_ground_papangelou(m, at_nodes)) * cell),
-                np.full(len(nodes), cell), _canonical(model, at_nodes))
+        return _design(model, nodes, pts, None), cell, 1.0
     x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), quad_res)
     spatial_mass = float(np.sum(_spatial_density(model, x_nodes)) * x_cell)
     t_nodes, dt = midpoint_rule([(0.0, w.t_star)], quad_res)
-    # each time node carries the window's whole spatial mass
-    return (lambda m: float(np.sum(temporal_rate(m, t_nodes[:, 0])) * dt
-                            * spatial_mass),
-            np.full(quad_res, dt * spatial_mass), _canonical(model, t_nodes))
+    # the rows read the time alone; each node's spatial mass replaces its scale
+    rows = _design(model, np.column_stack([np.zeros((quad_res, w.dim)), t_nodes]),
+                   None, None)[1]
+    return (np.ones(quad_res), rows), dt, spatial_mass
 
 
-# per family, whether each canonical parameter phi_j is log theta_j (else theta_j)
-_CANONICAL = {"poisson": (True,), "poisson-t": (True,),
-              "loglinear-t": (False, False), "gibbs": (True, True)}
-
-
-def _canonical(model: ParametricModel, terms: np.ndarray) -> np.ndarray:
-    """(m, p) rows X of the ``_papangelou_terms`` of m points, with log
-    lambda = X phi plus a theta-free offset, phi the ``_CANONICAL`` map of
-    theta: 1 for 'poisson' and 'poisson-t', (1, t) for 'loglinear-t' (t
-    the first column of the terms) and (1, neighbour count) for 'gibbs'."""
-    ones = np.ones((len(terms), 1))
-    if model.ground == "gibbs":
-        return np.column_stack([ones, terms])
-    if model.ground == "loglinear-t":
-        return np.column_stack([ones, terms[:, 0]])
-    return ones
+def _integral(m: ParametricModel, compensator: tuple) -> float:
+    """The ``_compensator`` integral at ``m.theta``."""
+    design, cell, mass = compensator
+    return float(np.sum(_intensity(m, design)) * cell * mass)
 
 
 def _loglik_terms(model: ParametricModel, data: Sequence,
@@ -365,8 +380,8 @@ def _loglik_terms(model: ParametricModel, data: Sequence,
     ``m.theta`` for a model of the same family, window, spatial density and
     ranges as ``model``; and the design (stat, weights, rows) with which
     that value is const + stat . phi - sum_k weights_k exp(rows_k . phi) in
-    the canonical parameters phi: stat sums the ``_canonical`` rows of the
-    data, and weights and rows are those of the ``_compensator``.
+    the canonical parameters phi: stat sums the ``_design`` rows of the
+    data, and weights and rows are those of the ``_compensator`` nodes.
     lambda is the ground Papangelou intensity of each data point given the
     others (a Poisson family's intensity).  A vanishing or non-finite mark
     or aux factor, which no theta changes, raises NumericalError here, and
@@ -378,15 +393,16 @@ def _loglik_terms(model: ParametricModel, data: Sequence,
     if not math.isfinite(log_fac):
         raise NumericalError("data point with a vanishing or non-finite "
                              "mark or aux factor")
-    at_data = _papangelou_terms(model, pts, pts, np.arange(len(pts)))
-    integral, weights, rows = _compensator(model, pts, quad_res)
-    design = _canonical(model, at_data).sum(axis=0), weights, rows
+    at_data = _design(model, pts, pts, np.arange(len(pts)))
+    comp = _compensator(model, pts, quad_res)
+    (scale, rows), cell, mass = comp
+    design = at_data[1].sum(axis=0), scale * (cell * mass), rows
 
     def evaluate(m: ParametricModel) -> float:
-        lam = _ground_papangelou(m, at_data)
+        lam = _intensity(m, at_data)
         if not np.all(np.isfinite(lam) & (lam > 0.0)):
             raise NumericalError("data point with vanishing intensity")
-        return float(np.sum(np.log(lam))) + log_fac - integral(m)
+        return float(np.sum(np.log(lam))) + log_fac - _integral(m, comp)
 
     return evaluate, design
 
@@ -410,29 +426,6 @@ def loglik_temporal(model: ParametricModel, data: Sequence,
     return _loglik_terms(_temporal(model), data, schedule, quad_res)[0](model)
 
 
-def _janossy_terms(model: ParametricModel, data: Sequence,
-                   schedule: SampleSchedule | None, quad_res: int) -> Callable:
-    """Build the theta-invariant terms of ``janossy_density`` once; returns
-    ``evaluate(m)``, the log density at ``m.theta`` for a model like
-    ``model``: the ``_loglik_terms`` of a Poisson family, and log beta^n
-    gamma^pairs plus the log factors for the pairwise model."""
-    if model.ground != "gibbs":
-        return _loglik_terms(model, data, schedule, quad_res)[0]
-    ev = _events(model.window, data, schedule)
-    g = ev[0]
-    with np.errstate(divide="ignore"):
-        log_fac = float(np.sum(_event_log_factors(model, ev, schedule)))
-    # each pair is a neighbour of both its points
-    pairs = int(np.sum(_papangelou_terms(model, g, g, np.arange(len(g))))) // 2
-
-    def evaluate(m: ParametricModel) -> float:
-        with np.errstate(divide="ignore"):
-            log_val = log_fac + g.shape[0] * math.log(m.theta[0])
-            return log_val + pairs * float(np.log(m.theta[1])) if pairs else log_val
-
-    return evaluate
-
-
 def janossy_density(model: ParametricModel, data: Sequence,
                     schedule: SampleSchedule | None = None,
                     quad_res: int = 64) -> JanossyValue:
@@ -443,11 +436,22 @@ def janossy_density(model: ParametricModel, data: Sequence,
     vanishes or is not finite; the pairwise model returns the unnormalized
     beta^n gamma^(pairs) times the factors with ``normalized=False``.
     """
-    try:
-        log_val = _janossy_terms(model, data, schedule, quad_res)(model)
-    except NumericalError:
-        log_val = -math.inf
-    return JanossyValue(_exp_sum(log_val), model.ground != "gibbs", log_val)
+    if model.ground != "gibbs":
+        try:
+            log_val = _loglik_terms(model, data, schedule, quad_res)[0](model)
+        except NumericalError:
+            log_val = -math.inf
+        return JanossyValue(_exp_sum(log_val), True, log_val)
+    ev = _events(model.window, data, schedule)
+    g = ev[0]
+    # each pair is a neighbour of both its points
+    pairs = int(np.sum(_design(model, g, g, np.arange(len(g)))[1][:, 1])) // 2
+    with np.errstate(divide="ignore"):
+        log_val = (float(np.sum(_event_log_factors(model, ev, schedule)))
+                   + len(g) * math.log(model.theta[0]))
+        if pairs:
+            log_val += pairs * float(np.log(model.theta[1]))
+    return JanossyValue(_exp_sum(log_val), False, log_val)
 
 
 def janossy_total_mass(model: ParametricModel, n_max: int = 30,
@@ -514,32 +518,6 @@ def density_wrt_poisson(model: ParametricModel, data: Sequence,
 # ---------------------------------------------------------------------------
 # Papangelou and pseudo-likelihood
 # ---------------------------------------------------------------------------
-def _papangelou_terms(model: ParametricModel, queries, pts, own) -> np.ndarray:
-    """The theta-invariant ground Papangelou terms of the (m, D) queries,
-    query j given the (n, D) pattern without row own[j] (own may be None):
-    the (m,) neighbour counts of the pairwise model, the (m, 2) times and
-    spatial densities of a temporal family, else the queries."""
-    w = model.window
-    if model.ground in ("poisson-t", "loglinear-t"):
-        return np.column_stack([queries[:, -1],
-                                _spatial_density(model, queries[:, : w.dim])])
-    if model.ground != "gibbs":
-        return queries
-    return _kernels.neighbour_counts(
-        queries, pts, w.sides.astype(float), w.torus,
-        float(model.interaction_range),
-        _kernel_time_range(model.temporal_range, w), w.dim, own)
-
-
-def _ground_papangelou(m: ParametricModel, terms: np.ndarray) -> np.ndarray:
-    """(m,) ground Papangelou intensity at ``m.theta`` of ``_papangelou_terms``."""
-    if m.ground == "gibbs":
-        return m.theta[0] * np.power(m.theta[1], terms)
-    if m.ground == "poisson":
-        return ground_intensity(m, terms)
-    return temporal_rate(m, terms[:, 0]) * terms[:, 1]
-
-
 def papangelou(model: ParametricModel, queries, pattern, own=None,
                schedule: SampleSchedule | None = None) -> np.ndarray:
     """Papangelou conditional intensity lambda(u_j; x minus row own[j]) at
@@ -556,7 +534,7 @@ def papangelou(model: ParametricModel, queries, pattern, own=None,
     if (own.shape != (m,) or own.dtype.kind not in "iu"
             or np.any((own < -1) | (own >= n))):
         raise ValidationError(f"own must be {m} integers in [-1, {n})")
-    lam = _ground_papangelou(model, _papangelou_terms(model, q, pts, own))
+    lam = _intensity(model, _design(model, q, pts, own))
     return np.where(_coincident(w, q, pts, own), 0.0,
                     _with_factors(model, ev, schedule, lam))
 

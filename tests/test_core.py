@@ -1697,3 +1697,12 @@ class TestSampleSchedule:
         s.validate_within(1.0)
         with pytest.raises(ValidationError):
             s.validate_within(0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_times_must_be_finite(self, bad):
+        # a NaN time passed the ordering checks and validate_within, which
+        # compare False both ways; an infinite one lies in no window
+        with pytest.raises(ValidationError, match="finite"):
+            SampleSchedule((0.1, bad))
+        with pytest.raises(ValidationError, match="finite"):
+            SampleSchedule((bad,))

@@ -120,6 +120,18 @@ class TestExpectedCoverage:
         with pytest.raises(ValidationError):
             expected_coverage(("poisson", 50.0, 10), 0.01, W)
 
+    @pytest.mark.parametrize("dist", [("poisson", -2.0, 10), ("poisson", math.nan, 10),
+                                      ("poisson", math.inf, 10),
+                                      ("pmf", [0.5, math.nan]), ("pmf", [0.5, math.inf]),
+                                      ("pmf", [1.5, -0.5])])
+    def test_bad_count_distribution_rejected(self, dist):
+        # a negative mean read as nu = 0 and gave 0.0; a NaN entry gave nan
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            expected_coverage(dist, 0.01, W)
+
+    def test_zero_mean_is_empty(self):
+        assert expected_coverage(("poisson", 0.0, 10), 0.01, W) == 0.0
+
     def test_per_index_moments(self):
         # P(N=2)=1 with distinct second moments
         val = expected_coverage(("pmf", [0.0, 0.0, 1.0]), [0.01, 0.04], W)

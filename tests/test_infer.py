@@ -13,10 +13,11 @@ import fmpp
 from fmpp import infer
 from fmpp._optim import gauss_newton, nelder_mead, poisson_newton
 from fmpp._kernels import neighbour_counts
-from fmpp.core import AuxMark, Configuration, SampleSchedule, Window, cylinder_contains
+from fmpp.core import (AuxMark, Configuration, SampleSchedule, Window,
+                       cylinder_contains, midpoint_rule)
 from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import (HomogeneousPoisson, InhomogeneousPoisson, PairwiseGibbs,
-                         simulate_gibbs, simulate_poisson)
+                         _kernel_time_range, simulate_gibbs, simulate_poisson)
 from fmpp.infer import (
     FitResult,
     Observation,
@@ -1139,6 +1140,211 @@ class TestOnePoissonLikelihood:
         assert -loglik_temporal(m, [], quad_res=16) == ground_intensity_mass(m, 16)
         flat = ParametricModel("poisson", (3.5,), w)
         assert -pseudolikelihood(flat, [], quad_res=4) == 3.5 * w.ground_volume
+
+
+# ---------------------------------------------------------------------------
+# the intensity of each ground family written out by hand, family by family,
+# on whole columns: an oracle, equal to the last bit, for the one log-linear
+# design (``infer._design`` and ``infer._intensity``) that every public
+# function reads
+# ---------------------------------------------------------------------------
+def _family_rate(m, t):
+    """Temporal rate of 'poisson-t' and 'loglinear-t' at (m,) times."""
+    if m.ground == "poisson-t":
+        return np.full(t.shape, m.theta[0])
+    return np.exp(m.theta[0] + m.theta[1] * t)
+
+
+def _family_counts(m, g, pts, own):
+    """Neighbour counts of the pairwise model at the (m, D) rows g."""
+    w = m.window
+    return neighbour_counts(g, pts, w.sides.astype(float), w.torus,
+                            float(m.interaction_range),
+                            _kernel_time_range(m.temporal_range, w), w.dim, own)
+
+
+def _family_intensity(m, g, pts=None, own=None):
+    """Ground Papangelou intensity at the (m, D) rows g, each given the
+    pattern pts without row own[j]."""
+    w = m.window
+    if m.ground == "gibbs":
+        return m.theta[0] * np.power(m.theta[1], _family_counts(m, g, pts, own))
+    if m.ground == "poisson":
+        return np.full(len(g), m.theta[0])
+    return _family_rate(m, g[:, -1]) * infer._spatial_density(m, g[:, : w.dim])
+
+
+def _family_mass(m, pts, q):
+    """Midpoint compensator: theta |W|, the nodes' sum times the cell for
+    'gibbs', and the time nodes' rate sum times dt times the spatial mass."""
+    w = m.window
+    if m.ground == "poisson":
+        return m.theta[0] * w.ground_volume
+    if m.ground == "gibbs":
+        nodes, cell = midpoint_rule(w.ground_bounds, q)
+        return float(np.sum(_family_intensity(m, nodes, pts)) * cell)
+    x_nodes, x_cell = midpoint_rule(list(zip(w.lo, w.hi)), q)
+    spatial_mass = float(np.sum(infer._spatial_density(m, x_nodes)) * x_cell)
+    t_nodes, dt = midpoint_rule([(0.0, w.t_star)], q)
+    return float(np.sum(_family_rate(m, t_nodes[:, 0])) * dt * spatial_mass)
+
+
+def _family_loglik(m, data, schedule, q):
+    """sum log lambda + the log factors - the compensator; None where lambda
+    vanishes at a data point."""
+    ev = infer._events(m.window, data, schedule)
+    g = ev[0]
+    log_fac = float(np.sum(infer._event_log_factors(m, ev, schedule)))
+    lam = _family_intensity(m, g, g, np.arange(len(g)))
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        return None
+    return float(np.sum(np.log(lam))) + log_fac - _family_mass(m, g, q)
+
+
+def _family_janossy(m, data, schedule, q):
+    """log Janossy density: the log-likelihood of a Poisson family, and
+    log beta^n gamma^pairs plus the log factors for 'gibbs'."""
+    if m.ground != "gibbs":
+        val = _family_loglik(m, data, schedule, q)
+        return -math.inf if val is None else val
+    ev = infer._events(m.window, data, schedule)
+    g = ev[0]
+    log_fac = float(np.sum(infer._event_log_factors(m, ev, schedule)))
+    pairs = int(np.sum(_family_counts(m, g, g, np.arange(len(g))))) // 2
+    with np.errstate(divide="ignore"):
+        log_val = log_fac + len(g) * math.log(m.theta[0])
+        return log_val + pairs * float(np.log(m.theta[1])) if pairs else log_val
+
+
+def _family_papangelou(m, queries, pattern, own, schedule):
+    ev = infer._events(m.window, queries, schedule)
+    q, pts = ev[0], infer._events(m.window, pattern, None)[0]
+    lam = _family_intensity(m, q, pts, own)
+    return np.where(infer._coincident(m.window, q, pts, own), 0.0,
+                    infer._with_factors(m, ev, schedule, lam))
+
+
+# windows whose volume is not 1; the temporal one's ground volume neither
+W_ODD = Window((0.0, -1.0), (3.0, 0.7))
+WT_ODD = Window((0.0, -1.0), (3.0, 0.7), t_star=2.5)
+TORUS_ODD = Window((0.0, 0.0), (1.3, 0.9), torus=True)
+# a 4 x 4 lattice of spacing 0.25 in W_ODD's first unit square: no pair within 0.2
+LATTICE = np.stack(np.meshgrid(np.linspace(0.2, 0.95, 4), np.linspace(-0.9, -0.15, 4)),
+                   -1).reshape(-1, 2)
+FAMILY_CASES = {
+    "poisson": ParametricModel("poisson", (7.5,), W_ODD, **MARKED),
+    "poisson-space-time": ParametricModel("poisson", (3.3,), WT_ODD),
+    "poisson-t": ParametricModel("poisson-t", (11.0,), WT_ODD, **MARKED),
+    "poisson-t-loglinear-x": ParametricModel("poisson-t", (11.0,), WT_ODD,
+                                             spatial=("loglinear-x", 0.7, -1.9)),
+    "loglinear-t": ParametricModel("loglinear-t", (1.7, -0.45), WT_ODD, **MARKED),
+    "loglinear-t-loglinear-x": ParametricModel(
+        "loglinear-t", (0.3, 0.9), WT_ODD, spatial=("loglinear-x", -0.4, 1.3), **MARKED),
+    "gibbs-box": ParametricModel("gibbs", (60.0, 0.35), W_ODD, interaction_range=0.2,
+                                 **MARKED),
+    "gibbs-gamma-0": ParametricModel("gibbs", (60.0, 0.0), W_ODD, interaction_range=0.2),
+    "gibbs-gamma-1": ParametricModel("gibbs", (60.0, 1.0), W_ODD, interaction_range=0.2),
+    "gibbs-torus": ParametricModel("gibbs", (90.0, 0.55), TORUS_ODD,
+                                   interaction_range=0.15, **MARKED),
+    "gibbs-space-time": ParametricModel("gibbs", (12.0, 0.6), WT_ODD,
+                                        interaction_range=0.4, temporal_range=0.7,
+                                        **MARKED),
+}
+
+
+def _family_data(name, n=30):
+    m = FAMILY_CASES[name]
+    data = _marked_data(np.random.default_rng(list(FAMILY_CASES).index(name)), n,
+                        m.window)
+    if m.fidi is None:
+        data = [Observation(o.x, o.t) for o in data]
+    return m, data
+
+
+class TestOneDesignMatchesEachFamily:
+    # every value, compared with ==, is the family's own formula to the bit
+    @pytest.mark.parametrize("name", list(FAMILY_CASES))
+    def test_papangelou(self, name):
+        m, pattern = _family_data(name)
+        queries = pattern[:8] + _marked_data(np.random.default_rng(100), 10, m.window)
+        if m.fidi is None:
+            queries = [Observation(o.x, o.t) for o in queries]
+        own = np.r_[np.arange(8)[::-1], np.full(10, -1)]
+        got = papangelou(m, queries, pattern, own, SCHED2)
+        want = _family_papangelou(m, queries, pattern, own, SCHED2)
+        assert np.array_equal(got, want)
+        assert np.all(got[-10:] > 0.0) or m.theta[-1] == 0.0
+
+    @pytest.mark.parametrize("name", [k for k in FAMILY_CASES if "gibbs" not in k])
+    @pytest.mark.parametrize("q", [5, 64])
+    def test_ground_intensity_and_its_mass(self, name, q):
+        m, data = _family_data(name)
+        g = infer._events(m.window, data, SCHED2)[0]
+        assert np.array_equal(infer.ground_intensity(m, g), _family_intensity(m, g))
+        assert ground_intensity_mass(m, q) == _family_mass(m, None, q)
+
+    @pytest.mark.parametrize("name", list(FAMILY_CASES))
+    def test_likelihoods(self, name):
+        m, data = _family_data(name)
+        q = 64 if m.ground != "gibbs" else 12
+        want = _family_loglik(m, data, SCHED2, q)
+        for public in ([pseudolikelihood] + [loglik_temporal] * (m.ground in (
+                "poisson-t", "loglinear-t"))):
+            if want is None:
+                with pytest.raises(NumericalError, match="vanishing intensity"):
+                    public(m, data, SCHED2, quad_res=q)
+            else:
+                assert public(m, data, SCHED2, quad_res=q) == want
+        assert (janossy_density(m, data, SCHED2, quad_res=q).log_value
+                == _family_janossy(m, data, SCHED2, q))
+
+    def test_gamma_zero_without_pairs_is_finite(self):
+        # no data pair is within range, so the data's intensities are all
+        # beta, and only the compensator nodes near a point vanish
+        m = FAMILY_CASES["gibbs-gamma-0"]
+        want = _family_loglik(m, LATTICE, None, 12)
+        assert math.isfinite(want)
+        assert pseudolikelihood(m, LATTICE, quad_res=12) == want
+        assert janossy_density(m, LATTICE).log_value == _family_janossy(m, LATTICE, None, 64)
+        assert janossy_density(m, LATTICE).log_value == len(LATTICE) * math.log(60.0)
+
+    @pytest.mark.parametrize("a, b", [(4.0, 0.5), (3.0, -0.7), (-1.0, 2.2)])
+    def test_loglinear_simulator_draws_the_same_points(self, a, b):
+        # the CLI's log-linear simulator thins by infer.ground_intensity; the
+        # family's formula exp(a + b t) / |W| gives the same points
+        from fmpp import cli
+        lam_max = float(np.exp(max(a, a + b * WT_ODD.t_star))) / WT_ODD.volume
+        by_hand = InhomogeneousPoisson(
+            lambda g: np.exp(a + b * g[:, -1]) / WT_ODD.volume, lam_max)
+        cfg = {"model": {"ground": {"family": "loglinear-t", "a": a, "b": b},
+                         "mark_grid": {"dt": 0.5}}}
+        total = 0
+        for seed in range(1, 7):
+            got = cli._simulate_one(cfg, WT_ODD, seed).ground
+            want = simulate_poisson(by_hand, WT_ODD, seed)
+            assert np.array_equal(got, want)
+            total += len(got)
+        assert total > 100
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("ground, theta", [
+        ("poisson", ()), ("poisson", (1.0, 2.0)), ("poisson-t", (1.0, 2.0)),
+        ("loglinear-t", (1.0,)), ("loglinear-t", (1.0, 2.0, 3.0)), ("gibbs", (1.0,)),
+        ("gibbs", (50.0, 0.5, 0.1))])
+    def test_theta_holds_the_family_s_parameters(self, ground, theta):
+        # a short 'gibbs' theta raised IndexError; the others were accepted
+        with pytest.raises(ValidationError, match="parameters"):
+            ParametricModel(ground, theta, WT_ODD, interaction_range=0.1)
+
+    @pytest.mark.parametrize("spatial", [
+        ("loglinear-x", 1.0), ("loglinear-x",), ("loglinear-x", 1.0, 2.0, 3.0),
+        ("loglinear-x", 1.0, math.nan), ("loglinear-x", math.inf, 0.0)])
+    def test_loglinear_x_has_a_finite_coefficient_per_axis(self, spatial):
+        # one coefficient on a 2-d window failed later, in a matrix product
+        with pytest.raises(ValidationError, match="one per spatial axis"):
+            ParametricModel("poisson-t", (1.0,), WT_ODD, spatial=spatial)
+        ParametricModel("poisson-t", (1.0,), WT_ODD, spatial=("loglinear-x", 1.0, 2.0))
 
 
 def _oracle_fit(public, model, data, **kw):
