@@ -6,8 +6,8 @@ growth functions, kernels, variogram families) are strings resolved at load
 time.  Outputs are CSV (comma separator, '.' decimal, '#' metadata lines
 above the header) and JSON; replicate r uses seed + r, so reruns with the
 same config and seed are byte-identical apart from the manifest timestamp.
-``simulate`` also writes each replicate's ``.npz`` cache, which the later
-stages read in place of its JSON while the two match.
+``simulate`` also writes each replicate's ``.cols`` column cache, which the
+later stages read in place of its JSON while the two match.
 
 Exit codes: 0 success/converged, 1 validation error, 2 runtime or numerical
 error, 3 non-convergence.
@@ -290,7 +290,7 @@ def run_simulate(cfg: dict, out: Path, seed: int, replicates: int) -> int:
         cpath = out / f"marks_r{r:03d}.csv"
         write_configuration_files(c, jpath, cpath,
                                   {"seed": seed + r, "replicate": r})
-        # the manifest lists the exports, not the .npz cache of the JSON
+        # the manifest lists the exports, not the .cols cache of the JSON
         files += [jpath.name, cpath.name]
         print(f"replicate {r}: {len(c)} points -> {jpath.name}")
     manifest = {
@@ -315,7 +315,7 @@ _REPLICATE_FILE = re.compile(r"configuration_r(\d+)\.json")
 def _load_replicates(section: dict, out: Path, only: int | None = None) -> list:
     """The configurations ``simulate`` wrote to ``section["input"]``
     (default ``out``), in the order of their replicate numbers, each read
-    from its ``.npz`` cache while that matches its JSON; with ``only``, just
+    from its ``.cols`` cache while that matches its JSON; with ``only``, just
     the one at that position."""
     indir = Path(section.get("input", out))
     numbered = sorted((int(m.group(1)), p.name, p)

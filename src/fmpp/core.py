@@ -18,12 +18,12 @@ demand, and ``at`` evaluates every mark with one ``searchsorted``.
 several grids become one table on the merged grid: a step path keeps its
 values, a linear path is interpolated at the new times, entries outside a
 support are 0, and a linear path those rules would change raises.  The JSON
-and CSV writers format each float once for both files, and
-``configuration_from_json`` is the one JSON reader.
-``write_configuration_files`` also writes a binary ``.npz`` cache of the
-columns beside the JSON, bound to the JSON bytes by their SHA-256, and
-``read_configuration_files`` builds from the cache while it matches the
-JSON and reads the JSON otherwise.
+and CSV writers format each float once for both files, a column of a
+block of rows at a time, and ``configuration_from_json`` is the one JSON
+reader.  ``write_configuration_files`` also writes a flat binary ``.cols``
+cache of the columns beside the JSON, bound to the JSON bytes by their
+SHA-256, and ``read_configuration_files`` builds from the cache while it
+matches the JSON and reads the JSON otherwise.
 
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 import os
-import zipfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -873,6 +872,8 @@ def skorohod_distance(f: CadlagPath, g: CadlagPath, warp_grid_resolution: int = 
 # ---------------------------------------------------------------------------
 # json.dumps spells the floats whose repr is nan, inf or -inf this way
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# and the export writes an unbounded support end as null
+_JSON_END = {**_JSON_NONFINITE, "inf": "null", "-inf": "null"}
 
 
 def _json_float(text: str) -> str:
@@ -880,54 +881,93 @@ def _json_float(text: str) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _point_texts(c: Configuration, want_json=True, want_csv=True):
-    """Per point, its JSON object text and its marks-CSV block, each None
-    when not wanted.
+# Row blocks of at most this many mark values are formatted at once, so the
+# value texts of one block, not of the whole table, are held at a time
+_TEXT_BLOCK_VALUES = 1 << 14
 
-    Every float is formatted once with ``repr`` and both texts are built
-    from those strings: a mark's values as the repr of their list, which is
-    the JSON array itself and splits into the CSV value column, and the
-    table's one grid once for every point.
+
+def _reprs(a: np.ndarray) -> list:
+    """The repr of every float of the 1-d array ``a``."""
+    return list(map(repr, a.tolist()))
+
+
+def _json_reprs(a: np.ndarray, texts: list, spelling=_JSON_NONFINITE) -> list:
+    """The ``_reprs`` texts of ``a``, the non-finite ones as ``spelling``
+    has them, by default as json.dumps spells them."""
+    return (texts if np.all(np.isfinite(a))
+            else [spelling.get(t, t) for t in texts])
+
+
+def _aux_texts(discrete: np.ndarray, continuous: np.ndarray) -> tuple:
+    """Per aux row, its type text ("" for none) and its list of continuous
+    value texts without the NaN padding."""
+    kinds = [str(k) if k else "" for k in discrete.tolist()]
+    present = ~np.isnan(continuous)
+    flat = _reprs(continuous[present])
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    conts = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    return kinds, conts
+
+
+def _point_texts(c: Configuration, want_json=True, want_csv=True):
+    """Per block of rows, the list of the points' JSON object texts and an
+    iterator over their marks-CSV blocks, each None when not wanted.
+
+    Every float is formatted once with ``repr``, a column of a block at a
+    time, and both texts are assembled from those strings: a mark's values
+    as the repr of their list, which is the JSON array itself and splits
+    into the CSV value column, and the table's one grid once for every
+    point.
     """
     d, temporal = c.window.dim, c.window.is_temporal
-    table = c.marks
-    times = list(map(repr, table.grid.tolist()))
+    table, n = c.marks, len(c)
+    times = _reprs(table.grid)
     grid_js = "[" + ", ".join(map(_json_float, times)) + "]"
     grid_csv = [s + "," for s in times]
     tail_js = (', "mode": ' + json.dumps(table.mode) + ', "t_star": '
                + ("null" if table.t_star is None
                   else _json_float(repr(table.t_star))) + "}}")
-    for i, (g, kind, aux, row, a, b) in enumerate(zip(
-            c.ground.tolist(), c.auxs.discrete.tolist(),
-            c.auxs.continuous.tolist(), table.values, table.starts.tolist(),
-            table.ends.tolist())):
-        x = list(map(repr, g[:d]))
-        t = repr(g[d]) if temporal else ""
-        cont = [repr(v) for v in aux if not math.isnan(v)]
-        start, end = repr(a), repr(b)
-        values = repr(row.tolist())
-        js = block = None
+    rows = max(1, _TEXT_BLOCK_VALUES // max(1, table.grid.size))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        ground, starts, ends = (c.ground[r0:r1], table.starts[r0:r1],
+                                table.ends[r0:r1])
+        coords = [_reprs(col) for col in ground.T]
+        ts = coords[d] if temporal else [""] * (r1 - r0)
+        start_texts, end_texts = _reprs(starts), _reprs(ends)
+        kinds, conts = _aux_texts(c.auxs.discrete[r0:r1],
+                                  c.auxs.continuous[r0:r1])
+        values = list(map(repr, table.values[r0:r1].tolist()))
+        js = blocks = None
         if want_json:
-            aux_obj = []
-            if kind:
-                aux_obj.append(f'"discrete": {kind!r}')
-            if cont:
-                aux_obj.append('"continuous": [' + ", ".join(cont) + "]")
-            end_js = "null" if np.isinf(b) else _json_float(end)
-            js = "".join([
-                '{"x": [', ", ".join(map(_json_float, x)), "]",
-                ', "t": ' + _json_float(t) if temporal else "",
-                ', "aux": {', ", ".join(aux_obj), '}, "mark": {"grid": ',
-                grid_js, ', "values": ', values, ', "support": [',
-                _json_float(start), ", ", end_js, "]", tail_js])
+            xs = list(map(", ".join, zip(*map(_json_reprs, ground.T[:d],
+                                              coords[:d]))))
+            ts_js = _json_reprs(ground[:, d], ts) if temporal else ts
+            js = ["".join([
+                '{"x": [', x, "]", ', "t": ' + t if temporal else "",
+                ', "aux": {',
+                '"discrete": ' + kind if kind else "",
+                ", " if kind and cont else "",
+                '"continuous": [' + ", ".join(cont) + "]" if cont else "",
+                '}, "mark": {"grid": ', grid_js, ', "values": ', v,
+                ', "support": [', a, ", ", b, "]", tail_js])
+                for x, t, kind, cont, v, a, b in zip(
+                    xs, ts_js, kinds, conts, values,
+                    _json_reprs(starts, start_texts),
+                    _json_reprs(ends, end_texts, _JSON_END))]
         if want_csv:
-            prefix = ",".join([
-                str(i), *x, t,
-                str(kind) if kind else "", ";".join(cont), ""])
-            suffix = f",{start},{end}\n"
-            block = (prefix + (suffix + prefix).join(
-                map(add, grid_csv, values[1:-1].split(", "))) + suffix)
-        yield js, block
+            # each prefix ends in a comma, the field after aux_continuous
+            prefixes = list(map(",".join, zip(
+                map(str, range(r0, r1)), *coords[:d], ts, kinds,
+                map(";".join, conts), [""] * (r1 - r0))))
+            # built one at a time as the caller writes them
+            blocks = (
+                prefix + (suffix + prefix).join(
+                    map(add, grid_csv, v[1:-1].split(", "))) + suffix
+                for prefix, suffix, v in zip(
+                    prefixes, map(",{},{}\n".format, start_texts, end_texts),
+                    values))
+        yield js, blocks
 
 
 def _head(c: Configuration) -> dict:
@@ -955,7 +995,8 @@ def _json_document(c: Configuration, points) -> str:
 
 def configuration_to_json(c: Configuration) -> str:
     """Serialize a configuration; floats round-trip at full precision."""
-    return _json_document(c, (js for js, _ in _point_texts(c, want_csv=False)))
+    return _json_document(c, (js for block, _ in _point_texts(c, want_csv=False)
+                              for js in block))
 
 
 def _field(obj, key, where: str):
@@ -1089,8 +1130,8 @@ def _csv_blocks(c: Configuration):
     """Marks CSV text: the header line, then one block per point holding a
     line per (grid time, value) pair."""
     yield _csv_header(c)
-    for _, block in _point_texts(c, want_json=False):
-        yield block
+    for _, blocks in _point_texts(c, want_json=False):
+        yield from blocks
 
 
 def configuration_to_csv_rows(c: Configuration) -> list:
@@ -1110,7 +1151,8 @@ def write_configuration_csv(c: Configuration, path, metadata: dict | None = None
     above the header."""
     with open(path, "w", encoding="utf-8") as fh:
         _write_csv_head(fh, c, metadata)
-        fh.writelines(block for _, block in _point_texts(c, want_json=False))
+        for _, blocks in _point_texts(c, want_json=False):
+            fh.writelines(blocks)
 
 
 def write_configuration_files(c: Configuration, json_path, csv_path,
@@ -1118,73 +1160,109 @@ def write_configuration_files(c: Configuration, json_path, csv_path,
     """Write ``configuration_to_json(c)`` to ``json_path`` and
     ``write_configuration_csv(c, csv_path, metadata)``'s file, the same
     bytes as those two, formatting every value once for both, and the
-    binary cache of the configuration that ``read_configuration_files``
-    reads in place of these JSON bytes to ``json_path`` with the suffix
-    ``.npz``."""
+    binary column cache that ``read_configuration_files`` reads in place of
+    these JSON bytes to ``json_path`` with the suffix ``.cols``."""
     points = []
     with open(csv_path, "w", encoding="utf-8") as fh:
         _write_csv_head(fh, c, metadata)
-        for js, block in _point_texts(c):
-            points.append(js)
-            fh.write(block)
+        for js, blocks in _point_texts(c):
+            points += js
+            fh.writelines(blocks)
     data = _json_document(c, points).encode("utf-8")
     with open(json_path, "wb") as fh:
         fh.write(data)
-    _write_npz(c, _cache_path(json_path), hashlib.sha256(data).hexdigest())
+    _write_cache(c, _cache_path(json_path), hashlib.sha256(data).hexdigest())
 
 
-# The .npz cache holds one member per column of the configuration, named in
-# _NPZ_COLUMNS and stored as it is, and "header", the JSON text of _head's
-# fields, the marks' mode and t_star and the SHA-256 of the JSON file written
-# with it.  Every member carries one fixed zip time, so a rerun writes the
-# same bytes.
-_NPZ_TIME = (1980, 1, 1, 0, 0, 0)
-_NPZ_COLUMNS = ("ground", "grid", "values", "starts", "ends", "discrete",
-                "continuous")
+# The column cache beside a JSON file is one flat file:
+#   bytes 0-7   _CACHE_MAGIC, whose last byte is the format version;
+#   bytes 8-15  the length h of the header, little-endian;
+#   h bytes     the JSON header: _head's fields, the marks' mode and t_star,
+#               the SHA-256 of the JSON file written with it and, under
+#               "columns", each column's dtype string, shape and byte offset
+#               from the end of the header padded to 8 bytes;
+#   then each column of _CACHE_COLUMNS in turn, its raw C-order bytes padded
+#   to 8 bytes.
+# Its bytes depend on the columns alone, so a rerun writes the same file.
+_CACHE_MAGIC = b"FMPPCOL\x01"
+# each column's dtype and dimension count
+_CACHE_COLUMNS = {"ground": ("<f8", 2), "grid": ("<f8", 1),
+                  "values": ("<f8", 2), "starts": ("<f8", 1),
+                  "ends": ("<f8", 1), "discrete": ("<i8", 1),
+                  "continuous": ("<f8", 2)}
 
 
 def _cache_path(json_path) -> str:
-    """The .npz cache beside a JSON file: its path with the suffix .npz."""
-    return os.path.splitext(json_path)[0] + ".npz"
+    """The column cache beside a JSON file: its path with the suffix
+    ``.cols``."""
+    return os.path.splitext(json_path)[0] + ".cols"
 
 
-def _write_npz(c: Configuration, path, json_sha256: str):
-    """Write the cache of ``c``, bound to the JSON bytes of SHA-256
+def _padding(size: int) -> bytes:
+    """The zero bytes that pad ``size`` bytes to a multiple of 8."""
+    return bytes(-size % 8)
+
+
+def _write_cache(c: Configuration, path, json_sha256: str):
+    """Write the column cache of ``c``, bound to the JSON bytes of SHA-256
     ``json_sha256``, to ``path``."""
     table, auxs = c.marks, c.auxs
-    header = {**_head(c), "mode": table.mode, "t_star": table.t_star,
-              "json_sha256": json_sha256}
-    members = {"header": np.frombuffer(json.dumps(header).encode("utf-8"),
-                                       dtype=np.uint8),
-               "ground": c.ground, "grid": table.grid, "values": table.values,
-               "starts": table.starts, "ends": table.ends,
-               "discrete": auxs.discrete, "continuous": auxs.continuous}
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, array in members.items():
-            info = zipfile.ZipInfo(name + ".npy", _NPZ_TIME)
-            with zf.open(info, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+    arrays = {"ground": c.ground, "grid": table.grid, "values": table.values,
+              "starts": table.starts, "ends": table.ends,
+              "discrete": auxs.discrete, "continuous": auxs.continuous}
+    columns, body, offset = {}, [], 0
+    for name, (dtype, _) in _CACHE_COLUMNS.items():
+        a = np.ascontiguousarray(arrays[name], dtype=dtype)
+        columns[name] = [dtype, list(a.shape), offset]
+        body += [a, _padding(a.nbytes)]
+        offset += a.nbytes + len(body[-1])
+    header = json.dumps({**_head(c), "mode": table.mode,
+                         "t_star": table.t_star, "json_sha256": json_sha256,
+                         "columns": columns}).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.writelines([_CACHE_MAGIC, len(header).to_bytes(8, "little"), header,
+                       _padding(len(header)), *body])
 
 
-def _read_npz(path, json_sha256: str):
-    """The header and named columns of the cache at ``path``, or None when
-    there is no readable cache there or it was written with other JSON
-    bytes than those of SHA-256 ``json_sha256``."""
+def _cache_column(data: bytes, start: int, spec, dtype: str, ndim: int):
+    """The read-only view of ``data`` that the header entry ``spec``
+    describes, its offset counted from ``start``; ValueError when the entry
+    is not an aligned ``dtype`` array of ``ndim`` dimensions, or, from
+    ``np.frombuffer``, when it runs past the end of ``data``."""
+    kind, shape, offset = spec
+    if (kind != dtype or len(shape) != ndim or offset < 0 or offset % 8
+            or any(k < 0 for k in shape)):
+        raise ValueError("not a cache column")
+    return np.frombuffer(data, dtype, math.prod(shape),
+                         start + offset).reshape(shape)
+
+
+def _read_cache(path, json_sha256: str):
+    """The header and named columns of the column cache at ``path``, or
+    None when there is no readable cache there or it was written with other
+    JSON bytes than those of SHA-256 ``json_sha256``.  The columns are
+    aligned read-only views of the file's bytes, read with one ``read``."""
     try:
-        with np.load(path) as z:
-            header = json.loads(z["header"].tobytes())
-            if header["json_sha256"] != json_sha256:
-                return None
-            return header, {name: z[name] for name in _NPZ_COLUMNS}
-    except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError,
-            TypeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if data[:8] != _CACHE_MAGIC:
+            return None
+        size = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16:16 + size])
+        if header["json_sha256"] != json_sha256:
+            return None
+        start = 16 + size + -size % 8
+        return header, {name: _cache_column(data, start,
+                                            header["columns"][name], *spec)
+                        for name, spec in _CACHE_COLUMNS.items()}
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
 def read_configuration_files(json_path) -> Configuration:
     """The configuration of the JSON file ``json_path``.
 
-    When the ``.npz`` beside it holds the cache that
+    When the ``.cols`` file beside it holds the cache that
     ``write_configuration_files`` wrote with these JSON bytes (their
     SHA-256 matches), the configuration is built from its arrays, through
     the checks of ``CadlagPath.rows``, ``AuxTable`` and ``Configuration``
@@ -1194,7 +1272,8 @@ def read_configuration_files(json_path) -> Configuration:
     """
     with open(json_path, "rb") as fh:
         data = fh.read()
-    cached = _read_npz(_cache_path(json_path), hashlib.sha256(data).hexdigest())
+    cached = _read_cache(_cache_path(json_path),
+                         hashlib.sha256(data).hexdigest())
     if cached is None:
         return configuration_from_json(data.decode("utf-8"))
     header, cols = cached

@@ -88,9 +88,11 @@ class ParametricModel:
       'gibbs'        pairwise interaction, theta = (beta, gamma), fixed
                      ranges ``interaction_range``/``temporal_range``.
 
-    ``spatial`` is the spatial density family of temporally grounded
-    models: ('uniform',) or ('loglinear-x', c1, ..., cd), normalized on the
-    window.  ``aux``/``fidi`` supply the auxiliary and sampled-mark density
+    The rates, beta and gamma, the parameters that ``_CANONICAL`` logs,
+    must be finite and nonnegative.  ``spatial`` is the spatial density
+    family of temporally grounded models: ('uniform',) or ('loglinear-x',
+    c1, ..., cd), normalized on the window; the other families take only
+    ('uniform',).  ``aux``/``fidi`` supply the auxiliary and sampled-mark density
     factors; either may be None (factor treated as absent).
     """
 
@@ -113,6 +115,12 @@ class ParametricModel:
             raise ValidationError(f"ground family {self.ground!r} takes "
                                   f"{len(_CANONICAL[self.ground])} parameters, "
                                   f"not {len(theta)}")
+        # a rate, beta or gamma; the Newton fits reach the bound 0
+        if any(log and not 0.0 <= v < math.inf
+               for v, log in zip(theta, _CANONICAL[self.ground])):
+            raise ValidationError(f"the parameters of ground family "
+                                  f"{self.ground!r} must be finite and "
+                                  "nonnegative")
         bounds = tuple((float(a), float(b)) for a, b in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         if bounds:
@@ -128,6 +136,10 @@ class ParametricModel:
             PairwiseGibbs(theta[0], theta[1], self.interaction_range,
                           self.temporal_range)
             _kernel_time_range(self.temporal_range, self.window)
+        if (self.ground not in ("poisson-t", "loglinear-t")
+                and tuple(self.spatial) != ("uniform",)):
+            raise ValidationError(f"ground family {self.ground!r} takes no "
+                                  "spatial density but ('uniform',)")
         if self.spatial[0] not in ("uniform", "loglinear-x"):
             raise ValidationError(f"unknown spatial density family {self.spatial[0]!r}")
         if self.spatial[0] == "loglinear-x" and not (

@@ -302,6 +302,29 @@ def _squared_distances(locs, i0, i1):
     return out
 
 
+def _largest_distance(locs) -> float:
+    """The largest pair distance of the (n, d) ``locs``, the root of the
+    largest ``_squared_distances`` entry to the bit.
+
+    A pair at distance D has r_i + r_j >= D, r the distance to the
+    centroid.  The farthest point from the centroid and its farthest
+    partner set a lower bound L on the largest distance, so only the points
+    with r_i >= L - max r, less a rounding margin, can join a pair that
+    reaches it, and only the pairs among those are compared."""
+    def distances(point):
+        return np.sqrt(_squared_distances(np.vstack([point, locs]), 0, 1)[0, 1:])
+
+    r = distances(locs.mean(axis=0))
+    far = int(np.argmax(r))
+    lower, r_max = np.max(distances(locs[far])), r[far]
+    # a NaN bound, from an overflow, keeps every point
+    keep = locs[~(r < lower - r_max - 1e-9 * (lower + r_max))]
+    m = len(keep)
+    rows = max(1, _kernels._BLOCK_ENTRIES // m)
+    return math.sqrt(max(np.max(_squared_distances(keep, i0, min(i0 + rows, m)))
+                         for i0 in range(0, m, rows)))
+
+
 def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate:
     """Empirical trace-variogram of the marks at the (n, d) spatial
     ``locations``: one ``MarkTable`` row per location, as a configuration's
@@ -325,9 +348,8 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
     if np.isscalar(bins):
         if int(bins) < 1:
             raise ValidationError(f"variogram bin count {bins} is below 1")
-        # sqrt is monotone, so this is the largest distance
-        hmax = math.sqrt(max(np.max(_squared_distances(locs, *b)) for b in blocks))
-        edges = np.linspace(0.0, hmax * (1 + 1e-12), int(bins) + 1)
+        edges = np.linspace(0.0, _largest_distance(locs) * (1 + 1e-12),
+                            int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):

@@ -138,7 +138,7 @@ class TestSimulate:
         c = configuration_from_json(
             (out / "configuration_r000.json").read_text())
         assert len(c) == 0
-        assert (out / "configuration_r000.npz").exists()
+        assert (out / "configuration_r000.cols").exists()
         assert len(read_configuration_files(out / "configuration_r000.json")) == 0
 
     def test_seed_flag_overrides(self, tmp_path):
@@ -348,11 +348,9 @@ LGCP_INTENSITY = {
 
 
 def output_digests(out: Path) -> dict:
-    # the .npz cache's bytes depend on the zipfile and NumPy versions;
-    # TestNpzCache checks that it reads back as the JSON
+    # the .cols cache's bytes depend on the configuration's columns alone
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(out.iterdir())
-            if f.name != "manifest.json" and f.suffix != ".npz"}
+            for f in sorted(out.iterdir()) if f.name != "manifest.json"}
 
 
 class TestRandomFieldPinned:
@@ -364,9 +362,15 @@ class TestRandomFieldPinned:
         out = tmp_path / "geo"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert main(["summarize", "--config", cfg, "--out", str(out)]) == 0
+        # the two .cols caches were pinned when the cache became one flat
+        # file of raw columns
         assert output_digests(out) == {
+            "configuration_r000.cols":
+                "b4c29b9c3968b418fd4925858cd3bf2d3adbd6801d8574eb97810d97136a1312",
             "configuration_r000.json":
                 "9682e889222c7039d34b1bc364409fc62dd7af7e820dd04d5abba4288155ea86",
+            "configuration_r001.cols":
+                "96603afcefc9fb92d820483fc92ca3252af0684af00799868945c5088b3fab62",
             "configuration_r001.json":
                 "2373febe964bb629eec71f14f9c55a6bd4f8b7da6217779173b55961f66443ff",
             "intensity.csv":
@@ -926,7 +930,7 @@ NPZ_TEMPORAL = {
 
 
 class TestNpzCache:
-    """Later stages read simulate's configuration_rNNN.npz in place of the
+    """Later stages read simulate's configuration_rNNN.cols in place of the
     JSON and write the same bytes as from the JSON."""
 
     @pytest.mark.parametrize("cfg_obj, stages", [
@@ -941,10 +945,10 @@ class TestNpzCache:
         cfg = write_cfg(tmp_path, cfg_obj)
         cached, plain = tmp_path / "cached", tmp_path / "plain"
         assert main(["simulate", "--config", cfg, "--out", str(cached)]) == 0
-        assert sorted(f.name for f in cached.glob("*.npz")) == [
-            "configuration_r000.npz", "configuration_r001.npz"]
+        assert sorted(f.name for f in cached.glob("*.cols")) == [
+            "configuration_r000.cols", "configuration_r001.cols"]
         shutil.copytree(cached, plain)
-        for f in plain.glob("*.npz"):
+        for f in plain.glob("*.cols"):
             f.unlink()
         for stage, outputs in stages:
             with mock.patch.object(core, "configuration_from_json",
@@ -962,7 +966,7 @@ class TestNpzCache:
         out = tmp_path / "order"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         for old, new in (("000", "101"), ("001", "999"), ("002", "1000")):
-            for suffix in (".json", ".npz"):
+            for suffix in (".json", ".cols"):
                 (out / f"configuration_r{old}{suffix}").rename(
                     out / f"configuration_r{new}{suffix}")
         want = [configuration_from_json(

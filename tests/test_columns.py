@@ -243,7 +243,7 @@ def no_aux_objects():
 
 class TestNoPerPointAuxMarks:
     """Every stage reads and writes the aux columns: no fmpp module builds
-    an ``AuxMark``, with the .npz cache or from the JSON alone."""
+    an ``AuxMark``, with the .cols cache or from the JSON alone."""
 
     @pytest.mark.parametrize("cache", [True, False], ids=["npz", "json"])
     @pytest.mark.parametrize("cfg_obj, stages", [
@@ -256,7 +256,7 @@ class TestNoPerPointAuxMarks:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         if not cache:
-            for f in out.glob("*.npz"):
+            for f in out.glob("*.cols"):
                 f.unlink()
         for stage in stages:
             assert main([stage, "--config", cfg, "--out", str(out)]) == 0, stage

@@ -447,6 +447,50 @@ def configuration_bits(c) -> tuple:
             array(m.ends), m.mode, m.t_star)
 
 
+def reference_point_texts(c):
+    """Per point, its JSON object text and its marks-CSV block, formatted
+    one point at a time: the exporter's body before it formatted a column
+    of a block of rows at a time."""
+    from operator import add
+
+    json_float = core._json_float
+    d, temporal = c.window.dim, c.window.is_temporal
+    table = c.marks
+    times = list(map(repr, table.grid.tolist()))
+    grid_js = "[" + ", ".join(map(json_float, times)) + "]"
+    grid_csv = [s + "," for s in times]
+    tail_js = (', "mode": ' + json.dumps(table.mode) + ', "t_star": '
+               + ("null" if table.t_star is None
+                  else json_float(repr(table.t_star))) + "}}")
+    for i, (g, kind, aux, row, a, b) in enumerate(zip(
+            c.ground.tolist(), c.auxs.discrete.tolist(),
+            c.auxs.continuous.tolist(), table.values, table.starts.tolist(),
+            table.ends.tolist())):
+        x = list(map(repr, g[:d]))
+        t = repr(g[d]) if temporal else ""
+        cont = [repr(v) for v in aux if not math.isnan(v)]
+        start, end = repr(a), repr(b)
+        values = repr(row.tolist())
+        aux_obj = []
+        if kind:
+            aux_obj.append(f'"discrete": {kind!r}')
+        if cont:
+            aux_obj.append('"continuous": [' + ", ".join(cont) + "]")
+        end_js = "null" if np.isinf(b) else json_float(end)
+        js = "".join([
+            '{"x": [', ", ".join(map(json_float, x)), "]",
+            ', "t": ' + json_float(t) if temporal else "",
+            ', "aux": {', ", ".join(aux_obj), '}, "mark": {"grid": ',
+            grid_js, ', "values": ', values, ', "support": [',
+            json_float(start), ", ", end_js, "]", tail_js])
+        prefix = ",".join([
+            str(i), *x, t, str(kind) if kind else "", ";".join(cont), ""])
+        suffix = f",{start},{end}\n"
+        block = (prefix + (suffix + prefix).join(
+            map(add, grid_csv, values[1:-1].split(", "))) + suffix)
+        yield js, block
+
+
 def read_from_cache(json_path):
     """``read_configuration_files``, failing if it reads the JSON."""
     with mock.patch.object(core, "configuration_from_json",
@@ -456,14 +500,24 @@ def read_from_cache(json_path):
 
 class TestJsonOracle:
     """configuration_to_json against one json.dumps of the whole document,
-    write_configuration_files against the two single writers, byte for
-    byte, and its .npz cache against the JSON reader, bit for bit."""
+    write_configuration_files against the two single writers, and the
+    column-wise exporter against the point-by-point one, byte for byte, and
+    its .cols cache against the JSON reader, bit for bit."""
 
     META = {"seed": 11, "replicate": 0}
 
     def check(self, c, tmp_path):
         text = configuration_to_json(c)
         assert text == reference_json_text(c)
+        texts = list(reference_point_texts(c))
+        # one row per block, a few rows per block and one block
+        for block_values in (1, 7, core._TEXT_BLOCK_VALUES):
+            with mock.patch.object(core, "_TEXT_BLOCK_VALUES", block_values):
+                got = list(core._point_texts(c))
+            assert [js for block, _ in got for js in block] == [
+                js for js, _ in texts]
+            assert [b for _, blocks in got for b in blocks] == [
+                b for _, b in texts]
         write_configuration_files(c, tmp_path / "c.json", tmp_path / "m.csv",
                                   self.META)
         assert (tmp_path / "c.json").read_bytes() == text.encode("utf-8")
@@ -526,13 +580,33 @@ class TestJsonOracle:
                for a, b in ((0.5, 10.0), (-np.inf, np.inf), (-np.inf, 2.0))]
         self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
 
+    def test_temporal_linear_nan_padded_aux_infinite_supports(self, tmp_path):
+        # continuous aux marks of 0 to 3 values, NaN-padded to 3, with and
+        # without a type, on linear marks whose supports end at inf
+        w = Window((0.0,), (2.0,), t_star=1.5)
+        rng = np.random.default_rng(9)
+        grid = np.linspace(0.0, 1.5, 4)
+        auxs = [AuxMark(discrete=None if i % 3 == 1 and i % 4 else 1 + i % 3,
+                        continuous=tuple(rng.standard_normal(i % 4)) or None)
+                for i in range(12)]
+        pts = [MarkedPoint((2.0 * rng.random(),), 1.5 * rng.random(), a,
+                           CadlagPath(grid, np.where((grid < 1.0) | (i % 2 == 1),
+                                                     rng.standard_normal(4), 0.0),
+                                      (0.0, np.inf if i % 2 else 1.0),
+                                      "linear", 1.5))
+               for i, a in enumerate(auxs)]
+        c = from_points(w, pts, ReferenceSpec())
+        assert c.auxs.continuous.shape == (12, 3)
+        assert np.isnan(c.auxs.continuous).any()
+        self.check(c, tmp_path)
+
     def test_empty_configuration(self, tmp_path):
         self.check(from_points(Window((0, 0), (1, 1), t_star=1.0), [],
                                ReferenceSpec()), tmp_path)
 
 
 class TestNpzCache:
-    """The .npz cache is read only while it matches the JSON bytes."""
+    """The .cols cache is read only while it matches the JSON bytes."""
 
     def files(self, tmp_path, c=None):
         if c is None:
@@ -546,7 +620,7 @@ class TestNpzCache:
                 CadlagPath.rows(grid, rng.standard_normal((4, 6)), None,
                                 "linear", 1.0))
         write_configuration_files(c, tmp_path / "c.json", tmp_path / "m.csv")
-        return tmp_path / "c.json", tmp_path / "c.npz"
+        return tmp_path / "c.json", tmp_path / "c.cols"
 
     def test_edited_json_is_read_instead(self, tmp_path):
         json_path, npz_path = self.files(tmp_path)
@@ -589,11 +663,135 @@ class TestNpzCache:
         c = from_points(Window((0,), (1,)), [make_point((0.5,))])
         json_path, npz_path = self.files(tmp_path, c)
         sha = hashlib.sha256(json_path.read_bytes()).hexdigest()
-        header, cols = core._read_npz(npz_path, sha)
+        header, cols = core._read_cache(npz_path, sha)
         cols["values"] = np.array([[np.nan]])
-        with mock.patch.object(core, "_read_npz", return_value=(header, cols)):
+        with mock.patch.object(core, "_read_cache", return_value=(header, cols)):
             with pytest.raises(ValidationError, match="finite"):
                 read_configuration_files(json_path)
+
+    @staticmethod
+    def parse(data):
+        """The documented layout: magic, header length, JSON header, then
+        the columns from the header's end padded to 8 bytes."""
+        size = int.from_bytes(data[8:16], "little")
+        return data[:8], json.loads(data[16:16 + size]), 16 + size + -size % 8
+
+    def test_layout(self, tmp_path):
+        json_path, cols_path = self.files(tmp_path)
+        c = configuration_from_json(json_path.read_text())
+        data = cols_path.read_bytes()
+        magic, header, start = self.parse(data)
+        assert magic == b"FMPPCOL\x01"
+        assert header["json_sha256"] == hashlib.sha256(
+            json_path.read_bytes()).hexdigest()
+        arrays = {"ground": c.ground, "grid": c.marks.grid,
+                  "values": c.marks.values, "starts": c.marks.starts,
+                  "ends": c.marks.ends, "discrete": c.auxs.discrete,
+                  "continuous": c.auxs.continuous}
+        end = start
+        for name, (dtype, shape, offset) in header["columns"].items():
+            want = arrays.pop(name)
+            assert (dtype, tuple(shape)) == (want.dtype.newbyteorder("<").str,
+                                             want.shape)
+            assert offset % 8 == 0 and start + offset == end
+            raw = data[end:end + want.nbytes]
+            assert raw == want.astype(dtype).tobytes()
+            end += want.nbytes + -want.nbytes % 8
+        assert not arrays and end == len(data)
+
+    def test_columns_are_aligned_read_only_views(self, tmp_path):
+        json_path, cols_path = self.files(tmp_path)
+        sha = hashlib.sha256(json_path.read_bytes()).hexdigest()
+        _, cols = core._read_cache(cols_path, sha)
+        for a in cols.values():
+            assert a.flags.aligned and not a.flags.writeable
+            assert not a.flags.owndata
+
+    @staticmethod
+    def edit_header(data, edit):
+        """The file with its header changed by ``edit`` and re-padded."""
+        _, header, start = TestNpzCache.parse(data)
+        edit(header)
+        text = json.dumps(header).encode()
+        return b"".join([data[:8], len(text).to_bytes(8, "little"), text,
+                         bytes(-len(text) % 8), data[start:]])
+
+    @staticmethod
+    def set_column(name, field, value):
+        def edit(header):
+            header["columns"][name][field] = value(header["columns"][name][field])
+        return edit
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: b"XMPPCOL\x01" + d[8:],
+        lambda d: d[:7] + b"\x02" + d[8:],
+        lambda d: d[:12],
+        lambda d: d[:40],
+        lambda d: d[:-1],
+        lambda d: d[:8] + (len(d)).to_bytes(8, "little") + d[16:],
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 2, lambda o: o + len(d))),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 2, lambda o: -8)),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 2, lambda o: o + 4)),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "continuous", 1, lambda s: [s[0] + 1, s[1]])),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 1, lambda s: [s[0], 10 ** 6])),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 1, lambda s: [-1, s[1]])),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "starts", 1, lambda s: [-1])),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 1, lambda s: [s[0] * s[1]])),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "values", 0, lambda t: "<f4")),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "ground", 0, lambda t: ">f8")),
+        lambda d: TestNpzCache.edit_header(d, TestNpzCache.set_column(
+            "discrete", 0, lambda t: "<f8")),
+        lambda d: TestNpzCache.edit_header(
+            d, lambda h: h["columns"].pop("ends")),
+        lambda d: d[:16] + b"{not json" + d[25:],
+    ], ids=["magic", "version", "truncated-length", "truncated-header",
+            "truncated-column", "header-past-end", "offset-past-end",
+            "negative-offset", "unaligned-offset", "shape-past-end",
+            "large-shape", "negative-shape", "negative-length", "wrong-ndim",
+            "float32",
+            "big-endian", "float-discrete", "missing-column", "bad-header"])
+    def test_malformed_cache_reads_the_json(self, tmp_path, corrupt):
+        json_path, cols_path = self.files(tmp_path)
+        sha = hashlib.sha256(json_path.read_bytes()).hexdigest()
+        assert core._read_cache(cols_path, sha) is not None
+        cols_path.write_bytes(corrupt(cols_path.read_bytes()))
+        assert core._read_cache(cols_path, sha) is None
+        with mock.patch.object(core, "configuration_from_json",
+                               wraps=core.configuration_from_json) as reader:
+            got = read_configuration_files(json_path)
+        assert reader.call_count == 1
+        assert configuration_bits(got) == configuration_bits(
+            configuration_from_json(json_path.read_text()))
+
+    def test_old_npz_beside_the_json_is_ignored(self, tmp_path):
+        # a zip .npz of the previous format, bound to these JSON bytes,
+        # under its own suffix: the reader looks only for .cols
+        json_path, cols_path = self.files(tmp_path)
+        c = configuration_from_json(json_path.read_text())
+        header = {**core._head(c), "mode": c.marks.mode,
+                  "t_star": c.marks.t_star, "json_sha256": hashlib.sha256(
+                      json_path.read_bytes()).hexdigest()}
+        cols_path.unlink()
+        np.savez(tmp_path / "c.npz", header=np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8), ground=c.ground,
+            grid=c.marks.grid, values=c.marks.values, starts=c.marks.starts,
+            ends=c.marks.ends, discrete=c.auxs.discrete,
+            continuous=c.auxs.continuous)
+        with mock.patch.object(core, "configuration_from_json",
+                               wraps=core.configuration_from_json) as reader:
+            got = read_configuration_files(json_path)
+        assert reader.call_count == 1
+        assert configuration_bits(got) == configuration_bits(c)
 
     def test_cache_of_the_packed_layout_reads_the_json(self, tmp_path):
         # the layout written before the aux columns were stored as they are:

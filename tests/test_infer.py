@@ -1346,6 +1346,39 @@ class TestModelValidation:
             ParametricModel("poisson-t", (1.0,), WT_ODD, spatial=spatial)
         ParametricModel("poisson-t", (1.0,), WT_ODD, spatial=("loglinear-x", 1.0, 2.0))
 
+    @pytest.mark.parametrize("ground, window", [
+        ("poisson", W), ("poisson", WT_ODD), ("gibbs", W)])
+    def test_spatial_density_only_on_temporal_families(self, ground, window):
+        # 'poisson' gave ground_intensity [3, 3] and mass 3.0 under a tilt
+        theta = (3.0,) if ground == "poisson" else (3.0, 0.5)
+        with pytest.raises(ValidationError, match="no spatial density"):
+            ParametricModel(ground, theta, window, interaction_range=0.1,
+                            spatial=("loglinear-x", 5.0, 5.0))
+        m = ParametricModel(ground, theta, window, interaction_range=0.1,
+                            spatial=["uniform"])
+        assert m.spatial == ["uniform"]
+
+    @pytest.mark.parametrize("ground, theta", [
+        ("poisson", (-2.0,)), ("poisson", (math.nan,)), ("poisson", (math.inf,)),
+        ("poisson-t", (-1e-300,)), ("poisson-t", (-math.inf,)),
+        ("gibbs", (math.nan, 0.5)), ("gibbs", (math.inf, 0.5)),
+        ("gibbs", (50.0, -0.5)), ("gibbs", (50.0, math.nan))])
+    def test_rates_finite_and_nonnegative(self, ground, theta):
+        # ('poisson', (-2.0,)) gave the mass -2.0 and (nan,) gave nan
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            ParametricModel(ground, theta, WT_ODD, interaction_range=0.1,
+                            temporal_range=0.1)
+
+    @pytest.mark.parametrize("ground, theta", [
+        ("poisson", (0.0,)), ("poisson-t", (0.0,)), ("gibbs", (50.0, 0.0)),
+        ("loglinear-t", (-3.0, -2.0))])
+    def test_zero_rate_and_signed_loglinear_stay_allowed(self, ground, theta):
+        # theta = 0 is a bound the Newton fits reach; the log-linear
+        # coefficients are the canonical parameters themselves
+        m = ParametricModel(ground, theta, WT_ODD, interaction_range=0.1,
+                            temporal_range=0.1)
+        assert m.theta == theta
+
 
 def _oracle_fit(public, model, data, **kw):
     """Nelder-Mead through ``optimize`` on the public log-likelihood."""

@@ -382,6 +382,61 @@ class TestTraceVariogram:
         assert est.counts[0] == 0 and est.counts[1] == 1
 
 
+class TestLargestDistance:
+    """The pruned search of the default variogram edges against the root of
+    the largest entry of the whole distance matrix, to the bit."""
+
+    @staticmethod
+    def brute(locs):
+        return math.sqrt(np.max(stats._squared_distances(locs, 0, len(locs))))
+
+    @staticmethod
+    def circle(n, rng):
+        # every point is as far from the centroid as the pair is apart
+        # halved, so every point is a candidate
+        theta = np.sort(rng.random(n)) * 2.0 * np.pi
+        return 2.5 * np.column_stack([np.cos(theta), np.sin(theta)]) + 0.3
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.random((500, 2)),
+        lambda rng: rng.random((400, 2)) * 1e-9 + 1e6,
+        lambda rng: TestLargestDistance.circle(300, rng),
+        lambda rng: np.outer(rng.random(200), [0.6, -0.8]),
+        lambda rng: np.full((50, 2), 0.25),
+        lambda rng: np.vstack([np.full((30, 2), 0.5), [[0.5, 0.75]]]),
+        lambda rng: rng.random((100, 1)),
+        lambda rng: rng.random((300, 3)),
+        lambda rng: rng.integers(-2, 3, (120, 3)).astype(float),
+        lambda rng: rng.random((2, 2)),
+    ], ids=["uniform", "uniform-far", "circle", "collinear", "coincident",
+            "coincident-and-one", "1-d", "3-d", "lattice-ties", "two"])
+    def test_matches_the_whole_matrix(self, make, monkeypatch):
+        locs = make(np.random.default_rng(21))
+        want = self.brute(locs)
+        assert stats._largest_distance(locs) == want
+        # a small block budget splits the candidates into several blocks
+        monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 64)
+        assert stats._largest_distance(locs) == want
+
+    def test_overflow_keeps_every_point(self):
+        locs = np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert stats._largest_distance(locs) == self.brute(locs) == math.inf
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            n, d = rng.integers(2, 80), rng.integers(1, 4)
+            locs = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 6)
+            assert stats._largest_distance(locs) == self.brute(locs)
+
+    def test_default_edges_follow_it(self):
+        locs, marks = TestTraceVariogram().curves_iid(23, n=60)
+        est = trace_variogram(locs, marks)
+        np.testing.assert_array_equal(est.bin_edges, np.linspace(
+            0.0, self.brute(locs) * (1 + 1e-12), 16))
+
+
 class TestKriging:
     MODEL = VariogramModel("exponential", 0.0, 1.0, 0.3)
 
