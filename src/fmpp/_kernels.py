@@ -2,11 +2,16 @@
 
 Neighbours are found on one uniform cell grid, ``_cell_grid``: cells at
 least the reach wide, neighbour cells clipped on a box and wrapped on a
-torus.  ``close_pairs`` sorts the points by cell and hands out the
-candidate pairs of neighbouring cells in blocks.  ``neighbour_counts`` and
-``gibbs_chain`` test them with ``_in_range``, the one pairwise neighbour
-rule, which ``core.cylinder_contains`` calls too; ``pair_stats`` and the
-growth overlap pairs keep those within their reach; so each grows with the
+torus, and at most ``_BLOCK_ENTRIES`` cells in all.  ``close_pairs`` sorts
+the points by cell, reads each neighbour cell's rows from one table of cell
+starts and hands out the candidate pairs in blocks.  Its cross form pairs
+queries with points, for ``neighbour_counts``; its self form lists each
+unordered pair of distinct points once, from the half stencil of the
+neighbour cells of larger key and the later rows of a point's own cell, for
+``gibbs_chain``, ``pair_stats`` and the growth overlap pairs.  The counts
+and the chain test the candidates with ``_in_range``, the one pairwise
+neighbour rule, which ``core.cylinder_contains`` calls too; ``pair_stats``
+and the overlap pairs keep those within their reach; so each grows with the
 close pairs rather than with m n or n^2.  The chain searches once per chunk
 of draws, over the chunk's start state and birth locations, so its scalar
 loop over the proposals only reads and updates neighbour counts.  The gauss
@@ -41,17 +46,16 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
     ``trans`` is the translation correction prod(sides - |dx|) on a box and
     the window volume on a torus, where distances are minimal-image ones.
     Only pairs closer than reach = max(lags) + bw reach the Epanechnikov
-    kernel.  ``close_pairs`` hands them out a block at a time; a block keeps
-    i < j with 0 < d^2 <= reach^2 (coincident pairs weigh zero), sorts them
-    by distance and evaluates a lag's kernel only on the slice from lag - 2
-    bw to lag + 2 bw.  Rounding is monotone, so every pair the |u| < 1 test
-    accepts lies in that slice, as in a dense (lags, pairs) kernel matrix.
+    kernel.  ``close_pairs`` hands out each unordered pair once, a block at
+    a time; a block keeps 0 < d^2 <= reach^2 (coincident pairs weigh zero),
+    sorts them by distance and evaluates a lag's kernel only on the slice
+    from lag - 2 bw to lag + 2 bw.  Rounding is monotone, so every pair the
+    |u| < 1 test accepts lies in that slice, as in a dense (lags, pairs)
+    kernel matrix.
     """
     reach = float(np.max(lags)) + bw
     out = np.zeros(len(lags))
-    for i, j in close_pairs(pts, pts, reach, sides, torus):
-        keep = i < j
-        i, j = i[keep], j[keep]
+    for i, j in close_pairs(pts, None, reach, sides, torus):
         # column by column: reducing a (pairs, d) array measured slower
         d2, trans = 0.0, 1.0
         for col, side in zip(pts.T, sides.tolist()):
@@ -80,7 +84,7 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
 _MAX_CELLS = 256       # cells per axis, which bounds the per-axis tables;
                        # a tiny reach gets cells wider than itself
 # entries per block of every blocked loop: close_pairs' candidates (2 (d + 1)
-# entries a pair), trace_variogram's pairs, the kernel intensity's
+# entries a pair) and cells, trace_variogram's pairs, the kernel intensity's
 # cell-by-point products, the time-warp probes and the time-warp lattice
 # DP's slope tests and (segment, source cell) terms; each reads it at call
 # time
@@ -89,25 +93,34 @@ _BLOCK_ENTRIES = 1 << 18
 
 def _cell_grid(lo, spans, reach, torus):
     """The uniform cell grid of the box lo + [0, spans] for neighbours within
-    ``reach``: one (origin, width, cells, stride, near) per axis.
+    ``reach``: one (origin, width, cells, stride, near) per axis, and the
+    number of cells in all.
 
     Cells are at least reach (1 + 1e-6) wide, a margin that keeps every pair
-    the rounded neighbour test accepts in adjacent cells, and an axis has at
-    most ``_MAX_CELLS`` of them.  A point's cell on an axis is
-    floor((x - origin) / width), clipped to the grid on a box and taken
-    modulo the cell count on a torus; its key is the sum of cell * stride.
-    ``near`` is the (cells, 3) table of the cells next to each cell on the
-    axis, itself included, -1 where there is none: clipped at the ends of a
-    box, wrapped on a torus, and on a torus of one or two cells each listed
-    once, so no pair is found twice.
+    the rounded neighbour test accepts in adjacent cells.  An axis has at
+    most ``_MAX_CELLS`` of them and the grid at most ``_BLOCK_ENTRIES``
+    (64 an axis in 3-D), so a table with an entry per cell is no larger than
+    a block.  A point's cell on an axis is floor((x - origin) / width),
+    clipped to the grid on a box and taken modulo the cell count on a torus;
+    its key is the sum of cell * stride.  ``near`` is the (cells, 3) table
+    of the key terms cell * stride of the cells next to each cell on the
+    axis, its own in the middle column: clipped at the ends of a box,
+    wrapped on a torus, and on a torus of one or two cells each listed once,
+    so no pair is found twice.  Where there is no neighbour the term is the
+    number of cells, so a key with such a term is at least that number.
     """
+    cap = max(1, min(_MAX_CELLS, round(_BLOCK_ENTRIES ** (1.0 / len(lo)))))
+    while cap > 1 and cap ** len(lo) > _BLOCK_ENTRIES:
+        cap -= 1
     cell = abs(reach) * (1.0 + 1e-6)
-    axes, stride = [], 1
-    for la, span in zip(lo, spans):
+    counts = []
+    for span in spans:
         q = span / cell if cell > 0.0 else math.inf
-        m = max(1, int(q)) if q < _MAX_CELLS else _MAX_CELLS
-        c = np.arange(m)
-        near = np.stack([c - 1, c, c + 1], axis=1)
+        counts.append(max(1, int(q)) if q < cap else cap)
+    ncells = math.prod(counts)
+    axes, stride = [], 1
+    for la, span, m in zip(lo, spans, counts):
+        near = np.arange(m)[:, None] + np.arange(-1, 2)
         if torus:
             near %= m
             # with fewer than three cells c - 1 is c + 1, and with one it is c
@@ -116,10 +129,11 @@ def _cell_grid(lo, spans, reach, torus):
             if m < 2:
                 near[:, 2] = -1
         else:
-            near[(near < 0) | (near >= m)] = -1
+            near[0, 0] = near[-1, 2] = -1
+        near = np.where(near >= 0, near * stride, ncells)
         axes.append((la, span / m, m, stride, near))
         stride *= m
-    return axes
+    return axes, ncells
 
 
 def _cells(x, axes, torus):
@@ -131,50 +145,82 @@ def _cells(x, axes, torus):
     return out
 
 
+def _near_keys(cells, axes, ncells):
+    """(rows, 3^d) keys of the cells next to each row's cells, from
+    ``_cell_grid``'s ``near`` tables: the row's own cell in the middle
+    column, and ncells where a neighbour is missing."""
+    keys = None
+    for c, ax in zip(cells, axes):
+        nb = ax[4][c]
+        keys = nb if keys is None else (
+            keys[:, :, None] + nb[:, None, :]).reshape(c.size, -1)
+    return np.minimum(keys, ncells, out=keys)
+
+
 def close_pairs(a, b, reach, sides, torus):
     """Candidate neighbour pairs of the (m, d) rows ``a`` and the (n, d) rows
-    ``b``: yields blocks (i, j) of the pairs whose cells on one
-    ``_cell_grid`` are neighbours, so each pair within ``reach`` (minimal
-    image on a torus of ``sides``) comes once; the caller applies its own
-    exact test.
+    ``b``, or with ``b`` None of the rows of ``a`` among themselves: yields
+    blocks (i, j) of the pairs whose cells on one ``_cell_grid`` are
+    neighbours, so each pair within ``reach`` (minimal image on a torus of
+    ``sides``) comes once, and without b each unordered pair of distinct
+    rows comes once, in one orientation; the caller applies its own exact
+    test.
 
     The grid starts at the smallest coordinate and spans the torus sides,
-    or on a box the extent of the rows.  The rows of b are sorted by cell
-    key, each query's 3^d neighbour keys are found with ``searchsorted``,
-    and the ranges are expanded a block of queries at a time.  A block
-    lists its pairs query by query and holds at most ``_BLOCK_ENTRIES``
-    entries, unless one query alone has more: 2 (d + 1) a pair, for its two
-    rows and the d coordinates of each that the consumers gather.
+    or on a box the extent of the rows.  The rows of b (of a, without b)
+    are sorted by cell key, and a table of each cell's first sorted row,
+    with an entry past the last cell for the key of a missing neighbour,
+    gives the rows of each query's 3^d neighbour keys.  Without b the
+    queries are the sorted rows and read the half stencil: the neighbour
+    cells of larger key and the rows after the query in its own cell.  The
+    ranges are expanded a block of queries at a time.  A block lists its
+    pairs query by query and holds at most ``_BLOCK_ENTRIES`` entries,
+    unless one query alone has more: 2 (d + 1) a pair, for its two rows and
+    the d coordinates of each that the consumers gather.
     """
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    if a.shape[0] == 0 or (b is not None and b.shape[0] == 0):
         return
-    fa, fb = np.isfinite(a).all(axis=1), np.isfinite(b).all(axis=1)
-    if not (fa.all() and fb.all()):
+    rows = a if b is None else np.concatenate([a, b])
+    if not np.isfinite(rows).all():
         # a row with a non-finite coordinate is in range of nothing
-        ia, ib = np.flatnonzero(fa), np.flatnonzero(fb)
-        for i, j in close_pairs(a[ia], b[ib], reach, sides, torus):
+        ia = np.flatnonzero(np.isfinite(a).all(axis=1))
+        ib = ia if b is None else np.flatnonzero(np.isfinite(b).all(axis=1))
+        for i, j in close_pairs(a[ia], None if b is None else b[ib], reach,
+                                sides, torus):
             yield ia[i], ib[j]
         return
-    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    lo = rows.min(axis=0)
     if torus:
         spans = sides[:a.shape[1]]
     else:
-        spans = np.maximum(a.max(axis=0), b.max(axis=0)) - lo
+        spans = rows.max(axis=0) - lo
         # every row lies at the origin of a flat axis, so any width serves
         spans = np.where(spans > 0.0, spans, 1.0)
-    axes = _cell_grid(lo.tolist(), spans.tolist(), reach, torus)
-    pkey = sum(c * ax[3] for c, ax in zip(_cells(b, axes, torus), axes))
-    order = np.argsort(pkey, kind="stable")
-    pkey = pkey[order]
-    ncells = axes[-1][2] * axes[-1][3]
-    keys = np.zeros((a.shape[0], 1), dtype=np.intp)
-    for c, (_, _, _, stride, near) in zip(_cells(a, axes, torus), axes):
-        nb = near[c]
-        # a key past the last cell matches no row
-        nb = np.where(nb >= 0, nb * stride, ncells)
-        keys = (keys[:, :, None] + nb[:, None, :]).reshape(c.size, -1)
-    first = np.searchsorted(pkey, keys, side="left")
-    cnt = np.searchsorted(pkey, keys, side="right") - first
+    axes, ncells = _cell_grid(lo.tolist(), spans.tolist(), reach, torus)
+    mid = 3 ** a.shape[1] // 2
+    if b is None:
+        keys = _near_keys(_cells(a, axes, torus), axes, ncells)
+        order = np.argsort(keys[:, mid], kind="stable")
+        keys = keys[order]
+        pkey = keys[:, mid]
+    else:
+        pkey = sum(c * ax[3] for c, ax in zip(_cells(b, axes, torus), axes))
+        order = np.argsort(pkey, kind="stable")
+        pkey = pkey[order]
+        keys = _near_keys(_cells(a, axes, torus), axes, ncells)
+    # rows start[k]:start[k + 1] of the sorted rows lie in cell k; the key
+    # ncells, past the last cell, has none
+    start = np.zeros(ncells + 2, dtype=np.intp)
+    np.cumsum(np.bincount(pkey, minlength=ncells + 1), out=start[1:])
+    if b is None:
+        # the half stencil: the cells of larger key, and in the query's own
+        # cell the rows after it
+        keys = np.where(keys > pkey[:, None], keys, ncells)
+    first = start[keys]
+    cnt = start[keys + 1] - first
+    if b is None:
+        first[:, mid] = np.arange(1, a.shape[0] + 1)
+        cnt[:, mid] = start[pkey + 1] - first[:, mid]
     per = cnt.sum(axis=1)
     total = np.cumsum(per)
     size = max(1, _BLOCK_ENTRIES // (2 * a.shape[1] + 2))
@@ -186,7 +232,8 @@ def close_pairs(a, b, reach, sides, torus):
         c = cnt[q0:q1].ravel()
         pos = np.repeat(first[q0:q1].ravel() - (np.cumsum(c) - c), c)
         pos += np.arange(pos.size)
-        yield np.repeat(np.arange(q0, q1), per[q0:q1]), order[pos]
+        i = np.repeat(np.arange(q0, q1), per[q0:q1])
+        yield (order[i] if b is None else i), order[pos]
         q0 = q1
 
 
@@ -208,11 +255,12 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
     n the points at the chunk's start.  The chunk's universe is those points
     and the chunk's birth locations, and its neighbour lists are the
     ``close_pairs`` candidates of the universe that ``_in_range`` accepts,
-    found once.  The scalar loop keeps each universe row's number of alive
-    neighbours: a proposal reads its count, and an accepted birth or death
-    adds or takes one at its neighbours.  A chunk's work and memory grow
-    with its universe and close pairs, and since it covers at least n steps
-    its universe holds O(1) rows per step.
+    each unordered pair tested once and listed at both its rows.  The
+    scalar loop keeps each universe row's number of alive neighbours: a
+    proposal reads its count, and an accepted birth or death adds or takes
+    one at its neighbours, in any order, since the updates commute.  A
+    chunk's work and memory grow with its universe and close pairs, and
+    since it covers at least n steps its universe holds O(1) rows per step.
     """
     d = d_spatial
     span = hi - lo
@@ -225,13 +273,15 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
         birth = rng_move[part] < 0.5
         uni = np.concatenate([x, lo + rng_loc[part][birth] * span])
         ii, jj = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for i, j in close_pairs(uni[:, :d], uni[:, :d], rad, span, torus):
-            ok = (i != j) & _in_range(uni[i], uni[j], span, torus, rad, trad, d)
+        for i, j in close_pairs(uni[:, :d], None, rad, span, torus):
+            ok = _in_range(uni[i], uni[j], span, torus, rad, trad, d)
             ii.append(i[ok])
             jj.append(j[ok])
-        # close_pairs hands out the pairs by query row: i is sorted, and row
-        # u's neighbours are nbr[first[u]:first[u + 1]]
-        i, j = np.concatenate(ii), np.concatenate(jj)
+        # each neighbour pair came once: both its orientations, stably sorted
+        # by row, so row u's neighbours are nbr[first[u]:first[u + 1]]
+        i, j = np.concatenate(ii + jj), np.concatenate(jj + ii)
+        by_row = np.argsort(i, kind="stable")
+        i, j = i[by_row], j[by_row]
         first = np.searchsorted(i, np.arange(uni.shape[0] + 1)).tolist()
         nbr = j.tolist()
         cnt = np.bincount(i[j < n], minlength=uni.shape[0]).tolist()
@@ -268,9 +318,8 @@ def _gi_pairs(xs, cutoff):
     cutoff^2, taken from the ``close_pairs`` candidates."""
     reach = cutoff if cutoff >= 0.0 else math.inf
     parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    for i, j in close_pairs(xs, xs, reach, None, False):
-        keep = i < j
-        i, j = i[keep], j[keep]
+    for i, j in close_pairs(xs, None, reach, None, False):
+        i, j = np.minimum(i, j), np.maximum(i, j)
         diff = xs[i] - xs[j]
         d2 = np.sum(diff * diff, axis=1)
         if cutoff >= 0.0:

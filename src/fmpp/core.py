@@ -193,15 +193,21 @@ def _cell_centres(lo: float, hi: float, cells: int) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer, a NumPy one too, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def midpoint_rule(bounds, cells):
     """Nodes (prod(cells), k) of the midpoint rule on the k axes ``bounds``
     = [(lo, hi), ...], in C order, and the cell volume.  ``cells`` is one
-    count for every axis or one count per axis."""
+    integer count for every axis or one per axis."""
     counts = [cells] * len(bounds) if np.ndim(cells) == 0 else list(cells)
     if len(counts) != len(bounds):
         raise ValidationError("grid cell counts do not match the ground dimension")
-    if any(k < 1 for k in counts):
-        raise ValidationError(f"grid cell counts must be at least 1, not {cells}")
+    if not all(_is_count(k) and k >= 1 for k in counts):
+        raise ValidationError("cells must be integer cell counts of at least 1, "
+                              f"not {cells!r}")
     mesh = np.meshgrid(*[_cell_centres(lo, hi, k)
                          for (lo, hi), k in zip(bounds, counts)], indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -218,9 +224,7 @@ def _aux_parts(discrete, continuous) -> tuple:
     cont = () if continuous is None else tuple(map(float, continuous))
     if discrete is None and not cont:
         raise ValidationError("auxiliary mark needs a discrete or continuous part")
-    if discrete is not None and (isinstance(discrete, bool)
-                                 or not isinstance(discrete, Integral)
-                                 or discrete < 1):
+    if discrete is not None and (not _is_count(discrete) or discrete < 1):
         raise ValidationError("discrete auxiliary mark must be an integer >= 1")
     if not all(map(math.isfinite, cont)):
         raise ValidationError("continuous auxiliary mark must be finite")

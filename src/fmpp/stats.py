@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from ._optim import nelder_mead
 from .core import (CadlagPath, Configuration, MarkTable, SampleSchedule, Window,
-                   _shaped, midpoint_rule)
+                   _is_count, _shaped, midpoint_rule)
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -80,9 +80,9 @@ def intensity_estimate(c: Configuration, cells=8, mode: str = "box",
         cells = (cells,) * ndim
     if len(cells) != ndim:
         raise ValidationError("cells must match the ground dimension")
-    if min(cells) < 1:
-        raise ValidationError("intensity cell counts must be at least 1, "
-                              f"not {cells}")
+    if not all(_is_count(k) and k >= 1 for k in cells):
+        raise ValidationError("cells must be integer cell counts of at least 1, "
+                              f"not {cells!r}")
     edges = [np.linspace(lo, hi, k + 1) for (lo, hi), k in zip(bounds, cells)]
     locs = c.locations()
     if mode == "box":
@@ -134,6 +134,9 @@ def _pcf_from_weights(c: Configuration, w, v, pair_norm, lags, bandwidth):
     window = c.window
     pts = c.spatial_locations()
     lags = np.asarray(lags, dtype=float)
+    if lags.ndim != 1 or lags.size == 0 or not np.all(np.isfinite(lags)):
+        raise ValidationError("lags must be a non-empty 1-d array of finite "
+                              f"numbers, not {lags.tolist()!r}")
     if np.any(lags >= 0.5 * np.min(window.sides)):
         raise ValidationError("lags must stay below half the window side")
     if np.any(lags <= 0):
@@ -346,10 +349,13 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
     blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
     bins = 15 if bins is None else bins
     if np.isscalar(bins):
-        if int(bins) < 1:
+        if not _is_count(bins):
+            raise ValidationError("bins must be an integer bin count or an "
+                                  f"edge array, not {bins!r}")
+        if bins < 1:
             raise ValidationError(f"variogram bin count {bins} is below 1")
         edges = np.linspace(0.0, _largest_distance(locs) * (1 + 1e-12),
-                            int(bins) + 1)
+                            bins + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):

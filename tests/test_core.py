@@ -110,6 +110,16 @@ class TestMidpointRule:
         with pytest.raises(ValidationError, match="cell counts"):
             midpoint_rule([(0.0, 1.0), (0.0, 1.0)], cells)
 
+    @pytest.mark.parametrize("cells", [2.5, 4.0, True, (3, 2.5), (False, 3), "3"])
+    def test_cell_count_not_an_integer_rejected(self, cells):
+        with pytest.raises(ValidationError, match="cells must be integer"):
+            midpoint_rule([(0.0, 1.0), (0.0, 1.0)], cells)
+
+    def test_numpy_integer_cell_counts(self):
+        nodes, cell = midpoint_rule([(0.0, 1.0), (0.0, 2.0)],
+                                    (np.int32(2), np.int64(4)))
+        assert nodes.shape == (8, 2) and cell == 0.25
+
 
 class TestCadlagPath:
     def test_step_evaluation_right_continuous(self):

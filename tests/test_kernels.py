@@ -431,6 +431,39 @@ def test_gibbs_chain_pinned():
         "b8fb0fd04ec5caf0f8e66da65d8ce5149908c38608a163ebf643a694bdeb2b1a")
 
 
+def torus_chain(steps=20000, seed=2015):
+    """The gibbs-pl chain on the unit torus, whose neighbour cells wrap."""
+    rng = np.random.default_rng(seed)
+    return (np.empty((0, 2)), np.zeros(2), np.ones(2), True, 200.0, 0.3,
+            rng.random(steps), rng.random((steps, 2)), rng.random(steps),
+            rng.random(steps), 0.05, -1.0, 2)
+
+
+def cylinder_chain(steps=20000, seed=2016):
+    """A space-time chain on [0, 1]^2 x [0, 2] with spatial range 0.08 and
+    temporal range 0.1."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.zeros(3), np.array([1.0, 1.0, 2.0])
+    return (np.empty((0, 3)), lo, hi, False, 100.0, 0.4,
+            rng.random(steps), rng.random((steps, 3)), rng.random(steps),
+            rng.random(steps), 0.08, 0.1, 2)
+
+
+@pytest.mark.parametrize("chain, shape, digest", [
+    (torus_chain, (104, 2),
+     "c4489f16a614a3a87386a5b63d2969f4ad2161b009cffb76c2f2c0f597ee1b02"),
+    (cylinder_chain, (182, 3),
+     "3cee733051572d07122ccd97817923a90496559247f9b87313c88e655bd64214"),
+])
+def test_gibbs_chain_pinned_wrapped_and_cylinder(chain, shape, digest):
+    # the states recorded with the search that listed every candidate in
+    # both orders, where they also matched gibbs_chain_loop
+    out = K.gibbs_chain(*chain())
+    assert out.shape == shape
+    got = hashlib.sha256(np.ascontiguousarray(out, "<f8").tobytes())
+    assert got.hexdigest() == digest
+
+
 def test_gibbs_chain_memory_is_small():
     # draws are read a chunk at a time and a chunk holds only its own rows
     # and close pairs; converting all 20 000 draws at once would take
@@ -797,6 +830,137 @@ def test_neighbour_counts_test_only_near_pairs(rng, monkeypatch):
             got[some], neighbour_counts_loop(queries[some], pts, np.ones(2),
                                              torus, 0.01, -1.0, 2))
         assert got.sum() > m
+
+
+def close_pairs_full(a, b, reach, sides, torus):
+    """Every candidate of the (m, d) rows ``a`` against the (n, d) rows
+    ``b``, in one block: the full 3^d stencil of cells at most 256 an axis,
+    with the rows of each neighbour key found by two ``searchsorted`` on the
+    sorted keys of b, so a self search lists each pair in both orders."""
+    ia = np.flatnonzero(np.isfinite(a).all(axis=1))
+    ib = np.flatnonzero(np.isfinite(b).all(axis=1))
+    a, b = a[ia], b[ib]
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    if torus:
+        spans = sides[:a.shape[1]]
+    else:
+        spans = np.maximum(a.max(axis=0), b.max(axis=0)) - lo
+        spans = np.where(spans > 0.0, spans, 1.0)
+    cell = abs(reach) * (1.0 + 1e-6)
+    axes, stride = [], 1
+    for la, span in zip(lo.tolist(), spans.tolist()):
+        q = span / cell if cell > 0.0 else math.inf
+        m = max(1, int(q)) if q < 256 else 256
+        c = np.arange(m)
+        near = np.stack([c - 1, c, c + 1], axis=1)
+        if torus:
+            near %= m
+            if m < 3:
+                near[:, 0] = -1
+            if m < 2:
+                near[:, 2] = -1
+        else:
+            near[(near < 0) | (near >= m)] = -1
+        axes.append((la, span / m, m, stride, near))
+        stride *= m
+
+    def cells(x):
+        out = []
+        for col, (la, wa, m, _, _) in zip(x.T, axes):
+            c = np.floor((col - la) / wa).astype(np.intp)
+            out.append(c % m if torus else np.clip(c, 0, m - 1))
+        return out
+
+    pkey = sum(c * ax[3] for c, ax in zip(cells(b), axes))
+    order = np.argsort(pkey, kind="stable")
+    pkey = pkey[order]
+    ncells = axes[-1][2] * axes[-1][3]
+    keys = np.zeros((a.shape[0], 1), dtype=np.intp)
+    for c, (_, _, _, stride, near) in zip(cells(a), axes):
+        nb = np.where(near[c] >= 0, near[c] * stride, ncells)
+        keys = (keys[:, :, None] + nb[:, None, :]).reshape(c.size, -1)
+    first = np.searchsorted(pkey, keys, side="left")
+    cnt = np.searchsorted(pkey, keys, side="right") - first
+    c = cnt.ravel()
+    pos = np.repeat(first.ravel() - (np.cumsum(c) - c), c) + np.arange(c.sum())
+    i = np.repeat(np.arange(a.shape[0]), cnt.sum(axis=1))
+    return ia[i], ib[order[pos]]
+
+
+def within(x, y, i, j, reach, sides, torus):
+    """The pairs (i, j) of rows of x and y within ``reach``, as a sorted list."""
+    ok = K._in_range(x[i], y[j], sides, torus, reach, -1.0, x.shape[1])
+    return sorted(zip(i[ok].tolist(), j[ok].tolist()))
+
+
+@pytest.mark.parametrize("torus", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_close_pairs_self_form_lists_each_pair_once(rng, monkeypatch, d,
+                                                    torus):
+    # the grid pattern (uniform points, a lattice exactly 0.125 apart,
+    # corners, coincident copies) with non-finite rows; on the torus of
+    # sides (1, 1.5, 0.8) the reaches give axes of many, 4, 3, 2 and 1 cells
+    lo = np.array([-0.3, 2.0, 0.5])[:d]
+    sides = np.array([1.0, 1.5, 0.8])[:d]
+    x = grid_pattern(rng, lo, sides)[:, :d]
+    x = np.vstack([x[:20], np.full((1, d), np.nan), x[20:],
+                   np.full((1, d), np.inf)])
+    n = x.shape[0]
+    queries = np.vstack([lo + rng.random((15, d)) * sides, x[::4]])
+    for block in (K._BLOCK_ENTRIES, 60, 350):
+        monkeypatch.setattr(K, "_BLOCK_ENTRIES", block)
+        size = max(1, block // (2 * d + 2))
+        for reach in (0.0, 0.07, 0.125, 0.3, 0.45, 0.7, 2.0):
+            assert K._cell_grid(lo.tolist(), sides.tolist(), reach,
+                                torus)[1] <= block
+            blocks = list(K.close_pairs(x, None, reach, sides, torus))
+            for i, _ in blocks:
+                # a block keeps to its budget unless one query alone has more
+                assert i.size <= size or np.unique(i).size == 1
+            i = np.concatenate([np.empty(0, np.intp)] + [b[0] for b in blocks])
+            j = np.concatenate([np.empty(0, np.intp)] + [b[1] for b in blocks])
+            assert i.dtype == j.dtype == np.intp and np.all(i != j)
+            key = np.minimum(i, j) * n + np.maximum(i, j)
+            assert np.unique(key).size == key.size
+            fi, fj = close_pairs_full(x, x, reach, sides, torus)
+            keep = fi < fj
+            want = within(x, x, fi[keep], fj[keep], reach, sides, torus)
+            got = within(x, x, np.minimum(i, j), np.maximum(i, j), reach,
+                         sides, torus)
+            assert got == want
+            if reach == 0.125:
+                # lattice rows exactly a reach apart, on the torus across
+                # the seam too
+                assert (21, 22) in got and ((21, 28) in got) == torus
+            # the cross form, whose rows come from the same cell table
+            i, j = (np.concatenate(p) for p in zip(
+                *K.close_pairs(queries, x, reach, sides, torus)))
+            fi, fj = close_pairs_full(queries, x, reach, sides, torus)
+            assert (within(queries, x, i, j, reach, sides, torus)
+                    == within(queries, x, fi, fj, reach, sides, torus))
+
+
+@pytest.mark.parametrize("torus", [False, True])
+def test_close_pairs_grid_is_capped_at_a_block(rng, torus):
+    # at reach 1e-4 in the unit cube, 256 cells an axis would need a cell
+    # table of 256^3 entries, 134 MB; the grid keeps to _BLOCK_ENTRIES cells
+    axes, ncells = K._cell_grid([0.0] * 3, [1.0] * 3, 1e-4, torus)
+    assert [ax[2] for ax in axes] == [64] * 3
+    assert ncells == K._BLOCK_ENTRIES
+    x = rng.random((2000, 3))
+    x[1] = x[0]
+    tracemalloc.start()
+    try:
+        pairs = [(i, j) for i, j in K.close_pairs(x, None, 1e-4, np.ones(3),
+                                                    torus)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * K._BLOCK_ENTRIES
+    i, j = (np.concatenate(p) for p in zip(*pairs))
+    assert within(x, x, i, j, 1e-4, np.ones(3), torus) in ([(0, 1)], [(1, 0)])
 
 
 def gi_pairs_triu(xs, cutoff):

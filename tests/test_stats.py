@@ -73,6 +73,11 @@ class TestIntensityEstimate:
         with pytest.raises(ValidationError, match="cell counts"):
             intensity_estimate(poisson_config(0), cells)
 
+    @pytest.mark.parametrize("cells", [2.5, 8.0, True, (4, 2.5), (4, True), "8"])
+    def test_cell_count_not_an_integer_rejected(self, cells):
+        with pytest.raises(ValidationError, match="cells must be integer"):
+            intensity_estimate(poisson_config(0), cells)
+
     def test_spatial_mean_unbiased(self):
         means = [np.mean(intensity_estimate(poisson_config(s, 100.0), 4).values)
                  for s in range(200)]
@@ -120,6 +125,16 @@ class TestPcfGround:
     def test_bandwidth_not_positive_and_finite_rejected(self, bandwidth):
         with pytest.raises(ValidationError, match="bandwidth"):
             pcf_ground(poisson_config(0), self.LAGS, bandwidth)
+
+    @pytest.mark.parametrize("lags", [[0.1, math.nan], [math.inf], [-math.inf, 0.1],
+                                      [[0.05, 0.1], [0.15, 0.2]], 0.1, []])
+    def test_lags_not_finite_or_not_1d_rejected(self, lags):
+        # a NaN lag passed every bound check and made the reach NaN, which
+        # zeroed every value, the finite lags' too
+        with pytest.raises(ValidationError, match="lags"):
+            pcf_ground(poisson_config(0), lags)
+        with pytest.raises(ValidationError, match="lags"):
+            pcf_mark_sampled(poisson_config(0), SampleSchedule((0.5,)), lags)
 
     def test_torus_shift_invariance_exact(self):
         wt = Window((0, 0), (1, 1), torus=True)
@@ -215,6 +230,19 @@ class TestTraceVariogram:
     def test_fewer_than_one_bin_rejected(self, bins):
         with pytest.raises(ValidationError, match="bin"):
             trace_variogram(*self.curves_iid(1), bins)
+
+    @pytest.mark.parametrize("bins", [2.5, 3.0, True, np.float64(4.0), "4"])
+    def test_bin_count_not_an_integer_rejected(self, bins):
+        # 2.5 used to run with 2 bins and True with 1
+        with pytest.raises(ValidationError, match="bins must be an integer"):
+            trace_variogram(*self.curves_iid(1), bins)
+
+    def test_numpy_integer_bin_count(self):
+        curves = self.curves_iid(1)
+        a = trace_variogram(*curves, np.int64(4))
+        b = trace_variogram(*curves, 4)
+        np.testing.assert_array_equal(a.bin_edges, b.bin_edges)
+        np.testing.assert_array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("edges", [[0.0, 0.5, 0.2, 1.0], [0.0, math.nan, 1.0],
                                        [0.0, 0.5, 0.5, 1.0], [math.nan, 1.0],
