@@ -10,7 +10,8 @@ unordered pair of distinct points once, from the half stencil of the
 neighbour cells of larger key and the later rows of a point's own cell, for
 ``gibbs_chain``, ``pair_stats`` and the growth overlap pairs.  The counts
 and the chain test the candidates with ``_in_range``, the one pairwise
-neighbour rule, which ``core.cylinder_contains`` calls too; ``pair_stats``
+neighbour rule on ``_squared_distances``, the package's one distance, which
+``core.cylinder_contains`` calls too; ``pair_stats``
 and the overlap pairs keep those within their reach; so each grows with the
 close pairs rather than with m n or n^2.  The chain searches once per chunk
 of draws, over the chunk's start state and birth locations, so its scalar
@@ -59,8 +60,7 @@ def pair_stats(pts, w, v, lags, bw, sides, torus):
         # column by column: reducing a (pairs, d) array measured slower
         d2, trans = 0.0, 1.0
         for col, side in zip(pts.T, sides.tolist()):
-            h = np.abs(col[i] - col[j])
-            h = np.minimum(h, side - h) if torus else h
+            h = _gap(col[i], col[j], side if torus else None)
             trans = trans * (side - h)
             d2 = d2 + h * h
         keep = (d2 <= reach * reach) & (d2 > 0.0)
@@ -257,10 +257,12 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
     ``close_pairs`` candidates of the universe that ``_in_range`` accepts,
     each unordered pair tested once and listed at both its rows.  The
     scalar loop keeps each universe row's number of alive neighbours: a
-    proposal reads its count, and an accepted birth or death adds or takes
-    one at its neighbours, in any order, since the updates commute.  A
-    chunk's work and memory grow with its universe and close pairs, and
-    since it covers at least n steps its universe holds O(1) rows per step.
+    proposal reads the rate of its count from the chunk's table of beta
+    gamma^k |W|, k up to the largest neighbour count, and an accepted birth
+    or death adds or takes one at its neighbours, in any order, since the
+    updates commute.  A chunk's work and memory grow with its universe and
+    close pairs, and since it covers at least n steps its universe holds
+    O(1) rows per step.
     """
     d = d_spatial
     span = hi - lo
@@ -282,15 +284,18 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
         i, j = np.concatenate(ii + jj), np.concatenate(jj + ii)
         by_row = np.argsort(i, kind="stable")
         i, j = i[by_row], j[by_row]
-        first = np.searchsorted(i, np.arange(uni.shape[0] + 1)).tolist()
-        nbr = j.tolist()
+        first = np.searchsorted(i, np.arange(uni.shape[0] + 1))
+        # the proposal rates beta gamma^k |W| for every count k a row can have
+        rate = [beta * gamma ** k * vol
+                for k in range(int(np.max(np.diff(first), initial=0)) + 1)]
+        first, nbr = first.tolist(), j.tolist()
         cnt = np.bincount(i[j < n], minlength=uni.shape[0]).tolist()
         rows, new = list(range(n)), n
         for b, ui, ua in zip(birth.tolist(), rng_idx[part].tolist(),
                              rng_acc[part].tolist()):
             if b:
                 u, new = new, new + 1
-                if ua * (n + 1) < beta * gamma ** cnt[u] * vol:
+                if ua * (n + 1) < rate[cnt[u]]:
                     rows.append(u)
                     n += 1
                     for v in nbr[first[u]:first[u + 1]]:
@@ -298,7 +303,7 @@ def gibbs_chain(x0, lo, hi, torus, beta, gamma, rng_move, rng_loc,
             elif n > 0:
                 idx = min(int(ui * n), n - 1)
                 u = rows[idx]
-                if beta * gamma ** cnt[u] * vol * ua < n:
+                if rate[cnt[u]] * ua < n:
                     rows[idx] = rows[-1]
                     rows.pop()
                     n -= 1
@@ -320,8 +325,7 @@ def _gi_pairs(xs, cutoff):
     parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
     for i, j in close_pairs(xs, None, reach, None, False):
         i, j = np.minimum(i, j), np.maximum(i, j)
-        diff = xs[i] - xs[j]
-        d2 = np.sum(diff * diff, axis=1)
+        d2 = _squared_distances(xs[i], xs[j])
         if cutoff >= 0.0:
             keep = d2 <= cutoff * cutoff
             i, j, d2 = i[keep], j[keep], d2[keep]
@@ -333,15 +337,9 @@ def _gi_pairs(xs, cutoff):
 
 def _gauss_operator(xs, a, s, cutoff):
     """Dense K_ij = a exp(-d_ij^2 / s^2), zero on the diagonal and, with
-    ``cutoff`` >= 0, wherever d_ij^2 > cutoff^2.  Built in place, one
-    coordinate at a time, so at most two n x n float arrays are alive."""
-    n = xs.shape[0]
-    kmat = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for col in xs.T:
-        np.subtract.outer(col, col, out=diff)
-        diff *= diff
-        kmat += diff
+    ``cutoff`` >= 0, wherever d_ij^2 > cutoff^2.  Built in place on
+    ``_squared_distances``, so at most two n x n float arrays are alive."""
+    kmat = _squared_distances(xs[:, None], xs[None])
     if cutoff >= 0.0:
         kmat[kmat > cutoff * cutoff] = np.inf
     np.negative(kmat, out=kmat)
@@ -535,17 +533,15 @@ def coverage_count(centers, radii, lo, hi, res, torus):
                        else np.arange(first, last + 1) % res)
             else:
                 idx = np.arange(max(first, 0), min(last, res - 1) + 1)
-            dist = np.abs(pix[a][idx] - centers[k, a])
-            if torus:
-                dist = np.minimum(dist, side[a] - dist)
-            box.append((idx, dist))
+            box.append((idx, _gap(pix[a][idx], centers[k, a],
+                                  side[a] if torus else None)))
         (ix, dx), (iy, dy) = box
         cov[np.ix_(ix, iy)] |= (dx * dx)[:, None] + (dy * dy)[None, :] <= r ** 2
     return int(np.sum(cov))
 
 
 # ---------------------------------------------------------------------------
-# neighbour counts of query locations among configuration points
+# neighbour counts, the neighbour rule and the pair geometry under both
 # ---------------------------------------------------------------------------
 def neighbour_counts(queries, pts, sides, torus, rad, trad, d_spatial, own=None):
     """(m,) number of the (n, D) points within range of each (m, D) query,
@@ -571,10 +567,34 @@ def _in_range(a, b, sides, torus, rad, trad, d_spatial):
     together, are neighbours: squared spatial distance <= rad^2 (minimal
     image on a torus) and, when ``trad`` >= 0 and the rows carry a time
     column, |dt| <= trad."""
-    diff = np.abs(a[..., :d_spatial] - b[..., :d_spatial])
-    if torus:
-        diff = np.minimum(diff, sides[:d_spatial] - diff)
-    ok = np.sum(diff * diff, axis=-1) <= rad * rad
+    ok = _squared_distances(a[..., :d_spatial], b[..., :d_spatial],
+                            sides if torus else None) <= rad * rad
     if trad >= 0.0 and a.shape[-1] > d_spatial:
         ok &= np.abs(a[..., -1] - b[..., -1]) <= trad
     return ok
+
+
+def _gap(x, y, side=None):
+    """|x - y| on one axis as a new array (0-d for scalars), or with ``side``
+    the minimal image min(h, side - h): the one torus distance rule."""
+    h = np.asarray(x - y)
+    np.abs(h, out=h)
+    return h if side is None else np.minimum(h, side - h, out=h)
+
+
+def _squared_distances(a, b, sides=None):
+    """Squared distances of the rows ``a`` and ``b``, whose leading axes
+    broadcast, minimal-image on a torus of ``sides``: squared gaps added a
+    coordinate at a time, so the roots are Euclidean to the bit and a box
+    keeps two arrays alive."""
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError("rows of different dimensions have no distance")
+
+    def square(k):
+        h = _gap(a[..., k], b[..., k], None if sides is None else sides[k])
+        return np.multiply(h, h, out=h)
+
+    d2 = square(0)
+    for k in range(1, a.shape[-1]):
+        d2 += square(k)
+    return d2

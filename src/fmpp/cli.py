@@ -523,6 +523,8 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
     if family not in oracles:
         raise ValidationError("check needs the poisson or gibbs ground family")
     names = section.get("checks", list(oracles[family]))
+    if not names:
+        raise ValidationError("config field 'check.checks' names no check")
     for name in names:
         if name not in oracles[family]:
             raise ValidationError(f"check '{name}' has no oracle for the "
@@ -542,6 +544,12 @@ def run_check(cfg: dict, out: Path, seed: int) -> int:
     if len(box) != 2:
         raise ValidationError("config field 'check.box' must be [lo, hi]")
     blo, bhi = np.asarray(box, dtype=float)
+    if not np.all(blo < bhi):
+        raise ValidationError("config field 'check.box' needs lo < hi on "
+                              "every axis")
+    if not np.all(np.minimum(bhi, window.hi) > np.maximum(blo, window.lo)):
+        raise ValidationError("config field 'check.box' must overlap the "
+                              "window in positive volume")
     results = []
 
     def report(name, rep):

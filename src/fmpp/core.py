@@ -144,17 +144,21 @@ class Window:
             bounds.append((0.0, self.t_star))
         return bounds
 
+    def _offsets(self, x) -> np.ndarray:
+        """Torus offsets of spatial coordinates from lo, each in [0, side)."""
+        x = np.mod(np.asarray(x, dtype=float) - self.lo, self.sides)
+        # np.mod can round a tiny negative offset up to the side itself
+        return np.where(x >= self.sides, 0.0, x)
+
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Wrap spatial coordinates onto the torus (requires torus flag)."""
-        lo = np.asarray(self.lo)
-        return lo + np.mod(np.asarray(x, dtype=float) - lo, self.sides)
+        return np.asarray(self.lo) + self._offsets(x)
 
     def spatial_distance(self, a, b) -> float:
         """Euclidean distance, with minimal-image convention on the torus."""
-        d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        if self.torus:
-            d = np.minimum(d, self.sides - d)
-        return float(np.sqrt(np.sum(d * d)))
+        return float(np.sqrt(_kernels._squared_distances(
+            np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+            self.sides if self.torus else None)))
 
     def ground_distance(self, g1, g2) -> float:
         """Supremum ground metric max(spatial, time_scale * |dt|)."""

@@ -480,6 +480,8 @@ def janossy_total_mass(model: ParametricModel, n_max: int = 30,
     """
     if model.ground == "gibbs":
         raise ValidationError("gibbs Janossy densities are unnormalized")
+    if n_max < 0:
+        raise ValidationError(f"n_max must be nonnegative, not {n_max}")
     mass = ground_intensity_mass(model, quad_res)
     mark_mass = 1.0
     if model.fidi is not None and not model.fidi.degenerate:
@@ -554,12 +556,11 @@ def papangelou(model: ParametricModel, queries, pattern, own=None,
 def _coincident(w: Window, queries, pts, own) -> np.ndarray:
     """(m,) whether query j equals, as values (-0.0 is 0.0), a row of the
     (n, D) ``pts`` other than row own[j]; on a torus the spatial parts are
-    compared modulo the sides, so a point on ``hi`` matches one on ``lo``."""
+    compared as ``Window._offsets`` (lo + offset can merge two), so a point
+    on ``hi`` matches one on ``lo``."""
     rows = np.concatenate([pts, queries])
     if w.torus:
-        x = np.mod(rows[:, :w.dim] - w.lo, w.sides)
-        # np.mod can round a tiny negative offset up to the side itself
-        rows[:, :w.dim] = np.where(x >= w.sides, 0.0, x)
+        rows[:, :w.dim] = w._offsets(rows[:, :w.dim])
     # equal rows are adjacent in lexicographic order and share one code
     order = np.lexsort(rows.T)
     code = np.empty(len(rows), dtype=np.intp)
@@ -692,6 +693,7 @@ def least_squares_marks(family: Callable, points, observed, schedule:
     observed = np.atleast_2d(np.asarray(observed, dtype=float))
     if t_star is None:
         t_star = float(schedule.times[-1])
+    schedule.validate_within(t_star)
     n = xs.shape[0]
     if observed.shape != (n, len(schedule)):
         raise ValidationError("observed matrix must be n points by k times")

@@ -382,9 +382,9 @@ def geostat_marking(locations, model: Geostatistical, grid, seed,
         draws = mean
     else:
         # both factors are unit-diagonal correlations
-        dx = locations[:, None, :] - locations[None, :, :]
-        hs = np.sqrt(np.sum(dx * dx, axis=-1)) / rho_s
-        ht = np.abs(grid[:, None] - grid[None, :]) / rho_t
+        hs = np.sqrt(_kernels._squared_distances(locations[:, None],
+                                                 locations[None])) / rho_s
+        ht = _kernels._gap(grid[:, None], grid[None, :]) / rho_t
         Ls = _cholesky(_correlation(fam, hs), 1.0)
         Lt = _cholesky(_correlation(fam, ht), 1.0)
         labels = np.zeros(n) if classes is None else np.asarray(classes)

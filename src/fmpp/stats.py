@@ -292,40 +292,24 @@ def _mark_locations(locations, marks: MarkTable) -> np.ndarray:
     return locs
 
 
-def _squared_distances(locs, i0, i1):
-    """Squared distances of rows i0..i1 of ``locs`` to rows i0.., summed axis
-    by axis in order, so their roots are the Euclidean distances bit for bit."""
-    first, *rest = locs.T
-    out = np.subtract.outer(first[i0:i1], first[i0:])
-    out *= out
-    for col in rest:
-        diff = np.subtract.outer(col[i0:i1], col[i0:])
-        diff *= diff
-        out += diff
-    return out
-
-
 def _largest_distance(locs) -> float:
     """The largest pair distance of the (n, d) ``locs``, the root of the
-    largest ``_squared_distances`` entry to the bit.
+    largest squared distance of the dense matrix to the bit.
 
     A pair at distance D has r_i + r_j >= D, r the distance to the
     centroid.  The farthest point from the centroid and its farthest
     partner set a lower bound L on the largest distance, so only the points
     with r_i >= L - max r, less a rounding margin, can join a pair that
     reaches it, and only the pairs among those are compared."""
-    def distances(point):
-        return np.sqrt(_squared_distances(np.vstack([point, locs]), 0, 1)[0, 1:])
-
-    r = distances(locs.mean(axis=0))
+    r = np.sqrt(_kernels._squared_distances(locs, locs.mean(axis=0)))
     far = int(np.argmax(r))
-    lower, r_max = np.max(distances(locs[far])), r[far]
+    lower = np.sqrt(np.max(_kernels._squared_distances(locs, locs[far])))
     # a NaN bound, from an overflow, keeps every point
-    keep = locs[~(r < lower - r_max - 1e-9 * (lower + r_max))]
+    keep = locs[~(r < lower - r[far] - 1e-9 * (lower + r[far]))]
     m = len(keep)
     rows = max(1, _kernels._BLOCK_ENTRIES // m)
-    return math.sqrt(max(np.max(_squared_distances(keep, i0, min(i0 + rows, m)))
-                         for i0 in range(0, m, rows)))
+    return math.sqrt(max(np.max(_kernels._squared_distances(
+        keep[i0:i0 + rows, None], keep[None, i0:])) for i0 in range(0, m, rows)))
 
 
 def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate:
@@ -375,7 +359,8 @@ def trace_variogram(locations, marks: MarkTable, bins=None) -> VariogramEstimate
         S = VW[i0:i1] @ V[i0:].T        # S[k, l]: curves i0 + k and i0 + l
         diag[i0:i1] = np.diagonal(S)
         upper = np.arange(n - i0) > np.arange(i1 - i0)[:, None]      # pairs i < j
-        h = np.sqrt(_squared_distances(locs, i0, i1)[upper])
+        h = np.sqrt(_kernels._squared_distances(locs[i0:i1, None],
+                                                locs[None, i0:])[upper])
         d = 0.5 * (diag[i0:i1, None] + diag[None, i0:] - 2.0 * S)[upper]
         if equal_width:
             idx = _equal_bin_index(edges, h)
@@ -422,9 +407,8 @@ def kriging_weights(locations, x0, model: VariogramModel) -> np.ndarray:
         raise ValidationError("kriging needs at least one curve")
     if n == 1:
         return np.asarray([1.0])
-    dx = locs[:, None, :] - locs[None, :, :]
-    G = model(np.sqrt(np.sum(dx * dx, axis=-1)))
-    g0 = model(np.sqrt(np.sum((locs - x0[None, :]) ** 2, axis=-1)))
+    G = model(np.sqrt(_kernels._squared_distances(locs[:, None], locs[None])))
+    g0 = model(np.sqrt(_kernels._squared_distances(locs, x0)))
     A = np.zeros((n + 1, n + 1))
     A[:n, :n] = G
     A[n, :n] = 1.0
@@ -450,7 +434,7 @@ def kriging_predict(locations, marks: MarkTable, x0,
     """
     locs = _mark_locations(locations, marks)
     x0 = np.asarray(x0, dtype=float)
-    dist0 = np.sqrt(np.sum((locs - x0[None, :]) ** 2, axis=1))
+    dist0 = np.sqrt(_kernels._squared_distances(locs, x0))
     hit = np.where(dist0 < 1e-12)[0]
     if hit.size:
         return marks[int(hit[0])]

@@ -311,6 +311,14 @@ def test_bad_config_number_is_a_validation_error(tmp_path, capsys, window, model
     ("check", {"check": {"checks": ["campbell"], "quad_res": 0}}, "cell counts"),
     ("check", {"check": {"replicates": 1}}, "two or more replicates"),
     ("estimate", {"estimate": {"scheme": "mle-janossy", "budget": 0}}, "budget"),
+    # a check that checks nothing: an inverted box, a box outside the
+    # window, no checks, a Janossy series of no terms
+    ("check", {"check": {"checks": ["campbell", "gnz"], "replicates": 3,
+                         "box": [[0.8, 0.8], [0.2, 0.2]]}}, "check.box"),
+    ("check", {"check": {"checks": ["gnz"], "replicates": 3,
+                         "box": [[2, 2], [3, 3]]}}, "check.box"),
+    ("check", {"check": {"checks": []}}, "check.checks"),
+    ("check", {"check": {"checks": ["janossy"], "n_max": -1}}, "n_max"),
 ])
 def test_bad_stage_number_is_a_validation_error(tmp_path, capsys, stage, section,
                                                 field):
@@ -431,6 +439,20 @@ class TestMissingConfigFields:
         cfg = write_cfg(tmp_path, cfg_obj, "nogrowth.json")
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
         assert "'model.marks.growth'" in capsys.readouterr().err
+
+    def test_least_squares_schedule_past_the_horizon(self, tmp_path, capsys):
+        # sample times after t_star would add only zero residuals
+        cfg = write_cfg(tmp_path, {
+            "window": TEMPORAL, "seed": 6,
+            "model": {**_growth(), "mark_grid": {"dt": 0.1}},
+            "schedule": [0.5, 3.0, 7.0],
+            "estimate": {"scheme": "least-squares", "theta0": [0.5, 0.5]}})
+        out = str(tmp_path / "ls")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "t_star" in err
 
 
 class TestSummarize:

@@ -94,6 +94,26 @@ class TestWindow:
         w = Window((0, 0), (1, 1), torus=True)
         assert w.spatial_distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1)
 
+    def test_torus_distance_to_the_bit(self):
+        # one pair through the package's squared-distance rule: the minimal
+        # image gaps squared and summed in coordinate order
+        w = Window((-1, 0, 2), (1, 0.7, 5), torus=True)
+        a, b = np.array([0.9, 0.05, 2.1]), np.array([-0.95, 0.6, 4.3])
+        h = np.abs(a - b)
+        h = np.minimum(h, w.sides - h)
+        assert w.spatial_distance(a, b) == math.sqrt(np.sum(h * h))
+
+    def test_wrap_puts_a_tiny_negative_offset_on_lo(self):
+        # np.mod rounds -1e-17 modulo 1 up to 1.0, the side itself; wrap
+        # reads that offset as 0, so the point lands on lo and not on hi
+        w = Window((0, 0), (1, 1), torus=True)
+        np.testing.assert_array_equal(w.wrap([[-1e-17, 0.5]]), [[0.0, 0.5]])
+        np.testing.assert_array_equal(w.wrap([[1.0, 1.25]]), [[0.0, 0.25]])
+        marks = CadlagPath.rows([0.0, 0.5], np.zeros((1, 2)), None, "step", 1.0)
+        c = Configuration(w, [[0.0, 0.5]], [AuxMark(discrete=1)], marks)
+        np.testing.assert_array_equal(shift(c, [-1e-17, 0.0]).ground,
+                                      [[0.0, 0.5]])
+
     def test_time_scale_in_ground_metric(self):
         w = Window((0, 0), (1, 1), t_star=10.0, time_scale=0.1)
         g1 = ((0.0, 0.0), 0.0)

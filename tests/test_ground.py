@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -102,6 +104,20 @@ class TestPoisson:
 
 
 class TestLgcp:
+    def test_memory_of_the_covariance(self):
+        # the cell-centre distances are summed one coordinate at a time and
+        # squared in place, so the Cholesky step's three n x n arrays set the
+        # peak; an (n, n, d) difference array formed first peaked at five
+        n = 48 * 48
+        model = LogGaussianCox(3.0, ("exponential", 0.5, 0.2), (48, 48))
+        tracemalloc.start()
+        try:
+            simulate_lgcp(model, UNIT_SQUARE, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
+
     def test_zero_variance_reduces_to_poisson(self):
         model = LogGaussianCox(np.log(50.0), ("exponential", 0.0, 0.2), (8, 8))
         counts = [len(simulate_lgcp(model, UNIT_SQUARE, s)[1]) for s in range(400)]

@@ -279,6 +279,13 @@ class TestJanossy:
                                    schedule=SampleSchedule((1.0,)))
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_negative_n_max_is_a_validation_error(self):
+        # a sum over no n would read 0 and fail the check for the wrong reason
+        m = ParametricModel("poisson", (50.0,), W)
+        assert janossy_total_mass(m, 0) == pytest.approx(math.exp(-50.0))
+        with pytest.raises(ValidationError, match="n_max"):
+            janossy_total_mass(m, -1)
+
     def test_gibbs_unnormalized_flag(self):
         m = ParametricModel("gibbs", (50.0, 0.5), W, interaction_range=0.05)
         j = janossy_density(m, [Observation((0.5, 0.5))])
@@ -506,6 +513,16 @@ class TestLeastSquaresMarks:
             least_squares_marks(family, pts, np.array([[0.7]]),
                                 SampleSchedule((0.5,)), [0.2], [(0.0, 5.0)],
                                 dt=0.0, t_star=1.0)
+
+    def test_schedule_past_the_horizon_is_a_validation_error(self):
+        # marks end at t_star, so later sample times would add zero
+        # residuals and the fit would converge on the earlier ones alone
+        family = lambda th: GrowthInteraction(("linear", 0.0, 1.0), m0=th[0])
+        pts = (np.array([[0.5, 0.5]]), np.array([0.0]), np.array([10.0]))
+        with pytest.raises(ValidationError, match="t_star"):
+            least_squares_marks(family, pts, np.full((1, 3), 0.7),
+                                SampleSchedule((0.5, 3.0, 7.0)), [0.2],
+                                [(0.0, 5.0)], dt=0.005, t_star=1.0)
 
     def test_noiseless_recovery(self):
         a_true, b_true = 1.5, 0.8

@@ -1011,3 +1011,95 @@ def test_growth_plan_overlap_memory_is_subquadratic():
             tracemalloc.stop()
         assert np.all(plan.pairs[2] <= 0.05) and plan.pairs[2].size > n
     assert peaks[1] < 8 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# the pair geometry: _gap and _squared_distances against the formulas they
+# replaced, to the bit
+# ---------------------------------------------------------------------------
+def squared_distances_reduced(a, b, sides):
+    """The reduced form: a (..., d) array of gaps, minimal images on a
+    torus, squared and summed along the last axis."""
+    diff = np.abs(a - b)
+    if sides is not None:
+        diff = np.minimum(diff, sides - diff)
+    return np.sum(diff * diff, axis=-1)
+
+
+def squared_distances_outer(x, y):
+    """The dense box form: per coordinate outer differences, squared
+    without their sign and added in coordinate order."""
+    first, *rest = x.T
+    out = np.subtract.outer(first, y[:, 0])
+    out *= out
+    for k, col in enumerate(rest, start=1):
+        diff = np.subtract.outer(col, y[:, k])
+        diff *= diff
+        out += diff
+    return out
+
+
+def seam_points(rng, lo, sides):
+    """Uniform points, then points on lo, on hi, at half a side, a rounding
+    step inside hi and a tiny offset below lo on each axis."""
+    d = lo.size
+    x = lo + rng.random((40, d)) * sides
+    hi = lo + sides
+    for v in (lo, hi, lo + 0.5 * sides, np.nextafter(hi, lo), lo - 1e-17):
+        rows = x[:3].copy()
+        rows[np.arange(3), np.arange(3) % d] = v[np.arange(3) % d]
+        x = np.vstack([x, rows, v[None]])
+    return x
+
+
+def same_bits(got, want):
+    return np.shape(got) == np.shape(want) and (
+        np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("torus", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_squared_distances_match_the_formulas_they_replaced(rng, d, torus):
+    lo = np.array([-0.35, 2.0, 0.0])[:d]
+    sides = np.array([0.7, 3.0, 1.0])[:d]
+    x = seam_points(rng, lo, sides)
+    y = x[::-1][:31]
+    s = sides if torus else None
+    # dense, gathered pairs and one pair (the 0-d array of two 1-d rows)
+    dense = K._squared_distances(x[:, None], y[None], s)
+    assert same_bits(dense, squared_distances_reduced(x[:, None], y[None], s))
+    if not torus:
+        assert same_bits(dense, squared_distances_outer(x, y))
+    i = rng.integers(0, x.shape[0], 200)
+    j = rng.integers(0, y.shape[0], 200)
+    pairs = K._squared_distances(x[i], y[j], s)
+    assert same_bits(pairs, squared_distances_reduced(x[i], y[j], s))
+    for a, b in zip(x[i[:20]], y[j[:20]]):
+        assert same_bits(K._squared_distances(a, b, s),
+                         np.asarray(squared_distances_reduced(a, b, s)))
+    # each axis's gap is the pair_stats and coverage_count formula
+    for k in range(d):
+        h = np.abs(x[i, k] - y[j, k])
+        if torus:
+            h = np.minimum(h, sides[k] - h)
+        assert same_bits(K._gap(x[i, k], y[j, k], s[k] if torus else None), h)
+    # on the torus the corner hi is the corner lo
+    if torus:
+        assert K._squared_distances(lo, lo + sides, sides) == 0.0
+    # rows of different dimensions do not broadcast to a distance
+    with pytest.raises(ValueError, match="dimensions"):
+        K._squared_distances(x, np.append(y[0], 0.5))
+
+
+def test_squared_distances_hold_two_result_arrays(rng):
+    # squared in place: the dense box matrix costs two n x n arrays at most
+    n = 1000
+    x = rng.random((n, 3))
+    tracemalloc.start()
+    try:
+        d2 = K._squared_distances(x[:, None], x[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d2.shape == (n, n)
+    assert peak < 2.5 * n * n * 8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,21 @@ class TestGrowthInteraction:
 
 
 class TestGeostatMarking:
+    def test_memory_of_the_spatial_factor(self):
+        # the location distances are summed one coordinate at a time and
+        # squared in place: four n x n arrays at the peak, where an (n, n, d)
+        # difference array formed first peaked at six
+        n = 1500
+        locs = np.random.default_rng(1).random((n, 2))
+        model = Geostatistical(1.0, ("gaussian", 0.4, 0.3, 0.5))
+        tracemalloc.start()
+        try:
+            geostat_marking(locs, model, np.linspace(0, 1, 21), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * n * 8
+
     def test_zero_variance_gives_mean_surface(self):
         mean = lambda x, t: x[:, :1] + t
         paths = geostat_marking(np.array([[0.25, 0.5]]),

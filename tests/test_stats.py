@@ -416,7 +416,8 @@ class TestLargestDistance:
 
     @staticmethod
     def brute(locs):
-        return math.sqrt(np.max(stats._squared_distances(locs, 0, len(locs))))
+        dx = locs[:, None, :] - locs[None, :, :]
+        return math.sqrt(np.max(np.sum(dx * dx, axis=-1)))
 
     @staticmethod
     def circle(n, rng):
@@ -496,6 +497,20 @@ class TestKriging:
         wts = kriging_weights(np.array([[0.0, 0.0], [1.0, 0.0]]),
                               np.array([0.5, 0.0]), self.MODEL)
         np.testing.assert_allclose(wts, [0.5, 0.5], atol=1e-12)
+
+    def test_memory_of_the_kriging_system(self):
+        # the location distances are summed one coordinate at a time and
+        # squared in place: about four n x n arrays at the peak, where an
+        # (n, n, d) difference array formed first peaked at six
+        n = 1500
+        locs = np.random.default_rng(1).random((n, 2))
+        tracemalloc.start()
+        try:
+            kriging_weights(locs, np.array([0.3, 0.4]), self.MODEL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * n * 8
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
