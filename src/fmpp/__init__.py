@@ -27,7 +27,6 @@ from .core import (
     CadlagPath,
     Configuration,
     MarkedPoint,
-    ReferenceSpec,
     SampleSchedule,
     Window,
     configuration_from_json,
@@ -49,7 +48,6 @@ __all__ = [
     "CadlagPath",
     "Configuration",
     "MarkedPoint",
-    "ReferenceSpec",
     "SampleSchedule",
     "Window",
     "configuration_from_json",

@@ -30,10 +30,8 @@ import numpy as np
 from . import geometry as geo
 from . import ground, infer, marks, stats
 from .core import (
-    AuxMeasure,
     AuxTable,
     Configuration,
-    ReferenceSpec,
     SampleSchedule,
     Window,
     configuration_from_json,  # noqa: F401  (fmpp.cli attributes that perfbench wraps)
@@ -117,11 +115,17 @@ def _spec(obj: dict, key: str, path: str, default=_REQUIRED) -> tuple:
 
 def _window_from(cfg: dict) -> Window:
     w = _require(cfg, "window", "")
+    if not isinstance(w, dict):
+        raise ValidationError("config field 'window' must be an object")
+    for key in w:
+        if key not in ("lo", "hi", "t_star", "torus"):
+            raise ValidationError(f"config field 'window.{key}' is unknown or "
+                                  "removed: a window takes lo, hi, t_star and "
+                                  "torus")
     return Window(_numbers(w, "lo", "window", ranged=True),
                   _numbers(w, "hi", "window", ranged=True),
                   _number(w, "t_star", "window", None, ranged=True),
-                  w.get("torus", False),
-                  _number(w, "time_scale", "window", 1.0, ranged=True))
+                  w.get("torus", False))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -133,10 +137,7 @@ def _mark_grid(cfg: dict, window: Window) -> np.ndarray:
     dt = _number(cfg.get("model", {}).get("mark_grid", {}), "dt",
                  "model.mark_grid", 0.01, ranged=True)
     horizon = window.t_star if window.is_temporal else 1.0
-    n = int(round(horizon / dt)) if dt > 0 else 0
-    if n < 1 or abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
-        raise ValidationError("model.mark_grid.dt must divide the horizon")
-    return np.arange(n + 1) * dt
+    return marks._uniform_grid(dt, horizon, "model.mark_grid.dt")
 
 
 def _gibbs_from(gspec: dict) -> ground.PairwiseGibbs:
@@ -260,7 +261,6 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
                                   "nonnegative with a positive sum")
         draws = rng.choice(len(probs), size=n, p=probs / probs.sum()) + 1
         auxs = AuxTable(draws, np.empty((n, 0)))
-        reference = ReferenceSpec(AuxMeasure("counting", (len(probs),)))
     elif kind == "lifetime":
         if lifetimes is None:
             rate = float(_number(aux_spec, "rate", "model.aux"))
@@ -268,16 +268,14 @@ def _simulate_one(cfg: dict, window: Window, seed: int) -> Configuration:
                 raise ValidationError("config field 'model.aux.rate' must be positive")
             lifetimes = rng.exponential(1.0 / rate, size=n)
         auxs = AuxTable(np.zeros(n, dtype=np.int64), lifetimes[:, None])
-        reference = ReferenceSpec(AuxMeasure("expon", (1.0,)))
     elif kind == "none":
         auxs = AuxTable(np.ones(n, dtype=np.int64), np.empty((n, 0)))
-        reference = ReferenceSpec(AuxMeasure("counting", (1,)))
     else:
         raise ValidationError(f"unknown aux kind '{kind}' in model.aux")
 
     paths = marks.attach_marks(window, locs, auxs, _mark_model(mark_spec, field),
                                grid, mark_seed)
-    return marks.make_configuration(window, locs, auxs, paths, reference)
+    return marks.make_configuration(window, locs, auxs, paths)
 
 
 def run_simulate(cfg: dict, out: Path, seed: int, replicates: int) -> int:

@@ -1,11 +1,11 @@
 """Core state spaces and geometric primitives.
 
 Houses the observation window with its ground box and midpoint rule,
-grid-sampled cadlag paths, marked points, finite configurations and their
-reference-measure descriptors, together with the path metrics (time-warp
-metric and uniform metric), cylinder neighbourhoods, ground/temporal
-projections, torus shifts, JSON/CSV serialization and the binary cache
-between CLI stages.
+grid-sampled cadlag paths, marked points, finite configurations and the
+aux reference measures of the density specs, together with the path
+metrics (time-warp metric and uniform metric), cylinder neighbourhoods,
+ground/temporal projections, torus shifts, JSON/CSV serialization and the
+binary cache between CLI stages.
 
 A configuration is stored as columns: an (n, D) ground array (event time
 last on a temporal window), one ``AuxTable`` of aux marks, an (n,) type
@@ -35,7 +35,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from operator import add
 
@@ -54,7 +54,6 @@ __all__ = [
     "MarkTable",
     "MarkedPoint",
     "Configuration",
-    "ReferenceSpec",
     "AuxMeasure",
     "SampleSchedule",
     "skorohod_distance",
@@ -79,16 +78,13 @@ __all__ = [
 class Window:
     """Axis-aligned spatial box, optionally with a time interval [0, t_star].
 
-    ``torus`` identifies opposite sides of the spatial box.  ``time_scale``
-    is the factor applied to time differences when space and time enter a
-    common ground metric (default 1, i.e. both measured on their own scale).
+    ``torus`` identifies opposite sides of the spatial box.
     """
 
     lo: tuple
     hi: tuple
     t_star: float | None = None
     torus: bool = False
-    time_scale: float = 1.0
 
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
@@ -105,8 +101,6 @@ class Window:
             raise ValidationError("window lo and hi must be finite")
         if self.t_star is not None and not 0 < self.t_star < math.inf:
             raise ValidationError("t_star must be positive and finite when present")
-        if not 0 < self.time_scale < math.inf:
-            raise ValidationError("time_scale must be positive and finite")
         if isinstance(self.torus, np.bool_):
             object.__setattr__(self, "torus", bool(self.torus))
         if not isinstance(self.torus, bool):
@@ -150,6 +144,25 @@ class Window:
         # np.mod can round a tiny negative offset up to the side itself
         return np.where(x >= self.sides, 0.0, x)
 
+    def _row_codes(self, rows) -> np.ndarray:
+        """(n,) integer codes of the (n, D) ground rows, equal exactly when
+        two rows are one ground point: equal as values (-0.0 is 0.0), on a
+        torus with the spatial parts compared as ``_offsets`` (lo + offset
+        can merge two), so a point on ``hi`` is the one on ``lo``."""
+        rows = np.asarray(rows, dtype=float)
+        if self.torus:
+            rows = np.hstack([self._offsets(rows[:, :self.dim]),
+                              rows[:, self.dim:]])
+        # equal rows are adjacent in lexicographic order and share one code
+        order = np.lexsort(rows.T)
+        ranked = rows[order]
+        step = np.empty(len(rows), dtype=bool)
+        step[:1] = False
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=step[1:])
+        code = np.empty(len(rows), dtype=np.intp)
+        code[order] = np.cumsum(step)
+        return code
+
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Wrap spatial coordinates onto the torus (requires torus flag)."""
         return np.asarray(self.lo) + self._offsets(x)
@@ -161,12 +174,12 @@ class Window:
             self.sides if self.torus else None)))
 
     def ground_distance(self, g1, g2) -> float:
-        """Supremum ground metric max(spatial, time_scale * |dt|)."""
+        """Supremum ground metric max(spatial, |dt|)."""
         (x1, t1), (x2, t2) = g1, g2
         ds = self.spatial_distance(x1, x2)
         if t1 is None or t2 is None:
             return ds
-        return max(ds, self.time_scale * abs(t1 - t2))
+        return max(ds, abs(t1 - t2))
 
 
 def ground_array(window: Window, ground) -> np.ndarray:
@@ -661,20 +674,6 @@ class AuxMeasure:
 
 
 @dataclass(frozen=True)
-class ReferenceSpec:
-    """Reference measure split: aux measure and functional-mark reference law."""
-
-    aux: AuxMeasure = field(default_factory=lambda: AuxMeasure("counting", (1,)))
-    mark_reference: tuple = ("wiener", 1.0)
-
-    def __post_init__(self):
-        kind = self.mark_reference[0]
-        if kind not in ("wiener", "point_mass", "custom"):
-            raise ValidationError(f"unknown mark reference {kind!r}")
-        object.__setattr__(self, "mark_reference", tuple(self.mark_reference))
-
-
-@dataclass(frozen=True)
 class SampleSchedule:
     """The discrete mark-sampling times s_1 < ... < s_k."""
 
@@ -704,24 +703,24 @@ class SampleSchedule:
 # Configuration
 # ---------------------------------------------------------------------------
 class Configuration:
-    """A finite realization: marked points in a window plus reference spec.
+    """A finite realization: marked points in a window.
 
     Stored as columns: ``ground`` is a read-only (n, D) array of ground
     locations (the event time last on a temporal window), ``auxs`` the
     ``AuxTable`` of the n aux marks and ``marks`` the ``MarkTable`` of the
     n cadlag marks.  The ground locations must lie in the window and be
-    pairwise distinct (simplicity of the ground measure), and on a temporal
+    pairwise distinct (simplicity of the ground measure; on a torus a point
+    on ``hi`` is the one on ``lo``, by ``Window._row_codes``), and on a temporal
     window every mark support starts at a nonnegative time and the marks'
     t_star is the window's; construction fails otherwise.  Aux marks given
     as any other sequence of ``AuxMark`` become one table, and marks given
     as any other sequence of paths one table on the merged grid of theirs.
     """
 
-    __slots__ = ("window", "ground", "auxs", "marks", "reference")
+    __slots__ = ("window", "ground", "auxs", "marks")
 
     def __init__(self, window: Window, ground, auxs: Iterable[AuxMark],
-                 marks: Iterable[CadlagPath],
-                 reference: ReferenceSpec | None = None):
+                 marks: Iterable[CadlagPath]):
         ground = ground_array(window, ground)
         auxs = _aux_table(auxs)
         if not isinstance(marks, MarkTable):
@@ -735,10 +734,10 @@ class Configuration:
         if np.any(outside):
             key = tuple(ground[np.argmax(outside)].tolist())
             raise ValidationError(f"point {key} lies outside the window")
-        rows = ground[np.lexsort(ground.T[::-1])]
-        same = np.all(rows[1:] == rows[:-1], axis=1)
-        if np.any(same):
-            key = tuple(rows[np.argmax(same)].tolist())
+        code = window._row_codes(ground)
+        repeated = np.bincount(code)[code] > 1
+        if np.any(repeated):
+            key = tuple(ground[np.argmax(repeated)].tolist())
             raise ValidationError(f"duplicate ground location {key}")
         if window.is_temporal and n:
             if np.any(marks.starts < -1e-12):
@@ -752,7 +751,6 @@ class Configuration:
         self.ground = ground
         self.auxs = auxs
         self.marks = marks
-        self.reference = reference if reference is not None else ReferenceSpec()
 
     def __len__(self):
         return self.ground.shape[0]
@@ -810,7 +808,7 @@ def shift(c: Configuration, z) -> Configuration:
     if c.window.torus:
         x = c.window.wrap(x)
     ground = np.hstack([x, c.ground[:, d:] + zt])
-    return Configuration(c.window, ground, c.auxs, c.marks, c.reference)
+    return Configuration(c.window, ground, c.auxs, c.marks)
 
 
 def cylinder_contains(center, u: float, v: float, query, window: Window | None = None) -> bool:
@@ -979,20 +977,10 @@ def _point_texts(c: Configuration, want_json=True, want_csv=True):
 
 
 def _head(c: Configuration) -> dict:
-    """The window and reference fields of both file formats."""
-    return {
-        "window": {
-            "lo": list(c.window.lo),
-            "hi": list(c.window.hi),
-            "t_star": c.window.t_star,
-            "torus": c.window.torus,
-            "time_scale": c.window.time_scale,
-        },
-        "reference": {
-            "aux": {"kind": c.reference.aux.kind, "params": list(c.reference.aux.params)},
-            "mark_reference": list(c.reference.mark_reference),
-        },
-    }
+    """The window field of both file formats."""
+    w = c.window
+    return {"window": {"lo": list(w.lo), "hi": list(w.hi), "t_star": w.t_star,
+                       "torus": w.torus}}
 
 
 def _json_document(c: Configuration, points) -> str:
@@ -1051,19 +1039,14 @@ def _value_matrix(rows: list, points: list) -> np.ndarray:
     raise ValidationError(f"point {i}: mark field 'values' must hold numbers")
 
 
-def _window_and_reference(obj: dict) -> tuple:
-    """The window and reference spec of ``_head``'s fields."""
+def _window(obj: dict) -> Window:
+    """The window of ``_head``'s field.  Older files also hold a window
+    time scale and a reference measure; neither ever changed a result, and
+    both are ignored."""
     w = _field(obj, "window", "configuration")
-    window = Window(tuple(_field(w, "lo", "window")),
-                    tuple(_field(w, "hi", "window")), w.get("t_star"),
-                    w.get("torus", False), w.get("time_scale", 1.0))
-    r = obj.get("reference", {})
-    aux_obj = r.get("aux", {"kind": "counting", "params": [1]})
-    reference = ReferenceSpec(
-        AuxMeasure(aux_obj["kind"], tuple(aux_obj["params"])),
-        tuple(r.get("mark_reference", ("wiener", 1.0))),
-    )
-    return window, reference
+    return Window(tuple(_field(w, "lo", "window")),
+                  tuple(_field(w, "hi", "window")), w.get("t_star"),
+                  w.get("torus", False))
 
 
 def configuration_from_json(text: str) -> Configuration:
@@ -1072,7 +1055,7 @@ def configuration_from_json(text: str) -> Configuration:
     several grids become one table on their merged grid.  A missing or
     malformed field raises a ValidationError naming it and its point."""
     obj = json.loads(text)
-    window, reference = _window_and_reference(obj)
+    window = _window(obj)
     d, temporal = window.dim, window.is_temporal
     ground, discrete, conts, rows, supports, groups = [], [], [], [], [], {}
     last = None
@@ -1124,8 +1107,7 @@ def configuration_from_json(text: str) -> Configuration:
         for idx, table in tables:
             for i, path in zip(idx, table):
                 marks[i] = path
-    return Configuration(window, ground, _pad_aux(discrete, conts), marks,
-                         reference)
+    return Configuration(window, ground, _pad_aux(discrete, conts), marks)
 
 
 def _csv_header(c: Configuration) -> str:
@@ -1285,7 +1267,7 @@ def read_configuration_files(json_path) -> Configuration:
     if cached is None:
         return configuration_from_json(data.decode("utf-8"))
     header, cols = cached
-    window, reference = _window_and_reference(header)
+    window = _window(header)
     # the JSON reader gives an empty pattern the empty table
     marks = ()
     if len(cols["ground"]):
@@ -1294,5 +1276,4 @@ def read_configuration_files(json_path) -> Configuration:
             np.column_stack([cols["starts"], cols["ends"]]),
             header["mode"], header["t_star"])
     return Configuration(window, cols["ground"],
-                         AuxTable(cols["discrete"], cols["continuous"]), marks,
-                         reference)
+                         AuxTable(cols["discrete"], cols["continuous"]), marks)

@@ -73,7 +73,8 @@ def expected_coverage(count_dist, second_moment, w: Window,
     is ("poisson", nu, n_max) or ("pmf", probabilities over n=0..n_max);
     ``second_moment`` is E[M(t)^2], a scalar for exchangeable radii or a
     sequence indexed by i.  The truncated tail of sum_n n P(N=n) must carry
-    less mass than ``tail_tol``.
+    less mass than ``tail_tol``, and pmf probabilities must not sum past
+    1 + ``tail_tol``.
     """
     if w.dim != 2:
         raise ValidationError("expected coverage is defined for planar windows")
@@ -91,6 +92,9 @@ def expected_coverage(count_dist, second_moment, w: Window,
         if not np.all(np.isfinite(probs) & (probs >= 0.0)):
             raise ValidationError("count probabilities must be finite and nonnegative")
         tail = 1.0 - float(np.sum(probs))
+        if tail < -tail_tol:
+            raise ValidationError(
+                f"count probabilities sum to {1.0 - tail!r}, more than 1")
     else:
         raise ValidationError(f"unknown count distribution {kind!r}")
     if tail > tail_tol:

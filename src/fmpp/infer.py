@@ -489,6 +489,14 @@ def janossy_total_mass(model: ParametricModel, n_max: int = 30,
             raise ValidationError(
                 "mark mass quadrature needs a value grid and a k=1 schedule")
         u = np.asarray(mark_grid, dtype=float)
+        # the sum below takes the first gap as every step: each value must
+        # lie within 1e-9 max(span, 1) of u[0] + k (u[1] - u[0])
+        if not (u.ndim == 1 and u.size >= 2 and np.all(np.isfinite(u))
+                and u[1] > u[0]
+                and np.all(np.abs(u - u[0] - (u[1] - u[0]) * np.arange(u.size))
+                           <= 1e-9 * max(u[-1] - u[0], 1.0))):
+            raise ValidationError("mark_grid must hold at least two increasing, "
+                                  "evenly spaced values")
         mark_mass = float(np.sum(np.exp(_fidi_row_logs(
             model.fidi, schedule.times, u[:, None]))) * (u[1] - u[0]))
     probs = None if model.aux is None else model.aux.discrete_probs
@@ -554,19 +562,11 @@ def papangelou(model: ParametricModel, queries, pattern, own=None,
 
 
 def _coincident(w: Window, queries, pts, own) -> np.ndarray:
-    """(m,) whether query j equals, as values (-0.0 is 0.0), a row of the
-    (n, D) ``pts`` other than row own[j]; on a torus the spatial parts are
-    compared as ``Window._offsets`` (lo + offset can merge two), so a point
-    on ``hi`` matches one on ``lo``."""
-    rows = np.concatenate([pts, queries])
-    if w.torus:
-        rows[:, :w.dim] = w._offsets(rows[:, :w.dim])
-    # equal rows are adjacent in lexicographic order and share one code
-    order = np.lexsort(rows.T)
-    code = np.empty(len(rows), dtype=np.intp)
-    code[order] = np.cumsum(np.r_[0, np.any(np.diff(rows[order], axis=0), axis=1)])
+    """(m,) whether query j is, by ``Window._row_codes``, the ground point
+    of a row of the (n, D) ``pts`` other than row own[j]."""
+    code = w._row_codes(np.concatenate([pts, queries]))
     cp, cq = code[:len(pts)], code[len(pts):]
-    same = np.bincount(cp, minlength=len(rows))[cq]
+    same = np.bincount(cp, minlength=len(code))[cq]
     same[own >= 0] -= cp[own[own >= 0]] == cq[own >= 0]
     return same > 0
 

@@ -34,7 +34,6 @@ from .core import (
     CadlagPath,
     Configuration,
     MarkTable,
-    ReferenceSpec,
     SampleSchedule,
     Window,
     _aux_table,
@@ -260,10 +259,7 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
         lifetimes = _lifetimes(auxs)
         if lifetimes is None:
             raise ValidationError("growth-interaction marks need lifetime aux marks")
-        if grid.size < 2 or not np.allclose(grid, np.linspace(0.0, t_star, grid.size),
-                                            rtol=0.0, atol=1e-9 * max(t_star, 1.0)):
-            raise ValidationError(
-                "growth-interaction marks need a grid 0, dt, .., t_star")
+        _uniform_grid(grid, t_star, "the growth-interaction mark grid")
         return gi_integrate((xs, locations[:, d], lifetimes), model,
                             float(grid[1] - grid[0]), seed, t_star)
     if isinstance(model, Geostatistical):
@@ -278,6 +274,28 @@ def attach_marks(window: Window, locations, auxs: Sequence, model, grid,
             raise ValidationError("intensity-dependent marking needs the Cox field")
         return intensity_dependent_marking(model.field, xs, grid)
     raise ValidationError(f"unknown mark model {type(model).__name__}")
+
+
+def _uniform_grid(step, horizon: float, what: str = "step") -> np.ndarray:
+    """The mark grid 0, step, .., horizon: the one rule for a uniform mark
+    grid.  A whole number n >= 1 of steps must end within
+    1e-9 max(horizon, 1) of ``horizon``, or a ValidationError says that
+    ``what`` must divide the mark horizon.  ``step`` may be a given grid
+    instead: its first gap is the step, and each of its times must lie as
+    close to the made grid's."""
+    tol = 1e-9 * max(horizon, 1.0)
+    given = None
+    if np.ndim(step):
+        given = np.asarray(step, dtype=float)
+        step = float(given[1] - given[0]) if given.size > 1 else 0.0
+    n = int(round(horizon / step)) if step > 0 else 0
+    if n >= 1 and abs(n * step - horizon) <= tol:
+        grid = np.arange(n + 1) * step
+        if given is None or (given.shape == grid.shape
+                             and np.all(np.abs(given - grid) <= tol)):
+            return grid
+    raise ValidationError(f"{what} must divide the mark horizon "
+                          f"{float(horizon)!r} into equal steps")
 
 
 def _lifetimes(auxs: AuxTable):
@@ -330,10 +348,8 @@ def _gi_plan_args(points, model: GrowthInteraction, step: float,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     births = np.asarray(births, dtype=float)
     lifetimes = np.asarray(lifetimes, dtype=float)
-    nsteps = int(round(t_star / step)) if step > 0 else 0
-    if abs(nsteps * step - t_star) > 1e-9 * max(t_star, 1.0) or nsteps < 1:
-        raise ValidationError("step must divide the mark horizon t_star")
-    grid = np.arange(nsteps + 1) * step
+    grid = _uniform_grid(step, t_star)
+    nsteps = grid.size - 1
     deaths = np.minimum(births + lifetimes, t_star)
     icode, ip = _registry_entry(INTERACTION_REGISTRY, model.interaction, "interaction")
     cutoff = -1.0 if model.interaction_cutoff is None else float(model.interaction_cutoff)
@@ -552,8 +568,7 @@ def aux_density_eval(spec: AuxDensitySpec, locations, values) -> float:
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-def make_configuration(window: Window, locations, auxs, paths,
-                       reference: ReferenceSpec | None = None) -> Configuration:
+def make_configuration(window: Window, locations, auxs, paths) -> Configuration:
     """Assemble a configuration from its columns: the (n, D) ground
     locations, the aux marks and the cadlag marks."""
-    return Configuration(window, locations, auxs, paths, reference)
+    return Configuration(window, locations, auxs, paths)

@@ -17,6 +17,7 @@ from fmpp.cli import main
 from fmpp.core import Window, configuration_from_json, read_configuration_files
 from fmpp.ground import HomogeneousPoisson, simulate_poisson
 from fmpp.stats import campbell_check, gnz_check
+from test_core import parent_format_json
 
 
 def write_cfg(tmp_path: Path, cfg: dict, name="cfg.json") -> str:
@@ -239,6 +240,41 @@ def test_nan_in_config_is_a_validation_error(tmp_path, capsys, window, model,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("window, message", [
+    ({**BASE["window"], "time_scale": 1.0},
+     "'window.time_scale' is unknown or removed"),
+    ({**BASE["window"], "tstar": 1.0}, "'window.tstar' is unknown or removed"),
+    (5, "'window' must be an object"), ("lo", "'window' must be an object"),
+])
+def test_window_takes_its_own_fields_only(tmp_path, capsys, window, message):
+    # a time_scale changed no output and was removed: a config that sets
+    # it, or any other member a window does not have, is refused, and so is
+    # a window that is not an object (5 raised a TypeError)
+    cfg = write_cfg(tmp_path, {**BASE, "window": window})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: config field " + message)
+
+
+def test_parent_format_files_summarize_the_same(tmp_path):
+    # configuration files that still hold the window's time_scale and the
+    # configuration's reference, with no .cols beside them, summarize cold
+    # to the same CSVs
+    cfg = write_cfg(tmp_path, {**BASE, "summarize": {
+        "intensity": {"cells": 4}, "pcf": {"lags": [0.05, 0.1, 0.15]},
+        "variogram": {"bins": 5}}})
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(["simulate", "--config", cfg, "--out", str(new)]) == 0
+    shutil.copytree(new, old)
+    for path in old.glob("configuration_r*.json"):
+        path.write_text(parent_format_json(path.read_text()))
+        path.with_suffix(".cols").unlink()
+    for out in (new, old):
+        assert main(["summarize", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("intensity.csv", "pcf.csv", "variogram.csv"):
+        assert (old / name).read_bytes() == (new / name).read_bytes()
+
+
 INF = float("inf")
 GIBBS = {"family": "gibbs", "beta": 100.0, "gamma": 0.5, "range": 0.05,
          "steps": 200}
@@ -370,15 +406,20 @@ class TestRandomFieldPinned:
         out = tmp_path / "geo"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert main(["summarize", "--config", cfg, "--out", str(out)]) == 0
-        # the two .cols caches were pinned when the cache became one flat
-        # file of raw columns
+        # the JSON files were pinned in the format that also held the
+        # window's time_scale and the configuration's reference, and the
+        # two .cols caches when their headers lost those members
+        for r in ("000", "001"):
+            path = out / f"configuration_r{r}.json"
+            path.write_text(parent_format_json(path.read_text(),
+                                               ("counting", [2])))
         assert output_digests(out) == {
             "configuration_r000.cols":
-                "b4c29b9c3968b418fd4925858cd3bf2d3adbd6801d8574eb97810d97136a1312",
+                "a835ab20c3f7eafb305065dee516e1f18ea13bce781e03c9eb09bd300d3946d0",
             "configuration_r000.json":
                 "9682e889222c7039d34b1bc364409fc62dd7af7e820dd04d5abba4288155ea86",
             "configuration_r001.cols":
-                "96603afcefc9fb92d820483fc92ca3252af0684af00799868945c5088b3fab62",
+                "629a2d6039f927c3370d8d620a0467e394a64af631bc7da9c5762c5c545dcac7",
             "configuration_r001.json":
                 "2373febe964bb629eec71f14f9c55a6bd4f8b7da6217779173b55961f66443ff",
             "intensity.csv":

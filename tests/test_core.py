@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from fmpp.core import (
     AuxMark,
-    AuxMeasure,
     AuxTable,
     CadlagPath,
     Configuration,
     MarkedPoint,
-    ReferenceSpec,
     SampleSchedule,
     Window,
     configuration_from_json,
@@ -49,11 +47,11 @@ def make_point(x, t=None, value=1.0, t_star=1.0):
     return MarkedPoint(x, t, AuxMark(discrete=1), const_path(value, t_star))
 
 
-def from_points(window, pts, reference=None):
+def from_points(window, pts):
     """The configuration whose columns hold the given points."""
     ground = [list(p.x) + ([] if p.t is None else [p.t]) for p in pts]
     return Configuration(window, ground, [p.aux for p in pts],
-                         [p.mark for p in pts], reference)
+                         [p.mark for p in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +72,7 @@ class TestWindow:
             Window((0,), (1,), t_star=0.0)
 
     @pytest.mark.parametrize("kw", [dict(hi=(1.0, math.inf)), dict(lo=(-math.inf, 0.0)),
-                                    dict(t_star=math.inf), dict(time_scale=math.inf)])
+                                    dict(t_star=math.inf)])
     def test_rejects_infinities(self, kw):
         with pytest.raises(ValidationError, match="finite"):
             Window(**{"lo": (0.0, 0.0), "hi": (1.0, 1.0), **kw})
@@ -114,14 +112,15 @@ class TestWindow:
         np.testing.assert_array_equal(shift(c, [-1e-17, 0.0]).ground,
                                       [[0.0, 0.5]])
 
-    def test_time_scale_in_ground_metric(self):
-        w = Window((0, 0), (1, 1), t_star=10.0, time_scale=0.1)
+    def test_ground_metric_is_the_supremum(self):
+        # space and time each on their own unit scale: max(spatial, |dt|)
+        w = Window((0, 0), (1, 1), t_star=10.0)
         g1 = ((0.0, 0.0), 0.0)
-        g2 = ((0.3, 0.0), 8.0)
-        # time lag 8 counts as 0.8 under the scaling: max(0.3, 0.8)
-        assert w.ground_distance(g1, g2) == pytest.approx(0.8)
-        w1 = Window((0, 0), (1, 1), t_star=10.0)
-        assert w1.ground_distance(g1, g2) == pytest.approx(8.0)
+        assert w.ground_distance(g1, ((0.3, 0.0), 8.0)) == pytest.approx(8.0)
+        assert w.ground_distance(g1, ((0.3, 0.4), 0.25)) == pytest.approx(0.5)
+        assert w.ground_distance(((0.0, 0.0), None),
+                                 ((0.3, 0.4), None)) == pytest.approx(0.5)
+
 
 
 class TestMidpointRule:
@@ -178,6 +177,32 @@ class TestConfiguration:
         pts = [make_point((0.5, 0.5)), make_point((0.5, 0.5))]
         with pytest.raises(ValidationError):
             from_points(w, pts)
+
+    def test_torus_seam_pair_rejected(self):
+        # on the torus x = 0 and x = 1 are one point
+        w = Window((0, 0), (1, 1), torus=True)
+        with pytest.raises(ValidationError, match="duplicate ground location"):
+            from_points(w, [make_point((0.0, 0.5)), make_point((1.0, 0.5))])
+        w3 = Window((-1, 0, 2), (1, 0.7, 5), torus=True)
+        with pytest.raises(ValidationError, match="duplicate ground location"):
+            from_points(w3, [make_point((1.0, 0.7, 3.0)),
+                             make_point((-1.0, 0.0, 3.0))])
+
+    def test_box_pair_on_opposite_sides_kept(self):
+        w = Window((0, 0), (1, 1))
+        c = from_points(w, [make_point((0.0, 0.5)), make_point((1.0, 0.5))])
+        np.testing.assert_array_equal(c.ground, [[0.0, 0.5], [1.0, 0.5]])
+        # -0.0 is 0.0 on a box too
+        with pytest.raises(ValidationError, match="duplicate ground location"):
+            from_points(w, [make_point((0.0, 0.5)), make_point((-0.0, 0.5))])
+
+    def test_temporal_torus_seam_pair_rejected_at_one_time_only(self):
+        w = Window((0, 0), (1, 1), t_star=1.0, torus=True)
+        pts = [make_point((0.0, 0.5), 0.25), make_point((1.0, 0.5), 0.5)]
+        assert len(from_points(w, pts)) == 2
+        with pytest.raises(ValidationError, match="duplicate ground location"):
+            from_points(w, [make_point((0.0, 0.5), 0.25),
+                            make_point((1.0, 0.5), 0.25)])
 
     def test_point_outside_window_rejected(self):
         w = Window((0, 0), (1, 1))
@@ -264,6 +289,13 @@ class TestShift:
         with pytest.raises(ValidationError):
             shift(c, (0.5, 0.0))
 
+    def test_torus_shift_across_the_seam(self):
+        w = Window((0, 0), (1, 1), torus=True)
+        c = from_points(w, [make_point((0.25, 0.5)), make_point((0.75, 0.5))])
+        c2 = shift(c, (0.25, 0.0))
+        np.testing.assert_array_equal(c2.ground, [[0.5, 0.5], [0.0, 0.5]])
+        np.testing.assert_array_equal(shift(c2, (-0.25, 0.0)).ground, c.ground)
+
     def test_marks_unchanged(self):
         w = Window((0, 0), (1, 1), torus=True)
         c = from_points(w, [make_point((0.3, 0.4), value=7.0)])
@@ -310,7 +342,7 @@ class TestSerialization:
                                    AuxMark(discrete=i + 1,
                                            continuous=(rng.random(),)),
                                    path))
-        return from_points(w, pts, ReferenceSpec())
+        return from_points(w, pts)
 
     def test_json_round_trip_full_precision(self):
         c = self._config()
@@ -325,7 +357,8 @@ class TestSerialization:
 
     def test_json_is_valid(self):
         obj = json.loads(configuration_to_json(self._config()))
-        assert {"window", "points", "reference"} <= set(obj)
+        assert set(obj) == {"window", "points"}
+        assert set(obj["window"]) == {"lo", "hi", "t_star", "torus"}
 
     def test_csv_rows_one_per_grid_time(self):
         c = self._config()
@@ -385,7 +418,7 @@ class TestMarksCsvOracle:
                 (rng.random(), 1.0 / 3.0), rng.random() * 2.0,
                 AuxMark(discrete=i + 1, continuous=(rng.random(), -1e-300)),
                 CadlagPath(grid, vals, (a, b), "step", 2.0)))
-        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts), tmp_path)
 
     def test_spatial_window_infinite_support(self, tmp_path):
         w = Window((0, 0, 0), (1, 2, 3))
@@ -397,7 +430,7 @@ class TestMarksCsvOracle:
                            CadlagPath(grid, np.cumsum(rng.standard_normal(11)),
                                       (0.0, np.inf), "linear", 1.0))
                for i in range(5)]
-        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts), tmp_path)
 
     def test_two_grids_in_one_configuration(self, tmp_path):
         # points 0, 2 and 4 share one grid array, point 3 has an equal copy
@@ -411,12 +444,12 @@ class TestMarksCsvOracle:
                            CadlagPath(g, rng.standard_normal(g.size),
                                       (0.0, np.inf), "step", 1.0))
                for g in grids]
-        c = from_points(w, pts, ReferenceSpec())
+        c = from_points(w, pts)
         assert c.points[0].mark.grid is c.points[2].mark.grid
         self.check(c, tmp_path)
 
     def test_empty_configuration_header_only(self, tmp_path):
-        c = from_points(Window((0, 0), (1, 1), t_star=1.0), [], ReferenceSpec())
+        c = from_points(Window((0, 0), (1, 1), t_star=1.0), [])
         self.check(c, tmp_path)
         assert len(configuration_to_csv_rows(c)) == 1
 
@@ -435,12 +468,6 @@ def reference_json_text(c):
             "hi": list(c.window.hi),
             "t_star": c.window.t_star,
             "torus": c.window.torus,
-            "time_scale": c.window.time_scale,
-        },
-        "reference": {
-            "aux": {"kind": c.reference.aux.kind,
-                    "params": list(c.reference.aux.params)},
-            "mark_reference": list(c.reference.mark_reference),
         },
         "points": [
             {
@@ -469,12 +496,71 @@ def configuration_bits(c) -> tuple:
         return a.dtype.str, a.shape, a.tobytes()
 
     m = c.marks
-    return (c.window, c.reference,
+    return (c.window,
             [(type(a.discrete), a.discrete, None if a.continuous is None
               else [(type(v), v.hex()) for v in a.continuous]) for a in c.auxs],
             array(c.auxs.discrete), array(c.auxs.continuous),
             array(c.ground), array(m.grid), array(m.values), array(m.starts),
             array(m.ends), m.mode, m.t_star)
+
+
+def parent_format_json(text, aux=("counting", [1])):
+    """``configuration_to_json`` text in the format written before the
+    window lost its ``time_scale`` and the configuration its ``reference``:
+    both members put back where that format had them, with the values that
+    ``simulate`` wrote (``aux`` the aux measure of the config's aux kind:
+    counting over the types, expon for lifetimes, counting (1,) for none)."""
+    head, sep, rest = text.partition(', "points": ')
+    reference = {"aux": {"kind": aux[0], "params": list(aux[1])},
+                 "mark_reference": ["wiener", 1.0]}
+    return (head[:-1] + ', "time_scale": 1.0}, "reference": '
+            + json.dumps(reference) + sep + rest)
+
+
+class TestParentFormat:
+    """Files that still hold the window's ``time_scale`` and the
+    configuration's ``reference`` read to the same configuration."""
+
+    def config(self):
+        w = Window((0, 0), (1, 1), t_star=1.0, torus=True)
+        rng = np.random.default_rng(21)
+        return Configuration(
+            w, np.column_stack([rng.random((3, 2)), [0.1, 0.2, 0.3]]),
+            [AuxMark(discrete=2, continuous=(0.5,)), AuxMark(discrete=1),
+             AuxMark(continuous=(1.0, -0.0))],
+            CadlagPath.rows(np.linspace(0.0, 1.0, 5),
+                            rng.standard_normal((3, 5)), None, "step", 1.0))
+
+    def test_json_reads_the_same(self):
+        c = self.config()
+        text = configuration_to_json(c)
+        old = configuration_from_json(parent_format_json(
+            text, ("product", [5, "expon", 1.0])))
+        assert configuration_bits(old) == configuration_bits(
+            configuration_from_json(text))
+        assert configuration_to_json(old) == text
+
+    def test_files_read_the_same_with_and_without_the_cache(self, tmp_path):
+        c = self.config()
+        text = configuration_to_json(c)
+        head = core._head
+
+        def parent_head(c):
+            obj = head(c)
+            obj["window"]["time_scale"] = 1.0
+            return {**obj, "reference": {"aux": {"kind": "counting",
+                                                 "params": [1]},
+                                         "mark_reference": ["wiener", 1.0]}}
+
+        # the parent's writer: its JSON and its .cols header hold both members
+        with mock.patch.object(core, "_head", parent_head):
+            write_configuration_files(c, tmp_path / "c.json", tmp_path / "m.csv")
+        assert (tmp_path / "c.json").read_text() == parent_format_json(text)
+        want = configuration_bits(configuration_from_json(text))
+        assert configuration_bits(read_from_cache(tmp_path / "c.json")) == want
+        (tmp_path / "c.cols").unlink()
+        assert configuration_bits(read_configuration_files(
+            tmp_path / "c.json")) == want
 
 
 def reference_point_texts(c):
@@ -558,7 +644,7 @@ class TestJsonOracle:
         assert configuration_bits(cached) == configuration_bits(from_json)
 
     def test_temporal_continuous_aux_finite_supports(self, tmp_path):
-        w = Window((0, 0), (1, 1), t_star=2.0, time_scale=0.5)
+        w = Window((0, 0), (1, 1), t_star=2.0)
         rng = np.random.default_rng(4)
         grid = np.concatenate([[0.0], np.sort(rng.random(20)) * 2.0])
         pts = []
@@ -572,8 +658,7 @@ class TestJsonOracle:
                 AuxMark(discrete=i + 1, continuous=(rng.random(), -1e-300))
                 if i % 2 else AuxMark(continuous=(1e22,)),
                 CadlagPath(grid, vals, (a, b), "step", 2.0)))
-        ref = ReferenceSpec(AuxMeasure("product", (5, "expon", 1.0)))
-        self.check(from_points(w, pts, ref), tmp_path)
+        self.check(from_points(w, pts), tmp_path)
 
     def test_spatial_discrete_aux(self, tmp_path):
         w = Window((-1.0, 0.0, 2.0), (0.0, 3.0, 2.5), torus=True)
@@ -585,7 +670,7 @@ class TestJsonOracle:
         pts = [MarkedPoint(tuple(lo + rng.random(3) * sides), None,
                            AuxMark(discrete=i + 1), p)
                for i, p in enumerate(paths)]
-        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts), tmp_path)
 
     def test_ragged_grids(self, tmp_path):
         w = Window((0,), (1,))
@@ -596,7 +681,7 @@ class TestJsonOracle:
                            CadlagPath(g, rng.standard_normal(g.size),
                                       (0.0, np.inf), "step", 1.0))
                for g in grids]
-        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts), tmp_path)
 
     def test_linear_mode_no_horizon_and_unbounded_supports(self, tmp_path):
         # json.dumps spells a -inf support start as -Infinity
@@ -608,7 +693,7 @@ class TestJsonOracle:
                                                      * 1e17, 0.0),
                                       (a, b), "linear", None))
                for a, b in ((0.5, 10.0), (-np.inf, np.inf), (-np.inf, 2.0))]
-        self.check(from_points(w, pts, ReferenceSpec()), tmp_path)
+        self.check(from_points(w, pts), tmp_path)
 
     def test_temporal_linear_nan_padded_aux_infinite_supports(self, tmp_path):
         # continuous aux marks of 0 to 3 values, NaN-padded to 3, with and
@@ -625,14 +710,14 @@ class TestJsonOracle:
                                       (0.0, np.inf if i % 2 else 1.0),
                                       "linear", 1.5))
                for i, a in enumerate(auxs)]
-        c = from_points(w, pts, ReferenceSpec())
+        c = from_points(w, pts)
         assert c.auxs.continuous.shape == (12, 3)
         assert np.isnan(c.auxs.continuous).any()
         self.check(c, tmp_path)
 
     def test_empty_configuration(self, tmp_path):
-        self.check(from_points(Window((0, 0), (1, 1), t_star=1.0), [],
-                               ReferenceSpec()), tmp_path)
+        self.check(from_points(Window((0, 0), (1, 1), t_star=1.0), []),
+                   tmp_path)
 
 
 class TestNpzCache:
@@ -870,6 +955,11 @@ def test_tiny_wiener_simulate_is_pinned(tmp_path):
                      "marks": {"model": "wiener", "scale": 1.0},
                      "mark_grid": {"dt": 0.1}}}
     run_simulate(cfg, tmp_path, 2014, 1)
+    # the JSON was pinned in the format that also held the window's
+    # time_scale and the configuration's reference
+    text = (tmp_path / "configuration_r000.json").read_text()
+    (tmp_path / "configuration_r000.json").write_text(
+        parent_format_json(text, ("counting", [2])))
     digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
               for f in ("configuration_r000.json", "marks_r000.csv")}
     assert digest == {
@@ -899,20 +989,23 @@ TINY_GEOSTAT = {
               "mark_grid": {"dt": 0.125}}}
 
 
-@pytest.mark.parametrize("cfg, want", [
-    (TINY_GROWTH, ("d4401210c0177362c0a5a4e1292fd55f27ae0feeac79faddbceb8c3167197b95",
+@pytest.mark.parametrize("cfg, aux, want", [
+    (TINY_GROWTH, ("expon", [1.0]), ("d4401210c0177362c0a5a4e1292fd55f27ae0feeac79faddbceb8c3167197b95",
                    "bbbcc8671f52f463489f87de6e052312ac3964c52f27a1efcc64e1502762352d")),
-    (TINY_GEOSTAT, ("e566ce0cd7246a5f5aab84551fda97a1de161eb52b7c30cd603a5c09bf2c192b",
+    (TINY_GEOSTAT, ("counting", [1]), ("e566ce0cd7246a5f5aab84551fda97a1de161eb52b7c30cd603a5c09bf2c192b",
                     "f9a7ca7c2b6e5f3d6770ec085620fe51bd1ab05db83e6c8ac3381ceaa31dedb2")),
 ], ids=["growth-finite-supports", "geostatistical"])
-def test_tiny_simulate_is_pinned(tmp_path, cfg, want):
+def test_tiny_simulate_is_pinned(tmp_path, cfg, aux, want):
     # SHA-256 of both simulate outputs, recorded when a configuration still
-    # held one CadlagPath object per point
+    # held one CadlagPath object per point, the JSON in the format that
+    # also held the window's time_scale and the configuration's reference
     from fmpp.cli import run_simulate
 
     run_simulate(cfg, tmp_path, cfg["seed"], 1)
-    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                 for f in ("configuration_r000.json", "marks_r000.csv")) == want
+    text = (tmp_path / "configuration_r000.json").read_text()
+    assert (hashlib.sha256(parent_format_json(text, aux).encode()).hexdigest(),
+            hashlib.sha256((tmp_path / "marks_r000.csv").read_bytes())
+            .hexdigest()) == want
 
 
 class TestSharedGridReader:

@@ -129,6 +129,14 @@ class TestExpectedCoverage:
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             expected_coverage(dist, 0.01, W)
 
+    @pytest.mark.parametrize("probs", [[0.6, 0.6], [0.5, 0.5 + 2e-8]])
+    def test_pmf_summing_past_one_rejected(self, probs):
+        # a negative truncation tail used to pass the tail_tol test
+        with pytest.raises(ValidationError, match="more than 1"):
+            expected_coverage(("pmf", probs), 0.01, W)
+        # within tail_tol of 1 from either side is fine
+        assert expected_coverage(("pmf", [0.5, 0.5 + 5e-9]), 0.01, W) > 0.0
+
     def test_zero_mean_is_empty(self):
         assert expected_coverage(("poisson", 0.0, 10), 0.01, W) == 0.0
 

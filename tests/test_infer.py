@@ -279,6 +279,19 @@ class TestJanossy:
                                    schedule=SampleSchedule((1.0,)))
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("grid", [[0.0], [], [[0.0, 1.0], [2.0, 3.0]],
+                                      [1.0, 0.0, -1.0], [0.0, 0.0, 0.0],
+                                      [-1.0, 0.0, 2.0, 3.0], [0.0, 1.0, math.nan],
+                                      [0.0, math.inf]])
+    def test_bad_mark_grid_is_a_validation_error(self, grid):
+        # a single value raised IndexError, and an uneven grid was summed
+        # with its first gap as every step
+        m = ParametricModel("poisson", (1.0,), W, fidi=brownian_fidi(1.0))
+        with pytest.raises(ValidationError, match="mark_grid must hold at "
+                           "least two increasing, evenly spaced values"):
+            janossy_total_mass(m, 30, mark_grid=np.array(grid),
+                               schedule=SampleSchedule((1.0,)))
+
     def test_negative_n_max_is_a_validation_error(self):
         # a sum over no n would read 0 and fail the check for the wrong reason
         m = ParametricModel("poisson", (50.0,), W)

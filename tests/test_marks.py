@@ -10,6 +10,7 @@ from fmpp.errors import NumericalError, ValidationError
 from fmpp.ground import HomogeneousPoisson, LogGaussianCox, simulate_lgcp, simulate_poisson
 from fmpp.marks import (
     DEGENERATE_DENSITY,
+    _uniform_grid,
     AuxDensitySpec,
     Deterministic,
     Geostatistical,
@@ -35,6 +36,28 @@ def ground_points(n, seed=0):
     """Locations and aux marks of n uniform points on the unit square."""
     rng = np.random.default_rng(seed)
     return rng.random((n, 2)), [AuxMark(discrete=1)] * n
+
+
+class TestUniformGrid:
+    """The one rule for the mark grid 0, dt, .., horizon."""
+
+    def test_a_step_makes_the_grid(self):
+        np.testing.assert_array_equal(_uniform_grid(0.1, 1.0), np.arange(11) * 0.1)
+        np.testing.assert_array_equal(_uniform_grid(0.5, 2.0), [0.0, 0.5, 1.0, 1.5, 2.0])
+
+    def test_a_given_grid_within_the_tolerance_is_the_made_one(self):
+        # linspace and arange differ in the last bits of some times
+        got = _uniform_grid(np.linspace(0.0, 1.0, 11), 1.0)
+        np.testing.assert_array_equal(got, np.arange(11) * 0.1)
+
+    @pytest.mark.parametrize("step", [0.3, 0.0, -0.1, math.nan, math.inf, 2.0,
+                                      [0.0], [0.0, 0.25, 0.5],
+                                      [0.0, 0.1, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0],
+                                      [0.0, 0.25, 0.75, 1.0]])
+    def test_anything_else_is_a_validation_error(self, step):
+        with pytest.raises(ValidationError, match="x must divide the mark "
+                           "horizon 1.0 into equal steps"):
+            _uniform_grid(step, 1.0, "x")
 
 
 class TestDeterministicMarks:
@@ -231,7 +254,8 @@ class TestGrowthInteraction:
         # first step, so any other grid would come back replaced
         temporal = Window((0, 0), (1, 1), t_star=1.0)
         locs = np.column_stack([ground_points(3)[0], [0.0, 0.2, 0.4]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="growth-interaction mark "
+                           "grid must divide the mark horizon"):
             attach_marks(temporal, locs, [AuxMark(continuous=(0.5,))] * 3,
                          GrowthInteraction(), np.array(grid), 1)
 
